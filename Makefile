@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test bench bench-json figs figs-full fuzz crashfuzz faultfuzz campaign check serve-check cover clean metrics-demo
+.PHONY: all build test bench bench-json figs figs-full fuzz crashfuzz faultfuzz campaign check serve-check bench-check cover clean metrics-demo
 
 # The canonical benchmark set persisted to BENCH_$(BENCH_REV).json; keep in
 # sync with the `canonical` list in cmd/benchjson.
@@ -125,7 +125,14 @@ serve-check:
 	go test -shuffle=on -race -cpu 1,4,8 \
 		-run 'HTTPConformance|ConcurrentHammer|ChannelsDataPlane|ChannelsValidation' ./securemem
 
-check: crashfuzz faultfuzz serve-check
+# The benchmark under bench/ is a module of its own, so the root
+# `go vet ./...` and `go test ./...` do not descend into it: vet and test it
+# in place (its sabotage oracle, golden simulator figures and metric-table
+# checks).
+bench-check:
+	cd bench && go vet ./... && go test ./...
+
+check: crashfuzz faultfuzz serve-check bench-check
 	go vet ./...
 	go test -shuffle=on -race -cpu 1,4 ./internal/crashfuzz ./internal/figures \
 		./internal/metrics ./internal/sim ./internal/multi \

@@ -400,6 +400,30 @@ func BenchmarkHotReadPath(b *testing.B) {
 	}
 }
 
+// TestRecoverySearchAllocs holds the recovery counter searches to zero
+// allocations per call: a Steins-SC restart runs them ~156 k times, so a
+// MAC message that escapes to the heap costs an allocation per candidate.
+// Each search runs to its worst case (last candidate or no match) on the
+// production MAC of a default controller.
+func TestRecoverySearchAllocs(t *testing.T) {
+	eng := memctrl.New(memctrl.DefaultConfig(64<<10, true), steins.Factory).Engine()
+	ct := [64]byte{7}
+	gc := eng.TagGC(&ct, 128, 3<<16|9)
+	sc := eng.TagSC(&ct, 128, 5<<6|63, 5)
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"RecoverCounterGC", func() { eng.RecoverCounterGC(&ct, 128, gc, 1<<16) }},
+		{"SearchCounterGC", func() { eng.SearchCounterGC(&ct, 128, gc, 8) }},
+		{"RecoverCounterSC", func() { eng.RecoverCounterSC(&ct, 128, sc, 0) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, tc.run); allocs != 0 {
+			t.Errorf("%s allocates %.1f times per call, want 0", tc.name, allocs)
+		}
+	}
+}
+
 // BenchmarkMACBatchWindow contrasts the deferred-MAC window sizes on the
 // same write stream: window 1 computes every data-tag MAC synchronously,
 // window 16 batches them through the engine's packed message queue.

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -75,6 +76,45 @@ func TestCheckpointRejectsWrongKind(t *testing.T) {
 	}
 	if _, err := LoadCheckpoint(path); err != nil {
 		t.Fatalf("reload: %v", err)
+	}
+}
+
+// TestSaveCheckpointAtomicReplace pins that the campaign saver shares the
+// snapshot package's durable atomic writer: an overwrite leaves only the
+// newer checkpoint (mode 0644, no temp droppings), and a save into a
+// missing directory fails without touching the previous checkpoint.
+func TestSaveCheckpointAtomicReplace(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "campaign.snap")
+	cfg := testConfig(10)
+	cfg.setDefaults()
+	for done := 0; done < 2; done++ {
+		if err := SaveCheckpoint(path, &cfg, &Report{Seed: cfg.Seed, Cases: done}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory has %d entries after saves, want 1", len(entries))
+	}
+	if info, err := os.Stat(path); err != nil || info.Mode().Perm() != 0o644 {
+		t.Fatalf("stat = (%v, %v), want mode 0644", info, err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := LoadCheckpoint(path); err != nil || st.Report.Cases != 1 {
+		t.Fatalf("reload = (%v, %v), want the second checkpoint", st, err)
+	}
+	if err := SaveCheckpoint(filepath.Join(dir, "missing", "campaign.snap"), &cfg, &Report{}); err == nil {
+		t.Fatal("save into a missing directory succeeded")
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("failed save modified the existing checkpoint (err %v)", err)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"steins/internal/snapshot"
 )
@@ -66,24 +65,8 @@ func SaveCheckpoint(path string, cfg *Config, rep *Report) error {
 	if err := gob.NewEncoder(&payload).Encode(&st); err != nil {
 		return fmt.Errorf("campaign: encode checkpoint: %w", err)
 	}
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("campaign: %w", err)
-	}
-	tmp := f.Name()
-	werr := snapshot.WriteEnvelope(f, snapshot.KindAdversarial, payload.Bytes())
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Chmod(tmp, 0o644)
-	}
-	if werr == nil {
-		werr = os.Rename(tmp, path)
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("campaign: checkpoint: %w", werr)
+	if err := snapshot.SaveEnvelope(path, snapshot.KindAdversarial, payload.Bytes()); err != nil {
+		return fmt.Errorf("campaign: checkpoint: %w", err)
 	}
 	return nil
 }

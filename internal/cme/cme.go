@@ -46,7 +46,7 @@ type Engine struct {
 	pad [64]byte // scratch: one-time pad
 	msg [80]byte // scratch: MAC message
 
-	// Deferred-tag queue. qMsgs holds packed 80-byte DataMAC messages
+	// Deferred-tag queue. qMsgs holds packed 80-byte DataMACInto messages
 	// back-to-back; qDst the tag slots to fill at flush (stable pointers:
 	// arena slots never move), qHint the recovery hints, qAddr the data
 	// addresses for pending-lookup.
@@ -196,7 +196,7 @@ func (e *Engine) RecoverCounterGC(ct *[64]byte, addr uint64, tag Tag, stale uint
 		return stale, 0, true // never written since initialisation
 	}
 	cand := CandidateGC(stale, tag.Hint)
-	if sit.DataMAC(e.MAC, e.Key, addr, ct, cand) == tag.MAC {
+	if sit.DataMACInto(&e.msg, e.MAC, e.Key, addr, ct, cand) == tag.MAC {
 		return cand, 1, true
 	}
 	return 0, 1, false
@@ -212,9 +212,11 @@ func (e *Engine) SearchCounterGC(ct *[64]byte, addr uint64, tag Tag, steps int) 
 		return 0, 0, true
 	}
 	cand := tag.Hint
+	sit.PutDataMACMsg(&e.msg, addr, ct, cand)
 	for j := 0; j < steps; j++ {
 		macOps++
-		if sit.DataMAC(e.MAC, e.Key, addr, ct, cand) == tag.MAC {
+		sit.SetDataMACCounter(&e.msg, cand)
+		if e.MAC.Sum64(e.Key, e.msg[:]) == tag.MAC {
 			return cand, macOps, true
 		}
 		cand += GCHintMask + 1
@@ -232,10 +234,12 @@ func (e *Engine) RecoverCounterSC(ct *[64]byte, addr uint64, tag Tag, staleMinor
 		return 0, staleMinor, 0, true
 	}
 	major = tag.Hint >> 6
+	// Pack the message once; each candidate rewrites only the counter.
+	sit.PutDataMACMsg(&e.msg, addr, ct, major<<6)
 	for m := 0; m < 64; m++ {
 		macOps++
-		enc := major<<6 | uint64(m)
-		if sit.DataMAC(e.MAC, e.Key, addr, ct, enc) == tag.MAC {
+		sit.SetDataMACCounter(&e.msg, major<<6|uint64(m))
+		if e.MAC.Sum64(e.Key, e.msg[:]) == tag.MAC {
 			return major, uint8(m), macOps, true
 		}
 	}

@@ -31,15 +31,12 @@ type PolicyState interface {
 	LoadState(data []byte) error
 }
 
-// TagState is one data line's co-located authentication tag.
-type TagState struct {
-	Addr uint64
-	Tag  cme.Tag
-}
+// StateLayout identifies the ControllerState encoding: 1 is the columnar
+// layout of the tag and device tables. Checkpoints written before the
+// columns carry no layout field and decode as 0; Restore rejects them
+// rather than silently restoring an empty device.
+const StateLayout = 1
 
-// ControllerState is the full serializable controller image. The
-// configuration and the crypto engine are not captured: the restoring side
-// rebuilds the controller via New from the same Config.
 // QuarantineState is one quarantined leaf's arbitration record.
 type QuarantineState struct {
 	Leaf     uint64
@@ -57,9 +54,22 @@ type EscalationState struct {
 	Count uint64
 }
 
+// ControllerState is the full serializable controller image. The
+// configuration and the crypto engine are not captured: the restoring side
+// rebuilds the controller via New from the same Config.
 type ControllerState struct {
-	Tags        []TagState // sorted by address
-	Quarantined []uint64   // sorted leaf indices
+	// Layout is StateLayout for every state State captures.
+	Layout uint32
+
+	// The data tags as columns, like the device's line table (see
+	// nvmem.State): TagAddrs lists the lines with a non-zero tag, sorted
+	// by address, and the other three columns hold each tag's fields.
+	TagAddrs   []uint64
+	TagMACs    []uint64
+	TagHints   []uint64
+	TagWritten []bool
+
+	Quarantined []uint64 // sorted leaf indices
 	// QuarInfo carries the arbitration record and re-admission mask of each
 	// quarantined leaf that has one, sorted by leaf index.
 	QuarInfo []QuarantineState
@@ -102,6 +112,7 @@ func (c *Controller) State() (*ControllerState, error) {
 	// (the snapshot does not serialize the engine's batch window).
 	c.eng.FlushTags()
 	st := &ControllerState{
+		Layout:       StateLayout,
 		Crashed:      c.crashed,
 		Recovered:    c.recovered,
 		LastRecovery: c.lastRecovery,
@@ -119,7 +130,10 @@ func (c *Controller) State() (*ControllerState, error) {
 	// map misses were; Tag() returns the zero value either way.
 	c.tags.ForEach(func(line uint64, t *cme.Tag) {
 		if *t != (cme.Tag{}) {
-			st.Tags = append(st.Tags, TagState{Addr: line * nvmem.LineSize, Tag: *t})
+			st.TagAddrs = append(st.TagAddrs, line*nvmem.LineSize)
+			st.TagMACs = append(st.TagMACs, t.MAC)
+			st.TagHints = append(st.TagHints, t.Hint)
+			st.TagWritten = append(st.TagWritten, t.Written)
 		}
 	})
 	for w, set := range c.quarBits {
@@ -163,16 +177,27 @@ func (c *Controller) State() (*ControllerState, error) {
 // Restore rebuilds the controller from a captured state. The controller
 // must have been built by New from the same Config and scheme factory as
 // the captured one; mismatches surface as scheme-state errors or later
-// divergence. The metrics collector is re-created when the state carries
-// one; fault hooks are left for the harness to re-register.
+// divergence. A state of another layout, or whose tag or device columns
+// disagree in length, is rejected before anything is overwritten. The
+// metrics collector is re-created when the state carries one; fault hooks
+// are left for the harness to re-register.
 func (c *Controller) Restore(st *ControllerState) error {
-	c.dev.Restore(st.Device)
+	if st.Layout != StateLayout {
+		return fmt.Errorf("memctrl: state layout %d, want %d", st.Layout, StateLayout)
+	}
+	if n := len(st.TagAddrs); len(st.TagMACs) != n || len(st.TagHints) != n || len(st.TagWritten) != n {
+		return fmt.Errorf("memctrl: state has %d tag addresses but %d MACs, %d hints, %d written flags",
+			n, len(st.TagMACs), len(st.TagHints), len(st.TagWritten))
+	}
+	if err := c.dev.Restore(st.Device); err != nil {
+		return err
+	}
 	// Drop any deferred tag MACs of the pre-restore run; they belong to
 	// tag slots the restore is about to overwrite.
 	c.eng.DropPendingTags()
 	c.tags.Reset()
-	for _, t := range st.Tags {
-		*c.tags.Ptr(t.Addr / nvmem.LineSize) = t.Tag
+	for i, addr := range st.TagAddrs {
+		*c.tags.Ptr(addr / nvmem.LineSize) = cme.Tag{MAC: st.TagMACs[i], Hint: st.TagHints[i], Written: st.TagWritten[i]}
 	}
 	c.quarBits = nil
 	c.quarN = 0

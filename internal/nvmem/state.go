@@ -3,24 +3,19 @@
 // encoding is deterministic, and the media-fault RNG position rides along —
 // the fault stream is entangled with the access sequence, so a resumed run
 // must continue drawing from the exact point the original stopped.
+//
+// The two per-line tables that scale with the footprint (contents and
+// wear) are stored as columns rather than slices of structs: gob moves a
+// []uint64 or []byte column in one slice operation, but decodes a Line
+// ([64]byte) inside a struct element byte by byte through reflection.
 
 package nvmem
 
 import (
+	"fmt"
+
 	"steins/internal/rng"
 )
-
-// LineState is one populated (non-zero) line.
-type LineState struct {
-	Addr uint64
-	Data Line
-}
-
-// WearState is one line's write count.
-type WearState struct {
-	Addr  uint64
-	Count uint64
-}
 
 // StuckState is one line's sticky stuck-at overlay.
 type StuckState struct {
@@ -49,11 +44,17 @@ type EvidenceState struct {
 // captured: the restoring side rebuilds the device from the same Config and
 // the snapshot header's knobs.
 type State struct {
-	Lines []LineState // non-zero lines, sorted by address
-	Wear  []WearState // per-line write counts, sorted by address
-	Queue []uint64    // pending write completions, FIFO by completion
-	Banks []uint64    // per-bank next-free times
-	Stats Stats
+	// LineAddrs lists the non-zero lines, sorted by address; LineData holds
+	// their contents back to back, LineSize bytes per address.
+	LineAddrs []uint64
+	LineData  []byte
+	// WearAddrs lists the lines with a non-zero write count, sorted by
+	// address; WearCounts[i] is the count of WearAddrs[i].
+	WearAddrs  []uint64
+	WearCounts []uint64
+	Queue      []uint64 // pending write completions, FIFO by completion
+	Banks      []uint64 // per-bank next-free times
+	Stats      Stats
 	// FaultRNG is the media-fault stream position; FaultRNGValid
 	// distinguishes "model off" from a zero state.
 	FaultRNGValid bool
@@ -77,14 +78,20 @@ func (d *Device) State() State {
 	}
 	// Arena iteration ascends by address, matching the sorted order the
 	// map-backed implementation produced; zero slots equal absent entries.
+	if d.populated > 0 {
+		st.LineAddrs = make([]uint64, 0, d.populated)
+		st.LineData = make([]byte, 0, d.populated*LineSize)
+	}
 	d.lines.ForEach(func(idx uint64, l *Line) {
 		if *l != (Line{}) {
-			st.Lines = append(st.Lines, LineState{Addr: idx * LineSize, Data: *l})
+			st.LineAddrs = append(st.LineAddrs, idx*LineSize)
+			st.LineData = append(st.LineData, l[:]...)
 		}
 	})
 	d.wear.ForEach(func(idx uint64, n *uint64) {
 		if *n != 0 {
-			st.Wear = append(st.Wear, WearState{Addr: idx * LineSize, Count: *n})
+			st.WearAddrs = append(st.WearAddrs, idx*LineSize)
+			st.WearCounts = append(st.WearCounts, *n)
 		}
 	})
 	d.stuck.ForEach(func(idx uint64, s *stuckLine) {
@@ -105,22 +112,42 @@ func (d *Device) State() State {
 	return st
 }
 
+// check reports whether the state's columns are consistent: LineData holds
+// exactly LineSize bytes per line address, and every value column is as
+// long as its address column.
+func (st *State) check() error {
+	if len(st.LineData) != len(st.LineAddrs)*LineSize {
+		return fmt.Errorf("nvmem: state has %d line addresses but %d data bytes, want %d",
+			len(st.LineAddrs), len(st.LineData), len(st.LineAddrs)*LineSize)
+	}
+	if len(st.WearCounts) != len(st.WearAddrs) {
+		return fmt.Errorf("nvmem: state has %d wear addresses but %d wear counts",
+			len(st.WearAddrs), len(st.WearCounts))
+	}
+	return nil
+}
+
 // Restore overwrites the device's contents, wear, queue, statistics and
 // fault-model state from a captured State. The device must have been built
 // from the same Config (bank count in particular); the observer callback is
-// left as-is.
-func (d *Device) Restore(st State) {
+// left as-is. A state whose columns are inconsistent is rejected before the
+// device is touched.
+func (d *Device) Restore(st State) error {
+	if err := st.check(); err != nil {
+		return err
+	}
 	d.lines.Reset()
 	d.populated = 0
-	for _, l := range st.Lines {
-		if l.Data != (Line{}) {
-			*d.lines.Ptr(l.Addr / LineSize) = l.Data
+	for i, addr := range st.LineAddrs {
+		l := Line(st.LineData[i*LineSize : (i+1)*LineSize])
+		if l != (Line{}) {
+			*d.lines.Ptr(addr / LineSize) = l
 			d.populated++
 		}
 	}
 	d.wear.Reset()
-	for _, w := range st.Wear {
-		*d.wear.Ptr(w.Addr / LineSize) = w.Count
+	for i, addr := range st.WearAddrs {
+		*d.wear.Ptr(addr / LineSize) = st.WearCounts[i]
 	}
 	d.queue = append(d.queue[:0], st.Queue...)
 	d.banks = append(d.banks[:0], st.Banks...)
@@ -152,4 +179,5 @@ func (d *Device) Restore(st State) {
 	}
 	d.last = lastWrite{valid: st.LastWrite.Valid, addr: st.LastWrite.Addr,
 		prev: st.LastWrite.Prev, next: st.LastWrite.Next}
+	return nil
 }

@@ -557,7 +557,9 @@ func (p *Pool) StateBytes() ([]byte, error) {
 
 // RestoreState loads a checkpoint into a freshly built pool of the same
 // configuration. Shape mismatches (tenants, placement groups, channels)
-// are structured errors, not silent truncation.
+// are structured errors, not silent truncation; a controller image that
+// cannot be restored (another layout, inconsistent tables) wraps
+// snapshot.ErrCorrupt.
 func (p *Pool) RestoreState(st *snapshot.ServerState) error {
 	if len(st.Tenants) != len(p.names) {
 		return fmt.Errorf("server: checkpoint has %d tenants, config has %d", len(st.Tenants), len(p.names))
@@ -589,7 +591,7 @@ func (p *Pool) RestoreState(st *snapshot.ServerState) error {
 			for chk := range ctrls {
 				if err := ctrls[chk].Restore(&ts.PGs[k].Channels[chk]); err != nil {
 					t.engineMu.Unlock()
-					return fmt.Errorf("server: tenant %q pg %d channel %d: %w", ts.Name, k, chk, err)
+					return fmt.Errorf("server: tenant %q pg %d channel %d: %w: %w", ts.Name, k, chk, snapshot.ErrCorrupt, err)
 				}
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"steins/internal/memctrl"
 	"steins/internal/snapshot"
 	"steins/securemem"
 )
@@ -254,6 +255,42 @@ func TestRestoreShapeMismatch(t *testing.T) {
 		if err := dst.RestoreState(st); err == nil {
 			t.Errorf("%s: restore accepted a mismatched checkpoint", name)
 		}
+	}
+}
+
+// TestRestoreRejectsCorruptTables pins that a shape-matching checkpoint
+// whose controller tables are inconsistent, or of another layout, is
+// refused as snapshot.ErrCorrupt instead of panicking or restoring a
+// partial device.
+func TestRestoreRejectsCorruptTables(t *testing.T) {
+	cfg := Config{Tenants: []TenantConfig{{Name: "a", Scheme: securemem.SteinsSC, PGs: 1, PoolBytes: 64 * 64}}}
+	src, err := NewPool(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	if _, aerr := src.Do("a", []OpSpec{{Addr: 64, IsWrite: true, Data: [64]byte{1}}}); aerr != nil {
+		t.Fatal(aerr)
+	}
+	for name, breakIt := range map[string]func(c *memctrl.ControllerState){
+		"line data":  func(c *memctrl.ControllerState) { c.Device.LineData = c.Device.LineData[1:] },
+		"wear":       func(c *memctrl.ControllerState) { c.Device.WearCounts = nil },
+		"tag hints":  func(c *memctrl.ControllerState) { c.TagHints = nil },
+		"old layout": func(c *memctrl.ControllerState) { c.Layout = 0 },
+	} {
+		st, err := src.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		breakIt(&st.Tenants[0].PGs[0].Channels[0])
+		dst, err := NewPool(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.RestoreState(st); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s: RestoreState = %v, want ErrCorrupt", name, err)
+		}
+		dst.Close()
 	}
 }
 

@@ -299,36 +299,37 @@ func NodeMACInto(msg *[72]byte, mac crypt.MAC, key crypt.Key, nodeAddr uint64, c
 	return mac.Sum64(key, msg[:])
 }
 
-// DataMAC computes the per-data-block HMAC binding ciphertext, address and
-// encryption counter (§II-C); recovery searches counter candidates against
-// it (Osiris-style) to restore stale leaf counters.
-func DataMAC(mac crypt.MAC, key crypt.Key, dataAddr uint64, ciphertext *[64]byte, encCounter uint64) uint64 {
-	var msg [80]byte
-	return DataMACInto(&msg, mac, key, dataAddr, ciphertext, encCounter)
-}
-
-// DataMACInto is DataMAC with a caller-provided message buffer; see
-// NodeMACInto for why.
+// DataMACInto computes the per-data-block HMAC binding ciphertext, address
+// and encryption counter (§II-C) in a caller-provided message buffer (see
+// NodeMACInto for why); recovery searches counter candidates against it
+// (Osiris-style) to restore stale leaf counters.
 func DataMACInto(msg *[80]byte, mac crypt.MAC, key crypt.Key, dataAddr uint64, ciphertext *[64]byte, encCounter uint64) uint64 {
 	PutDataMACMsg(msg, dataAddr, ciphertext, encCounter)
 	return mac.Sum64(key, msg[:])
 }
 
-// DataMACMsgSize is the byte length of a DataMAC message: 64-byte
+// DataMACMsgSize is the byte length of a DataMACInto message: 64-byte
 // ciphertext, 8-byte address, 8-byte encryption counter.
 const DataMACMsgSize = 80
 
-// PutDataMACMsg packs the DataMAC message into msg. Deferred-MAC callers
+// PutDataMACMsg packs the DataMACInto message into msg. Deferred-MAC callers
 // (the CME tag window) pack messages with it and batch the MAC later;
 // keeping the layout here means the synchronous and batched paths cannot
 // drift apart.
 func PutDataMACMsg(msg *[DataMACMsgSize]byte, dataAddr uint64, ciphertext *[64]byte, encCounter uint64) {
 	copy(msg[:64], ciphertext[:])
 	binary.LittleEndian.PutUint64(msg[64:72], dataAddr)
+	SetDataMACCounter(msg, encCounter)
+}
+
+// SetDataMACCounter rewrites only the encryption-counter field of a packed
+// DataMACInto message, so a counter search packs the ciphertext and address
+// once and then tries each candidate for the cost of 8 bytes.
+func SetDataMACCounter(msg *[DataMACMsgSize]byte, encCounter uint64) {
 	binary.LittleEndian.PutUint64(msg[72:80], encCounter)
 }
 
-// AppendDataMACMsg appends the 80-byte DataMAC message for
+// AppendDataMACMsg appends the 80-byte DataMACInto message for
 // (dataAddr, ciphertext, encCounter) to dst and returns the extended
 // slice, for callers accumulating a packed batch.
 func AppendDataMACMsg(dst []byte, dataAddr uint64, ciphertext *[64]byte, encCounter uint64) []byte {

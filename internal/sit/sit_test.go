@@ -239,17 +239,24 @@ func TestNodeMACSensitivity(t *testing.T) {
 func TestDataMACSensitivity(t *testing.T) {
 	mac, key := crypt.SipMAC{}, crypt.NewKey(2)
 	var ct [64]byte
-	base := DataMAC(mac, key, 64, &ct, 3)
+	var msg [DataMACMsgSize]byte
+	base := DataMACInto(&msg, mac, key, 64, &ct, 3)
 	ct[13] = 1
-	if DataMAC(mac, key, 64, &ct, 3) == base {
+	if DataMACInto(&msg, mac, key, 64, &ct, 3) == base {
 		t.Fatal("ciphertext change did not change MAC")
 	}
 	ct[13] = 0
-	if DataMAC(mac, key, 128, &ct, 3) == base {
+	if DataMACInto(&msg, mac, key, 128, &ct, 3) == base {
 		t.Fatal("address change did not change MAC")
 	}
-	if DataMAC(mac, key, 64, &ct, 4) == base {
+	if DataMACInto(&msg, mac, key, 64, &ct, 4) == base {
 		t.Fatal("counter change did not change MAC")
+	}
+	// Rewriting only the counter field must equal a full repack.
+	PutDataMACMsg(&msg, 64, &ct, 3)
+	SetDataMACCounter(&msg, 4)
+	if mac.Sum64(key, msg[:]) != DataMACInto(new([DataMACMsgSize]byte), mac, key, 64, &ct, 4) {
+		t.Fatal("SetDataMACCounter diverges from a full message pack")
 	}
 }
 

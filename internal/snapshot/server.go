@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"steins/internal/memctrl"
 )
@@ -49,12 +48,12 @@ type ServerState struct {
 
 // EncodeServer serializes a server state into KindServer envelope bytes.
 func EncodeServer(st *ServerState) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
-		return nil, fmt.Errorf("snapshot: encode server state: %w", err)
+	payload, err := encode(st)
+	if err != nil {
+		return nil, err
 	}
 	var out bytes.Buffer
-	if err := WriteEnvelope(&out, KindServer, payload.Bytes()); err != nil {
+	if err := WriteEnvelope(&out, KindServer, payload); err != nil {
 		return nil, err
 	}
 	return out.Bytes(), nil
@@ -75,46 +74,21 @@ func DecodeServer(r io.Reader) (*ServerState, error) {
 	return st, nil
 }
 
-// SaveServerFile atomically writes a server checkpoint: temp file in the
-// target directory, then rename, so a crash mid-save can never truncate
-// the previous good checkpoint.
+// SaveServerFile writes a server checkpoint through SaveEnvelope, so a
+// crash mid-save can never truncate the previous good checkpoint.
 func SaveServerFile(path string, st *ServerState) error {
-	data, err := EncodeServer(st)
+	payload, err := encode(st)
 	if err != nil {
 		return err
 	}
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	// CreateTemp opens 0600; keep the 0644 the plain-create path used.
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	return nil
+	return SaveEnvelope(path, KindServer, payload)
 }
 
 // LoadServerFile reads a server checkpoint file.
 func LoadServerFile(path string) (*ServerState, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	defer f.Close()
-	return DecodeServer(f)
+	return DecodeServer(bytes.NewReader(data))
 }

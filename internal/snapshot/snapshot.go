@@ -268,15 +268,9 @@ func ReadEnvelope(r io.Reader, kind uint32) ([]byte, error) {
 		return nil, fmt.Errorf("%w: payload kind %d, want %d", ErrCorrupt, k, kind)
 	}
 	plen := binary.LittleEndian.Uint64(hdr[16:])
-	// LimitReader bounds the allocation to what the stream actually holds,
-	// so an absurd declared length on a tiny file fails as truncated
-	// instead of attempting a huge allocation.
-	payload, err := io.ReadAll(io.LimitReader(r, int64(plen)))
+	payload, err := readPayload(r, plen)
 	if err != nil {
-		return nil, fmt.Errorf("%w: reading payload: %v", ErrTruncated, err)
-	}
-	if uint64(len(payload)) != plen {
-		return nil, fmt.Errorf("%w: payload is %d bytes, envelope declares %d", ErrTruncated, len(payload), plen)
+		return nil, err
 	}
 	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(hdr[24:]) {
 		return nil, fmt.Errorf("%w: payload CRC %#x, envelope declares %#x",
@@ -285,13 +279,50 @@ func ReadEnvelope(r io.Reader, kind uint32) ([]byte, error) {
 	return payload, nil
 }
 
+// readPayload reads the plen payload bytes that follow the header. A
+// reader that reports how many bytes it has left (a bytes.Reader, say) gets
+// one allocation of exactly plen bytes, once the stream is known to hold
+// them. Any other reader goes through a LimitReader, which bounds the
+// allocation to what the stream actually holds, so an absurd declared
+// length on a tiny stream fails as truncated instead of attempting a huge
+// allocation.
+func readPayload(r io.Reader, plen uint64) ([]byte, error) {
+	if lr, ok := r.(interface{ Len() int }); ok {
+		if left := uint64(lr.Len()); left < plen {
+			return nil, fmt.Errorf("%w: payload is %d bytes, envelope declares %d", ErrTruncated, left, plen)
+		}
+		payload := make([]byte, plen)
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return nil, fmt.Errorf("%w: reading payload: %v", ErrTruncated, err)
+		}
+		return payload, nil
+	}
+	payload, err := io.ReadAll(io.LimitReader(r, int64(plen)))
+	if err != nil {
+		return nil, fmt.Errorf("%w: reading payload: %v", ErrTruncated, err)
+	}
+	if uint64(len(payload)) != plen {
+		return nil, fmt.Errorf("%w: payload is %d bytes, envelope declares %d", ErrTruncated, len(payload), plen)
+	}
+	return payload, nil
+}
+
+// encode gob-encodes one payload value.
+func encode(v any) ([]byte, error) {
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+		return nil, fmt.Errorf("snapshot: encode: %w", err)
+	}
+	return payload.Bytes(), nil
+}
+
 // Write serializes the state to w in the envelope format.
 func Write(w io.Writer, st *RunState) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
-		return fmt.Errorf("snapshot: encode: %w", err)
+	payload, err := encode(st)
+	if err != nil {
+		return err
 	}
-	return WriteEnvelope(w, KindRun, payload.Bytes())
+	return WriteEnvelope(w, KindRun, payload)
 }
 
 // Read deserializes one snapshot from r, validating the envelope. Decode
@@ -309,44 +340,56 @@ func Read(r io.Reader) (*RunState, error) {
 	return st, nil
 }
 
-// SaveFile writes the state to path, replacing any existing file
-// atomically: the bytes go to a temporary file in the same directory and
-// are renamed over path only once fully written, so a crash or kill
-// mid-save can never destroy the previous good checkpoint — the whole
-// point of keeping one.
-func SaveFile(path string, st *RunState) error {
+// SaveEnvelope writes payload in a kind envelope to path, replacing any
+// existing file atomically and durably: the bytes go to a temporary file in
+// the same directory, are fsynced, and only then renamed over path. A crash
+// or kill mid-save can never destroy the previous good checkpoint — the
+// whole point of keeping one — and a power cut after the rename cannot leave
+// an empty file under path, because the data reached the device first.
+// Every checkpoint family (runs, servers, campaigns) saves through it.
+func SaveEnvelope(path string, kind uint32, payload []byte) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	tmp := f.Name()
-	if err := Write(f, st); err != nil {
+	if err := WriteEnvelope(f, kind, payload); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("snapshot: %w", err)
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
 	// CreateTemp opens 0600; keep the 0644 the plain-create path used.
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("snapshot: %w", err)
+	if err == nil {
+		err = os.Chmod(tmp, 0o644)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	return nil
 }
 
+// SaveFile writes the state to path through SaveEnvelope.
+func SaveFile(path string, st *RunState) error {
+	payload, err := encode(st)
+	if err != nil {
+		return err
+	}
+	return SaveEnvelope(path, KindRun, payload)
+}
+
 // LoadFile reads one snapshot from path.
 func LoadFile(path string) (*RunState, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	defer f.Close()
-	return Read(f)
+	return Read(bytes.NewReader(data))
 }

@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
 
+	"steins/internal/memctrl"
 	"steins/internal/metrics"
 	"steins/internal/nvmem"
 	"steins/internal/sim"
@@ -387,40 +389,115 @@ func TestReadRejectsMalformed(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			st, err := Read(bytes.NewReader(tc.data))
-			if st != nil || err == nil {
-				t.Fatalf("Read accepted malformed input (err=%v)", err)
-			}
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("error %v does not wrap %v", err, tc.want)
+			// A bytes.Reader reports its length, so the payload is read at
+			// its exact size; the plain reader takes the bounded path.
+			for _, r := range []io.Reader{bytes.NewReader(tc.data), struct{ io.Reader }{bytes.NewReader(tc.data)}} {
+				st, err := Read(r)
+				if st != nil || err == nil {
+					t.Fatalf("Read(%T) accepted malformed input (err=%v)", r, err)
+				}
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("Read(%T): error %v does not wrap %v", r, err, tc.want)
+				}
 			}
 		})
 	}
 }
 
 // TestResumeRejectsInconsistent covers payloads that pass the envelope but
-// describe no loadable run.
+// describe no loadable run: each case is a CRC-valid file whose Read or
+// Resume must fail with ErrCorrupt, never panic.
 func TestResumeRejectsInconsistent(t *testing.T) {
+	// mutated captures a small Steins-GC run (data lines, wear and tags all
+	// populated) and lets fn break one of its columns.
+	mutated := func(fn func(c *memctrl.ControllerState)) RunState {
+		h := testHeader("Steins-GC", 1, 100)
+		prof, _ := trace.ByName(h.Workload)
+		s, _ := sim.SchemeByName(h.Scheme)
+		opt, _ := h.Options()
+		e := sim.NewSingle(prof, s, opt)
+		g := trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops)
+		if _, err := e.DriveN(g, 25); err != nil {
+			t.Fatalf("drive: %v", err)
+		}
+		st, err := CaptureSingle(h, g, e)
+		if err != nil {
+			t.Fatalf("capture: %v", err)
+		}
+		c := st.Single.Ctrl
+		if len(c.Device.LineAddrs) == 0 || len(c.Device.WearAddrs) == 0 || len(c.TagAddrs) == 0 {
+			t.Fatalf("fixture run left a table empty")
+		}
+		fn(c)
+		return *st
+	}
+	wire := func(st RunState) []byte {
+		var buf bytes.Buffer
+		if err := Write(&buf, &st); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		return buf.Bytes()
+	}
+	// preColumnar is a Steins-GC run checkpointed by the encoder that
+	// predates the columnar tables (lines, wear and tags as slices of
+	// structs): same envelope version, different payload layout.
+	preColumnar, err := os.ReadFile("testdata/pre-columnar-run.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
-		st   RunState
+		data []byte
+		why  string // a fragment the error must name
 	}{
-		{"no engine", RunState{Header: testHeader("Steins-GC", 1, 100)}},
-		{"unknown workload", RunState{Header: func() RunHeader {
+		{"no engine", wire(RunState{Header: testHeader("Steins-GC", 1, 100)}), "0 engines"},
+		{"unknown workload", wire(RunState{Header: func() RunHeader {
 			h := testHeader("Steins-GC", 1, 100)
 			h.Workload = "no-such-workload"
 			return h
-		}(), Single: &sim.SingleState{}}},
-		{"unknown scheme", RunState{Header: func() RunHeader {
+		}(), Single: &sim.SingleState{}}), "unknown workload"},
+		{"unknown scheme", wire(RunState{Header: func() RunHeader {
 			h := testHeader("Steins-GC", 1, 100)
 			h.Scheme = "no-such-scheme"
 			return h
-		}(), Single: &sim.SingleState{}}},
+		}(), Single: &sim.SingleState{}}), "unknown scheme"},
+		{"line data short of its addresses", wire(mutated(func(c *memctrl.ControllerState) {
+			c.Device.LineData = c.Device.LineData[:len(c.Device.LineData)-1]
+		})), "data bytes"},
+		{"line data past its addresses", wire(mutated(func(c *memctrl.ControllerState) {
+			c.Device.LineAddrs = c.Device.LineAddrs[1:]
+		})), "data bytes"},
+		{"wear counts short of their addresses", wire(mutated(func(c *memctrl.ControllerState) {
+			c.Device.WearCounts = c.Device.WearCounts[1:]
+		})), "wear counts"},
+		{"tag MACs short of their addresses", wire(mutated(func(c *memctrl.ControllerState) {
+			c.TagMACs = c.TagMACs[1:]
+		})), "tag addresses"},
+		{"tag hints short of their addresses", wire(mutated(func(c *memctrl.ControllerState) {
+			c.TagHints = c.TagHints[1:]
+		})), "tag addresses"},
+		{"tag written flags short of their addresses", wire(mutated(func(c *memctrl.ControllerState) {
+			c.TagWritten = c.TagWritten[1:]
+		})), "tag addresses"},
+		{"tag addresses past their values", wire(mutated(func(c *memctrl.ControllerState) {
+			c.TagAddrs = append(c.TagAddrs, c.TagAddrs[len(c.TagAddrs)-1]+nvmem.LineSize)
+		})), "tag addresses"},
+		{"unknown controller layout", wire(mutated(func(c *memctrl.ControllerState) {
+			c.Layout = memctrl.StateLayout + 1
+		})), "layout 2"},
+		{"pre-columnar layout", preColumnar, "layout 0"},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			if r, err := tc.st.Resume(); r != nil || !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("Resume = (%v, %v), want ErrCorrupt", r, err)
+			st, err := Read(bytes.NewReader(tc.data))
+			if err == nil {
+				var r *Resumed
+				if r, err = st.Resume(); r != nil {
+					t.Fatalf("Resume accepted an inconsistent payload")
+				}
+			}
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.why) {
+				t.Fatalf("err = %v, want ErrCorrupt naming %q", err, tc.why)
 			}
 		})
 	}
@@ -457,10 +534,12 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
-// TestSaveFileAtomicReplace pins the atomic-replace contract: overwriting
-// an existing checkpoint goes through a temp file + rename, so the
-// directory never holds a partially-written file under the final name, no
-// temp droppings survive a successful save, and a save into a missing
+// TestSaveFileAtomicReplace pins the atomic-replace contract of
+// SaveEnvelope, through each saver of this package (runs and servers; the
+// campaign saver has its own test): overwriting an existing checkpoint goes
+// through a temp file + rename, so the directory never holds a
+// partially-written file under the final name, no temp droppings survive a
+// successful save, the file keeps mode 0644, and a save into a missing
 // directory fails with a structured error while leaving the previous
 // checkpoint untouched.
 func TestSaveFileAtomicReplace(t *testing.T) {
@@ -470,61 +549,82 @@ func TestSaveFileAtomicReplace(t *testing.T) {
 	opt, _ := h.Options()
 	e := sim.NewSingle(prof, s, opt)
 	g := trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops)
-	capture := func(drive int) *RunState {
-		if _, err := e.DriveN(g, drive); err != nil {
-			t.Fatalf("drive: %v", err)
-		}
-		st, err := CaptureSingle(h, g, e)
-		if err != nil {
-			t.Fatalf("capture: %v", err)
-		}
-		return st
+	// Each saver writes its gen-th distinct checkpoint to path and returns
+	// the bytes the file must then hold.
+	for _, sv := range []struct {
+		name string
+		save func(path string, gen int) ([]byte, error)
+	}{
+		{"run", func(path string, gen int) ([]byte, error) {
+			if _, err := e.DriveN(g, 100); err != nil {
+				t.Fatalf("drive: %v", err)
+			}
+			st, err := CaptureSingle(h, g, e)
+			if err != nil {
+				t.Fatalf("capture: %v", err)
+			}
+			var want bytes.Buffer
+			if err := Write(&want, st); err != nil {
+				t.Fatal(err)
+			}
+			return want.Bytes(), SaveFile(path, st)
+		}},
+		{"server", func(path string, gen int) ([]byte, error) {
+			st := &ServerState{Tenants: []TenantState{{Name: "t", Scheme: "Steins-SC", AppliedSeq: uint64(gen)}}}
+			want, err := EncodeServer(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return want, SaveServerFile(path, st)
+		}},
+	} {
+		t.Run(sv.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := dir + "/state.snap"
+			if _, err := sv.save(path, 1); err != nil {
+				t.Fatalf("first save: %v", err)
+			}
+			want, err := sv.save(path, 2)
+			if err != nil {
+				t.Fatalf("overwrite save: %v", err)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 1 || entries[0].Name() != "state.snap" {
+				names := make([]string, len(entries))
+				for i, e := range entries {
+					names[i] = e.Name()
+				}
+				t.Fatalf("directory holds %v after save, want only state.snap (no temp droppings)", names)
+			}
+			if info, err := os.Stat(path); err != nil || info.Mode().Perm() != 0o644 {
+				t.Fatalf("stat = (%v, %v), want mode 0644", info, err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, want) {
+				t.Fatal("overwritten file does not hold the newer checkpoint's bytes")
+			}
+			if _, err := sv.save(dir+"/missing/state.snap", 3); err == nil {
+				t.Fatal("save into a missing directory succeeded")
+			} else if !strings.Contains(err.Error(), "snapshot:") {
+				t.Fatalf("missing-directory error %q lacks the snapshot prefix", err)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatal("failed save modified the existing checkpoint")
+			}
+		})
 	}
-	dir := t.TempDir()
-	path := dir + "/run.snap"
-	if err := SaveFile(path, capture(100)); err != nil {
-		t.Fatalf("first save: %v", err)
-	}
-	st2 := capture(100)
-	if err := SaveFile(path, st2); err != nil {
-		t.Fatalf("overwrite save: %v", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "run.snap" {
-		names := make([]string, len(entries))
-		for i, e := range entries {
-			names[i] = e.Name()
-		}
-		t.Fatalf("directory holds %v after save, want only run.snap (no temp droppings)", names)
-	}
-	if _, err := LoadFile(path); err != nil {
-		t.Fatalf("load after overwrite: %v", err)
-	}
-	var want bytes.Buffer
-	if err := Write(&want, st2); err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, want.Bytes()) {
-		t.Fatal("overwritten file does not hold the newer checkpoint's bytes")
-	}
-	if err := SaveFile(dir+"/missing/run.snap", st2); err == nil {
-		t.Fatal("save into a missing directory succeeded")
-	} else if !strings.Contains(err.Error(), "snapshot:") {
-		t.Fatalf("missing-directory error %q lacks the snapshot prefix", err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("failed save modified the existing checkpoint")
+	if _, err := LoadFile(t.TempDir() + "/absent.snap"); err == nil || !strings.Contains(err.Error(), "snapshot:") {
+		t.Fatalf("LoadFile of a missing file = %v, want a snapshot error", err)
 	}
 }
 

@@ -107,12 +107,16 @@ metrics-demo:
 # race-sensitive packages (figure sweeps and parallel recovery under both
 # GOMAXPROCS settings). The sharded engine and conformance suite
 # additionally run at -cpu 1,2,8 to pin bit-identical results across
-# worker-pool widths. The checkpoint/resume suites run raced and twice
-# (-count=2) to pin byte-determinism of the snapshot wire format. The
-# quarantine/re-admission suites (evidence-arbitrated degraded recovery)
-# run raced at -cpu 1,4 across the steins policy, the controller and the
-# campaign's replay-boundary repro artifacts. Every go test runs
-# -shuffle=on so order-dependent tests cannot hide. The committed BENCH
+# worker-pool widths, together with the one-channel identity, the typed
+# address errors and the campaign's routing test (the attack and server
+# callers of the shared address-routing function already run raced in
+# full, in the race-sensitive set and in serve-check). The
+# checkpoint/resume suites run raced and twice (-count=2) to pin
+# byte-determinism of the snapshot wire format. The quarantine/re-admission
+# suites (evidence-arbitrated degraded recovery) run raced at -cpu 1,4
+# across the steins policy, the controller and the campaign's
+# replay-boundary repro artifacts. Every go test runs -shuffle=on so
+# order-dependent tests cannot hide. The committed BENCH
 # document is re-verified so the persisted trajectory can never drift out
 # of sync with the canonical benchmark set.
 # Serving-layer gate: the linearization differential, crash-mid-serve
@@ -139,8 +143,9 @@ check: crashfuzz faultfuzz serve-check bench-check
 		./internal/nvmem ./internal/memctrl ./internal/attack
 	go test -shuffle=on -race -cpu 1,4 -run 'Quarantine|Readmission|Degraded|Heal|ReplayBoundary' \
 		./internal/scheme/steins ./internal/memctrl ./internal/campaign
-	go test -shuffle=on -race -cpu 1,2,8 -run 'Sharded|Conformance|Splitter|Interleave|NextEpoch|Replay|RecoverAll|DriveStream' \
+	go test -shuffle=on -race -cpu 1,2,8 -run 'Sharded|Conformance|Splitter|Interleave|NextEpoch|Replay|RecoverAll|DriveStream|OneChannelMatchesBareController|AddressErrors|BadAddressTypedError' \
 		./internal/sim ./internal/trace ./internal/multi ./internal/scheme/schemetest ./securemem
+	go test -shuffle=on -race -cpu 1,2,8 -run 'Routing' ./internal/campaign
 	go test -shuffle=on -race -cpu 1,4 -run 'Resume|Snapshot|Campaign|Checkpoint|Artifact|SelfCheck' \
 		./internal/snapshot ./internal/scheme/schemetest ./internal/crashfuzz \
 		./internal/campaign ./cmd/campaign ./cmd/steinssim

@@ -14,6 +14,7 @@ import (
 	"steins/internal/multi"
 	"steins/internal/nvmem"
 	"steins/internal/rng"
+	"steins/internal/trace"
 )
 
 // Scenario identifies one attack pattern.
@@ -89,37 +90,11 @@ type Report struct {
 	Neutralized bool   // not detected but also ineffective: all data intact
 }
 
-// shardChunk is the sharded address-interleave granularity. It is one
-// split-leaf coverage (64 lines), so every leaf's covered data — and the
-// replay-node epoch construction around the target — stays on one channel
-// regardless of the channel count.
-const shardChunk = 4096
-
-// routeAddr maps a global data address onto (channel, local address) under
-// shardChunk interleaving; one channel is the identity.
-func routeAddr(channels int, addr uint64) (int, uint64) {
-	if channels == 1 {
-		return 0, addr
-	}
-	chunk := addr / shardChunk
-	return int(chunk % uint64(channels)), (chunk/uint64(channels))*shardChunk + addr%shardChunk
-}
-
-// channelBytes sizes one channel's data region under shardChunk
-// interleaving of totalBytes across channels: enough whole chunks to hold
-// the worst-case local address, whether or not the chunk count divides the
-// channel count evenly. Sizing each channel as totalBytes/channels is
-// wrong twice for uneven counts: the earlier channels own one extra chunk
-// (their local space is larger than an even share), and the quotient need
-// not even be line-aligned.
-func channelBytes(totalBytes uint64, channels int) uint64 {
-	if channels <= 1 {
-		return totalBytes
-	}
-	chunks := (totalBytes + shardChunk - 1) / shardChunk
-	perChannel := (chunks + uint64(channels) - 1) / uint64(channels)
-	return perChannel * shardChunk
-}
+// shardInterleave is the sharded address interleave. Its 4 KiB page is
+// one split-leaf coverage (64 lines), so every leaf's covered data — and
+// the replay-node epoch construction around the target — stays on one
+// channel regardless of the channel count.
+const shardInterleave = trace.InterleavePage
 
 // Execute runs the scenario against a fresh system built by factory:
 // a write workload establishes state, the attack is injected around a
@@ -130,8 +105,8 @@ func Execute(factory memctrl.PolicyFactory, split bool, s Scenario) (Report, err
 }
 
 // ExecuteSharded is Execute over a channel-interleaved multi-controller
-// system: the same global workload is split across channels at shardChunk
-// granularity, the attack is injected into the channel owning the target,
+// system: the same global workload is split across channels under
+// shardInterleave, the attack is injected into the channel owning the target,
 // every channel recovers (in parallel, as the deployment would), and the
 // differential readback spans the whole global space. Detection must not
 // depend on the sharding: a scenario classifies identically at any channel
@@ -139,7 +114,8 @@ func Execute(factory memctrl.PolicyFactory, split bool, s Scenario) (Report, err
 func ExecuteSharded(factory memctrl.PolicyFactory, split bool, s Scenario, channels int) (Report, error) {
 	rep := Report{Scenario: s, Applicable: true}
 	const totalBytes = 1 << 20
-	cfg := memctrl.DefaultConfig(channelBytes(totalBytes, channels), split)
+	chunk := shardInterleave.ChunkBytes()
+	cfg := memctrl.DefaultConfig(trace.ShardBytes(totalBytes, channels, shardInterleave), split)
 	cfg.MetaCacheBytes = 4 << 10
 	cfg.MetaCacheWays = 4
 	ctrls := make([]*memctrl.Controller, channels)
@@ -158,11 +134,11 @@ func ExecuteSharded(factory memctrl.PolicyFactory, split bool, s Scenario, chann
 			order = append(order, addr)
 		}
 		expected[addr] = b
-		ch, local := routeAddr(channels, addr)
+		ch, local := trace.RouteChunk(addr, chunk, channels)
 		return ctrls[ch].WriteData(5, local, b)
 	}
 	read := func(addr uint64) ([64]byte, error) {
-		ch, local := routeAddr(channels, addr)
+		ch, local := trace.RouteChunk(addr, chunk, channels)
 		return ctrls[ch].ReadData(1, local)
 	}
 	for i := 0; i < 3000; i++ {
@@ -171,7 +147,7 @@ func ExecuteSharded(factory memctrl.PolicyFactory, split bool, s Scenario, chann
 		}
 	}
 	target := order[0]
-	co, lt := routeAddr(channels, target)
+	co, lt := trace.RouteChunk(target, chunk, channels)
 	c := ctrls[co] // the channel the attack lands on
 
 	// Capture replay material before newer writes.

@@ -258,3 +258,26 @@ func TestWBClassifiesNoRecovery(t *testing.T) {
 		t.Fatalf("WB crash case classified %s, want %s", res.Verdict, NoRecovery)
 	}
 }
+
+func TestRoutingUnevenFootprints(t *testing.T) {
+	// Channel routing must be total and alias-free whether or not the
+	// footprint fills whole interleave pages on every channel: a wrong
+	// local address or an undersized channel surfaces as a Fail in the
+	// final shadow readback, so every case must read back intact. One
+	// channel keeps any 64 B-multiple footprint.
+	for _, fp := range []uint64{128 << 10, 3*4096 + 64, 5*4096 + 192} {
+		for _, ch := range []int{1, 2, 3, 4} {
+			c := Case{
+				Scheme: "Steins-SC", Workload: "kv_uniform", Seed: fp + uint64(ch),
+				Channels: ch, Footprint: fp,
+				Sched: Schedule{Rounds: []Round{
+					{Ops: 300, Crash: true, CrashEv: 0, CrashN: 150},
+					{Ops: 200},
+				}},
+			}
+			if res := RunCase(c); res.Verdict != Clean && res.Verdict != Neutralized && res.Verdict != SkippedCrash {
+				t.Fatalf("%d B over %d channels: %s %s", fp, ch, res.Verdict, res.Detail)
+			}
+		}
+	}
+}

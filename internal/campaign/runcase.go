@@ -83,27 +83,10 @@ type CaseResult struct {
 	Detail  string // populated for Fail and the detection verdicts
 }
 
-// chunkBytes is the channel-interleave granularity, matching the attack
-// harness: one split-leaf coverage, so a leaf's covered data stays on one
-// channel at any channel count.
-const chunkBytes = 4096
-
-func routeAddr(channels int, addr uint64) (int, uint64) {
-	if channels <= 1 {
-		return 0, addr
-	}
-	chunk := addr / chunkBytes
-	return int(chunk % uint64(channels)), (chunk/uint64(channels))*chunkBytes + addr%chunkBytes
-}
-
-func channelBytes(total uint64, channels int) uint64 {
-	if channels <= 1 {
-		return total
-	}
-	chunks := (total + chunkBytes - 1) / chunkBytes
-	per := (chunks + uint64(channels) - 1) / uint64(channels)
-	return per * chunkBytes
-}
+// interleave is the channel interleave, matching the attack harness: its
+// 4 KiB page is one split-leaf coverage, so a leaf's covered data stays on
+// one channel at any channel count.
+const interleave = trace.InterleavePage
 
 // structured error classes, mirroring the crashfuzz taxonomy.
 func structuredMedia(err error) bool {
@@ -161,9 +144,15 @@ func RunCase(c Case) CaseResult {
 		totalOps += int(rd.Ops) + 1 // +1 replay-priming write per round
 	}
 	r.gen = trace.New(prof, c.Seed, totalOps)
+	// One channel keeps the footprint as is (any 64 B multiple); more
+	// channels take whole interleave pages.
+	chBytes := c.Footprint
+	if c.Channels > 1 {
+		chBytes = trace.ShardBytes(c.Footprint, c.Channels, interleave)
+	}
 	r.ctrls = make([]*memctrl.Controller, c.Channels)
 	for i := range r.ctrls {
-		cfg := memctrl.DefaultConfig(channelBytes(c.Footprint, c.Channels), s.Split)
+		cfg := memctrl.DefaultConfig(chBytes, s.Split)
 		cfg.MetaCacheBytes = 4 << 10
 		cfg.MetaCacheWays = 4
 		cfg.DegradedRecovery = c.Sched.Degraded
@@ -234,7 +223,7 @@ func (r *caseRun) round(rd *Round) bool {
 	var matAddrs []uint64
 	for _, tm := range rd.Tampers {
 		addr := r.tamperTarget(tm)
-		ch, local := routeAddr(r.c.Channels, addr)
+		ch, local := trace.RouteChunk(addr, interleave.ChunkBytes(), r.c.Channels)
 		// Ensure the target exists on media before capturing.
 		if _, seen := r.shadow[addr]; !seen {
 			if !r.driveWrite(addr) {
@@ -294,7 +283,7 @@ func (r *caseRun) round(rd *Round) bool {
 
 	for i, tm := range rd.Tampers {
 		addr := matAddrs[i]
-		ch, local := routeAddr(r.c.Channels, addr)
+		ch, local := trace.RouteChunk(addr, interleave.ChunkBytes(), r.c.Channels)
 		attack.Inject(r.ctrls[ch], attack.Scenario(tm.Scenario), local, mats[i])
 		r.damaged = true
 	}
@@ -431,7 +420,7 @@ func (r *caseRun) noteQuarantine(rep *memctrl.RecoveryReport) bool {
 // drive executes one workload request against the routed channel,
 // maintaining the shadow. false ends the case (contract violation).
 func (r *caseRun) drive(op trace.Op) bool {
-	ch, local := routeAddr(r.c.Channels, op.Addr)
+	ch, local := trace.RouteChunk(op.Addr, interleave.ChunkBytes(), r.c.Channels)
 	c := r.ctrls[ch]
 	r.seq++
 	if op.IsWrite {
@@ -525,7 +514,7 @@ func (r *caseRun) classifyReadError(addr uint64, err error) bool {
 // its last-persisted value or fail with a structured, explained error.
 func (r *caseRun) verify() {
 	for _, addr := range r.sortedShadow() {
-		ch, local := routeAddr(r.c.Channels, addr)
+		ch, local := trace.RouteChunk(addr, interleave.ChunkBytes(), r.c.Channels)
 		got, err := r.ctrls[ch].ReadData(1, local)
 		if err != nil {
 			if !r.classifyReadError(addr, err) {
@@ -598,7 +587,7 @@ func (r *caseRun) flipData() bool {
 		return false
 	}
 	addr := addrs[int(r.exec.Uint64n(uint64(len(addrs))))]
-	ch, local := routeAddr(r.c.Channels, addr)
+	ch, local := trace.RouteChunk(addr, interleave.ChunkBytes(), r.c.Channels)
 	dev := r.ctrls[ch].Device()
 	line := dev.Peek(local)
 	bit := r.exec.Intn(nvmem.LineSize * 8)

@@ -23,6 +23,7 @@ import (
 type System struct {
 	ctrls      []*memctrl.Controller
 	interleave uint64 // bytes per chunk
+	dataBytes  uint64 // total protected capacity
 	// lastArrival tracks, per controller, the global time of its last
 	// request, so each controller sees correct local inter-arrival gaps.
 	lastArrival []uint64
@@ -43,6 +44,7 @@ func New(n int, template memctrl.Config, factory memctrl.PolicyFactory, interlea
 	for i := 0; i < n; i++ {
 		s.ctrls = append(s.ctrls, memctrl.New(template, factory))
 	}
+	s.dataBytes = uint64(n) * s.ctrls[0].Config().DataBytes
 	return s
 }
 
@@ -50,19 +52,21 @@ func New(n int, template memctrl.Config, factory memctrl.PolicyFactory, interlea
 func (s *System) Controllers() []*memctrl.Controller { return s.ctrls }
 
 // DataBytes returns the system's total protected capacity.
-func (s *System) DataBytes() uint64 {
-	return uint64(len(s.ctrls)) * s.ctrls[0].Config().DataBytes
-}
+func (s *System) DataBytes() uint64 { return s.dataBytes }
 
-// route maps a global address to (controller, local address).
-func (s *System) route(addr uint64) (int, uint64) {
-	if addr >= s.DataBytes() {
-		panic(fmt.Sprintf("multi: address %#x beyond capacity", addr))
+// route validates a global address and maps it to (controller, local
+// address). A bad address yields an error wrapping nvmem.ErrUnaligned or
+// nvmem.ErrOutOfRange that names the caller's address.
+func (s *System) route(addr uint64) (int, uint64, error) {
+	if addr%nvmem.LineSize != 0 {
+		return 0, 0, fmt.Errorf("multi: %w: data address %#x", nvmem.ErrUnaligned, addr)
 	}
-	chunk := addr / s.interleave
-	ctrl := int(chunk % uint64(len(s.ctrls)))
-	local := (chunk/uint64(len(s.ctrls)))*s.interleave + addr%s.interleave
-	return ctrl, local
+	if addr >= s.dataBytes {
+		return 0, 0, fmt.Errorf("multi: %w: data address %#x outside %#x data bytes",
+			nvmem.ErrOutOfRange, addr, s.dataBytes)
+	}
+	i, local := trace.RouteChunk(addr, s.interleave, len(s.ctrls))
+	return i, local, nil
 }
 
 // advance moves global time and returns the local gap for controller i.
@@ -75,13 +79,19 @@ func (s *System) advance(gap uint64, i int) uint64 {
 
 // WriteData routes a write to its DIMM.
 func (s *System) WriteData(gap uint64, addr uint64, data [64]byte) error {
-	i, local := s.route(addr)
+	i, local, err := s.route(addr)
+	if err != nil {
+		return err
+	}
 	return s.ctrls[i].WriteData(s.advance(gap, i), local, data)
 }
 
 // ReadData routes a read to its DIMM.
 func (s *System) ReadData(gap uint64, addr uint64) ([64]byte, error) {
-	i, local := s.route(addr)
+	i, local, err := s.route(addr)
+	if err != nil {
+		return [64]byte{}, err
+	}
 	return s.ctrls[i].ReadData(s.advance(gap, i), local)
 }
 

@@ -1,10 +1,14 @@
 package multi_test
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"steins/internal/memctrl"
 	"steins/internal/multi"
+	"steins/internal/nvmem"
 	"steins/internal/rng"
 	"steins/internal/scheme/steins"
 )
@@ -151,12 +155,31 @@ func TestBadConfigPanics(t *testing.T) {
 	}
 }
 
-func TestOutOfRangePanics(t *testing.T) {
+// TestBadAddressTypedError pins that a bad global address is refused with
+// a typed error naming the caller's address, never a panic or the
+// channel-local address.
+func TestBadAddressTypedError(t *testing.T) {
 	s := multi.New(2, template(), steins.Factory, 64)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range address did not panic")
+	for _, tc := range []struct {
+		addr uint64
+		want error
+	}{
+		{s.DataBytes(), nvmem.ErrOutOfRange},
+		{s.DataBytes() + 64, nvmem.ErrOutOfRange},
+		{0x41, nvmem.ErrUnaligned},
+	} {
+		werr := s.WriteData(1, tc.addr, [64]byte{})
+		_, rerr := s.ReadData(1, tc.addr)
+		for _, err := range []error{werr, rerr} {
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("address %#x: error %v, want %v", tc.addr, err, tc.want)
+			}
+			if name := fmt.Sprintf("%#x", tc.addr); !strings.Contains(err.Error(), name) {
+				t.Fatalf("address %#x: error %q does not name %s", tc.addr, err, name)
+			}
 		}
-	}()
-	s.WriteData(1, s.DataBytes(), [64]byte{})
+	}
+	if st := s.Stats(); st.DataReads+st.DataWrites != 0 {
+		t.Fatalf("refused accesses reached a controller: %+v", st)
+	}
 }

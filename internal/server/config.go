@@ -175,9 +175,6 @@ func (cfg Config) Validate() (Config, error) {
 				Value: "0", Reason: "no protected capacity"}
 		}
 		chunk := iv.ChunkBytes()
-		if iv == trace.InterleaveHash {
-			chunk = 64
-		}
 		if tc.PoolBytes%(chunk*uint64(tc.PGs)) != 0 {
 			return cfg, &ConfigError{Tenant: tc.Name, Field: "PoolBytes",
 				Value: fmt.Sprint(tc.PoolBytes),

@@ -230,17 +230,14 @@ func (p *Pool) Tenant(name string) *Tenant { return p.tenants[name] }
 func (p *Pool) TenantNames() []string { return p.names }
 
 // route maps a tenant-global address to its (placement group, PG-local
-// address) home: chunked round-robin with local compaction for line/page
-// (the sharded engine's exact arithmetic), scattered lines with identity
-// local addresses for hash.
+// address) home: trace.RouteChunk for line/page (the sharded engine's
+// exact arithmetic), scattered lines with identity local addresses for
+// hash.
 func (t *Tenant) route(addr uint64) (int, uint64) {
 	if t.iv == trace.InterleaveHash {
 		return trace.HashShard(addr, len(t.pgs)), addr
 	}
-	chunk := t.iv.ChunkBytes()
-	c := addr / chunk
-	n := uint64(len(t.pgs))
-	return int(c % n), (c/n)*chunk + addr%chunk
+	return trace.RouteChunk(addr, t.iv.ChunkBytes(), len(t.pgs))
 }
 
 // CheckAddr validates a tenant-global address.

@@ -342,11 +342,12 @@ func Read(r io.Reader) (*RunState, error) {
 
 // SaveEnvelope writes payload in a kind envelope to path, replacing any
 // existing file atomically and durably: the bytes go to a temporary file in
-// the same directory, are fsynced, and only then renamed over path. A crash
-// or kill mid-save can never destroy the previous good checkpoint — the
-// whole point of keeping one — and a power cut after the rename cannot leave
-// an empty file under path, because the data reached the device first.
-// Every checkpoint family (runs, servers, campaigns) saves through it.
+// the same directory, are fsynced, and only then renamed over path; the
+// directory is fsynced after the rename. A crash or kill mid-save can never
+// destroy the previous good checkpoint — the whole point of keeping one —
+// and a power cut after SaveEnvelope returns can neither leave an empty
+// file under path nor bring back the previous one. Every checkpoint family
+// (runs, servers, campaigns) saves through it.
 func SaveEnvelope(path string, kind uint32, payload []byte) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -373,7 +374,25 @@ func SaveEnvelope(path string, kind uint32, payload []byte) error {
 		os.Remove(tmp)
 		return fmt.Errorf("snapshot: %w", err)
 	}
+	// Persist the rename itself: until the directory entry is synced, a
+	// power cut can bring back the previous file.
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("snapshot: %w", err)
+	}
 	return nil
+}
+
+// syncDir fsyncs a directory so entries renamed into it are durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // SaveFile writes the state to path through SaveEnvelope.

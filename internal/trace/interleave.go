@@ -66,6 +66,18 @@ func HashShard(addr uint64, shards int) int {
 	return int(mix64(addr/64) % uint64(shards))
 }
 
+// RouteChunk maps a global address to (shard, local address) under chunked
+// round-robin interleaving: consecutive chunk-byte runs are dealt to the
+// shards in turn, and each shard's local space is compacted to the chunks
+// it owns. One shard is the identity. It is the single owner of this
+// arithmetic; the splitter's line/page modes, the multi-DIMM system, the
+// serving layer's placement groups and the attack and campaign harnesses
+// all route through it, and ShardBytes sizes the local space it yields.
+func RouteChunk(addr, chunk uint64, shards int) (int, uint64) {
+	c, n := addr/chunk, uint64(shards)
+	return int(c % n), (c/n)*chunk + addr%chunk
+}
+
 // ShardedOp is one operation routed to a shard: the embedded Op carries the
 // shard-local address and shard-local inter-arrival gap, while GlobalAddr
 // and Index preserve the operation's identity in the source stream (payload
@@ -84,8 +96,8 @@ type ShardedOp struct {
 // interleaved multi-controller system sequentially.
 //
 // Local addresses are compacted so each shard's controller models only its
-// slice of the space: line/page modes use chunk arithmetic (the scheme
-// internal/multi routes with), the hash mode assigns local lines
+// slice of the space: line/page modes route with RouteChunk (as
+// internal/multi does), the hash mode assigns local lines
 // first-touch in stream order. Both are deterministic functions of the
 // stream alone, independent of how the shards are later driven.
 //
@@ -94,7 +106,6 @@ type ShardedOp struct {
 // operations it routes.
 type Splitter struct {
 	src   Stream
-	n     uint64
 	iv    Interleave
 	chunk uint64
 
@@ -122,7 +133,6 @@ func NewSplitter(src Stream, shards int, iv Interleave) *Splitter {
 	}
 	sp := &Splitter{
 		src:   src,
-		n:     uint64(shards),
 		iv:    iv,
 		chunk: iv.ChunkBytes(),
 		last:  make([]uint64, shards),
@@ -180,20 +190,23 @@ func ShardBytes(dataBytes uint64, shards int, iv Interleave) uint64 {
 // line (first-touch), exactly as the split itself would.
 func (sp *Splitter) Route(addr uint64) (int, uint64) {
 	if sp.iv == InterleaveHash {
-		line := addr / 64
-		shard := int(mix64(line) % sp.n)
-		loc, ok := sp.localLine[shard][line]
-		if !ok {
-			loc = sp.nextLine[shard]
-			sp.nextLine[shard]++
-			sp.localLine[shard][line] = loc
-		}
-		return shard, loc*64 + addr%64
+		return sp.routeHash(addr)
 	}
-	chunk := addr / sp.chunk
-	shard := int(chunk % sp.n)
-	local := (chunk/sp.n)*sp.chunk + addr%sp.chunk
-	return shard, local
+	return RouteChunk(addr, sp.chunk, len(sp.last))
+}
+
+// routeHash is the hash mode's Route: scattered lines, local lines handed
+// out first-touch.
+func (sp *Splitter) routeHash(addr uint64) (int, uint64) {
+	line := addr / 64
+	shard := HashShard(addr, len(sp.last))
+	loc, ok := sp.localLine[shard][line]
+	if !ok {
+		loc = sp.nextLine[shard]
+		sp.nextLine[shard]++
+		sp.localLine[shard][line] = loc
+	}
+	return shard, loc*64 + addr%64
 }
 
 // NextEpoch routes up to budget further source operations into per-shard
@@ -222,7 +235,14 @@ func (sp *Splitter) NextEpochInto(budget int, bufs [][]ShardedOp) (batches [][]S
 		if !ok {
 			break
 		}
-		shard, local := sp.Route(op.Addr)
+		// Route, unrolled so the chunk arithmetic inlines into this loop.
+		var shard int
+		var local uint64
+		if sp.iv == InterleaveHash {
+			shard, local = sp.routeHash(op.Addr)
+		} else {
+			shard, local = RouteChunk(op.Addr, sp.chunk, len(sp.last))
+		}
 		if sp.LimitLocalBytes != 0 && local >= sp.LimitLocalBytes {
 			return bufs, n, fmt.Errorf(
 				"trace: shard %d local address %#x beyond capacity %#x (hash scatter imbalance; raise DataBytes)",

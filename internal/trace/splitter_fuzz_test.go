@@ -23,12 +23,41 @@ func opsFromFuzz(data []byte) []Op {
 	return ops
 }
 
+// checkRouteChunk is the oracle for the shared chunk arithmetic, checked
+// against its definition rather than against another caller of it: the
+// shard is in range, the local address fits the ShardBytes-sized slice of
+// a space-byte global space, (shard, local) maps back to addr, and one
+// shard is the identity.
+func checkRouteChunk(t *testing.T, addr, space uint64) {
+	t.Helper()
+	for _, iv := range []Interleave{InterleaveLine, InterleavePage} {
+		chunk := iv.ChunkBytes()
+		for n := 1; n <= 8; n++ {
+			shard, local := RouteChunk(addr, chunk, n)
+			if shard < 0 || shard >= n {
+				t.Fatalf("RouteChunk(%#x, %s, %d): shard %d out of range", addr, iv, n, shard)
+			}
+			if limit := ShardBytes(space, n, iv); local >= limit {
+				t.Fatalf("RouteChunk(%#x, %s, %d): local %#x beyond shard size %#x", addr, iv, n, local, limit)
+			}
+			if back := ((local/chunk)*uint64(n)+uint64(shard))*chunk + local%chunk; back != addr {
+				t.Fatalf("RouteChunk(%#x, %s, %d) = (%d, %#x) maps back to %#x", addr, iv, n, shard, local, back)
+			}
+			if n == 1 && (shard != 0 || local != addr) {
+				t.Fatalf("RouteChunk(%#x, %s, 1) = (%d, %#x), want the identity", addr, iv, shard, local)
+			}
+		}
+	}
+}
+
 // FuzzSplitterRoundTrip feeds arbitrary access streams through the
 // splitter at several (shards, interleave) shapes and checks the
 // split→merge round trip: no operation lost, none duplicated, identity
 // fields preserved, routing consistent with Route, no two global lines
 // aliased onto one local line, and local gaps telescoping back to the
-// global arrival times.
+// global arrival times. Every address (and a sub-line offset of it) also
+// goes through the RouteChunk oracle at line and page interleave over
+// 1–8 shards.
 func FuzzSplitterRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 1})
@@ -38,9 +67,16 @@ func FuzzSplitterRoundTrip(f *testing.F) {
 		seed = append(seed, byte(i*7), byte(i), 0, byte(i%3)<<6, byte(i%11))
 	}
 	f.Add(seed)
+	// The last line of the space and the first lines of the last pages:
+	// the ShardBytes bound is tight there.
+	f.Add([]byte{0xff, 0x3f, 0, 0, 63, 0xc0, 0x3f, 0, 0x80, 1, 0x80, 0x3f, 0, 0, 40})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := opsFromFuzz(data)
+		for _, op := range ops {
+			checkRouteChunk(t, op.Addr, 1<<20)
+			checkRouteChunk(t, op.Addr+op.Gap%64, 1<<20)
+		}
 		for _, tc := range []struct {
 			shards int
 			iv     Interleave

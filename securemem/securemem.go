@@ -19,11 +19,18 @@
 //
 // Integrity violations surface as errors matching ErrTamper or ErrReplay
 // (via errors.Is); errors.As against *Violation yields the attacked level
-// and node, the §III-H attack localization.
+// and node, the §III-H attack localization. A bad address is an error
+// matching ErrUnaligned or ErrOutOfRange, never a panic.
 //
 // The underlying simulator charges the paper's Table I cycle costs to
 // every operation, so Stats also reports the performance metrics the
 // paper's figures use (execution cycles, latencies, NVM traffic, energy).
+//
+// # Channels
+//
+// Config.Channels interleaves the data region across independent channel
+// controllers (the §IV-F multi-DIMM model). One engine serves every
+// channel count; Channels 0 or 1 is that engine with one controller.
 //
 // # Concurrency
 //
@@ -100,11 +107,16 @@ func Schemes() []Scheme {
 	}
 }
 
-// Integrity errors, re-exported from the controller.
+// Integrity and address errors, re-exported from the engine. A Write or
+// Read at an unaligned address returns an error matching ErrUnaligned, and
+// one at or beyond DataBytes an error matching ErrOutOfRange; either names
+// the caller's address.
 var (
 	ErrTamper     = memctrl.ErrTamper
 	ErrReplay     = memctrl.ErrReplay
 	ErrNoRecovery = memctrl.ErrNoRecovery
+	ErrUnaligned  = nvmem.ErrUnaligned
+	ErrOutOfRange = nvmem.ErrOutOfRange
 )
 
 // Violation is the structured integrity error; use errors.As to obtain
@@ -126,9 +138,9 @@ type Config struct {
 	// Channels interleaves the data region across this many independent
 	// channel controllers at 64-byte line granularity — the §IV-F
 	// multi-DIMM model, each channel a complete secure-memory system with
-	// its own integrity tree recovering in parallel. 0 or 1 selects a
-	// single controller (bit-identical to the pre-channel behaviour).
-	// DataBytes must be a multiple of Channels×64.
+	// its own integrity tree recovering in parallel. Every channel count
+	// runs the same engine; 0 or 1 means one channel. DataBytes must be a
+	// multiple of Channels×64.
 	Channels int
 	// MetaCacheBytes sizes the controller's metadata cache (default
 	// 256 KiB); with channels, each channel controller gets this budget.
@@ -142,11 +154,9 @@ type Config struct {
 
 // Memory is a secure NVM region with crash recovery.
 type Memory struct {
-	mu       sync.Mutex
-	c        *memctrl.Controller // single-channel engine (nil when sys != nil)
-	sys      *multi.System       // channel-interleaved engine (Channels > 1)
-	scheme   Scheme
-	channels int
+	mu     sync.Mutex
+	sys    *multi.System
+	scheme Scheme
 }
 
 // factoryFor maps a scheme name to its policy factory and counter mode.
@@ -210,31 +220,22 @@ func New(cfg Config) (*Memory, error) {
 	if cfg.Advanced != nil {
 		cfg.Advanced(&mc)
 	}
-	m := &Memory{scheme: cfg.Scheme, channels: channels}
-	if channels > 1 {
-		m.sys = multi.New(channels, mc, factory, BlockSize)
-	} else {
-		m.c = memctrl.New(mc, factory)
-	}
-	return m, nil
+	return &Memory{sys: multi.New(channels, mc, factory, BlockSize), scheme: cfg.Scheme}, nil
 }
 
 // Scheme returns the active recovery scheme.
 func (m *Memory) Scheme() Scheme { return m.scheme }
 
-// Channels returns the number of channel controllers (1 for a
-// single-controller Memory).
-func (m *Memory) Channels() int { return m.channels }
+// Channels returns the number of channel controllers (1 when
+// Config.Channels is 0 or 1).
+func (m *Memory) Channels() int { return len(m.sys.Controllers()) }
 
 // Write encrypts, authenticates and persists one block. addr must be
-// 64-byte aligned and inside the data region.
+// 64-byte aligned and inside the data region (ErrUnaligned, ErrOutOfRange).
 func (m *Memory) Write(addr uint64, data Block) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.sys != nil {
-		return m.sys.WriteData(1, addr, data)
-	}
-	return m.c.WriteData(1, addr, data)
+	return m.sys.WriteData(1, addr, data)
 }
 
 // Read verifies and decrypts one block. Blocks never written read as
@@ -242,10 +243,7 @@ func (m *Memory) Write(addr uint64, data Block) error {
 func (m *Memory) Read(addr uint64) (Block, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.sys != nil {
-		return m.sys.ReadData(1, addr)
-	}
-	return m.c.ReadData(1, addr)
+	return m.sys.ReadData(1, addr)
 }
 
 // Crash models a power failure: all volatile controller state (cached
@@ -254,11 +252,7 @@ func (m *Memory) Read(addr uint64) (Block, error) {
 func (m *Memory) Crash() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.sys != nil {
-		m.sys.Crash()
-		return
-	}
-	m.c.Crash()
+	m.sys.Crash()
 }
 
 // Recover restores the security metadata lost in the last Crash; with
@@ -269,13 +263,7 @@ func (m *Memory) Crash() {
 func (m *Memory) Recover() (RecoveryReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var rep memctrl.RecoveryReport
-	var err error
-	if m.sys != nil {
-		rep, err = m.sys.Recover()
-	} else {
-		rep, err = m.c.Recover()
-	}
+	rep, err := m.sys.Recover()
 	return RecoveryReport{
 		NodesRecovered: rep.NodesRecovered,
 		NVMReads:       rep.NVMReads,
@@ -319,13 +307,12 @@ type Stats struct {
 func (m *Memory) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ctrls := m.controllers()
 	var st memctrl.Stats
 	var cs cache.Stats
 	var nvm nvmem.Stats
 	var energy float64
 	var exec uint64
-	for _, c := range ctrls {
+	for _, c := range m.sys.Controllers() {
 		cst := c.Stats()
 		st.Merge(&cst)
 		cs.Merge(c.Meta().Stats())
@@ -348,29 +335,15 @@ func (m *Memory) Stats() Stats {
 	}
 }
 
-// controllers returns the channel controllers without locking; internal
-// callers hold m.mu.
-func (m *Memory) controllers() []*memctrl.Controller {
-	if m.sys != nil {
-		return m.sys.Controllers()
-	}
-	return []*memctrl.Controller{m.c}
-}
-
 // Controller exposes the underlying simulator for advanced use (timing
 // experiments, attack injection through the device, custom policies).
 // With channels it returns channel 0; see Controllers. The returned
 // controller is not internally locked — use it only on a quiesced Memory
 // (no concurrent calls in flight).
-func (m *Memory) Controller() *memctrl.Controller {
-	if m.sys != nil {
-		return m.sys.Controllers()[0]
-	}
-	return m.c
-}
+func (m *Memory) Controller() *memctrl.Controller { return m.sys.Controllers()[0] }
 
-// Controllers returns every channel controller, in channel order (a
-// single-element slice for a single-controller Memory). Like Controller,
+// Controllers returns every channel controller, in channel order (one
+// element for a single channel). Like Controller,
 // the result escapes the Memory's lock: callers own the exclusion and
 // must only touch the controllers while the Memory is quiesced —
 // snapshot capture/restore between batches, attack injection, recovery
@@ -378,18 +351,19 @@ func (m *Memory) Controller() *memctrl.Controller {
 func (m *Memory) Controllers() []*memctrl.Controller {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.controllers()
+	return m.sys.Controllers()
 }
 
 // Describe returns a one-line summary of the configuration.
 func (m *Memory) Describe() string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c := m.controllers()[0]
+	ctrls := m.sys.Controllers()
+	c, n := ctrls[0], len(ctrls)
 	cfg := c.Config()
-	if m.channels > 1 {
+	if n > 1 {
 		return fmt.Sprintf("%s over %d×%s data (%d channels), %s metadata cache/channel, tree height %d",
-			m.scheme, m.channels, stats.Bytes(cfg.DataBytes), m.channels,
+			m.scheme, n, stats.Bytes(cfg.DataBytes), n,
 			stats.Bytes(uint64(cfg.MetaCacheBytes)),
 			c.Layout().Geo.HeightIncludingRoot())
 	}
@@ -407,7 +381,7 @@ func (m *Memory) NVMWear() nvmem.Wear {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var w nvmem.Wear
-	for _, c := range m.controllers() {
+	for _, c := range m.sys.Controllers() {
 		cw := c.Device().WearStats()
 		w.LinesWritten += cw.LinesWritten
 		w.TotalWrites += cw.TotalWrites

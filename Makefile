@@ -42,6 +42,7 @@ fuzz:
 	go test -fuzz=FuzzSnapshotRoundTrip -fuzztime=20s ./internal/snapshot
 	go test -fuzz=FuzzReadEnvelope -fuzztime=20s ./internal/snapshot
 	go test -fuzz=FuzzCampaignSchedule -fuzztime=20s ./internal/campaign
+	go test -fuzz=FuzzBatchBody -fuzztime=20s ./internal/server
 
 # Short deterministic crash-point fault-injection sweep: every scheme,
 # pinned seeds, torn-write detection demo included.
@@ -120,10 +121,12 @@ metrics-demo:
 # document is re-verified so the persisted trajectory can never drift out
 # of sync with the canonical benchmark set.
 # Serving-layer gate: the linearization differential, crash-mid-serve
-# checkpoint/restart, admission property and daemon suites, plus the HTTP
-# conformance drive (all 12 schemes × 1/2/4 channels) and the concurrent
-# engine hammer — raced, shuffled, across -cpu 1,4,8 so the linearization
-# argument is exercised under every worker-pool width.
+# checkpoint/restart, admission property, flat-combining liveness, /batch
+# codec (FuzzBatchBody's seeds, reply byte-identity) and daemon suites,
+# plus the HTTP conformance drive (all 12 schemes × 1/2/4 channels) and the
+# concurrent engine hammer — raced, shuffled, across -cpu 1,4,8 so the
+# linearization argument is exercised under every worker-pool width. The
+# allocation ceilings build only without -race; `go test ./...` runs them.
 serve-check:
 	go test -shuffle=on -race -cpu 1,4,8 ./internal/server ./cmd/securememd
 	go test -shuffle=on -race -cpu 1,4,8 \

@@ -1,12 +1,12 @@
 package server
 
 import (
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"steins/securemem"
@@ -77,25 +77,26 @@ func (p *Pool) handleBlockPut(w http.ResponseWriter, r *http.Request) {
 		p.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad address: %v", err))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, securemem.BlockSize+1))
-	if err != nil {
+	sc := scratchPool.Get().(*scratch)
+	defer putScratch(sc)
+	n, err := io.ReadFull(r.Body, sc.block[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		p.writeError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
 		return
 	}
-	if len(body) != securemem.BlockSize {
+	if n != securemem.BlockSize {
 		p.writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("body must be exactly %d bytes, got %d", securemem.BlockSize, len(body)))
+			fmt.Sprintf("body must be exactly %d bytes, got %d", securemem.BlockSize, n))
 		return
 	}
-	var blk securemem.Block
-	copy(blk[:], body)
-	ops, aerr := p.Do(r.PathValue("tenant"), []OpSpec{{IsWrite: true, Addr: addr, Data: blk}})
-	if aerr != nil {
+	spec := [1]OpSpec{{IsWrite: true, Addr: addr, Data: securemem.Block(sc.block[:securemem.BlockSize])}}
+	var res [1]OpResult
+	if aerr := p.do(r.PathValue("tenant"), spec[:], res[:]); aerr != nil {
 		p.writeError(w, aerr.Status, aerr.Reason)
 		return
 	}
-	if ops[0].Err != nil {
-		p.writeError(w, engineStatus(ops[0].Err), ops[0].Err.Error())
+	if res[0].Err != nil {
+		p.writeError(w, engineStatus(res[0].Err), res[0].Err.Error())
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -107,17 +108,21 @@ func (p *Pool) handleBlockGet(w http.ResponseWriter, r *http.Request) {
 		p.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad address: %v", err))
 		return
 	}
-	ops, aerr := p.Do(r.PathValue("tenant"), []OpSpec{{Addr: addr}})
-	if aerr != nil {
+	spec := [1]OpSpec{{Addr: addr}}
+	var res [1]OpResult
+	if aerr := p.do(r.PathValue("tenant"), spec[:], res[:]); aerr != nil {
 		p.writeError(w, aerr.Status, aerr.Reason)
 		return
 	}
-	if ops[0].Err != nil {
-		p.writeError(w, engineStatus(ops[0].Err), ops[0].Err.Error())
+	if res[0].Err != nil {
+		p.writeError(w, engineStatus(res[0].Err), res[0].Err.Error())
 		return
 	}
+	sc := scratchPool.Get().(*scratch)
+	defer putScratch(sc)
+	copy(sc.block[:], res[0].Data[:])
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(ops[0].Data[:])
+	w.Write(sc.block[:securemem.BlockSize])
 }
 
 // BatchOp is one operation in a POST /batch body; Data is base64 and
@@ -136,56 +141,25 @@ type BatchResult struct {
 }
 
 func (p *Pool) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var body struct {
-		Ops []BatchOp `json:"ops"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		p.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad batch body: %v", err))
+	sc := scratchPool.Get().(*scratch)
+	defer putScratch(sc)
+	sc.buf = readBody(r.Body, sc.buf[:0])
+	specs, msg := decodeBatch(sc.buf, r.Body, sc.specs[:0])
+	sc.specs = specs
+	if msg != "" {
+		p.writeError(w, http.StatusBadRequest, msg)
 		return
 	}
-	specs := make([]OpSpec, len(body.Ops))
-	for i, bo := range body.Ops {
-		switch bo.Op {
-		case "write":
-			raw, err := base64.StdEncoding.DecodeString(bo.Data)
-			if err != nil || len(raw) != securemem.BlockSize {
-				p.writeError(w, http.StatusBadRequest,
-					fmt.Sprintf("op %d: data must be base64 of exactly %d bytes", i, securemem.BlockSize))
-				return
-			}
-			specs[i].IsWrite = true
-			copy(specs[i].Data[:], raw)
-		case "read":
-			if bo.Data != "" {
-				p.writeError(w, http.StatusBadRequest, fmt.Sprintf("op %d: read carries data", i))
-				return
-			}
-		default:
-			p.writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("op %d: unknown op %q (want write or read)", i, bo.Op))
-			return
-		}
-		specs[i].Addr = bo.Addr
-	}
-	ops, aerr := p.Do(r.PathValue("tenant"), specs)
-	if aerr != nil {
+	sc.results = slices.Grow(sc.results[:0], len(specs))[:len(specs)]
+	if aerr := p.do(r.PathValue("tenant"), specs, sc.results); aerr != nil {
 		p.writeError(w, aerr.Status, aerr.Reason)
 		return
 	}
-	results := make([]BatchResult, len(ops))
-	for i := range ops {
-		if ops[i].Err != nil {
-			results[i].Error = ops[i].Err.Error()
-			continue
-		}
-		results[i].OK = true
-		if !ops[i].IsWrite {
-			results[i].Data = base64.StdEncoding.EncodeToString(ops[i].Data[:])
-		}
-	}
-	writeJSON(w, struct {
-		Results []BatchResult `json:"results"`
-	}{results})
+	sc.buf = appendBatchReply(sc.buf[:0], sc.results)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(sc.buf)))
+	w.Write(sc.buf)
 }
 
 // TenantStatus is the GET /stats payload.

@@ -5,10 +5,10 @@
 // independent securemem instance, optionally channel-interleaved across
 // several controllers (the §IV-F multi-DIMM model). On top of the engines
 // the server adds admission control (bounded per-tenant in-flight plus
-// queue-depth rejection), request batching (a tenant's queued operations
-// coalesce into one engine epoch before dispatch), per-tenant metrics
-// export, checkpoint/restore through the snapshot envelope, and
-// crash-recovery on restart.
+// queue-depth rejection), request batching by flat combining (a caller
+// applies a window of every caller's queued operations as one engine
+// epoch), per-tenant metrics export, checkpoint/restore through the
+// snapshot envelope, and crash-recovery on restart.
 //
 // # Linearization
 //
@@ -17,24 +17,34 @@
 //
 //   - Admission assigns every accepted operation a per-tenant sequence
 //     number under the tenant's queue lock; the queue is FIFO.
-//   - The tenant's single batcher goroutine drains the queue in FIFO
-//     order, so a batch is a contiguous sequence-number window.
-//   - Within a batch, operations are grouped by placement group in batch
-//     (= sequence) order. Two operations on the same address always land
-//     on the same PG — routing is a pure function of the address — so the
-//     per-address apply order equals the sequence order even though
-//     distinct PGs apply their sub-batches concurrently.
+//   - There is no apply goroutine: a caller waiting in Pool.Do becomes the
+//     tenant's combiner when no window is in flight and the tenant is not
+//     paused. It takes the FIFO head of at most BatchOps operations — a
+//     contiguous sequence-number window, possibly holding other callers'
+//     operations — and applies it on its own goroutine under the tenant's
+//     engine lock, so at most one window applies at a time and windows
+//     apply in sequence order.
+//   - Within a window the placement groups apply one after another, each
+//     its operations in sequence order. Two operations on the same
+//     address always land on the same PG — routing is a pure function of
+//     the address — so the per-address apply order equals the sequence
+//     order.
 //
 // Replaying the admitted log in sequence order on a single-threaded
 // reference therefore reproduces every read's served bytes and the final
 // state of every address, for any client interleaving: operations on
 // different addresses commute in the data plane, and operations on the
 // same address apply in exactly the logged order.
+//
+// Liveness: a finishing combiner wakes every owner its window completed
+// and, while operations stay queued on an unpaused tenant, the owner of
+// the queue head, which combines next unless another caller already does.
 package server
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -52,31 +62,28 @@ type OpSpec struct {
 	Data    securemem.Block
 }
 
-// op is one admitted operation. The batcher fills data (for reads) and
-// err before completing the owning request, so handlers may read them
-// after the request's done channel closes.
+// op is one admitted operation. The combiner fills data (for reads) and
+// err before completing the owning request, so its owner may read them
+// once the request's pending count is zero.
 type op struct {
 	isWrite bool
 	addr    uint64 // tenant-global address
 	local   uint64 // PG-local address, set at apply time
+	pg      int    // placement group, set at apply time
 	data    securemem.Block
 	err     error
 	seq     uint64
 	req     *request
 }
 
-// request is one admitted client request: its operations and a completion
-// channel closed when the last one has applied.
+// request is one admitted client request. Its owner waits on wake (whose
+// lock is Tenant.mu) until pending, the count of its operations not yet
+// applied, drops to zero; a finishing combiner also signals wake to hand
+// the next window to the owner.
 type request struct {
 	ops     []op
-	pending atomic.Int32
-	done    chan struct{}
-}
-
-func (o *op) finish() {
-	if o.req.pending.Add(-1) == 0 {
-		close(o.req.done)
-	}
+	pending int // guarded by Tenant.mu
+	wake    sync.Cond
 }
 
 // AdmissionError is a rejected submission; Status is the HTTP status the
@@ -143,27 +150,29 @@ type Tenant struct {
 	iv  trace.Interleave
 	pgs []*securemem.Memory
 
-	// engineMu serializes all engine access: the batcher holds it across
-	// one batch (the "engine epoch"), and state capture, metrics export
+	// engineMu serializes all engine access: the combiner holds it across
+	// one window (the "engine epoch"), and state capture, metrics export
 	// and recovery hold it to observe a batch boundary.
 	engineMu sync.Mutex
 
-	// mu guards the admission state below; cond signals both the batcher
-	// (work arrived) and drain waiters (queue emptied / in-flight
-	// dropped).
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []*op
-	inflight int
-	hwm      int
-	adm      AdmissionStats
-	nextSeq  uint64
-	record   bool
-	log      []*op
-	paused   bool // test hook: batcher holds off while set
-	closed   bool
-	batches  uint64
-	recovery *TenantRecovery
+	// mu guards the admission and combining state below; idle signals
+	// drain waiters (in-flight dropped).
+	mu        sync.Mutex
+	idle      sync.Cond
+	queue     []*op
+	window    []*op      // the combiner's window, reused
+	combining bool       // a window is being applied
+	free      []*request // completed requests for reuse; empty while recording
+	inflight  int
+	hwm       int
+	adm       AdmissionStats
+	nextSeq   uint64
+	record    bool
+	log       []*op
+	paused    bool // test hook: no window starts while set
+	closed    bool
+	batches   uint64
+	recovery  *TenantRecovery
 }
 
 // Pool is the multi-tenant serving core; build with NewPool, serve over
@@ -173,12 +182,11 @@ type Pool struct {
 	names    []string // tenant names in config order
 	tenants  map[string]*Tenant
 	draining atomic.Bool
-	wg       sync.WaitGroup
 }
 
-// NewPool validates cfg, builds every tenant's placement-group engines
-// and starts one batcher goroutine per tenant. Close (or Drain) must be
-// called to stop them.
+// NewPool validates cfg and builds every tenant's placement-group
+// engines. The pool starts no goroutine: callers of Do apply the queued
+// work themselves.
 func NewPool(cfg Config) (*Pool, error) {
 	cfg, err := cfg.Validate()
 	if err != nil {
@@ -189,7 +197,7 @@ func NewPool(cfg Config) (*Pool, error) {
 		tc := cfg.Tenants[i]
 		iv, _ := parseInterleave(tc.Interleave)
 		t := &Tenant{cfg: tc, iv: iv, record: cfg.RecordLog}
-		t.cond = sync.NewCond(&t.mu)
+		t.idle.L = &t.mu
 		per := pgBytes(&tc, iv)
 		for k := 0; k < tc.PGs; k++ {
 			m, err := securemem.New(securemem.Config{
@@ -211,11 +219,6 @@ func NewPool(cfg Config) (*Pool, error) {
 		}
 		p.names = append(p.names, tc.Name)
 		p.tenants[tc.Name] = t
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			t.runBatcher()
-		}()
 	}
 	return p, nil
 }
@@ -251,10 +254,9 @@ func (t *Tenant) CheckAddr(addr uint64) error {
 	return nil
 }
 
-// Submit admits one request of ops (or rejects it without touching any
-// engine state). On success the returned request completes — its done
-// channel closes — once every operation has applied; the caller must then
-// call release exactly once.
+// submit admits one request of ops (or rejects it without touching any
+// engine state) and queues its operations. The caller must then await
+// the request exactly once.
 func (t *Tenant) submit(specs []OpSpec, draining bool) (*request, *AdmissionError) {
 	if len(specs) == 0 {
 		return nil, &AdmissionError{Status: 400, Reason: "empty request"}
@@ -284,8 +286,7 @@ func (t *Tenant) submit(specs []OpSpec, draining bool) (*request, *AdmissionErro
 	if t.inflight > t.hwm {
 		t.hwm = t.inflight
 	}
-	req := &request{ops: make([]op, len(specs)), done: make(chan struct{})}
-	req.pending.Store(int32(len(specs)))
+	req := t.newRequest(len(specs))
 	for i, s := range specs {
 		o := &req.ops[i]
 		*o = op{isWrite: s.IsWrite, addr: s.Addr, data: s.Data, seq: t.nextSeq, req: req}
@@ -295,16 +296,107 @@ func (t *Tenant) submit(specs []OpSpec, draining bool) (*request, *AdmissionErro
 			t.log = append(t.log, o)
 		}
 	}
-	t.cond.Broadcast()
 	return req, nil
 }
 
-// release returns one completed request's admission slot.
-func (t *Tenant) release() {
+// newRequest takes a request of n operations from the free list, or
+// allocates one. Called with t.mu held.
+func (t *Tenant) newRequest(n int) *request {
+	var req *request
+	if k := len(t.free); k > 0 {
+		req = t.free[k-1]
+		t.free = t.free[:k-1]
+	} else {
+		req = &request{}
+		req.wake.L = &t.mu
+	}
+	req.ops = slices.Grow(req.ops[:0], n)[:n]
+	req.pending = n
+	return req
+}
+
+// await waits for req to complete, combining whenever a window may start,
+// then copies the results into out[:len(req.ops)] and returns the
+// request's admission slot.
+func (t *Tenant) await(req *request, out []OpResult) {
 	t.mu.Lock()
+	for req.pending > 0 {
+		if !t.combining && !t.paused && len(t.queue) > 0 {
+			t.combine()
+		} else {
+			req.wake.Wait()
+		}
+	}
+	for i := range req.ops {
+		o := &req.ops[i]
+		out[i] = OpResult{IsWrite: o.isWrite, Addr: o.addr, Data: o.data, Err: o.err}
+	}
 	t.inflight--
-	t.cond.Broadcast()
+	t.idle.Broadcast()
+	if !t.record { // the log keeps pointers into recorded requests
+		t.free = append(t.free, req)
+	}
 	t.mu.Unlock()
+}
+
+// combine applies the FIFO head window of at most BatchOps operations as
+// one engine epoch on the calling goroutine, completes the requests the
+// window finished and hands off. Called, and returns, with t.mu held.
+func (t *Tenant) combine() {
+	n := min(len(t.queue), t.cfg.BatchOps)
+	w := append(t.window[:0], t.queue[:n]...)
+	rest := copy(t.queue, t.queue[n:])
+	clear(t.queue[rest:])
+	t.queue = t.queue[:rest]
+	t.combining = true
+	t.mu.Unlock()
+
+	t.apply(w)
+
+	t.mu.Lock()
+	t.combining = false
+	t.batches++
+	for _, o := range w {
+		o.req.pending--
+		if o.req.pending == 0 {
+			o.req.wake.Signal()
+		}
+	}
+	clear(w)
+	t.window = w[:0]
+	t.handoff()
+}
+
+// handoff wakes the owner of the queue head, which combines next unless
+// another caller already does, if a window may start. Called with t.mu
+// held.
+func (t *Tenant) handoff() {
+	if len(t.queue) > 0 && !t.paused && !t.combining {
+		t.queue[0].req.wake.Signal()
+	}
+}
+
+// apply applies one window under engineMu, which makes it one observable
+// engine epoch: the placement groups one after another, each its
+// operations in sequence order.
+func (t *Tenant) apply(w []*op) {
+	t.engineMu.Lock()
+	defer t.engineMu.Unlock()
+	for _, o := range w {
+		o.pg, o.local = t.route(o.addr)
+	}
+	for k, m := range t.pgs {
+		for _, o := range w {
+			if o.pg != k {
+				continue
+			}
+			if o.isWrite {
+				o.err = m.Write(o.local, o.data)
+			} else {
+				o.data, o.err = m.Read(o.local)
+			}
+		}
+	}
 }
 
 // OpResult is one completed operation: Data holds the served bytes for
@@ -319,130 +411,62 @@ type OpResult struct {
 // Do admits, applies and completes one request synchronously: the Go-level
 // serving API the HTTP handlers (and in-process harnesses) sit on.
 func (p *Pool) Do(tenant string, specs []OpSpec) ([]OpResult, *AdmissionError) {
-	t := p.tenants[tenant]
-	if t == nil {
-		return nil, &AdmissionError{Status: 404, Reason: fmt.Sprintf("unknown tenant %q", tenant)}
-	}
-	for i := range specs {
-		if err := t.CheckAddr(specs[i].Addr); err != nil {
-			return nil, &AdmissionError{Status: 400, Reason: err.Error()}
-		}
-	}
-	req, aerr := t.submit(specs, p.draining.Load())
-	if aerr != nil {
+	out := make([]OpResult, len(specs))
+	if aerr := p.do(tenant, specs, out); aerr != nil {
 		return nil, aerr
-	}
-	<-req.done
-	t.release()
-	out := make([]OpResult, len(req.ops))
-	for i := range req.ops {
-		o := &req.ops[i]
-		out[i] = OpResult{IsWrite: o.isWrite, Addr: o.addr, Data: o.data, Err: o.err}
 	}
 	return out, nil
 }
 
-// runBatcher is the tenant's single apply loop: it drains the FIFO queue
-// in windows of at most BatchOps operations and applies each window as
-// one engine epoch.
-func (t *Tenant) runBatcher() {
-	for {
-		t.mu.Lock()
-		for (t.paused || len(t.queue) == 0) && !t.closed {
-			t.cond.Wait()
-		}
-		if len(t.queue) == 0 && t.closed {
-			t.mu.Unlock()
-			return
-		}
-		n := len(t.queue)
-		if n > t.cfg.BatchOps {
-			n = t.cfg.BatchOps
-		}
-		batch := append([]*op(nil), t.queue[:n]...)
-		rest := copy(t.queue, t.queue[n:])
-		for i := rest; i < len(t.queue); i++ {
-			t.queue[i] = nil
-		}
-		t.queue = t.queue[:rest]
-		t.mu.Unlock()
-
-		t.applyBatch(batch)
-
-		t.mu.Lock()
-		t.batches++
-		t.adm.Batches = t.batches
-		t.cond.Broadcast()
-		t.mu.Unlock()
+// do is Do filling the caller's out[:len(specs)] instead of allocating
+// the results.
+func (p *Pool) do(tenant string, specs []OpSpec, out []OpResult) *AdmissionError {
+	t := p.tenants[tenant]
+	if t == nil {
+		return &AdmissionError{Status: 404, Reason: fmt.Sprintf("unknown tenant %q", tenant)}
 	}
+	for i := range specs {
+		if err := t.CheckAddr(specs[i].Addr); err != nil {
+			return &AdmissionError{Status: 400, Reason: err.Error()}
+		}
+	}
+	req, aerr := t.submit(specs, p.draining.Load())
+	if aerr != nil {
+		return aerr
+	}
+	t.await(req, out)
+	return nil
 }
 
-// applyBatch applies one coalesced window: operations grouped by
-// placement group in sequence order, distinct PGs driven concurrently
-// (they are disjoint engines), same-PG operations strictly in sequence
-// order. Holding engineMu for the whole window makes the batch one
-// observable engine epoch.
-func (t *Tenant) applyBatch(batch []*op) {
-	t.engineMu.Lock()
-	defer t.engineMu.Unlock()
-	per := make([][]*op, len(t.pgs))
-	for _, o := range batch {
-		k, local := t.route(o.addr)
-		o.local = local
-		per[k] = append(per[k], o)
-	}
-	var wg sync.WaitGroup
-	for k := range per {
-		if len(per[k]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(m *securemem.Memory, ops []*op) {
-			defer wg.Done()
-			for _, o := range ops {
-				if o.isWrite {
-					o.err = m.Write(o.local, o.data)
-				} else {
-					o.data, o.err = m.Read(o.local)
-				}
-				o.finish()
-			}
-		}(t.pgs[k], per[k])
-	}
-	wg.Wait()
-}
-
-// Drain stops admission pool-wide (new requests get 503), waits for every
-// tenant's queue and in-flight window to empty, then stops the batchers.
-// The pool is afterwards quiesced: State and checkpointing see the final
-// batch boundary.
+// Drain stops admission pool-wide (new requests get 503) and waits for
+// every tenant's queue and in-flight window to empty. The pool is
+// afterwards quiesced: State and checkpointing see the final batch
+// boundary.
 func (p *Pool) Drain() {
 	p.draining.Store(true)
 	for _, name := range p.names {
 		t := p.tenants[name]
 		t.mu.Lock()
 		t.paused = false
-		t.cond.Broadcast()
+		t.handoff()
 		for len(t.queue) > 0 || t.inflight > 0 {
-			t.cond.Wait()
+			t.idle.Wait()
 		}
 		t.closed = true
-		t.cond.Broadcast()
 		t.mu.Unlock()
 	}
-	p.wg.Wait()
 }
 
 // Close is Drain for callers that don't need the distinction.
 func (p *Pool) Close() { p.Drain() }
 
 // setPaused is the test hook behind the admission property test: a paused
-// tenant admits and queues but applies nothing, so engine state is
+// tenant admits and queues but starts no window, so engine state is
 // provably untouched by whatever admission decides.
 func (t *Tenant) setPaused(paused bool) {
 	t.mu.Lock()
 	t.paused = paused
-	t.cond.Broadcast()
+	t.handoff()
 	t.mu.Unlock()
 }
 
@@ -451,7 +475,7 @@ func (t *Tenant) setPaused(paused bool) {
 func (t *Tenant) waitIdle() {
 	t.mu.Lock()
 	for len(t.queue) > 0 || t.inflight > 0 {
-		t.cond.Wait()
+		t.idle.Wait()
 	}
 	t.mu.Unlock()
 }

@@ -298,7 +298,8 @@ func TestRestoreRejectsCorruptTables(t *testing.T) {
 // accepted + rejected == offered, the in-flight high-water mark never
 // exceeds the configured bound, and a rejected request never mutates
 // engine state (byte-compared checkpoints around a rejection storm with
-// the batcher paused, so admission alone is observable).
+// the tenant paused — no window starts — so admission alone is
+// observable).
 func TestAdmissionControlProperty(t *testing.T) {
 	const bound = 4
 	cfg := Config{Tenants: []TenantConfig{{
@@ -330,7 +331,7 @@ func TestAdmissionControlProperty(t *testing.T) {
 		return img
 	}
 
-	// Phase 1: pause the batcher so nothing applies, then offer far more
+	// Phase 1: pause the tenant so nothing applies, then offer far more
 	// than the bounds admit. Engine state before and after must be
 	// byte-identical: neither rejection nor queueing touches an engine.
 	before := engineImage()
@@ -360,7 +361,10 @@ func TestAdmissionControlProperty(t *testing.T) {
 	wg.Wait()
 	// A test failure past this point must not strand the admitted slots:
 	// Drain (via the deferred Close) waits for in-flight to hit zero.
+	// Awaiting each admitted request combines the queued windows and
+	// returns its slot.
 	released := false
+	var opErrs []error
 	releaseAll := func() {
 		if released {
 			return
@@ -368,14 +372,19 @@ func TestAdmissionControlProperty(t *testing.T) {
 		released = true
 		tn.setPaused(false)
 		for _, req := range admitted {
-			<-req.done
-			tn.release()
+			out := make([]OpResult, len(req.ops))
+			tn.await(req, out)
+			for i := range out {
+				if out[i].Err != nil {
+					opErrs = append(opErrs, out[i].Err)
+				}
+			}
 		}
 	}
 	defer releaseAll()
 	after := engineImage()
 	if !bytes.Equal(before, after) {
-		t.Fatal("rejected/queued requests mutated engine state while the batcher was paused")
+		t.Fatal("rejected/queued requests mutated engine state while the tenant was paused")
 	}
 	adm := tn.Admission()
 	if adm.Offered != storm {
@@ -393,12 +402,8 @@ func TestAdmissionControlProperty(t *testing.T) {
 
 	// Let the queued work apply and return the slots.
 	releaseAll()
-	for _, req := range admitted {
-		for i := range req.ops {
-			if req.ops[i].err != nil {
-				t.Fatalf("admitted op failed: %v", req.ops[i].err)
-			}
-		}
+	if len(opErrs) > 0 {
+		t.Fatalf("admitted op failed: %v", opErrs[0])
 	}
 	tn.waitIdle()
 

@@ -43,6 +43,7 @@ fuzz:
 	go test -fuzz=FuzzReadEnvelope -fuzztime=20s ./internal/snapshot
 	go test -fuzz=FuzzCampaignSchedule -fuzztime=20s ./internal/campaign
 	go test -fuzz=FuzzBatchBody -fuzztime=20s ./internal/server
+	go test -fuzz=FuzzSearchCounter -fuzztime=20s ./internal/crypt
 
 # Short deterministic crash-point fault-injection sweep: every scheme,
 # pinned seeds, torn-write detection demo included.
@@ -116,7 +117,9 @@ metrics-demo:
 # byte-determinism of the snapshot wire format. The quarantine/re-admission
 # suites (evidence-arbitrated degraded recovery) run raced at -cpu 1,4
 # across the steins policy, the controller and the campaign's
-# replay-boundary repro artifacts. Every go test runs -shuffle=on so
+# replay-boundary repro artifacts. The recovery counter searches (the
+# SipHash prefix-cached fast path against the one-MAC-per-candidate loop)
+# run raced at -cpu 1,4. Every go test runs -shuffle=on so
 # order-dependent tests cannot hide. The committed BENCH
 # document is re-verified so the persisted trajectory can never drift out
 # of sync with the canonical benchmark set.
@@ -146,6 +149,7 @@ check: crashfuzz faultfuzz serve-check bench-check
 		./internal/nvmem ./internal/memctrl ./internal/attack
 	go test -shuffle=on -race -cpu 1,4 -run 'Quarantine|Readmission|Degraded|Heal|ReplayBoundary' \
 		./internal/scheme/steins ./internal/memctrl ./internal/campaign
+	go test -shuffle=on -race -cpu 1,4 -run 'Search|Recover' ./internal/crypt ./internal/cme
 	go test -shuffle=on -race -cpu 1,2,8 -run 'Sharded|Conformance|Splitter|Interleave|NextEpoch|Replay|RecoverAll|DriveStream|OneChannelMatchesBareController|AddressErrors|BadAddressTypedError' \
 		./internal/sim ./internal/trace ./internal/multi ./internal/scheme/schemetest ./securemem
 	go test -shuffle=on -race -cpu 1,2,8 -run 'Routing' ./internal/campaign

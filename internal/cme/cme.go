@@ -211,17 +211,9 @@ func (e *Engine) SearchCounterGC(ct *[64]byte, addr uint64, tag Tag, steps int) 
 	if !tag.Written {
 		return 0, 0, true
 	}
-	cand := tag.Hint
-	sit.PutDataMACMsg(&e.msg, addr, ct, cand)
-	for j := 0; j < steps; j++ {
-		macOps++
-		sit.SetDataMACCounter(&e.msg, cand)
-		if e.MAC.Sum64(e.Key, e.msg[:]) == tag.MAC {
-			return cand, macOps, true
-		}
-		cand += GCHintMask + 1
-	}
-	return 0, macOps, false
+	sit.PutDataMACMsg(&e.msg, addr, ct, tag.Hint)
+	ctr, tried, ok := crypt.SearchCounter(e.MAC, e.Key, e.msg[:], tag.Hint, GCHintMask+1, steps, tag.MAC)
+	return ctr, uint64(tried), ok
 }
 
 // RecoverCounterSC restores the (major, minor) encryption counter of a
@@ -234,14 +226,10 @@ func (e *Engine) RecoverCounterSC(ct *[64]byte, addr uint64, tag Tag, staleMinor
 		return 0, staleMinor, 0, true
 	}
 	major = tag.Hint >> 6
-	// Pack the message once; each candidate rewrites only the counter.
 	sit.PutDataMACMsg(&e.msg, addr, ct, major<<6)
-	for m := 0; m < 64; m++ {
-		macOps++
-		sit.SetDataMACCounter(&e.msg, major<<6|uint64(m))
-		if e.MAC.Sum64(e.Key, e.msg[:]) == tag.MAC {
-			return major, uint8(m), macOps, true
-		}
+	ctr, tried, ok := crypt.SearchCounter(e.MAC, e.Key, e.msg[:], major<<6, 1, 64, tag.MAC)
+	if !ok {
+		return 0, 0, uint64(tried), false
 	}
-	return 0, 0, macOps, false
+	return major, uint8(ctr & 63), uint64(tried), true
 }

@@ -162,6 +162,80 @@ func TestRecoverCounterSCUnwritten(t *testing.T) {
 	}
 }
 
+// TestSearchCounterGC pins the stale-base-free general-counter search:
+// candidates run from the hint upward in steps of the hint modulus, a hit
+// at step k costs k+1 MACs, a miss costs exactly the cap, and an unwritten
+// tag costs none.
+func TestSearchCounterGC(t *testing.T) {
+	e := newEngine()
+	ct := [64]byte{4, 2}
+	const hint = 0x1234
+	for _, tc := range []struct {
+		name   string
+		tag    Tag
+		steps  int
+		ctr    uint64
+		macOps uint64
+		ok     bool
+	}{
+		{"hit at the hint", e.TagGC(&ct, 192, hint), 8, hint, 1, true},
+		{"hit at step 5", e.TagGC(&ct, 192, 5<<16|hint), 8, 5<<16 | hint, 6, true},
+		{"hit at the last step", e.TagGC(&ct, 192, 7<<16|hint), 8, 7<<16 | hint, 8, true},
+		{"miss at the cap", e.TagGC(&ct, 192, 8<<16|hint), 8, 0, 8, false},
+		{"no steps", e.TagGC(&ct, 192, hint), 0, 0, 0, false},
+		{"unwritten tag", Tag{}, 8, 0, 0, true},
+	} {
+		ctr, macOps, ok := e.SearchCounterGC(&ct, 192, tc.tag, tc.steps)
+		if ctr != tc.ctr || macOps != tc.macOps || ok != tc.ok {
+			t.Errorf("%s: (%#x, %d, %v), want (%#x, %d, %v)", tc.name, ctr, macOps, ok, tc.ctr, tc.macOps, tc.ok)
+		}
+	}
+}
+
+// plainMAC hides the MAC's counter-search fast path, so the engine's
+// searches over it take the one-Sum64-per-candidate loop.
+type plainMAC struct{ crypt.MAC }
+
+// TestCounterSearchFastPathMatchesSum64 runs every split-counter minor and
+// a spread of general-counter steps, each on an intact and on a tampered
+// ciphertext, through an engine on SipMAC (prefix-cached search) and one
+// on a wrapper that hides the fast path: every (counter, macOps, ok) must
+// agree.
+func TestCounterSearchFastPathMatchesSum64(t *testing.T) {
+	fast := newEngine()
+	slow := newEngine()
+	slow.MAC = plainMAC{crypt.SipMAC{}}
+	for _, tamper := range []bool{false, true} {
+		for minor := uint64(0); minor < 64; minor++ {
+			ct := [64]byte{byte(minor), 9}
+			tag := fast.TagSC(&ct, 256, 11<<6|minor, 11)
+			gtag := fast.TagGC(&ct, 256, minor<<16|0x77)
+			if tamper {
+				ct[17] ^= 0x40
+			}
+			maj, mi, ops, ok := fast.RecoverCounterSC(&ct, 256, tag, 3)
+			wmaj, wmi, wops, wok := slow.RecoverCounterSC(&ct, 256, tag, 3)
+			if maj != wmaj || mi != wmi || ops != wops || ok != wok {
+				t.Fatalf("SC minor %d tamper %v: fast (%d, %d, %d, %v), Sum64 loop (%d, %d, %d, %v)",
+					minor, tamper, maj, mi, ops, ok, wmaj, wmi, wops, wok)
+			}
+			if ok == tamper || (ok && (maj != 11 || uint64(mi) != minor || ops != minor+1)) {
+				t.Fatalf("SC minor %d tamper %v: (%d, %d, %d, %v)", minor, tamper, maj, mi, ops, ok)
+			}
+
+			ctr, gops, gok := fast.SearchCounterGC(&ct, 256, gtag, 64)
+			wctr, wgops, wgok := slow.SearchCounterGC(&ct, 256, gtag, 64)
+			if ctr != wctr || gops != wgops || gok != wgok {
+				t.Fatalf("GC step %d tamper %v: fast (%#x, %d, %v), Sum64 loop (%#x, %d, %v)",
+					minor, tamper, ctr, gops, gok, wctr, wgops, wgok)
+			}
+			if gok == tamper || (gok && (ctr != minor<<16|0x77 || gops != minor+1)) {
+				t.Fatalf("GC step %d tamper %v: (%#x, %d, %v)", minor, tamper, ctr, gops, gok)
+			}
+		}
+	}
+}
+
 func TestGCRecoveryPropertyRandomCounters(t *testing.T) {
 	e := newEngine()
 	f := func(data [64]byte, stale uint64, delta uint16) bool {

@@ -59,6 +59,44 @@ func Sum64Batch(m MAC, key Key, msgs []byte, size int, out []uint64) {
 	}
 }
 
+// SearchMAC is an optional fast path a MAC may implement for counter
+// searches: msg ends with an 8-byte little-endian counter word, and the
+// implementation tries candidates first, first+stride, ... without
+// recomputing the fixed prefix each time. It must return exactly what the
+// Sum64 loop of SearchCounter returns.
+type SearchMAC interface {
+	SearchCounter(key Key, msg []byte, first, stride uint64, n int, want uint64) (ctr uint64, tried int, ok bool)
+}
+
+// SearchCounter tries the counter candidates first + i*stride for
+// i = 0..n-1 in order: candidate i is written as the little-endian last
+// eight bytes of msg, and the search stops at the first candidate whose
+// MAC equals want, returning (candidate, i+1, true). A miss returns
+// (0, n, false) (0 tries when n <= 0). tried counts MAC evaluations for
+// recovery-cost accounting, so it is the same whether or not the
+// implementation has a fast path. The counter word of msg is scratch: its
+// value on return is unspecified. len(msg) must be at least 8.
+func SearchCounter(m MAC, key Key, msg []byte, first, stride uint64, n int, want uint64) (ctr uint64, tried int, ok bool) {
+	if sm, isSearch := m.(SearchMAC); isSearch {
+		return sm.SearchCounter(key, msg, first, stride, n, want)
+	}
+	return searchSum64(m, key, msg, first, stride, n, want)
+}
+
+// searchSum64 is the counter search as one Sum64 per candidate.
+func searchSum64(m MAC, key Key, msg []byte, first, stride uint64, n int, want uint64) (uint64, int, bool) {
+	word := msg[len(msg)-8:]
+	cand := first
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint64(word, cand)
+		if m.Sum64(key, msg) == want {
+			return cand, i + 1, true
+		}
+		cand += stride
+	}
+	return 0, max(n, 0), false
+}
+
 // OTPGen produces 64-byte one-time pads from (key, address, counter), the
 // CME construction of §II-B. Pads are unique as long as (addr, counter)
 // pairs never repeat under one key.
@@ -93,6 +131,69 @@ func (SipMAC) Sum64Batch(key Key, msgs []byte, size int, out []uint64) {
 	for i := range out {
 		out[i] = sipCore(k0, k1, msgs[i*size:(i+1)*size])
 	}
+}
+
+// SearchCounter implements SearchMAC. When the counter word is a whole
+// SipHash block (len(msg) a multiple of 8), the prefix blocks are
+// absorbed once; each candidate then costs its own block, the length block
+// and finalization: 8 SipRounds instead of 2*len(msg)/8 + 6. Other lengths
+// take the Sum64 loop.
+func (s SipMAC) SearchCounter(key Key, msg []byte, first, stride uint64, n int, want uint64) (uint64, int, bool) {
+	if len(msg)%8 != 0 {
+		return searchSum64(s, key, msg, first, stride, n, want)
+	}
+	k0 := binary.LittleEndian.Uint64(key[0:8])
+	k1 := binary.LittleEndian.Uint64(key[8:16])
+	p0 := k0 ^ 0x736f6d6570736575
+	p1 := k1 ^ 0x646f72616e646f6d
+	p2 := k0 ^ 0x6c7967656e657261
+	p3 := k1 ^ 0x7465646279746573
+	var v0, v1, v2, v3 uint64
+	round := func() {
+		v0 += v1
+		v1 = rotl(v1, 13)
+		v1 ^= v0
+		v0 = rotl(v0, 32)
+		v2 += v3
+		v3 = rotl(v3, 16)
+		v3 ^= v2
+		v0 += v3
+		v3 = rotl(v3, 21)
+		v3 ^= v0
+		v2 += v1
+		v1 = rotl(v1, 17)
+		v1 ^= v2
+		v2 = rotl(v2, 32)
+	}
+	for i := 0; i+8 < len(msg); i += 8 {
+		m := binary.LittleEndian.Uint64(msg[i:])
+		v0, v1, v2, v3 = p0, p1, p2, p3^m
+		round()
+		round()
+		p0, p1, p2, p3 = v0^m, v1, v2, v3
+	}
+	last := uint64(len(msg)) << 56
+	cand := first
+	for i := 0; i < n; i++ {
+		v0, v1, v2, v3 = p0, p1, p2, p3^cand
+		round()
+		round()
+		v0 ^= cand
+		v3 ^= last
+		round()
+		round()
+		v0 ^= last
+		v2 ^= 0xff
+		round()
+		round()
+		round()
+		round()
+		if v0^v1^v2^v3 == want {
+			return cand, i + 1, true
+		}
+		cand += stride
+	}
+	return 0, max(n, 0), false
 }
 
 // sipCore is SipHash-2-4 over msg with decoded key words; Sum64 and

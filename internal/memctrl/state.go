@@ -31,11 +31,13 @@ type PolicyState interface {
 	LoadState(data []byte) error
 }
 
-// StateLayout identifies the ControllerState encoding: 1 is the columnar
-// layout of the tag and device tables. Checkpoints written before the
-// columns carry no layout field and decode as 0; Restore rejects them
-// rather than silently restoring an empty device.
-const StateLayout = 1
+// StateLayout identifies the ControllerState encoding: 2 is the columnar
+// layout of the tag and device tables with every 64-bit column an
+// nvmem.Words byte string. Layout 1 carried the same columns as gob
+// []uint64 slices, whose wire type no longer decodes into Words; layout 0
+// (checkpoints written before the columns) has no layout field. Restore
+// rejects both rather than silently restoring an empty device.
+const StateLayout = 2
 
 // QuarantineState is one quarantined leaf's arbitration record.
 type QuarantineState struct {
@@ -64,9 +66,9 @@ type ControllerState struct {
 	// The data tags as columns, like the device's line table (see
 	// nvmem.State): TagAddrs lists the lines with a non-zero tag, sorted
 	// by address, and the other three columns hold each tag's fields.
-	TagAddrs   []uint64
-	TagMACs    []uint64
-	TagHints   []uint64
+	TagAddrs   nvmem.Words
+	TagMACs    nvmem.Words
+	TagHints   nvmem.Words
 	TagWritten []bool
 
 	Quarantined []uint64 // sorted leaf indices

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -376,5 +377,30 @@ func TestStateDoubleRenderByteIdentical(t *testing.T) {
 	a, b := encode(d.State()), encode(d.State())
 	if !bytes.Equal(a, b) {
 		t.Fatal("two renders of the same device state differ byte-wise")
+	}
+}
+
+// TestWordsGobRoundTrip pins the Words byte-string encoding: columns of
+// any length, extreme values included, decode to the words encoded; an
+// empty column decodes as absent (nil), as a plain slice field does; and a
+// byte string that is not whole words is an error, not a short column.
+func TestWordsGobRoundTrip(t *testing.T) {
+	type holder struct{ W Words }
+	for _, w := range []Words{nil, {}, {0}, {1, 1 << 63, ^uint64(0), 64, 0x0102030405060708}} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(holder{w}); err != nil {
+			t.Fatal(err)
+		}
+		var back holder
+		if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
+			t.Fatal(err)
+		}
+		if len(w) == 0 && back.W != nil || len(w) != 0 && !slices.Equal(back.W, w) {
+			t.Fatalf("round trip of %v gave %#v", w, back.W)
+		}
+	}
+	var w Words
+	if err := w.GobDecode(make([]byte, 15)); err == nil || w != nil {
+		t.Fatalf("15-byte column decoded as %v, err %v; want an error and no words", w, err)
 	}
 }

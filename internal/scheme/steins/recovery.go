@@ -53,6 +53,17 @@ type recoveryState struct {
 	// level are quarantined instead of forgiven.
 	excused map[int]bool
 	arbed   map[int]bool
+
+	// Scratch of regenerateSplitLeaf, reused by every leaf of the pass: the
+	// leaf's data blocks as read, and the slots whose tags say written.
+	leafBlocks  [counter.SplitArity]leafBlock
+	leafWritten []int
+}
+
+// leafBlock is one data block of a split leaf under regeneration.
+type leafBlock struct {
+	addr uint64
+	ct   [64]byte
 }
 
 // excuseLInc excuses exactly one level's LInc equality on recorded media
@@ -521,16 +532,12 @@ func (p *Policy) regenerateSplitLeaf(st *recoveryState, node *sit.Node, stale *s
 	eng := p.c.Engine()
 	major := stale.Split.Major
 	haveWritten := false
-	type blockState struct {
-		addr uint64
-		ct   [64]byte
-	}
-	written := make([]int, 0, counter.SplitArity)
-	blocks := make([]blockState, counter.SplitArity)
+	blocks := &st.leafBlocks
+	written := st.leafWritten[:0]
 	for i := 0; i < counter.SplitArity; i++ {
 		daddr := geo.DataAddr(node.Index, i)
 		st.report.NVMReads++
-		blocks[i] = blockState{addr: daddr, ct: [64]byte(p.c.Device().Peek(daddr))}
+		blocks[i] = leafBlock{addr: daddr, ct: [64]byte(p.c.Device().Peek(daddr))}
 		tag := p.c.Tag(daddr)
 		if !tag.Written {
 			continue // never written: minor stays zero
@@ -542,13 +549,14 @@ func (p *Policy) regenerateSplitLeaf(st *recoveryState, node *sit.Node, stale *s
 		}
 		written = append(written, i)
 	}
+	st.leafWritten = written
 	if haveWritten && major < stale.Split.Major {
 		return memctrl.ReplayAt("split leaf", 0, node.Index,
 			fmt.Sprintf("recovered major %d older than persisted %d", major, stale.Split.Major))
 	}
 	node.Split.Major = major
 	for _, i := range written {
-		b := blocks[i]
+		b := &blocks[i]
 		m, minor, macOps, ok := eng.RecoverCounterSC(&b.ct, b.addr, p.c.Tag(b.addr), stale.Split.Minor[i])
 		st.report.MACOps += macOps
 		if !ok {

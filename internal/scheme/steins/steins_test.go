@@ -170,6 +170,26 @@ func TestCrashRecoverRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSplitRecoveryReportPinned pins the recovery report of one
+// deterministic Steins-SC crash. NVM reads and MAC evaluations are the
+// inputs of the modelled recovery time, so host-side work on the
+// recovery path (the counter search, scratch reused across leaves) must
+// leave them exactly as they were; a block searched twice, or a search
+// that counts its tries differently, moves MACOps.
+func TestSplitRecoveryReportPinned(t *testing.T) {
+	c, _ := newSteins(t, true)
+	workload(t, c, 4000, 1234)
+	c.Crash()
+	rep, err := c.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.NodesRecovered != 60 || rep.NVMReads != 2596 || rep.MACOps != 962 || rep.TimeNS != 278840 {
+		t.Fatalf("recovery report = %d nodes, %d NVM reads, %d MACs, %v ns; want 60, 2596, 962, 278840",
+			rep.NodesRecovered, rep.NVMReads, rep.MACOps, rep.TimeNS)
+	}
+}
+
 func TestRecoverWithPendingBuffer(t *testing.T) {
 	// Crash with entries still parked in the non-volatile buffer: recovery
 	// must fold them into the LIncs (§III-G step ⑤).

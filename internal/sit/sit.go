@@ -315,17 +315,12 @@ const DataMACMsgSize = 80
 // PutDataMACMsg packs the DataMACInto message into msg. Deferred-MAC callers
 // (the CME tag window) pack messages with it and batch the MAC later;
 // keeping the layout here means the synchronous and batched paths cannot
-// drift apart.
+// drift apart. The encryption counter is the message's last little-endian
+// word, the shape crypt.SearchCounter takes, so a counter search packs the
+// ciphertext and address once and varies only the counter.
 func PutDataMACMsg(msg *[DataMACMsgSize]byte, dataAddr uint64, ciphertext *[64]byte, encCounter uint64) {
 	copy(msg[:64], ciphertext[:])
 	binary.LittleEndian.PutUint64(msg[64:72], dataAddr)
-	SetDataMACCounter(msg, encCounter)
-}
-
-// SetDataMACCounter rewrites only the encryption-counter field of a packed
-// DataMACInto message, so a counter search packs the ciphertext and address
-// once and then tries each candidate for the cost of 8 bytes.
-func SetDataMACCounter(msg *[DataMACMsgSize]byte, encCounter uint64) {
 	binary.LittleEndian.PutUint64(msg[72:80], encCounter)
 }
 

@@ -2,7 +2,9 @@ package snapshot
 
 import (
 	"bytes"
+	"io"
 	"reflect"
+	"slices"
 	"testing"
 
 	"steins/internal/sim"
@@ -62,7 +64,10 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 
 // FuzzReadEnvelope throws arbitrary bytes at the decoder: it must reject
 // or accept without ever panicking, and anything it accepts must resume
-// or fail with a structured error.
+// or fail with a structured error. The in-memory path of the file loaders
+// must agree with ReadEnvelope over both kinds of reader (one that reports
+// its length, one that does not): the same payload bytes, or the same
+// error text.
 func FuzzReadEnvelope(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("STEINSNP"))
@@ -89,7 +94,26 @@ func FuzzReadEnvelope(f *testing.F) {
 		return buf.Bytes()
 	}()
 	f.Add(valid)
+	f.Add(valid[:len(valid)-1])                // truncated payload
+	f.Add(append(slices.Clip(valid), 0xAA))    // trailing byte
+	f.Add(append(slices.Clone(valid[:40]), 1)) // declared length past the end
+	crcBad := slices.Clone(valid)
+	crcBad[headerLen+3] ^= 1
+	f.Add(crcBad)
+	kindBad := slices.Clone(valid)
+	kindBad[12] = byte(KindServer)
+	f.Add(kindBad)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		fromSlice, sliceErr := envelopePayload(data, KindRun)
+		for _, r := range []io.Reader{bytes.NewReader(data), struct{ io.Reader }{bytes.NewReader(data)}} {
+			fromReader, readerErr := ReadEnvelope(r, KindRun)
+			if (sliceErr == nil) != (readerErr == nil) ||
+				sliceErr != nil && sliceErr.Error() != readerErr.Error() ||
+				!bytes.Equal(fromSlice, fromReader) {
+				t.Fatalf("%T: in-memory path (%d bytes, %v), reader path (%d bytes, %v)",
+					r, len(fromSlice), sliceErr, len(fromReader), readerErr)
+			}
+		}
 		st, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return

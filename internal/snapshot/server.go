@@ -67,6 +67,11 @@ func DecodeServer(r io.Reader) (*ServerState, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeServer(payload)
+}
+
+// decodeServer gob-decodes a KindServer payload.
+func decodeServer(payload []byte) (*ServerState, error) {
 	st := &ServerState{}
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(st); err != nil {
 		return nil, fmt.Errorf("%w: server state payload: %v", ErrCorrupt, err)
@@ -84,11 +89,16 @@ func SaveServerFile(path string, st *ServerState) error {
 	return SaveEnvelope(path, KindServer, payload)
 }
 
-// LoadServerFile reads a server checkpoint file.
+// LoadServerFile reads a server checkpoint file, decoding the payload in
+// place in the file's bytes.
 func LoadServerFile(path string) (*ServerState, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	return DecodeServer(bytes.NewReader(data))
+	payload, err := envelopePayload(data, KindServer)
+	if err != nil {
+		return nil, err
+	}
+	return decodeServer(payload)
 }

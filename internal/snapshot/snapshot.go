@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -255,28 +256,60 @@ func WriteEnvelope(w io.Writer, kind uint32, payload []byte) error {
 // wraps a different state family).
 func ReadEnvelope(r io.Reader, kind uint32) ([]byte, error) {
 	hdr := make([]byte, headerLen)
-	if n, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("%w: %d-byte header, want %d", ErrTruncated, n, headerLen)
+	n, _ := io.ReadFull(r, hdr) // a short read fails checkHeader as truncated
+	plen, err := checkHeader(hdr[:n], kind)
+	if err != nil {
+		return nil, err
 	}
-	if !bytes.Equal(hdr[:8], magic[:]) {
-		return nil, fmt.Errorf("%w: %q", ErrBadMagic, hdr[:8])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != Version {
-		return nil, fmt.Errorf("%w: file is v%d, reader is v%d", ErrVersion, v, Version)
-	}
-	if k := binary.LittleEndian.Uint32(hdr[12:]); k != kind {
-		return nil, fmt.Errorf("%w: payload kind %d, want %d", ErrCorrupt, k, kind)
-	}
-	plen := binary.LittleEndian.Uint64(hdr[16:])
 	payload, err := readPayload(r, plen)
 	if err != nil {
 		return nil, err
 	}
-	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(hdr[24:]) {
-		return nil, fmt.Errorf("%w: payload CRC %#x, envelope declares %#x",
-			ErrChecksum, sum, binary.LittleEndian.Uint32(hdr[24:]))
+	return payload, checkPayload(hdr, payload)
+}
+
+// envelopePayload is ReadEnvelope over a whole file already in memory: the
+// payload it returns is a sub-slice of data, not a copy. Bytes after the
+// declared payload are ignored, as a reader's unread rest is.
+func envelopePayload(data []byte, kind uint32) ([]byte, error) {
+	plen, err := checkHeader(data[:min(len(data), headerLen)], kind)
+	if err != nil {
+		return nil, err
 	}
-	return payload, nil
+	rest := data[headerLen:]
+	if left := uint64(len(rest)); left < plen {
+		return nil, fmt.Errorf("%w: payload is %d bytes, envelope declares %d", ErrTruncated, left, plen)
+	}
+	payload := rest[:plen]
+	return payload, checkPayload(data, payload)
+}
+
+// checkHeader validates the fixed envelope header (hdr holds the bytes read
+// of it, all headerLen of them unless the file was short) and returns the
+// declared payload length.
+func checkHeader(hdr []byte, kind uint32) (uint64, error) {
+	if len(hdr) < headerLen {
+		return 0, fmt.Errorf("%w: %d-byte header, want %d", ErrTruncated, len(hdr), headerLen)
+	}
+	if !bytes.Equal(hdr[:8], magic[:]) {
+		return 0, fmt.Errorf("%w: %q", ErrBadMagic, hdr[:8])
+	}
+	if v := binary.LittleEndian.Uint32(hdr[8:]); v != Version {
+		return 0, fmt.Errorf("%w: file is v%d, reader is v%d", ErrVersion, v, Version)
+	}
+	if k := binary.LittleEndian.Uint32(hdr[12:]); k != kind {
+		return 0, fmt.Errorf("%w: payload kind %d, want %d", ErrCorrupt, k, kind)
+	}
+	return binary.LittleEndian.Uint64(hdr[16:]), nil
+}
+
+// checkPayload compares the payload's CRC with the one the header declares.
+func checkPayload(hdr, payload []byte) error {
+	want := binary.LittleEndian.Uint32(hdr[24:])
+	if sum := crc32.ChecksumIEEE(payload); sum != want {
+		return fmt.Errorf("%w: payload CRC %#x, envelope declares %#x", ErrChecksum, sum, want)
+	}
+	return nil
 }
 
 // readPayload reads the plen payload bytes that follow the header. A
@@ -285,7 +318,8 @@ func ReadEnvelope(r io.Reader, kind uint32) ([]byte, error) {
 // them. Any other reader goes through a LimitReader, which bounds the
 // allocation to what the stream actually holds, so an absurd declared
 // length on a tiny stream fails as truncated instead of attempting a huge
-// allocation.
+// allocation (a length past MaxInt64 is clamped, not wrapped negative, so
+// the error counts the bytes the stream held).
 func readPayload(r io.Reader, plen uint64) ([]byte, error) {
 	if lr, ok := r.(interface{ Len() int }); ok {
 		if left := uint64(lr.Len()); left < plen {
@@ -297,7 +331,7 @@ func readPayload(r io.Reader, plen uint64) ([]byte, error) {
 		}
 		return payload, nil
 	}
-	payload, err := io.ReadAll(io.LimitReader(r, int64(plen)))
+	payload, err := io.ReadAll(io.LimitReader(r, int64(min(plen, math.MaxInt64))))
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading payload: %v", ErrTruncated, err)
 	}
@@ -333,6 +367,11 @@ func Read(r io.Reader) (*RunState, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeRun(payload)
+}
+
+// decodeRun gob-decodes a KindRun payload.
+func decodeRun(payload []byte) (*RunState, error) {
 	st := new(RunState)
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(st); err != nil {
 		return nil, fmt.Errorf("%w: gob decode: %v", ErrCorrupt, err)
@@ -404,11 +443,16 @@ func SaveFile(path string, st *RunState) error {
 	return SaveEnvelope(path, KindRun, payload)
 }
 
-// LoadFile reads one snapshot from path.
+// LoadFile reads one snapshot from path, decoding the payload in place in
+// the file's bytes.
 func LoadFile(path string) (*RunState, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	return Read(bytes.NewReader(data))
+	payload, err := envelopePayload(data, KindRun)
+	if err != nil {
+		return nil, err
+	}
+	return decodeRun(payload)
 }

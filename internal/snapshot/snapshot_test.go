@@ -445,6 +445,12 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// layout1 is the same kind of run checkpointed by the layout-1 encoder,
+	// whose 64-bit columns were gob []uint64 slices.
+	layout1, err := os.ReadFile("testdata/layout1-run.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		data []byte
@@ -484,8 +490,9 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 		})), "tag addresses"},
 		{"unknown controller layout", wire(mutated(func(c *memctrl.ControllerState) {
 			c.Layout = memctrl.StateLayout + 1
-		})), "layout 2"},
+		})), fmt.Sprintf("layout %d", memctrl.StateLayout+1)},
 		{"pre-columnar layout", preColumnar, "layout 0"},
+		{"layout 1", layout1, "ControllerState.TagAddrs"},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

@@ -44,6 +44,7 @@ fuzz:
 	go test -fuzz=FuzzCampaignSchedule -fuzztime=20s ./internal/campaign
 	go test -fuzz=FuzzBatchBody -fuzztime=20s ./internal/server
 	go test -fuzz=FuzzSearchCounter -fuzztime=20s ./internal/crypt
+	go test -fuzz=FuzzServerCheckpoint -fuzztime=20s -fuzzminimizetime=100x ./internal/server
 
 # Short deterministic crash-point fault-injection sweep: every scheme,
 # pinned seeds, torn-write detection demo included.
@@ -119,7 +120,10 @@ metrics-demo:
 # across the steins policy, the controller and the campaign's
 # replay-boundary repro artifacts. The recovery counter searches (the
 # SipHash prefix-cached fast path against the one-MAC-per-candidate loop)
-# run raced at -cpu 1,4. Every go test runs -shuffle=on so
+# run raced at -cpu 1,4. The checkpoint restore suites (crafted tables
+# refused entry by entry, the sectioned server payload, the layout
+# fixtures, byte-stable Save → Load → Restore → Save, the daemon's refusal
+# of a crafted checkpoint) run raced at -cpu 1,4. Every go test runs -shuffle=on so
 # order-dependent tests cannot hide. The committed BENCH
 # document is re-verified so the persisted trajectory can never drift out
 # of sync with the canonical benchmark set.
@@ -157,6 +161,8 @@ check: crashfuzz faultfuzz serve-check bench-check
 		./internal/snapshot ./internal/scheme/schemetest ./internal/crashfuzz \
 		./internal/campaign ./cmd/campaign ./cmd/steinssim
 	go test -shuffle=on -count=2 ./internal/snapshot ./internal/scheme/schemetest ./internal/campaign
+	go test -shuffle=on -race -cpu 1,4 -run 'Restore|Checkpoint|Layout|SetState' ./internal/nvmem \
+		./internal/memctrl ./internal/cache ./internal/snapshot ./internal/server ./cmd/securememd
 	go test -shuffle=on ./cmd/benchjson
 	go run ./cmd/benchjson -verify BENCH_$(BENCH_REV).json
 

@@ -16,7 +16,12 @@ import (
 	"testing"
 	"time"
 
+	"steins/internal/cache"
+	"steins/internal/memctrl"
+	"steins/internal/nvmem"
 	"steins/internal/server"
+	"steins/internal/sit"
+	"steins/internal/snapshot"
 )
 
 // TestParseTenantSpec pins the spec grammar, including the structured
@@ -302,5 +307,72 @@ func TestDaemonRejectsMismatchedCheckpoint(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "PGs") && !strings.Contains(errb.String(), "restore") {
 		t.Fatalf("stderr does not explain the mismatch: %s", errb.String())
+	}
+}
+
+// wordsOf builds a checkpoint column from its values.
+func wordsOf(vs ...uint64) nvmem.Words {
+	var w nvmem.Words
+	for _, v := range vs {
+		w.Append(v)
+	}
+	return w
+}
+
+// TestDaemonRejectsCraftedCheckpoint pins that a checkpoint whose CRC is
+// valid but whose tables no encoder writes stops the daemon with exit 1
+// and a diagnostic naming the table. Unchecked, an address past every int
+// or a cached node without a payload panics the restore, a line address
+// of 1<<40 on an 8 KiB pool grows a huge chunk directory, and descending
+// tags restore silently.
+func TestDaemonRejectsCraftedCheckpoint(t *testing.T) {
+	args := func(state string) []string {
+		return []string{"-listen", "127.0.0.1:0", "-state", state,
+			"-tenant", "name=alpha,scheme=Steins-SC,pool=8192,pgs=2"}
+	}
+	for _, tc := range []struct {
+		name  string
+		craft func(cs *memctrl.ControllerState)
+		want  string
+	}{
+		{"line past the device", func(cs *memctrl.ControllerState) {
+			cs.Device.LineAddrs, cs.Device.LineData = wordsOf(1<<40), bytes.Repeat([]byte{1}, 64)
+		}, "nvmem: line address 0"},
+		{"line past every int", func(cs *memctrl.ControllerState) {
+			cs.Device.LineAddrs, cs.Device.LineData = wordsOf(1<<62), bytes.Repeat([]byte{1}, 64)
+		}, "nvmem: line address 0"},
+		{"unaligned wear", func(cs *memctrl.ControllerState) {
+			cs.Device.WearAddrs, cs.Device.WearCounts = wordsOf(3), wordsOf(1)
+		}, "nvmem: wear address 0"},
+		{"descending tags", func(cs *memctrl.ControllerState) {
+			cs.TagAddrs, cs.TagMACs, cs.TagHints = wordsOf(128, 64), wordsOf(1, 1), wordsOf(1, 1)
+			cs.TagFlags = []byte{1, 1}
+		}, "memctrl: tag address 1"},
+		{"cached node without payload", func(cs *memctrl.ControllerState) {
+			cs.MetaCache.Entries = append(cs.MetaCache.Entries, cache.EntryState[*sit.Node]{})
+		}, "has no payload"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			state := filepath.Join(t.TempDir(), "server.ckpt")
+			d := startDaemon(t, args(state))
+			if code := d.stop(t); code != 0 {
+				t.Fatalf("first life exited %d", code)
+			}
+			st, err := snapshot.LoadServerFile(state)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.craft(&st.Tenants[0].PGs[1].Channels[0])
+			if err := snapshot.SaveServerFile(state, st); err != nil {
+				t.Fatal(err)
+			}
+			var out, errb bytes.Buffer
+			if code := run(args(state), &out, &errb, nil); code != 1 {
+				t.Fatalf("crafted checkpoint: exit %d, want 1 (stderr: %s)", code, errb.String())
+			}
+			if msg := errb.String(); !strings.Contains(msg, "restore checkpoint") || !strings.Contains(msg, tc.want) {
+				t.Fatalf("stderr does not name the table (%q): %s", tc.want, msg)
+			}
+		})
 	}
 }

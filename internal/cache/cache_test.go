@@ -304,3 +304,45 @@ func TestSlotStableAndUnique(t *testing.T) {
 		t.Fatalf("new entry slot %d does not match victim's", e.Slot())
 	}
 }
+
+// TestSetStateRejectsForeignSlots pins that a state whose entries do not
+// fit this cache is refused with an error, not a panic: a slot outside the
+// geometry or outside its address's set, an unaligned address, and
+// entries out of the (set, way) order State lists them in. A refused state
+// leaves the cache as it was; a valid one round-trips.
+func TestSetStateRejectsForeignSlots(t *testing.T) {
+	src := newTest()
+	src.Insert(64, 1, true)
+	src.Insert(128, 2, false)
+	src.Insert(64*5, 3, false)
+	good := src.State()
+	for name, craft := range map[string]func(st *State[int]){
+		"slot past the geometry": func(st *State[int]) { st.Entries[0].Slot = 1 << 30 },
+		"negative slot":          func(st *State[int]) { st.Entries[0].Slot = -1 },
+		"slot of another set":    func(st *State[int]) { st.Entries[0].Addr += 64 },
+		"unaligned address":      func(st *State[int]) { st.Entries[0].Addr++ },
+		"entries out of order": func(st *State[int]) {
+			st.Entries[0], st.Entries[1] = st.Entries[1], st.Entries[0]
+		},
+		"slot restored twice": func(st *State[int]) { st.Entries[1] = st.Entries[0] },
+	} {
+		st := good
+		st.Entries = append([]EntryState[int](nil), good.Entries...)
+		craft(&st)
+		c := newTest()
+		c.Insert(0, 9, false)
+		if err := c.SetState(st); err == nil {
+			t.Errorf("%s: SetState accepted %+v", name, st.Entries)
+		}
+		if e, ok := c.Probe(0); c.Len() != 1 || !ok || e.Payload != 9 {
+			t.Errorf("%s: refused SetState changed the cache", name)
+		}
+	}
+	c := newTest()
+	if err := c.SetState(good); err != nil {
+		t.Fatal(err)
+	}
+	if back := c.State(); len(back.Entries) != 3 || back.Entries[2] != good.Entries[2] || back.Stamp != good.Stamp {
+		t.Fatalf("round trip: %+v, want %+v", back, good)
+	}
+}

@@ -8,10 +8,14 @@
 package memctrl
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
+	"reflect"
 	"sort"
 
+	"steins/internal/arena"
 	"steins/internal/cache"
 	"steins/internal/cme"
 	"steins/internal/metrics"
@@ -31,13 +35,19 @@ type PolicyState interface {
 	LoadState(data []byte) error
 }
 
-// StateLayout identifies the ControllerState encoding: 2 is the columnar
-// layout of the tag and device tables with every 64-bit column an
-// nvmem.Words byte string. Layout 1 carried the same columns as gob
-// []uint64 slices, whose wire type no longer decodes into Words; layout 0
-// (checkpoints written before the columns) has no layout field. Restore
-// rejects both rather than silently restoring an empty device.
-const StateLayout = 2
+// StateLayout identifies the ControllerState encoding. Layout 3 keeps the
+// columnar tag and device tables of layout 2 (every 64-bit column an
+// nvmem.Words) but carries the tags' written flags as one byte each
+// (TagFlags) and each cached node as a fixed record (sit.Node's gob codec),
+// so a server checkpoint can frame every column raw (Columns). The two
+// fields whose wire type changed took new names (TagFlags, MetaCache): gob
+// skips a layout-2 checkpoint's old fields instead of failing on their
+// type, and Restore refuses it by layout number. Layout 1 carried the 64-bit
+// columns as gob []uint64 slices, whose wire type does not decode into
+// Words; layout 0 (checkpoints written before the columns) has no layout
+// field. Restore rejects every older layout rather than silently restoring
+// an empty device.
+const StateLayout = 3
 
 // QuarantineState is one quarantined leaf's arbitration record.
 type QuarantineState struct {
@@ -65,11 +75,12 @@ type ControllerState struct {
 
 	// The data tags as columns, like the device's line table (see
 	// nvmem.State): TagAddrs lists the lines with a non-zero tag, sorted
-	// by address, and the other three columns hold each tag's fields.
-	TagAddrs   nvmem.Words
-	TagMACs    nvmem.Words
-	TagHints   nvmem.Words
-	TagWritten []bool
+	// by address, and the other three columns hold each tag's fields;
+	// TagFlags[i] is 1 if tag i's Written flag is set, else 0.
+	TagAddrs nvmem.Words
+	TagMACs  nvmem.Words
+	TagHints nvmem.Words
+	TagFlags []byte
 
 	Quarantined []uint64 // sorted leaf indices
 	// QuarInfo carries the arbitration record and re-admission mask of each
@@ -88,9 +99,9 @@ type ControllerState struct {
 	WarmupEnd uint64
 	Stats     Stats
 
-	Meta   cache.State[*sit.Node]
-	Root   sit.Root
-	Device nvmem.State
+	MetaCache cache.State[*sit.Node]
+	Root      sit.Root
+	Device    nvmem.State
 
 	// Policy is the scheme's SaveState blob; PolicyStateful records whether
 	// the scheme implements PolicyState at all (so a mismatch on restore is
@@ -132,10 +143,10 @@ func (c *Controller) State() (*ControllerState, error) {
 	// map misses were; Tag() returns the zero value either way.
 	c.tags.ForEach(func(line uint64, t *cme.Tag) {
 		if *t != (cme.Tag{}) {
-			st.TagAddrs = append(st.TagAddrs, line*nvmem.LineSize)
-			st.TagMACs = append(st.TagMACs, t.MAC)
-			st.TagHints = append(st.TagHints, t.Hint)
-			st.TagWritten = append(st.TagWritten, t.Written)
+			st.TagAddrs.Append(line * nvmem.LineSize)
+			st.TagMACs.Append(t.MAC)
+			st.TagHints.Append(t.Hint)
+			st.TagFlags = append(st.TagFlags, b2u8(t.Written))
 		}
 	})
 	for w, set := range c.quarBits {
@@ -157,9 +168,9 @@ func (c *Controller) State() (*ControllerState, error) {
 		st.Escalated = append(st.Escalated, EscalationState{Addr: addr, Count: c.escalated[addr]})
 	}
 	sort.Slice(st.Escalated, func(i, j int) bool { return st.Escalated[i].Addr < st.Escalated[j].Addr })
-	st.Meta = c.meta.State()
-	for i, e := range st.Meta.Entries {
-		st.Meta.Entries[i].Payload = e.Payload.Clone()
+	st.MetaCache = c.meta.State()
+	for i, e := range st.MetaCache.Entries {
+		st.MetaCache.Entries[i].Payload = e.Payload.Clone()
 	}
 	if ps, ok := c.policy.(PolicyState); ok {
 		blob, err := ps.SaveState()
@@ -176,31 +187,170 @@ func (c *Controller) State() (*ControllerState, error) {
 	return st, nil
 }
 
+// StateColumns is the number of per-line tables ControllerState.Columns
+// lists.
+const StateColumns = nvmem.StateColumns + 4
+
+// Columns returns the state's per-line tables as raw bytes, in checkpoint
+// order: the device's (nvmem.State.Columns), then the tag addresses, MACs,
+// hints and written flags. The slices alias the state.
+func (st *ControllerState) Columns() [StateColumns][]byte {
+	var cols [StateColumns][]byte
+	dev := st.Device.Columns()
+	copy(cols[:], dev[:])
+	cols[nvmem.StateColumns] = st.TagAddrs.Bytes()
+	cols[nvmem.StateColumns+1] = st.TagMACs.Bytes()
+	cols[nvmem.StateColumns+2] = st.TagHints.Bytes()
+	cols[nvmem.StateColumns+3] = st.TagFlags
+	return cols
+}
+
+// SetColumns replaces the state's per-line tables with cols, in Columns
+// order, aliasing them. A word column that is not a whole number of words
+// is an error.
+func (st *ControllerState) SetColumns(cols [StateColumns][]byte) error {
+	tagAddrs, err1 := nvmem.WordsFrom(cols[nvmem.StateColumns])
+	tagMACs, err2 := nvmem.WordsFrom(cols[nvmem.StateColumns+1])
+	tagHints, err3 := nvmem.WordsFrom(cols[nvmem.StateColumns+2])
+	err4 := st.Device.SetColumns([nvmem.StateColumns][]byte(cols[:nvmem.StateColumns]))
+	if err := errors.Join(err4, err1, err2, err3); err != nil {
+		return err
+	}
+	st.TagAddrs, st.TagMACs, st.TagHints, st.TagFlags = tagAddrs, tagMACs, tagHints, cols[nvmem.StateColumns+3]
+	return nil
+}
+
+// restoreTags reads the tag columns in place into a fresh arena. Every
+// address must pass nvmem.AddrCheck against the data region, every
+// written flag must be 0 or 1, and no tag may be zero (State omits zero
+// tags), so the restored tags capture back to the same columns.
+func (c *Controller) restoreTags(st *ControllerState) (arena.T[cme.Tag], error) {
+	var tags arena.T[cme.Tag]
+	n := st.TagAddrs.Len()
+	if st.TagMACs.Len() != n || st.TagHints.Len() != n || len(st.TagFlags) != n {
+		return tags, fmt.Errorf("memctrl: state has %d tag addresses but %d MACs, %d hints, %d written flags",
+			n, st.TagMACs.Len(), st.TagHints.Len(), len(st.TagFlags))
+	}
+	chk := nvmem.AddrCheck{Table: "memctrl: tag", Limit: c.cfg.DataBytes}
+	addrs, macs, hints, flags := st.TagAddrs.Bytes(), st.TagMACs.Bytes(), st.TagHints.Bytes(), st.TagFlags
+	for i := 0; len(addrs) >= 8 && len(macs) >= 8 && len(hints) >= 8 && len(flags) >= 1; i++ {
+		addr := binary.LittleEndian.Uint64(addrs)
+		if !chk.Next(addr) {
+			return tags, chk.Err()
+		}
+		if flags[0] > 1 {
+			return tags, fmt.Errorf("memctrl: tag %d written flag is %d, want 0 or 1", i, flags[0])
+		}
+		t := cme.Tag{MAC: binary.LittleEndian.Uint64(macs), Hint: binary.LittleEndian.Uint64(hints), Written: flags[0] == 1}
+		if t == (cme.Tag{}) {
+			return tags, fmt.Errorf("memctrl: tag %d (%#x) is zero, which State omits", i, addr)
+		}
+		*tags.Ptr(addr / nvmem.LineSize) = t
+		addrs, macs, hints, flags = addrs[8:], macs[8:], hints[8:], flags[1:]
+	}
+	return tags, nil
+}
+
+// checkLists reports whether the state's small sorted tables are ones
+// State could have captured: quarantined leaves strictly ascending and
+// inside the leaf level, arbitration records strictly ascending and only
+// for quarantined leaves, the escalation log strictly ascending, every
+// cached node present at its own tree address and of the configured leaf
+// kind, and no collector or scheme state where its flag says none.
+func (c *Controller) checkLists(st *ControllerState) error {
+	geo := &c.lay.Geo
+	quar := make(map[uint64]bool, len(st.Quarantined))
+	for i, leaf := range st.Quarantined {
+		if leaf >= geo.LevelNodes[0] || i > 0 && leaf <= st.Quarantined[i-1] {
+			return fmt.Errorf("memctrl: quarantined leaf %d (%d) is past the %d leaves or out of order",
+				i, leaf, geo.LevelNodes[0])
+		}
+		quar[leaf] = true
+	}
+	for i, q := range st.QuarInfo {
+		if !quar[q.Leaf] || i > 0 && q.Leaf <= st.QuarInfo[i-1].Leaf {
+			return fmt.Errorf("memctrl: quarantine record %d (leaf %d) is for no quarantined leaf or out of order", i, q.Leaf)
+		}
+	}
+	for i, e := range st.Escalated {
+		if i > 0 && e.Addr <= st.Escalated[i-1].Addr {
+			return fmt.Errorf("memctrl: escalation entry %d (%#x) out of order", i, e.Addr)
+		}
+	}
+	for i, e := range st.MetaCache.Entries {
+		n := e.Payload
+		if n == nil {
+			return fmt.Errorf("memctrl: cached node %d (%#x) has no payload", i, e.Addr)
+		}
+		level, index, ok := geo.NodeAt(e.Addr)
+		if !ok || n.Level != level || n.Index != index || index >= geo.LevelNodes[level] ||
+			n.IsSplit != (level == 0 && c.cfg.SplitLeaf) {
+			return fmt.Errorf("memctrl: cached node %d at %#x is level %d index %d split %v, not the node stored there",
+				i, e.Addr, n.Level, n.Index, n.IsSplit)
+		}
+	}
+	if !st.HasCollector && !reflect.ValueOf(st.Collector).IsZero() {
+		return fmt.Errorf("memctrl: state carries collector state but no collector")
+	}
+	if !st.PolicyStateful && len(st.Policy) != 0 {
+		return fmt.Errorf("memctrl: state carries scheme state for a stateless scheme")
+	}
+	return nil
+}
+
 // Restore rebuilds the controller from a captured state. The controller
 // must have been built by New from the same Config and scheme factory as
 // the captured one; mismatches surface as scheme-state errors or later
-// divergence. A state of another layout, or whose tag or device columns
-// disagree in length, is rejected before anything is overwritten. The
-// metrics collector is re-created when the state carries one; fault hooks
-// are left for the harness to re-register.
+// divergence. The tag and device tables are read in place from the
+// state's columns and copied into fresh arenas, so the controller never
+// aliases st. A state of another layout, or one State could not have
+// captured (tables of unequal length, addresses unaligned, out of range or
+// out of order, zero entries, misplaced cached nodes, an impossible
+// collector ring), is rejected before anything is overwritten, with an
+// error naming the table; only the scheme's own state is loaded, and may
+// fail, after the shared structures are restored. The metrics collector
+// is re-created when the state carries one; fault hooks are left for the
+// harness to re-register.
 func (c *Controller) Restore(st *ControllerState) error {
 	if st.Layout != StateLayout {
 		return fmt.Errorf("memctrl: state layout %d, want %d", st.Layout, StateLayout)
 	}
-	if n := len(st.TagAddrs); len(st.TagMACs) != n || len(st.TagHints) != n || len(st.TagWritten) != n {
-		return fmt.Errorf("memctrl: state has %d tag addresses but %d MACs, %d hints, %d written flags",
-			n, len(st.TagMACs), len(st.TagHints), len(st.TagWritten))
+	tags, err := c.restoreTags(st)
+	if err != nil {
+		return err
+	}
+	if err := c.checkLists(st); err != nil {
+		return err
+	}
+	if err := c.meta.CheckState(st.MetaCache); err != nil {
+		return fmt.Errorf("memctrl: %w", err)
+	}
+	var mx *metrics.Collector
+	if st.HasCollector {
+		if mx, err = metrics.RestoreCollector(st.Collector); err != nil {
+			return fmt.Errorf("memctrl: %w", err)
+		}
+	}
+	ps, ok := c.policy.(PolicyState)
+	if ok != st.PolicyStateful {
+		return fmt.Errorf("memctrl: scheme %s state mismatch (snapshot stateful=%v, scheme stateful=%v)",
+			c.policy.Name(), st.PolicyStateful, ok)
 	}
 	if err := c.dev.Restore(st.Device); err != nil {
 		return err
 	}
+	meta := st.MetaCache
+	meta.Entries = append([]cache.EntryState[*sit.Node](nil), st.MetaCache.Entries...)
+	for i, e := range meta.Entries {
+		meta.Entries[i].Payload = e.Payload.Clone()
+	}
+	if err := c.meta.SetState(meta); err != nil {
+		return fmt.Errorf("memctrl: %w", err)
+	}
 	// Drop any deferred tag MACs of the pre-restore run; they belong to
 	// tag slots the restore is about to overwrite.
 	c.eng.DropPendingTags()
-	c.tags.Reset()
-	for i, addr := range st.TagAddrs {
-		*c.tags.Ptr(addr / nvmem.LineSize) = cme.Tag{MAC: st.TagMACs[i], Hint: st.TagHints[i], Written: st.TagWritten[i]}
-	}
+	c.tags = tags
 	c.quarBits = nil
 	c.quarN = 0
 	c.quarInfo = nil
@@ -236,29 +386,19 @@ func (c *Controller) Restore(st *ControllerState) error {
 	c.warmupEnd = st.WarmupEnd
 	c.stats = st.Stats
 	c.root = st.Root
-	meta := st.Meta
-	meta.Entries = append([]cache.EntryState[*sit.Node](nil), st.Meta.Entries...)
-	for i, e := range meta.Entries {
-		meta.Entries[i].Payload = e.Payload.Clone()
-	}
-	c.meta.SetState(meta)
 	c.evicting = c.evicting[:0]
-	ps, ok := c.policy.(PolicyState)
-	if ok != st.PolicyStateful {
-		return fmt.Errorf("memctrl: scheme %s state mismatch (snapshot stateful=%v, scheme stateful=%v)",
-			c.policy.Name(), st.PolicyStateful, ok)
-	}
+	c.mx = mx
 	if ok {
 		if err := ps.LoadState(st.Policy); err != nil {
 			return fmt.Errorf("memctrl: scheme %s state: %w", c.policy.Name(), err)
 		}
 	}
-	if st.HasCollector {
-		mx := metrics.NewCollector(st.Collector.Opt)
-		mx.Restore(st.Collector)
-		c.mx = mx
-	} else {
-		c.mx = nil
-	}
 	return nil
+}
+
+func b2u8(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }

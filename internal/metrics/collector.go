@@ -99,11 +99,11 @@ func (c *Collector) Record(isWrite bool, bd *Breakdown) bool {
 
 // AddSample appends a probe to the ring, overwriting the oldest once full.
 func (c *Collector) AddSample(s Sample) {
-	if len(c.ring) < cap(c.ring) {
+	if len(c.ring) < c.opt.RingCap {
 		c.ring = append(c.ring, s)
 	} else {
 		c.ring[c.next] = s
-		c.next = (c.next + 1) % cap(c.ring)
+		c.next = (c.next + 1) % c.opt.RingCap
 	}
 	c.taken++
 }

@@ -75,3 +75,53 @@ func TestCollectorReset(t *testing.T) {
 		t.Fatal("cadence counter not reset")
 	}
 }
+
+// TestRestoreCollector pins the collector's restore: a captured ring
+// (full and rotated, or partly filled) comes back rotating exactly where
+// it left off, and a state no collector could have captured is refused
+// without allocating the ring it names.
+func TestRestoreCollector(t *testing.T) {
+	c := NewCollector(Options{SampleEvery: 1, RingCap: 3})
+	for i := 0; i < 5; i++ {
+		c.AddSample(Sample{Op: uint64(i)})
+	}
+	back, err := RestoreCollector(c.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.AddSample(Sample{Op: 5})
+	back.AddSample(Sample{Op: 5})
+	if got, want := back.Samples(), c.Samples(); len(got) != 3 || got[0].Op != want[0].Op || got[2].Op != 5 {
+		t.Fatalf("restored ring rotates to %+v, want %+v", got, want)
+	}
+	partial := NewCollector(Options{SampleEvery: 1, RingCap: 3})
+	partial.AddSample(Sample{Op: 1})
+	back, err = RestoreCollector(partial.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	back.AddSample(Sample{Op: 2})
+	back.AddSample(Sample{Op: 3})
+	back.AddSample(Sample{Op: 4})
+	if got := back.Samples(); len(got) != 3 || got[0].Op != 2 || got[2].Op != 4 {
+		t.Fatalf("partly filled ring grows to %+v", got)
+	}
+	for name, st := range map[string]CollectorState{
+		"options not defaulted": {Opt: Options{RingCap: 3}},
+		"ring past its capacity": {Opt: Options{SampleEvery: 1, RingCap: 1},
+			Ring: make([]Sample, 2)},
+		"cursor off a full ring": {Opt: Options{SampleEvery: 1, RingCap: 1},
+			Ring: make([]Sample, 1), Next: 1},
+		"cursor in a filling ring": {Opt: Options{SampleEvery: 1, RingCap: 4},
+			Ring: make([]Sample, 2), Next: 1},
+		"huge capacity, cursor off": {Opt: Options{SampleEvery: 1, RingCap: 1 << 62}, Next: 3},
+		"negative capacity":         {Opt: Options{SampleEvery: 1, RingCap: -1}},
+	} {
+		if _, err := RestoreCollector(st); err == nil {
+			t.Errorf("%s: restored", name)
+		}
+	}
+	if _, err := RestoreCollector(CollectorState{Opt: Options{SampleEvery: 1, RingCap: 1 << 62}}); err != nil {
+		t.Fatalf("an empty ring of a huge capacity: %v", err)
+	}
+}

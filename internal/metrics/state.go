@@ -1,6 +1,9 @@
 package metrics
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Hist has no exported fields, so gob would silently encode it as empty and
 // every embedded histogram (memctrl.Stats.ReadHist/WriteHist, collector
@@ -71,17 +74,25 @@ func (c *Collector) State() CollectorState {
 	return st
 }
 
-// Restore rebuilds the collector from a captured state, preserving the ring
-// capacity semantics of the original options.
-func (c *Collector) Restore(st CollectorState) {
-	c.opt = st.Opt.withDefaults()
-	c.retired = st.Retired
-	c.phaseHist = st.PhaseHist
-	c.ring = make([]Sample, len(st.Ring), c.opt.RingCap)
+// RestoreCollector rebuilds a collector from a captured state. A state no
+// collector could have captured is an error: options not in their
+// effective (defaulted) form, more samples than the ring holds, or a write
+// cursor off the ring. The restored ring grows from the samples it holds
+// up to RingCap as probes arrive, so a crafted capacity allocates nothing.
+func RestoreCollector(st CollectorState) (*Collector, error) {
+	o := st.Opt
+	if o != o.withDefaults() {
+		return nil, fmt.Errorf("metrics: collector options %+v are not in effective form", o)
+	}
+	n := len(st.Ring)
+	if n > o.RingCap || st.Next < 0 || st.Next >= max(n, 1) || st.Next != 0 && n < o.RingCap {
+		return nil, fmt.Errorf("metrics: collector ring of %d samples, cursor %d, capacity %d", n, st.Next, o.RingCap)
+	}
+	c := &Collector{opt: o, retired: st.Retired, phaseHist: st.PhaseHist, next: st.Next, taken: st.Taken}
+	c.ring = make([]Sample, n)
 	copy(c.ring, st.Ring)
 	for i, s := range c.ring {
 		c.ring[i].LIncs = append([]uint64(nil), s.LIncs...)
 	}
-	c.next = st.Next
-	c.taken = st.Taken
+	return c, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -386,7 +385,14 @@ func TestStateDoubleRenderByteIdentical(t *testing.T) {
 // byte string that is not whole words is an error, not a short column.
 func TestWordsGobRoundTrip(t *testing.T) {
 	type holder struct{ W Words }
-	for _, w := range []Words{nil, {}, {0}, {1, 1 << 63, ^uint64(0), 64, 0x0102030405060708}} {
+	words := func(vs ...uint64) Words {
+		var w Words
+		for _, v := range vs {
+			w.Append(v)
+		}
+		return w
+	}
+	for _, w := range []Words{{}, MakeWords(4), words(0), words(1, 1<<63, ^uint64(0), 64, 0x0102030405060708)} {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(holder{w}); err != nil {
 			t.Fatal(err)
@@ -395,12 +401,17 @@ func TestWordsGobRoundTrip(t *testing.T) {
 		if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
 			t.Fatal(err)
 		}
-		if len(w) == 0 && back.W != nil || len(w) != 0 && !slices.Equal(back.W, w) {
-			t.Fatalf("round trip of %v gave %#v", w, back.W)
+		if w.Len() == 0 && back.W.Bytes() != nil || !bytes.Equal(back.W.Bytes(), w.Bytes()) {
+			t.Fatalf("round trip of %v gave %#v", w.Bytes(), back.W.Bytes())
+		}
+		for i := range w.Len() {
+			if back.W.At(i) != w.At(i) {
+				t.Fatalf("word %d: %#x, want %#x", i, back.W.At(i), w.At(i))
+			}
 		}
 	}
 	var w Words
-	if err := w.GobDecode(make([]byte, 15)); err == nil || w != nil {
-		t.Fatalf("15-byte column decoded as %v, err %v; want an error and no words", w, err)
+	if err := w.GobDecode(make([]byte, 15)); err == nil || w.Len() != 0 {
+		t.Fatalf("15-byte column decoded as %v, err %v; want an error and no words", w.Bytes(), err)
 	}
 }

@@ -107,6 +107,8 @@ func (p *Policy) LoadState(data []byte) error {
 			Addr: e.Addr, Slot: e.Slot, Stamp: e.Stamp, Dirty: e.Dirty, Payload: &line,
 		})
 	}
-	p.bitmap.SetState(bs)
+	if err := p.bitmap.SetState(bs); err != nil {
+		return fmt.Errorf("star: %w", err)
+	}
 	return nil
 }

@@ -83,7 +83,9 @@ func (p *Policy) LoadState(data []byte) error {
 			Addr: e.Addr, Slot: e.Slot, Stamp: e.Stamp, Dirty: e.Dirty, Payload: &line,
 		})
 	}
-	p.records.SetState(rs)
+	if err := p.records.SetState(rs); err != nil {
+		return fmt.Errorf("steins: %w", err)
+	}
 	p.draining = false
 	return nil
 }

@@ -577,37 +577,38 @@ func (p *Pool) StateBytes() ([]byte, error) {
 }
 
 // RestoreState loads a checkpoint into a freshly built pool of the same
-// configuration. Shape mismatches (tenants, placement groups, channels)
-// are structured errors, not silent truncation; a controller image that
-// cannot be restored (another layout, inconsistent tables) wraps
-// snapshot.ErrCorrupt.
+// configuration. Every refusal wraps snapshot.ErrCorrupt: a checkpoint
+// whose shape (tenants, placement groups, channels) does not match the
+// configuration, and a controller image that cannot be restored (another
+// layout, inconsistent or out-of-range tables), whose error names the
+// table.
 func (p *Pool) RestoreState(st *snapshot.ServerState) error {
 	if len(st.Tenants) != len(p.names) {
-		return fmt.Errorf("server: checkpoint has %d tenants, config has %d", len(st.Tenants), len(p.names))
+		return fmt.Errorf("server: %w: checkpoint has %d tenants, config has %d", snapshot.ErrCorrupt, len(st.Tenants), len(p.names))
 	}
 	for i, ts := range st.Tenants {
 		t := p.tenants[ts.Name]
 		if t == nil {
-			return fmt.Errorf("server: checkpoint tenant %q not in configuration", ts.Name)
+			return fmt.Errorf("server: %w: checkpoint tenant %q not in configuration", snapshot.ErrCorrupt, ts.Name)
 		}
 		if want := p.names[i]; ts.Name != want {
-			return fmt.Errorf("server: checkpoint tenant %d is %q, config order says %q", i, ts.Name, want)
+			return fmt.Errorf("server: %w: checkpoint tenant %d is %q, config order says %q", snapshot.ErrCorrupt, i, ts.Name, want)
 		}
 		if ts.Scheme != string(t.cfg.Scheme) {
-			return fmt.Errorf("server: tenant %q checkpointed under scheme %s, configured %s",
-				ts.Name, ts.Scheme, t.cfg.Scheme)
+			return fmt.Errorf("server: %w: tenant %q checkpointed under scheme %s, configured %s",
+				snapshot.ErrCorrupt, ts.Name, ts.Scheme, t.cfg.Scheme)
 		}
 		if len(ts.PGs) != len(t.pgs) {
-			return fmt.Errorf("server: tenant %q checkpoint has %d PGs, config has %d",
-				ts.Name, len(ts.PGs), len(t.pgs))
+			return fmt.Errorf("server: %w: tenant %q checkpoint has %d PGs, config has %d",
+				snapshot.ErrCorrupt, ts.Name, len(ts.PGs), len(t.pgs))
 		}
 		t.engineMu.Lock()
 		for k := range ts.PGs {
 			ctrls := t.pgs[k].Controllers()
 			if len(ts.PGs[k].Channels) != len(ctrls) {
 				t.engineMu.Unlock()
-				return fmt.Errorf("server: tenant %q pg %d checkpoint has %d channels, config has %d",
-					ts.Name, k, len(ts.PGs[k].Channels), len(ctrls))
+				return fmt.Errorf("server: %w: tenant %q pg %d checkpoint has %d channels, config has %d",
+					snapshot.ErrCorrupt, ts.Name, k, len(ts.PGs[k].Channels), len(ctrls))
 			}
 			for chk := range ctrls {
 				if err := ctrls[chk].Restore(&ts.PGs[k].Channels[chk]); err != nil {

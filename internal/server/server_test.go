@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"steins/internal/memctrl"
+	"steins/internal/nvmem"
 	"steins/internal/snapshot"
 	"steins/securemem"
 )
@@ -274,8 +275,8 @@ func TestRestoreRejectsCorruptTables(t *testing.T) {
 	}
 	for name, breakIt := range map[string]func(c *memctrl.ControllerState){
 		"line data":  func(c *memctrl.ControllerState) { c.Device.LineData = c.Device.LineData[1:] },
-		"wear":       func(c *memctrl.ControllerState) { c.Device.WearCounts = nil },
-		"tag hints":  func(c *memctrl.ControllerState) { c.TagHints = nil },
+		"wear":       func(c *memctrl.ControllerState) { c.Device.WearCounts = nvmem.Words{} },
+		"tag hints":  func(c *memctrl.ControllerState) { c.TagHints = nvmem.Words{} },
 		"old layout": func(c *memctrl.ControllerState) { c.Layout = 0 },
 	} {
 		st, err := src.State()

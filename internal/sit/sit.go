@@ -254,6 +254,66 @@ func (n *Node) Clone() *Node {
 	return &c
 }
 
+// nodeRecordLen is the size of a node's checkpoint record: level, index,
+// the split flag, both bodies (general counters and HMAC; split major,
+// one byte per minor, HMAC) and WritesSinceFlush.
+const nodeRecordLen = 8 + 8 + 1 + 8*(counter.Arity+1) + 8 + counter.SplitArity + 8 + 8
+
+// GobEncode implements gob.GobEncoder: a checkpointed node is one fixed
+// little-endian record rather than a reflected struct, whose 64 minors gob
+// would otherwise move one by one.
+func (n *Node) GobEncode() ([]byte, error) {
+	b := make([]byte, 0, nodeRecordLen)
+	b = binary.LittleEndian.AppendUint64(b, uint64(int64(n.Level)))
+	b = binary.LittleEndian.AppendUint64(b, n.Index)
+	if n.IsSplit {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	for _, c := range n.Gen.C {
+		b = binary.LittleEndian.AppendUint64(b, c)
+	}
+	b = binary.LittleEndian.AppendUint64(b, n.Gen.HMAC)
+	b = binary.LittleEndian.AppendUint64(b, n.Split.Major)
+	b = append(b, n.Split.Minor[:]...)
+	b = binary.LittleEndian.AppendUint64(b, n.Split.HMAC)
+	return binary.LittleEndian.AppendUint64(b, n.WritesSinceFlush), nil
+}
+
+// GobDecode implements gob.GobDecoder. A record of another length, a split
+// flag other than 0 or 1, or a minor counter outside its 6 bits is refused,
+// so every accepted record re-encodes to the same bytes.
+func (n *Node) GobDecode(b []byte) error {
+	if len(b) != nodeRecordLen {
+		return fmt.Errorf("sit: node record of %d bytes, want %d", len(b), nodeRecordLen)
+	}
+	if b[16] > 1 {
+		return fmt.Errorf("sit: node split flag %d, want 0 or 1", b[16])
+	}
+	n.Level = int(int64(binary.LittleEndian.Uint64(b)))
+	n.Index = binary.LittleEndian.Uint64(b[8:])
+	n.IsSplit = b[16] == 1
+	b = b[17:]
+	for i := range n.Gen.C {
+		n.Gen.C[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	b = b[8*counter.Arity:]
+	n.Gen.HMAC = binary.LittleEndian.Uint64(b)
+	n.Split.Major = binary.LittleEndian.Uint64(b[8:])
+	b = b[16:]
+	for i, m := range b[:counter.SplitArity] {
+		if m > counter.MinorMax {
+			return fmt.Errorf("sit: node minor counter %d is %d, past its %d bits", i, m, counter.MinorBits)
+		}
+		n.Split.Minor[i] = m
+	}
+	b = b[counter.SplitArity:]
+	n.Split.HMAC = binary.LittleEndian.Uint64(b)
+	n.WritesSinceFlush = binary.LittleEndian.Uint64(b[8:])
+	return nil
+}
+
 // --- Root ------------------------------------------------------------------
 
 // Root is the on-chip non-volatile root register file: one counter per

@@ -340,3 +340,56 @@ func TestGeometryPropertyRandomSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNodeGobRecord pins the checkpoint codec of a node: one fixed
+// little-endian record that round-trips both bodies and WritesSinceFlush
+// exactly, and refuses records of another length, a split flag other than
+// 0 or 1, and any minor counter past its 6 bits.
+func TestNodeGobRecord(t *testing.T) {
+	split := &Node{Level: 0, Index: 77, IsSplit: true, WritesSinceFlush: 5}
+	split.Split.Major = 1<<40 + 3
+	split.Split.HMAC = ^uint64(0)
+	for i := range split.Split.Minor {
+		split.Split.Minor[i] = uint8(i) % counter.MinorRange
+	}
+	gen := &Node{Level: 3, Index: 1 << 20}
+	for i := range gen.Gen.C {
+		gen.Gen.C[i] = uint64(i+1) << 50
+	}
+	gen.Gen.HMAC = 0x0102030405060708
+	for _, n := range []*Node{split, gen, {}} {
+		b, err := n.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) != nodeRecordLen {
+			t.Fatalf("record of %d bytes, want %d", len(b), nodeRecordLen)
+		}
+		var back Node
+		if err := back.GobDecode(b); err != nil {
+			t.Fatal(err)
+		}
+		if back != *n {
+			t.Fatalf("round trip: %+v, want %+v", back, *n)
+		}
+		again, _ := back.GobEncode()
+		if string(again) != string(b) {
+			t.Fatal("decode∘encode is not the identity")
+		}
+	}
+	rec, _ := split.GobEncode()
+	minorAt := 8 + 8 + 1 + 8*(counter.Arity+1) + 8
+	for name, bad := range map[string][]byte{
+		"short record": rec[:len(rec)-1],
+		"long record":  append(append([]byte(nil), rec...), 0),
+		"split flag 2": func() []byte { b := append([]byte(nil), rec...); b[16] = 2; return b }(),
+		"minor of 64":  func() []byte { b := append([]byte(nil), rec...); b[minorAt+9] = 64; return b }(),
+		"minor of 255": func() []byte { b := append([]byte(nil), rec...); b[minorAt+63] = 255; return b }(),
+		"empty record": nil,
+	} {
+		var n Node
+		if err := n.GobDecode(bad); err == nil {
+			t.Errorf("%s: decoded as %+v", name, n)
+		}
+	}
+}

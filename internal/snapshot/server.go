@@ -6,6 +6,22 @@
 // controllers, then models the outage as Crash + Recover per placement
 // group.
 //
+// The payload is sectioned, so the per-line tables restore in place from
+// the bytes the file was loaded into rather than through a decoder:
+//
+//	[0, 8)     layout word: memctrl.StateLayout, little-endian
+//	[8, 16)    skeleton length S, little-endian
+//	[16, 16+S) gob skeleton: the ServerState with every controller's
+//	           columns (memctrl.ControllerState.Columns) emptied
+//	then, per controller in tenant/PG/channel order and per column in
+//	Columns order, an 8-byte little-endian length L and L raw bytes.
+//
+// Nothing follows the last column. Everything small — names, clocks,
+// statistics, cached nodes, scheme blobs — stays in gob, which keeps the
+// structure self-describing; only the tables that scale with the pool are
+// raw. Checkpoints of layout 2 and older were one gob value and are
+// refused by the layout word.
+//
 // Tenant configuration deliberately does NOT ride along (mirroring run
 // snapshots, which resolve workloads through the trace registry): the
 // restarting server is built from its own configuration and the restore
@@ -16,6 +32,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -46,51 +63,161 @@ type ServerState struct {
 	Tenants []TenantState
 }
 
+// serverHeaderLen is the payload's fixed header: layout word and skeleton
+// length.
+const serverHeaderLen = 16
+
+// channels lists every controller state of st in tenant/PG/channel order,
+// the order the payload's column sections follow.
+func (st *ServerState) channels() []*memctrl.ControllerState {
+	var out []*memctrl.ControllerState
+	for i := range st.Tenants {
+		for k := range st.Tenants[i].PGs {
+			pg := &st.Tenants[i].PGs[k]
+			for c := range pg.Channels {
+				out = append(out, &pg.Channels[c])
+			}
+		}
+	}
+	return out
+}
+
+// skeleton returns a copy of st whose controllers carry no columns; the
+// rest is shared with st, which is not modified.
+func skeleton(st *ServerState) *ServerState {
+	sk := &ServerState{Tenants: append([]TenantState(nil), st.Tenants...)}
+	for i := range sk.Tenants {
+		pgs := make([]PGState, len(sk.Tenants[i].PGs))
+		for k, pg := range sk.Tenants[i].PGs {
+			pgs[k].Channels = append([]memctrl.ControllerState(nil), pg.Channels...)
+		}
+		sk.Tenants[i].PGs = pgs
+	}
+	for _, cs := range sk.channels() {
+		cs.SetColumns([memctrl.StateColumns][]byte{}) // empty columns always fit
+	}
+	return sk
+}
+
+// encodeServerPayload lays st out as a sectioned payload.
+func encodeServerPayload(st *ServerState) ([]byte, error) {
+	sk, err := encode(skeleton(st))
+	if err != nil {
+		return nil, err
+	}
+	chans := st.channels()
+	size := serverHeaderLen + len(sk)
+	for _, cs := range chans {
+		for _, col := range cs.Columns() {
+			size += 8 + len(col)
+		}
+	}
+	out := make([]byte, 0, size)
+	out = binary.LittleEndian.AppendUint64(out, memctrl.StateLayout)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(sk)))
+	out = append(out, sk...)
+	for _, cs := range chans {
+		for _, col := range cs.Columns() {
+			out = binary.LittleEndian.AppendUint64(out, uint64(len(col)))
+			out = append(out, col...)
+		}
+	}
+	return out, nil
+}
+
+// parseServer splits a sectioned payload back into a ServerState whose
+// columns are sub-slices of payload. Every failure wraps ErrCorrupt: the
+// envelope was intact, the payload is not one encodeServerPayload writes.
+func parseServer(payload []byte) (*ServerState, error) {
+	if len(payload) < serverHeaderLen {
+		return nil, fmt.Errorf("%w: server payload of %d bytes, shorter than its %d-byte header",
+			ErrCorrupt, len(payload), serverHeaderLen)
+	}
+	if layout := binary.LittleEndian.Uint64(payload); layout != memctrl.StateLayout {
+		return nil, fmt.Errorf("%w: server payload layout %#x, want %d (checkpoints of layout 2 and older are refused; re-create them)",
+			ErrCorrupt, layout, memctrl.StateLayout)
+	}
+	rest := payload[serverHeaderLen:]
+	skLen := binary.LittleEndian.Uint64(payload[8:])
+	if skLen > uint64(len(rest)) {
+		return nil, fmt.Errorf("%w: server skeleton of %d bytes, %d left in the payload", ErrCorrupt, skLen, len(rest))
+	}
+	sk := rest[:skLen]
+	rest = rest[skLen:]
+	st := &ServerState{}
+	r := bytes.NewReader(sk)
+	if err := gob.NewDecoder(r).Decode(st); err != nil {
+		return nil, fmt.Errorf("%w: server skeleton: %v", ErrCorrupt, err)
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the server skeleton's gob value", ErrCorrupt, r.Len())
+	}
+	for i, cs := range st.channels() {
+		var cols [memctrl.StateColumns][]byte
+		for j, col := range cs.Columns() {
+			if len(col) != 0 {
+				return nil, fmt.Errorf("%w: server skeleton carries column %d of controller %d", ErrCorrupt, j, i)
+			}
+			if len(rest) < 8 {
+				return nil, fmt.Errorf("%w: column %d of controller %d: section length cut off", ErrCorrupt, j, i)
+			}
+			n := binary.LittleEndian.Uint64(rest)
+			rest = rest[8:]
+			if n > uint64(len(rest)) {
+				return nil, fmt.Errorf("%w: column %d of controller %d: %d-byte section, %d bytes left",
+					ErrCorrupt, j, i, n, len(rest))
+			}
+			cols[j], rest = rest[:n:n], rest[n:]
+		}
+		if err := cs.SetColumns(cols); err != nil {
+			return nil, fmt.Errorf("%w: controller %d: %v", ErrCorrupt, i, err)
+		}
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the last column section", ErrCorrupt, len(rest))
+	}
+	return st, nil
+}
+
 // EncodeServer serializes a server state into KindServer envelope bytes.
 func EncodeServer(st *ServerState) ([]byte, error) {
-	payload, err := encode(st)
+	payload, err := encodeServerPayload(st)
 	if err != nil {
 		return nil, err
 	}
 	var out bytes.Buffer
+	out.Grow(headerLen + len(payload))
 	if err := WriteEnvelope(&out, KindServer, payload); err != nil {
 		return nil, err
 	}
 	return out.Bytes(), nil
 }
 
-// DecodeServer reads a KindServer envelope and decodes the server state.
-// Malformed input yields the envelope sentinels (ErrTruncated, ErrBadMagic,
-// ErrVersion, ErrChecksum, ErrCorrupt); it never panics.
+// DecodeServer reads a KindServer envelope and parses the server state;
+// its columns are sub-slices of the payload read from r. Malformed input
+// yields the envelope sentinels (ErrTruncated, ErrBadMagic, ErrVersion,
+// ErrChecksum, ErrCorrupt); it never panics.
 func DecodeServer(r io.Reader) (*ServerState, error) {
 	payload, err := ReadEnvelope(r, KindServer)
 	if err != nil {
 		return nil, err
 	}
-	return decodeServer(payload)
-}
-
-// decodeServer gob-decodes a KindServer payload.
-func decodeServer(payload []byte) (*ServerState, error) {
-	st := &ServerState{}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(st); err != nil {
-		return nil, fmt.Errorf("%w: server state payload: %v", ErrCorrupt, err)
-	}
-	return st, nil
+	return parseServer(payload)
 }
 
 // SaveServerFile writes a server checkpoint through SaveEnvelope, so a
 // crash mid-save can never truncate the previous good checkpoint.
 func SaveServerFile(path string, st *ServerState) error {
-	payload, err := encode(st)
+	payload, err := encodeServerPayload(st)
 	if err != nil {
 		return err
 	}
 	return SaveEnvelope(path, KindServer, payload)
 }
 
-// LoadServerFile reads a server checkpoint file, decoding the payload in
-// place in the file's bytes.
+// LoadServerFile reads a server checkpoint file once, checks its CRC in
+// place and parses it: the state's columns are sub-slices of the file's
+// bytes, which a restore then reads in place.
 func LoadServerFile(path string) (*ServerState, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -100,5 +227,5 @@ func LoadServerFile(path string) (*ServerState, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeServer(payload)
+	return parseServer(payload)
 }

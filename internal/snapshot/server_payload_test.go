@@ -1,0 +1,203 @@
+package snapshot
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"steins/internal/memctrl"
+	"steins/internal/scheme/steins"
+)
+
+// payloadFixture is a two-controller server state with every column
+// populated.
+func payloadFixture(t *testing.T) *ServerState {
+	t.Helper()
+	mk := func(seed byte) memctrl.ControllerState {
+		c := memctrl.New(memctrl.DefaultConfig(64<<10, true), steins.Factory)
+		for i := 0; i < 40; i++ {
+			if err := c.WriteData(uint64(i), uint64(i%32)*64, [64]byte{seed, byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := c.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return *st
+	}
+	return &ServerState{Tenants: []TenantState{{Name: "a", Scheme: "Steins-SC", AppliedSeq: 40,
+		PGs: []PGState{{Channels: []memctrl.ControllerState{mk(1), mk(2)}}}}}}
+}
+
+// wrapServer frames a payload in a valid KindServer envelope.
+func wrapServer(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteEnvelope(&buf, KindServer, payload); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// loadBoth parses an envelope through DecodeServer and through
+// LoadServerFile, which must agree.
+func loadBoth(t *testing.T, env []byte) (*ServerState, error) {
+	t.Helper()
+	st, err := DecodeServer(bytes.NewReader(env))
+	path := filepath.Join(t.TempDir(), "ckpt")
+	if werr := os.WriteFile(path, env, 0o644); werr != nil {
+		t.Fatal(werr)
+	}
+	fst, ferr := LoadServerFile(path)
+	if (err == nil) != (ferr == nil) || err != nil && err.Error() != ferr.Error() {
+		t.Fatalf("DecodeServer: %v; LoadServerFile: %v", err, ferr)
+	}
+	if (st == nil) != (fst == nil) {
+		t.Fatal("the loaders disagree on acceptance")
+	}
+	return st, err
+}
+
+// TestServerPayloadSections pins the sectioned layout: a fixed header
+// (layout word, skeleton length), the gob skeleton with every column
+// emptied, then each controller's columns raw in Columns order; the parsed
+// columns are sub-slices of the bytes the payload was read into, and the
+// state encodes back to the same bytes.
+func TestServerPayloadSections(t *testing.T) {
+	st := payloadFixture(t)
+	payload, err := encodeServerPayload(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := binary.LittleEndian.Uint64(payload); w != memctrl.StateLayout {
+		t.Fatalf("layout word %d, want %d", w, memctrl.StateLayout)
+	}
+	skLen := binary.LittleEndian.Uint64(payload[8:])
+	off := serverHeaderLen + int(skLen)
+	for _, cs := range st.channels() {
+		for j, col := range cs.Columns() {
+			if n := binary.LittleEndian.Uint64(payload[off:]); n != uint64(len(col)) {
+				t.Fatalf("column %d section is %d bytes, want %d", j, n, len(col))
+			}
+			off += 8
+			if !bytes.Equal(payload[off:off+len(col)], col) {
+				t.Fatalf("column %d section differs from the column", j)
+			}
+			off += len(col)
+		}
+	}
+	if off != len(payload) {
+		t.Fatalf("sections end at %d of %d payload bytes", off, len(payload))
+	}
+	back, err := parseServer(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := back.channels()[1].Device.LineData
+	if len(lines) == 0 || &lines[0] != &payload[bytes.Index(payload, lines)] {
+		t.Fatal("parsed line data is not a sub-slice of the payload")
+	}
+	again, err := encodeServerPayload(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, payload) {
+		t.Fatal("parse∘encode is not the identity")
+	}
+	// A parsed column is capped at its section: growing it cannot write
+	// over the bytes that follow.
+	back.channels()[0].Device.LineAddrs.Append(^uint64(0))
+	if !bytes.Equal(again, payload) {
+		t.Fatal("appending to a parsed column overwrote the payload")
+	}
+	for _, cs := range st.channels() {
+		if cs.TagAddrs.Len() == 0 {
+			t.Fatal("encoding emptied the caller's columns")
+		}
+	}
+}
+
+// TestServerPayloadRejectsBadFraming pins that a CRC-valid payload whose
+// framing is not what encodeServerPayload writes is refused as ErrCorrupt
+// by both loaders, naming what is wrong, and never panics.
+func TestServerPayloadRejectsBadFraming(t *testing.T) {
+	st := payloadFixture(t)
+	good, err := encodeServerPayload(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skLen := int(binary.LittleEndian.Uint64(good[8:]))
+	firstSection := serverHeaderLen + skLen
+	with := func(fn func(p []byte) []byte) []byte { return fn(append([]byte(nil), good...)) }
+	// A skeleton that still carries its columns, framed by hand.
+	fat, err := encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fatPayload := binary.LittleEndian.AppendUint64(nil, memctrl.StateLayout)
+	fatPayload = binary.LittleEndian.AppendUint64(fatPayload, uint64(len(fat)))
+	fatPayload = append(append(fatPayload, fat...), good[firstSection:]...)
+	for _, tc := range []struct {
+		name, why string
+		payload   []byte
+	}{
+		{"empty", "shorter than its", nil},
+		{"header cut", "shorter than its", good[:serverHeaderLen-1]},
+		{"older layout", "server payload layout 0x2, want 3", with(func(p []byte) []byte {
+			binary.LittleEndian.PutUint64(p, 2)
+			return p
+		})},
+		{"skeleton past the payload", "server skeleton of", with(func(p []byte) []byte {
+			binary.LittleEndian.PutUint64(p[8:], uint64(len(p)))
+			return p
+		})},
+		{"skeleton with trailing bytes", "after the server skeleton", func() []byte {
+			p := binary.LittleEndian.AppendUint64(nil, memctrl.StateLayout)
+			p = binary.LittleEndian.AppendUint64(p, uint64(skLen+1))
+			p = append(p, good[serverHeaderLen:firstSection]...)
+			return append(append(p, 0), good[firstSection:]...)
+		}()},
+		{"skeleton carrying a column", "skeleton carries column", fatPayload},
+		{"section length cut off", "section length cut off", good[:firstSection+4]},
+		{"truncated last section", "bytes left", good[:len(good)-1]},
+		{"section past the payload", "bytes left", with(func(p []byte) []byte {
+			binary.LittleEndian.PutUint64(p[firstSection:], 1<<62)
+			return p
+		})},
+		{"word column not whole words", "not a whole number of words", func() []byte {
+			n := int(binary.LittleEndian.Uint64(good[firstSection:]))
+			p := append([]byte(nil), good[:firstSection]...)
+			p = binary.LittleEndian.AppendUint64(p, uint64(n-4))
+			p = append(p, good[firstSection+8:firstSection+8+n-4]...)
+			return append(p, good[firstSection+8+n:]...)
+		}()},
+		{"trailing bytes", "after the last column", append(append([]byte(nil), good...), 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			back, err := loadBoth(t, wrapServer(t, tc.payload))
+			if back != nil || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.why) {
+				t.Fatalf("err = %v, want ErrCorrupt naming %q", err, tc.why)
+			}
+		})
+	}
+}
+
+// TestServerLayoutFixtures pins that checkpoints of older layouts are
+// refused as ErrCorrupt with an error naming the layout. layout2-server.snap
+// is a two-PG, two-channel Steins-SC pool checkpointed by the all-gob
+// layout-2 encoder; its gob stream does not start with the layout word.
+func TestServerLayoutFixtures(t *testing.T) {
+	env, err := os.ReadFile("testdata/layout2-server.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := loadBoth(t, env)
+	if back != nil || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "server payload layout") {
+		t.Fatalf("layout-2 server checkpoint: %v, want ErrCorrupt naming the layout", err)
+	}
+}

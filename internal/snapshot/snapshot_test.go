@@ -425,7 +425,7 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 			t.Fatalf("capture: %v", err)
 		}
 		c := st.Single.Ctrl
-		if len(c.Device.LineAddrs) == 0 || len(c.Device.WearAddrs) == 0 || len(c.TagAddrs) == 0 {
+		if c.Device.LineAddrs.Len() == 0 || c.Device.WearAddrs.Len() == 0 || c.TagAddrs.Len() == 0 {
 			t.Fatalf("fixture run left a table empty")
 		}
 		fn(c)
@@ -451,6 +451,14 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// layout2 is a Steins-SC run checkpointed by the layout-2 encoder,
+	// whose tag written flags were a []bool and whose cached nodes were
+	// reflected structs; gob skips both renamed fields, so the layout
+	// check names it.
+	layout2, err := os.ReadFile("testdata/layout2-run.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		data []byte
@@ -471,28 +479,29 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 			c.Device.LineData = c.Device.LineData[:len(c.Device.LineData)-1]
 		})), "data bytes"},
 		{"line data past its addresses", wire(mutated(func(c *memctrl.ControllerState) {
-			c.Device.LineAddrs = c.Device.LineAddrs[1:]
+			c.Device.LineAddrs = tailWords(c.Device.LineAddrs)
 		})), "data bytes"},
 		{"wear counts short of their addresses", wire(mutated(func(c *memctrl.ControllerState) {
-			c.Device.WearCounts = c.Device.WearCounts[1:]
+			c.Device.WearCounts = tailWords(c.Device.WearCounts)
 		})), "wear counts"},
 		{"tag MACs short of their addresses", wire(mutated(func(c *memctrl.ControllerState) {
-			c.TagMACs = c.TagMACs[1:]
+			c.TagMACs = tailWords(c.TagMACs)
 		})), "tag addresses"},
 		{"tag hints short of their addresses", wire(mutated(func(c *memctrl.ControllerState) {
-			c.TagHints = c.TagHints[1:]
+			c.TagHints = tailWords(c.TagHints)
 		})), "tag addresses"},
 		{"tag written flags short of their addresses", wire(mutated(func(c *memctrl.ControllerState) {
-			c.TagWritten = c.TagWritten[1:]
+			c.TagFlags = c.TagFlags[1:]
 		})), "tag addresses"},
 		{"tag addresses past their values", wire(mutated(func(c *memctrl.ControllerState) {
-			c.TagAddrs = append(c.TagAddrs, c.TagAddrs[len(c.TagAddrs)-1]+nvmem.LineSize)
+			c.TagAddrs.Append(c.TagAddrs.At(c.TagAddrs.Len()-1) + nvmem.LineSize)
 		})), "tag addresses"},
 		{"unknown controller layout", wire(mutated(func(c *memctrl.ControllerState) {
 			c.Layout = memctrl.StateLayout + 1
 		})), fmt.Sprintf("layout %d", memctrl.StateLayout+1)},
 		{"pre-columnar layout", preColumnar, "layout 0"},
 		{"layout 1", layout1, "ControllerState.TagAddrs"},
+		{"layout 2", layout2, "layout 2"},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -508,6 +517,15 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 			}
 		})
 	}
+}
+
+// tailWords drops a column's first word.
+func tailWords(w nvmem.Words) nvmem.Words {
+	out, err := nvmem.WordsFrom(w.Bytes()[8:])
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 // TestSaveLoadFile exercises the file round trip.

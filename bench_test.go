@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"steins/internal/bmt"
-	"steins/internal/bmtctrl"
 	"steins/internal/counter"
 	"steins/internal/crypt"
 	"steins/internal/figures"
@@ -656,45 +655,6 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 		}
 		if _, err := back.Resume(); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationBMTSystem contrasts the full BMT-based controller with
-// the SIT-based WB controller under identical traffic — the system-level
-// version of the §II-C comparison (the per-update version is
-// BenchmarkAblationSITvsBMT).
-func BenchmarkAblationBMTSystem(b *testing.B) {
-	run := func(bmtMode bool) float64 {
-		r := rngNew(9)
-		if bmtMode {
-			cfg := bmtctrl.DefaultConfig(1 << 20)
-			cfg.MetaCacheBytes = 8 << 10
-			c := bmtctrl.New(cfg)
-			for i := 0; i < 6000; i++ {
-				addr := r.Uint64n(1<<20/64) * 64
-				if err := c.WriteData(5, addr, [64]byte{byte(i)}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			return c.Stats().AvgWriteLatency()
-		}
-		cfg := memctrl.DefaultConfig(1<<20, true)
-		cfg.MetaCacheBytes = 8 << 10
-		c := memctrl.New(cfg, wb.Factory)
-		for i := 0; i < 6000; i++ {
-			addr := r.Uint64n(1<<20/64) * 64
-			if err := c.WriteData(5, addr, [64]byte{byte(i)}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return c.Stats().AvgWriteLatency()
-	}
-	for i := 0; i < b.N; i++ {
-		bmtLat := run(true)
-		sitLat := run(false)
-		if i == b.N-1 {
-			b.ReportMetric(bmtLat/sitLat, "bmt_over_sit_wlat_x")
 		}
 	}
 }

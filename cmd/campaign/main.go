@@ -179,15 +179,21 @@ func runRepro(path string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// writeArtifacts dumps every unexpected failure's repro artifact.
+// writeArtifacts dumps every unexpected failure's repro artifact. The
+// codec is canonical, so saving the decoded artifact writes the encoded
+// bytes back exactly, through the durable atomic writer.
 func writeArtifacts(dir string, rep *campaign.Report, stdout io.Writer) error {
 	for i := range rep.Failures {
 		f := &rep.Failures[i]
 		if f.Expected || len(f.Artifact) == 0 {
 			continue
 		}
+		a, err := campaign.DecodeArtifact(f.Artifact)
+		if err != nil {
+			return err
+		}
 		path := filepath.Join(dir, fmt.Sprintf("case-%06d.repro", f.Case.Index))
-		if err := os.WriteFile(path, f.Artifact, 0o644); err != nil {
+		if err := campaign.SaveArtifact(path, a); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "artifact: %s\n", path)

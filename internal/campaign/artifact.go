@@ -46,6 +46,19 @@ func (w *artifactWriter) str(s string) { w.u16(uint16(len(s))); w.b.WriteString(
 
 // EncodeArtifact serialises an artifact (envelope included).
 func EncodeArtifact(a *Artifact) ([]byte, error) {
+	payload, err := encodePayload(a)
+	if err != nil {
+		return nil, err
+	}
+	var out bytes.Buffer
+	if err := snapshot.WriteEnvelope(&out, snapshot.KindRepro, payload); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
+}
+
+// encodePayload serialises an artifact without the envelope.
+func encodePayload(a *Artifact) ([]byte, error) {
 	if len(a.Case.Sched.Rounds) > maxArtifactRounds {
 		return nil, fmt.Errorf("campaign: %d rounds exceed the artifact bound", len(a.Case.Sched.Rounds))
 	}
@@ -104,11 +117,7 @@ func EncodeArtifact(a *Artifact) ([]byte, error) {
 			w.u32(tm.TargetIdx)
 		}
 	}
-	var out bytes.Buffer
-	if err := snapshot.WriteEnvelope(&out, snapshot.KindRepro, w.b.Bytes()); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
+	return w.b.Bytes(), nil
 }
 
 // artifactReader is a bounds-checked cursor; every read reports failure
@@ -240,13 +249,15 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 	return a, nil
 }
 
-// SaveArtifact writes an artifact to path.
+// SaveArtifact writes an artifact to path through the snapshot package's
+// durable atomic writer, so a crash mid-save leaves the previous file or
+// the new one, never a torn artifact. The bytes are EncodeArtifact's.
 func SaveArtifact(path string, a *Artifact) error {
-	data, err := EncodeArtifact(a)
+	payload, err := encodePayload(a)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, data, 0o644)
+	return snapshot.SaveEnvelope(path, snapshot.KindRepro, payload)
 }
 
 // LoadArtifact reads an artifact from path.

@@ -2,12 +2,14 @@ package campaign
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"steins/internal/nvmem"
+	"steins/internal/snapshot"
 )
 
 // testConfig keeps unit-test campaigns cheap: one third of the full sweep
@@ -115,6 +117,64 @@ func TestSaveCheckpointAtomicReplace(t *testing.T) {
 	}
 	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(before, after) {
 		t.Fatalf("failed save modified the existing checkpoint (err %v)", err)
+	}
+}
+
+// TestSaveArtifactAtomicReplace pins that repro artifacts go through the
+// same durable atomic writer: the file holds exactly EncodeArtifact's
+// bytes, an overwrite leaves only the newer artifact (mode 0644, no temp
+// droppings), and a save into a missing directory fails without touching
+// the previous artifact.
+func TestSaveArtifactAtomicReplace(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "case.repro")
+	arts := []*Artifact{reproReplayBehindAmbiguousQuarantine(), reproReplayUnderTornWrite()}
+	for _, a := range arts {
+		if err := SaveArtifact(path, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory has %d entries after saves, want 1", len(entries))
+	}
+	if info, err := os.Stat(path); err != nil || info.Mode().Perm() != 0o644 {
+		t.Fatalf("stat = (%v, %v), want mode 0644", info, err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EncodeArtifact(arts[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, want) {
+		t.Fatal("saved artifact differs from EncodeArtifact's bytes")
+	}
+	if err := SaveArtifact(filepath.Join(dir, "missing", "case.repro"), arts[0]); err == nil {
+		t.Fatal("save into a missing directory succeeded")
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("failed save modified the existing artifact (err %v)", err)
+	}
+}
+
+// TestRetiredKindRefused: envelope kind 2 belonged to a retired torture
+// harness's checkpoints. Neither campaign loader may accept such a file.
+func TestRetiredKindRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.snap")
+	if err := snapshot.SaveEnvelope(path, snapshot.KindCampaign, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCheckpoint(path); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("LoadCheckpoint = %v, want ErrCorrupt", err)
+	}
+	if _, err := LoadArtifact(path); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("LoadArtifact = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"steins/internal/attack"
-	"steins/internal/crashfuzz"
 	"steins/internal/memctrl"
 	"steins/internal/nvmem"
 	"steins/internal/rng"
@@ -88,11 +87,15 @@ type CaseResult struct {
 // one channel at any channel count.
 const interleave = trace.InterleavePage
 
-// structured error classes, mirroring the crashfuzz taxonomy.
+// structuredMedia reports whether err is a classified media failure: a
+// controller media fault (retry budget exhausted or quarantined) or a raw
+// detected-uncorrectable device error.
 func structuredMedia(err error) bool {
 	return errors.Is(err, memctrl.ErrMediaFault) || errors.Is(err, nvmem.ErrUncorrectable)
 }
 
+// structuredIntegrity reports whether err is a cryptographic integrity
+// verdict (tamper or replay violation).
 func structuredIntegrity(err error) bool {
 	return errors.Is(err, memctrl.ErrTamper) || errors.Is(err, memctrl.ErrReplay)
 }
@@ -108,6 +111,15 @@ type caseRun struct {
 
 	damaged  bool // any tamper/flip landed (integrity-class damage present)
 	mediaHit bool // faults/flips/degraded could explain media errors
+	// deepCheck runs the controller's persisted-metadata oracle after each
+	// successful recovery while no damage has landed: without a fault
+	// model, tamper or flip the persisted image must be self-consistent.
+	deepCheck bool
+
+	// Tallies the package's own tests assert non-vacuity on.
+	crashes   [memctrl.NumEvents]int // committed runtime crashes per class
+	recrashes int                    // recovery passes aborted mid-flight
+	deepOK    int                    // recoveries the deep oracle passed
 
 	detected    Verdict // highest detection observed (0 = none)
 	detail      string
@@ -121,23 +133,31 @@ type caseRun struct {
 // harness-level impossibilities (unknown scheme or workload) classify as
 // Fail, since a repro artifact naming them must replay to the same verdict.
 func RunCase(c Case) CaseResult {
+	res, _ := runCase(c)
+	return res
+}
+
+// runCase is RunCase returning the finished run too (nil when the case
+// could not be built), so the package's tests can read its tallies.
+func runCase(c Case) (CaseResult, *caseRun) {
 	s, ok := sim.SchemeByName(c.Scheme)
 	if !ok {
-		return CaseResult{Fail, fmt.Sprintf("unknown scheme %q", c.Scheme)}
+		return CaseResult{Fail, fmt.Sprintf("unknown scheme %q", c.Scheme)}, nil
 	}
 	prof, ok := trace.ByName(c.Workload)
 	if !ok {
-		return CaseResult{Fail, fmt.Sprintf("unknown workload %q", c.Workload)}
+		return CaseResult{Fail, fmt.Sprintf("unknown workload %q", c.Workload)}, nil
 	}
 	if c.Channels < 1 || c.Footprint == 0 || c.Footprint%64 != 0 {
-		return CaseResult{Fail, fmt.Sprintf("bad shape: %d channels, %d bytes", c.Channels, c.Footprint)}
+		return CaseResult{Fail, fmt.Sprintf("bad shape: %d channels, %d bytes", c.Channels, c.Footprint)}, nil
 	}
 	prof.FootprintBytes = c.Footprint
 
 	r := &caseRun{
-		c:      c,
-		exec:   rng.New(c.Seed ^ 0x5851f42d4c957f2d),
-		shadow: make(map[uint64][64]byte),
+		c:         c,
+		exec:      rng.New(c.Seed ^ 0x5851f42d4c957f2d),
+		shadow:    make(map[uint64][64]byte),
+		deepCheck: !c.Sched.Faults.Enabled(),
 	}
 	var totalOps int
 	for _, rd := range c.Sched.Rounds {
@@ -171,7 +191,7 @@ func RunCase(c Case) CaseResult {
 	for ri := range c.Sched.Rounds {
 		done := r.round(&c.Sched.Rounds[ri])
 		if r.detail != "" && r.detected == Fail {
-			return CaseResult{Fail, r.detail}
+			return CaseResult{Fail, r.detail}, r
 		}
 		if done {
 			break
@@ -195,21 +215,21 @@ func RunCase(c Case) CaseResult {
 		// lifecycle under test).
 		r.verify()
 		if r.detected == Fail {
-			return CaseResult{Fail, r.detail}
+			return CaseResult{Fail, r.detail}, r
 		}
 	}
 
 	switch {
 	case r.detected != 0:
-		return CaseResult{r.detected, r.detail}
+		return CaseResult{r.detected, r.detail}, r
 	case r.mediaLost > 0:
-		return CaseResult{DegradedLoss, fmt.Sprintf("%d lines lost to structured media errors", r.mediaLost)}
+		return CaseResult{DegradedLoss, fmt.Sprintf("%d lines lost to structured media errors", r.mediaLost)}, r
 	case r.skipped && !r.crashedEver:
-		return CaseResult{SkippedCrash, ""}
+		return CaseResult{SkippedCrash, ""}, r
 	case r.adversarial:
-		return CaseResult{Neutralized, ""}
+		return CaseResult{Neutralized, ""}, r
 	default:
-		return CaseResult{Clean, ""}
+		return CaseResult{Clean, ""}, r
 	}
 }
 
@@ -239,9 +259,9 @@ func (r *caseRun) round(rd *Round) bool {
 		}
 	}
 
-	var inj *crashfuzz.Injector
+	var inj *injector
 	if rd.Crash {
-		inj = crashfuzz.NewInjector(memctrl.Event(rd.CrashEv), uint64(rd.CrashN))
+		inj = newInjector(memctrl.Event(rd.CrashEv), uint64(rd.CrashN))
 		for _, c := range r.ctrls {
 			c.SetFaultHooks(inj)
 		}
@@ -256,7 +276,7 @@ func (r *caseRun) round(rd *Round) bool {
 		if !r.drive(op) {
 			return true
 		}
-		if inj != nil && inj.Armed() {
+		if inj != nil && inj.armed {
 			crashed = true
 			break
 		}
@@ -277,6 +297,7 @@ func (r *caseRun) round(rd *Round) bool {
 	// The crash commits at the boundary of the request that retired the
 	// armed event (ADR/WPQ model): all channels lose volatile state.
 	r.crashedEver = true
+	r.crashes[rd.CrashEv]++
 	for _, c := range r.ctrls {
 		c.Crash()
 	}
@@ -316,16 +337,17 @@ func (r *caseRun) recoverAll(rd *Round) bool {
 			if step == 0 {
 				step = 1
 			}
-			c.SetFaultHooks(crashfuzz.NewInjector(memctrl.EvRecoveryStep, step))
+			c.SetFaultHooks(newInjector(memctrl.EvRecoveryStep, step))
 			var rrep memctrl.RecoveryReport
-			rc, err := crashfuzz.CatchRecoveryCrash(func() error {
+			aborted, err := catchRecoveryCrash(func() error {
 				rp, e := c.Recover()
 				rrep = rp
 				return e
 			})
 			c.SetFaultHooks(nil)
 			r.adversarial = true
-			if rc != nil {
+			if aborted {
+				r.recrashes++
 				// The machine died again mid-recovery: every channel loses
 				// volatile state (including those already recovered) and the
 				// whole system recovers from the arbitrary prefix.
@@ -336,24 +358,34 @@ func (r *caseRun) recoverAll(rd *Round) bool {
 				recrashCh = -2
 				continue
 			}
-			if r.classifyRecovery(err) {
-				return true
-			}
-			if r.noteQuarantine(&rrep) {
+			if r.recovered(c, err, &rrep) {
 				return true
 			}
 			continue
 		}
 		rep, err := c.Recover()
-		if r.classifyRecovery(err) {
-			return true
-		}
-		if r.noteQuarantine(&rep) {
+		if r.recovered(c, err, &rep) {
 			return true
 		}
 	}
 	r.verify()
 	return r.detected == Fail || r.detected == DetectedRuntime
+}
+
+// recovered folds one channel's finished recovery pass into the case
+// state; true ends the case.
+func (r *caseRun) recovered(c *memctrl.Controller, err error, rep *memctrl.RecoveryReport) bool {
+	if r.classifyRecovery(err) || r.noteQuarantine(rep) {
+		return true
+	}
+	if r.deepCheck && !r.damaged {
+		if err := c.VerifyNVM(); err != nil {
+			r.fail(fmt.Sprintf("persisted metadata inconsistent after recovery: %v", err))
+			return true
+		}
+		r.deepOK++
+	}
+	return false
 }
 
 // classifyRecovery maps a recovery error to a verdict; true ends the case.

@@ -46,7 +46,8 @@ func (e Event) String() string {
 
 // FaultHooks receives controller events. Implementations must not mutate
 // controller state from the callback; they may panic to abort a recovery
-// pass (the crashfuzz harness does exactly that for mid-recovery crashes).
+// pass (the campaign's case executor does exactly that for mid-recovery
+// crashes).
 type FaultHooks interface {
 	OnEvent(ev Event, addr uint64)
 }

@@ -2,11 +2,14 @@ package memctrl_test
 
 import (
 	"errors"
+	"sort"
 	"testing"
 
 	"steins/internal/memctrl"
 	"steins/internal/nvmem"
+	"steins/internal/scheme/steins"
 	"steins/internal/scheme/wb"
+	"steins/internal/trace"
 )
 
 func faultyTestConfig(mut func(*nvmem.FaultConfig)) memctrl.Config {
@@ -168,5 +171,85 @@ func TestArbitrateFailureSeesDataAddressZero(t *testing.T) {
 	}
 	if evidence == "none" || evidence == "" {
 		t.Fatalf("ArbitrateFailure(data addr 0) evidence = %q, want recorded evidence", evidence)
+	}
+}
+
+// TestEccDisabledTransientFlips removes the SECDED layer, so a transient
+// flip reaches the controller as silently corrupted bits. The integrity
+// machinery is then the only backstop: across crash and recovery rounds,
+// every read of the Steins variants must return the block last written or
+// fail with a structured tamper, replay or media error, never wrong data.
+func TestEccDisabledTransientFlips(t *testing.T) {
+	for i, split := range []bool{false, true} {
+		name := map[bool]string{false: "Steins-GC", true: "Steins-SC"}[split]
+		t.Run(name, func(t *testing.T) {
+			const footprint, rounds, ops = 256 << 10, 4, 150
+			seed := 200 + uint64(i)
+			cfg := memctrl.DefaultConfig(footprint, split)
+			cfg.MetaCacheBytes = 4 << 10
+			cfg.MetaCacheWays = 4
+			cfg.NVM.ECC.Disable = true
+			cfg.NVM.Faults = nvmem.FaultConfig{Seed: seed, TransientPerRead: 5e-3, DoubleBitFrac: 0.25}
+			c := memctrl.New(cfg, steins.Factory)
+			prof, _ := trace.ByName("pers_queue")
+			prof.FootprintBytes = footprint
+			gen := trace.New(prof, seed, rounds*ops)
+			structured := func(err error) bool {
+				return errors.Is(err, memctrl.ErrTamper) || errors.Is(err, memctrl.ErrReplay) ||
+					errors.Is(err, memctrl.ErrMediaFault)
+			}
+			shadow := map[uint64][64]byte{}
+			caught := 0 // reads the integrity machinery refused
+			read := func(gap, addr uint64) {
+				got, err := c.ReadData(gap, addr)
+				if err != nil && !structured(err) {
+					t.Fatalf("read %#x: unstructured error: %v", addr, err)
+				}
+				if err != nil {
+					caught++
+				}
+				if want, ok := shadow[addr]; err == nil && ok && got != want {
+					t.Fatalf("read %#x: silently corrupted data", addr)
+				}
+			}
+			for round := 0; round < rounds; round++ {
+				for n := 0; n < ops; n++ {
+					op, _ := gen.Next()
+					if !op.IsWrite {
+						read(op.Gap, op.Addr)
+						continue
+					}
+					data := pattern(op.Addr, byte(round*ops+n))
+					switch err := c.WriteData(op.Gap, op.Addr, data); {
+					case err == nil:
+						shadow[op.Addr] = data
+					case structured(err):
+						delete(shadow, op.Addr) // the line may hold either value
+					default:
+						t.Fatalf("write %#x: unstructured error: %v", op.Addr, err)
+					}
+				}
+				c.Crash()
+				if _, err := c.Recover(); err != nil {
+					if !structured(err) {
+						t.Fatalf("round %d: recovery failed unstructured: %v", round, err)
+					}
+					t.Logf("round %d: recovery rejected the damaged state: %v", round, err)
+					return
+				}
+				addrs := make([]uint64, 0, len(shadow))
+				for a := range shadow {
+					addrs = append(addrs, a)
+				}
+				sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+				for _, a := range addrs {
+					read(1, a)
+				}
+			}
+			if c.Device().Stats().Faults.TransientFlips == 0 || caught == 0 {
+				t.Fatalf("%d bits flipped, %d reads refused: the backstop was never exercised",
+					c.Device().Stats().Faults.TransientFlips, caught)
+			}
+		})
 	}
 }

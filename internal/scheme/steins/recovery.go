@@ -97,7 +97,7 @@ func (st *recoveryState) arbThrough(level int) {
 // on every surviving trust base — the LIncs, the NV buffer and the record
 // region are consulted but never modified — so a power failure during
 // recovery simply restarts it from the same inputs (the mid-recovery
-// re-crash window crashfuzz exercises). Per level, from the top down: each
+// re-crash window the campaign hits). Per level, from the top down: each
 // tracked node's counters are regenerated from its persisted children
 // (step ①/⑥) with child HMACs checked against the regenerated counter
 // (tamper detection, Fig. 6); parent slots whose child flush still sits in

@@ -40,12 +40,13 @@ const Version = 1
 var magic = [8]byte{'S', 'T', 'E', 'I', 'N', 'S', 'N', 'P'}
 
 // Payload kinds: the envelope carries which state family it wraps, so a
-// crashfuzz campaign file cannot be silently resumed as a simulation run.
+// campaign checkpoint cannot be silently resumed as a simulation run.
 const (
 	// KindRun is a RunState (a paused simulation).
 	KindRun uint32 = 1
-	// KindCampaign is a crashfuzz campaign (internal/crashfuzz owns the
-	// payload encoding; the envelope is shared).
+	// KindCampaign is retired: it marked the checkpoints of a torture
+	// harness the adversarial campaign replaced. No reader accepts it, so
+	// an old file of that kind is refused, and the number is never reused.
 	KindCampaign uint32 = 2
 	// KindAdversarial is an adversarial-campaign checkpoint
 	// (internal/campaign owns the payload encoding).
@@ -232,8 +233,8 @@ func btoi(b bool) int {
 }
 
 // WriteEnvelope wraps an already-encoded payload of the given kind in the
-// versioned, checksummed envelope. Other packages (crashfuzz) reuse it for
-// their own snapshot families.
+// versioned, checksummed envelope. Other packages (campaign, server) reuse
+// it for their own snapshot families.
 func WriteEnvelope(w io.Writer, kind uint32, payload []byte) error {
 	hdr := make([]byte, headerLen)
 	copy(hdr, magic[:])

@@ -5,7 +5,7 @@
 # The canonical benchmark set persisted to BENCH_$(BENCH_REV).json; keep in
 # sync with the `canonical` list in cmd/benchjson.
 BENCH_REV ?= 3
-BENCH_PATTERN = HotWritePath|HotReadPath|MACBatchWindow|RunUnsharded|RunSchemes|RunSharded|SplitterEpoch|SnapshotSave|SnapshotLoad|GCSweepBuild|SCSweepBuild|ServePath
+BENCH_PATTERN = HotWritePath|HotReadPath|MACBatchWindow|RunSchemes|RunSharded|SplitterEpoch|SnapshotSave|SnapshotLoad|GCSweepBuild|SCSweepBuild|ServePath
 
 all: build test
 
@@ -84,7 +84,8 @@ metrics-demo:
 # callers of the shared address-routing function already run raced in
 # full, in the race-sensitive set and in serve-check). The
 # checkpoint/resume suites run raced and twice (-count=2) to pin
-# byte-determinism of the snapshot wire format. The quarantine/re-admission
+# byte-determinism of the snapshot wire format and of steinssim's report
+# across fresh, checkpointed and resumed runs. The quarantine/re-admission
 # suites (evidence-arbitrated degraded recovery) run raced at -cpu 1,4
 # across the steins policy, the controller and the campaign's
 # replay-boundary repro artifacts. The recovery counter searches (the
@@ -131,7 +132,8 @@ check: campaign serve-check bench-check figs-check
 	go test -shuffle=on -race -cpu 1,4 -run 'Resume|Snapshot|Campaign|Checkpoint|Artifact|SelfCheck' \
 		./internal/snapshot ./internal/scheme/schemetest \
 		./internal/campaign ./cmd/campaign ./cmd/steinssim
-	go test -shuffle=on -count=2 ./internal/snapshot ./internal/scheme/schemetest ./internal/campaign
+	go test -shuffle=on -count=2 ./internal/snapshot ./internal/scheme/schemetest ./internal/campaign \
+		./cmd/steinssim
 	go test -shuffle=on -race -cpu 1,4 -run 'Restore|Checkpoint|Layout|SetState' ./internal/nvmem \
 		./internal/memctrl ./internal/cache ./internal/snapshot ./internal/server ./cmd/securememd
 	go test -shuffle=on ./cmd/benchjson

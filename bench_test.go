@@ -222,11 +222,11 @@ func ablationRun(b *testing.B, factory memctrl.PolicyFactory, split bool,
 		GapMean: 300, Pattern: trace.Uniform,
 	}
 	opt := sim.Options{Ops: 8000, Seed: 1, MetaCacheBytes: 32 << 10, Configure: configure}
-	r, err := sim.Run(prof, sim.Scheme{Name: "ablation", Factory: factory, Split: split}, opt)
+	r, err := sim.RunSharded(prof, sim.Scheme{Name: "ablation", Factory: factory, Split: split}, opt, sim.ShardOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return r.ExecCycles, r.WriteBytes
+	return r.Merged.ExecCycles, r.Merged.WriteBytes
 }
 
 // BenchmarkAblationNVBuffer contrasts Steins with and without the
@@ -457,26 +457,9 @@ func shardedBenchProfile() trace.Profile {
 	}
 }
 
-// BenchmarkRunUnsharded is the single-controller baseline for the
-// BenchmarkRunSharded series; compare ops_per_sec across the two.
-func BenchmarkRunUnsharded(b *testing.B) {
-	prof := shardedBenchProfile()
-	opt := sim.Options{Ops: 20000, Seed: 3, MetaCacheBytes: 64 << 10}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := sim.Run(prof, sim.SteinsSC, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(float64(r.Ops)*float64(b.N)/b.Elapsed().Seconds(), "ops_per_sec")
-		}
-	}
-}
-
 // BenchmarkRunSchemes tracks the relaxed-persistence scheme family on the
-// same trace and options as BenchmarkRunUnsharded, so their host-time cost
-// relative to the Steins baseline is part of the persisted trajectory.
+// same trace and options as BenchmarkRunSharded/1ch, so their host-time
+// cost relative to the Steins baseline is part of the persisted trajectory.
 func BenchmarkRunSchemes(b *testing.B) {
 	prof := shardedBenchProfile()
 	opt := sim.Options{Ops: 20000, Seed: 3, MetaCacheBytes: 64 << 10}
@@ -484,22 +467,22 @@ func BenchmarkRunSchemes(b *testing.B) {
 		b.Run(s.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, err := sim.Run(prof, s, opt)
+				r, err := sim.RunSharded(prof, s, opt, sim.ShardOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == b.N-1 {
-					b.ReportMetric(float64(r.Ops)*float64(b.N)/b.Elapsed().Seconds(), "ops_per_sec")
+					b.ReportMetric(float64(r.Merged.Ops)*float64(b.N)/b.Elapsed().Seconds(), "ops_per_sec")
 				}
 			}
 		})
 	}
 }
 
-// BenchmarkRunSharded drives the same trace through the channel-interleaved
-// engine at 1, 2 and 4 channels. On a multi-core host the 4-channel run
-// should beat BenchmarkRunUnsharded on wall clock; on one core it measures
-// the splitter + merge overhead instead.
+// BenchmarkRunSharded drives the same trace through the engine at 1, 2 and
+// 4 channels. On a multi-core host the 4-channel run should beat the
+// 1-channel one on wall clock; on one core it measures the splitter +
+// merge overhead instead.
 func BenchmarkRunSharded(b *testing.B) {
 	prof := shardedBenchProfile()
 	opt := sim.Options{Ops: 20000, Seed: 3, MetaCacheBytes: 64 << 10}
@@ -573,9 +556,9 @@ func init() {
 	trace.Register(snapshotBenchProfile())
 }
 
-// snapshotBenchEngine drives a run to the middle and hands back everything
-// a capture needs.
-func snapshotBenchEngine(b *testing.B) (snapshot.RunHeader, *trace.Generator, *sim.Single) {
+// snapshotBenchEngine drives a one-channel run to the middle and hands
+// back everything a capture needs.
+func snapshotBenchEngine(b *testing.B) (snapshot.RunHeader, *trace.Generator, *sim.Sharded) {
 	b.Helper()
 	h := snapshot.RunHeader{
 		Workload: "snapshot-bench", Scheme: "Steins-SC",
@@ -588,10 +571,10 @@ func snapshotBenchEngine(b *testing.B) (snapshot.RunHeader, *trace.Generator, *s
 	if !ok {
 		b.Fatalf("unknown scheme %q", h.Scheme)
 	}
-	opt, _ := h.Options()
+	opt, so := h.Options()
 	g := trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops)
-	e := sim.NewSingle(prof, s, opt)
-	if _, err := e.DriveN(g, 2500); err != nil {
+	e := sim.NewSharded(prof, s, opt, so)
+	if _, err := e.DriveStreamN(g, 2500); err != nil {
 		b.Fatal(err)
 	}
 	return h, g, e
@@ -604,7 +587,7 @@ func BenchmarkSnapshotSave(b *testing.B) {
 	h, g, e := snapshotBenchEngine(b)
 	save := func(buf *bytes.Buffer) int {
 		buf.Reset()
-		st, err := snapshot.CaptureSingle(h, g, e)
+		st, err := snapshot.CaptureSharded(h, g, e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -636,7 +619,7 @@ func BenchmarkSnapshotSave(b *testing.B) {
 // state rebuild, and engine restore into a fresh system.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	h, g, e := snapshotBenchEngine(b)
-	st, err := snapshot.CaptureSingle(h, g, e)
+	st, err := snapshot.CaptureSharded(h, g, e)
 	if err != nil {
 		b.Fatal(err)
 	}

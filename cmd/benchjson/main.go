@@ -59,7 +59,6 @@ var canonical = []string{
 	"BenchmarkHotReadPath",
 	"BenchmarkMACBatchWindow/window1",
 	"BenchmarkMACBatchWindow/window16",
-	"BenchmarkRunUnsharded",
 	"BenchmarkRunSchemes/PipeSIT-GC",
 	"BenchmarkRunSchemes/PipeSIT-SC",
 	"BenchmarkRunSchemes/Triad-GC",

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 
-	"steins/internal/memctrl"
 	"steins/internal/metrics"
 	"steins/internal/nvmem"
 	"steins/internal/sim"
@@ -41,27 +40,12 @@ func makeHeader(prof trace.Profile, s sim.Scheme, opt sim.Options, channels int,
 	return h
 }
 
-// buildResumable constructs the engines a checkpointable run uses: the
-// generator positioned at the start and a Single (1 channel) or Sharded
-// (N channels) engine.
-func buildResumable(h snapshot.RunHeader) (*snapshot.Resumed, error) {
-	prof, ok := trace.ByName(h.Workload)
-	if !ok {
-		return nil, fmt.Errorf("unknown workload %q", h.Workload)
-	}
-	s, ok := sim.SchemeByName(h.Scheme)
-	if !ok {
-		return nil, fmt.Errorf("unknown scheme %q", h.Scheme)
-	}
-	opt, so := h.Options()
-	r := &snapshot.Resumed{Profile: prof, Scheme: s,
-		Gen: trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops)}
-	if h.Channels > 1 {
-		r.Sharded = sim.NewSharded(prof, s, opt, so)
-	} else {
-		r.Single = sim.NewSingle(prof, s, opt)
-	}
-	return r, nil
+// buildResumable constructs a fresh run: the engine and the generator
+// positioned at the start of the trace.
+func buildResumable(prof trace.Profile, s sim.Scheme, opt sim.Options, so sim.ShardOptions) *snapshot.Resumed {
+	return &snapshot.Resumed{Profile: prof, Scheme: s,
+		Gen:     trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops),
+		Sharded: sim.NewSharded(prof, s, opt, so)}
 }
 
 // driveResumable drives the run to trace exhaustion; with every > 0 it
@@ -74,23 +58,12 @@ func driveResumable(r *snapshot.Resumed, h snapshot.RunHeader, every int, path s
 	}
 	saved := 0
 	for {
-		var n int
-		var err error
-		if r.Single != nil {
-			n, err = r.Single.DriveN(r.Gen, chunk)
-		} else {
-			n, err = r.Sharded.DriveStreamN(r.Gen, chunk)
-		}
+		n, err := r.Sharded.DriveStreamN(r.Gen, chunk)
 		if err != nil {
 			return saved, err
 		}
 		if every > 0 && n > 0 {
-			var st *snapshot.RunState
-			if r.Single != nil {
-				st, err = snapshot.CaptureSingle(h, r.Gen, r.Single)
-			} else {
-				st, err = snapshot.CaptureSharded(h, r.Gen, r.Sharded)
-			}
+			st, err := snapshot.CaptureSharded(h, r.Gen, r.Sharded)
 			if err != nil {
 				return saved, err
 			}
@@ -105,77 +78,75 @@ func driveResumable(r *snapshot.Resumed, h snapshot.RunHeader, every int, path s
 	}
 }
 
-// resumableResults folds either engine into the (merged, per-shard) shape
-// the printing code consumes.
-func resumableResults(r *snapshot.Resumed) (sim.Result, []sim.Result) {
-	if r.Single != nil {
-		return r.Single.Result(), nil
-	}
-	sres := r.Sharded.Result()
-	return sres.Merged, sres.Shards
+// runConfig is what a run does once its engine is built.
+type runConfig struct {
+	every           int    // checkpoint interval in ops (0: never)
+	path            string // checkpoint file
+	crash, allDirty bool
+	metricsTo       string
+	verbose         bool
 }
 
-// crashRecoverResumable crashes and recovers either engine, returning the
-// aggregate recovery report.
-func crashRecoverResumable(r *snapshot.Resumed, allDirty bool) (memctrl.RecoveryReport, error) {
-	if r.Single != nil {
-		c := r.Single.Controller()
-		if allDirty {
-			c.ForceAllDirty()
-		}
-		c.Crash()
-		return c.Recover()
-	}
-	if allDirty {
-		r.Sharded.ForceAllDirty()
-	}
-	r.Sharded.Crash()
-	_, agg, err := r.Sharded.Recover()
-	return agg, err
-}
-
-// runResume is the -resume entry point: load the snapshot, rebuild the
-// run, drive it to completion (keeping the snapshot current when every >
-// 0), optionally crash/recover, and print through the same tables as a
-// fresh run. Exit codes match run(): 0 success, 1 failure.
-func runResume(path string, every int, crash, allDirty bool, metricsTo string, verbose bool, stdout, stderr io.Writer) int {
-	st, err := snapshot.LoadFile(path)
-	if err != nil {
-		fmt.Fprintf(stderr, "resume %s: %v\n", path, err)
-		return 1
-	}
-	r, err := st.Resume()
-	if err != nil {
-		fmt.Fprintf(stderr, "resume %s: %v\n", path, err)
-		return 1
-	}
-	h := st.Header
-	fmt.Fprintf(stdout, "resumed %s/%s at op %d of %d (+%d warm-up)\n",
-		h.Workload, h.Scheme, r.Driven(), h.TotalOps+h.WarmupOps, h.WarmupOps)
-	if _, err := driveResumable(r, h, every, path); err != nil {
+// finishRun is the one path every fresh, checkpointed and resumed run
+// takes once its engine is built: drive to the end of the trace
+// (checkpointing as rc asks), collect the results, then with rc.crash
+// crash, recover and probe the system, export metrics and print the
+// tables. The results are collected before the crash, so a run reports
+// the same figures however it got there. A resumed run names a failed
+// recovery as such; a fresh one reports any failure as a failed
+// simulation. It returns the exit code: 0 success, 1 failure.
+func finishRun(r *snapshot.Resumed, h snapshot.RunHeader, rc runConfig, resumed bool, stdout, stderr io.Writer) int {
+	if _, err := driveResumable(r, h, rc.every, rc.path); err != nil {
 		fmt.Fprintf(stderr, "simulation failed: %v\n", err)
 		return 1
 	}
-	if crash {
-		rep, err := crashRecoverResumable(r, allDirty)
+	res := r.Sharded.Result()
+	if rc.crash {
+		rep, err := r.Sharded.CrashRecover(rc.allDirty)
 		if err != nil {
-			fmt.Fprintf(stderr, "recovery failed: %v\n", err)
+			failed := "simulation failed"
+			if resumed {
+				failed = "recovery failed"
+			}
+			fmt.Fprintf(stderr, "%s: %v\n", failed, err)
 			return 1
 		}
 		printRecovery(stdout, rep)
 	}
-	res, shards := resumableResults(r)
-	if metricsTo != "" {
-		if res.Snapshot == nil {
+	if rc.every > 0 && !resumed {
+		fmt.Fprintf(stdout, "checkpoints written to %s every %d ops\n", rc.path, rc.every)
+	}
+	if rc.metricsTo != "" {
+		if res.Merged.Snapshot == nil {
 			fmt.Fprintf(stderr, "metrics export failed: the snapshot was captured without metrics collection\n")
 			return 1
 		}
-		if err := metrics.WriteSnapshotsFile(metricsTo, []*metrics.Snapshot{res.Snapshot}); err != nil {
+		if err := metrics.WriteSnapshotsFile(rc.metricsTo, []*metrics.Snapshot{res.Merged.Snapshot}); err != nil {
 			fmt.Fprintf(stderr, "metrics export failed: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "metrics snapshot written to %s\n", metricsTo)
+		fmt.Fprintf(stdout, "metrics snapshot written to %s\n", rc.metricsTo)
 	}
-	printRun(stdout, h.Scheme, h.Workload, h.TotalOps, h.Channels, h.Interleave, h.Faults.Enabled(), verbose, res, shards)
+	printRun(stdout, h.Scheme, h.Workload, h.TotalOps, h.Channels, h.Interleave, h.Faults.Enabled(), rc.verbose, res.Merged, res.Shards)
 	return 0
+}
+
+// runResume is the -resume entry point: load the snapshot at rc.path,
+// rebuild the run, and finish it like a fresh one (keeping the snapshot
+// current when rc.every > 0).
+func runResume(rc runConfig, stdout, stderr io.Writer) int {
+	st, err := snapshot.LoadFile(rc.path)
+	if err != nil {
+		fmt.Fprintf(stderr, "resume %s: %v\n", rc.path, err)
+		return 1
+	}
+	r, err := st.Resume()
+	if err != nil {
+		fmt.Fprintf(stderr, "resume %s: %v\n", rc.path, err)
+		return 1
+	}
+	h := st.Header
+	fmt.Fprintf(stdout, "resumed %s/%s at op %d of %d (+%d warm-up)\n",
+		h.Workload, h.Scheme, r.Sharded.Driven(), h.TotalOps+h.WarmupOps, h.WarmupOps)
+	return finishRun(r, h, rc, true, stdout, stderr)
 }

@@ -74,6 +74,69 @@ func TestCheckpointResumeMatchesStraight(t *testing.T) {
 	}
 }
 
+// withoutLine drops every line of out that starts with prefix.
+func withoutLine(out, prefix string) string {
+	var keep []string
+	for _, l := range strings.SplitAfter(out, "\n") {
+		if !strings.HasPrefix(l, prefix) {
+			keep = append(keep, l)
+		}
+	}
+	return strings.Join(keep, "")
+}
+
+// TestCheckpointResumeCrashReport pins the crash report: a plain -crash
+// run, the same run with -checkpoint, and a -resume -crash of its final
+// checkpoint must print the same recovery line and tables (apart from the
+// checkpoint and resume banners). The results are collected before the
+// crash on every path; collecting them after recovery would count the
+// recovery's own NVM traffic and energy.
+func TestCheckpointResumeCrashReport(t *testing.T) {
+	for _, channels := range []string{"1", "2"} {
+		channels := channels
+		t.Run(channels+"ch", func(t *testing.T) {
+			t.Parallel()
+			snap := filepath.Join(t.TempDir(), "run.snap")
+			base := []string{
+				"-workload", "pers_queue", "-scheme", "steins-sc",
+				"-ops", "20000", "-channels", channels, "-crash", "-alldirty",
+			}
+			outputs := map[string]string{}
+			for _, tc := range []struct {
+				name   string
+				args   []string
+				banner string
+			}{
+				{"plain", base, ""},
+				{"checkpointed", append(append([]string{}, base...), "-checkpoint", "7000", "-checkpoint-file", snap), "checkpoints written "},
+				{"resumed", []string{"-resume", snap, "-crash", "-alldirty"}, "resumed "},
+			} {
+				var out, errb strings.Builder
+				if code := run(tc.args, &out, &errb); code != 0 {
+					t.Fatalf("%s: exit %d, stderr: %s", tc.name, code, errb.String())
+				}
+				got := out.String()
+				if tc.banner != "" {
+					if !strings.Contains(got, tc.banner) {
+						t.Fatalf("%s: missing %q banner:\n%s", tc.name, tc.banner, got)
+					}
+					got = withoutLine(got, tc.banner)
+				}
+				if !strings.HasPrefix(got, "recovery: ") {
+					t.Fatalf("%s: no recovery report first:\n%s", tc.name, got)
+				}
+				outputs[tc.name] = got
+			}
+			for _, name := range []string{"checkpointed", "resumed"} {
+				if outputs[name] != outputs["plain"] {
+					t.Fatalf("%s crash report diverges from the plain run\nplain:\n%s\n%s:\n%s",
+						name, outputs["plain"], name, outputs[name])
+				}
+			}
+		})
+	}
+}
+
 // TestResumeFailures is the negative CLI table: a missing, truncated or
 // corrupted snapshot must exit 1 with a structured diagnostic on stderr,
 // and -resume -compare is a flag error.

@@ -19,7 +19,6 @@ import (
 	"steins/internal/metrics"
 	"steins/internal/nvmem"
 	"steins/internal/sim"
-	"steins/internal/snapshot"
 	"steins/internal/stats"
 	"steins/internal/trace"
 )
@@ -99,12 +98,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	rc := runConfig{every: *ckptEvery, path: *ckptFile, crash: *crash, allDirty: *allDirty,
+		metricsTo: *metricsTo, verbose: *tablePath}
 	if *resumeFrom != "" {
 		if *compare {
 			fmt.Fprintf(stderr, "-resume is incompatible with -compare\n")
 			return 2
 		}
-		return runResume(*resumeFrom, *ckptEvery, *crash, *allDirty, *metricsTo, *tablePath, stdout, stderr)
+		rc.path = *resumeFrom
+		return runResume(rc, stdout, stderr)
 	}
 
 	prof, ok := trace.ByName(*workload)
@@ -132,64 +134,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	opt := sim.Options{Ops: *ops, Seed: *seed, MetaCacheBytes: *cacheKB << 10, Metrics: mopt, Configure: configure}
-
-	reportRecovery := func(rep memctrl.RecoveryReport) { printRecovery(stdout, rep) }
-	var res sim.Result
-	var shards []sim.Result
-	var err2 error
-	switch {
-	case *ckptEvery > 0:
-		h := makeHeader(prof, s, opt, *channels, iv, faults, !*ecc)
-		var r *snapshot.Resumed
-		r, err2 = buildResumable(h)
-		if err2 == nil {
-			_, err2 = driveResumable(r, h, *ckptEvery, *ckptFile)
-		}
-		if err2 == nil && *crash {
-			var rep memctrl.RecoveryReport
-			rep, err2 = crashRecoverResumable(r, *allDirty)
-			if err2 == nil {
-				reportRecovery(rep)
-			}
-		}
-		if err2 == nil {
-			res, shards = resumableResults(r)
-			fmt.Fprintf(stdout, "checkpoints written to %s every %d ops\n", *ckptFile, *ckptEvery)
-		}
-	case *channels > 1 && *crash:
-		var sres sim.ShardedResult
-		var rep memctrl.RecoveryReport
-		sres, rep, err2 = sim.RunShardedWithCrash(prof, s, opt, so, *allDirty)
-		if err2 == nil {
-			reportRecovery(rep)
-		}
-		res, shards = sres.Merged, sres.Shards
-	case *channels > 1:
-		var sres sim.ShardedResult
-		sres, err2 = sim.RunSharded(prof, s, opt, so)
-		res, shards = sres.Merged, sres.Shards
-	case *crash:
-		var rep memctrl.RecoveryReport
-		res, rep, err2 = sim.RunWithCrash(prof, s, opt, *allDirty)
-		if err2 == nil {
-			reportRecovery(rep)
-		}
-	default:
-		res, err2 = sim.Run(prof, s, opt)
-	}
-	if err2 != nil {
-		fmt.Fprintf(stderr, "simulation failed: %v\n", err2)
-		return 1
-	}
-	if *metricsTo != "" {
-		if err := metrics.WriteSnapshotsFile(*metricsTo, []*metrics.Snapshot{res.Snapshot}); err != nil {
-			fmt.Fprintf(stderr, "metrics export failed: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "metrics snapshot written to %s\n", *metricsTo)
-	}
-	printRun(stdout, s.Name, prof.Name, *ops, *channels, iv, faults.Enabled(), *tablePath, res, shards)
-	return 0
+	h := makeHeader(prof, s, opt, *channels, iv, faults, !*ecc)
+	return finishRun(buildResumable(prof, s, opt, so), h, rc, false, stdout, stderr)
 }
 
 // printRecovery renders an aggregate recovery report.

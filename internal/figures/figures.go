@@ -31,10 +31,10 @@ type Scale struct {
 	// Metrics, when non-nil, attaches a metrics collector to every run of
 	// a sweep, filling each Result's Snapshot for export.
 	Metrics *metrics.Options
-	// Channels > 1 runs every sweep point on the sharded engine, the trace
-	// interleaved across that many controllers; results are the merged
-	// system view. The sweep's outer job loop then runs serially — the
-	// parallelism budget moves inside each run.
+	// Channels interleaves every sweep point's trace across that many
+	// controllers (<= 1: one); results are the merged system view. Above
+	// one the sweep's outer job loop runs serially — the parallelism
+	// budget moves inside each run.
 	Channels int
 	// Interleave selects the address-to-channel mapping when Channels > 1.
 	Interleave trace.Interleave
@@ -61,11 +61,11 @@ type Sweep struct {
 	Results   map[string]map[string]sim.Result // [workload][scheme]
 }
 
-// runSweep simulates every workload under every scheme. With one channel
-// the (workload, scheme) pairs run in parallel — every pair is an
-// independent controller. With Channels > 1 each pair is itself a
-// multi-goroutine sharded run, so the pairs run serially and each result
-// is the merged system view.
+// runSweep simulates every workload under every scheme, each pair on the
+// one engine. With one channel the (workload, scheme) pairs run in
+// parallel — every pair is an independent controller. With Channels > 1
+// each pair drives its channels in parallel itself, so the pairs run
+// serially.
 func runSweep(schemes []sim.Scheme, sc Scale) (*Sweep, error) {
 	sw := &Sweep{Schemes: schemes, Results: map[string]map[string]sim.Result{}}
 	var jobs []sim.Job

@@ -92,10 +92,11 @@ func schemeCosts() ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown scheme %q", name)
 		}
-		r, err := sim.Run(prof, s, sim.Options{Ops: 5000, Seed: 1})
+		sres, err := sim.RunSharded(prof, s, sim.Options{Ops: 5000, Seed: 1}, sim.ShardOptions{})
 		if err != nil {
 			return nil, err
 		}
+		r := sres.Merged
 		fmt.Fprintf(&b, "%-10s exec %d cycles, write %.4f, read %.4f, %d NVM writes", name,
 			r.ExecCycles, r.AvgWriteLat, r.AvgReadLat, r.NVM.TotalWrites())
 		if rep, err := sim.RecoveryAtCacheSize(s, 16<<10, 1); err != nil {

@@ -7,7 +7,7 @@ import "steins/internal/sit"
 // It resolves the newest copy the way a fetch would — resident cache entry
 // first, then an in-flight eviction, then the persisted NVM image — so
 // differential tests can compare final counter state between runs (and
-// between sharded and unsharded engines) after any drive.
+// between channel counts) after any drive.
 func (c *Controller) DataCounter(addr uint64) uint64 {
 	c.checkDataAddr(addr)
 	leaf, slot := c.lay.Geo.LeafOfData(addr)

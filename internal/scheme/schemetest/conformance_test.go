@@ -30,7 +30,7 @@ func configName(ch int, iv trace.Interleave) string {
 }
 
 // TestShardedConformance is the tentpole differential suite: every scheme,
-// every channel configuration, sharded vs. unsharded — identical retired
+// every channel configuration against one channel — identical retired
 // ops, identical per-line data and counter state, statistics that are the
 // exact shard sums, and phase buckets that partition each shard's makespan.
 func TestShardedConformance(t *testing.T) {
@@ -74,7 +74,7 @@ func TestMonotoneCountersConformance(t *testing.T) {
 }
 
 // TestRunShardedWithCrashAllSchemes exercises the packaged crash wrapper
-// across schemes and channel counts, mirroring sim.RunWithCrash coverage.
+// across the recoverable schemes on two channels.
 func TestRunShardedWithCrashAllSchemes(t *testing.T) {
 	for _, s := range schemetest.Schemes() {
 		if s.Name == "WB-GC" || s.Name == "WB-SC" {

@@ -59,13 +59,12 @@ func resumeHeader(s sim.Scheme, channels, ops int, faults nvmem.FaultConfig) sna
 	}
 }
 
-// resumeRun couples either engine with its generator behind the handful
-// of operations the harness sweeps.
+// resumeRun couples the engine with its generator behind the handful of
+// operations the harness sweeps.
 type resumeRun struct {
-	h      snapshot.RunHeader
-	gen    *trace.Generator
-	single *sim.Single
-	shard  *sim.Sharded
+	h     snapshot.RunHeader
+	gen   *trace.Generator
+	shard *sim.Sharded
 }
 
 func newResumeRun(t *testing.T, h snapshot.RunHeader) *resumeRun {
@@ -79,26 +78,15 @@ func newResumeRun(t *testing.T, h snapshot.RunHeader) *resumeRun {
 		t.Fatalf("unknown scheme %q", h.Scheme)
 	}
 	opt, so := h.Options()
-	r := &resumeRun{h: h, gen: trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops)}
-	if h.Channels > 1 {
-		r.shard = sim.NewSharded(prof, s, opt, so)
-	} else {
-		r.single = sim.NewSingle(prof, s, opt)
-	}
-	return r
+	return &resumeRun{h: h, gen: trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops),
+		shard: sim.NewSharded(prof, s, opt, so)}
 }
 
 // drive advances up to n ops (n < 0: to exhaustion) and returns how many
 // were consumed.
 func (r *resumeRun) drive(t *testing.T, n int) int {
 	t.Helper()
-	var done int
-	var err error
-	if r.single != nil {
-		done, err = r.single.DriveN(r.gen, n)
-	} else {
-		done, err = r.shard.DriveStreamN(r.gen, n)
-	}
+	done, err := r.shard.DriveStreamN(r.gen, n)
 	if err != nil {
 		t.Fatalf("drive: %v", err)
 	}
@@ -109,13 +97,7 @@ func (r *resumeRun) drive(t *testing.T, n int) int {
 // a completely fresh system.
 func (r *resumeRun) capture(t *testing.T) *resumeRun {
 	t.Helper()
-	var st *snapshot.RunState
-	var err error
-	if r.single != nil {
-		st, err = snapshot.CaptureSingle(r.h, r.gen, r.single)
-	} else {
-		st, err = snapshot.CaptureSharded(r.h, r.gen, r.shard)
-	}
+	st, err := snapshot.CaptureSharded(r.h, r.gen, r.shard)
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}
@@ -131,7 +113,7 @@ func (r *resumeRun) capture(t *testing.T) *resumeRun {
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	return &resumeRun{h: r.h, gen: res.Gen, single: res.Single, shard: res.Sharded}
+	return &resumeRun{h: r.h, gen: res.Gen, shard: res.Sharded}
 }
 
 // fingerprint reduces a finished run to the comparison payload: the
@@ -144,25 +126,19 @@ type fingerprint struct {
 
 func (r *resumeRun) fingerprint(t *testing.T) fingerprint {
 	t.Helper()
-	var fp fingerprint
+	sres := r.shard.Result()
+	fp := fingerprint{merged: sres.Merged, shards: sres.Shards}
+	if fp.merged.Snapshot == nil || sres.System == nil {
+		t.Fatalf("no metrics snapshot collected")
+	}
+	// The merged snapshot is the channel's own at one channel, and the
+	// system export carries every channel's; pin both.
 	var buf bytes.Buffer
-	if r.single != nil {
-		fp.merged = r.single.Result()
-		if fp.merged.Snapshot == nil {
-			t.Fatalf("no metrics snapshot collected")
-		}
-		if err := fp.merged.Snapshot.EncodeJSON(&buf); err != nil {
-			t.Fatalf("encode metrics: %v", err)
-		}
-	} else {
-		sres := r.shard.Result()
-		fp.merged, fp.shards = sres.Merged, sres.Shards
-		if sres.System == nil {
-			t.Fatalf("no system snapshot collected")
-		}
-		if err := sres.System.EncodeJSON(&buf); err != nil {
-			t.Fatalf("encode system metrics: %v", err)
-		}
+	if err := fp.merged.Snapshot.EncodeJSON(&buf); err != nil {
+		t.Fatalf("encode metrics: %v", err)
+	}
+	if err := sres.System.EncodeJSON(&buf); err != nil {
+		t.Fatalf("encode system metrics: %v", err)
 	}
 	fp.json = buf.Bytes()
 	fp.merged.Snapshot = nil
@@ -177,19 +153,6 @@ func (r *resumeRun) fingerprint(t *testing.T) fingerprint {
 // no recovery path.
 func (r *resumeRun) recoveryReports(t *testing.T) ([]memctrl.RecoveryReport, bool) {
 	t.Helper()
-	if r.single != nil {
-		c := r.single.Controller()
-		c.ForceAllDirty()
-		c.Crash()
-		rep, err := c.Recover()
-		if errors.Is(err, memctrl.ErrNoRecovery) {
-			return nil, false
-		}
-		if err != nil {
-			t.Fatalf("recover: %v", err)
-		}
-		return []memctrl.RecoveryReport{rep}, true
-	}
 	r.shard.ForceAllDirty()
 	r.shard.Crash()
 	reports, _, err := r.shard.Recover()

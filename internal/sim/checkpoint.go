@@ -1,6 +1,5 @@
-// Checkpoint support: a resumable single-controller engine mirroring the
-// sharded one, plus the serializable state of both. A run checkpointed at
-// any retired-op boundary and resumed in a fresh process produces
+// Checkpoint support: the serializable state of the engine. A run
+// checkpointed at any epoch barrier and resumed in a fresh process produces
 // byte-identical metrics to the uninterrupted run.
 
 package sim
@@ -22,97 +21,6 @@ func SchemeByName(name string) (Scheme, bool) {
 		}
 	}
 	return Scheme{}, false
-}
-
-// Single is the resumable single-controller engine: the same replay loop
-// Run uses, but driven in bounded increments with the global op ordinal and
-// warm-up boundary tracked across calls so a checkpointed run numbers
-// payloads exactly like a straight run.
-type Single struct {
-	prof       trace.Profile
-	scheme     Scheme
-	opt        Options
-	c          *memctrl.Controller
-	driven     uint64 // source ops driven, including warm-up
-	warmupDone bool
-}
-
-// NewSingle builds the engine; drive it with DriveN.
-func NewSingle(prof trace.Profile, s Scheme, opt Options) *Single {
-	return &Single{prof: prof, scheme: s, opt: opt, c: build(prof, s, opt)}
-}
-
-// Controller returns the underlying controller.
-func (e *Single) Controller() *memctrl.Controller { return e.c }
-
-// Driven returns the number of source ops driven so far, warm-up included.
-func (e *Single) Driven() uint64 { return e.driven }
-
-// DriveN replays up to n further operations from src (n < 0 drives it to
-// exhaustion), returning the number consumed. Op i (counted globally,
-// across calls) writing addr stores Payload(addr, i); statistics reset
-// exactly once, when the warm-up boundary is crossed.
-func (e *Single) DriveN(src trace.Stream, n int) (int, error) {
-	warm := uint64(e.opt.WarmupOps)
-	done := 0
-	for n < 0 || done < n {
-		op, ok := src.Next()
-		if !ok {
-			return done, nil
-		}
-		i := int(e.driven)
-		var err error
-		if op.IsWrite {
-			err = e.c.WriteData(op.Gap, op.Addr, Payload(op.Addr, i))
-		} else {
-			_, err = e.c.ReadData(op.Gap, op.Addr)
-		}
-		if err != nil {
-			return done, fmt.Errorf("sim: %s op %d (%v %#x): %w", src.Name(), i, op.IsWrite, op.Addr, err)
-		}
-		e.driven++
-		done++
-		if !e.warmupDone && warm > 0 && e.driven >= warm {
-			e.c.ResetStats()
-			e.warmupDone = true
-		}
-	}
-	return done, nil
-}
-
-// Result assembles the run result from everything driven so far; after the
-// full trace it matches Run's result exactly.
-func (e *Single) Result() Result { return collect(e.c, e.prof, e.scheme, e.opt.Ops) }
-
-// SingleState is the serializable image of a Single engine (minus the
-// trace position, which the snapshot carries separately).
-type SingleState struct {
-	Driven     uint64
-	WarmupDone bool
-	Ctrl       *memctrl.ControllerState
-}
-
-// State captures the engine at a retired-op boundary.
-func (e *Single) State() (*SingleState, error) {
-	cs, err := e.c.State()
-	if err != nil {
-		return nil, err
-	}
-	return &SingleState{Driven: e.driven, WarmupDone: e.warmupDone, Ctrl: cs}, nil
-}
-
-// Restore rebuilds the engine from a captured state; it must have been
-// built by NewSingle from the same profile, scheme and options.
-func (e *Single) Restore(st *SingleState) error {
-	if st.Ctrl == nil {
-		return fmt.Errorf("sim: single-engine state has no controller")
-	}
-	if err := e.c.Restore(st.Ctrl); err != nil {
-		return err
-	}
-	e.driven = st.Driven
-	e.warmupDone = st.WarmupDone
-	return nil
 }
 
 // Driven returns the number of source ops driven so far, warm-up included.

@@ -23,10 +23,11 @@ func fullStackStream(n int, seed uint64) *cpu.Filtered {
 
 func TestFullStackFiltersAccesses(t *testing.T) {
 	stream := fullStackStream(120000, 1)
-	res, err := RunStream(stream, SteinsSC, Options{DataBytes: 64 << 20, MetaCacheBytes: 64 << 10})
+	sres, err := RunShardedStream(stream, SteinsSC, Options{DataBytes: 64 << 20, MetaCacheBytes: 64 << 10}, ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := sres.Merged
 	hs := stream.Hierarchy().Stats()
 	if hs.Accesses != 120000 {
 		t.Fatalf("hierarchy saw %d accesses", hs.Accesses)
@@ -49,12 +50,12 @@ func TestFullStackSchemeOrderingAgrees(t *testing.T) {
 	}
 	res := map[string]Result{}
 	for _, s := range []Scheme{WBGC, ASIT, STAR, SteinsGC} {
-		r, err := RunStream(fullStackStream(150000, 2), s,
-			Options{DataBytes: 64 << 20, MetaCacheBytes: 32 << 10})
+		r, err := RunShardedStream(fullStackStream(150000, 2), s,
+			Options{DataBytes: 64 << 20, MetaCacheBytes: 32 << 10}, ShardOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
-		res[s.Name] = r
+		res[s.Name] = r.Merged
 	}
 	wb, as, st, sg := res["WB-GC"], res["ASIT"], res["STAR"], res["Steins-GC"]
 	if !(as.AvgWriteLat > st.AvgWriteLat && st.AvgWriteLat > sg.AvgWriteLat) {

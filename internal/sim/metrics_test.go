@@ -28,7 +28,7 @@ func TestPhasePartitionAllSchemes(t *testing.T) {
 	for _, s := range []Scheme{WBGC, WBSC, ASIT, STAR, SteinsGC, SteinsSC, SCUEGC, SCUESC} {
 		opt := metricsOpt()
 		opt.WarmupOps = 500 // exercise the stats+collector reset path
-		res, err := Run(smallProfile(), s, opt)
+		res, err := run(smallProfile(), s, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -57,7 +57,7 @@ func TestPhasePartitionAllSchemes(t *testing.T) {
 // byte-identical JSON, so figure pipelines diff cleanly.
 func TestMetricsExportDeterministic(t *testing.T) {
 	export := func() []byte {
-		res, err := Run(smallProfile(), SteinsSC, metricsOpt())
+		res, err := run(smallProfile(), SteinsSC, metricsOpt())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestMetricsExportDeterministicWithFaults(t *testing.T) {
 				StuckPerWrite:    1e-4,
 			}
 		}
-		res, err := Run(smallProfile(), SteinsGC, opt)
+		res, err := run(smallProfile(), SteinsGC, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestRunParallelPartialResults(t *testing.T) {
 		t.Fatalf("error missing job identity: %v", err)
 	}
 	for i := 0; i < 2; i++ {
-		ser, serr := Run(jobs[i].Prof, jobs[i].Scheme, jobs[i].Opt)
+		ser, serr := run(jobs[i].Prof, jobs[i].Scheme, jobs[i].Opt)
 		if serr != nil {
 			t.Fatal(serr)
 		}

@@ -14,12 +14,15 @@ import (
 	"steins/internal/trace"
 )
 
-// ShardOptions parameterise the sharded (channel-interleaved) engine.
+// ShardOptions parameterise the engine's channel layout. The zero value is
+// one channel: the one-controller system every figure of the paper models.
 type ShardOptions struct {
 	// Channels is the number of independent controllers the address space
-	// is interleaved across. 1 reproduces the unsharded run bit-for-bit.
+	// is interleaved across (<= 0: 1). One channel is the bare controller:
+	// it sees every op at its global address and gap.
 	Channels int
-	// Interleave selects the address-to-channel mapping.
+	// Interleave selects the address-to-channel mapping. It is ignored at
+	// one channel, which has nothing to interleave.
 	Interleave trace.Interleave
 	// EpochOps is the number of source operations routed per epoch barrier
 	// (0: 4096). Each epoch is split sequentially — fixing the virtual
@@ -32,16 +35,22 @@ type ShardOptions struct {
 	// any value because each channel's operation sequence is fixed by the
 	// sequential split.
 	Workers int
-	// DivideCache, when false (the default), splits Options.MetaCacheBytes
-	// evenly across channels so the total metadata-SRAM budget matches the
-	// unsharded configuration. Set KeepCachePerChannel to give every
-	// channel the full budget instead.
+	// KeepCachePerChannel gives every channel the full
+	// Options.MetaCacheBytes. When false (the default) the budget is split
+	// evenly across the channels, so the total metadata SRAM matches the
+	// one-channel configuration.
 	KeepCachePerChannel bool
 }
 
 func (so *ShardOptions) setDefaults() {
 	if so.Channels <= 0 {
 		so.Channels = 1
+	}
+	if so.Channels == 1 {
+		// Line interleave at one channel is the identity map; the page
+		// mode would round the region up to a page and the hash mode would
+		// compact it first-touch, neither of which one channel needs.
+		so.Interleave = trace.InterleaveLine
 	}
 	if so.EpochOps <= 0 {
 		so.EpochOps = 4096
@@ -57,7 +66,9 @@ type ShardedResult struct {
 	// Merged is the system view: retired ops and traffic summed through the
 	// Stats/NVM Merge machinery, ExecCycles the parallel maximum across
 	// channels (channels drain concurrently, so the slowest bounds the
-	// makespan), latencies recomputed from the merged sums.
+	// makespan), latencies recomputed from the merged sums. At one channel
+	// its Snapshot is that channel's own, series and per-op phase
+	// histograms included, named after the workload.
 	Merged Result
 	// Shards holds one Result per channel, in channel order.
 	Shards []Result
@@ -66,9 +77,10 @@ type ShardedResult struct {
 	System *metrics.SystemSnapshot
 }
 
-// Sharded is the channel-interleaved simulation engine: one trace
-// partitioned across N independent controllers by an address-interleave
-// function, driven in parallel under an epoch-barrier virtual clock.
+// Sharded is the simulation engine: one trace partitioned across N
+// independent controllers by an address-interleave function, driven in
+// parallel under an epoch-barrier virtual clock. N = 1 is the
+// one-controller system; there is no other engine.
 //
 // Determinism: the splitter is sequential and defines each channel's exact
 // operation sequence (local addresses, local gaps, payload identities)
@@ -167,7 +179,7 @@ func (e *Sharded) lazySplitter() {
 // drives them in parallel, epoch by epoch. It may be called repeatedly;
 // the virtual clock and (hash-mode) address assignments carry over, so a
 // sequence of calls behaves like one concatenated stream. Payload identity
-// follows the unsharded engine exactly: op i (counted globally, across
+// is global, whatever the channel count: op i (counted globally, across
 // calls) writing global address a stores Payload(a, i).
 func (e *Sharded) DriveStream(src trace.Stream) error {
 	_, err := e.DriveStreamN(src, -1)
@@ -418,6 +430,13 @@ func (e *Sharded) Result() ShardedResult {
 		res.System = metrics.MergeSnapshots(snaps)
 		res.System.Merged.Workload = e.prof.Name
 		res.Merged.Snapshot = &res.System.Merged
+		if len(snaps) == 1 {
+			// The merge keeps only what sums across channels; one channel
+			// is the whole system, so its full snapshot is the system view.
+			own := snaps[0]
+			own.Workload = e.prof.Name
+			res.Merged.Snapshot = &own
+		}
 	}
 	return res
 }
@@ -447,38 +466,47 @@ func RunShardedStream(stream trace.Stream, s Scheme, opt Options, so ShardOption
 	return e.Result(), nil
 }
 
-// RunShardedWithCrash mirrors RunWithCrash on the sharded engine: drive,
-// optionally force every cached node dirty, crash the whole machine,
-// recover every channel in parallel, and probe a read-only sample.
+// RunShardedWithCrash drives the workload, collects the results, then
+// crashes and recovers the machine through CrashRecover.
 func RunShardedWithCrash(prof trace.Profile, s Scheme, opt Options, so ShardOptions, forceAllDirty bool) (ShardedResult, memctrl.RecoveryReport, error) {
 	e := NewSharded(prof, s, opt, so)
 	if err := e.DriveStream(trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops)); err != nil {
 		return ShardedResult{}, memctrl.RecoveryReport{}, err
 	}
 	res := e.Result()
+	rep, err := e.CrashRecover(forceAllDirty)
+	return res, rep, err
+}
+
+// CrashRecover is the end-of-run crash step: optionally force every cached
+// node dirty (the §IV-D assumption), crash the whole machine, recover every
+// channel in parallel, and probe a 200-read sample of the workload. It
+// returns the aggregate recovery report. Collect results before calling it:
+// recovery and the probe add device traffic of their own.
+func (e *Sharded) CrashRecover(forceAllDirty bool) (memctrl.RecoveryReport, error) {
 	if forceAllDirty {
 		e.ForceAllDirty()
 	}
 	e.Crash()
 	_, agg, err := e.Recover()
 	if err != nil {
-		return res, agg, err
+		return agg, err
 	}
-	g := trace.New(prof, opt.Seed+1, 200)
+	g := trace.New(e.prof, e.opt.Seed+1, 200)
 	for {
 		op, ok := g.Next()
 		if !ok {
-			break
+			return agg, nil
 		}
 		if _, rerr := e.ReadGlobal(op.Gap, op.Addr); rerr != nil {
-			// Quarantine fences are accounted degraded loss, not probe
+			// Quarantine fences are degraded recovery's designed outcome
+			// (fail-fast containment, accounted in the report), not probe
 			// failures.
 			var qe *memctrl.QuarantineError
 			if errors.As(rerr, &qe) {
 				continue
 			}
-			return res, agg, fmt.Errorf("sim: post-recovery read failed: %w", rerr)
+			return agg, fmt.Errorf("sim: post-recovery read failed: %w", rerr)
 		}
 	}
-	return res, agg, nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"steins/internal/memctrl"
 	"steins/internal/metrics"
 	"steins/internal/trace"
 )
@@ -26,25 +27,86 @@ func shardOpt() Options {
 	return Options{Ops: 4000, Seed: 7, MetaCacheBytes: 16 << 10}
 }
 
+// referenceRun is the bare-controller replay the engine reduces to at one
+// channel: one memctrl.Controller sized to the whole data region, every op
+// at its global address and gap, op i writing Payload(addr, i), and the
+// statistics reset once, when the warm-up ends.
+func referenceRun(t *testing.T, prof trace.Profile, s Scheme, opt Options) Result {
+	t.Helper()
+	dataBytes := opt.DataBytes
+	if dataBytes == 0 {
+		dataBytes = prof.FootprintBytes * 2
+	}
+	cfg := memctrl.DefaultConfig(dataBytes, s.Split)
+	if opt.MetaCacheBytes != 0 {
+		cfg.MetaCacheBytes = opt.MetaCacheBytes
+	}
+	if opt.Configure != nil {
+		opt.Configure(&cfg)
+	}
+	c := memctrl.New(cfg, s.Factory)
+	if opt.Metrics != nil {
+		c.SetMetrics(metrics.NewCollector(*opt.Metrics))
+	}
+	src := trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops)
+	for i := 0; ; i++ {
+		op, ok := src.Next()
+		if !ok {
+			break
+		}
+		var err error
+		if op.IsWrite {
+			err = c.WriteData(op.Gap, op.Addr, Payload(op.Addr, i))
+		} else {
+			_, err = c.ReadData(op.Gap, op.Addr)
+		}
+		if err != nil {
+			t.Fatalf("reference %s op %d: %v", s.Name, i, err)
+		}
+		if i+1 == opt.WarmupOps {
+			c.ResetStats()
+		}
+	}
+	return collect(c, prof, s, opt.Ops)
+}
+
 // TestRunShardedOneChannelMatchesRun pins the reduction property: one
-// channel, line interleave is the unsharded engine — identical Result,
-// field for field.
+// channel is the bare controller under every interleave mode — identical
+// Result, field for field, and byte-identical metrics JSON (series and
+// per-op phase histograms included) for every scheme.
 func TestRunShardedOneChannelMatchesRun(t *testing.T) {
 	prof, opt := shardProfile(), shardOpt()
+	opt.Ops = 2000
 	opt.WarmupOps = 500 // exercise the epoch-aligned warmup reset
-	ref, err := Run(prof, SteinsSC, opt)
-	if err != nil {
-		t.Fatal(err)
+	mo := metrics.DefaultOptions()
+	opt.Metrics = &mo
+	encode := func(r Result) []byte {
+		var buf bytes.Buffer
+		if err := r.Snapshot.EncodeJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	res, err := RunSharded(prof, SteinsSC, opt, ShardOptions{Channels: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref, res.Merged) {
-		t.Fatalf("1-channel sharded result diverges from Run:\nrun    %+v\nshard  %+v", ref, res.Merged)
-	}
-	if len(res.Shards) != 1 {
-		t.Fatalf("expected 1 shard result, got %d", len(res.Shards))
+	for _, s := range []Scheme{WBGC, WBSC, ASIT, STAR, SteinsGC, SteinsSC, SCUEGC, SCUESC, PipeSITGC, PipeSITSC, TriadGC, TriadSC} {
+		ref := referenceRun(t, prof, s, opt)
+		refJSON := encode(ref)
+		for _, iv := range []trace.Interleave{trace.InterleaveLine, trace.InterleavePage, trace.InterleaveHash} {
+			res, err := RunSharded(prof, s, opt, ShardOptions{Channels: 1, Interleave: iv, EpochOps: 300})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", s.Name, iv, err)
+			}
+			if len(res.Shards) != 1 {
+				t.Fatalf("%s/%s: expected 1 shard result, got %d", s.Name, iv, len(res.Shards))
+			}
+			if !reflect.DeepEqual(ref, res.Merged) {
+				t.Fatalf("%s/%s: 1-channel result diverges from the bare controller:\nref    %+v\nshard  %+v",
+					s.Name, iv, ref, res.Merged)
+			}
+			if got := encode(res.Merged); !bytes.Equal(refJSON, got) {
+				t.Fatalf("%s/%s: 1-channel metrics JSON diverges from the bare controller (%d vs %d bytes)",
+					s.Name, iv, len(refJSON), len(got))
+			}
+		}
 	}
 }
 
@@ -248,7 +310,7 @@ func TestRunShardedPropagatesShardErrors(t *testing.T) {
 }
 
 // TestRunShardedSpeedup measures the acceptance criterion — four channels
-// at least 2x faster than the unsharded run — when the host actually has
+// at least 2x faster than one — when the host actually has
 // the parallelism; on smaller machines the ratio is meaningless, so skip.
 func TestRunShardedSpeedup(t *testing.T) {
 	if testing.Short() {
@@ -267,7 +329,7 @@ func TestRunShardedSpeedup(t *testing.T) {
 	opt.Ops = 400000
 
 	start := time.Now()
-	if _, err := Run(prof, SteinsSC, opt); err != nil {
+	if _, err := RunSharded(prof, SteinsSC, opt, ShardOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	serial := time.Since(start)
@@ -280,6 +342,6 @@ func TestRunShardedSpeedup(t *testing.T) {
 	sharded := time.Since(start)
 
 	if sharded*2 > serial {
-		t.Fatalf("4-channel run not >=2x faster: unsharded %v, sharded %v", serial, sharded)
+		t.Fatalf("4-channel run not >=2x faster: 1 channel %v, 4 channels %v", serial, sharded)
 	}
 }

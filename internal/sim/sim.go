@@ -1,7 +1,8 @@
 // Package sim drives workload traces through secure memory controllers
 // and collects the metrics the paper's figures report: execution time
 // (controller makespan), read/write latency, NVM write traffic, energy,
-// and — after injected crashes — recovery reports.
+// and — after injected crashes — recovery reports. Every run goes through
+// one engine, Sharded; a zero ShardOptions is the one-controller system.
 package sim
 
 import (
@@ -91,70 +92,15 @@ type Result struct {
 	Snapshot *metrics.Snapshot
 }
 
-// build constructs the controller for a run.
-func build(prof trace.Profile, s Scheme, opt Options) *memctrl.Controller {
-	dataBytes := opt.DataBytes
-	if dataBytes == 0 {
-		dataBytes = prof.FootprintBytes * 2
-	}
-	if dataBytes < prof.FootprintBytes {
-		panic(fmt.Sprintf("sim: data region %d smaller than %s footprint %d",
-			dataBytes, prof.Name, prof.FootprintBytes))
-	}
-	cfg := memctrl.DefaultConfig(dataBytes, s.Split)
-	if opt.MetaCacheBytes != 0 {
-		cfg.MetaCacheBytes = opt.MetaCacheBytes
-	}
-	if opt.Configure != nil {
-		opt.Configure(&cfg)
-	}
-	c := memctrl.New(cfg, s.Factory)
-	if opt.Metrics != nil {
-		c.SetMetrics(metrics.NewCollector(*opt.Metrics))
-	}
-	return c
-}
-
-// Payload derives the deterministic data block op i writes to addr. It is
-// exported so the sharded engine (and differential tests) can reproduce the
-// exact bytes an unsharded run stores, keyed by global address and global
-// op ordinal.
+// Payload derives the deterministic data block op i writes to addr, keyed
+// by global address and global op ordinal. It is exported so differential
+// tests and reference replays can reproduce the exact bytes a run stores,
+// whatever the channel count.
 func Payload(addr uint64, i int) [64]byte {
 	var b [64]byte
 	binary.LittleEndian.PutUint64(b[:8], addr)
 	binary.LittleEndian.PutUint64(b[8:16], uint64(i))
 	return b
-}
-
-// drive replays the trace into the controller: WarmupOps requests to warm
-// the caches (then stats reset, mirroring §IV's 10M-instruction warm-up),
-// followed by the measured Ops.
-func drive(c *memctrl.Controller, prof trace.Profile, opt Options) error {
-	return driveStream(c, trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops), opt.WarmupOps)
-}
-
-// driveStream replays an arbitrary operation stream.
-func driveStream(c *memctrl.Controller, s trace.Stream, warmupOps int) error {
-	i := 0
-	for {
-		op, ok := s.Next()
-		if !ok {
-			return nil
-		}
-		var err error
-		if op.IsWrite {
-			err = c.WriteData(op.Gap, op.Addr, Payload(op.Addr, i))
-		} else {
-			_, err = c.ReadData(op.Gap, op.Addr)
-		}
-		if err != nil {
-			return fmt.Errorf("sim: %s op %d (%v %#x): %w", s.Name(), i, op.IsWrite, op.Addr, err)
-		}
-		i++
-		if i == warmupOps {
-			c.ResetStats()
-		}
-	}
 }
 
 // collect snapshots the metrics.
@@ -181,69 +127,6 @@ func collect(c *memctrl.Controller, prof trace.Profile, s Scheme, ops int) Resul
 	}
 }
 
-// Run replays one workload through one scheme.
-func Run(prof trace.Profile, s Scheme, opt Options) (Result, error) {
-	c := build(prof, s, opt)
-	if err := drive(c, prof, opt); err != nil {
-		return Result{}, err
-	}
-	return collect(c, prof, s, opt.Ops), nil
-}
-
-// RunStream replays an arbitrary operation stream — a recorded trace or a
-// CPU-filtered raw stream — through one scheme. opt.DataBytes is required
-// (streams carry no footprint information); opt.Ops/Seed are ignored.
-func RunStream(stream trace.Stream, s Scheme, opt Options) (Result, error) {
-	if opt.DataBytes == 0 {
-		panic("sim: RunStream requires DataBytes")
-	}
-	prof := trace.Profile{Name: stream.Name(), FootprintBytes: opt.DataBytes}
-	c := build(prof, s, opt)
-	if err := driveStream(c, stream, opt.WarmupOps); err != nil {
-		return Result{}, err
-	}
-	res := collect(c, prof, s, int(c.Stats().DataReads+c.Stats().DataWrites))
-	return res, nil
-}
-
-// RunWithCrash replays the workload, optionally marks every cached node
-// dirty (the §IV-D assumption), crashes, recovers, and verifies that a
-// sample of the written data is readable afterwards.
-func RunWithCrash(prof trace.Profile, s Scheme, opt Options, forceAllDirty bool) (Result, memctrl.RecoveryReport, error) {
-	c := build(prof, s, opt)
-	if err := drive(c, prof, opt); err != nil {
-		return Result{}, memctrl.RecoveryReport{}, err
-	}
-	res := collect(c, prof, s, opt.Ops)
-	if forceAllDirty {
-		c.ForceAllDirty()
-	}
-	c.Crash()
-	rep, err := c.Recover()
-	if err != nil {
-		return res, rep, err
-	}
-	// Post-recovery sanity: replay a short read-only probe.
-	g := trace.New(prof, opt.Seed+1, 200)
-	for {
-		op, ok := g.Next()
-		if !ok {
-			break
-		}
-		if _, rerr := c.ReadData(op.Gap, op.Addr); rerr != nil {
-			// A quarantine fence is degraded recovery's designed outcome
-			// (fail-fast containment, accounted in the report), not a
-			// probe failure.
-			var qe *memctrl.QuarantineError
-			if errors.As(rerr, &qe) {
-				continue
-			}
-			return res, rep, fmt.Errorf("sim: post-recovery read failed: %w", rerr)
-		}
-	}
-	return res, rep, nil
-}
-
 // RecoveryAtCacheSize measures recovery for a given metadata cache size
 // under the Fig. 17 methodology: a uniform write stream sized to fill the
 // cache with distinct nodes, all forced dirty at the crash.
@@ -268,13 +151,14 @@ func RecoveryAtCacheSize(s Scheme, cacheBytes int, seed uint64) (memctrl.Recover
 		DataBytes:      footprint,
 		MetaCacheBytes: cacheBytes,
 	}
-	c := build(prof, s, opt)
-	if err := drive(c, prof, opt); err != nil {
+	e := NewSharded(prof, s, opt, ShardOptions{})
+	if err := e.DriveStream(trace.New(prof, opt.Seed, opt.Ops)); err != nil {
 		return memctrl.RecoveryReport{}, err
 	}
-	c.ForceAllDirty()
-	c.Crash()
-	return c.Recover()
+	e.ForceAllDirty()
+	e.Crash()
+	_, rep, err := e.Recover()
+	return rep, err
 }
 
 // Job is one (workload, scheme, options) simulation for RunParallel.
@@ -284,9 +168,10 @@ type Job struct {
 	Opt    Options
 }
 
-// RunParallel executes jobs across a worker pool (controllers are fully
-// independent, so the sweeps behind the paper's figures parallelise
-// perfectly). workers <= 0 selects GOMAXPROCS. Results are positional.
+// RunParallel executes jobs across a worker pool, each on a one-channel
+// engine (the jobs are fully independent, so the sweeps behind the paper's
+// figures parallelise perfectly). workers <= 0 selects GOMAXPROCS. Results
+// are positional.
 //
 // On failure it still returns every result that completed (failed slots
 // are zero) together with all failures joined into one error, each wrapped
@@ -309,14 +194,14 @@ func RunParallel(jobs []Job, workers int) ([]Result, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				res, err := Run(jobs[i].Prof, jobs[i].Scheme, jobs[i].Opt)
+				res, err := RunSharded(jobs[i].Prof, jobs[i].Scheme, jobs[i].Opt, ShardOptions{})
 				if err != nil {
 					errs[i] = fmt.Errorf("sim: job %d (%s/%s): %w",
 						i, jobs[i].Prof.Name, jobs[i].Scheme.Name, err)
 					failed.Store(true)
 					continue
 				}
-				results[i] = res
+				results[i] = res.Merged
 			}
 		}()
 	}

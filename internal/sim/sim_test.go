@@ -12,6 +12,12 @@ func smallOpt() Options {
 	return Options{Ops: 4000, Seed: 1, DataBytes: 4 << 20, MetaCacheBytes: 8 << 10}
 }
 
+// run is the one-channel run most tests below measure.
+func run(prof trace.Profile, s Scheme, opt Options) (Result, error) {
+	res, err := RunSharded(prof, s, opt, ShardOptions{})
+	return res.Merged, err
+}
+
 func smallProfile() trace.Profile {
 	return trace.Profile{
 		Name: "unit-uniform", FootprintBytes: 2 << 20, WriteFrac: 0.5,
@@ -21,7 +27,7 @@ func smallProfile() trace.Profile {
 
 func TestRunAllSchemes(t *testing.T) {
 	for _, s := range []Scheme{WBGC, WBSC, ASIT, STAR, SteinsGC, SteinsSC, SCUEGC, SCUESC} {
-		res, err := Run(smallProfile(), s, smallOpt())
+		res, err := run(smallProfile(), s, smallOpt())
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -40,7 +46,7 @@ func TestRunAllWorkloadsOnSteins(t *testing.T) {
 	}
 	for _, prof := range trace.All() {
 		opt := Options{Ops: 2000, Seed: 2, MetaCacheBytes: 8 << 10}
-		if _, err := Run(prof, SteinsGC, opt); err != nil {
+		if _, err := run(prof, SteinsGC, opt); err != nil {
 			t.Fatalf("%s: %v", prof.Name, err)
 		}
 	}
@@ -59,7 +65,7 @@ func TestSchemeOrderingsMatchPaper(t *testing.T) {
 	opt := Options{Ops: 12000, Seed: 1, MetaCacheBytes: 32 << 10}
 	res := map[string]Result{}
 	for _, s := range GCComparison() {
-		r, err := Run(prof, s, opt)
+		r, err := run(prof, s, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,11 +97,11 @@ func TestSplitCounterWins(t *testing.T) {
 	prof := smallProfile()
 	opt := smallOpt()
 	opt.Ops = 12000
-	gc, err := Run(prof, SteinsGC, opt)
+	gc, err := run(prof, SteinsGC, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := Run(prof, SteinsSC, opt)
+	sc, err := run(prof, SteinsSC, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +115,7 @@ func TestSplitCounterWins(t *testing.T) {
 
 func TestRunWithCrashAllRecoverableSchemes(t *testing.T) {
 	for _, s := range []Scheme{ASIT, STAR, SteinsGC, SteinsSC, SCUEGC} {
-		_, rep, err := RunWithCrash(smallProfile(), s, smallOpt(), true)
+		_, rep, err := RunShardedWithCrash(smallProfile(), s, smallOpt(), ShardOptions{}, true)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -154,11 +160,11 @@ func TestRecoveryTimeScalesWithCacheSize(t *testing.T) {
 }
 
 func TestDeterministicResults(t *testing.T) {
-	a, err := Run(smallProfile(), SteinsGC, smallOpt())
+	a, err := run(smallProfile(), SteinsGC, smallOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(smallProfile(), SteinsGC, smallOpt())
+	b, err := run(smallProfile(), SteinsGC, smallOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +184,7 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, job := range jobs {
-		ser, err := Run(job.Prof, job.Scheme, job.Opt)
+		ser, err := run(job.Prof, job.Scheme, job.Opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,11 +197,11 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 func TestWarmupResetsStats(t *testing.T) {
 	opt := smallOpt()
 	opt.WarmupOps = 2000
-	warm, err := Run(smallProfile(), SteinsGC, opt)
+	warm, err := run(smallProfile(), SteinsGC, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Run(smallProfile(), SteinsGC, smallOpt())
+	cold, err := run(smallProfile(), SteinsGC, smallOpt())
 	if err != nil {
 		t.Fatal(err)
 	}

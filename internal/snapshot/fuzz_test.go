@@ -6,9 +6,6 @@ import (
 	"reflect"
 	"slices"
 	"testing"
-
-	"steins/internal/sim"
-	"steins/internal/trace"
 )
 
 // fuzzSchemes indexes the canonical schemes for the fuzzer.
@@ -73,26 +70,19 @@ func FuzzReadEnvelope(f *testing.F) {
 	f.Add([]byte("STEINSNP"))
 	f.Add(bytes.Repeat([]byte{0xFF}, headerLen+32))
 	// Seed one valid snapshot so the mutator starts from decodable bytes.
-	valid := func() []byte {
-		h := testHeader("Steins-GC", 1, 100)
-		prof, _ := trace.ByName(h.Workload)
-		s, _ := sim.SchemeByName(h.Scheme)
-		opt, _ := h.Options()
-		g := trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops)
-		e := sim.NewSingle(prof, s, opt)
-		if _, err := e.DriveN(g, 25); err != nil {
-			f.Fatal(err)
-		}
-		st, err := CaptureSingle(h, g, e)
-		if err != nil {
-			f.Fatal(err)
-		}
+	wire := func(st *RunState) []byte {
 		var buf bytes.Buffer
 		if err := Write(&buf, st); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
-	}()
+	}
+	st := capture(f, testHeader("Steins-GC", 1, 100), 25)
+	valid := wire(st)
+	// A CRC-valid run whose data region is below the workload's footprint:
+	// Resume must refuse the header before it builds the engine.
+	st.Header.DataBytes = 64
+	f.Add(wire(st))
 	f.Add(valid)
 	f.Add(valid[:len(valid)-1])                // truncated payload
 	f.Add(append(slices.Clip(valid), 0xAA))    // trailing byte

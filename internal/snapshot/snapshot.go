@@ -97,7 +97,8 @@ type RunHeader struct {
 
 	MetaCacheBytes int
 
-	// Sharded-engine shape; Channels <= 1 means the single engine.
+	// Engine channel layout, as in sim.ShardOptions; Channels <= 1 is one
+	// channel.
 	Channels            int
 	Interleave          trace.Interleave
 	EpochOps            int
@@ -140,27 +141,18 @@ func (h RunHeader) Options() (sim.Options, sim.ShardOptions) {
 }
 
 // RunState is the complete serialized image of a paused run: the
-// configuration, the trace generator position, and exactly one engine
-// state (gob omits the nil pointer).
+// configuration, the trace generator position, and the engine state. The
+// field keeps its name from when a second, single-controller engine
+// existed, so snapshots of multi-channel runs written then still load; a
+// snapshot of that retired engine decodes with Sharded nil and is refused.
 type RunState struct {
 	Header  RunHeader
 	Trace   trace.GeneratorState
-	Single  *sim.SingleState
 	Sharded *sim.ShardedState
 }
 
-// CaptureSingle snapshots a single-controller run. The engine must be at a
-// retired-op boundary (DriveN returned with no eviction in flight).
-func CaptureSingle(h RunHeader, g *trace.Generator, e *sim.Single) (*RunState, error) {
-	es, err := e.State()
-	if err != nil {
-		return nil, err
-	}
-	return &RunState{Header: h, Trace: g.State(), Single: es}, nil
-}
-
-// CaptureSharded snapshots a sharded run. The engine must be at an epoch
-// barrier (DriveStreamN returned).
+// CaptureSharded snapshots a run. The engine must be at an epoch barrier
+// (DriveStreamN returned).
 func CaptureSharded(h RunHeader, g *trace.Generator, e *sim.Sharded) (*RunState, error) {
 	es, err := e.State()
 	if err != nil {
@@ -170,27 +162,18 @@ func CaptureSharded(h RunHeader, g *trace.Generator, e *sim.Sharded) (*RunState,
 }
 
 // Resumed is a run rebuilt from a snapshot, ready to drive to completion.
-// Exactly one of Single/Sharded is non-nil, matching the captured engine.
 type Resumed struct {
 	Profile trace.Profile
 	Scheme  sim.Scheme
 	Gen     *trace.Generator
-	Single  *sim.Single
 	Sharded *sim.Sharded
 }
 
-// Driven returns how many source ops the captured run had already driven.
-func (r *Resumed) Driven() uint64 {
-	if r.Single != nil {
-		return r.Single.Driven()
-	}
-	return r.Sharded.Driven()
-}
-
 // Resume rebuilds the run the state describes: the profile and scheme are
-// resolved by name, the engine reconstructed from the header knobs, and
-// every layer restored. Failures wrap ErrCorrupt — the envelope was intact
-// but the payload does not describe a loadable run.
+// resolved by name, the header checked against them and the captured
+// state, the engine reconstructed from the header knobs, and every layer
+// restored. Failures wrap ErrCorrupt — the envelope was intact but the
+// payload does not describe a loadable run.
 func (st *RunState) Resume() (*Resumed, error) {
 	h := st.Header
 	prof, ok := trace.ByName(h.Workload)
@@ -201,35 +184,25 @@ func (st *RunState) Resume() (*Resumed, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown scheme %q", ErrCorrupt, h.Scheme)
 	}
+	if st.Sharded == nil {
+		return nil, fmt.Errorf("%w: state carries no engine (snapshots of the retired single-controller engine are not loadable; re-create the run)", ErrCorrupt)
+	}
+	if h.DataBytes != 0 && h.DataBytes < prof.FootprintBytes {
+		return nil, fmt.Errorf("%w: data region %d smaller than %s footprint %d",
+			ErrCorrupt, h.DataBytes, prof.Name, prof.FootprintBytes)
+	}
+	if want := max(h.Channels, 1); len(st.Sharded.Ctrls) != want {
+		return nil, fmt.Errorf("%w: state has %d channels, header declares %d",
+			ErrCorrupt, len(st.Sharded.Ctrls), want)
+	}
 	opt, so := h.Options()
 	g := trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops)
 	g.Restore(st.Trace)
-	r := &Resumed{Profile: prof, Scheme: s, Gen: g}
-	switch {
-	case st.Single != nil && st.Sharded == nil:
-		e := sim.NewSingle(prof, s, opt)
-		if err := e.Restore(st.Single); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		r.Single = e
-	case st.Sharded != nil && st.Single == nil:
-		e := sim.NewSharded(prof, s, opt, so)
-		if err := e.Restore(st.Sharded); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		r.Sharded = e
-	default:
-		return nil, fmt.Errorf("%w: state carries %d engines, want exactly 1", ErrCorrupt,
-			btoi(st.Single != nil)+btoi(st.Sharded != nil))
+	e := sim.NewSharded(prof, s, opt, so)
+	if err := e.Restore(st.Sharded); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return r, nil
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+	return &Resumed{Profile: prof, Scheme: s, Gen: g, Sharded: e}, nil
 }
 
 // WriteEnvelope wraps an already-encoded payload of the given kind in the

@@ -61,21 +61,38 @@ func init() {
 	})
 }
 
-// straightSingle runs the header's configuration uninterrupted on the
-// single engine and returns the result plus its metrics JSON.
-func straightSingle(t *testing.T, h RunHeader) (sim.Result, []byte) {
+// newEngine builds the engine and generator the header describes, with
+// the generator at the start of the trace.
+func newEngine(t testing.TB, h RunHeader) (*sim.Sharded, *trace.Generator) {
 	t.Helper()
-	prof, _ := trace.ByName(h.Workload)
+	prof, ok := trace.ByName(h.Workload)
+	if !ok {
+		t.Fatalf("unknown workload %q", h.Workload)
+	}
 	s, ok := sim.SchemeByName(h.Scheme)
 	if !ok {
 		t.Fatalf("unknown scheme %q", h.Scheme)
 	}
-	opt, _ := h.Options()
-	e := sim.NewSingle(prof, s, opt)
-	if _, err := e.DriveN(trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops), -1); err != nil {
-		t.Fatalf("straight drive: %v", err)
+	opt, so := h.Options()
+	return sim.NewSharded(prof, s, opt, so), trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops)
+}
+
+// driven builds the header's engine and drives the first n ops.
+func driven(t testing.TB, h RunHeader, n int) (*sim.Sharded, *trace.Generator) {
+	t.Helper()
+	e, g := newEngine(t, h)
+	if _, err := e.DriveStreamN(g, n); err != nil {
+		t.Fatalf("drive to %d: %v", n, err)
 	}
-	res := e.Result()
+	return e, g
+}
+
+// straightSingle runs the header's one-channel configuration
+// uninterrupted and returns the result plus its metrics JSON.
+func straightSingle(t *testing.T, h RunHeader) (sim.Result, []byte) {
+	t.Helper()
+	e, _ := driven(t, h, -1)
+	res := e.Result().Merged
 	return res, metricsJSON(t, res)
 }
 
@@ -91,35 +108,32 @@ func metricsJSON(t *testing.T, res sim.Result) []byte {
 	return buf.Bytes()
 }
 
-// checkpointSingle drives the run to the bound, round-trips the state
-// through the wire format, resumes, drives to completion, and returns the
-// resumed result.
+// checkpointSingle drives the one-channel run to the bound, round-trips
+// the state through the wire format, resumes, drives to completion, and
+// returns the resumed result.
 func checkpointSingle(t *testing.T, h RunHeader, bound int) (sim.Result, []byte) {
 	t.Helper()
-	prof, _ := trace.ByName(h.Workload)
-	s, _ := sim.SchemeByName(h.Scheme)
-	opt, _ := h.Options()
-	e := sim.NewSingle(prof, s, opt)
-	g := trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops)
-	if _, err := e.DriveN(g, bound); err != nil {
-		t.Fatalf("drive to bound %d: %v", bound, err)
+	st := capture(t, h, bound)
+	r := resumeViaWire(t, st)
+	if got := r.Sharded.Driven(); got != uint64(bound) {
+		t.Fatalf("resumed at %d ops, captured at %d", got, bound)
 	}
-	st, err := CaptureSingle(h, g, e)
+	if _, err := r.Sharded.DriveStreamN(r.Gen, -1); err != nil {
+		t.Fatalf("drive remainder: %v", err)
+	}
+	res := r.Sharded.Result().Merged
+	return res, metricsJSON(t, res)
+}
+
+// capture drives the header's run to the bound and captures it.
+func capture(t testing.TB, h RunHeader, bound int) *RunState {
+	t.Helper()
+	e, g := driven(t, h, bound)
+	st, err := CaptureSharded(h, g, e)
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}
-	r := resumeViaWire(t, st)
-	if r.Single == nil {
-		t.Fatalf("resumed engine is not single")
-	}
-	if got := r.Driven(); got != uint64(bound) {
-		t.Fatalf("resumed at %d ops, captured at %d", got, bound)
-	}
-	if _, err := r.Single.DriveN(r.Gen, -1); err != nil {
-		t.Fatalf("drive remainder: %v", err)
-	}
-	res := r.Single.Result()
-	return res, metricsJSON(t, res)
+	return st
 }
 
 // resumeViaWire serializes, deserializes, and resumes — the full
@@ -277,35 +291,18 @@ func TestRecoveryAfterResume(t *testing.T) {
 		t.Run(scheme, func(t *testing.T) {
 			t.Parallel()
 			h := testHeader(scheme, 1, 1500)
-			prof, _ := trace.ByName(h.Workload)
-			s, _ := sim.SchemeByName(h.Scheme)
-			opt, _ := h.Options()
-
-			straight := sim.NewSingle(prof, s, opt)
-			if _, err := straight.DriveN(trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops), -1); err != nil {
-				t.Fatalf("straight drive: %v", err)
-			}
-
-			e := sim.NewSingle(prof, s, opt)
-			g := trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops)
-			if _, err := e.DriveN(g, h.WarmupOps+900); err != nil {
-				t.Fatalf("drive to bound: %v", err)
-			}
-			st, err := CaptureSingle(h, g, e)
-			if err != nil {
-				t.Fatalf("capture: %v", err)
-			}
-			r := resumeViaWire(t, st)
-			if _, err := r.Single.DriveN(r.Gen, -1); err != nil {
+			straight, _ := driven(t, h, -1)
+			r := resumeViaWire(t, capture(t, h, h.WarmupOps+900))
+			if _, err := r.Sharded.DriveStreamN(r.Gen, -1); err != nil {
 				t.Fatalf("drive remainder: %v", err)
 			}
 
-			for _, c := range []*sim.Single{straight, r.Single} {
-				c.Controller().ForceAllDirty()
-				c.Controller().Crash()
+			for _, e := range []*sim.Sharded{straight, r.Sharded} {
+				e.ForceAllDirty()
+				e.Crash()
 			}
-			wantRep, wantErr := straight.Controller().Recover()
-			gotRep, gotErr := r.Single.Controller().Recover()
+			_, wantRep, wantErr := straight.Recover()
+			_, gotRep, gotErr := r.Sharded.Recover()
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("recovery errors diverge: straight %v, resumed %v", wantErr, gotErr)
 			}
@@ -321,15 +318,8 @@ func TestRecoveryAfterResume(t *testing.T) {
 // controller still works (crash state is state).
 func TestCaptureNotSupportedCases(t *testing.T) {
 	h := testHeader("Steins-GC", 1, 100)
-	prof, _ := trace.ByName(h.Workload)
-	s, _ := sim.SchemeByName(h.Scheme)
-	opt, _ := h.Options()
-	e := sim.NewSingle(prof, s, opt)
-	g := trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops)
-	if _, err := e.DriveN(g, 50); err != nil {
-		t.Fatalf("drive: %v", err)
-	}
-	if _, err := CaptureSingle(h, g, e); err != nil {
+	e, g := driven(t, h, 50)
+	if _, err := CaptureSharded(h, g, e); err != nil {
 		t.Fatalf("capture at boundary should succeed: %v", err)
 	}
 }
@@ -345,19 +335,7 @@ func corrupt(b []byte) []byte {
 // and wrong-version snapshots must return errors wrapping the matching
 // sentinel — and must never panic.
 func TestReadRejectsMalformed(t *testing.T) {
-	h := testHeader("Steins-GC", 1, 200)
-	prof, _ := trace.ByName(h.Workload)
-	s, _ := sim.SchemeByName(h.Scheme)
-	opt, _ := h.Options()
-	e := sim.NewSingle(prof, s, opt)
-	g := trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops)
-	if _, err := e.DriveN(g, 120); err != nil {
-		t.Fatalf("drive: %v", err)
-	}
-	st, err := CaptureSingle(h, g, e)
-	if err != nil {
-		t.Fatalf("capture: %v", err)
-	}
+	st := capture(t, testHeader("Steins-GC", 1, 200), 120)
 	var buf bytes.Buffer
 	if err := Write(&buf, st); err != nil {
 		t.Fatalf("write: %v", err)
@@ -411,20 +389,8 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 	// mutated captures a small Steins-GC run (data lines, wear and tags all
 	// populated) and lets fn break one of its columns.
 	mutated := func(fn func(c *memctrl.ControllerState)) RunState {
-		h := testHeader("Steins-GC", 1, 100)
-		prof, _ := trace.ByName(h.Workload)
-		s, _ := sim.SchemeByName(h.Scheme)
-		opt, _ := h.Options()
-		e := sim.NewSingle(prof, s, opt)
-		g := trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops)
-		if _, err := e.DriveN(g, 25); err != nil {
-			t.Fatalf("drive: %v", err)
-		}
-		st, err := CaptureSingle(h, g, e)
-		if err != nil {
-			t.Fatalf("capture: %v", err)
-		}
-		c := st.Single.Ctrl
+		st := capture(t, testHeader("Steins-GC", 1, 100), 25)
+		c := st.Sharded.Ctrls[0]
 		if c.Device.LineAddrs.Len() == 0 || c.Device.WearAddrs.Len() == 0 || c.TagAddrs.Len() == 0 {
 			t.Fatalf("fixture run left a table empty")
 		}
@@ -438,6 +404,11 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
+	// The retired single-controller engine wrote its state to a field
+	// RunState no longer has: gob skips it, so every such snapshot decodes
+	// with no engine and is refused as that, whatever its layout — unless
+	// the layout breaks the gob decode first (layout 1).
+	//
 	// preColumnar is a Steins-GC run checkpointed by the encoder that
 	// predates the columnar tables (lines, wear and tags as slices of
 	// structs): same envelope version, different payload layout.
@@ -459,22 +430,39 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// singleEngine is a Steins-SC run checkpointed in the current layout
+	// by the retired single-controller engine.
+	singleEngine, err := os.ReadFile("testdata/single-engine-run.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// retired names the refusal of a single-controller engine's snapshot.
+	const retired = "retired single-controller engine"
+	header := func(fn func(h *RunHeader)) []byte {
+		st := capture(t, testHeader("Steins-GC", 1, 100), 25)
+		fn(&st.Header)
+		return wire(*st)
+	}
 	for _, tc := range []struct {
 		name string
 		data []byte
 		why  string // a fragment the error must name
 	}{
-		{"no engine", wire(RunState{Header: testHeader("Steins-GC", 1, 100)}), "0 engines"},
+		{"no engine", wire(RunState{Header: testHeader("Steins-GC", 1, 100)}), retired},
+		{"data region below the footprint", header(func(h *RunHeader) { h.DataBytes = 64 }),
+			"data region 64 smaller than conformance-snap footprint"},
+		{"channel count disagrees with the state", header(func(h *RunHeader) { h.Channels = 2 }),
+			"state has 1 channels, header declares 2"},
 		{"unknown workload", wire(RunState{Header: func() RunHeader {
 			h := testHeader("Steins-GC", 1, 100)
 			h.Workload = "no-such-workload"
 			return h
-		}(), Single: &sim.SingleState{}}), "unknown workload"},
+		}(), Sharded: &sim.ShardedState{}}), "unknown workload"},
 		{"unknown scheme", wire(RunState{Header: func() RunHeader {
 			h := testHeader("Steins-GC", 1, 100)
 			h.Scheme = "no-such-scheme"
 			return h
-		}(), Single: &sim.SingleState{}}), "unknown scheme"},
+		}(), Sharded: &sim.ShardedState{}}), "unknown scheme"},
 		{"line data short of its addresses", wire(mutated(func(c *memctrl.ControllerState) {
 			c.Device.LineData = c.Device.LineData[:len(c.Device.LineData)-1]
 		})), "data bytes"},
@@ -499,9 +487,10 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 		{"unknown controller layout", wire(mutated(func(c *memctrl.ControllerState) {
 			c.Layout = memctrl.StateLayout + 1
 		})), fmt.Sprintf("layout %d", memctrl.StateLayout+1)},
-		{"pre-columnar layout", preColumnar, "layout 0"},
+		{"pre-columnar layout", preColumnar, retired},
 		{"layout 1", layout1, "ControllerState.TagAddrs"},
-		{"layout 2", layout2, "layout 2"},
+		{"layout 2", layout2, retired},
+		{"single-controller engine", singleEngine, retired},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -530,19 +519,7 @@ func tailWords(w nvmem.Words) nvmem.Words {
 
 // TestSaveLoadFile exercises the file round trip.
 func TestSaveLoadFile(t *testing.T) {
-	h := testHeader("ASIT", 1, 300)
-	prof, _ := trace.ByName(h.Workload)
-	s, _ := sim.SchemeByName(h.Scheme)
-	opt, _ := h.Options()
-	e := sim.NewSingle(prof, s, opt)
-	g := trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops)
-	if _, err := e.DriveN(g, 200); err != nil {
-		t.Fatalf("drive: %v", err)
-	}
-	st, err := CaptureSingle(h, g, e)
-	if err != nil {
-		t.Fatalf("capture: %v", err)
-	}
+	st := capture(t, testHeader("ASIT", 1, 300), 200)
 	path := t.TempDir() + "/run.snap"
 	if err := SaveFile(path, st); err != nil {
 		t.Fatalf("save: %v", err)
@@ -569,11 +546,7 @@ func TestSaveLoadFile(t *testing.T) {
 // checkpoint untouched.
 func TestSaveFileAtomicReplace(t *testing.T) {
 	h := testHeader("Triad-GC", 1, 300)
-	prof, _ := trace.ByName(h.Workload)
-	s, _ := sim.SchemeByName(h.Scheme)
-	opt, _ := h.Options()
-	e := sim.NewSingle(prof, s, opt)
-	g := trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops)
+	e, g := newEngine(t, h)
 	// Each saver writes its gen-th distinct checkpoint to path and returns
 	// the bytes the file must then hold.
 	for _, sv := range []struct {
@@ -581,10 +554,10 @@ func TestSaveFileAtomicReplace(t *testing.T) {
 		save func(path string, gen int) ([]byte, error)
 	}{
 		{"run", func(path string, gen int) ([]byte, error) {
-			if _, err := e.DriveN(g, 100); err != nil {
+			if _, err := e.DriveStreamN(g, 100); err != nil {
 				t.Fatalf("drive: %v", err)
 			}
-			st, err := CaptureSingle(h, g, e)
+			st, err := CaptureSharded(h, g, e)
 			if err != nil {
 				t.Fatalf("capture: %v", err)
 			}
@@ -658,17 +631,10 @@ func TestSaveFileAtomicReplace(t *testing.T) {
 // iteration order leaking through.
 func TestDeterministicBytes(t *testing.T) {
 	h := faultHeader("Steins-SC", 1, 800)
-	prof, _ := trace.ByName(h.Workload)
-	s, _ := sim.SchemeByName(h.Scheme)
-	opt, _ := h.Options()
-	e := sim.NewSingle(prof, s, opt)
-	g := trace.New(prof, opt.Seed, opt.WarmupOps+opt.Ops)
-	if _, err := e.DriveN(g, 500); err != nil {
-		t.Fatalf("drive: %v", err)
-	}
+	e, g := driven(t, h, 500)
 	var a, b bytes.Buffer
 	for _, w := range []*bytes.Buffer{&a, &b} {
-		st, err := CaptureSingle(h, g, e)
+		st, err := CaptureSharded(h, g, e)
 		if err != nil {
 			t.Fatalf("capture: %v", err)
 		}

@@ -5,7 +5,7 @@
 # The canonical benchmark set persisted to BENCH_$(BENCH_REV).json; keep in
 # sync with the `canonical` list in cmd/benchjson.
 BENCH_REV ?= 3
-BENCH_PATTERN = HotWritePath|HotReadPath|MACBatchWindow|RunSchemes|RunSharded|SplitterEpoch|SnapshotSave|SnapshotLoad|GCSweepBuild|SCSweepBuild|ServePath
+BENCH_PATTERN = HotWritePath|HotReadPath|RunSchemes|RunSharded|SplitterEpoch|SnapshotSave|SnapshotLoad|GCSweepBuild|SCSweepBuild|ServePath
 
 all: build test
 

@@ -324,17 +324,15 @@ func BenchmarkAblationSITvsBMT(b *testing.B) {
 	b.ReportMetric(sitLazyCycles, "sit_lazy_cycles_per_flush")
 }
 
-// --- hot-path benches (arena metadata + batched-MAC window) ------------------
+// --- hot-path benches (arena metadata) ---------------------------------------
 
 // hotController builds a small controller warmed by writing every covered
-// line once, so the metadata arenas, cache sets and the MAC batch queue
-// are all at steady-state capacity before measurement starts.
-func hotController(b *testing.B, window int) *memctrl.Controller {
+// line once, so the metadata arenas and cache sets are at steady-state
+// capacity before measurement starts.
+func hotController(b *testing.B) *memctrl.Controller {
 	b.Helper()
 	const dataBytes = 1 << 20
-	cfg := memctrl.DefaultConfig(dataBytes, true)
-	cfg.MACBatchWindow = window
-	c := memctrl.New(cfg, steins.Factory)
+	c := memctrl.New(memctrl.DefaultConfig(dataBytes, true), steins.Factory)
 	for addr := uint64(0); addr < dataBytes; addr += 64 {
 		if err := c.WriteData(5, addr, [64]byte{byte(addr >> 6)}); err != nil {
 			b.Fatal(err)
@@ -346,9 +344,9 @@ func hotController(b *testing.B, window int) *memctrl.Controller {
 // BenchmarkHotWritePath measures a steady-state dirty-eviction write on a
 // warm controller and enforces the arena-era allocation ceiling: the
 // retire path must not allocate per operation (tags, wear, and lines are
-// flat arrays; the MAC queue reuses its buffers).
+// flat arrays; the tag MAC reuses the engine's message buffer).
 func BenchmarkHotWritePath(b *testing.B) {
-	c := hotController(b, 16)
+	c := hotController(b)
 	var payload [64]byte
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -374,10 +372,10 @@ func BenchmarkHotWritePath(b *testing.B) {
 }
 
 // BenchmarkHotReadPath measures a steady-state verified read and enforces
-// its allocation ceiling: probe-only arena lookups and the flushed tag
-// window mean a warm read must not allocate.
+// its allocation ceiling: probe-only arena lookups mean a warm read must
+// not allocate.
 func BenchmarkHotReadPath(b *testing.B) {
-	c := hotController(b, 16)
+	c := hotController(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -420,29 +418,6 @@ func TestRecoverySearchAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, tc.run); allocs != 0 {
 			t.Errorf("%s allocates %.1f times per call, want 0", tc.name, allocs)
 		}
-	}
-}
-
-// BenchmarkMACBatchWindow contrasts the deferred-MAC window sizes on the
-// same write stream: window 1 computes every data-tag MAC synchronously,
-// window 16 batches them through the engine's packed message queue.
-// Results are bit-identical across windows (pinned by the conformance
-// suite); only host time differs.
-func BenchmarkMACBatchWindow(b *testing.B) {
-	for _, w := range []int{1, 16} {
-		b.Run("window"+strconv.Itoa(w), func(b *testing.B) {
-			c := hotController(b, w)
-			var payload [64]byte
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				payload[0] = byte(i)
-				addr := uint64(i) % (1 << 14) * 64
-				if err := c.WriteData(5, addr, payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -57,8 +57,6 @@ type Document struct {
 var canonical = []string{
 	"BenchmarkHotWritePath",
 	"BenchmarkHotReadPath",
-	"BenchmarkMACBatchWindow/window1",
-	"BenchmarkMACBatchWindow/window16",
 	"BenchmarkRunSchemes/PipeSIT-GC",
 	"BenchmarkRunSchemes/PipeSIT-SC",
 	"BenchmarkRunSchemes/Triad-GC",

@@ -15,8 +15,6 @@ pkg: steins
 cpu: Example CPU @ 2.70GHz
 BenchmarkHotWritePath-8          	  850000	      1207 ns/op	       0 B/op	       0 allocs/op
 BenchmarkHotReadPath-8           	  700000	      1640 ns/op	       0 B/op	       0 allocs/op
-BenchmarkMACBatchWindow/window1-8 	 1000000	       823.0 ns/op	       0 B/op	       0 allocs/op
-BenchmarkMACBatchWindow/window16-8	 1200000	       715.0 ns/op	       0 B/op	       0 allocs/op
 BenchmarkRunUnsharded-8          	      79	  14919836 ns/op	         1340 ops_per_sec	 3597904 B/op	   13242 allocs/op
 BenchmarkRunSchemes/PipeSIT-GC-8 	      80	  14500000 ns/op	         1379 ops_per_sec	 3500000 B/op	   13000 allocs/op
 BenchmarkRunSchemes/PipeSIT-SC-8 	      78	  15100000 ns/op	         1324 ops_per_sec	 3600000 B/op	   13300 allocs/op
@@ -43,8 +41,8 @@ func TestParseSample(t *testing.T) {
 	if doc.Goos != "linux" || doc.Pkg != "steins" || doc.CPU != "Example CPU @ 2.70GHz" {
 		t.Fatalf("header = %+v", doc)
 	}
-	if len(doc.Benchmarks) != 18 {
-		t.Fatalf("parsed %d benchmarks, want 18", len(doc.Benchmarks))
+	if len(doc.Benchmarks) != 16 {
+		t.Fatalf("parsed %d benchmarks, want 16", len(doc.Benchmarks))
 	}
 	byName := map[string]Benchmark{}
 	for _, b := range doc.Benchmarks {

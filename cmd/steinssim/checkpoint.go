@@ -19,19 +19,20 @@ import (
 // makeHeader records the flag-derived run configuration in the snapshot
 // header, so a fresh process can rebuild the identical run from the file
 // alone.
-func makeHeader(prof trace.Profile, s sim.Scheme, opt sim.Options, channels int, iv trace.Interleave, faults nvmem.FaultConfig, eccDisable bool) snapshot.RunHeader {
+func makeHeader(prof trace.Profile, s sim.Scheme, opt sim.Options, channels int, iv trace.Interleave, faults nvmem.FaultConfig, eccDisable, degraded bool) snapshot.RunHeader {
 	h := snapshot.RunHeader{
-		Workload:       prof.Name,
-		Scheme:         s.Name,
-		TotalOps:       opt.Ops,
-		WarmupOps:      opt.WarmupOps,
-		Seed:           opt.Seed,
-		DataBytes:      opt.DataBytes,
-		MetaCacheBytes: opt.MetaCacheBytes,
-		Channels:       channels,
-		Interleave:     iv,
-		Faults:         faults,
-		ECCDisable:     eccDisable,
+		Workload:         prof.Name,
+		Scheme:           s.Name,
+		TotalOps:         opt.Ops,
+		WarmupOps:        opt.WarmupOps,
+		Seed:             opt.Seed,
+		DataBytes:        opt.DataBytes,
+		MetaCacheBytes:   opt.MetaCacheBytes,
+		Channels:         channels,
+		Interleave:       iv,
+		Faults:           faults,
+		ECCDisable:       eccDisable,
+		DegradedRecovery: degraded,
 	}
 	if opt.Metrics != nil {
 		h.HasMetrics = true

@@ -90,17 +90,28 @@ func withoutLine(out, prefix string) string {
 // checkpoint must print the same recovery line and tables (apart from the
 // checkpoint and resume banners). The results are collected before the
 // crash on every path; collecting them after recovery would count the
-// recovery's own NVM traffic and energy.
+// recovery's own NVM traffic and energy. The checkpoint records degraded
+// mode, so a -degraded run under media faults resumes (without the flag)
+// into the same degraded recovery and quarantine table.
 func TestCheckpointResumeCrashReport(t *testing.T) {
-	for _, channels := range []string{"1", "2"} {
-		channels := channels
-		t.Run(channels+"ch", func(t *testing.T) {
+	for _, cfg := range []struct {
+		name  string
+		extra []string
+		want  string // a further line the plain run's report must contain
+	}{
+		{"1ch", []string{"-channels", "1"}, ""},
+		{"2ch", []string{"-channels", "2"}, ""},
+		{"degraded", []string{"-degraded",
+			"-faults", "transient=1e-2,double=0.5,stuck=1e-3,torn=0.5,seed=3"}, "\ndegraded: "},
+	} {
+		cfg := cfg
+		t.Run(cfg.name, func(t *testing.T) {
 			t.Parallel()
 			snap := filepath.Join(t.TempDir(), "run.snap")
-			base := []string{
+			base := append([]string{
 				"-workload", "pers_queue", "-scheme", "steins-sc",
-				"-ops", "20000", "-channels", channels, "-crash", "-alldirty",
-			}
+				"-ops", "20000", "-crash", "-alldirty",
+			}, cfg.extra...)
 			outputs := map[string]string{}
 			for _, tc := range []struct {
 				name   string
@@ -126,6 +137,9 @@ func TestCheckpointResumeCrashReport(t *testing.T) {
 					t.Fatalf("%s: no recovery report first:\n%s", tc.name, got)
 				}
 				outputs[tc.name] = got
+			}
+			if !strings.Contains(outputs["plain"], cfg.want) {
+				t.Fatalf("plain run reports no %q:\n%s", cfg.want, outputs["plain"])
 			}
 			for _, name := range []string{"checkpointed", "resumed"} {
 				if outputs[name] != outputs["plain"] {

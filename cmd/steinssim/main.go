@@ -23,16 +23,14 @@ import (
 	"steins/internal/trace"
 )
 
-func schemes() map[string]sim.Scheme {
-	out := map[string]sim.Scheme{}
-	for _, s := range []sim.Scheme{
-		sim.WBGC, sim.WBSC, sim.ASIT, sim.STAR,
-		sim.SteinsGC, sim.SteinsSC, sim.SCUEGC, sim.SCUESC,
-		sim.PipeSITGC, sim.PipeSITSC, sim.TriadGC, sim.TriadSC,
-	} {
-		out[strings.ToLower(s.Name)] = s
+// schemeNamed resolves a -scheme value case-insensitively.
+func schemeNamed(name string) (sim.Scheme, bool) {
+	for _, s := range sim.Schemes() {
+		if strings.EqualFold(s.Name, name) {
+			return s, true
+		}
 	}
-	return out
+	return sim.Scheme{}, false
 }
 
 func main() {
@@ -94,7 +92,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "  %-14s footprint %-10s writes %.0f%%\n",
 				p.Name, stats.Bytes(p.FootprintBytes), p.WriteFrac*100)
 		}
-		fmt.Fprintln(stdout, "schemes: WB-GC WB-SC ASIT STAR Steins-GC Steins-SC SCUE-GC SCUE-SC PipeSIT-GC PipeSIT-SC Triad-GC Triad-SC")
+		fmt.Fprint(stdout, "schemes:")
+		for _, s := range sim.Schemes() {
+			fmt.Fprint(stdout, " ", s.Name)
+		}
+		fmt.Fprintln(stdout)
 		return 0
 	}
 
@@ -128,13 +130,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	s, ok := schemes()[strings.ToLower(*scheme)]
+	s, ok := schemeNamed(*scheme)
 	if !ok {
 		fmt.Fprintf(stderr, "unknown scheme %q (use -list)\n", *scheme)
 		return 2
 	}
 	opt := sim.Options{Ops: *ops, Seed: *seed, MetaCacheBytes: *cacheKB << 10, Metrics: mopt, Configure: configure}
-	h := makeHeader(prof, s, opt, *channels, iv, faults, !*ecc)
+	h := makeHeader(prof, s, opt, *channels, iv, faults, !*ecc, *degraded)
 	return finishRun(buildResumable(prof, s, opt, so), h, rc, false, stdout, stderr)
 }
 

@@ -15,14 +15,16 @@ import (
 	"strings"
 
 	"steins/internal/rng"
+	"steins/internal/sim"
 )
 
-// DefaultSchemes is the full evaluated scheme sweep.
+// DefaultSchemes is the full evaluated scheme sweep, in sim.Schemes order.
 func DefaultSchemes() []string {
-	return []string{
-		"WB-GC", "WB-SC", "ASIT", "STAR", "Steins-GC", "Steins-SC",
-		"SCUE-GC", "SCUE-SC", "PipeSIT-GC", "PipeSIT-SC", "Triad-GC", "Triad-SC",
+	var names []string
+	for _, s := range sim.Schemes() {
+		names = append(names, s.Name)
 	}
+	return names
 }
 
 // DefaultWorkloads is the campaign workload pool: the YCSB-like KV mixes

@@ -34,27 +34,8 @@ type Engine struct {
 	OTP crypt.OTPGen
 	MAC crypt.MAC
 
-	// BatchWindow bounds the deferred-tag queue: QueueTagGC/QueueTagSC
-	// collect up to this many data-block tags before computing their MACs
-	// in one crypt.Sum64Batch call. <= 1 computes tags synchronously
-	// (batching off). Write-path data tags are pure metadata stores — no
-	// read consults them until the block is read back — so deferring the
-	// host-side computation is invisible as long as the owner flushes
-	// before any tag is observed (see Controller guarded reads).
-	BatchWindow int
-
 	pad [64]byte // scratch: one-time pad
 	msg [80]byte // scratch: MAC message
-
-	// Deferred-tag queue. qMsgs holds packed 80-byte DataMACInto messages
-	// back-to-back; qDst the tag slots to fill at flush (stable pointers:
-	// arena slots never move), qHint the recovery hints, qAddr the data
-	// addresses for pending-lookup.
-	qMsgs []byte
-	qDst  []*Tag
-	qHint []uint64
-	qAddr []uint64
-	qOut  []uint64
 }
 
 // Apply XORs the one-time pad for (addr, encCounter) into buf; the same
@@ -90,83 +71,6 @@ func (e *Engine) TagSC(ct *[64]byte, addr, encCounter, major uint64) Tag {
 		Hint:    encCounter,
 		Written: true,
 	}
-}
-
-// QueueTagGC records a general-counter tag for dst, deferring the MAC to
-// the next flush when batching is on; otherwise it stores the tag
-// immediately. The queue self-flushes when it reaches BatchWindow.
-func (e *Engine) QueueTagGC(dst *Tag, ct *[64]byte, addr, encCounter uint64) {
-	if e.BatchWindow <= 1 {
-		*dst = e.TagGC(ct, addr, encCounter)
-		return
-	}
-	e.queueTag(dst, ct, addr, encCounter, encCounter&GCHintMask)
-}
-
-// QueueTagSC is QueueTagGC for split-counter tags; the full encryption
-// counter is stored as the recovery hint (see TagSC).
-func (e *Engine) QueueTagSC(dst *Tag, ct *[64]byte, addr, encCounter, major uint64) {
-	if e.BatchWindow <= 1 {
-		*dst = e.TagSC(ct, addr, encCounter, major)
-		return
-	}
-	e.queueTag(dst, ct, addr, encCounter, encCounter)
-}
-
-func (e *Engine) queueTag(dst *Tag, ct *[64]byte, addr, encCounter, hint uint64) {
-	e.qMsgs = sit.AppendDataMACMsg(e.qMsgs, addr, ct, encCounter)
-	e.qDst = append(e.qDst, dst)
-	e.qHint = append(e.qHint, hint)
-	e.qAddr = append(e.qAddr, addr)
-	if len(e.qDst) >= e.BatchWindow {
-		e.FlushTags()
-	}
-}
-
-// PendingTags reports how many deferred tags await a flush.
-func (e *Engine) PendingTags() int { return len(e.qDst) }
-
-// PendingTagFor reports whether a deferred tag for addr is queued. Owners
-// must flush before reading the tag of such an address.
-func (e *Engine) PendingTagFor(addr uint64) bool {
-	for _, a := range e.qAddr {
-		if a == addr {
-			return true
-		}
-	}
-	return false
-}
-
-// FlushTags computes every queued tag MAC in one batch and fills the
-// destination slots in queue order (a block written twice in one window
-// ends with its latest tag, as queue order is write order).
-func (e *Engine) FlushTags() {
-	n := len(e.qDst)
-	if n == 0 {
-		return
-	}
-	if cap(e.qOut) < n {
-		e.qOut = make([]uint64, n)
-	}
-	out := e.qOut[:n]
-	crypt.Sum64Batch(e.MAC, e.Key, e.qMsgs, sit.DataMACMsgSize, out)
-	for i, dst := range e.qDst {
-		*dst = Tag{MAC: out[i], Hint: e.qHint[i], Written: true}
-	}
-	e.qMsgs = e.qMsgs[:0]
-	e.qDst = e.qDst[:0]
-	e.qHint = e.qHint[:0]
-	e.qAddr = e.qAddr[:0]
-}
-
-// DropPendingTags discards the deferred-tag queue without computing the
-// MACs; restore paths use it when the destination slots are about to be
-// overwritten wholesale.
-func (e *Engine) DropPendingTags() {
-	e.qMsgs = e.qMsgs[:0]
-	e.qDst = e.qDst[:0]
-	e.qHint = e.qHint[:0]
-	e.qAddr = e.qAddr[:0]
 }
 
 // Verify checks a ciphertext against its tag under the given counter.

@@ -38,27 +38,6 @@ type MAC interface {
 	Name() string
 }
 
-// BatchMAC is an optional fast path a MAC may implement: compute the MACs
-// of n equal-size messages packed back-to-back in msgs (n = len(out),
-// len(msgs) = n*size) in one call. Implementations must produce exactly
-// the values Sum64 would for each message; batching only amortizes the
-// per-call setup (key schedule, interface dispatch).
-type BatchMAC interface {
-	Sum64Batch(key Key, msgs []byte, size int, out []uint64)
-}
-
-// Sum64Batch computes out[i] = m.Sum64(key, msgs[i*size:(i+1)*size]),
-// using the implementation's batch fast path when it has one.
-func Sum64Batch(m MAC, key Key, msgs []byte, size int, out []uint64) {
-	if bm, ok := m.(BatchMAC); ok {
-		bm.Sum64Batch(key, msgs, size, out)
-		return
-	}
-	for i := range out {
-		out[i] = m.Sum64(key, msgs[i*size:(i+1)*size])
-	}
-}
-
 // SearchMAC is an optional fast path a MAC may implement for counter
 // searches: msg ends with an 8-byte little-endian counter word, and the
 // implementation tries candidates first, first+stride, ... without
@@ -120,17 +99,6 @@ func (SipMAC) Sum64(key Key, msg []byte) uint64 {
 	k0 := binary.LittleEndian.Uint64(key[0:8])
 	k1 := binary.LittleEndian.Uint64(key[8:16])
 	return sipCore(k0, k1, msg)
-}
-
-// Sum64Batch implements BatchMAC: the key words are decoded once for the
-// whole window and each message runs through the shared core, so batched
-// callers skip the per-message interface dispatch and key decode.
-func (SipMAC) Sum64Batch(key Key, msgs []byte, size int, out []uint64) {
-	k0 := binary.LittleEndian.Uint64(key[0:8])
-	k1 := binary.LittleEndian.Uint64(key[8:16])
-	for i := range out {
-		out[i] = sipCore(k0, k1, msgs[i*size:(i+1)*size])
-	}
 }
 
 // SearchCounter implements SearchMAC. When the counter word is a whole
@@ -196,8 +164,7 @@ func (s SipMAC) SearchCounter(key Key, msg []byte, first, stride uint64, n int, 
 	return 0, max(n, 0), false
 }
 
-// sipCore is SipHash-2-4 over msg with decoded key words; Sum64 and
-// Sum64Batch share it so both paths produce identical values.
+// sipCore is SipHash-2-4 over msg with decoded key words.
 func sipCore(k0, k1 uint64, msg []byte) uint64 {
 	v0 := k0 ^ 0x736f6d6570736575
 	v1 := k1 ^ 0x646f72616e646f6d

@@ -10,7 +10,7 @@ import (
 
 // TestValidateTable covers both construction paths: DefaultConfig output
 // must pass unchanged, and hand-built configurations with degenerate
-// windows are normalized while unbuildable cache/data sizes are rejected
+// sizes are normalized while unbuildable cache/data sizes are rejected
 // with a structured *ConfigError naming the field.
 func TestValidateTable(t *testing.T) {
 	base := func() memctrl.Config { return memctrl.DefaultConfig(1<<20, false) }
@@ -22,24 +22,6 @@ func TestValidateTable(t *testing.T) {
 	}{
 		{name: "default-gc", mutate: func(*memctrl.Config) {}},
 		{name: "default-sc", mutate: func(c *memctrl.Config) { *c = memctrl.DefaultConfig(1<<20, true) }},
-		{
-			name:   "batch-window-zero-normalizes",
-			mutate: func(c *memctrl.Config) { c.MACBatchWindow = 0 },
-			check: func(t *testing.T, c memctrl.Config) {
-				if c.MACBatchWindow != 1 {
-					t.Fatalf("MACBatchWindow = %d, want normalized to 1", c.MACBatchWindow)
-				}
-			},
-		},
-		{
-			name:   "batch-window-negative-normalizes",
-			mutate: func(c *memctrl.Config) { c.MACBatchWindow = -7 },
-			check: func(t *testing.T, c memctrl.Config) {
-				if c.MACBatchWindow != 1 {
-					t.Fatalf("MACBatchWindow = %d, want normalized to 1", c.MACBatchWindow)
-				}
-			},
-		},
 		{
 			name:   "negative-nv-buffer-normalizes",
 			mutate: func(c *memctrl.Config) { c.NVBufferBytes = -64 },
@@ -117,19 +99,16 @@ func TestValidateTable(t *testing.T) {
 }
 
 // TestNewNormalizesHandBuiltConfig pins the New path: a hand-built Config
-// with a degenerate batch window must build a controller whose effective
+// with a negative NV buffer must build a controller whose effective
 // configuration matches the normalized form (no silent divergence from
 // default behaviour), and an unbuildable one must surface the structured
 // error, not an obscure downstream panic.
 func TestNewNormalizesHandBuiltConfig(t *testing.T) {
 	cfg := memctrl.DefaultConfig(1<<20, false)
-	cfg.MACBatchWindow = -3
+	cfg.NVBufferBytes = -3
 	c := memctrl.New(cfg, wb.Factory)
-	if got := c.Config().MACBatchWindow; got != 1 {
-		t.Fatalf("controller MACBatchWindow = %d, want normalized 1", got)
-	}
-	if got := c.Engine().BatchWindow; got != 1 {
-		t.Fatalf("engine BatchWindow = %d, want normalized 1", got)
+	if got := c.Config().NVBufferBytes; got != 0 {
+		t.Fatalf("controller NVBufferBytes = %d, want normalized 0", got)
 	}
 
 	defer func() {

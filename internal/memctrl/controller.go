@@ -31,9 +31,7 @@ type Controller struct {
 	// tags holds the per-data-line authentication tags, indexed by line
 	// number (addr/64). An arena instead of a map: the tag store sits on
 	// every data read and write. A zero Tag means "never written", exactly
-	// as a map miss did. Beware that the CME engine may hold a deferred
-	// (batched) MAC for a line — read tags through tagFor/Tag, which flush
-	// the pending window first.
+	// as a map miss did.
 	tags arena.T[cme.Tag]
 
 	// evicting tracks nodes whose dirty eviction is in flight: removed
@@ -104,7 +102,7 @@ func New(cfg Config, factory PolicyFactory) *Controller {
 		lay:  lay,
 		dev:  nvmem.New(cfg.NVM),
 		meta: cache.New[*sit.Node](cfg.MetaCacheBytes, cfg.MetaCacheWays, nvmem.LineSize),
-		eng:  cme.Engine{Key: cfg.Key, OTP: cfg.OTP, MAC: cfg.MAC, BatchWindow: cfg.MACBatchWindow},
+		eng:  cme.Engine{Key: cfg.Key, OTP: cfg.OTP, MAC: cfg.MAC},
 	}
 	c.policy = factory(c)
 	if cfg.EagerUpdate && c.policy.CounterGen() {
@@ -177,15 +175,7 @@ func (c *Controller) EnergyPJ() float64 {
 func (c *Controller) Now() uint64 { return c.reqStart }
 
 // Tag returns the co-located authentication tag of a data line.
-func (c *Controller) Tag(addr uint64) cme.Tag { return c.tagFor(addr) }
-
-// tagFor reads a line's tag, flushing the deferred-MAC window first if it
-// holds a pending tag for this address (the simulated machine computed
-// and stored that tag at write time; only the host-side MAC was deferred).
-func (c *Controller) tagFor(addr uint64) cme.Tag {
-	if c.eng.PendingTagFor(addr) {
-		c.eng.FlushTags()
-	}
+func (c *Controller) Tag(addr uint64) cme.Tag {
 	if p := c.tags.Probe(addr / nvmem.LineSize); p != nil {
 		return *p
 	}
@@ -195,11 +185,6 @@ func (c *Controller) tagFor(addr uint64) cme.Tag {
 // SetTag overwrites a data line's tag; attack injection uses it to model
 // an adversary rewriting ECC bits.
 func (c *Controller) SetTag(addr uint64, t cme.Tag) {
-	// A pending deferred MAC for this line must land first, or its flush
-	// would overwrite the explicit tag.
-	if c.eng.PendingTagFor(addr) {
-		c.eng.FlushTags()
-	}
 	*c.tags.Ptr(addr / nvmem.LineSize) = t
 }
 
@@ -544,10 +529,6 @@ func (c *Controller) ForceAllDirty() {
 // device, data tags (ECC bits), the on-chip root and the policy's on-chip
 // non-volatile state survive.
 func (c *Controller) Crash() {
-	// Deferred tag MACs were computed and stored (in the simulated
-	// machine) at write time; land the host-side values so the surviving
-	// ECC bits are complete before recovery reads them.
-	c.eng.FlushTags()
 	c.dev.CrashTear()
 	c.policy.OnCrash()
 	c.meta.Clear()

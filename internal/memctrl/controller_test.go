@@ -481,8 +481,7 @@ func TestClosedLoopArrivalBoundsLatency(t *testing.T) {
 // TestControllerStateDoubleRenderByteIdentical renders the controller
 // state twice after a scattered write burst and demands byte-identical
 // gob encodings: the tag, quarantine and cache emitters must walk their
-// backing stores in a deterministic order, and the deferred-MAC window
-// must flush identically on both captures.
+// backing stores in a deterministic order.
 func TestControllerStateDoubleRenderByteIdentical(t *testing.T) {
 	c := memctrl.New(testConfig(true), steins.Factory)
 	for _, addr := range []uint64{4096, 64, 1 << 19, 128, 0, 640, 65536} {

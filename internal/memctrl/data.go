@@ -147,15 +147,11 @@ func (c *Controller) WriteData(gap uint64, addr uint64, data [64]byte) error {
 	ct := data
 	c.eng.Apply(&ct, addr, encCtr)
 	c.stats.AESOps++
-	// The tag's host-side MAC is deferred into the engine's batch window
-	// (the simulated machine computes and stores it now — latency and
-	// HashOps are charged here); the queue copies the message, so ct can
-	// keep moving.
 	dst := c.tags.Ptr(addr / nvmem.LineSize)
 	if node.IsSplit {
-		c.eng.QueueTagSC(dst, &ct, addr, encCtr, major)
+		*dst = c.eng.TagSC(&ct, addr, encCtr, major)
 	} else {
-		c.eng.QueueTagGC(dst, &ct, addr, encCtr)
+		*dst = c.eng.TagGC(&ct, addr, encCtr)
 	}
 	c.stats.HashOps++
 	c.Attribute(metrics.PhaseCrypto, c.cfg.AESCycles+c.cfg.HashCycles)
@@ -230,7 +226,7 @@ func (c *Controller) ReadData(gap uint64, addr uint64) ([64]byte, error) {
 		c.completeRead(cycles + dataLat)
 		return [64]byte{}, err
 	}
-	tag := c.tagFor(addr)
+	tag := c.Tag(addr)
 	if !tag.Written {
 		// A block is legitimately unwritten iff its own counter never
 		// advanced: a zero minor under a split leaf (majors advance for
@@ -283,7 +279,7 @@ func (c *Controller) reencrypt(le *cache.Entry[*sit.Node], pre *counter.Split, s
 			continue
 		}
 		daddr := c.lay.Geo.DataAddr(node.Index, j)
-		tag := c.tagFor(daddr)
+		tag := c.Tag(daddr)
 		if !tag.Written {
 			continue
 		}
@@ -295,7 +291,7 @@ func (c *Controller) reencrypt(le *cache.Entry[*sit.Node], pre *counter.Split, s
 			// for recovery; the fence still blocks every read.
 			ct := [64]byte(c.dev.Peek(daddr))
 			c.stats.HashOps++
-			c.eng.QueueTagSC(c.tags.Ptr(daddr/nvmem.LineSize), &ct, daddr,
+			*c.tags.Ptr(daddr / nvmem.LineSize) = c.eng.TagSC(&ct, daddr,
 				node.Split.EncCounter(j), node.Split.Major)
 			continue
 		}
@@ -322,7 +318,7 @@ func (c *Controller) reencrypt(le *cache.Entry[*sit.Node], pre *counter.Split, s
 		c.eng.Apply(&ct, daddr, newCtr) // re-encrypt
 		c.stats.AESOps += 2
 		c.stats.HashOps++
-		c.eng.QueueTagSC(c.tags.Ptr(daddr/nvmem.LineSize), &ct, daddr, newCtr, node.Split.Major)
+		*c.tags.Ptr(daddr / nvmem.LineSize) = c.eng.TagSC(&ct, daddr, newCtr, node.Split.Major)
 		wstall := c.dev.MustWrite(c.reqStart+cycles, daddr, nvmem.Line(ct), nvmem.ClassData)
 		c.Attribute(metrics.PhaseWriteDrain, wstall)
 		cycles += wstall

@@ -70,7 +70,6 @@ type Config struct {
 	RecordCacheLines int // Steins: record lines cached in the MC (16)
 	NVBufferBytes    int // Steins: non-volatile parent-counter buffer (128 B)
 	AuxCacheWays     int // associativity of record/bitmap line caches
-	CacheTreeLevels  int // ASIT/STAR cache-tree height above its leaves (4)
 
 	// ReadRetries bounds how often a detected-uncorrectable NVM read is
 	// reissued (transient flips are redrawn per attempt) before the error
@@ -86,13 +85,6 @@ type Config struct {
 	// corruption aborts recovery with the integrity error, the pre-fault
 	// behaviour.
 	DegradedRecovery bool
-
-	// MACBatchWindow bounds the deferred data-tag MAC queue: the host
-	// defers up to this many write-path tag MACs and computes them in one
-	// batch (see cme.Engine.BatchWindow). Purely a host-side optimization:
-	// simulated latency, energy and every result are bit-identical at any
-	// window. <= 1 disables batching.
-	MACBatchWindow int
 }
 
 // DefaultConfig returns the Table I configuration over the given data
@@ -120,10 +112,8 @@ func DefaultConfig(dataBytes uint64, splitLeaf bool) Config {
 		RecordCacheLines:   16,
 		NVBufferBytes:      128,
 		AuxCacheWays:       4,
-		CacheTreeLevels:    4,
 		ReadRetries:        3,
 		RetryBackoffCycles: 32,
-		MACBatchWindow:     16,
 	}
 }
 
@@ -141,10 +131,8 @@ func (e *ConfigError) Error() string {
 }
 
 // Validate checks a configuration and returns a normalized copy: fields
-// with a well-defined degenerate meaning are clamped (MACBatchWindow <= 0
-// behaves exactly like 1, i.e. batching disabled — any window is
-// bit-identical by contract, so silent divergence is impossible;
-// NVBufferBytes < 0 is an absent buffer), while fields no controller can
+// with a well-defined degenerate meaning are clamped (NVBufferBytes < 0 is
+// an absent buffer), while fields no controller can
 // be built from (zero/negative cache or data sizes, associativity below
 // the 2 ways eviction needs) are rejected with a *ConfigError. Both
 // construction paths funnel through it: DefaultConfig output passes
@@ -164,9 +152,6 @@ func (cfg Config) Validate() (Config, error) {
 	if cfg.MetaCacheBytes < cfg.MetaCacheWays*nvmem.LineSize {
 		return cfg, &ConfigError{Field: "MetaCacheBytes", Value: int64(cfg.MetaCacheBytes),
 			Reason: fmt.Sprintf("smaller than one %d-way set of 64 B lines", cfg.MetaCacheWays)}
-	}
-	if cfg.MACBatchWindow < 1 {
-		cfg.MACBatchWindow = 1
 	}
 	if cfg.NVBufferBytes < 0 {
 		cfg.NVBufferBytes = 0

@@ -121,9 +121,6 @@ func (c *Controller) State() (*ControllerState, error) {
 	if len(c.evicting) != 0 {
 		return nil, fmt.Errorf("memctrl: snapshot with %d evictions in flight (not a retired-op boundary)", len(c.evicting))
 	}
-	// Land any deferred tag MACs so the captured tag image is complete
-	// (the snapshot does not serialize the engine's batch window).
-	c.eng.FlushTags()
 	st := &ControllerState{
 		Layout:       StateLayout,
 		Crashed:      c.crashed,
@@ -347,9 +344,6 @@ func (c *Controller) Restore(st *ControllerState) error {
 	if err := c.meta.SetState(meta); err != nil {
 		return fmt.Errorf("memctrl: %w", err)
 	}
-	// Drop any deferred tag MACs of the pre-restore run; they belong to
-	// tag slots the restore is about to overwrite.
-	c.eng.DropPendingTags()
 	c.tags = tags
 	c.quarBits = nil
 	c.quarN = 0

@@ -10,7 +10,7 @@ import (
 	"steins/internal/multi"
 	"steins/internal/nvmem"
 	"steins/internal/rng"
-	"steins/internal/scheme/schemetest"
+	"steins/internal/sim"
 )
 
 // identityEngine is the surface shared by a bare controller and a
@@ -96,7 +96,7 @@ func runIdentityScript(e identityEngine, ctrl func() *memctrl.Controller, dataBy
 // device traffic, wear, the recovery report and every read after a crash.
 func TestOneChannelMatchesBareController(t *testing.T) {
 	const dataBytes = 256 << 10
-	for _, s := range schemetest.Schemes() {
+	for _, s := range sim.Schemes() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()

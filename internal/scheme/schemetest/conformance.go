@@ -16,16 +16,6 @@ import (
 // counts, per-address final counter state, and per-shard statistic sums
 // must match bit-for-bit, not approximately.
 
-// Schemes returns every evaluated scheme, the sweep axis of the
-// conformance tables.
-func Schemes() []sim.Scheme {
-	return []sim.Scheme{
-		sim.WBGC, sim.WBSC, sim.ASIT, sim.STAR,
-		sim.SteinsGC, sim.SteinsSC, sim.SCUEGC, sim.SCUESC,
-		sim.PipeSITGC, sim.PipeSITSC, sim.TriadGC, sim.TriadSC,
-	}
-}
-
 // ConformanceProfile is the conformance trace: uniform mixed traffic over
 // a footprint small enough to churn a divided metadata cache yet large
 // enough that per-line write counts stay far below counter.MinorMax — an

@@ -34,7 +34,7 @@ func configName(ch int, iv trace.Interleave) string {
 // ops, identical per-line data and counter state, statistics that are the
 // exact shard sums, and phase buckets that partition each shard's makespan.
 func TestShardedConformance(t *testing.T) {
-	for _, s := range schemetest.Schemes() {
+	for _, s := range sim.Schemes() {
 		for _, cc := range channelConfigs {
 			if cc.Channels == 1 {
 				continue // DiffSharded runs the 1-channel reference itself
@@ -51,7 +51,7 @@ func TestShardedConformance(t *testing.T) {
 // aggregate reports, clean tree audits, intact data. Write-back baselines
 // skip themselves (no recovery path).
 func TestShardedCrashRecoveryConformance(t *testing.T) {
-	for _, s := range schemetest.Schemes() {
+	for _, s := range sim.Schemes() {
 		for _, cc := range channelConfigs {
 			t.Run(s.Name+"/"+configName(cc.Channels, cc.Interleave), func(t *testing.T) {
 				schemetest.DiffShardedCrash(t, s, cc.Channels, cc.Interleave)
@@ -64,7 +64,7 @@ func TestShardedCrashRecoveryConformance(t *testing.T) {
 // line's encryption counter equals its cumulative write count and never
 // regresses — per scheme, for 1-channel and N-channel configurations.
 func TestMonotoneCountersConformance(t *testing.T) {
-	for _, s := range schemetest.Schemes() {
+	for _, s := range sim.Schemes() {
 		for _, cc := range channelConfigs {
 			t.Run(s.Name+"/"+configName(cc.Channels, cc.Interleave), func(t *testing.T) {
 				schemetest.MonotoneCounters(t, s, cc.Channels, cc.Interleave)
@@ -76,7 +76,7 @@ func TestMonotoneCountersConformance(t *testing.T) {
 // TestRunShardedWithCrashAllSchemes exercises the packaged crash wrapper
 // across the recoverable schemes on two channels.
 func TestRunShardedWithCrashAllSchemes(t *testing.T) {
-	for _, s := range schemetest.Schemes() {
+	for _, s := range sim.Schemes() {
 		if s.Name == "WB-GC" || s.Name == "WB-SC" {
 			continue
 		}

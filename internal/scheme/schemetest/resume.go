@@ -224,7 +224,7 @@ func ResumeCases() []struct {
 		Scheme   sim.Scheme
 		Channels int
 	}
-	for _, s := range Schemes() {
+	for _, s := range sim.Schemes() {
 		for _, ch := range []int{1, 2, 4} {
 			cases = append(cases, struct {
 				Scheme   sim.Scheme

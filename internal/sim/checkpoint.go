@@ -11,18 +11,6 @@ import (
 	"steins/internal/trace"
 )
 
-// SchemeByName resolves a scheme display name ("Steins-GC", "WB-SC", ...)
-// case-sensitively against the canonical scheme set; snapshot resume uses
-// it to rebuild the policy factory recorded in a run header.
-func SchemeByName(name string) (Scheme, bool) {
-	for _, s := range []Scheme{WBGC, WBSC, ASIT, STAR, SteinsGC, SteinsSC, SCUEGC, SCUESC, PipeSITGC, PipeSITSC, TriadGC, TriadSC} {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Scheme{}, false
-}
-
 // Driven returns the number of source ops driven so far, warm-up included.
 func (e *Sharded) Driven() uint64 { return e.driven }
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"steins/internal/cache"
@@ -30,16 +29,6 @@ type ShardOptions struct {
 	// engine barriers before the next epoch, so memory stays bounded and
 	// results are independent of GOMAXPROCS.
 	EpochOps int
-	// Workers bounds how many channels are driven concurrently per epoch
-	// (0: GOMAXPROCS). Purely a throughput knob; results are identical for
-	// any value because each channel's operation sequence is fixed by the
-	// sequential split.
-	Workers int
-	// KeepCachePerChannel gives every channel the full
-	// Options.MetaCacheBytes. When false (the default) the budget is split
-	// evenly across the channels, so the total metadata SRAM matches the
-	// one-channel configuration.
-	KeepCachePerChannel bool
 }
 
 func (so *ShardOptions) setDefaults() {
@@ -54,9 +43,6 @@ func (so *ShardOptions) setDefaults() {
 	}
 	if so.EpochOps <= 0 {
 		so.EpochOps = 4096
-	}
-	if so.Workers <= 0 {
-		so.Workers = runtime.GOMAXPROCS(0)
 	}
 }
 
@@ -86,7 +72,7 @@ type ShardedResult struct {
 // operation sequence (local addresses, local gaps, payload identities)
 // before any parallel work happens; each channel is then driven by exactly
 // one goroutine per epoch over private state. Results are therefore
-// bit-identical for any GOMAXPROCS or Workers setting.
+// bit-identical for any GOMAXPROCS.
 //
 // Correctness of the split: a channel owns whole cache lines (every
 // interleave chunk is a multiple of the 64 B line), so a write-back and
@@ -133,15 +119,14 @@ func NewSharded(prof trace.Profile, s Scheme, opt Options, so ShardOptions) *Sha
 		if opt.MetaCacheBytes != 0 {
 			cacheBytes = opt.MetaCacheBytes
 		}
-		if !so.KeepCachePerChannel {
-			// Divide the SRAM budget, rounding down to a whole number of
-			// sets (the cache requires a multiple of ways*lineSize) with a
-			// two-set floor so extreme channel counts stay functional.
-			set := cfg.MetaCacheWays * 64
-			cacheBytes = cacheBytes / so.Channels / set * set
-			if cacheBytes < 2*set {
-				cacheBytes = 2 * set
-			}
+		// Divide the SRAM budget evenly across the channels, so the total
+		// matches the one-channel configuration, rounding down to a whole
+		// number of sets (the cache requires a multiple of ways*lineSize)
+		// with a two-set floor so extreme channel counts stay functional.
+		set := cfg.MetaCacheWays * 64
+		cacheBytes = cacheBytes / so.Channels / set * set
+		if cacheBytes < 2*set {
+			cacheBytes = 2 * set
 		}
 		cfg.MetaCacheBytes = cacheBytes
 		if opt.Configure != nil {
@@ -218,7 +203,6 @@ func (e *Sharded) DriveStreamN(src trace.Stream, maxOps int) (int, error) {
 		e.bufB = make([][]trace.ShardedOp, e.so.Channels)
 	}
 	warm := uint64(e.opt.WarmupOps)
-	sem := make(chan struct{}, e.so.Workers)
 	total := 0
 	var inflight *epochRun
 
@@ -252,9 +236,8 @@ func (e *Sharded) DriveStreamN(src trace.Stream, maxOps int) (int, error) {
 		return nil
 	}
 
-	// dispatch launches one goroutine per non-empty channel batch; the
-	// worker semaphore is acquired inside the goroutine so dispatch never
-	// blocks the splitting thread.
+	// dispatch launches one goroutine per non-empty channel batch, so it
+	// never blocks the splitting thread.
 	dispatch := func(batches [][]trace.ShardedOp, n int) {
 		r := &epochRun{n: n, errs: make([]error, len(e.ctrls))}
 		for k := range e.ctrls {
@@ -264,8 +247,6 @@ func (e *Sharded) DriveStreamN(src trace.Stream, maxOps int) (int, error) {
 			r.wg.Add(1)
 			go func(k int) {
 				defer r.wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
 				r.errs[k] = driveShard(e.ctrls[k], batches[k])
 			}(k)
 		}

@@ -111,15 +111,18 @@ func TestRunShardedOneChannelMatchesRun(t *testing.T) {
 }
 
 // TestRunShardedDeterministicAcrossWorkers is the seeded-RNG determinism
-// guard (run under -cpu 1,2,8 in make check): identical ShardedResults and
-// byte-identical metrics JSON regardless of worker count or GOMAXPROCS.
+// guard (also run under -cpu 1,2,8 in make check): identical
+// ShardedResults and byte-identical metrics JSON whatever GOMAXPROCS the
+// channel goroutines are scheduled on.
 func TestRunShardedDeterministicAcrossWorkers(t *testing.T) {
 	prof, opt := shardProfile(), shardOpt()
 	mo := metrics.DefaultOptions()
 	opt.Metrics = &mo
-	export := func(workers int) (ShardedResult, []byte) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	export := func(procs int) (ShardedResult, []byte) {
+		runtime.GOMAXPROCS(procs)
 		res, err := RunSharded(prof, SteinsGC, opt,
-			ShardOptions{Channels: 4, Interleave: trace.InterleaveLine, Workers: workers, EpochOps: 512})
+			ShardOptions{Channels: 4, Interleave: trace.InterleaveLine, EpochOps: 512})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,17 +133,17 @@ func TestRunShardedDeterministicAcrossWorkers(t *testing.T) {
 		return res, buf.Bytes()
 	}
 	refRes, refJSON := export(1)
-	for _, workers := range []int{2, 8} {
-		res, js := export(workers)
+	for _, procs := range []int{2, 8} {
+		res, js := export(procs)
 		if !bytes.Equal(refJSON, js) {
-			t.Fatalf("metrics JSON diverges between 1 and %d workers", workers)
+			t.Fatalf("metrics JSON diverges between GOMAXPROCS 1 and %d", procs)
 		}
 		if !reflect.DeepEqual(refRes.Merged, res.Merged) {
-			t.Fatalf("merged result diverges between 1 and %d workers", workers)
+			t.Fatalf("merged result diverges between GOMAXPROCS 1 and %d", procs)
 		}
 		for k := range refRes.Shards {
 			if !reflect.DeepEqual(refRes.Shards[k], res.Shards[k]) {
-				t.Fatalf("shard %d result diverges between 1 and %d workers", k, workers)
+				t.Fatalf("shard %d result diverges between GOMAXPROCS 1 and %d", k, procs)
 			}
 		}
 	}

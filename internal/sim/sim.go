@@ -55,6 +55,27 @@ var (
 	TriadSC   = Scheme{Name: "Triad-SC", Factory: triad.Factory, Split: true}
 )
 
+// Schemes lists every evaluated scheme. The order is part of the contract:
+// campaign cases are derived from it.
+func Schemes() []Scheme {
+	return []Scheme{
+		WBGC, WBSC, ASIT, STAR, SteinsGC, SteinsSC, SCUEGC, SCUESC,
+		PipeSITGC, PipeSITSC, TriadGC, TriadSC,
+	}
+}
+
+// SchemeByName resolves a scheme display name ("Steins-GC", "WB-SC", ...)
+// case-sensitively against Schemes; snapshot resume uses it to rebuild the
+// policy factory recorded in a run header.
+func SchemeByName(name string) (Scheme, bool) {
+	for _, s := range Schemes() {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return Scheme{}, false
+}
+
 // GCComparison is the Fig. 9-11/13/15 scheme set.
 func GCComparison() []Scheme { return []Scheme{WBGC, ASIT, STAR, SteinsGC} }
 

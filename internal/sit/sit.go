@@ -372,23 +372,12 @@ func DataMACInto(msg *[80]byte, mac crypt.MAC, key crypt.Key, dataAddr uint64, c
 // ciphertext, 8-byte address, 8-byte encryption counter.
 const DataMACMsgSize = 80
 
-// PutDataMACMsg packs the DataMACInto message into msg. Deferred-MAC callers
-// (the CME tag window) pack messages with it and batch the MAC later;
-// keeping the layout here means the synchronous and batched paths cannot
-// drift apart. The encryption counter is the message's last little-endian
-// word, the shape crypt.SearchCounter takes, so a counter search packs the
-// ciphertext and address once and varies only the counter.
+// PutDataMACMsg packs the DataMACInto message into msg. The encryption
+// counter is the message's last little-endian word, the shape
+// crypt.SearchCounter takes, so a counter search packs the ciphertext and
+// address once and varies only the counter.
 func PutDataMACMsg(msg *[DataMACMsgSize]byte, dataAddr uint64, ciphertext *[64]byte, encCounter uint64) {
 	copy(msg[:64], ciphertext[:])
 	binary.LittleEndian.PutUint64(msg[64:72], dataAddr)
 	binary.LittleEndian.PutUint64(msg[72:80], encCounter)
-}
-
-// AppendDataMACMsg appends the 80-byte DataMACInto message for
-// (dataAddr, ciphertext, encCounter) to dst and returns the extended
-// slice, for callers accumulating a packed batch.
-func AppendDataMACMsg(dst []byte, dataAddr uint64, ciphertext *[64]byte, encCounter uint64) []byte {
-	var msg [DataMACMsgSize]byte
-	PutDataMACMsg(&msg, dataAddr, ciphertext, encCounter)
-	return append(dst, msg[:]...)
 }

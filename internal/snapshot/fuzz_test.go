@@ -24,16 +24,15 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(uint64(7), uint64(199), uint64(5))
 	f.Add(uint64(999), uint64(450), uint64(3))
 	f.Add(uint64(3), uint64(1<<63), uint64(7))
-	// Boundary 8 lands mid-way through the default 16-entry MAC batch
-	// window, so the capture crosses a half-full deferred-MAC queue: the
-	// flush-at-State contract must make straight and resumed runs
-	// bit-identical anyway. Once per scheme family of the relaxed-
-	// persistence sweep, plus the Steins buffered path.
+	// Early op boundaries, once per scheme family of the relaxed-
+	// persistence sweep plus the Steins buffered path: the capture lands
+	// while the schemes' pipes, pending sets and buffers are partly full,
+	// and straight and resumed runs must still be bit-identical.
 	f.Add(uint64(77), uint64(8), uint64(8))    // PipeSIT-GC
 	f.Add(uint64(78), uint64(8), uint64(11))   // Triad-SC
 	f.Add(uint64(79), uint64(8), uint64(4))    // Steins-GC
 	f.Add(uint64(80), uint64(8), uint64(9))    // PipeSIT-SC, fault model on (9%3==0)
-	f.Add(uint64(81), uint64(416), uint64(10)) // Triad-GC, late boundary at warmup + k*16 + 8
+	f.Add(uint64(81), uint64(416), uint64(10)) // Triad-GC, late boundary
 	f.Fuzz(func(t *testing.T, seed, boundRaw, schemeRaw uint64) {
 		const ops = 400
 		h := testHeader(fuzzSchemes[schemeRaw%uint64(len(fuzzSchemes))], 1, ops)

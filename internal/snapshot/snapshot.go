@@ -4,7 +4,7 @@
 // backing store including its media-fault RNG stream and stuck-cell
 // overlays, controller clocks, and metrics state. A run restored from a
 // snapshot and driven to completion produces byte-identical metrics JSON
-// to the uninterrupted run, at any worker count and under any fault seed.
+// to the uninterrupted run, at any GOMAXPROCS and under any fault seed.
 //
 // On-disk format: an 8-byte magic, a little-endian uint32 format version,
 // a little-endian uint64 payload length, a little-endian uint32 IEEE
@@ -83,7 +83,8 @@ var (
 // RunHeader records the run configuration: everything needed to rebuild
 // the engine and trace generator in a fresh process. Only scalar knobs are
 // stored — the crypto primitives and fault model inside memctrl.Config are
-// reconstructed from defaults plus the Faults/ECCDisable fields, so a run
+// reconstructed from defaults plus the Faults/ECCDisable/DegradedRecovery
+// fields, so a run
 // configured through an arbitrary Options.Configure closure beyond those
 // knobs cannot be captured here.
 type RunHeader struct {
@@ -99,14 +100,17 @@ type RunHeader struct {
 
 	// Engine channel layout, as in sim.ShardOptions; Channels <= 1 is one
 	// channel.
-	Channels            int
-	Interleave          trace.Interleave
-	EpochOps            int
-	KeepCachePerChannel bool
+	Channels   int
+	Interleave trace.Interleave
+	EpochOps   int
 
 	// Media-fault model and ECC gate, as passed to memctrl.Config.NVM.
 	Faults     nvmem.FaultConfig
 	ECCDisable bool
+	// DegradedRecovery is memctrl.Config.DegradedRecovery. Snapshots
+	// written before the field existed decode it as false, the mode they
+	// resumed in then.
+	DegradedRecovery bool
 
 	// Metrics collection options; HasMetrics false means no collector.
 	HasMetrics bool
@@ -115,7 +119,7 @@ type RunHeader struct {
 
 // Options rebuilds the engine options the header describes.
 func (h RunHeader) Options() (sim.Options, sim.ShardOptions) {
-	faults, eccDisable := h.Faults, h.ECCDisable
+	faults, eccDisable, degraded := h.Faults, h.ECCDisable, h.DegradedRecovery
 	opt := sim.Options{
 		Ops:            h.TotalOps,
 		WarmupOps:      h.WarmupOps,
@@ -125,6 +129,7 @@ func (h RunHeader) Options() (sim.Options, sim.ShardOptions) {
 		Configure: func(cfg *memctrl.Config) {
 			cfg.NVM.Faults = faults
 			cfg.NVM.ECC.Disable = eccDisable
+			cfg.DegradedRecovery = degraded
 		},
 	}
 	if h.HasMetrics {
@@ -132,10 +137,9 @@ func (h RunHeader) Options() (sim.Options, sim.ShardOptions) {
 		opt.Metrics = &m
 	}
 	so := sim.ShardOptions{
-		Channels:            h.Channels,
-		Interleave:          h.Interleave,
-		EpochOps:            h.EpochOps,
-		KeepCachePerChannel: h.KeepCachePerChannel,
+		Channels:   h.Channels,
+		Interleave: h.Interleave,
+		EpochOps:   h.EpochOps,
 	}
 	return opt, so
 }

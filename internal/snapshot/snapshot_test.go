@@ -436,6 +436,14 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// keepCache is a Steins-GC run whose header was written with the
+	// retired keep-cache-per-channel flag set and a 100-byte metadata cache:
+	// the flag is ignored now, so the cache is built at the two-set floor
+	// and cannot hold the captured 16 KiB cache state.
+	keepCache, err := os.ReadFile("testdata/keep-cache-header.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
 	// retired names the refusal of a single-controller engine's snapshot.
 	const retired = "retired single-controller engine"
 	header := func(fn func(h *RunHeader)) []byte {
@@ -491,6 +499,7 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 		{"layout 1", layout1, "ControllerState.TagAddrs"},
 		{"layout 2", layout2, retired},
 		{"single-controller engine", singleEngine, retired},
+		{"retired keep-cache header", keepCache, "outside 2 sets x 8 ways"},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

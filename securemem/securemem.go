@@ -58,13 +58,7 @@ import (
 	"steins/internal/memctrl"
 	"steins/internal/multi"
 	"steins/internal/nvmem"
-	"steins/internal/scheme/asit"
-	"steins/internal/scheme/pipesit"
-	"steins/internal/scheme/scue"
-	"steins/internal/scheme/star"
-	"steins/internal/scheme/steins"
-	"steins/internal/scheme/triad"
-	"steins/internal/scheme/wb"
+	"steins/internal/sim"
 	"steins/internal/stats"
 )
 
@@ -101,10 +95,11 @@ const (
 
 // Schemes lists every available scheme.
 func Schemes() []Scheme {
-	return []Scheme{
-		WBGC, WBSC, ASIT, STAR, SteinsGC, SteinsSC, SCUEGC, SCUESC,
-		PipeSITGC, PipeSITSC, TriadGC, TriadSC,
+	var out []Scheme
+	for _, s := range sim.Schemes() {
+		out = append(out, Scheme(s.Name))
 	}
+	return out
 }
 
 // Integrity and address errors, re-exported from the engine. A Write or
@@ -159,37 +154,6 @@ type Memory struct {
 	scheme Scheme
 }
 
-// factoryFor maps a scheme name to its policy factory and counter mode.
-func factoryFor(s Scheme) (memctrl.PolicyFactory, bool, error) {
-	switch s {
-	case WBGC:
-		return wb.Factory, false, nil
-	case WBSC:
-		return wb.Factory, true, nil
-	case ASIT:
-		return asit.Factory, false, nil
-	case STAR:
-		return star.Factory, false, nil
-	case SteinsGC:
-		return steins.Factory, false, nil
-	case SteinsSC:
-		return steins.Factory, true, nil
-	case SCUEGC:
-		return scue.Factory, false, nil
-	case SCUESC:
-		return scue.Factory, true, nil
-	case PipeSITGC:
-		return pipesit.Factory, false, nil
-	case PipeSITSC:
-		return pipesit.Factory, true, nil
-	case TriadGC:
-		return triad.Factory, false, nil
-	case TriadSC:
-		return triad.Factory, true, nil
-	}
-	return nil, false, fmt.Errorf("securemem: unknown scheme %q", s)
-}
-
 // New builds a Memory.
 func New(cfg Config) (*Memory, error) {
 	if cfg.DataBytes == 0 || cfg.DataBytes%BlockSize != 0 {
@@ -198,9 +162,9 @@ func New(cfg Config) (*Memory, error) {
 	if cfg.Channels < 0 {
 		return nil, fmt.Errorf("securemem: Channels must be non-negative, got %d", cfg.Channels)
 	}
-	factory, split, err := factoryFor(cfg.Scheme)
-	if err != nil {
-		return nil, err
+	scheme, ok := sim.SchemeByName(string(cfg.Scheme))
+	if !ok {
+		return nil, fmt.Errorf("securemem: unknown scheme %q", cfg.Scheme)
 	}
 	channels := cfg.Channels
 	if channels == 0 {
@@ -210,7 +174,7 @@ func New(cfg Config) (*Memory, error) {
 		return nil, fmt.Errorf("securemem: DataBytes %d must be a multiple of Channels×%d = %d",
 			cfg.DataBytes, BlockSize, uint64(channels)*BlockSize)
 	}
-	mc := memctrl.DefaultConfig(cfg.DataBytes/uint64(channels), split)
+	mc := memctrl.DefaultConfig(cfg.DataBytes/uint64(channels), scheme.Split)
 	if cfg.MetaCacheBytes != 0 {
 		mc.MetaCacheBytes = cfg.MetaCacheBytes
 	}
@@ -220,7 +184,7 @@ func New(cfg Config) (*Memory, error) {
 	if cfg.Advanced != nil {
 		cfg.Advanced(&mc)
 	}
-	return &Memory{sys: multi.New(channels, mc, factory, BlockSize), scheme: cfg.Scheme}, nil
+	return &Memory{sys: multi.New(channels, mc, scheme.Factory, BlockSize), scheme: cfg.Scheme}, nil
 }
 
 // Scheme returns the active recovery scheme.

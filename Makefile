@@ -126,7 +126,7 @@ check: campaign serve-check bench-check figs-check
 	go test -shuffle=on -race -cpu 1,4 -run 'Quarantine|Readmission|Degraded|Heal|ReplayBoundary' \
 		./internal/scheme/steins ./internal/memctrl ./internal/campaign
 	go test -shuffle=on -race -cpu 1,4 -run 'Search|Recover' ./internal/crypt ./internal/cme
-	go test -shuffle=on -race -cpu 1,2,8 -run 'Sharded|Conformance|Splitter|Interleave|NextEpoch|Replay|RecoverAll|DriveStream|OneChannelMatchesBareController|AddressErrors|BadAddressTypedError' \
+	go test -shuffle=on -race -cpu 1,2,8 -run 'Sharded|Conformance|Splitter|Interleave|NextEpoch|Replay|SystemRecover|DriveStream|OneChannelMatchesBareController|AddressErrors|BadAddressTypedError' \
 		./internal/sim ./internal/trace ./internal/multi ./internal/scheme/schemetest ./securemem
 	go test -shuffle=on -race -cpu 1,2,8 -run 'Routing' ./internal/campaign
 	go test -shuffle=on -race -cpu 1,4 -run 'Resume|Snapshot|Campaign|Checkpoint|Artifact|SelfCheck' \

@@ -27,7 +27,7 @@ func main() {
 	for _, sc := range attack.Scenarios() {
 		row := []string{sc.String()}
 		for _, s := range schemes {
-			rep, err := attack.Execute(s.Factory, s.Split, sc)
+			rep, err := attack.Execute(s.Factory, s.Split, sc, 1)
 			switch {
 			case err != nil:
 				row = append(row, "ERROR: "+err.Error())

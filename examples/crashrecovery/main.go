@@ -61,7 +61,7 @@ func multiDIMM() {
 		}
 	}
 	sys.Crash()
-	rep, err := sys.Recover()
+	_, rep, err := sys.Recover()
 	if err != nil {
 		panic(err)
 	}

@@ -96,32 +96,21 @@ type Report struct {
 // channel regardless of the channel count.
 const shardInterleave = trace.InterleavePage
 
-// Execute runs the scenario against a fresh system built by factory:
-// a write workload establishes state, the attack is injected around a
-// crash, and detection is checked first during recovery and then by
-// reading every attacked address back.
-func Execute(factory memctrl.PolicyFactory, split bool, s Scenario) (Report, error) {
-	return ExecuteSharded(factory, split, s, 1)
-}
-
-// ExecuteSharded is Execute over a channel-interleaved multi-controller
-// system: the same global workload is split across channels under
-// shardInterleave, the attack is injected into the channel owning the target,
-// every channel recovers (in parallel, as the deployment would), and the
-// differential readback spans the whole global space. Detection must not
-// depend on the sharding: a scenario classifies identically at any channel
-// count.
-func ExecuteSharded(factory memctrl.PolicyFactory, split bool, s Scenario, channels int) (Report, error) {
+// Execute runs the scenario against a fresh system of channels
+// controllers built by factory, interleaved under shardInterleave: a
+// global write workload establishes state, the attack is injected into the
+// channel owning the target around a machine-wide crash, every channel
+// recovers (in parallel, as the deployment would), and detection is
+// checked first during recovery and then by reading every attacked
+// address back across the whole global space. Detection must not depend on
+// the sharding: a scenario classifies identically at any channel count.
+func Execute(factory memctrl.PolicyFactory, split bool, s Scenario, channels int) (Report, error) {
 	rep := Report{Scenario: s, Applicable: true}
 	const totalBytes = 1 << 20
-	chunk := shardInterleave.ChunkBytes()
 	cfg := memctrl.DefaultConfig(trace.ShardBytes(totalBytes, channels, shardInterleave), split)
 	cfg.MetaCacheBytes = 4 << 10
 	cfg.MetaCacheWays = 4
-	ctrls := make([]*memctrl.Controller, channels)
-	for i := range ctrls {
-		ctrls[i] = memctrl.New(cfg, factory)
-	}
+	sys := multi.New(channels, cfg, factory, shardInterleave.ChunkBytes())
 
 	r := rng.New(99)
 	lines := uint64(totalBytes) / 64
@@ -134,21 +123,20 @@ func ExecuteSharded(factory memctrl.PolicyFactory, split bool, s Scenario, chann
 			order = append(order, addr)
 		}
 		expected[addr] = b
-		ch, local := trace.RouteChunk(addr, chunk, channels)
-		return ctrls[ch].WriteData(5, local, b)
+		return sys.WriteData(5, addr, b)
 	}
-	read := func(addr uint64) ([64]byte, error) {
-		ch, local := trace.RouteChunk(addr, chunk, channels)
-		return ctrls[ch].ReadData(1, local)
-	}
+	read := func(addr uint64) ([64]byte, error) { return sys.ReadData(1, addr) }
 	for i := 0; i < 3000; i++ {
 		if err := write(r.Uint64n(lines)*64, byte(i)); err != nil {
 			return rep, err
 		}
 	}
 	target := order[0]
-	co, lt := trace.RouteChunk(target, chunk, channels)
-	c := ctrls[co] // the channel the attack lands on
+	co, lt, err := sys.Route(target)
+	if err != nil {
+		return rep, err
+	}
+	c := sys.Controllers()[co] // the channel the attack lands on
 
 	// Capture replay material before newer writes.
 	mat := Capture(c, lt)
@@ -177,12 +165,10 @@ func ExecuteSharded(factory memctrl.PolicyFactory, split bool, s Scenario, chann
 		return rep, err
 	}
 
-	for _, ctrl := range ctrls {
-		ctrl.Crash()
-	}
+	sys.Crash()
 	Inject(c, s, lt, mat)
 
-	if _, _, err := multi.RecoverAll(ctrls); err != nil {
+	if _, _, err := sys.Recover(); err != nil {
 		if errors.Is(err, memctrl.ErrNoRecovery) {
 			rep.Applicable = false
 			return rep, nil

@@ -25,7 +25,7 @@ func TestNoSilentCorruptionAnyScheme(t *testing.T) {
 	}
 	for _, s := range schemes {
 		for _, sc := range attack.Scenarios() {
-			rep, err := attack.Execute(s.Factory, s.Split, sc)
+			rep, err := attack.Execute(s.Factory, s.Split, sc, 1)
 			if err != nil {
 				t.Errorf("%s/%v: %v", s.Name, sc, err)
 				continue
@@ -49,7 +49,7 @@ func TestSteinsDetectsCoreAttacks(t *testing.T) {
 		attack.TamperNode, attack.ReplayNode, attack.EraseTracking,
 	}
 	for _, sc := range mustDetect {
-		rep, err := attack.Execute(steins.Factory, false, sc)
+		rep, err := attack.Execute(steins.Factory, false, sc, 1)
 		if err != nil {
 			t.Fatalf("%v: %v", sc, err)
 		}
@@ -75,7 +75,7 @@ func TestShardedClassificationMatchesSingleChannel(t *testing.T) {
 	scenarios := []attack.Scenario{attack.EraseTracking, attack.MediaTag, attack.MediaRecord}
 	for _, s := range schemes {
 		for _, sc := range scenarios {
-			base, err := attack.Execute(s.Factory, s.Split, sc)
+			base, err := attack.Execute(s.Factory, s.Split, sc, 1)
 			if err != nil {
 				t.Errorf("%s/%v: 1 channel: %v", s.Name, sc, err)
 				continue
@@ -84,7 +84,7 @@ func TestShardedClassificationMatchesSingleChannel(t *testing.T) {
 				t.Errorf("%s/%v: neither detected nor neutralized", s.Name, sc)
 			}
 			for _, channels := range []int{2, 4, 8} {
-				rep, err := attack.ExecuteSharded(s.Factory, s.Split, sc, channels)
+				rep, err := attack.Execute(s.Factory, s.Split, sc, channels)
 				if err != nil {
 					t.Errorf("%s/%v: %d channels: %v", s.Name, sc, channels, err)
 					continue
@@ -108,12 +108,12 @@ func TestShardedUnevenChannelCounts(t *testing.T) {
 	// match the single-channel reference. (Sizing channels as
 	// totalBytes/channels used to reject these configurations outright.)
 	for _, sc := range []attack.Scenario{attack.TamperData, attack.ReplayData, attack.EraseTracking} {
-		base, err := attack.Execute(steins.Factory, true, sc)
+		base, err := attack.Execute(steins.Factory, true, sc, 1)
 		if err != nil {
 			t.Fatalf("%v: 1 channel: %v", sc, err)
 		}
 		for _, channels := range []int{3, 5, 6, 7} {
-			rep, err := attack.ExecuteSharded(steins.Factory, true, sc, channels)
+			rep, err := attack.Execute(steins.Factory, true, sc, channels)
 			if err != nil {
 				t.Errorf("%v: %d channels: %v", sc, channels, err)
 				continue
@@ -130,7 +130,7 @@ func TestShardedUnevenChannelCounts(t *testing.T) {
 }
 
 func TestWBInapplicable(t *testing.T) {
-	rep, err := attack.Execute(wb.Factory, false, attack.TamperData)
+	rep, err := attack.Execute(wb.Factory, false, attack.TamperData, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 
 	"steins/internal/attack"
 	"steins/internal/memctrl"
+	"steins/internal/multi"
 	"steins/internal/nvmem"
 	"steins/internal/rng"
 	"steins/internal/sim"
@@ -103,7 +104,7 @@ func structuredIntegrity(err error) bool {
 // caseRun is the mutable state of one executing case.
 type caseRun struct {
 	c      Case
-	ctrls  []*memctrl.Controller
+	sys    *multi.System
 	gen    *trace.Generator
 	exec   *rng.Source // execution-time draws (flip positions, recrash channel)
 	shadow map[uint64][64]byte
@@ -170,23 +171,13 @@ func runCase(c Case) (CaseResult, *caseRun) {
 	if c.Channels > 1 {
 		chBytes = trace.ShardBytes(c.Footprint, c.Channels, interleave)
 	}
-	r.ctrls = make([]*memctrl.Controller, c.Channels)
-	for i := range r.ctrls {
-		cfg := memctrl.DefaultConfig(chBytes, s.Split)
-		cfg.MetaCacheBytes = 4 << 10
-		cfg.MetaCacheWays = 4
-		cfg.DegradedRecovery = c.Sched.Degraded
-		if c.Sched.Faults.Enabled() {
-			f := c.Sched.Faults
-			f.Seed = f.Seed + uint64(i)*0x9e37 // distinct per-channel stream
-			cfg.NVM.Faults = f
-			r.mediaHit = true
-		}
-		r.ctrls[i] = memctrl.New(cfg, s.Factory)
-	}
-	if c.Sched.Degraded {
-		r.mediaHit = true
-	}
+	cfg := memctrl.DefaultConfig(chBytes, s.Split)
+	cfg.MetaCacheBytes = 4 << 10
+	cfg.MetaCacheWays = 4
+	cfg.DegradedRecovery = c.Sched.Degraded
+	cfg.NVM.Faults = c.Sched.Faults
+	r.sys = multi.New(c.Channels, cfg, s.Factory, interleave.ChunkBytes())
+	r.mediaHit = c.Sched.Faults.Enabled() || c.Sched.Degraded
 
 	for ri := range c.Sched.Rounds {
 		done := r.round(&c.Sched.Rounds[ri])
@@ -243,14 +234,13 @@ func (r *caseRun) round(rd *Round) bool {
 	var matAddrs []uint64
 	for _, tm := range rd.Tampers {
 		addr := r.tamperTarget(tm)
-		ch, local := trace.RouteChunk(addr, interleave.ChunkBytes(), r.c.Channels)
 		// Ensure the target exists on media before capturing.
 		if _, seen := r.shadow[addr]; !seen {
 			if !r.driveWrite(addr) {
 				return true
 			}
 		}
-		mats = append(mats, attack.Capture(r.ctrls[ch], local))
+		mats = append(mats, attack.Capture(r.home(addr)))
 		matAddrs = append(matAddrs, addr)
 		if attack.Scenario(tm.Scenario) == attack.ReplayData || attack.Scenario(tm.Scenario) == attack.ReplayNode {
 			if !r.driveWrite(addr) { // advance past the captured state
@@ -262,7 +252,7 @@ func (r *caseRun) round(rd *Round) bool {
 	var inj *injector
 	if rd.Crash {
 		inj = newInjector(memctrl.Event(rd.CrashEv), uint64(rd.CrashN))
-		for _, c := range r.ctrls {
+		for _, c := range r.sys.Controllers() {
 			c.SetFaultHooks(inj)
 		}
 		r.adversarial = true
@@ -282,7 +272,7 @@ func (r *caseRun) round(rd *Round) bool {
 		}
 	}
 	if inj != nil {
-		for _, c := range r.ctrls {
+		for _, c := range r.sys.Controllers() {
 			c.SetFaultHooks(nil)
 		}
 	}
@@ -298,14 +288,11 @@ func (r *caseRun) round(rd *Round) bool {
 	// armed event (ADR/WPQ model): all channels lose volatile state.
 	r.crashedEver = true
 	r.crashes[rd.CrashEv]++
-	for _, c := range r.ctrls {
-		c.Crash()
-	}
+	r.sys.Crash()
 
 	for i, tm := range rd.Tampers {
-		addr := matAddrs[i]
-		ch, local := trace.RouteChunk(addr, interleave.ChunkBytes(), r.c.Channels)
-		attack.Inject(r.ctrls[ch], attack.Scenario(tm.Scenario), local, mats[i])
+		c, local := r.home(matAddrs[i])
+		attack.Inject(c, attack.Scenario(tm.Scenario), local, mats[i])
 		r.damaged = true
 	}
 	for i := 0; i < int(rd.FlipNodes); i++ {
@@ -330,8 +317,9 @@ func (r *caseRun) recoverAll(rd *Round) bool {
 	if rd.Recrash {
 		recrashCh = int(rd.RecrashChan) % r.c.Channels
 	}
-	for ch := 0; ch < r.c.Channels; ch++ {
-		c := r.ctrls[ch]
+	ctrls := r.sys.Controllers()
+	for ch := 0; ch < len(ctrls); ch++ {
+		c := ctrls[ch]
 		if ch == recrashCh {
 			step := uint64(rd.RecrashStep)
 			if step == 0 {
@@ -351,9 +339,7 @@ func (r *caseRun) recoverAll(rd *Round) bool {
 				// The machine died again mid-recovery: every channel loses
 				// volatile state (including those already recovered) and the
 				// whole system recovers from the arbitrary prefix.
-				for _, cc := range r.ctrls {
-					cc.Crash()
-				}
+				r.sys.Crash()
 				ch = -1 // restart the loop; the injector is gone, so no loop
 				recrashCh = -2
 				continue
@@ -452,12 +438,10 @@ func (r *caseRun) noteQuarantine(rep *memctrl.RecoveryReport) bool {
 // drive executes one workload request against the routed channel,
 // maintaining the shadow. false ends the case (contract violation).
 func (r *caseRun) drive(op trace.Op) bool {
-	ch, local := trace.RouteChunk(op.Addr, interleave.ChunkBytes(), r.c.Channels)
-	c := r.ctrls[ch]
 	r.seq++
 	if op.IsWrite {
 		data := payload(op.Addr, r.seq)
-		err := c.WriteData(op.Gap, local, data)
+		err := r.sys.WriteData(op.Gap, op.Addr, data)
 		if err == nil {
 			r.shadow[op.Addr] = data
 			return true
@@ -474,7 +458,7 @@ func (r *caseRun) drive(op trace.Op) bool {
 		r.fail(fmt.Sprintf("write %#x rejected: %v", op.Addr, err))
 		return false
 	}
-	got, err := c.ReadData(op.Gap, local)
+	got, err := r.sys.ReadData(op.Gap, op.Addr)
 	if err != nil {
 		return r.classifyReadError(op.Addr, err)
 	}
@@ -546,8 +530,7 @@ func (r *caseRun) classifyReadError(addr uint64, err error) bool {
 // its last-persisted value or fail with a structured, explained error.
 func (r *caseRun) verify() {
 	for _, addr := range r.sortedShadow() {
-		ch, local := trace.RouteChunk(addr, interleave.ChunkBytes(), r.c.Channels)
-		got, err := r.ctrls[ch].ReadData(1, local)
+		got, err := r.sys.ReadData(1, addr)
 		if err != nil {
 			if !r.classifyReadError(addr, err) {
 				return
@@ -559,6 +542,16 @@ func (r *caseRun) verify() {
 			return
 		}
 	}
+}
+
+// home returns the controller owning a global address the case drove
+// (hence valid) and its local address there.
+func (r *caseRun) home(addr uint64) (*memctrl.Controller, uint64) {
+	ch, local, err := r.sys.Route(addr)
+	if err != nil {
+		panic(err)
+	}
+	return r.sys.Controllers()[ch], local
 }
 
 func (r *caseRun) sortedShadow() []uint64 {
@@ -588,8 +581,7 @@ func (r *caseRun) tamperTarget(tm Tamper) uint64 {
 // flipNode flips one bit in a populated interior SIT node line of an
 // execution-RNG-chosen channel, returning whether anything was hit.
 func (r *caseRun) flipNode() bool {
-	ch := int(r.exec.Uint64n(uint64(r.c.Channels)))
-	c := r.ctrls[ch]
+	c := r.sys.Controllers()[r.exec.Uint64n(uint64(r.c.Channels))]
 	geo := &c.Layout().Geo
 	dev := c.Device()
 	var addrs []uint64
@@ -618,9 +610,8 @@ func (r *caseRun) flipData() bool {
 	if len(addrs) == 0 {
 		return false
 	}
-	addr := addrs[int(r.exec.Uint64n(uint64(len(addrs))))]
-	ch, local := trace.RouteChunk(addr, interleave.ChunkBytes(), r.c.Channels)
-	dev := r.ctrls[ch].Device()
+	c, local := r.home(addrs[int(r.exec.Uint64n(uint64(len(addrs))))])
+	dev := c.Device()
 	line := dev.Peek(local)
 	bit := r.exec.Intn(nvmem.LineSize * 8)
 	line[bit/8] ^= 1 << (bit % 8)

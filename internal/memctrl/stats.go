@@ -156,7 +156,8 @@ func (d *DegradationReport) Degraded() bool {
 	return len(d.Healed) > 0 || len(d.Quarantined) > 0 || len(d.Unrecoverable) > 0
 }
 
-// Fold accumulates another report (another channel's, under RecoverAll).
+// Fold accumulates another report (another channel's, under
+// multi.System.Recover).
 func (d *DegradationReport) Fold(o *DegradationReport) {
 	d.Healed = append(d.Healed, o.Healed...)
 	d.Quarantined = append(d.Quarantined, o.Quarantined...)

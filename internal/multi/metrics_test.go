@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"steins/internal/memctrl"
-	"steins/internal/metrics"
 	"steins/internal/multi"
 	"steins/internal/nvmem"
 	"steins/internal/rng"
@@ -32,13 +31,13 @@ func fill(t *testing.T, s *multi.System, n int, seed uint64) {
 	}
 }
 
-func TestRecoverAllFailuresJoined(t *testing.T) {
+func TestSystemRecoverFailuresJoined(t *testing.T) {
 	// WB cannot recover: every controller must fail, and the joined error
 	// must name each of them instead of masking all but the first.
 	s := multi.New(3, template(), wb.Factory, 4096)
 	fill(t, s, 1500, 3)
 	s.Crash()
-	rep, err := s.Recover()
+	_, rep, err := s.Recover()
 	if err == nil {
 		t.Fatal("WB system recovered")
 	}
@@ -71,7 +70,7 @@ func TestRecoverPartialFailure(t *testing.T) {
 	for off := uint64(0); off < geo.MetaBytes; off += 64 {
 		victim.Device().Poke(geo.MetaBase+off, garbage)
 	}
-	rep, err := s.Recover()
+	_, rep, err := s.Recover()
 	if err == nil {
 		t.Fatal("recovery succeeded with a corrupted DIMM")
 	}
@@ -91,15 +90,21 @@ func TestRecoverPartialFailure(t *testing.T) {
 func TestSystemStatsAggregation(t *testing.T) {
 	s := multi.New(4, template(), steins.Factory, 64)
 	fill(t, s, 4000, 9)
-	agg := s.Stats()
-	var wantW, wantR, wantLat uint64
-	var maxExec uint64
+	tot := s.Totals()
+	agg := tot.Ctrl
+	var wantW, wantR, wantLat, wantNVMWrites, wantHits uint64
+	var maxExec, maxModelExec uint64
+	var wantEnergy float64
 	for _, c := range s.Controllers() {
 		st := c.Stats()
 		wantW += st.DataWrites
 		wantR += st.DataReads
 		wantLat += st.WriteLatSum
+		wantNVMWrites += c.Device().Stats().TotalWrites()
+		wantHits += c.Meta().Stats().Hits
+		wantEnergy += c.EnergyPJ()
 		maxExec = max(maxExec, c.MeasuredExecCycles())
+		maxModelExec = max(maxModelExec, c.ExecCycles())
 	}
 	if agg.DataWrites != wantW || agg.DataReads != wantR || agg.WriteLatSum != wantLat {
 		t.Fatalf("merged stats %d/%d/%d, want %d/%d/%d",
@@ -108,8 +113,13 @@ func TestSystemStatsAggregation(t *testing.T) {
 	if agg.WriteHist.Count() != wantW {
 		t.Fatalf("merged write histogram count %d, want %d", agg.WriteHist.Count(), wantW)
 	}
-	if got := s.MeasuredExecCycles(); got != maxExec {
-		t.Fatalf("system makespan %d, want parallel max %d", got, maxExec)
+	if tot.MeasuredExecCycles != maxExec || tot.ExecCycles != maxModelExec {
+		t.Fatalf("system makespans %d/%d, want parallel maxima %d/%d",
+			tot.MeasuredExecCycles, tot.ExecCycles, maxExec, maxModelExec)
+	}
+	if tot.NVM.TotalWrites() != wantNVMWrites || tot.Cache.Hits != wantHits || tot.EnergyPJ != wantEnergy {
+		t.Fatalf("merged NVM writes/cache hits/energy %d/%d/%g, want %d/%d/%g",
+			tot.NVM.TotalWrites(), tot.Cache.Hits, tot.EnergyPJ, wantNVMWrites, wantHits, wantEnergy)
 	}
 	// The merged phase totals still partition the summed per-DIMM makespan.
 	var wantSpan uint64
@@ -118,41 +128,5 @@ func TestSystemStatsAggregation(t *testing.T) {
 	}
 	if got := agg.MakespanPhaseCycles(); got != wantSpan {
 		t.Fatalf("merged phase buckets sum to %d, want %d", got, wantSpan)
-	}
-}
-
-func TestSystemMetricsSnapshot(t *testing.T) {
-	s := multi.New(2, template(), steins.Factory, 64)
-	s.SetMetrics(metrics.Options{SampleEvery: 64, RingCap: 256})
-	fill(t, s, 2000, 11)
-	sys := s.MetricsSnapshot()
-	if len(sys.PerDIMM) != 2 {
-		t.Fatalf("per-DIMM snapshots = %d, want 2", len(sys.PerDIMM))
-	}
-	var ops, span, maxExec uint64
-	for i := range sys.PerDIMM {
-		d := &sys.PerDIMM[i]
-		if want := "dimm-" + string(rune('0'+i)); d.Workload != want {
-			t.Fatalf("DIMM %d labelled %q", i, d.Workload)
-		}
-		if len(d.Series) == 0 {
-			t.Fatalf("DIMM %d exported no time series", i)
-		}
-		ops += d.Ops
-		span += d.MakespanCycles()
-		maxExec = max(maxExec, d.ExecCycles)
-	}
-	m := &sys.Merged
-	if m.Workload != "system" || m.Ops != ops {
-		t.Fatalf("merged identity/ops wrong: %q %d (want system/%d)", m.Workload, m.Ops, ops)
-	}
-	if m.ExecCycles != maxExec {
-		t.Fatalf("merged exec %d, want parallel max %d", m.ExecCycles, maxExec)
-	}
-	if got := m.MakespanCycles(); got != span {
-		t.Fatalf("merged phase cycles %d, want per-DIMM sum %d", got, span)
-	}
-	if len(m.Series) != 0 {
-		t.Fatal("merged snapshot interleaved per-DIMM time series")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sync"
 
+	"steins/internal/cache"
 	"steins/internal/memctrl"
 	"steins/internal/metrics"
 	"steins/internal/nvmem"
@@ -32,7 +33,9 @@ type System struct {
 
 // New builds a system of n controllers, each configured from the template
 // (DataBytes is the per-controller capacity), with the address space
-// interleaved across them in chunks of interleave bytes.
+// interleaved across them in chunks of interleave bytes. With the media
+// fault model enabled, controller i draws its own fault stream, seeded
+// Faults.Seed + i*0x9e37; controller 0 keeps the template's.
 func New(n int, template memctrl.Config, factory memctrl.PolicyFactory, interleave uint64) *System {
 	if n <= 0 {
 		panic("multi: need at least one controller")
@@ -42,7 +45,11 @@ func New(n int, template memctrl.Config, factory memctrl.PolicyFactory, interlea
 	}
 	s := &System{interleave: interleave, lastArrival: make([]uint64, n)}
 	for i := 0; i < n; i++ {
-		s.ctrls = append(s.ctrls, memctrl.New(template, factory))
+		cfg := template
+		if cfg.NVM.Faults.Enabled() {
+			cfg.NVM.Faults.Seed += uint64(i) * 0x9e37
+		}
+		s.ctrls = append(s.ctrls, memctrl.New(cfg, factory))
 	}
 	s.dataBytes = uint64(n) * s.ctrls[0].Config().DataBytes
 	return s
@@ -54,10 +61,10 @@ func (s *System) Controllers() []*memctrl.Controller { return s.ctrls }
 // DataBytes returns the system's total protected capacity.
 func (s *System) DataBytes() uint64 { return s.dataBytes }
 
-// route validates a global address and maps it to (controller, local
+// Route validates a global address and maps it to (controller, local
 // address). A bad address yields an error wrapping nvmem.ErrUnaligned or
 // nvmem.ErrOutOfRange that names the caller's address.
-func (s *System) route(addr uint64) (int, uint64, error) {
+func (s *System) Route(addr uint64) (int, uint64, error) {
 	if addr%nvmem.LineSize != 0 {
 		return 0, 0, fmt.Errorf("multi: %w: data address %#x", nvmem.ErrUnaligned, addr)
 	}
@@ -79,7 +86,7 @@ func (s *System) advance(gap uint64, i int) uint64 {
 
 // WriteData routes a write to its DIMM.
 func (s *System) WriteData(gap uint64, addr uint64, data [64]byte) error {
-	i, local, err := s.route(addr)
+	i, local, err := s.Route(addr)
 	if err != nil {
 		return err
 	}
@@ -88,20 +95,11 @@ func (s *System) WriteData(gap uint64, addr uint64, data [64]byte) error {
 
 // ReadData routes a read to its DIMM.
 func (s *System) ReadData(gap uint64, addr uint64) ([64]byte, error) {
-	i, local, err := s.route(addr)
+	i, local, err := s.Route(addr)
 	if err != nil {
 		return [64]byte{}, err
 	}
 	return s.ctrls[i].ReadData(s.advance(gap, i), local)
-}
-
-// ExecCycles is the system makespan: the slowest controller bounds it.
-func (s *System) ExecCycles() uint64 {
-	var m uint64
-	for _, c := range s.ctrls {
-		m = max(m, c.ExecCycles())
-	}
-	return m
 }
 
 // Crash fails the whole machine: every controller loses its volatile
@@ -113,31 +111,18 @@ func (s *System) Crash() {
 }
 
 // Recover rebuilds every DIMM's metadata concurrently, one goroutine per
-// controller (each owns disjoint state, so this is safe), and returns the
-// aggregated report: work summed, time the parallel maximum.
+// controller (each owns disjoint state, so this is safe). It returns the
+// per-controller reports alongside the aggregate: work summed, time the
+// parallel maximum.
 //
 // Every controller is attempted even when some fail; the aggregate covers
 // the controllers that recovered, and the error joins every per-controller
 // failure (wrapped with its index) so none is masked.
-func (s *System) Recover() (memctrl.RecoveryReport, error) {
-	_, agg, err := RecoverAll(s.ctrls)
-	return agg, err
-}
-
-// RecoverAll rebuilds every controller's metadata concurrently, one
-// goroutine per controller (each owns disjoint state, so this is safe).
-// It returns the per-controller reports alongside the aggregate: work
-// summed, time the parallel maximum. Both the multi-DIMM system and the
-// sharded single-trace engine recover through it.
-//
-// Every controller is attempted even when some fail; the aggregate covers
-// the controllers that recovered, and the error joins every per-controller
-// failure (wrapped with its index) so none is masked.
-func RecoverAll(ctrls []*memctrl.Controller) ([]memctrl.RecoveryReport, memctrl.RecoveryReport, error) {
-	reports := make([]memctrl.RecoveryReport, len(ctrls))
-	errs := make([]error, len(ctrls))
+func (s *System) Recover() ([]memctrl.RecoveryReport, memctrl.RecoveryReport, error) {
+	reports := make([]memctrl.RecoveryReport, len(s.ctrls))
+	errs := make([]error, len(s.ctrls))
 	var wg sync.WaitGroup
-	for i, c := range ctrls {
+	for i, c := range s.ctrls {
 		wg.Add(1)
 		go func(i int, c *memctrl.Controller) {
 			defer wg.Done()
@@ -190,34 +175,34 @@ func (s *System) Replay(st trace.Stream, payload func(addr uint64, i int) [64]by
 	}
 }
 
-// Stats returns the system-wide controller statistics: per-DIMM stats
-// merged (counters summed, histograms and phase totals folded together).
-func (s *System) Stats() memctrl.Stats {
-	var agg memctrl.Stats
+// Totals is the system-wide accounting: per-DIMM counters summed,
+// histograms and phase totals folded together, and both makespans the
+// parallel maximum (DIMMs drain concurrently, so the slowest bounds them).
+type Totals struct {
+	Ctrl     memctrl.Stats
+	NVM      nvmem.Stats
+	Cache    cache.Stats
+	EnergyPJ float64
+	// ExecCycles and MeasuredExecCycles are the maxima of the per-DIMM
+	// controller makespans of the same names.
+	ExecCycles         uint64
+	MeasuredExecCycles uint64
+}
+
+// Totals merges every DIMM's statistics into the system view.
+func (s *System) Totals() Totals {
+	var t Totals
 	for _, c := range s.ctrls {
 		st := c.Stats()
-		agg.Merge(&st)
+		t.Ctrl.Merge(&st)
+		dst := c.Device().Stats()
+		t.NVM.Merge(&dst)
+		t.Cache.Merge(c.Meta().Stats())
+		t.EnergyPJ += c.EnergyPJ()
+		t.ExecCycles = max(t.ExecCycles, c.ExecCycles())
+		t.MeasuredExecCycles = max(t.MeasuredExecCycles, c.MeasuredExecCycles())
 	}
-	return agg
-}
-
-// NVMStats returns the merged device statistics of all DIMMs.
-func (s *System) NVMStats() nvmem.Stats {
-	var agg nvmem.Stats
-	for _, c := range s.ctrls {
-		st := c.Device().Stats()
-		agg.Merge(&st)
-	}
-	return agg
-}
-
-// MeasuredExecCycles is the measured system makespan (parallel maximum).
-func (s *System) MeasuredExecCycles() uint64 {
-	var m uint64
-	for _, c := range s.ctrls {
-		m = max(m, c.MeasuredExecCycles())
-	}
-	return m
+	return t
 }
 
 // SetMetrics attaches one collector per controller; each DIMM samples its
@@ -226,15 +211,4 @@ func (s *System) SetMetrics(opt metrics.Options) {
 	for _, c := range s.ctrls {
 		c.SetMetrics(metrics.NewCollector(opt))
 	}
-}
-
-// MetricsSnapshot exports the system view: histograms and phase totals
-// merged across DIMMs, time series kept per DIMM (occupancy trajectories
-// of different DIMMs cannot be meaningfully interleaved).
-func (s *System) MetricsSnapshot() *metrics.SystemSnapshot {
-	per := make([]metrics.Snapshot, len(s.ctrls))
-	for i, c := range s.ctrls {
-		per[i] = *c.MetricsSnapshot(fmt.Sprintf("dimm-%d", i))
-	}
-	return metrics.MergeSnapshots(per)
 }

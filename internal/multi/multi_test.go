@@ -3,6 +3,7 @@ package multi_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -78,7 +79,7 @@ func TestParallelismImprovesMakespan(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return s.ExecCycles()
+		return s.Totals().ExecCycles
 	}
 	one, four := run(1), run(4)
 	if four >= one {
@@ -100,7 +101,7 @@ func TestMachineWideCrashRecover(t *testing.T) {
 		expect[addr] = v
 	}
 	s.Crash()
-	rep, err := s.Recover()
+	_, rep, err := s.Recover()
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -126,7 +127,7 @@ func TestParallelRecoveryTimeIsMax(t *testing.T) {
 		}
 	}
 	s.Crash()
-	rep, err := s.Recover()
+	_, rep, err := s.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,30 @@ func TestBadAddressTypedError(t *testing.T) {
 			}
 		}
 	}
-	if st := s.Stats(); st.DataReads+st.DataWrites != 0 {
+	if st := s.Totals().Ctrl; st.DataReads+st.DataWrites != 0 {
 		t.Fatalf("refused accesses reached a controller: %+v", st)
+	}
+}
+
+// TestFaultStreamPerChannel pins the per-channel fault rule: with the media
+// fault model enabled, channel i draws its own stream, seeded from the
+// template's seed + i*0x9e37 (channel 0 keeps the template's); with it
+// disabled, every channel is configured exactly as the template.
+func TestFaultStreamPerChannel(t *testing.T) {
+	faulty := template()
+	faulty.NVM.Faults = nvmem.FaultConfig{Seed: 3, TransientPerRead: 1e-3, DoubleBitFrac: 0.25}
+	for _, n := range []int{2, 4} {
+		for i, c := range multi.New(n, faulty, steins.Factory, 4096).Controllers() {
+			if got, want := c.Config().NVM.Faults.Seed, faulty.NVM.Faults.Seed+uint64(i)*0x9e37; got != want {
+				t.Fatalf("%d channels: channel %d fault seed %#x, want %#x", n, i, got, want)
+			}
+		}
+		want := memctrl.New(template(), steins.Factory).Config()
+		for i, c := range multi.New(n, template(), steins.Factory, 4096).Controllers() {
+			if !reflect.DeepEqual(c.Config(), want) {
+				t.Fatalf("%d channels without faults: channel %d config %+v, want the template's %+v",
+					n, i, *c.Config(), *want)
+			}
+		}
 	}
 }

@@ -92,10 +92,10 @@ func TestReplayMatchesSplitterDrive(t *testing.T) {
 	}
 }
 
-// TestRecoverAllFoldsReports checks the shared recovery entry point: the
-// aggregate is the exact fold of the per-controller reports (work summed,
-// time the parallel maximum), and System.Recover agrees with it.
-func TestRecoverAllFoldsReports(t *testing.T) {
+// TestSystemRecoverFoldsReports checks the shared recovery entry point:
+// the aggregate is the exact fold of the per-controller reports (work
+// summed, time the parallel maximum).
+func TestSystemRecoverFoldsReports(t *testing.T) {
 	sys := multi.New(3, template(), steins.Factory, 4096)
 	if _, err := sys.Replay(trace.New(trace.Profile{
 		Name:           "recover-x",
@@ -107,7 +107,7 @@ func TestRecoverAllFoldsReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Crash()
-	reports, agg, err := multi.RecoverAll(sys.Controllers())
+	reports, agg, err := sys.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}

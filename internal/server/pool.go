@@ -628,8 +628,8 @@ func (p *Pool) RestoreState(st *snapshot.ServerState) error {
 // CrashRecoverAll models the restart after an outage: every tenant's
 // placement groups crash (volatile controller state lost) and recover via
 // their schemes, concurrently across PGs — multi-channel PGs additionally
-// recover channel-parallel through multi.RecoverAll inside securemem. The
-// per-tenant reports (work summed, time the parallel max, degradation
+// recover channel-parallel through multi.System.Recover inside securemem.
+// The per-tenant reports (work summed, time the parallel max, degradation
 // folded) are retained for the /recovery endpoint and returned in tenant
 // configuration order.
 func (p *Pool) CrashRecoverAll() []TenantRecovery {

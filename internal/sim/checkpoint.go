@@ -32,7 +32,7 @@ func (e *Sharded) State() (*ShardedState, error) {
 		st.HasSplitter = true
 		st.Splitter = e.sp.State()
 	}
-	for k, c := range e.ctrls {
+	for k, c := range e.Controllers() {
 		cs, err := c.State()
 		if err != nil {
 			return nil, fmt.Errorf("sim: sharded channel %d: %w", k, err)
@@ -45,14 +45,15 @@ func (e *Sharded) State() (*ShardedState, error) {
 // Restore rebuilds the engine from a captured state; it must have been
 // built by NewSharded from the same profile, scheme and options.
 func (e *Sharded) Restore(st *ShardedState) error {
-	if len(st.Ctrls) != len(e.ctrls) {
-		return fmt.Errorf("sim: state has %d channels, engine has %d", len(st.Ctrls), len(e.ctrls))
+	ctrls := e.Controllers()
+	if len(st.Ctrls) != len(ctrls) {
+		return fmt.Errorf("sim: state has %d channels, engine has %d", len(st.Ctrls), len(ctrls))
 	}
 	if st.HasSplitter {
 		e.lazySplitter()
 		e.sp.Restore(st.Splitter)
 	}
-	for k, c := range e.ctrls {
+	for k, c := range ctrls {
 		if st.Ctrls[k] == nil {
 			return fmt.Errorf("sim: sharded channel %d: state has no controller", k)
 		}

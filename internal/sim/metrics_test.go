@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"steins/internal/metrics"
 	"steins/internal/nvmem"
 	"steins/internal/scheme/wb"
+	"steins/internal/trace"
 )
 
 func metricsOpt() Options {
@@ -212,5 +214,48 @@ func TestRunParallelStopsDispatchAfterFailure(t *testing.T) {
 	}
 	if completed > 1 {
 		t.Fatalf("%d jobs completed after the first failed; dispatch did not stop", completed)
+	}
+}
+
+// TestShardedSystemMetricsSnapshot checks the multi-channel metrics export:
+// histograms and phase totals merge across channels, while occupancy time
+// series stay per channel (trajectories of different channels cannot be
+// meaningfully interleaved).
+func TestShardedSystemMetricsSnapshot(t *testing.T) {
+	opt := shardOpt()
+	opt.Metrics = &metrics.Options{SampleEvery: 64, RingCap: 256}
+	res, err := RunSharded(shardProfile(), SteinsGC, opt, ShardOptions{Channels: 2, Interleave: trace.InterleaveLine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := res.System
+	if sys == nil || len(sys.PerDIMM) != 2 {
+		t.Fatalf("system snapshot %+v, want 2 per-channel snapshots", sys)
+	}
+	var ops, span, maxExec uint64
+	for i := range sys.PerDIMM {
+		d := &sys.PerDIMM[i]
+		if want := fmt.Sprintf("%s#%d", shardProfile().Name, i); d.Workload != want {
+			t.Fatalf("channel %d labelled %q, want %q", i, d.Workload, want)
+		}
+		if len(d.Series) == 0 {
+			t.Fatalf("channel %d exported no time series", i)
+		}
+		ops += d.Ops
+		span += d.MakespanCycles()
+		maxExec = max(maxExec, d.ExecCycles)
+	}
+	m := &sys.Merged
+	if m.Workload != shardProfile().Name || m.Ops != ops || m.Ops != uint64(opt.Ops) {
+		t.Fatalf("merged identity/ops wrong: %q %d (want %s/%d)", m.Workload, m.Ops, shardProfile().Name, ops)
+	}
+	if m.ExecCycles != maxExec || res.Merged.ExecCycles != maxExec {
+		t.Fatalf("merged exec %d (result %d), want parallel max %d", m.ExecCycles, res.Merged.ExecCycles, maxExec)
+	}
+	if got := m.MakespanCycles(); got != span {
+		t.Fatalf("merged phase cycles %d, want per-channel sum %d", got, span)
+	}
+	if len(m.Series) != 0 {
+		t.Fatal("merged snapshot interleaved per-channel time series")
 	}
 }

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"sync"
 
-	"steins/internal/cache"
 	"steins/internal/memctrl"
 	"steins/internal/metrics"
 	"steins/internal/multi"
-	"steins/internal/nvmem"
 	"steins/internal/trace"
 )
 
@@ -86,7 +84,7 @@ type Sharded struct {
 	opt        Options
 	so         ShardOptions
 	sp         *trace.Splitter
-	ctrls      []*memctrl.Controller
+	sys        *multi.System // private: the splitter is the only router
 	shardBytes uint64
 	driven     uint64 // source ops driven, including warm-up
 	warmupDone bool
@@ -112,42 +110,49 @@ func NewSharded(prof trace.Profile, s Scheme, opt Options, so ShardOptions) *Sha
 			dataBytes, prof.Name, prof.FootprintBytes))
 	}
 	shardBytes := trace.ShardBytes(dataBytes, so.Channels, so.Interleave)
-	e := &Sharded{prof: prof, scheme: s, opt: opt, so: so, shardBytes: shardBytes}
-	for k := 0; k < so.Channels; k++ {
-		cfg := memctrl.DefaultConfig(shardBytes, s.Split)
-		cacheBytes := cfg.MetaCacheBytes
-		if opt.MetaCacheBytes != 0 {
-			cacheBytes = opt.MetaCacheBytes
-		}
-		// Divide the SRAM budget evenly across the channels, so the total
-		// matches the one-channel configuration, rounding down to a whole
-		// number of sets (the cache requires a multiple of ways*lineSize)
-		// with a two-set floor so extreme channel counts stay functional.
-		set := cfg.MetaCacheWays * 64
-		cacheBytes = cacheBytes / so.Channels / set * set
-		if cacheBytes < 2*set {
-			cacheBytes = 2 * set
-		}
-		cfg.MetaCacheBytes = cacheBytes
-		if opt.Configure != nil {
-			opt.Configure(&cfg)
-		}
-		c := memctrl.New(cfg, s.Factory)
-		if opt.Metrics != nil {
-			c.SetMetrics(metrics.NewCollector(*opt.Metrics))
-		}
-		e.ctrls = append(e.ctrls, c)
+	cfg := memctrl.DefaultConfig(shardBytes, s.Split)
+	if opt.MetaCacheBytes != 0 {
+		cfg.MetaCacheBytes = opt.MetaCacheBytes
 	}
-	return e
+	// Divide the SRAM budget evenly across the channels, so the total
+	// matches the one-channel configuration, rounding down to a whole
+	// number of sets (the cache requires a multiple of ways*lineSize) with
+	// a two-set floor so extreme channel counts stay functional.
+	set := cfg.MetaCacheWays * 64
+	cfg.MetaCacheBytes = max(cfg.MetaCacheBytes/so.Channels/set*set, 2*set)
+	if opt.Configure != nil {
+		opt.Configure(&cfg)
+	}
+	sys := multi.New(so.Channels, cfg, s.Factory, so.Interleave.ChunkBytes())
+	if opt.Metrics != nil {
+		sys.SetMetrics(*opt.Metrics)
+	}
+	return &Sharded{prof: prof, scheme: s, opt: opt, so: so, sys: sys, shardBytes: shardBytes}
 }
 
 // Controllers returns the per-channel controllers, in channel order.
-func (e *Sharded) Controllers() []*memctrl.Controller { return e.ctrls }
+func (e *Sharded) Controllers() []*memctrl.Controller { return e.sys.Controllers() }
 
-// Route maps a global data address to its (channel, local address) home.
-func (e *Sharded) Route(addr uint64) (int, uint64) {
+// home maps a global data address to its channel's controller and local
+// address, by the splitter's routing.
+func (e *Sharded) home(addr uint64) (*memctrl.Controller, uint64) {
 	e.lazySplitter()
-	return e.sp.Route(addr)
+	k, local := e.sp.Route(addr)
+	return e.Controllers()[k], local
+}
+
+// ReadGlobal routes a read for a global address to its channel; tests and
+// post-recovery probes use it.
+func (e *Sharded) ReadGlobal(gap, addr uint64) ([64]byte, error) {
+	c, local := e.home(addr)
+	return c.ReadData(gap, local)
+}
+
+// DataCounter returns the current encryption-counter state of a global
+// address's leaf slot on its owning channel.
+func (e *Sharded) DataCounter(addr uint64) uint64 {
+	c, local := e.home(addr)
+	return c.DataCounter(local)
 }
 
 func (e *Sharded) lazySplitter() {
@@ -202,6 +207,7 @@ func (e *Sharded) DriveStreamN(src trace.Stream, maxOps int) (int, error) {
 		e.bufA = make([][]trace.ShardedOp, e.so.Channels)
 		e.bufB = make([][]trace.ShardedOp, e.so.Channels)
 	}
+	ctrls := e.Controllers()
 	warm := uint64(e.opt.WarmupOps)
 	total := 0
 	var inflight *epochRun
@@ -228,7 +234,7 @@ func (e *Sharded) DriveStreamN(src trace.Stream, maxOps int) (int, error) {
 		e.driven += uint64(r.n)
 		total += r.n
 		if !e.warmupDone && warm > 0 && e.driven >= warm {
-			for _, c := range e.ctrls {
+			for _, c := range ctrls {
 				c.ResetStats()
 			}
 			e.warmupDone = true
@@ -239,15 +245,15 @@ func (e *Sharded) DriveStreamN(src trace.Stream, maxOps int) (int, error) {
 	// dispatch launches one goroutine per non-empty channel batch, so it
 	// never blocks the splitting thread.
 	dispatch := func(batches [][]trace.ShardedOp, n int) {
-		r := &epochRun{n: n, errs: make([]error, len(e.ctrls))}
-		for k := range e.ctrls {
+		r := &epochRun{n: n, errs: make([]error, len(ctrls))}
+		for k := range ctrls {
 			if len(batches[k]) == 0 {
 				continue
 			}
 			r.wg.Add(1)
 			go func(k int) {
 				defer r.wg.Done()
-				r.errs[k] = driveShard(e.ctrls[k], batches[k])
+				r.errs[k] = driveShard(ctrls[k], batches[k])
 			}(k)
 		}
 		inflight = r
@@ -322,44 +328,26 @@ func driveShard(c *memctrl.Controller, batch []trace.ShardedOp) error {
 	return nil
 }
 
-// ReadGlobal routes a read for a global address to its channel; tests and
-// post-recovery probes use it.
-func (e *Sharded) ReadGlobal(gap, addr uint64) ([64]byte, error) {
-	k, local := e.Route(addr)
-	return e.ctrls[k].ReadData(gap, local)
-}
-
-// DataCounter returns the current encryption-counter state of a global
-// address's leaf slot on its owning channel.
-func (e *Sharded) DataCounter(addr uint64) uint64 {
-	k, local := e.Route(addr)
-	return e.ctrls[k].DataCounter(local)
-}
-
 // ForceAllDirty dirties every cached node on every channel (§IV-D).
 func (e *Sharded) ForceAllDirty() {
-	for _, c := range e.ctrls {
+	for _, c := range e.Controllers() {
 		c.ForceAllDirty()
 	}
 }
 
 // Crash fails the whole machine: every channel loses its volatile state.
-func (e *Sharded) Crash() {
-	for _, c := range e.ctrls {
-		c.Crash()
-	}
-}
+func (e *Sharded) Crash() { e.sys.Crash() }
 
 // Recover rebuilds every channel concurrently — each owns a disjoint tree,
 // so recovery is shard-by-shard — and returns the per-channel reports plus
 // the aggregate (work summed, time the parallel maximum).
 func (e *Sharded) Recover() ([]memctrl.RecoveryReport, memctrl.RecoveryReport, error) {
-	return multi.RecoverAll(e.ctrls)
+	return e.sys.Recover()
 }
 
 // VerifyNVM runs the deep persisted-tree oracle on every channel.
 func (e *Sharded) VerifyNVM() error {
-	for k, c := range e.ctrls {
+	for k, c := range e.Controllers() {
 		if err := c.VerifyNVM(); err != nil {
 			return fmt.Errorf("sim: sharded channel %d: %w", k, err)
 		}
@@ -371,41 +359,30 @@ func (e *Sharded) VerifyNVM() error {
 // so far.
 func (e *Sharded) Result() ShardedResult {
 	res := ShardedResult{}
-	var ctrl memctrl.Stats
-	var nvm nvmem.Stats
-	var cacheStats cache.Stats
 	var snaps []metrics.Snapshot
-	var energy float64
-	var ops, exec uint64
-	for k, c := range e.ctrls {
+	for k, c := range e.Controllers() {
 		shardProf := e.prof
 		shardProf.Name = fmt.Sprintf("%s#%d", e.prof.Name, k)
 		st := c.Stats()
 		r := collect(c, shardProf, e.scheme, int(st.DataReads+st.DataWrites))
 		res.Shards = append(res.Shards, r)
-		ctrl.Merge(&st)
-		dst := c.Device().Stats()
-		nvm.Merge(&dst)
-		cacheStats.Merge(c.Meta().Stats())
-		energy += r.EnergyPJ
-		ops += st.DataReads + st.DataWrites
-		exec = max(exec, c.MeasuredExecCycles())
 		if r.Snapshot != nil {
 			snaps = append(snaps, *r.Snapshot)
 		}
 	}
+	t := e.sys.Totals()
 	res.Merged = Result{
 		Workload:    e.prof.Name,
 		Scheme:      e.scheme.Name,
-		Ops:         int(ops),
-		ExecCycles:  exec,
-		AvgReadLat:  ctrl.AvgReadLatency(),
-		AvgWriteLat: ctrl.AvgWriteLatency(),
-		WriteBytes:  nvm.WriteBytes(),
-		EnergyPJ:    energy,
-		MetaHitRate: cacheStats.HitRate(),
-		NVM:         nvm,
-		Ctrl:        ctrl,
+		Ops:         int(t.Ctrl.DataReads + t.Ctrl.DataWrites),
+		ExecCycles:  t.MeasuredExecCycles,
+		AvgReadLat:  t.Ctrl.AvgReadLatency(),
+		AvgWriteLat: t.Ctrl.AvgWriteLatency(),
+		WriteBytes:  t.NVM.WriteBytes(),
+		EnergyPJ:    t.EnergyPJ,
+		MetaHitRate: t.Cache.HitRate(),
+		NVM:         t.NVM,
+		Ctrl:        t.Ctrl,
 	}
 	if len(snaps) > 0 {
 		res.System = metrics.MergeSnapshots(snaps)

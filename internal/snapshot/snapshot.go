@@ -195,6 +195,9 @@ func (st *RunState) Resume() (*Resumed, error) {
 		return nil, fmt.Errorf("%w: data region %d smaller than %s footprint %d",
 			ErrCorrupt, h.DataBytes, prof.Name, prof.FootprintBytes)
 	}
+	if h.HasMetrics && h.Metrics.RingCap < 0 {
+		return nil, fmt.Errorf("%w: metrics ring capacity %d is negative", ErrCorrupt, h.Metrics.RingCap)
+	}
 	if want := max(h.Channels, 1); len(st.Sharded.Ctrls) != want {
 		return nil, fmt.Errorf("%w: state has %d channels, header declares %d",
 			ErrCorrupt, len(st.Sharded.Ctrls), want)

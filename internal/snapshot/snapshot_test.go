@@ -461,6 +461,8 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 			"data region 64 smaller than conformance-snap footprint"},
 		{"channel count disagrees with the state", header(func(h *RunHeader) { h.Channels = 2 }),
 			"state has 1 channels, header declares 2"},
+		{"negative metrics ring capacity", header(func(h *RunHeader) { h.Metrics.RingCap = -1 }),
+			"metrics ring capacity -1"},
 		{"unknown workload", wire(RunState{Header: func() RunHeader {
 			h := testHeader("Steins-GC", 1, 100)
 			h.Workload = "no-such-workload"

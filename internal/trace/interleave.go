@@ -70,9 +70,10 @@ func HashShard(addr uint64, shards int) int {
 // round-robin interleaving: consecutive chunk-byte runs are dealt to the
 // shards in turn, and each shard's local space is compacted to the chunks
 // it owns. One shard is the identity. It is the single owner of this
-// arithmetic; the splitter's line/page modes, the multi-DIMM system, the
-// serving layer's placement groups and the attack and campaign harnesses
-// all route through it, and ShardBytes sizes the local space it yields.
+// arithmetic; the splitter's line/page modes, the multi-DIMM system (and
+// through it the attack and campaign harnesses) and the serving layer's
+// placement groups all route through it, and ShardBytes sizes the local
+// space it yields.
 func RouteChunk(addr, chunk uint64, shards int) (int, uint64) {
 	c, n := addr/chunk, uint64(shards)
 	return int(c % n), (c/n)*chunk + addr%chunk

@@ -53,7 +53,6 @@ import (
 	"fmt"
 	"sync"
 
-	"steins/internal/cache"
 	"steins/internal/crypt"
 	"steins/internal/memctrl"
 	"steins/internal/multi"
@@ -227,7 +226,7 @@ func (m *Memory) Crash() {
 func (m *Memory) Recover() (RecoveryReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rep, err := m.sys.Recover()
+	_, rep, err := m.sys.Recover()
 	return RecoveryReport{
 		NodesRecovered: rep.NodesRecovered,
 		NVMReads:       rep.NVMReads,
@@ -271,31 +270,18 @@ type Stats struct {
 func (m *Memory) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var st memctrl.Stats
-	var cs cache.Stats
-	var nvm nvmem.Stats
-	var energy float64
-	var exec uint64
-	for _, c := range m.sys.Controllers() {
-		cst := c.Stats()
-		st.Merge(&cst)
-		cs.Merge(c.Meta().Stats())
-		dst := c.Device().Stats()
-		nvm.Merge(&dst)
-		energy += c.EnergyPJ()
-		exec = max(exec, c.ExecCycles())
-	}
+	t := m.sys.Totals()
 	return Stats{
-		Reads:            st.DataReads,
-		Writes:           st.DataWrites,
-		ExecCycles:       exec,
-		AvgReadCycles:    st.AvgReadLatency(),
-		AvgWriteCycles:   st.AvgWriteLatency(),
-		P99ReadCycles:    st.ReadHist.Percentile(0.99),
-		P99WriteCycles:   st.WriteHist.Percentile(0.99),
-		NVMWriteBytes:    nvm.WriteBytes(),
-		EnergyPJ:         energy,
-		MetaCacheHitRate: cs.HitRate(),
+		Reads:            t.Ctrl.DataReads,
+		Writes:           t.Ctrl.DataWrites,
+		ExecCycles:       t.ExecCycles,
+		AvgReadCycles:    t.Ctrl.AvgReadLatency(),
+		AvgWriteCycles:   t.Ctrl.AvgWriteLatency(),
+		P99ReadCycles:    t.Ctrl.ReadHist.Percentile(0.99),
+		P99WriteCycles:   t.Ctrl.WriteHist.Percentile(0.99),
+		NVMWriteBytes:    t.NVM.WriteBytes(),
+		EnergyPJ:         t.EnergyPJ,
+		MetaCacheHitRate: t.Cache.HitRate(),
 	}
 }
 

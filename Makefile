@@ -80,9 +80,10 @@ metrics-demo:
 # at -cpu 1,4. The sharded engine and conformance suite
 # additionally run at -cpu 1,2,8 to pin bit-identical results across
 # worker-pool widths, together with the one-channel identity, the typed
-# address errors and the campaign's routing test (the attack and server
-# callers of the shared address-routing function already run raced in
-# full, in the race-sensitive set and in serve-check). The
+# address errors, the routing-map tests of the trace package and the
+# server, and the campaign's routing test (the attack caller of the shared
+# address-routing function already runs raced in full, in the
+# race-sensitive set). The
 # checkpoint/resume suites run raced and twice (-count=2) to pin
 # byte-determinism of the snapshot wire format and of steinssim's report
 # across fresh, checkpointed and resumed runs. The quarantine/re-admission
@@ -126,8 +127,9 @@ check: campaign serve-check bench-check figs-check
 	go test -shuffle=on -race -cpu 1,4 -run 'Quarantine|Readmission|Degraded|Heal|ReplayBoundary' \
 		./internal/scheme/steins ./internal/memctrl ./internal/campaign
 	go test -shuffle=on -race -cpu 1,4 -run 'Search|Recover' ./internal/crypt ./internal/cme
-	go test -shuffle=on -race -cpu 1,2,8 -run 'Sharded|Conformance|Splitter|Interleave|NextEpoch|Replay|SystemRecover|DriveStream|OneChannelMatchesBareController|AddressErrors|BadAddressTypedError' \
-		./internal/sim ./internal/trace ./internal/multi ./internal/scheme/schemetest ./securemem
+	go test -shuffle=on -race -cpu 1,2,8 -run 'Sharded|Conformance|Splitter|Interleave|NextEpoch|Replay|SystemRecover|DriveStream|OneChannelMatchesBareController|AddressErrors|BadAddressTypedError|Route' \
+		./internal/sim ./internal/trace ./internal/multi ./internal/scheme/schemetest ./securemem \
+		./internal/server
 	go test -shuffle=on -race -cpu 1,2,8 -run 'Routing' ./internal/campaign
 	go test -shuffle=on -race -cpu 1,4 -run 'Resume|Snapshot|Campaign|Checkpoint|Artifact|SelfCheck' \
 		./internal/snapshot ./internal/scheme/schemetest \

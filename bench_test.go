@@ -484,7 +484,6 @@ func BenchmarkRunSharded(b *testing.B) {
 func BenchmarkSplitterEpoch(b *testing.B) {
 	prof := shardedBenchProfile()
 	sp := trace.NewSplitter(nil, 4, trace.InterleaveLine)
-	sp.LimitLocalBytes = trace.ShardBytes(2*prof.FootprintBytes, 4, trace.InterleaveLine)
 	ops := make([]trace.Op, 4096)
 	src := trace.New(prof, 11, len(ops))
 	for i := range ops {

@@ -303,7 +303,8 @@ func (c *Controller) checkLists(st *ControllerState) error {
 // aliases st. A state of another layout, or one State could not have
 // captured (tables of unequal length, addresses unaligned, out of range or
 // out of order, zero entries, misplaced cached nodes, an impossible
-// collector ring), is rejected before anything is overwritten, with an
+// collector ring, collector options other than the ones the controller was
+// built with), is rejected before anything is overwritten, with an
 // error naming the table; only the scheme's own state is loaded, and may
 // fail, after the shared structures are restored. The metrics collector
 // is re-created when the state carries one; fault hooks are left for the
@@ -326,6 +327,10 @@ func (c *Controller) Restore(st *ControllerState) error {
 	if st.HasCollector {
 		if mx, err = metrics.RestoreCollector(st.Collector); err != nil {
 			return fmt.Errorf("memctrl: %w", err)
+		}
+		if c.mx != nil && mx.Options() != c.mx.Options() {
+			return fmt.Errorf("memctrl: state collector options %+v, controller built with %+v",
+				mx.Options(), c.mx.Options())
 		}
 	}
 	ps, ok := c.policy.(PolicyState)

@@ -63,9 +63,10 @@ type Collector struct {
 }
 
 // NewCollector builds a collector; zero option fields select defaults.
+// The ring grows as probes arrive, up to RingCap, so a capacity read from
+// a file allocates nothing up front.
 func NewCollector(opt Options) *Collector {
-	o := opt.withDefaults()
-	return &Collector{opt: o, ring: make([]Sample, 0, o.RingCap)}
+	return &Collector{opt: opt.withDefaults()}
 }
 
 // Options returns the effective (defaulted) options.

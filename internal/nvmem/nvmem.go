@@ -166,9 +166,8 @@ type Device struct {
 	// chunked arena: device reads and writes are the innermost operations
 	// of every simulated request, and a map lookup per access dominated
 	// the profile. A zero slot equals an absent line (fresh memory reads
-	// zero); populated counts the non-zero slots.
-	lines     arena.T[Line]
-	populated int
+	// zero).
+	lines arena.T[Line]
 	// wear counts writes per line (same indexing); PCM's limited write
 	// endurance (§I) is a first-class concern, and recovery schemes that
 	// concentrate writes (shadow tables, record lines) show up here.
@@ -365,18 +364,7 @@ func (d *Device) store(addr uint64, line Line) {
 			d.tornN--
 		}
 	}
-	p := d.lines.Ptr(addr / LineSize)
-	// A zero line equals absent; track the populated count across the
-	// zero/non-zero transitions so PopulatedLines stays O(1).
-	wasZero := *p == (Line{})
-	isZero := line == (Line{})
-	switch {
-	case wasZero && !isZero:
-		d.populated++
-	case !wasZero && isZero:
-		d.populated--
-	}
-	*p = line
+	*d.lines.Ptr(addr / LineSize) = line
 }
 
 // peekIntended returns the stored (pre-overlay) contents of addr.
@@ -420,8 +408,16 @@ func (d *Device) EnergyPJ() float64 {
 }
 
 // PopulatedLines reports how many distinct non-zero lines the device holds;
-// tests use it to bound simulator footprints.
-func (d *Device) PopulatedLines() int { return d.populated }
+// tests use it to bound simulator footprints. It scans the device.
+func (d *Device) PopulatedLines() int {
+	n := 0
+	d.lines.ForEach(func(_ uint64, l *Line) {
+		if *l != (Line{}) {
+			n++
+		}
+	})
+	return n
+}
 
 // Wear summarises write endurance consumption.
 type Wear struct {

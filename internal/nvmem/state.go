@@ -141,9 +141,9 @@ func (d *Device) State() State {
 	}
 	// Arena iteration ascends by address, matching the sorted order the
 	// map-backed implementation produced; zero slots equal absent entries.
-	if d.populated > 0 {
-		st.LineAddrs = MakeWords(d.populated)
-		st.LineData = make([]byte, 0, d.populated*LineSize)
+	if n := d.PopulatedLines(); n > 0 {
+		st.LineAddrs = MakeWords(n)
+		st.LineData = make([]byte, 0, n*LineSize)
 	}
 	d.lines.ForEach(func(idx uint64, l *Line) {
 		if *l != (Line{}) {
@@ -323,7 +323,7 @@ func (d *Device) Restore(st State) error {
 		*wear.Ptr(addr / LineSize) = n
 		addrs, counts = addrs[8:], counts[8:]
 	}
-	d.lines, d.populated = lines, st.LineAddrs.Len()
+	d.lines = lines
 	d.wear = wear
 	d.queue = append(d.queue[:0], st.Queue...)
 	d.banks = append(d.banks[:0], st.Banks...)

@@ -43,15 +43,16 @@ func init() {
 
 // resumeHeader describes one resume-equivalence run, including a metrics
 // collector with a small ring so sample rotation crosses the checkpoint.
-func resumeHeader(s sim.Scheme, channels, ops int, faults nvmem.FaultConfig) snapshot.RunHeader {
+func resumeHeader(tc ResumeCase, ops int, faults nvmem.FaultConfig) snapshot.RunHeader {
 	return snapshot.RunHeader{
 		Workload:       resumeProfile().Name,
-		Scheme:         s.Name,
+		Scheme:         tc.Scheme.Name,
 		TotalOps:       ops,
 		WarmupOps:      ops / 8,
 		Seed:           77,
 		MetaCacheBytes: 16 << 10,
-		Channels:       channels,
+		Channels:       tc.Channels,
+		Interleave:     tc.Interleave,
 		EpochOps:       128,
 		Faults:         faults,
 		HasMetrics:     true,
@@ -169,10 +170,10 @@ func (r *resumeRun) recoveryReports(t *testing.T) ([]memctrl.RecoveryReport, boo
 // reload each checkpoint into a fresh system, drive the remainder, and
 // demand a bit-identical fingerprint — then crash both the straight and
 // the last resumed run and demand identical recovery reports.
-func DiffResume(t *testing.T, s sim.Scheme, channels int, faults nvmem.FaultConfig) {
+func DiffResume(t *testing.T, tc ResumeCase, faults nvmem.FaultConfig) {
 	t.Helper()
 	const ops, every = 1600, 500
-	h := resumeHeader(s, channels, ops, faults)
+	h := resumeHeader(tc, ops, faults)
 
 	straight := newResumeRun(t, h)
 	straight.drive(t, -1)
@@ -215,27 +216,35 @@ func DiffResume(t *testing.T, s sim.Scheme, channels int, faults nvmem.FaultConf
 	}
 }
 
-// ResumeCases enumerates the sweep: every scheme at 1, 2 and 4 channels.
-func ResumeCases() []struct {
-	Scheme   sim.Scheme
-	Channels int
-} {
-	var cases []struct {
-		Scheme   sim.Scheme
-		Channels int
+// ResumeCase is one entry of the resume-equivalence sweep.
+type ResumeCase struct {
+	Scheme     sim.Scheme
+	Channels   int
+	Interleave trace.Interleave
+}
+
+// Name labels the case: scheme and channel count, suffixed with the
+// interleave when it is not line.
+func (tc ResumeCase) Name() string {
+	name := fmt.Sprintf("%s/%dch", tc.Scheme.Name, tc.Channels)
+	if tc.Interleave != trace.InterleaveLine {
+		name += "-" + tc.Interleave.String()
 	}
+	return name
+}
+
+// ResumeCases enumerates the sweep: every scheme at 1, 2 and 4 channels
+// under line interleave, and at 2 and 4 channels under hash, whose
+// routing the splitter state must not need to carry.
+func ResumeCases() []ResumeCase {
+	var cases []ResumeCase
 	for _, s := range sim.Schemes() {
 		for _, ch := range []int{1, 2, 4} {
-			cases = append(cases, struct {
-				Scheme   sim.Scheme
-				Channels int
-			}{s, ch})
+			cases = append(cases, ResumeCase{s, ch, trace.InterleaveLine})
+		}
+		for _, ch := range []int{2, 4} {
+			cases = append(cases, ResumeCase{s, ch, trace.InterleaveHash})
 		}
 	}
 	return cases
-}
-
-// ResumeCaseName labels one sweep entry.
-func ResumeCaseName(s sim.Scheme, channels int) string {
-	return fmt.Sprintf("%s/%dch", s.Name, channels)
 }

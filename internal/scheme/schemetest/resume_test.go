@@ -6,16 +6,17 @@ import (
 	"steins/internal/nvmem"
 )
 
-// TestResumeEquivalence sweeps every scheme at 1/2/4 channels: a run
+// TestResumeEquivalence sweeps every scheme at 1/2/4 channels (and 2/4
+// under hash interleave): a run
 // checkpointed and resumed at arbitrary retired-op boundaries must export
 // byte-identical metrics JSON and identical recovery reports vs the
 // straight run.
 func TestResumeEquivalence(t *testing.T) {
 	for _, tc := range ResumeCases() {
 		tc := tc
-		t.Run(ResumeCaseName(tc.Scheme, tc.Channels), func(t *testing.T) {
+		t.Run(tc.Name(), func(t *testing.T) {
 			t.Parallel()
-			DiffResume(t, tc.Scheme, tc.Channels, nvmem.FaultConfig{})
+			DiffResume(t, tc, nvmem.FaultConfig{})
 		})
 	}
 }
@@ -41,9 +42,9 @@ func TestResumeEquivalenceFaultSeed(t *testing.T) {
 			continue
 		}
 		tc := tc
-		t.Run(ResumeCaseName(tc.Scheme, tc.Channels)+"/faults", func(t *testing.T) {
+		t.Run(tc.Name()+"/faults", func(t *testing.T) {
 			t.Parallel()
-			DiffResume(t, tc.Scheme, tc.Channels, faults)
+			DiffResume(t, tc, faults)
 		})
 	}
 }

@@ -34,11 +34,10 @@ type TenantConfig struct {
 	Channels int `json:"channels,omitempty"`
 	// Interleave routes tenant addresses across PGs: "line" (64 B
 	// round-robin), "page" (4 KiB round-robin) or "hash" (scattered
-	// lines); default "line". The line/page modes compact PG-local
-	// addresses with the exact chunk arithmetic the sharded engine's
-	// splitter uses; the hash mode keeps local addresses identical to
-	// global ones (each PG is sized for the full pool) so routing stays a
-	// pure address function that survives restarts.
+	// lines); default "line". Every mode routes with trace.Route, the
+	// sharded engine's own map: a pure address function that compacts each
+	// PG's addresses into PoolBytes/PGs and survives restarts. A checkpoint
+	// records the mode and restores only into a tenant of the same one.
 	Interleave string `json:"interleave,omitempty"`
 	// MaxInFlight bounds concurrently admitted requests; a request beyond
 	// the bound is rejected with 429 and Retry-After. 0 selects the
@@ -100,13 +99,9 @@ func parseInterleave(s string) (trace.Interleave, error) {
 	return trace.ParseInterleave(s)
 }
 
-// pgBytes returns the per-PG engine capacity for a validated tenant:
-// ShardBytes-compacted slices for the chunked modes, the full pool for
-// the hash mode (identity local addresses).
+// pgBytes returns the per-PG engine capacity for a validated tenant: the
+// ShardBytes slice trace.Route compacts each PG's addresses into.
 func pgBytes(tc *TenantConfig, iv trace.Interleave) uint64 {
-	if iv == trace.InterleaveHash {
-		return tc.PoolBytes
-	}
 	return trace.ShardBytes(tc.PoolBytes, tc.PGs, iv)
 }
 

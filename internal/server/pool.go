@@ -233,14 +233,9 @@ func (p *Pool) Tenant(name string) *Tenant { return p.tenants[name] }
 func (p *Pool) TenantNames() []string { return p.names }
 
 // route maps a tenant-global address to its (placement group, PG-local
-// address) home: trace.RouteChunk for line/page (the sharded engine's
-// exact arithmetic), scattered lines with identity local addresses for
-// hash.
+// address) home by trace.Route, the sharded engine's exact map.
 func (t *Tenant) route(addr uint64) (int, uint64) {
-	if t.iv == trace.InterleaveHash {
-		return trace.HashShard(addr, len(t.pgs)), addr
-	}
-	return trace.RouteChunk(addr, t.iv.ChunkBytes(), len(t.pgs))
+	return trace.Route(t.iv, addr, len(t.pgs))
 }
 
 // CheckAddr validates a tenant-global address.
@@ -536,7 +531,8 @@ func (t *Tenant) state() (snapshot.TenantState, error) {
 	t.mu.Lock()
 	seq := t.nextSeq
 	t.mu.Unlock()
-	ts := snapshot.TenantState{Name: t.cfg.Name, Scheme: string(t.cfg.Scheme), AppliedSeq: seq}
+	ts := snapshot.TenantState{Name: t.cfg.Name, Scheme: string(t.cfg.Scheme),
+		Interleave: t.iv.String(), AppliedSeq: seq}
 	for k, m := range t.pgs {
 		pg := snapshot.PGState{}
 		for chk, c := range m.Controllers() {
@@ -578,10 +574,10 @@ func (p *Pool) StateBytes() ([]byte, error) {
 
 // RestoreState loads a checkpoint into a freshly built pool of the same
 // configuration. Every refusal wraps snapshot.ErrCorrupt: a checkpoint
-// whose shape (tenants, placement groups, channels) does not match the
-// configuration, and a controller image that cannot be restored (another
-// layout, inconsistent or out-of-range tables), whose error names the
-// table.
+// whose shape (tenants, interleave, placement groups, channels) does not
+// match the configuration, and a controller image that cannot be restored
+// (another layout, inconsistent or out-of-range tables), whose error names
+// the table.
 func (p *Pool) RestoreState(st *snapshot.ServerState) error {
 	if len(st.Tenants) != len(p.names) {
 		return fmt.Errorf("server: %w: checkpoint has %d tenants, config has %d", snapshot.ErrCorrupt, len(st.Tenants), len(p.names))
@@ -597,6 +593,17 @@ func (p *Pool) RestoreState(st *snapshot.ServerState) error {
 		if ts.Scheme != string(t.cfg.Scheme) {
 			return fmt.Errorf("server: %w: tenant %q checkpointed under scheme %s, configured %s",
 				snapshot.ErrCorrupt, ts.Name, ts.Scheme, t.cfg.Scheme)
+		}
+		// The PG-local layout is the interleave's; a checkpoint that records
+		// none predates the record and was routed by line or page, or by the
+		// retired identity-local hash router, whose layout no tenant has now.
+		switch {
+		case ts.Interleave == "" && t.iv == trace.InterleaveHash:
+			return fmt.Errorf("server: %w: tenant %q checkpoint records no interleave (written by the retired identity-local hash router), configured hash",
+				snapshot.ErrCorrupt, ts.Name)
+		case ts.Interleave != "" && ts.Interleave != t.iv.String():
+			return fmt.Errorf("server: %w: tenant %q checkpointed under %s interleave, configured %s",
+				snapshot.ErrCorrupt, ts.Name, ts.Interleave, t.iv)
 		}
 		if len(ts.PGs) != len(t.pgs) {
 			return fmt.Errorf("server: %w: tenant %q checkpoint has %d PGs, config has %d",

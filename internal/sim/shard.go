@@ -35,8 +35,8 @@ func (so *ShardOptions) setDefaults() {
 	}
 	if so.Channels == 1 {
 		// Line interleave at one channel is the identity map; the page
-		// mode would round the region up to a page and the hash mode would
-		// compact it first-touch, neither of which one channel needs.
+		// mode would round the region up to a page, which one channel does
+		// not need.
 		so.Interleave = trace.InterleaveLine
 	}
 	if so.EpochOps <= 0 {
@@ -85,8 +85,7 @@ type Sharded struct {
 	so         ShardOptions
 	sp         *trace.Splitter
 	sys        *multi.System // private: the splitter is the only router
-	shardBytes uint64
-	driven     uint64 // source ops driven, including warm-up
+	driven     uint64        // source ops driven, including warm-up
 	warmupDone bool
 
 	// Double-buffered epoch batches: the splitter fills one set while the
@@ -109,8 +108,7 @@ func NewSharded(prof trace.Profile, s Scheme, opt Options, so ShardOptions) *Sha
 		panic(fmt.Sprintf("sim: data region %d smaller than %s footprint %d",
 			dataBytes, prof.Name, prof.FootprintBytes))
 	}
-	shardBytes := trace.ShardBytes(dataBytes, so.Channels, so.Interleave)
-	cfg := memctrl.DefaultConfig(shardBytes, s.Split)
+	cfg := memctrl.DefaultConfig(trace.ShardBytes(dataBytes, so.Channels, so.Interleave), s.Split)
 	if opt.MetaCacheBytes != 0 {
 		cfg.MetaCacheBytes = opt.MetaCacheBytes
 	}
@@ -127,7 +125,7 @@ func NewSharded(prof trace.Profile, s Scheme, opt Options, so ShardOptions) *Sha
 	if opt.Metrics != nil {
 		sys.SetMetrics(*opt.Metrics)
 	}
-	return &Sharded{prof: prof, scheme: s, opt: opt, so: so, sys: sys, shardBytes: shardBytes}
+	return &Sharded{prof: prof, scheme: s, opt: opt, so: so, sys: sys}
 }
 
 // Controllers returns the per-channel controllers, in channel order.
@@ -157,20 +155,18 @@ func (e *Sharded) DataCounter(addr uint64) uint64 {
 
 func (e *Sharded) lazySplitter() {
 	if e.sp == nil {
-		// DriveStream rebinds the source per call; routing state (virtual
-		// clock, first-touch maps) persists so multi-phase drives stay
-		// consistent.
+		// DriveStream rebinds the source per call; the virtual clock
+		// persists so multi-phase drives stay consistent.
 		e.sp = trace.NewSplitter(nil, e.so.Channels, e.so.Interleave)
-		e.sp.LimitLocalBytes = e.shardBytes
 	}
 }
 
 // DriveStream routes a global operation stream across the channels and
 // drives them in parallel, epoch by epoch. It may be called repeatedly;
-// the virtual clock and (hash-mode) address assignments carry over, so a
-// sequence of calls behaves like one concatenated stream. Payload identity
-// is global, whatever the channel count: op i (counted globally, across
-// calls) writing global address a stores Payload(a, i).
+// the virtual clock carries over, so a sequence of calls behaves like one
+// concatenated stream. Payload identity is global, whatever the channel
+// count: op i (counted globally, across calls) writing global address a
+// stores Payload(a, i).
 func (e *Sharded) DriveStream(src trace.Stream) error {
 	_, err := e.DriveStreamN(src, -1)
 	return err
@@ -282,22 +278,7 @@ func (e *Sharded) DriveStreamN(src trace.Stream, maxOps int) (int, error) {
 		if warm > consumedLife && uint64(budget) > warm-consumedLife {
 			budget = int(warm - consumedLife)
 		}
-		batches, n, serr := e.sp.NextEpochInto(budget, cur)
-		if serr != nil {
-			// Mirror the serial loop: retire the previous epoch, drive the
-			// partial one (its ops reached the controllers) without counting
-			// it, then surface the split error.
-			if err := finish(); err != nil {
-				return total, err
-			}
-			if n > 0 {
-				dispatch(batches, 0)
-				if err := finish(); err != nil {
-					return total, err
-				}
-			}
-			return total, fmt.Errorf("sim: %w", serr)
-		}
+		batches, n := e.sp.NextEpochInto(budget, cur)
 		if n == 0 {
 			err := finish()
 			return total, err

@@ -251,49 +251,59 @@ func TestShardedSplitterAgreesWithMultiRoute(t *testing.T) {
 	}
 }
 
-// TestRunShardedHashOverflowSurfaces: when hash scatter lands more lines
-// on a channel than its slice can hold, the run must fail loudly with the
-// capacity diagnostic, not mis-route or panic.
-func TestRunShardedHashOverflowSurfaces(t *testing.T) {
-	const channels = 4
+// TestRunShardedHashFillsExactSlice: hash interleave is exactly balanced,
+// so a data region with no slack per channel holds a stream that touches
+// every line of it.
+func TestRunShardedHashFillsExactSlice(t *testing.T) {
 	prof := shardProfile()
-	prof.FootprintBytes = 256 << 10
 	opt := shardOpt()
 	opt.DataBytes = prof.FootprintBytes // zero slack per shard
-
-	// Oracle: scatter every line of the footprint the way the splitter
-	// will; overflow is expected iff some channel draws more lines than
-	// its exact 1/channels slice. (With thousands of lines hashed into a
-	// handful of channels a perfectly balanced draw is essentially
-	// impossible, but derive it rather than assume it.)
 	lines := prof.FootprintBytes / 64
-	perShard := trace.ShardBytes(prof.FootprintBytes, channels, trace.InterleaveHash) / 64
-	counts := make(map[int]uint64)
-	overflow := false
-	probe := trace.NewSplitter(nil, channels, trace.InterleaveHash)
-	for l := uint64(0); l < lines; l++ {
-		shard, _ := probe.Route(l * 64)
-		if counts[shard]++; counts[shard] > perShard {
-			overflow = true
-			break
-		}
-	}
-	if !overflow {
-		t.Skip("hash scatter happened to balance exactly; no overflow to provoke")
-	}
-
-	// Touch every line so the worst channel must exceed its slice.
 	ops := make([]trace.Op, lines)
 	for l := uint64(0); l < lines; l++ {
 		ops[l] = trace.Op{Addr: l * 64, IsWrite: true, Gap: 1}
 	}
-	_, err := RunShardedStream(trace.NewReplay("hash-overflow", ops), SteinsGC, opt,
-		ShardOptions{Channels: channels, Interleave: trace.InterleaveHash})
-	if err == nil {
-		t.Fatal("expected hash-scatter overflow error, got nil")
+	res, err := RunShardedStream(trace.NewReplay("hash-fill", ops), SteinsGC, opt,
+		ShardOptions{Channels: 4, Interleave: trace.InterleaveHash})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "scatter imbalance") {
-		t.Fatalf("overflow error missing diagnostic: %v", err)
+	for k, r := range res.Shards {
+		if r.Ops != int(lines/4) {
+			t.Fatalf("channel %d retired %d ops, want %d", k, r.Ops, lines/4)
+		}
+	}
+}
+
+// TestShardedHashRouteIgnoresProbes: routing is a function of the address,
+// so read-only probes (ReadGlobal, DataCounter) assign nothing and routing
+// order does not matter: an engine probed at high addresses first homes
+// every line where an engine walked from the top down does.
+func TestShardedHashRouteIgnoresProbes(t *testing.T) {
+	prof, opt := shardProfile(), shardOpt()
+	so := ShardOptions{Channels: 4, Interleave: trace.InterleaveHash}
+	probed, walked := NewSharded(prof, SteinsGC, opt, so), NewSharded(prof, SteinsGC, opt, so)
+	top := prof.FootprintBytes - 64
+	if _, err := probed.ReadGlobal(0, top-64*9); err != nil {
+		t.Fatal(err)
+	}
+	probed.DataCounter(top - 64*3)
+	channel := func(e *Sharded, addr uint64) (int, uint64) {
+		c, local := e.home(addr)
+		for k, ck := range e.Controllers() {
+			if ck == c {
+				return k, local
+			}
+		}
+		t.Fatalf("%#x homed on no channel", addr)
+		return 0, 0
+	}
+	for a := int64(top); a >= 0; a -= 64 {
+		wk, wl := channel(walked, uint64(a))
+		pk, pl := channel(probed, uint64(a))
+		if wk != pk || wl != pl {
+			t.Fatalf("%#x: (%d,%#x) after probes, (%d,%#x) walked top down", a, pk, pl, wk, wl)
+		}
 	}
 }
 

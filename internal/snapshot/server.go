@@ -25,8 +25,8 @@
 // Tenant configuration deliberately does NOT ride along (mirroring run
 // snapshots, which resolve workloads through the trace registry): the
 // restarting server is built from its own configuration and the restore
-// fails with a structured error if the shape (tenants, placement groups,
-// channels) does not match the checkpoint.
+// fails with a structured error if the shape (tenants, interleave,
+// placement groups, channels) does not match the checkpoint.
 
 package snapshot
 
@@ -51,6 +51,10 @@ type PGState struct {
 type TenantState struct {
 	Name   string
 	Scheme string
+	// Interleave is the tenant's trace.Interleave spelling, which fixes
+	// where each address lives in its placement groups. Checkpoints
+	// written before it was recorded leave it empty.
+	Interleave string
 	// AppliedSeq is the tenant's linearization cursor: how many operations
 	// had been admitted to the request log when the checkpoint was taken.
 	AppliedSeq uint64

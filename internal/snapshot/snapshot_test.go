@@ -444,6 +444,13 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// firstTouch is a two-channel hash-interleave Steins-GC run
+	// checkpointed when the hash mode handed out local lines in first-touch
+	// order; its splitter state carries the per-shard allocation cursors.
+	firstTouch, err := os.ReadFile("testdata/first-touch-hash-run.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
 	// retired names the refusal of a single-controller engine's snapshot.
 	const retired = "retired single-controller engine"
 	header := func(fn func(h *RunHeader)) []byte {
@@ -463,6 +470,8 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 			"state has 1 channels, header declares 2"},
 		{"negative metrics ring capacity", header(func(h *RunHeader) { h.Metrics.RingCap = -1 }),
 			"metrics ring capacity -1"},
+		{"huge metrics ring capacity", header(func(h *RunHeader) { h.Metrics.RingCap = 1 << 60 }),
+			"collector options"},
 		{"unknown workload", wire(RunState{Header: func() RunHeader {
 			h := testHeader("Steins-GC", 1, 100)
 			h.Workload = "no-such-workload"
@@ -501,6 +510,7 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 		{"layout 1", layout1, "ControllerState.TagAddrs"},
 		{"layout 2", layout2, retired},
 		{"single-controller engine", singleEngine, retired},
+		{"first-touch hash router", firstTouch, "retired first-touch hash router"},
 		{"retired keep-cache header", keepCache, "outside 2 sets x 8 ways"},
 	} {
 		tc := tc

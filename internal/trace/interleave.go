@@ -45,8 +45,8 @@ func (iv Interleave) ChunkBytes() uint64 {
 	return 64
 }
 
-// mix64 is a splitmix-style finalizer; the hash mode scatters cache lines
-// with it so that any fixed stride still spreads across shards.
+// mix64 is a splitmix-style finalizer; the hash mode rotates each group of
+// lines by it so that any fixed stride still spreads across shards.
 func mix64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
@@ -56,24 +56,32 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// HashShard maps a data address to its shard under the hash interleave:
-// the owning shard of addr's 64 B line, for any consumer that routes by
-// the scattered mapping without the splitter's first-touch local
-// compaction (the serving layer's pool → placement-group routing keeps
-// hash-mode local addresses identical to global ones, so routing must be
-// a pure function of the address).
-func HashShard(addr uint64, shards int) int {
-	return int(mix64(addr/64) % uint64(shards))
+// Route maps a global address to (shard, local address) under mode iv. It
+// is the one address → shard map: the splitter and the serving layer's
+// placement groups route with it, internal/multi with the RouteChunk it
+// calls, and ShardBytes sizes the local space it yields. Line and page
+// are RouteChunk. Hash is line interleave with each group of shards
+// consecutive lines rotated: line l of group q = l/shards goes to shard
+// (l mod shards + mix64(q)) mod shards at local line q. Every shard gets
+// exactly one line of every group, so the map is a bijection, exactly
+// balanced and compact to ShardBytes, yet any fixed stride still
+// scatters. Every mode depends on the address alone, and one shard is the
+// identity.
+func Route(iv Interleave, addr uint64, shards int) (int, uint64) {
+	shard, local := RouteChunk(addr, iv.ChunkBytes(), shards)
+	if iv == InterleaveHash {
+		n := uint64(shards)
+		shard = int((uint64(shard) + mix64(local/64)%n) % n)
+	}
+	return shard, local
 }
 
 // RouteChunk maps a global address to (shard, local address) under chunked
 // round-robin interleaving: consecutive chunk-byte runs are dealt to the
 // shards in turn, and each shard's local space is compacted to the chunks
-// it owns. One shard is the identity. It is the single owner of this
-// arithmetic; the splitter's line/page modes, the multi-DIMM system (and
-// through it the attack and campaign harnesses) and the serving layer's
-// placement groups all route through it, and ShardBytes sizes the local
-// space it yields.
+// it owns. One shard is the identity. Route calls it for every mode;
+// internal/multi, whose chunk is a byte count rather than a mode, calls it
+// directly.
 func RouteChunk(addr, chunk uint64, shards int) (int, uint64) {
 	c, n := addr/chunk, uint64(shards)
 	return int(c % n), (c/n)*chunk + addr%chunk
@@ -96,33 +104,21 @@ type ShardedOp struct {
 // per-shard replay is bit-identical to routing the stream through an
 // interleaved multi-controller system sequentially.
 //
-// Local addresses are compacted so each shard's controller models only its
-// slice of the space: line/page modes route with RouteChunk (as
-// internal/multi does), the hash mode assigns local lines
-// first-touch in stream order. Both are deterministic functions of the
-// stream alone, independent of how the shards are later driven.
+// Local addresses come from Route, so each shard's controller models only
+// its ShardBytes slice of the space, and an op's home is a function of its
+// address alone, independent of the stream and of how the shards are
+// later driven.
 //
 // Not safe for concurrent use; the split is inherently sequential (it
 // defines the global time base) and is cheap relative to simulating the
 // operations it routes.
 type Splitter struct {
-	src   Stream
-	iv    Interleave
-	chunk uint64
-
-	// LimitLocalBytes, when non-zero, bounds each shard's local address
-	// space: the hash mode's first-touch allocator reports an error instead
-	// of handing out a local line beyond it. Line/page modes never exceed
-	// ceil(globalChunks/n)*chunk by construction.
-	LimitLocalBytes uint64
+	src Stream
+	iv  Interleave
 
 	now     uint64   // global trace time (sum of source gaps)
 	last    []uint64 // per-shard global time of the last routed op
 	emitted uint64   // source ops consumed so far
-
-	// Hash-mode first-touch compaction state.
-	localLine []map[uint64]uint64 // per shard: global line -> local line
-	nextLine  []uint64
 
 	bufs [][]ShardedOp // reusable per-shard epoch batches
 }
@@ -132,21 +128,12 @@ func NewSplitter(src Stream, shards int, iv Interleave) *Splitter {
 	if shards <= 0 {
 		panic("trace: splitter needs at least one shard")
 	}
-	sp := &Splitter{
-		src:   src,
-		iv:    iv,
-		chunk: iv.ChunkBytes(),
-		last:  make([]uint64, shards),
-		bufs:  make([][]ShardedOp, shards),
+	return &Splitter{
+		src:  src,
+		iv:   iv,
+		last: make([]uint64, shards),
+		bufs: make([][]ShardedOp, shards),
 	}
-	if iv == InterleaveHash {
-		sp.localLine = make([]map[uint64]uint64, shards)
-		for i := range sp.localLine {
-			sp.localLine[i] = make(map[uint64]uint64)
-		}
-		sp.nextLine = make([]uint64, shards)
-	}
-	return sp
 }
 
 // Name returns the source stream's name.
@@ -158,8 +145,8 @@ func (sp *Splitter) Name() string {
 }
 
 // Rebind points the splitter at a new source stream. Routing state — the
-// virtual clock, per-shard arrival times, first-touch assignments — is
-// preserved, so successive sources behave like one concatenated stream.
+// virtual clock and per-shard arrival times — is preserved, so successive
+// sources behave like one concatenated stream.
 func (sp *Splitter) Rebind(src Stream) { sp.src = src }
 
 // Shards returns the shard count.
@@ -174,11 +161,9 @@ func (sp *Splitter) ShardBytes(dataBytes uint64) uint64 {
 	return ShardBytes(dataBytes, len(sp.last), sp.iv)
 }
 
-// ShardBytes sizes one shard's slice of a dataBytes global space: the
-// chunks are dealt round-robin, so a shard holds at most ceil(chunks/n) of
-// them. The hash mode compacts first-touch and is bounded by the same
-// figure only in expectation; callers give it the same capacity and the
-// splitter reports an error if scatter imbalance ever exceeds it.
+// ShardBytes sizes one shard's slice of a dataBytes global space under
+// Route: every mode deals each group of n chunks (lines for hash) one to
+// a shard, so a shard holds at most ceil(chunks/n) of them.
 func ShardBytes(dataBytes uint64, shards int, iv Interleave) uint64 {
 	chunk := iv.ChunkBytes()
 	chunks := (dataBytes + chunk - 1) / chunk
@@ -186,37 +171,20 @@ func ShardBytes(dataBytes uint64, shards int, iv Interleave) uint64 {
 	return perShard * chunk
 }
 
-// Route maps a global data address to (shard, local address). For the hash
-// mode, addresses not yet seen in the stream are assigned a fresh local
-// line (first-touch), exactly as the split itself would.
+// Route maps a global data address to (shard, local address) by the
+// package-level Route.
 func (sp *Splitter) Route(addr uint64) (int, uint64) {
-	if sp.iv == InterleaveHash {
-		return sp.routeHash(addr)
-	}
-	return RouteChunk(addr, sp.chunk, len(sp.last))
-}
-
-// routeHash is the hash mode's Route: scattered lines, local lines handed
-// out first-touch.
-func (sp *Splitter) routeHash(addr uint64) (int, uint64) {
-	line := addr / 64
-	shard := HashShard(addr, len(sp.last))
-	loc, ok := sp.localLine[shard][line]
-	if !ok {
-		loc = sp.nextLine[shard]
-		sp.nextLine[shard]++
-		sp.localLine[shard][line] = loc
-	}
-	return shard, loc*64 + addr%64
+	return Route(sp.iv, addr, len(sp.last))
 }
 
 // NextEpoch routes up to budget further source operations into per-shard
 // batches. The returned slices are valid until the next call (buffers are
 // reused). n is the number of source ops consumed; n == 0 means the source
-// is exhausted. A non-nil error reports hash-mode local-address overflow
-// (LimitLocalBytes exceeded); the epoch is unusable then.
+// is exhausted. Routing cannot fail, so err is always nil; the result
+// keeps its error for the callers written against it.
 func (sp *Splitter) NextEpoch(budget int) (batches [][]ShardedOp, n int, err error) {
-	return sp.NextEpochInto(budget, sp.bufs)
+	batches, n = sp.NextEpochInto(budget, sp.bufs)
+	return batches, n, nil
 }
 
 // NextEpochInto is NextEpoch routing into caller-provided per-shard
@@ -224,7 +192,7 @@ func (sp *Splitter) NextEpoch(budget int) (batches [][]ShardedOp, n int, err err
 // grown as needed). A pipelined driver alternates two buffer sets so the
 // split of epoch e+1 can overlap the drive of epoch e without aliasing
 // the batches the workers are still reading.
-func (sp *Splitter) NextEpochInto(budget int, bufs [][]ShardedOp) (batches [][]ShardedOp, n int, err error) {
+func (sp *Splitter) NextEpochInto(budget int, bufs [][]ShardedOp) (batches [][]ShardedOp, n int) {
 	if len(bufs) != len(sp.last) {
 		panic(fmt.Sprintf("trace: NextEpochInto with %d buffers for %d shards", len(bufs), len(sp.last)))
 	}
@@ -236,19 +204,7 @@ func (sp *Splitter) NextEpochInto(budget int, bufs [][]ShardedOp) (batches [][]S
 		if !ok {
 			break
 		}
-		// Route, unrolled so the chunk arithmetic inlines into this loop.
-		var shard int
-		var local uint64
-		if sp.iv == InterleaveHash {
-			shard, local = sp.routeHash(op.Addr)
-		} else {
-			shard, local = RouteChunk(op.Addr, sp.chunk, len(sp.last))
-		}
-		if sp.LimitLocalBytes != 0 && local >= sp.LimitLocalBytes {
-			return bufs, n, fmt.Errorf(
-				"trace: shard %d local address %#x beyond capacity %#x (hash scatter imbalance; raise DataBytes)",
-				shard, local, sp.LimitLocalBytes)
-		}
+		shard, local := Route(sp.iv, op.Addr, len(sp.last))
 		sp.now += op.Gap
 		bufs[shard] = append(bufs[shard], ShardedOp{
 			Op:         Op{Addr: local, IsWrite: op.IsWrite, Gap: sp.now - sp.last[shard]},
@@ -259,5 +215,5 @@ func (sp *Splitter) NextEpochInto(budget int, bufs [][]ShardedOp) (batches [][]S
 		sp.emitted++
 		n++
 	}
-	return bufs, n, nil
+	return bufs, n
 }

@@ -57,20 +57,77 @@ func TestRouteKeepsChunksTogether(t *testing.T) {
 	}
 }
 
+// TestHashRouteFirstTouchStable pins that hash routing is pure: an
+// address's home depends on the address alone, not on which addresses a
+// splitter routed before it, so splitters that saw the same addresses in
+// different orders, and a fresh splitter per address, all agree.
 func TestHashRouteFirstTouchStable(t *testing.T) {
-	sp := NewSplitter(nil, 3, InterleaveHash)
-	type home struct {
-		shard int
-		local uint64
+	addrs := []uint64{0, 64, 128, 4096, 64, 0, 9999 * 64, 128, 5 * 64, 4097}
+	fwd, rev := NewSplitter(nil, 3, InterleaveHash), NewSplitter(nil, 3, InterleaveHash)
+	for i := len(addrs) - 1; i >= 0; i-- {
+		rev.Route(addrs[len(addrs)-1-i])
 	}
-	homes := make(map[uint64]home)
-	addrs := []uint64{0, 64, 128, 4096, 64, 0, 9999 * 64, 128}
 	for _, a := range addrs {
-		shard, local := sp.Route(a)
-		if h, ok := homes[a]; ok && (h.shard != shard || h.local != local) {
-			t.Fatalf("address %#x moved: (%d,%#x) then (%d,%#x)", a, h.shard, h.local, shard, local)
+		shard, local := fwd.Route(a)
+		rs, rl := rev.Route(a)
+		fs, fl := NewSplitter(nil, 3, InterleaveHash).Route(a)
+		if rs != shard || rl != local || fs != shard || fl != local {
+			t.Fatalf("address %#x routes to (%d,%#x), (%d,%#x) after another order, (%d,%#x) on a fresh splitter",
+				a, shard, local, rs, rl, fs, fl)
 		}
-		homes[a] = home{shard, local}
+	}
+}
+
+// TestRouteHashBalancedBijection pins the hash interleave's map at 1–8
+// shards over region sizes that are not a multiple of the shard count:
+// every line has exactly one (shard, local) home inside ShardBytes, the
+// shards' line counts differ by at most one, a sub-line offset stays with
+// its line, one shard is the identity, and a sweep with stride n — which
+// line interleave would pin to one shard — reaches every shard.
+func TestRouteHashBalancedBijection(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		sp := NewSplitter(nil, n, InterleaveHash)
+		for _, lines := range []uint64{1, 7, 61, 1000, 3*64 + 5} {
+			space := lines * 64
+			limit := ShardBytes(space, n, InterleaveHash)
+			counts := make([]uint64, n)
+			owner := make(map[[2]uint64]uint64)
+			for addr := uint64(0); addr < space; addr += 64 {
+				shard, local := sp.Route(addr)
+				if shard < 0 || shard >= n || local >= limit || local%64 != 0 {
+					t.Fatalf("n=%d lines=%d: %#x routed to (%d,%#x), ShardBytes %#x", n, lines, addr, shard, local, limit)
+				}
+				home := [2]uint64{uint64(shard), local}
+				if prev, dup := owner[home]; dup {
+					t.Fatalf("n=%d lines=%d: %#x and %#x share shard %d local %#x", n, lines, prev, addr, shard, local)
+				}
+				owner[home] = addr
+				counts[shard]++
+				if s2, l2 := sp.Route(addr + 40); s2 != shard || l2 != local+40 {
+					t.Fatalf("n=%d: offset 40 of %#x left its line: (%d,%#x)", n, addr, s2, l2)
+				}
+				if n == 1 && local != addr {
+					t.Fatalf("one shard routes %#x to %#x, want the identity", addr, local)
+				}
+			}
+			lo, hi := counts[0], counts[0]
+			for _, c := range counts {
+				lo, hi = min(lo, c), max(hi, c)
+			}
+			if hi-lo > 1 {
+				t.Fatalf("n=%d lines=%d: shard line counts %v differ by more than one", n, lines, counts)
+			}
+		}
+		for phase := uint64(0); phase < uint64(n); phase++ {
+			hit := make(map[int]bool)
+			for k := uint64(0); k < 64; k++ {
+				shard, _ := sp.Route((k*uint64(n) + phase) * 64)
+				hit[shard] = true
+			}
+			if n > 1 && len(hit) != n {
+				t.Fatalf("n=%d: stride-%d sweep from line %d reaches %d shards, want %d", n, n, phase, len(hit), n)
+			}
+		}
 	}
 }
 

@@ -23,28 +23,34 @@ func opsFromFuzz(data []byte) []Op {
 	return ops
 }
 
-// checkRouteChunk is the oracle for the shared chunk arithmetic, checked
-// against its definition rather than against another caller of it: the
-// shard is in range, the local address fits the ShardBytes-sized slice of
-// a space-byte global space, (shard, local) maps back to addr, and one
-// shard is the identity.
-func checkRouteChunk(t *testing.T, addr, space uint64) {
+// checkRoute is the oracle for the routing map, checked against its
+// definition rather than against another caller of it, through a fresh
+// splitter per call so no earlier routing can matter: the shard is in
+// range, the local address fits the ShardBytes-sized slice of a
+// space-byte global space, (shard, local) maps back to addr, and one
+// shard is the identity. Line and page deal chunks round-robin; hash
+// rotates each group of n lines by mix64 of the group number.
+func checkRoute(t *testing.T, addr, space uint64) {
 	t.Helper()
-	for _, iv := range []Interleave{InterleaveLine, InterleavePage} {
+	for _, iv := range []Interleave{InterleaveLine, InterleavePage, InterleaveHash} {
 		chunk := iv.ChunkBytes()
 		for n := 1; n <= 8; n++ {
-			shard, local := RouteChunk(addr, chunk, n)
+			shard, local := NewSplitter(nil, n, iv).Route(addr)
 			if shard < 0 || shard >= n {
-				t.Fatalf("RouteChunk(%#x, %s, %d): shard %d out of range", addr, iv, n, shard)
+				t.Fatalf("Route(%s, %#x, %d): shard %d out of range", iv, addr, n, shard)
 			}
 			if limit := ShardBytes(space, n, iv); local >= limit {
-				t.Fatalf("RouteChunk(%#x, %s, %d): local %#x beyond shard size %#x", addr, iv, n, local, limit)
+				t.Fatalf("Route(%s, %#x, %d): local %#x beyond shard size %#x", iv, addr, n, local, limit)
 			}
-			if back := ((local/chunk)*uint64(n)+uint64(shard))*chunk + local%chunk; back != addr {
-				t.Fatalf("RouteChunk(%#x, %s, %d) = (%d, %#x) maps back to %#x", addr, iv, n, shard, local, back)
+			pos := uint64(shard) // the chunk's position in its group of n
+			if iv == InterleaveHash {
+				pos = (pos + uint64(n) - mix64(local/chunk)%uint64(n)) % uint64(n)
+			}
+			if back := ((local/chunk)*uint64(n)+pos)*chunk + local%chunk; back != addr {
+				t.Fatalf("Route(%s, %#x, %d) = (%d, %#x) maps back to %#x", iv, addr, n, shard, local, back)
 			}
 			if n == 1 && (shard != 0 || local != addr) {
-				t.Fatalf("RouteChunk(%#x, %s, 1) = (%d, %#x), want the identity", addr, iv, shard, local)
+				t.Fatalf("Route(%s, %#x, 1) = (%d, %#x), want the identity", iv, addr, shard, local)
 			}
 		}
 	}
@@ -56,8 +62,7 @@ func checkRouteChunk(t *testing.T, addr, space uint64) {
 // fields preserved, routing consistent with Route, no two global lines
 // aliased onto one local line, and local gaps telescoping back to the
 // global arrival times. Every address (and a sub-line offset of it) also
-// goes through the RouteChunk oracle at line and page interleave over
-// 1–8 shards.
+// goes through the Route oracle at every interleave over 1–8 shards.
 func FuzzSplitterRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 1})
@@ -70,12 +75,17 @@ func FuzzSplitterRoundTrip(f *testing.F) {
 	// The last line of the space and the first lines of the last pages:
 	// the ShardBytes bound is tight there.
 	f.Add([]byte{0xff, 0x3f, 0, 0, 63, 0xc0, 0x3f, 0, 0x80, 1, 0x80, 0x3f, 0, 0, 40})
+	// Hash routing: a line far from the first group, alone, so its home is
+	// its address's and not the order it arrived in; then two lines of one
+	// group routed high line first.
+	f.Add([]byte{0x39, 0x30, 0, 0, 7})
+	f.Add([]byte{0x07, 0x01, 0, 0x80, 3, 0x00, 0x01, 0, 0, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := opsFromFuzz(data)
 		for _, op := range ops {
-			checkRouteChunk(t, op.Addr, 1<<20)
-			checkRouteChunk(t, op.Addr+op.Gap%64, 1<<20)
+			checkRoute(t, op.Addr, 1<<20)
+			checkRoute(t, op.Addr+op.Gap%64, 1<<20)
 		}
 		for _, tc := range []struct {
 			shards int
@@ -86,6 +96,7 @@ func FuzzSplitterRoundTrip(f *testing.F) {
 			{4, InterleaveLine, 7},
 			{3, InterleavePage, 1024},
 			{5, InterleaveHash, 13},
+			{8, InterleaveHash, 64},
 		} {
 			sp := NewSplitter(NewReplay("fuzz", ops), tc.shards, tc.iv)
 			merged := make([]ShardedOp, len(ops))
@@ -119,9 +130,7 @@ func FuzzSplitterRoundTrip(f *testing.F) {
 				t.Fatalf("%d/%s: consumed %d of %d ops", tc.shards, tc.iv, consumed, len(ops))
 			}
 			// Replay the source in stream order against an independent
-			// Route oracle (hash first-touch is order-sensitive, so the
-			// oracle must see addresses exactly as the splitter did) and
-			// reconstruct the virtual clock.
+			// Route oracle and reconstruct the virtual clock.
 			oracle := NewSplitter(nil, tc.shards, tc.iv)
 			type lineHome struct {
 				shard int

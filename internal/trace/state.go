@@ -6,8 +6,6 @@
 
 package trace
 
-import "sort"
-
 // GeneratorState is the serializable position of a Generator within its
 // stream. The RNG state covers the Zipf sampler too: it draws through the
 // same source.
@@ -49,45 +47,27 @@ func (g *Generator) Restore(st GeneratorState) {
 	g.runBase = st.RunBase
 }
 
-// LocalLineState is one hash-mode first-touch assignment: global line ->
-// shard-local line.
-type LocalLineState struct {
-	Global uint64
-	Local  uint64
-}
-
 // SplitterState is the serializable routing state of a Splitter: the
-// virtual clock, per-shard arrival times, the emitted-op counter (the
-// global op ordinal of the next routed op) and the hash-mode first-touch
-// tables, flattened to sorted slices for deterministic encoding.
+// virtual clock, per-shard arrival times and the emitted-op counter (the
+// global op ordinal of the next routed op). Routing itself is a function
+// of the address, so nothing else needs to survive a restart.
 type SplitterState struct {
-	Now       uint64
-	Last      []uint64
-	Emitted   uint64
-	LocalLine [][]LocalLineState // per shard, sorted by global line; nil unless hash mode
-	NextLine  []uint64
+	Now     uint64
+	Last    []uint64
+	Emitted uint64
+	// NextLine is decode-only. The retired first-touch hash router wrote
+	// its per-shard allocation cursors here; no splitter writes it now, and
+	// a state that carries it is refused rather than resumed onto Route.
+	NextLine []uint64
 }
 
 // State captures the splitter's routing state.
 func (sp *Splitter) State() SplitterState {
-	st := SplitterState{
+	return SplitterState{
 		Now:     sp.now,
 		Last:    append([]uint64(nil), sp.last...),
 		Emitted: sp.emitted,
 	}
-	if sp.localLine != nil {
-		st.LocalLine = make([][]LocalLineState, len(sp.localLine))
-		for i, m := range sp.localLine {
-			for g, l := range m {
-				st.LocalLine[i] = append(st.LocalLine[i], LocalLineState{Global: g, Local: l})
-			}
-			sort.Slice(st.LocalLine[i], func(a, b int) bool {
-				return st.LocalLine[i][a].Global < st.LocalLine[i][b].Global
-			})
-		}
-		st.NextLine = append([]uint64(nil), sp.nextLine...)
-	}
-	return st
 }
 
 // Restore rebuilds the splitter's routing state. The splitter must have
@@ -96,13 +76,4 @@ func (sp *Splitter) Restore(st SplitterState) {
 	sp.now = st.Now
 	copy(sp.last, st.Last)
 	sp.emitted = st.Emitted
-	if sp.localLine != nil {
-		for i := range sp.localLine {
-			sp.localLine[i] = make(map[uint64]uint64)
-			for _, p := range st.LocalLine[i] {
-				sp.localLine[i][p.Global] = p.Local
-			}
-		}
-		copy(sp.nextLine, st.NextLine)
-	}
 }

@@ -3,9 +3,11 @@
 .PHONY: all build test bench bench-json figs figs-full figs-check fuzz campaign check serve-check bench-check cover clean metrics-demo
 
 # The canonical benchmark set persisted to BENCH_$(BENCH_REV).json; keep in
-# sync with the `canonical` list in cmd/benchjson.
-BENCH_REV ?= 3
-BENCH_PATTERN = HotWritePath|HotReadPath|RunSchemes|RunSharded|SplitterEpoch|SnapshotSave|SnapshotLoad|GCSweepBuild|SCSweepBuild|ServePath
+# sync with the `canonical` list in cmd/benchjson. BENCH_COUNT samples per
+# benchmark give benchjson a median and an interquartile spread.
+BENCH_REV ?= 4
+BENCH_COUNT ?= 5
+BENCH_PATTERN = HotWritePath|HotReadPath|RunSchemes|RunSharded|SplitterEpoch|SnapshotSave|SnapshotLoad|GCSweepBuild|SCSweepBuild|ServePath|RecoveryDowntime
 
 all: build test
 
@@ -21,9 +23,10 @@ bench:
 
 # Persist the canonical hot-path benchmark series as a machine-readable
 # trajectory point, then verify the document is complete before it can be
-# committed.
+# committed. Compare two points with
+# `go run ./cmd/benchjson -compare BENCH_3.json BENCH_4.json`.
 bench-json:
-	go test -run NONE -bench '$(BENCH_PATTERN)' -benchmem . \
+	go test -run NONE -bench '$(BENCH_PATTERN)' -benchmem -count $(BENCH_COUNT) . \
 		| go run ./cmd/benchjson -o BENCH_$(BENCH_REV).json
 	go run ./cmd/benchjson -verify BENCH_$(BENCH_REV).json
 
@@ -91,7 +94,10 @@ metrics-demo:
 # across the steins policy, the controller and the campaign's
 # replay-boundary repro artifacts. The recovery counter searches (the
 # SipHash prefix-cached fast path against the one-MAC-per-candidate loop)
-# run raced at -cpu 1,4. The checkpoint restore suites (crafted tables
+# run raced at -cpu 1,4, together with the SipHash vectors, the hint-first
+# split-counter recovery against the plain 64-candidate search, and the
+# Steins recovery suites over the dense recovery bookkeeping. The
+# checkpoint restore suites (crafted tables
 # refused entry by entry, the sectioned server payload, the layout
 # fixtures, byte-stable Save → Load → Restore → Save, the daemon's refusal
 # of a crafted checkpoint) run raced at -cpu 1,4. Every go test runs -shuffle=on so
@@ -126,7 +132,8 @@ check: campaign serve-check bench-check figs-check
 		./internal/campaign
 	go test -shuffle=on -race -cpu 1,4 -run 'Quarantine|Readmission|Degraded|Heal|ReplayBoundary' \
 		./internal/scheme/steins ./internal/memctrl ./internal/campaign
-	go test -shuffle=on -race -cpu 1,4 -run 'Search|Recover' ./internal/crypt ./internal/cme
+	go test -shuffle=on -race -cpu 1,4 -run 'Search|Recover|SipHash' ./internal/crypt ./internal/cme \
+		./internal/scheme/steins
 	go test -shuffle=on -race -cpu 1,2,8 -run 'Sharded|Conformance|Splitter|Interleave|NextEpoch|Replay|SystemRecover|DriveStream|OneChannelMatchesBareController|AddressErrors|BadAddressTypedError|Route' \
 		./internal/sim ./internal/trace ./internal/multi ./internal/scheme/schemetest ./securemem \
 		./internal/server

@@ -421,6 +421,53 @@ func TestRecoverySearchAllocs(t *testing.T) {
 	}
 }
 
+// --- recovery downtime -------------------------------------------------------
+
+// BenchmarkRecoveryDowntime times each scheme's crash recovery on the host
+// clock beside the modelled one. The crashed image of every case in
+// sim.DowntimeCases is built once; each iteration restores a fresh
+// controller from it outside the timer, so only Recover is timed. It
+// reports host and simulated milliseconds per recovery, their ratio, and
+// the MACs and NVM reads the recovery charged (pinned by
+// internal/figures/testdata/downtime.txt).
+func BenchmarkRecoveryDowntime(b *testing.B) {
+	for _, dc := range sim.DowntimeCases() {
+		b.Run(dc.Scheme.Name, func(b *testing.B) {
+			e, err := sim.CrashedAtCacheSize(dc.Scheme, dc.CacheBytes, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			crashed := e.Controllers()[0]
+			st, err := crashed.State()
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := *crashed.Config()
+			var rep memctrl.RecoveryReport
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := memctrl.New(cfg, dc.Scheme.Factory)
+				if err := c.Restore(st); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if rep, err = c.Recover(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			hostMS := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / 1e6
+			simMS := rep.TimeNS / 1e6
+			b.ReportMetric(hostMS, "host_ms")
+			b.ReportMetric(simMS, "sim_ms")
+			b.ReportMetric(hostMS/simMS, "host_per_sim")
+			b.ReportMetric(float64(rep.MACOps), "macs")
+			b.ReportMetric(float64(rep.NVMReads), "nvm_reads")
+		})
+	}
+}
+
 // --- sharded engine benches --------------------------------------------------
 
 // shardedBenchProfile is sized so the per-channel working set still

@@ -123,15 +123,34 @@ func (e *Engine) SearchCounterGC(ct *[64]byte, addr uint64, tag Tag, steps int) 
 // RecoverCounterSC restores the (major, minor) encryption counter of a
 // block covered by a split leaf: the major comes from the high bits of the
 // tag hint, the minor from an Osiris-style search over its 64 possible
-// values (the search is the §IV-D recovery cost the paper models; the
-// hint's own minor bits only matter when the ciphertext is unverifiable).
+// values (the search is the §IV-D recovery cost the paper models).
+//
+// The hint carries the full counter the tag was written under, so the
+// host checks that one candidate first and runs the search only when it
+// fails; the answer is the search's either way. macOps charges the
+// modelled search: minor+1 on a hit, 64 on a miss. The two could disagree
+// only if a lower minor's MAC collided with the tag's 64-bit MAC, and
+// there the hint names the block's true counter.
 func (e *Engine) RecoverCounterSC(ct *[64]byte, addr uint64, tag Tag, staleMinor uint8) (major uint64, minor uint8, macOps uint64, ok bool) {
 	if !tag.Written {
 		return 0, staleMinor, 0, true
 	}
+	sit.PutDataMACMsg(&e.msg, addr, ct, tag.Hint)
+	return e.RecoverCounterSCMsg(&e.msg, tag)
+}
+
+// RecoverCounterSCMsg is RecoverCounterSC for a written block whose MAC
+// message the caller already packed with sit.PutDataMACMsg (under any
+// counter), so a recovery pass can read each line straight into its
+// message. The message's counter word is scratch: its value on return is
+// unspecified.
+func (e *Engine) RecoverCounterSCMsg(msg *[sit.DataMACMsgSize]byte, tag Tag) (major uint64, minor uint8, macOps uint64, ok bool) {
 	major = tag.Hint >> 6
-	sit.PutDataMACMsg(&e.msg, addr, ct, major<<6)
-	ctr, tried, ok := crypt.SearchCounter(e.MAC, e.Key, e.msg[:], major<<6, 1, 64, tag.MAC)
+	if _, _, hit := crypt.SearchCounter(e.MAC, e.Key, msg[:], tag.Hint, 0, 1, tag.MAC); hit {
+		minor = uint8(tag.Hint & 63)
+		return major, minor, uint64(minor) + 1, true
+	}
+	ctr, tried, ok := crypt.SearchCounter(e.MAC, e.Key, msg[:], major<<6, 1, 64, tag.MAC)
 	if !ok {
 		return 0, 0, uint64(tried), false
 	}

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"steins/internal/crypt"
+	"steins/internal/sit"
 )
 
 func newEngine() *Engine {
@@ -136,10 +137,65 @@ func TestRecoverCounterSC(t *testing.T) {
 		if !ok || major != tc.major || minor != tc.minor {
 			t.Errorf("(%d,%d): got (%d,%d) ok=%v", tc.major, tc.minor, major, minor, ok)
 		}
-		if macOps == 0 || macOps > 64 {
-			t.Errorf("macOps = %d", macOps)
+		if macOps != uint64(tc.minor)+1 {
+			t.Errorf("(%d,%d): macOps = %d, want minor+1 = %d", tc.major, tc.minor, macOps, tc.minor+1)
 		}
 	}
+}
+
+// searchSCReference is the Osiris search RecoverCounterSC models, written
+// as plainly as possible: one Sum64 per minor from 0 upward under the tag
+// hint's major.
+func searchSCReference(e *Engine, ct *[64]byte, addr uint64, tag Tag, staleMinor uint8) (uint64, uint8, uint64, bool) {
+	if !tag.Written {
+		return 0, staleMinor, 0, true
+	}
+	major := tag.Hint >> 6
+	var msg [sit.DataMACMsgSize]byte
+	for m := uint64(0); m < 64; m++ {
+		sit.PutDataMACMsg(&msg, addr, ct, major<<6|m)
+		if e.MAC.Sum64(e.Key, msg[:]) == tag.MAC {
+			return major, uint8(m), m + 1, true
+		}
+	}
+	return 0, 0, 64, false
+}
+
+// TestRecoverCounterSCMatchesSearch holds the hint-first recovery to the
+// plain 64-candidate search: same (major, minor, macOps, ok) for every
+// minor on an intact block, and when the ciphertext, the hint's minor or
+// the hint's major was tampered with, and for an unwritten tag.
+func TestRecoverCounterSCMatchesSearch(t *testing.T) {
+	e := newEngine()
+	const addr, major = 320, 23
+	check := func(name string, ct *[64]byte, tag Tag) {
+		t.Helper()
+		maj, mi, ops, ok := e.RecoverCounterSC(ct, addr, tag, 5)
+		wmaj, wmi, wops, wok := searchSCReference(e, ct, addr, tag, 5)
+		if maj != wmaj || mi != wmi || ops != wops || ok != wok {
+			t.Errorf("%s: got (%d, %d, %d, %v), search (%d, %d, %d, %v)",
+				name, maj, mi, ops, ok, wmaj, wmi, wops, wok)
+		}
+	}
+	for minor := uint64(0); minor < 64; minor++ {
+		ct := [64]byte{byte(minor), 0x5a}
+		tag := e.TagSC(&ct, addr, major<<6|minor, major)
+		check("intact", &ct, tag)
+
+		flipped := ct
+		flipped[40] ^= 0x08
+		check("tampered ciphertext", &flipped, tag)
+
+		wrongMinor := tag
+		wrongMinor.Hint = major<<6 | (minor+1+minor%7)&63
+		check("tampered hint minor", &ct, wrongMinor)
+
+		wrongMajor := tag
+		wrongMajor.Hint ^= 1 << 6
+		check("tampered hint major", &ct, wrongMajor)
+	}
+	var ct [64]byte
+	check("unwritten", &ct, Tag{})
 }
 
 func TestRecoverCounterSCDetectsTamper(t *testing.T) {

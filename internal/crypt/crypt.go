@@ -16,6 +16,7 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
+	"math/bits"
 )
 
 // Key is a 128-bit secret key held inside the trusted processor domain.
@@ -96,9 +97,7 @@ func (SipMAC) Name() string { return "siphash-2-4" }
 
 // Sum64 implements MAC.
 func (SipMAC) Sum64(key Key, msg []byte) uint64 {
-	k0 := binary.LittleEndian.Uint64(key[0:8])
-	k1 := binary.LittleEndian.Uint64(key[8:16])
-	return sipCore(k0, k1, msg)
+	return sipCore(key, msg)
 }
 
 // SearchCounter implements SearchMAC. When the counter word is a whole
@@ -110,52 +109,24 @@ func (s SipMAC) SearchCounter(key Key, msg []byte, first, stride uint64, n int, 
 	if len(msg)%8 != 0 {
 		return searchSum64(s, key, msg, first, stride, n, want)
 	}
-	k0 := binary.LittleEndian.Uint64(key[0:8])
-	k1 := binary.LittleEndian.Uint64(key[8:16])
-	p0 := k0 ^ 0x736f6d6570736575
-	p1 := k1 ^ 0x646f72616e646f6d
-	p2 := k0 ^ 0x6c7967656e657261
-	p3 := k1 ^ 0x7465646279746573
-	var v0, v1, v2, v3 uint64
-	round := func() {
-		v0 += v1
-		v1 = rotl(v1, 13)
-		v1 ^= v0
-		v0 = rotl(v0, 32)
-		v2 += v3
-		v3 = rotl(v3, 16)
-		v3 ^= v2
-		v0 += v3
-		v3 = rotl(v3, 21)
-		v3 ^= v0
-		v2 += v1
-		v1 = rotl(v1, 17)
-		v1 ^= v2
-		v2 = rotl(v2, 32)
-	}
+	p0, p1, p2, p3 := sipInit(key)
 	for i := 0; i+8 < len(msg); i += 8 {
 		m := binary.LittleEndian.Uint64(msg[i:])
-		v0, v1, v2, v3 = p0, p1, p2, p3^m
-		round()
-		round()
+		v0, v1, v2, v3 := sipRound(p0, p1, p2, p3^m)
+		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
 		p0, p1, p2, p3 = v0^m, v1, v2, v3
 	}
 	last := uint64(len(msg)) << 56
 	cand := first
 	for i := 0; i < n; i++ {
-		v0, v1, v2, v3 = p0, p1, p2, p3^cand
-		round()
-		round()
-		v0 ^= cand
-		v3 ^= last
-		round()
-		round()
-		v0 ^= last
-		v2 ^= 0xff
-		round()
-		round()
-		round()
-		round()
+		v0, v1, v2, v3 := sipRound(p0, p1, p2, p3^cand)
+		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+		v0, v1, v2, v3 = sipRound(v0^cand, v1, v2, v3^last)
+		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+		v0, v1, v2, v3 = sipRound(v0^last, v1, v2^0xff, v3)
+		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
 		if v0^v1^v2^v3 == want {
 			return cand, i + 1, true
 		}
@@ -164,57 +135,57 @@ func (s SipMAC) SearchCounter(key Key, msg []byte, first, stride uint64, n int, 
 	return 0, max(n, 0), false
 }
 
-// sipCore is SipHash-2-4 over msg with decoded key words.
-func sipCore(k0, k1 uint64, msg []byte) uint64 {
-	v0 := k0 ^ 0x736f6d6570736575
-	v1 := k1 ^ 0x646f72616e646f6d
-	v2 := k0 ^ 0x6c7967656e657261
-	v3 := k1 ^ 0x7465646279746573
-
-	round := func() {
-		v0 += v1
-		v1 = rotl(v1, 13)
-		v1 ^= v0
-		v0 = rotl(v0, 32)
-		v2 += v3
-		v3 = rotl(v3, 16)
-		v3 ^= v2
-		v0 += v3
-		v3 = rotl(v3, 21)
-		v3 ^= v0
-		v2 += v1
-		v1 = rotl(v1, 17)
-		v1 ^= v2
-		v2 = rotl(v2, 32)
-	}
-
+// sipCore is SipHash-2-4 over msg.
+func sipCore(key Key, msg []byte) uint64 {
+	v0, v1, v2, v3 := sipInit(key)
 	n := len(msg)
 	i := 0
 	for ; i+8 <= n; i += 8 {
 		m := binary.LittleEndian.Uint64(msg[i:])
-		v3 ^= m
-		round()
-		round()
+		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3^m)
+		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
 		v0 ^= m
 	}
-	var last uint64
+	last := uint64(n) << 56
 	for j := 0; i+j < n; j++ {
 		last |= uint64(msg[i+j]) << (8 * uint(j))
 	}
-	last |= uint64(n) << 56
-	v3 ^= last
-	round()
-	round()
-	v0 ^= last
-	v2 ^= 0xff
-	round()
-	round()
-	round()
-	round()
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3^last)
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	v0, v1, v2, v3 = sipRound(v0^last, v1, v2^0xff, v3)
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
 	return v0 ^ v1 ^ v2 ^ v3
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
+// sipInit returns the SipHash state keyed by key.
+func sipInit(key Key) (v0, v1, v2, v3 uint64) {
+	k0 := binary.LittleEndian.Uint64(key[0:8])
+	k1 := binary.LittleEndian.Uint64(key[8:16])
+	return k0 ^ 0x736f6d6570736575, k1 ^ 0x646f72616e646f6d,
+		k0 ^ 0x6c7967656e657261, k1 ^ 0x7465646279746573
+}
+
+// sipRound is one SipRound. It takes and returns the state by value so
+// the compiler inlines it and keeps the four words in registers.
+func sipRound(v0, v1, v2, v3 uint64) (uint64, uint64, uint64, uint64) {
+	v0 += v1
+	v1 = bits.RotateLeft64(v1, 13)
+	v1 ^= v0
+	v0 = bits.RotateLeft64(v0, 32)
+	v2 += v3
+	v3 = bits.RotateLeft64(v3, 16)
+	v3 ^= v2
+	v0 += v3
+	v3 = bits.RotateLeft64(v3, 21)
+	v3 ^= v0
+	v2 += v1
+	v1 = bits.RotateLeft64(v1, 17)
+	v1 ^= v2
+	v2 = bits.RotateLeft64(v2, 32)
+	return v0, v1, v2, v3
+}
 
 // --- HMAC-SHA-256 ----------------------------------------------------------
 
@@ -248,7 +219,7 @@ func (FastPad) Pad(dst *[64]byte, key Key, addr uint64, counter uint64) {
 	k0 := binary.LittleEndian.Uint64(key[0:8])
 	k1 := binary.LittleEndian.Uint64(key[8:16])
 	x := k0 ^ addr*0x9e3779b97f4a7c15 ^ counter*0xc2b2ae3d27d4eb4f
-	y := k1 ^ addr ^ rotl(counter, 31)
+	y := k1 ^ addr ^ bits.RotateLeft64(counter, 31)
 	for i := 0; i < 64; i += 8 {
 		x += 0x9e3779b97f4a7c15
 		z := x ^ y
@@ -256,7 +227,7 @@ func (FastPad) Pad(dst *[64]byte, key Key, addr uint64, counter uint64) {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		z ^= z >> 31
 		binary.LittleEndian.PutUint64(dst[i:], z)
-		y = rotl(y, 13) + z
+		y = bits.RotateLeft64(y, 13) + z
 	}
 }
 

@@ -34,6 +34,24 @@ func TestSipHashVectors(t *testing.T) {
 		}
 		msg = append(msg, byte(i))
 	}
+	// Longer vectors of the same table run the whole-block loop: one full
+	// block, one block plus a 7-byte tail, seven blocks plus a 7-byte tail.
+	for _, v := range []struct {
+		n    int
+		want uint64
+	}{
+		{8, 0x93f5f5799a932462},
+		{15, 0xa129ca6149be45e5},
+		{63, 0x958a324ceb064572},
+	} {
+		msg := make([]byte, v.n)
+		for i := range msg {
+			msg[i] = byte(i)
+		}
+		if got := (SipMAC{}).Sum64(key, msg); got != v.want {
+			t.Errorf("siphash vector %d: got %#x, want %#x", v.n, got, v.want)
+		}
+	}
 }
 
 func TestMACDeterministic(t *testing.T) {

@@ -118,6 +118,33 @@ func TestSchemeCostGolden(t *testing.T) {
 	checkGolden(t, "schemes.txt", got)
 }
 
+// downtimeCounts reports the exact recovery work of every crashed image
+// BenchmarkRecoveryDowntime (bench_test.go at the module root) times on
+// the host clock: nodes recovered, NVM reads, MACs and simulated time.
+func downtimeCounts() ([]byte, error) {
+	var b strings.Builder
+	for _, dc := range sim.DowntimeCases() {
+		rep, err := sim.RecoveryAtCacheSize(dc.Scheme, dc.CacheBytes, 1)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", dc.Scheme.Name, err)
+		}
+		fmt.Fprintf(&b, "%-10s %2d KiB cache: %d nodes recovered, %d NVM reads, %d MACs, %.1f ns\n",
+			dc.Scheme.Name, dc.CacheBytes>>10, rep.NodesRecovered, rep.NVMReads, rep.MACOps, rep.TimeNS)
+	}
+	return []byte(b.String()), nil
+}
+
+// TestRecoveryDowntimeGolden pins downtimeCounts against
+// testdata/downtime.txt, under the same -update rule as TestQuickGolden:
+// a host-time change to recovery must leave every count where it was.
+func TestRecoveryDowntimeGolden(t *testing.T) {
+	got, err := downtimeCounts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "downtime.txt", got)
+}
+
 // checkGolden compares got with testdata/name byte for byte, or rewrites
 // the file under -update.
 func checkGolden(t *testing.T, name string, got []byte) {

@@ -382,14 +382,23 @@ func (d *Device) peekIntended(addr uint64) Line {
 // silently best-effort ECC-decoded (corrected where possible, raw where
 // not) — the cryptographic layer is what catches uncorrectable content.
 func (d *Device) Peek(addr uint64) Line {
+	var out Line
+	d.PeekInto(addr, &out)
+	return out
+}
+
+// PeekInto is Peek delivering the line into dst, so a caller can read a
+// line straight into a larger buffer (a MAC message) without a copy in
+// between.
+func (d *Device) PeekInto(addr uint64, dst *Line) {
 	d.mustAddr(addr)
 	intended := d.peekIntended(addr)
 	if d.frng == nil {
-		return intended
+		*dst = intended
+		return
 	}
 	raw := d.corrupt(addr, intended, false)
-	out, _, _ := d.decode(addr, ClassOther, intended, raw, false)
-	return out
+	*dst, _, _ = d.decode(addr, ClassOther, intended, raw, false)
 }
 
 // Poke overwrites addr without timing or stats. Attack injection uses it

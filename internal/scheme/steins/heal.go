@@ -43,7 +43,6 @@ func (p *Policy) selfConsistent(st *recoveryState, n *sit.Node) bool {
 // quarantining its subtree when healing is impossible. Child reads go
 // through staleOf, so corrupted non-leaf children heal recursively first.
 func (p *Policy) healNode(st *recoveryState, n *sit.Node) *sit.Node {
-	key := nodeKey{n.Level, n.Index}
 	if n.Level == 0 {
 		// Leaf counters are not a function of other persisted NODES, but
 		// they ARE recoverable from the covered data blocks when those are
@@ -56,7 +55,7 @@ func (p *Policy) healNode(st *recoveryState, n *sit.Node) *sit.Node {
 		p.quarantineDamaged(st, n.Level, n.Index)
 		return n
 	}
-	if len(st.rollback[key]) > 0 {
+	if len(st.rollbackSlots(n.Level, n.Index)) > 0 {
 		// A buffered flush still targets this node: its persisted image
 		// predates the child's flush, so regeneration from the current
 		// children cannot reproduce the lost pre-flush slot values.
@@ -71,7 +70,7 @@ func (p *Policy) healNode(st *recoveryState, n *sit.Node) *sit.Node {
 			continue
 		}
 		child := p.staleOf(st, n.Level-1, childIdx)
-		if st.quarRoots[nodeKey{n.Level - 1, childIdx}] {
+		if st.has(n.Level-1, childIdx, recQuarRoot) {
 			// The child could not be healed either; the regenerated
 			// counter would be garbage.
 			p.quarantineDamaged(st, n.Level, n.Index)
@@ -79,7 +78,7 @@ func (p *Policy) healNode(st *recoveryState, n *sit.Node) *sit.Node {
 		}
 		healed.SetCounter(i, child.FValue())
 	}
-	if st.dirty[n.Level][n.Index] {
+	if st.has(n.Level, n.Index, recDirty) {
 		// The node was dirty in the crash-time cache: children may have
 		// been flushed after this image was persisted, so the regenerated
 		// counters describe the cache image, not the lost stale snapshot.
@@ -91,7 +90,7 @@ func (p *Policy) healNode(st *recoveryState, n *sit.Node) *sit.Node {
 		// quarantines instead of laundering the unknowable delta through a
 		// forgiven LInc.
 		if base, ok := p.exactStaleBase(st, n.Level, n.Index); ok {
-			st.healedBase[key] = base
+			st.setHealedBase(n.Level, n.Index, base)
 		} else {
 			ev := p.nodeEvidence(n.Level, n.Index)
 			if !ev.Persistent() {
@@ -114,8 +113,7 @@ func (p *Policy) healNode(st *recoveryState, n *sit.Node) *sit.Node {
 	p.c.Device().Poke(geo.NodeAddr(n.Level, n.Index), nvmem.Line(healed.Encode()))
 	st.report.Degradation.Healed = append(st.report.Degradation.Healed,
 		memctrl.NodeRef{Level: n.Level, Index: n.Index})
-	st.healedSet[key] = true
-	st.verified[key] = true
+	st.rec(n.Level, n.Index).flags |= recVerified
 	return healed
 }
 
@@ -154,7 +152,7 @@ func (p *Policy) rebuildLeaf(st *recoveryState, n *sit.Node) *sit.Node {
 		return nil
 	}
 	f := rebuilt.FValue()
-	dirty := st.dirty[0][n.Index]
+	dirty := st.has(0, n.Index, recDirty)
 	if f < base || (!dirty && f != base) {
 		// The data authenticates, yet its counters sit below the FValue the
 		// parent side vouches the leaf reached at its last flush (or, for a
@@ -164,9 +162,8 @@ func (p *Policy) rebuildLeaf(st *recoveryState, n *sit.Node) *sit.Node {
 			fmt.Sprintf("rebuilt leaf FValue %d vs trusted stale %d (line: %s)", f, base, ev.String()))
 		return nil
 	}
-	key := nodeKey{0, n.Index}
 	if dirty {
-		st.healedBase[key] = base
+		st.setHealedBase(0, n.Index, base)
 	}
 	st.report.MACOps++
 	rebuilt.SetHMAC(p.c.NodeMAC(rebuilt, f))
@@ -174,8 +171,7 @@ func (p *Policy) rebuildLeaf(st *recoveryState, n *sit.Node) *sit.Node {
 	p.c.Device().Poke(geo.NodeAddr(0, n.Index), nvmem.Line(rebuilt.Encode()))
 	st.report.Degradation.Healed = append(st.report.Degradation.Healed,
 		memctrl.NodeRef{Level: 0, Index: n.Index})
-	st.healedSet[key] = true
-	st.verified[key] = true
+	st.rec(0, n.Index).flags |= recVerified
 	return rebuilt
 }
 
@@ -264,7 +260,7 @@ func (p *Policy) exactStaleBase(st *recoveryState, level int, index uint64) (uin
 		return p.c.Root().Counter(index), true
 	}
 	pl, pi, slot := geo.Parent(level, index)
-	if st.dirty[pl][pi] {
+	if st.has(pl, pi, recDirty) {
 		return 0, false
 	}
 	st.report.NVMReads++
@@ -289,14 +285,15 @@ func (p *Policy) trustedCounterNoHeal(st *recoveryState, level int, index uint64
 		return p.c.Root().Counter(index), true
 	}
 	pl, pi, slot := geo.Parent(level, index)
-	if n, ok := st.recovered[pl][pi]; ok {
-		return n.Counter(slot), true
-	}
-	if n, ok := st.stales[nodeKey{pl, pi}]; ok {
-		if st.quarRoots[nodeKey{pl, pi}] {
+	if r := st.peek(pl, pi); r != nil {
+		switch {
+		case r.recovered != nil:
+			return r.recovered.Counter(slot), true
+		case r.stale != nil && r.flags&recQuarRoot != 0:
 			return 0, false
+		case r.stale != nil:
+			return r.stale.Counter(slot), true
 		}
-		return n.Counter(slot), true
 	}
 	parent := p.c.StaleNode(pl, pi)
 	if p.selfConsistent(st, parent) {
@@ -336,11 +333,11 @@ func (p *Policy) quarantineAccounted(st *recoveryState, level int, index uint64,
 // quarantineCore applies the controller-side fence and records the verdict
 // once per subtree root; the excuse/arbitration marks are the caller's.
 func (p *Policy) quarantineCore(st *recoveryState, level int, index uint64, cause memctrl.QuarantineCause, evidence string) {
-	key := nodeKey{level, index}
-	if st.quarRoots[key] {
+	r := st.rec(level, index)
+	if r.flags&recQuarRoot != 0 {
 		return
 	}
-	st.quarRoots[key] = true
+	r.flags |= recQuarRoot
 	p.c.QuarantineSubtree(level, index, cause, evidence, &st.report.Degradation)
 }
 
@@ -379,13 +376,13 @@ func (p *Policy) arbitrateFailure(level int, index uint64, err error) (memctrl.Q
 // reinstatement. Returns false when no suspect was left to pin it on.
 func (p *Policy) quarantineReplayShaped(st *recoveryState, k int) bool {
 	any := false
-	for _, idx := range sortedKeys(st.dirty[k]) {
+	for _, idx := range st.dirty[k] {
 		if p.underQuarantine(st, k, idx) {
 			continue
 		}
 		ev := p.nodeEvidence(k, idx)
 		p.quarantineSubtree(st, k, idx, memctrl.CauseReplayShaped, ev.String())
-		delete(st.recovered[k], idx)
+		st.rec(k, idx).recovered = nil
 		any = true
 	}
 	return any
@@ -396,7 +393,7 @@ func (p *Policy) quarantineReplayShaped(st *recoveryState, k int) bool {
 func (p *Policy) underQuarantine(st *recoveryState, level int, index uint64) bool {
 	geo := &p.c.Layout().Geo
 	for {
-		if st.quarRoots[nodeKey{level, index}] {
+		if st.has(level, index, recQuarRoot) {
 			return true
 		}
 		if geo.IsTop(level) {

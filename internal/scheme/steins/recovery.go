@@ -2,7 +2,9 @@ package steins
 
 import (
 	"fmt"
+	"slices"
 
+	"steins/internal/arena"
 	"steins/internal/cme"
 	"steins/internal/counter"
 	"steins/internal/memctrl"
@@ -10,33 +12,20 @@ import (
 	"steins/internal/sit"
 )
 
-// nodeKey identifies a tree node during recovery.
-type nodeKey struct {
-	level int
-	index uint64
-}
-
 // recoveryState carries the bookkeeping of one Recover pass.
 type recoveryState struct {
-	report    memctrl.RecoveryReport
-	dirty     []map[uint64]bool      // per level: nodes to regenerate
-	recovered []map[uint64]*sit.Node // per level: regenerated nodes
-	place     map[nodeKey]int        // record position (= cache slot) per node
-	rollback  map[nodeKey][]int      // parent slots with pending buffered flushes
-	stales    map[nodeKey]*sit.Node  // memoised stale reads
-	verified  map[nodeKey]bool       // stale nodes already chain-verified
-	incs      map[nodeKey]int64      // each recovered node's increment over its base
-	bufInc    []int64                // per level: pending buffered-increment chain
+	report memctrl.RecoveryReport
+	// nodes holds every node's bookkeeping, keyed by the node's offset in
+	// the metadata region (levelOff[level] + index), so a lookup is an
+	// arena probe instead of a map hash; memory follows the touched nodes.
+	nodes    arena.T[nodeRec]
+	levelOff []uint64   // per level: offset of the level's node 0
+	dirty    [][]uint64 // per level: nodes to regenerate, ascending
+	rollback []rollback // parent slots with pending buffered flushes
+	bufInc   []int64    // per level: pending buffered-increment chain
 
 	// Degraded-mode bookkeeping (heal.go); inert when degraded is false.
-	degraded  bool
-	healedSet map[nodeKey]bool // nodes rebuilt in place from their children
-	quarRoots map[nodeKey]bool // quarantined subtree roots
-	// healedBase carries the trusted stale FValue of a node healed in place:
-	// the heal regenerates the node from children or data, losing the
-	// persisted pre-damage image, but the parent side still names its exact
-	// FValue, so the node's LInc delta stays exactly accountable.
-	healedBase map[nodeKey]uint64
+	degraded bool
 	// The LInc equality at a level can stop being exactly checkable for two
 	// very different reasons, and the evidence arbitration keeps them apart.
 	// excused marks levels where recorded MEDIA evidence (torn lines, stuck
@@ -51,8 +40,8 @@ type recoveryState struct {
 	// shortfall at a level in neither set is a quiet regression no media
 	// fault supports: replay-shaped, and the suspect dirty nodes of that
 	// level are quarantined instead of forgiven.
-	excused map[int]bool
-	arbed   map[int]bool
+	excused []bool
+	arbed   []bool
 
 	// Scratch of regenerateSplitLeaf, reused by every leaf of the pass: the
 	// leaf's data blocks as read, and the slots whose tags say written.
@@ -60,10 +49,80 @@ type recoveryState struct {
 	leafWritten []int
 }
 
-// leafBlock is one data block of a split leaf under regeneration.
+// nodeRec is one tree node's bookkeeping in a Recover pass.
+type nodeRec struct {
+	stale     *sit.Node // memoised stale read; nil until read
+	recovered *sit.Node // regenerated crash-time image; nil if none
+	inc       int64     // the recovered node's increment over its base
+	// healedBase carries the trusted stale FValue of a node healed in
+	// place (flag recHealedBase): the heal regenerates the node from
+	// children or data, losing the persisted pre-damage image, but the
+	// parent side still names its exact FValue, so the node's LInc delta
+	// stays exactly accountable.
+	healedBase uint64
+	place      int32 // record position (= cache slot) of a dirty node
+	flags      recFlags
+}
+
+// recFlags are the per-node facts of a Recover pass.
+type recFlags uint8
+
+const (
+	recDirty      recFlags = 1 << iota // tracked by a record entry
+	recVerified                        // stale image already chain-verified
+	recQuarRoot                        // quarantined subtree root
+	recHealedBase                      // healedBase is set
+)
+
+// rollback lists the slots of one parent whose child flushes still sit in
+// the NV buffer.
+type rollback struct {
+	level int
+	index uint64
+	slots []int
+}
+
+// rec returns the node's bookkeeping, creating it on first touch.
+func (st *recoveryState) rec(level int, index uint64) *nodeRec {
+	return st.nodes.Ptr(st.levelOff[level] + index)
+}
+
+// peek returns the node's bookkeeping, or nil if the pass never touched
+// the node; it never allocates.
+func (st *recoveryState) peek(level int, index uint64) *nodeRec {
+	return st.nodes.Probe(st.levelOff[level] + index)
+}
+
+// has reports whether the node carries every flag in f.
+func (st *recoveryState) has(level int, index uint64, f recFlags) bool {
+	r := st.peek(level, index)
+	return r != nil && r.flags&f == f
+}
+
+// setHealedBase records the trusted stale FValue of a node healed in place.
+func (st *recoveryState) setHealedBase(level int, index uint64, base uint64) {
+	r := st.rec(level, index)
+	r.healedBase = base
+	r.flags |= recHealedBase
+}
+
+// rollbackSlots returns the parent slots of (level, index) that must roll
+// back to their stale values.
+func (st *recoveryState) rollbackSlots(level int, index uint64) []int {
+	for _, rb := range st.rollback {
+		if rb.level == level && rb.index == index {
+			return rb.slots
+		}
+	}
+	return nil
+}
+
+// leafBlock is one data block of a split leaf under regeneration: its tag
+// and its MAC message, into which the line is read once.
 type leafBlock struct {
 	addr uint64
-	ct   [64]byte
+	tag  cme.Tag
+	msg  [sit.DataMACMsgSize]byte
 }
 
 // excuseLInc excuses exactly one level's LInc equality on recorded media
@@ -113,45 +172,37 @@ func (st *recoveryState) arbThrough(level int) {
 func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 	geo := &p.c.Layout().Geo
 	st := &recoveryState{
-		report:     memctrl.RecoveryReport{Scheme: p.Name()},
-		dirty:      make([]map[uint64]bool, geo.Levels),
-		recovered:  make([]map[uint64]*sit.Node, geo.Levels),
-		place:      make(map[nodeKey]int),
-		rollback:   make(map[nodeKey][]int),
-		stales:     make(map[nodeKey]*sit.Node),
-		verified:   make(map[nodeKey]bool),
-		incs:       make(map[nodeKey]int64),
-		bufInc:     make([]int64, geo.Levels),
-		degraded:   p.c.Config().DegradedRecovery,
-		healedSet:  make(map[nodeKey]bool),
-		quarRoots:  make(map[nodeKey]bool),
-		healedBase: make(map[nodeKey]uint64),
-		excused:    make(map[int]bool),
-		arbed:      make(map[int]bool),
+		report:   memctrl.RecoveryReport{Scheme: p.Name()},
+		levelOff: make([]uint64, geo.Levels),
+		dirty:    make([][]uint64, geo.Levels),
+		bufInc:   make([]int64, geo.Levels),
+		degraded: p.c.Config().DegradedRecovery,
+		excused:  make([]bool, geo.Levels),
+		arbed:    make([]bool, geo.Levels),
 	}
-	for k := range st.dirty {
-		st.dirty[k] = make(map[uint64]bool)
-		st.recovered[k] = make(map[uint64]*sit.Node)
+	for k := range st.levelOff {
+		st.levelOff[k] = uint64(geo.Offset(k, 0))
 	}
 
 	p.scanRecords(st)
 
-	// Group pending buffer entries by the level of the parent they target,
-	// and note which parent slots must be rolled back to their stale values
+	// Note which parent slots must be rolled back to their stale values
 	// (the crash-time cache had not applied those flushes yet).
-	bufByParent := make(map[int][]bufEntry)
 	for _, ent := range p.buf {
 		pl, pi, slot := geo.Parent(ent.level, ent.index)
-		bufByParent[pl] = append(bufByParent[pl], ent)
-		key := nodeKey{pl, pi}
-		if !containsInt(st.rollback[key], slot) {
-			st.rollback[key] = append(st.rollback[key], slot)
+		i := slices.IndexFunc(st.rollback, func(rb rollback) bool { return rb.level == pl && rb.index == pi })
+		if i < 0 {
+			st.rollback = append(st.rollback, rollback{level: pl, index: pi})
+			i = len(st.rollback) - 1
+		}
+		if !slices.Contains(st.rollback[i].slots, slot) {
+			st.rollback[i].slots = append(st.rollback[i].slots, slot)
 		}
 	}
 
 	for k := geo.Levels - 1; k >= 0; k-- {
 		var calc int64
-		for _, idx := range sortedKeys(st.dirty[k]) {
+		for _, idx := range st.dirty[k] {
 			if st.degraded && p.underQuarantine(st, k, idx) {
 				continue
 			}
@@ -167,8 +218,8 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 				}
 				return st.report, err
 			}
-			st.recovered[k][idx] = node
-			st.incs[nodeKey{k, idx}] = inc
+			r := st.rec(k, idx)
+			r.recovered, r.inc = node, inc
 			calc += inc
 			p.c.FaultEvent(memctrl.EvRecoveryStep, geo.NodeAddr(k, idx))
 		}
@@ -177,7 +228,7 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 		// successive flushes of one child each contribute their increment
 		// over the previous entry (chained per parent slot, in buffer
 		// order, from the stale base the crash-time cache agreed with).
-		st.bufInc[k] = p.bufferedIncrements(st, k, bufByParent)
+		st.bufInc[k] = p.bufferedIncrements(st, k)
 		calc += st.bufInc[k]
 		// Steps ③-④/⑨-⑩: replay detection. With no dirty nodes and no
 		// pending flushes the level increment must be exactly zero (§III-G).
@@ -243,8 +294,10 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 func (p *Policy) rebaseLInc(st *recoveryState) {
 	for k := range p.linc {
 		sum := st.bufInc[k]
-		for idx := range st.recovered[k] {
-			sum += st.incs[nodeKey{k, idx}]
+		for _, idx := range st.dirty[k] {
+			if r := st.peek(k, idx); r.recovered != nil {
+				sum += r.inc
+			}
 		}
 		p.linc[k] = uint64(sum)
 	}
@@ -252,42 +305,32 @@ func (p *Policy) rebaseLInc(st *recoveryState) {
 
 // bufferedIncrements sums, for child level k, each pending buffer entry's
 // increment over the previous value of its parent slot — the same chaining
-// InvariantError uses. The recovering cache is empty and pending entries
-// are never applied while their parent is cached, so the chain base is
-// always the parent's stale NVM slot value.
-func (p *Policy) bufferedIncrements(st *recoveryState, k int, bufByParent map[int][]bufEntry) int64 {
+// InvariantError uses, in buffer order. The recovering cache is empty and
+// pending entries are never applied while their parent is cached, so the
+// chain base is always the parent's stale NVM slot value.
+func (p *Policy) bufferedIncrements(st *recoveryState, k int) int64 {
 	geo := &p.c.Layout().Geo
 	var sum int64
-	type slotKey struct {
+	type slotVal struct {
 		pi   uint64
 		slot int
+		val  uint64
 	}
-	cur := make(map[slotKey]uint64)
-	for pl, ents := range bufByParent {
-		for _, ent := range ents {
-			if ent.level != k {
-				continue
-			}
-			_, pi, slot := geo.Parent(ent.level, ent.index)
-			key := slotKey{pi, slot}
-			base, seen := cur[key]
-			if !seen {
-				base = p.staleOf(st, pl, pi).Counter(slot)
-			}
-			sum += int64(ent.counter) - int64(base)
-			cur[key] = ent.counter
+	var cur []slotVal // at most one entry per buffer slot
+	for _, ent := range p.buf {
+		if ent.level != k {
+			continue
 		}
+		pl, pi, slot := geo.Parent(ent.level, ent.index)
+		i := slices.IndexFunc(cur, func(c slotVal) bool { return c.pi == pi && c.slot == slot })
+		if i < 0 {
+			cur = append(cur, slotVal{pi: pi, slot: slot, val: p.staleOf(st, pl, pi).Counter(slot)})
+			i = len(cur) - 1
+		}
+		sum += int64(ent.counter) - int64(cur[i].val)
+		cur[i].val = ent.counter
 	}
 	return sum
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // scanRecords reads the whole record region and resolves tracked offsets,
@@ -317,27 +360,32 @@ func (p *Policy) scanRecords(st *recoveryState) {
 			if slot/meta.Ways() != meta.SetOf(lay.Geo.NodeAddr(level, idx)) {
 				continue
 			}
-			key := nodeKey{level, idx}
-			if old, dup := st.place[key]; !dup || slot < old {
-				st.place[key] = slot
+			r := st.rec(level, idx)
+			if r.flags&recDirty == 0 {
+				r.flags |= recDirty
+				r.place = int32(slot)
+				st.dirty[level] = append(st.dirty[level], idx)
+			} else if int32(slot) < r.place {
+				r.place = int32(slot)
 			}
-			st.dirty[level][idx] = true
 		}
+	}
+	for _, d := range st.dirty {
+		slices.Sort(d)
 	}
 }
 
 // staleOf reads (and memoises) a node's stale NVM image.
 func (p *Policy) staleOf(st *recoveryState, level int, index uint64) *sit.Node {
-	key := nodeKey{level, index}
-	if n, ok := st.stales[key]; ok {
-		return n
+	if r := st.peek(level, index); r != nil && r.stale != nil {
+		return r.stale
 	}
 	st.report.NVMReads++
 	n := p.c.StaleNode(level, index)
 	if st.degraded && !p.selfConsistent(st, n) {
 		n = p.healNode(st, n)
 	}
-	st.stales[key] = n
+	st.rec(level, index).stale = n
 	return n
 }
 
@@ -359,8 +407,8 @@ func (p *Policy) trustedCounter(st *recoveryState, level int, index uint64) (uin
 		return p.c.Root().Counter(index), nil
 	}
 	pl, pi, slot := geo.Parent(level, index)
-	if n, ok := st.recovered[pl][pi]; ok {
-		return n.Counter(slot), nil
+	if r := st.peek(pl, pi); r != nil && r.recovered != nil {
+		return r.recovered.Counter(slot), nil
 	}
 	parent := p.staleOf(st, pl, pi)
 	if err := p.verifyStale(st, parent); err != nil {
@@ -372,8 +420,7 @@ func (p *Policy) trustedCounter(st *recoveryState, level int, index uint64) (uin
 // verifyStale checks a stale node's HMAC against its trusted parent
 // counter, memoising success.
 func (p *Policy) verifyStale(st *recoveryState, n *sit.Node) error {
-	key := nodeKey{n.Level, n.Index}
-	if st.verified[key] {
+	if st.has(n.Level, n.Index, recVerified) {
 		return nil
 	}
 	pc, err := p.trustedCounter(st, n.Level, n.Index)
@@ -386,7 +433,7 @@ func (p *Policy) verifyStale(st *recoveryState, n *sit.Node) error {
 			return memctrl.TamperAt("stale SIT node", n.Level, n.Index, "during recovery")
 		}
 	}
-	st.verified[key] = true
+	st.rec(n.Level, n.Index).flags |= recVerified
 	return nil
 }
 
@@ -414,7 +461,7 @@ func (p *Policy) recoverNode(st *recoveryState, level int, index uint64) (*sit.N
 	if err != nil {
 		return nil, 0, err
 	}
-	for _, slot := range st.rollback[nodeKey{level, index}] {
+	for _, slot := range st.rollbackSlots(level, index) {
 		node.SetCounter(slot, stale.Counter(slot))
 	}
 	st.report.NodesRecovered++
@@ -422,8 +469,8 @@ func (p *Policy) recoverNode(st *recoveryState, level int, index uint64) (*sit.N
 	// FValue survives on the trusted parent side (healedBase), keeping the
 	// delta — and with it the level's LInc equality — exactly accountable.
 	base := int64(stale.FValue())
-	if hb, ok := st.healedBase[nodeKey{level, index}]; ok {
-		base = int64(hb)
+	if r := st.peek(level, index); r.flags&recHealedBase != 0 {
+		base = int64(r.healedBase)
 	}
 	return node, int64(node.FValue()) - base, nil
 }
@@ -527,22 +574,28 @@ func (p *Policy) reconstructTornSlot(st *recoveryState, leaf uint64, daddr uint6
 // blocks: the major comes from the tag copies (§II-D), the minors from the
 // per-block search. All written blocks must agree on one major no older
 // than the stale base; disagreement or regression means replayed blocks.
+// Each block's line and tag are read once, the line straight into the
+// block's MAC message.
 func (p *Policy) regenerateSplitLeaf(st *recoveryState, node *sit.Node, stale *sit.Node) error {
 	geo := &p.c.Layout().Geo
+	dev := p.c.Device()
 	eng := p.c.Engine()
 	major := stale.Split.Major
 	haveWritten := false
 	blocks := &st.leafBlocks
 	written := st.leafWritten[:0]
 	for i := 0; i < counter.SplitArity; i++ {
-		daddr := geo.DataAddr(node.Index, i)
+		b := &blocks[i]
+		b.addr = geo.DataAddr(node.Index, i)
 		st.report.NVMReads++
-		blocks[i] = leafBlock{addr: daddr, ct: [64]byte(p.c.Device().Peek(daddr))}
-		tag := p.c.Tag(daddr)
-		if !tag.Written {
+		ct := (*[64]byte)(b.msg[:64])
+		dev.PeekInto(b.addr, (*nvmem.Line)(ct))
+		sit.PutDataMACMsg(&b.msg, b.addr, ct, 0) // ct is already in place
+		b.tag = p.c.Tag(b.addr)
+		if !b.tag.Written {
 			continue // never written: minor stays zero
 		}
-		if h := tag.Hint >> 6; !haveWritten {
+		if h := b.tag.Hint >> 6; !haveWritten {
 			major, haveWritten = h, true
 		} else if h != major {
 			return memctrl.ReplayAt("split leaf", 0, node.Index, "inconsistent major counters across data blocks")
@@ -557,7 +610,7 @@ func (p *Policy) regenerateSplitLeaf(st *recoveryState, node *sit.Node, stale *s
 	node.Split.Major = major
 	for _, i := range written {
 		b := &blocks[i]
-		m, minor, macOps, ok := eng.RecoverCounterSC(&b.ct, b.addr, p.c.Tag(b.addr), stale.Split.Minor[i])
+		m, minor, macOps, ok := eng.RecoverCounterSCMsg(&b.msg, b.tag)
 		st.report.MACOps += macOps
 		if !ok {
 			return memctrl.TamperData(b.addr, "during split-leaf recovery")
@@ -582,15 +635,15 @@ func (p *Policy) reinstate(st *recoveryState) {
 	geo := &p.c.Layout().Geo
 	meta := p.c.Meta()
 	for k := geo.Levels - 1; k >= 0; k-- {
-		for _, idx := range sortedKeys(st.dirty[k]) {
-			node := st.recovered[k][idx]
-			if node == nil {
+		for _, idx := range st.dirty[k] {
+			r := st.peek(k, idx)
+			if r.recovered == nil {
 				// Quarantined in degraded mode: no crash-time image exists
 				// to reinstate.
 				continue
 			}
 			addr := geo.NodeAddr(k, idx)
-			meta.PlaceAt(st.place[nodeKey{k, idx}], addr, node, true)
+			meta.PlaceAt(int(r.place), addr, r.recovered, true)
 			p.c.FaultEvent(memctrl.EvRecoveryStep, addr)
 		}
 	}

@@ -17,7 +17,6 @@ package steins
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"steins/internal/cache"
 	"steins/internal/memctrl"
@@ -444,15 +443,4 @@ func (p *Policy) InvariantError() error {
 		}
 	}
 	return nil
-}
-
-// sortedKeys returns the map's keys in ascending order for deterministic
-// recovery iteration.
-func sortedKeys(m map[uint64]bool) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -152,6 +152,18 @@ func collect(c *memctrl.Controller, prof trace.Profile, s Scheme, ops int) Resul
 // under the Fig. 17 methodology: a uniform write stream sized to fill the
 // cache with distinct nodes, all forced dirty at the crash.
 func RecoveryAtCacheSize(s Scheme, cacheBytes int, seed uint64) (memctrl.RecoveryReport, error) {
+	e, err := CrashedAtCacheSize(s, cacheBytes, seed)
+	if err != nil {
+		return memctrl.RecoveryReport{}, err
+	}
+	_, rep, err := e.Recover()
+	return rep, err
+}
+
+// CrashedAtCacheSize builds the crashed one-channel machine RecoveryAtCacheSize
+// recovers: the Fig. 17 fill stream has run, every cached node was forced
+// dirty, and the crash has happened. Recover has not.
+func CrashedAtCacheSize(s Scheme, cacheBytes int, seed uint64) (*Sharded, error) {
 	cacheLines := uint64(cacheBytes / 64)
 	cover := uint64(8)
 	if s.Split {
@@ -174,12 +186,34 @@ func RecoveryAtCacheSize(s Scheme, cacheBytes int, seed uint64) (memctrl.Recover
 	}
 	e := NewSharded(prof, s, opt, ShardOptions{})
 	if err := e.DriveStream(trace.New(prof, opt.Seed, opt.Ops)); err != nil {
-		return memctrl.RecoveryReport{}, err
+		return nil, err
 	}
 	e.ForceAllDirty()
 	e.Crash()
-	_, rep, err := e.Recover()
-	return rep, err
+	return e, nil
+}
+
+// DowntimeCase is one crashed image of the host recovery-downtime
+// benchmark: a scheme and the metadata cache the Fig. 17 fill dirties
+// (CrashedAtCacheSize).
+type DowntimeCase struct {
+	Scheme     Scheme
+	CacheBytes int
+}
+
+// DowntimeCases lists every scheme that recovers, each at a 32 KiB cache.
+// SCUE and PipeSIT rebuild the tree from every data block, so their cost
+// scales with capacity rather than with the cache; they run at 8 KiB,
+// whose fill footprint is a quarter as large.
+func DowntimeCases() []DowntimeCase {
+	var out []DowntimeCase
+	for _, s := range []Scheme{ASIT, STAR, SteinsGC, SteinsSC, TriadGC, TriadSC} {
+		out = append(out, DowntimeCase{Scheme: s, CacheBytes: 32 << 10})
+	}
+	for _, s := range []Scheme{SCUEGC, SCUESC, PipeSITGC, PipeSITSC} {
+		out = append(out, DowntimeCase{Scheme: s, CacheBytes: 8 << 10})
+	}
+	return out
 }
 
 // Job is one (workload, scheme, options) simulation for RunParallel.

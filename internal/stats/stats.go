@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -59,6 +60,44 @@ func Mean(vals []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(vals))
+}
+
+// Median returns the middle of vals (the mean of the middle two for an
+// even count), or 0 for none. vals is not modified.
+func Median(vals []float64) float64 {
+	if len(vals) == 0 {
+		return 0
+	}
+	return median(sorted(vals))
+}
+
+// Quartiles returns the first and third quartiles of vals as Tukey's
+// hinges: the medians of the lower and upper halves, where an odd count's
+// middle value belongs to both. Q3 - Q1 is the interquartile spread; one
+// value gives (v, v) and none (0, 0). vals is not modified.
+func Quartiles(vals []float64) (q1, q3 float64) {
+	if len(vals) == 0 {
+		return 0, 0
+	}
+	s := sorted(vals)
+	half := (len(s) + 1) / 2
+	return median(s[:half]), median(s[len(s)-half:])
+}
+
+// sorted returns an ascending copy of vals.
+func sorted(vals []float64) []float64 {
+	s := slices.Clone(vals)
+	slices.Sort(s)
+	return s
+}
+
+// median returns the middle of ascending, non-empty s.
+func median(s []float64) float64 {
+	m := len(s) / 2
+	if len(s)%2 == 1 {
+		return s[m]
+	}
+	return (s[m-1] + s[m]) / 2
 }
 
 // Table renders an aligned text table.

@@ -145,3 +145,30 @@ func TestTableJSON(t *testing.T) {
 		t.Fatalf("round trip: %+v", got)
 	}
 }
+
+func TestMedianAndQuartiles(t *testing.T) {
+	for _, tc := range []struct {
+		vals        []float64
+		med, q1, q3 float64
+	}{
+		{nil, 0, 0, 0},
+		{[]float64{7}, 7, 7, 7},
+		{[]float64{4, 1}, 2.5, 1, 4},
+		{[]float64{5, 1, 3}, 3, 2, 4},
+		{[]float64{4, 1, 3, 2}, 2.5, 1.5, 3.5},
+		{[]float64{9, 1, 7, 3, 5}, 5, 3, 7},
+	} {
+		in := append([]float64(nil), tc.vals...)
+		if got := Median(in); got != tc.med {
+			t.Errorf("Median(%v) = %v, want %v", tc.vals, got, tc.med)
+		}
+		if q1, q3 := Quartiles(in); q1 != tc.q1 || q3 != tc.q3 {
+			t.Errorf("Quartiles(%v) = (%v, %v), want (%v, %v)", tc.vals, q1, q3, tc.q1, tc.q3)
+		}
+		for i := range in {
+			if in[i] != tc.vals[i] {
+				t.Fatalf("Median/Quartiles reordered their input: %v", in)
+			}
+		}
+	}
+}

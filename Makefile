@@ -3,10 +3,8 @@
 .PHONY: all build test bench bench-json figs figs-full figs-check fuzz campaign check serve-check bench-check cover clean metrics-demo
 
 # The canonical benchmark set persisted to BENCH_$(BENCH_REV).json; keep in
-# sync with the `canonical` list in cmd/benchjson. BENCH_COUNT samples per
-# benchmark give benchjson a median and an interquartile spread.
+# sync with the `canonical` list in cmd/benchjson.
 BENCH_REV ?= 4
-BENCH_COUNT ?= 5
 BENCH_PATTERN = HotWritePath|HotReadPath|RunSchemes|RunSharded|SplitterEpoch|SnapshotSave|SnapshotLoad|GCSweepBuild|SCSweepBuild|ServePath|RecoveryDowntime
 
 all: build test
@@ -23,10 +21,11 @@ bench:
 
 # Persist the canonical hot-path benchmark series as a machine-readable
 # trajectory point, then verify the document is complete before it can be
-# committed. Compare two points with
+# committed. Five samples per benchmark give benchjson a median and an
+# interquartile spread. Compare two points with
 # `go run ./cmd/benchjson -compare BENCH_3.json BENCH_4.json`.
 bench-json:
-	go test -run NONE -bench '$(BENCH_PATTERN)' -benchmem -count $(BENCH_COUNT) . \
+	go test -run NONE -bench '$(BENCH_PATTERN)' -benchmem -count 5 . \
 		| go run ./cmd/benchjson -o BENCH_$(BENCH_REV).json
 	go run ./cmd/benchjson -verify BENCH_$(BENCH_REV).json
 

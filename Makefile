@@ -99,7 +99,9 @@ metrics-demo:
 # checkpoint restore suites (crafted tables
 # refused entry by entry, the sectioned server payload, the layout
 # fixtures, byte-stable Save → Load → Restore → Save, the daemon's refusal
-# of a crafted checkpoint) run raced at -cpu 1,4. Every go test runs -shuffle=on so
+# of a crafted checkpoint, the pipelined loader against DecodeServer, the
+# shape-first concurrent restore) run raced at -cpu 1,2,8, so the restore
+# worker pool runs 1, 2 and 8 wide. Every go test runs -shuffle=on so
 # order-dependent tests cannot hide. The committed BENCH
 # document is re-verified so the persisted trajectory can never drift out
 # of sync with the canonical benchmark set.
@@ -142,7 +144,7 @@ check: campaign serve-check bench-check figs-check
 		./internal/campaign ./cmd/campaign ./cmd/steinssim
 	go test -shuffle=on -count=2 ./internal/snapshot ./internal/scheme/schemetest ./internal/campaign \
 		./cmd/steinssim
-	go test -shuffle=on -race -cpu 1,4 -run 'Restore|Checkpoint|Layout|SetState' ./internal/nvmem \
+	go test -shuffle=on -race -cpu 1,2,8 -run 'Restore|Checkpoint|Layout|SetState' ./internal/nvmem \
 		./internal/memctrl ./internal/cache ./internal/snapshot ./internal/server ./cmd/securememd
 	go test -shuffle=on ./cmd/benchjson
 	go run ./cmd/benchjson -verify BENCH_$(BENCH_REV).json

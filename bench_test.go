@@ -11,6 +11,7 @@ package steins
 
 import (
 	"bytes"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -661,6 +662,118 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// restartCheckpoint writes the daemon checkpoint BenchmarkServerRestart
+// restarts from: a 4 MiB Steins-SC tenant over 2 PGs × 2 channels (the
+// end-to-end restart benchmark's tenant shape), every block written once
+// and a seeded eighth of them rewritten, so the metadata cache holds a
+// dirty set for crash recovery to rebuild.
+func restartCheckpoint(b *testing.B) (string, server.Config) {
+	const poolBytes = 4 << 20
+	cfg := server.Config{Tenants: []server.TenantConfig{{
+		Name: "bench", Scheme: securemem.SteinsSC, PGs: 2, Channels: 2,
+		PoolBytes: poolBytes, KeySeed: 1,
+	}}}
+	p, err := server.NewPool(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	const lines = poolBytes / 64
+	src := rngNew(1)
+	spec := make([]server.OpSpec, 0, 64)
+	for i := 0; i < lines+lines/8; i++ {
+		addr := uint64(i) * 64
+		if i >= lines {
+			addr = src.Uint64n(lines) * 64
+		}
+		op := server.OpSpec{IsWrite: true, Addr: addr}
+		op.Data[0], op.Data[1] = byte(i), byte(i>>8)
+		if spec = append(spec, op); len(spec) == cap(spec) {
+			if _, aerr := p.Do("bench", spec); aerr != nil {
+				b.Fatal(aerr)
+			}
+			spec = spec[:0]
+		}
+	}
+	st, err := p.State()
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "server.ckpt")
+	if err := snapshot.SaveServerFile(path, st); err != nil {
+		b.Fatal(err)
+	}
+	return path, cfg
+}
+
+// BenchmarkServerRestart times the three steps of a daemon restart from a
+// checkpoint, each on its own: load (read, checksum and parse the file),
+// restore (the checkpoint into a freshly built pool) and recover (crash
+// and recover every placement group). Each iteration builds what its step
+// starts from outside the timer.
+func BenchmarkServerRestart(b *testing.B) {
+	path, cfg := restartCheckpoint(b)
+	restored := func(b *testing.B) *server.Pool {
+		st, err := snapshot.LoadServerFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := server.NewPool(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := p.RestoreState(st); err != nil {
+			b.Fatal(err)
+		}
+		return p
+	}
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := snapshot.LoadServerFile(path); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("restore", func(b *testing.B) {
+		st, err := snapshot.LoadServerFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			p, err := server.NewPool(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if err := p.RestoreState(st); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			p.Close()
+			b.StartTimer()
+		}
+	})
+	b.Run("recover", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			p := restored(b)
+			b.StartTimer()
+			if recs := p.CrashRecoverAll(); !recs[0].Recovered {
+				b.Fatalf("tenant not recovered: %+v", recs[0])
+			}
+			b.StopTimer()
+			p.Close()
+			b.StartTimer()
+		}
+	})
 }
 
 // BenchmarkServePath measures the serving layer end to end — admission,

@@ -99,8 +99,18 @@ func (e *Engine) RecoverCounterGC(ct *[64]byte, addr uint64, tag Tag, stale uint
 	if !tag.Written {
 		return stale, 0, true // never written since initialisation
 	}
+	sit.PutDataMACMsg(&e.msg, addr, ct, 0)
+	return e.RecoverCounterGCMsg(&e.msg, tag, stale)
+}
+
+// RecoverCounterGCMsg is RecoverCounterGC for a written block whose MAC
+// message the caller already packed with sit.PutDataMACMsg (under any
+// counter), so a recovery pass can read each line straight into its
+// message. The message's counter word is scratch: its value on return is
+// unspecified.
+func (e *Engine) RecoverCounterGCMsg(msg *[sit.DataMACMsgSize]byte, tag Tag, stale uint64) (ctr uint64, macOps uint64, ok bool) {
 	cand := CandidateGC(stale, tag.Hint)
-	if sit.DataMACInto(&e.msg, e.MAC, e.Key, addr, ct, cand) == tag.MAC {
+	if _, _, hit := crypt.SearchCounter(e.MAC, e.Key, msg[:], cand, 0, 1, tag.MAC); hit {
 		return cand, 1, true
 	}
 	return 0, 1, false

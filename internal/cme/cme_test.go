@@ -90,6 +90,13 @@ func TestRecoverCounterGC(t *testing.T) {
 		if macOps != 1 {
 			t.Errorf("macOps = %d, want 1", macOps)
 		}
+		// The message form agrees whatever counter the message was packed
+		// under.
+		var msg [sit.DataMACMsgSize]byte
+		sit.PutDataMACMsg(&msg, 64, &ct, ^tc.actual)
+		if got, macOps, ok := e.RecoverCounterGCMsg(&msg, tag, tc.stale); !ok || got != tc.actual || macOps != 1 {
+			t.Errorf("stale=%d actual=%d: message form got %d, %d MACs, ok=%v", tc.stale, tc.actual, got, macOps, ok)
+		}
 	}
 }
 

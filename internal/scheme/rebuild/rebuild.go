@@ -245,11 +245,14 @@ func LeavesFromNVM(c *memctrl.Controller, rep *memctrl.RecoveryReport, degraded 
 	for idx := uint64(0); idx < geo.LevelNodes[0]; idx++ {
 		rep.NVMReads++
 		node := c.StaleNode(0, idx)
+		// A split leaf's FValue sums its 64 minors: take it once for the
+		// self-seal and the total.
+		fv := node.FValue()
 		// An all-zero line is the valid initial state of a never-flushed
 		// leaf (cf. Controller.VerifyNodeLine).
 		if line := c.Device().Peek(geo.NodeAddr(0, idx)); line != (nvmem.Line{}) {
 			rep.MACOps++
-			if c.NodeMAC(node, node.FValue()) != node.HMAC() {
+			if c.NodeMAC(node, fv) != node.HMAC() {
 				if !degraded {
 					return nil, memctrl.TamperAt("strict leaf", 0, idx, "self-seal HMAC mismatch")
 				}
@@ -261,7 +264,8 @@ func LeavesFromNVM(c *memctrl.Controller, rep *memctrl.RecoveryReport, degraded 
 				if err != nil {
 					return nil, err
 				}
-				rebuilt.SetHMAC(c.NodeMAC(rebuilt, rebuilt.FValue()))
+				fv = rebuilt.FValue()
+				rebuilt.SetHMAC(c.NodeMAC(rebuilt, fv))
 				rep.MACOps++
 				c.Device().Poke(geo.NodeAddr(0, idx), nvmem.Line(rebuilt.Encode()))
 				rep.NVMWrites++
@@ -270,7 +274,7 @@ func LeavesFromNVM(c *memctrl.Controller, rep *memctrl.RecoveryReport, degraded 
 			}
 		}
 		rec.Leaves[idx] = node
-		rec.Total += node.FValue()
+		rec.Total += fv
 	}
 	return rec, nil
 }

@@ -47,6 +47,8 @@ type recoveryState struct {
 	// leaf's data blocks as read, and the slots whose tags say written.
 	leafBlocks  [counter.SplitArity]leafBlock
 	leafWritten []int
+	// Scratch of regenerateGeneralLeaf: one data block's MAC message.
+	blockMsg [sit.DataMACMsgSize]byte
 }
 
 // nodeRec is one tree node's bookkeeping in a Recover pass.
@@ -510,14 +512,24 @@ func (p *Policy) regenerateFromNodes(st *recoveryState, node *sit.Node, stale *s
 
 // regenerateGeneralLeaf rebuilds a general leaf from the 8 persisted data
 // blocks it covers, using the tag hints (Osiris-style candidate check).
+// Each block's line is read straight into its MAC message.
 func (p *Policy) regenerateGeneralLeaf(st *recoveryState, node *sit.Node, stale *sit.Node) error {
 	geo := &p.c.Layout().Geo
+	dev := p.c.Device()
 	eng := p.c.Engine()
+	msg := &st.blockMsg
+	ct := (*[64]byte)(msg[:64])
 	for i := 0; i < int(geo.LeafCover); i++ {
 		daddr := geo.DataAddr(node.Index, i)
 		st.report.NVMReads++
-		ct := [64]byte(p.c.Device().Peek(daddr))
-		ctr, macOps, ok := eng.RecoverCounterGC(&ct, daddr, p.c.Tag(daddr), stale.Counter(i))
+		dev.PeekInto(daddr, (*nvmem.Line)(ct))
+		tag := p.c.Tag(daddr)
+		if !tag.Written {
+			node.SetCounter(i, stale.Counter(i)) // never written since initialisation
+			continue
+		}
+		sit.PutDataMACMsg(msg, daddr, ct, 0) // ct is already in place
+		ctr, macOps, ok := eng.RecoverCounterGCMsg(msg, tag, stale.Counter(i))
 		st.report.MACOps += macOps
 		if !ok {
 			if st.degraded {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -82,6 +84,65 @@ func TestServerCheckpointBytesStable(t *testing.T) {
 	}
 }
 
+// TestRestoreStateShapeAllOrNothing pins that the whole checkpoint's shape
+// is checked before any controller restores: a checkpoint whose last PG
+// has one channel too few is refused, and the pool is left as it was
+// built, PG 0 included, in its statistics and in every address it reads.
+func TestRestoreStateShapeAllOrNothing(t *testing.T) {
+	src := checkpointPool(t, 2, 300)
+	defer src.Close()
+	st, err := src.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := &st.Tenants[0].PGs[len(st.Tenants[0].PGs)-1]
+	last.Channels = last.Channels[:len(last.Channels)-1]
+	dst := checkpointPool(t, 2, 0)
+	defer dst.Close()
+	fresh := checkpointPool(t, 2, 0)
+	defer fresh.Close()
+	err = dst.RestoreState(st)
+	if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "pg 1 checkpoint has 1 channels, config has 2") {
+		t.Fatalf("RestoreState = %v, want ErrCorrupt naming pg 1's channel count", err)
+	}
+	if got, want := dst.Tenant("a").PGStats(), fresh.Tenant("a").PGStats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("refused restore changed the pool's statistics:\n got %+v\nwant %+v", got, want)
+	}
+	for addr := uint64(0); addr < 2*2*32*64; addr += 64 {
+		got, aerr := dst.Do("a", []OpSpec{{Addr: addr}})
+		want, werr := fresh.Do("a", []OpSpec{{Addr: addr}})
+		if aerr != nil || werr != nil || got[0].Err != nil || want[0].Err != nil {
+			t.Fatalf("read %#x: %v %v %v %v", addr, aerr, werr, got[0].Err, want[0].Err)
+		}
+		if got[0].Data != want[0].Data {
+			t.Fatalf("read %#x after a refused restore differs from a fresh pool's", addr)
+		}
+	}
+}
+
+// TestRestoreStateFirstErrorInOrder pins which refusal a checkpoint with
+// several unrestorable controllers reports, whatever order the restore
+// workers reach them in: the first in tenant/PG/channel order.
+func TestRestoreStateFirstErrorInOrder(t *testing.T) {
+	src := checkpointPool(t, 2, 300)
+	defer src.Close()
+	st, err := src.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Tenants[0].PGs[0].Channels[1].Layout = 0
+	st.Tenants[0].PGs[1].Channels[0].Layout = 0
+	st.Tenants[0].PGs[1].Channels[1].TagHints = nvmem.Words{}
+	for range 4 {
+		dst := checkpointPool(t, 2, 0)
+		err := dst.RestoreState(st)
+		dst.Close()
+		if !errors.Is(err, snapshot.ErrCorrupt) || !strings.HasPrefix(err.Error(), `server: tenant "a" pg 0 channel 1: `) {
+			t.Fatalf("RestoreState = %v, want the refusal of pg 0 channel 1", err)
+		}
+	}
+}
+
 // fuzzPayload is the payload of a checkpoint envelope.
 func fuzzPayload(tb testing.TB, env []byte) []byte {
 	tb.Helper()
@@ -92,15 +153,48 @@ func fuzzPayload(tb testing.TB, env []byte) []byte {
 	return payload
 }
 
-// checkpointSeeds are FuzzServerCheckpoint's starting payloads: a valid
-// checkpoint of the fuzz pool and four crafted ones, each refused for one
-// reason (a truncated column section, a line address past the device, a
-// descending tag column, a cached split leaf with a minor counter of 64).
-func checkpointSeeds(tb testing.TB) map[string][]byte {
+// checkpointSeed is one FuzzServerCheckpoint input: a payload, wrapped in
+// a valid KindServer envelope that flip and cut then damage (see damage).
+type checkpointSeed struct {
+	payload   []byte
+	flip, cut uint32
+}
+
+// damage applies an input's envelope damage to env: flip > 0 inverts byte
+// flip-1 (modulo the envelope's length) and cut > 0 drops cut bytes
+// (modulo the length + 1) off the end.
+func damage(env []byte, flip, cut uint32) []byte {
+	if flip > 0 {
+		env[(flip-1)%uint32(len(env))] ^= 0xff
+	}
+	if cut > 0 {
+		env = env[:len(env)-int(cut%uint32(len(env)+1))]
+	}
+	return env
+}
+
+// envelope wraps payload in a valid KindServer envelope.
+func envelope(tb testing.TB, payload []byte) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := snapshot.WriteEnvelope(&buf, snapshot.KindServer, payload); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkpointSeeds are FuzzServerCheckpoint's starting inputs: a valid
+// checkpoint of the fuzz pool, four crafted payloads in intact envelopes,
+// each refused for one reason (a truncated column section, a line address
+// past the device, a descending tag column, a cached split leaf with a
+// minor counter of 64), a CRC-valid skeleton that is not gob, and two
+// damaged envelopes of the valid checkpoint (a flipped skeleton byte, a
+// file cut short inside its last column section).
+func checkpointSeeds(tb testing.TB) map[string]checkpointSeed {
 	tb.Helper()
 	p := checkpointPool(tb, 1, 120)
 	defer p.Close()
-	craft := func(fn func(cs *memctrl.ControllerState)) []byte {
+	craft := func(fn func(cs *memctrl.ControllerState)) checkpointSeed {
 		st, err := p.State()
 		if err != nil {
 			tb.Fatal(err)
@@ -110,12 +204,18 @@ func checkpointSeeds(tb testing.TB) map[string][]byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		return fuzzPayload(tb, env)
+		return checkpointSeed{payload: fuzzPayload(tb, env)}
 	}
-	valid := fuzzPayload(tb, checkpointBytes(tb, p))
-	return map[string][]byte{
-		"valid-checkpoint":  valid,
-		"truncated-section": valid[:len(valid)-3],
+	env := checkpointBytes(tb, p)
+	valid := fuzzPayload(tb, env)
+	// The skeleton starts after the envelope header and the payload's
+	// 16-byte head; flip is 1-based.
+	skeleton := uint32(len(env)-len(valid)) + 16
+	badGob := append([]byte(nil), valid...)
+	copy(badGob[16:], "\xff\xff\xff\xff")
+	return map[string]checkpointSeed{
+		"valid-checkpoint":  {payload: valid},
+		"truncated-section": {payload: valid[:len(valid)-3]},
 		"line-past-device": craft(func(cs *memctrl.ControllerState) {
 			cs.Device.LineAddrs = replaceWord(cs.Device.LineAddrs, cs.Device.LineAddrs.Len()-1, 1<<40)
 		}),
@@ -133,6 +233,9 @@ func checkpointSeeds(tb testing.TB) map[string][]byte {
 			}
 			tb.Fatal("no split leaf cached")
 		}),
+		"bad-gob-skeleton":      {payload: badGob},
+		"flipped-skeleton-byte": {payload: valid, flip: skeleton + 3},
+		"file-cut-in-section":   {payload: valid, cut: 3},
 	}
 }
 
@@ -149,23 +252,54 @@ func replaceWord(w nvmem.Words, i int, v uint64) nvmem.Words {
 	return out
 }
 
-// FuzzServerCheckpoint wraps arbitrary payload bytes in a valid KindServer
-// envelope, decodes them and restores them into a fresh pool of the seeds'
-// shape. No input may panic, and every refusal must wrap
-// snapshot.ErrCorrupt. An accepted payload must come back through State →
-// Save with its column sections byte for byte, a second round must be a
-// fixed point, and a payload already in this process's canonical gob form
-// (its skeleton re-encodes to itself, every scheme blob re-saves to itself
-// and every tenant records its interleave) must come back as the same
-// bytes. gob admits other encodings of one value, and numbers its types by
-// process history, so only that form can be held to byte identity.
+// loadBoth parses env through snapshot.DecodeServer and, from a file,
+// through snapshot.LoadServerFile, which must agree: both accept and the
+// states encode to the same bytes, or both refuse with the same error.
+// It returns DecodeServer's result.
+func loadBoth(t *testing.T, env []byte) (*snapshot.ServerState, error) {
+	t.Helper()
+	st, err := snapshot.DecodeServer(bytes.NewReader(env))
+	path := filepath.Join(t.TempDir(), "server.ckpt")
+	if werr := os.WriteFile(path, env, 0o644); werr != nil {
+		t.Fatal(werr)
+	}
+	fst, ferr := snapshot.LoadServerFile(path)
+	switch {
+	case err != nil || ferr != nil:
+		if err == nil || ferr == nil || err.Error() != ferr.Error() {
+			t.Fatalf("DecodeServer: %v; LoadServerFile: %v", err, ferr)
+		}
+		return nil, err
+	case st == nil || fst == nil:
+		t.Fatal("a loader accepted without a state")
+	}
+	a, aerr := snapshot.EncodeServer(st)
+	b, berr := snapshot.EncodeServer(fst)
+	if aerr != nil || berr != nil || !bytes.Equal(a, b) {
+		t.Fatalf("the loaders' states encode differently (%v, %v)", aerr, berr)
+	}
+	return st, nil
+}
+
+// FuzzServerCheckpoint wraps arbitrary payload bytes in a KindServer
+// envelope, damages it as the input's flip and cut say, and loads it
+// through both loaders, which must agree (loadBoth). An accepted state is
+// restored into a fresh pool of the seeds' shape. No input may panic, and
+// every refusal of an intact envelope must wrap snapshot.ErrCorrupt. An
+// accepted payload must come back through State → Save with its column
+// sections byte for byte, a second round must be a fixed point, and a
+// payload already in this process's canonical gob form (its skeleton
+// re-encodes to itself, every scheme blob re-saves to itself and every
+// tenant records its interleave) must come back as the same bytes. gob
+// admits other encodings of one value, and numbers its types by process
+// history, so only that form can be held to byte identity.
 func FuzzServerCheckpoint(f *testing.F) {
 	for _, seed := range checkpointSeeds(f) {
-		f.Add(seed)
+		f.Add(seed.payload, seed.flip, seed.cut)
 	}
 	restore := func(t *testing.T, env []byte) (*Pool, *snapshot.ServerState, error) {
 		p := checkpointPool(t, 1, 0)
-		st, err := snapshot.DecodeServer(bytes.NewReader(env))
+		st, err := loadBoth(t, env)
 		if err == nil {
 			err = p.RestoreState(st)
 		}
@@ -174,12 +308,12 @@ func FuzzServerCheckpoint(f *testing.F) {
 		}
 		return p, st, err
 	}
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		var buf bytes.Buffer
-		if err := snapshot.WriteEnvelope(&buf, snapshot.KindServer, payload); err != nil {
-			t.Fatal(err)
+	f.Fuzz(func(t *testing.T, payload []byte, flip, cut uint32) {
+		env := envelope(t, payload)
+		if flip != 0 || cut != 0 {
+			loadBoth(t, damage(env, flip, cut))
+			return
 		}
-		env := buf.Bytes()
 		p, in, err := restore(t, env)
 		defer p.Close()
 		if err != nil {
@@ -223,22 +357,27 @@ func FuzzServerCheckpoint(f *testing.F) {
 
 // TestServerCheckpointSeeds pins what each FuzzServerCheckpoint seed
 // exercises: the valid checkpoint restores and is in canonical form, so
-// the fuzz target holds it to byte identity, and each crafted seed is
-// refused as ErrCorrupt for its own reason.
+// the fuzz target holds it to byte identity, and each other seed is
+// refused, by both loaders alike, with its own sentinel for its own
+// reason. A flipped skeleton byte is a checksum failure before it is bad
+// gob.
 func TestServerCheckpointSeeds(t *testing.T) {
-	why := map[string]string{
-		"truncated-section": "bytes left",
-		"line-past-device":  "nvmem: line address",
-		"descending-tags":   "memctrl: tag address 1",
-		"minor-counter-64":  "minor counter 0 is 64",
+	why := map[string]struct {
+		sentinel error
+		reason   string
+	}{
+		"truncated-section":     {snapshot.ErrCorrupt, "bytes left"},
+		"line-past-device":      {snapshot.ErrCorrupt, "nvmem: line address"},
+		"descending-tags":       {snapshot.ErrCorrupt, "memctrl: tag address 1"},
+		"minor-counter-64":      {snapshot.ErrCorrupt, "minor counter 0 is 64"},
+		"bad-gob-skeleton":      {snapshot.ErrCorrupt, "server skeleton: gob"},
+		"flipped-skeleton-byte": {snapshot.ErrChecksum, "payload CRC"},
+		"file-cut-in-section":   {snapshot.ErrTruncated, "payload is"},
 	}
-	for name, payload := range checkpointSeeds(t) {
-		var buf bytes.Buffer
-		if err := snapshot.WriteEnvelope(&buf, snapshot.KindServer, payload); err != nil {
-			t.Fatal(err)
-		}
+	for name, seed := range checkpointSeeds(t) {
+		env := damage(envelope(t, seed.payload), seed.flip, seed.cut)
 		p := checkpointPool(t, 1, 0)
-		st, err := snapshot.DecodeServer(bytes.NewReader(buf.Bytes()))
+		st, err := loadBoth(t, env)
 		if err == nil {
 			err = p.RestoreState(st)
 		}
@@ -247,13 +386,14 @@ func TestServerCheckpointSeeds(t *testing.T) {
 			if err != nil {
 				t.Fatalf("valid seed refused: %v", err)
 			}
-			if again, _ := snapshot.EncodeServer(st); !bytes.Equal(again, buf.Bytes()) {
+			if again, _ := snapshot.EncodeServer(st); !bytes.Equal(again, env) {
 				t.Fatal("valid seed is not in canonical form")
 			}
 			continue
 		}
-		if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), why[name]) {
-			t.Errorf("%s: %v, want ErrCorrupt naming %q", name, err, why[name])
+		want := why[name]
+		if !errors.Is(err, want.sentinel) || !strings.Contains(err.Error(), want.reason) {
+			t.Errorf("%s: %v, want %v naming %q", name, err, want.sentinel, want.reason)
 		}
 	}
 }

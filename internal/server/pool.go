@@ -44,10 +44,12 @@ package server
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 
+	"steins/internal/memctrl"
 	"steins/internal/metrics"
 	"steins/internal/snapshot"
 	"steins/internal/trace"
@@ -578,10 +580,25 @@ func (p *Pool) StateBytes() ([]byte, error) {
 // match the configuration, and a controller image that cannot be restored
 // (another layout, inconsistent or out-of-range tables), whose error names
 // the table.
+//
+// The whole checkpoint's shape is checked before any controller changes,
+// so a shape refusal leaves the pool as it was built. The controllers then
+// restore concurrently, on at most GOMAXPROCS workers (the bound keeps the
+// peak of freshly faulted-in device arenas in step with the cores that
+// fill them); the error returned is the first refused controller in
+// tenant/PG/channel order. A pool refused that late is partly restored and
+// fit only to be discarded.
 func (p *Pool) RestoreState(st *snapshot.ServerState) error {
 	if len(st.Tenants) != len(p.names) {
 		return fmt.Errorf("server: %w: checkpoint has %d tenants, config has %d", snapshot.ErrCorrupt, len(st.Tenants), len(p.names))
 	}
+	type restore struct {
+		tenant string
+		pg, ch int
+		c      *memctrl.Controller
+		cs     *memctrl.ControllerState
+	}
+	var jobs []restore
 	for i, ts := range st.Tenants {
 		t := p.tenants[ts.Name]
 		if t == nil {
@@ -609,22 +626,49 @@ func (p *Pool) RestoreState(st *snapshot.ServerState) error {
 			return fmt.Errorf("server: %w: tenant %q checkpoint has %d PGs, config has %d",
 				snapshot.ErrCorrupt, ts.Name, len(ts.PGs), len(t.pgs))
 		}
-		t.engineMu.Lock()
 		for k := range ts.PGs {
 			ctrls := t.pgs[k].Controllers()
 			if len(ts.PGs[k].Channels) != len(ctrls) {
-				t.engineMu.Unlock()
 				return fmt.Errorf("server: %w: tenant %q pg %d checkpoint has %d channels, config has %d",
 					snapshot.ErrCorrupt, ts.Name, k, len(ts.PGs[k].Channels), len(ctrls))
 			}
-			for chk := range ctrls {
-				if err := ctrls[chk].Restore(&ts.PGs[k].Channels[chk]); err != nil {
-					t.engineMu.Unlock()
-					return fmt.Errorf("server: tenant %q pg %d channel %d: %w: %w", ts.Name, k, chk, snapshot.ErrCorrupt, err)
-				}
+			for chk, c := range ctrls {
+				jobs = append(jobs, restore{ts.Name, k, chk, c, &ts.PGs[k].Channels[chk]})
 			}
 		}
-		t.engineMu.Unlock()
+	}
+
+	for _, name := range p.names {
+		p.tenants[name].engineMu.Lock()
+	}
+	errs := make([]error, len(jobs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(jobs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(jobs) {
+					return
+				}
+				errs[i] = jobs[i].c.Restore(jobs[i].cs)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, name := range p.names {
+		p.tenants[name].engineMu.Unlock()
+	}
+	for i, err := range errs {
+		if err != nil {
+			j := jobs[i]
+			return fmt.Errorf("server: tenant %q pg %d channel %d: %w: %w", j.tenant, j.pg, j.ch, snapshot.ErrCorrupt, err)
+		}
+	}
+	for i, ts := range st.Tenants {
+		t := p.tenants[p.names[i]]
 		t.mu.Lock()
 		t.nextSeq = ts.AppliedSeq
 		t.mu.Unlock()

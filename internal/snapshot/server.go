@@ -35,6 +35,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 
@@ -132,22 +133,45 @@ func encodeServerPayload(st *ServerState) ([]byte, error) {
 // parseServer splits a sectioned payload back into a ServerState whose
 // columns are sub-slices of payload. Every failure wraps ErrCorrupt: the
 // envelope was intact, the payload is not one encodeServerPayload writes.
+// LoadServerFile runs the same three steps, with the skeleton's decode
+// overlapping the read of the column sections.
 func parseServer(payload []byte) (*ServerState, error) {
-	if len(payload) < serverHeaderLen {
-		return nil, fmt.Errorf("%w: server payload of %d bytes, shorter than its %d-byte header",
-			ErrCorrupt, len(payload), serverHeaderLen)
+	skLen, err := parseHead(payload, uint64(len(payload)))
+	if err != nil {
+		return nil, err
 	}
-	if layout := binary.LittleEndian.Uint64(payload); layout != memctrl.StateLayout {
-		return nil, fmt.Errorf("%w: server payload layout %#x, want %d (checkpoints of layout 2 and older are refused; re-create them)",
+	st, err := decodeSkeleton(payload[serverHeaderLen : serverHeaderLen+skLen])
+	if err != nil {
+		return nil, err
+	}
+	if err := frameColumns(st, payload[serverHeaderLen+skLen:]); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// parseHead checks the payload head (its first serverHeaderLen bytes, or
+// all of a shorter payload) of a payload of n bytes and returns the
+// skeleton length.
+func parseHead(head []byte, n uint64) (uint64, error) {
+	if n < serverHeaderLen {
+		return 0, fmt.Errorf("%w: server payload of %d bytes, shorter than its %d-byte header",
+			ErrCorrupt, n, serverHeaderLen)
+	}
+	if layout := binary.LittleEndian.Uint64(head); layout != memctrl.StateLayout {
+		return 0, fmt.Errorf("%w: server payload layout %#x, want %d (checkpoints of layout 2 and older are refused; re-create them)",
 			ErrCorrupt, layout, memctrl.StateLayout)
 	}
-	rest := payload[serverHeaderLen:]
-	skLen := binary.LittleEndian.Uint64(payload[8:])
-	if skLen > uint64(len(rest)) {
-		return nil, fmt.Errorf("%w: server skeleton of %d bytes, %d left in the payload", ErrCorrupt, skLen, len(rest))
+	skLen := binary.LittleEndian.Uint64(head[8:])
+	if left := n - serverHeaderLen; skLen > left {
+		return 0, fmt.Errorf("%w: server skeleton of %d bytes, %d left in the payload", ErrCorrupt, skLen, left)
 	}
-	sk := rest[:skLen]
-	rest = rest[skLen:]
+	return skLen, nil
+}
+
+// decodeSkeleton gob-decodes the skeleton, which must be exactly one
+// value.
+func decodeSkeleton(sk []byte) (*ServerState, error) {
 	st := &ServerState{}
 	r := bytes.NewReader(sk)
 	if err := gob.NewDecoder(r).Decode(st); err != nil {
@@ -156,31 +180,37 @@ func parseServer(payload []byte) (*ServerState, error) {
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("%w: %d bytes after the server skeleton's gob value", ErrCorrupt, r.Len())
 	}
+	return st, nil
+}
+
+// frameColumns points the columns of st's controllers at their sections
+// in rest, the payload after the skeleton.
+func frameColumns(st *ServerState, rest []byte) error {
 	for i, cs := range st.channels() {
 		var cols [memctrl.StateColumns][]byte
 		for j, col := range cs.Columns() {
 			if len(col) != 0 {
-				return nil, fmt.Errorf("%w: server skeleton carries column %d of controller %d", ErrCorrupt, j, i)
+				return fmt.Errorf("%w: server skeleton carries column %d of controller %d", ErrCorrupt, j, i)
 			}
 			if len(rest) < 8 {
-				return nil, fmt.Errorf("%w: column %d of controller %d: section length cut off", ErrCorrupt, j, i)
+				return fmt.Errorf("%w: column %d of controller %d: section length cut off", ErrCorrupt, j, i)
 			}
 			n := binary.LittleEndian.Uint64(rest)
 			rest = rest[8:]
 			if n > uint64(len(rest)) {
-				return nil, fmt.Errorf("%w: column %d of controller %d: %d-byte section, %d bytes left",
+				return fmt.Errorf("%w: column %d of controller %d: %d-byte section, %d bytes left",
 					ErrCorrupt, j, i, n, len(rest))
 			}
 			cols[j], rest = rest[:n:n], rest[n:]
 		}
 		if err := cs.SetColumns(cols); err != nil {
-			return nil, fmt.Errorf("%w: controller %d: %v", ErrCorrupt, i, err)
+			return fmt.Errorf("%w: controller %d: %v", ErrCorrupt, i, err)
 		}
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d bytes after the last column section", ErrCorrupt, len(rest))
+		return fmt.Errorf("%w: %d bytes after the last column section", ErrCorrupt, len(rest))
 	}
-	return st, nil
+	return nil
 }
 
 // EncodeServer serializes a server state into KindServer envelope bytes.
@@ -219,17 +249,98 @@ func SaveServerFile(path string, st *ServerState) error {
 	return SaveEnvelope(path, KindServer, payload)
 }
 
-// LoadServerFile reads a server checkpoint file once, checks its CRC in
-// place and parses it: the state's columns are sub-slices of the file's
-// bytes, which a restore then reads in place.
+// LoadServerFile reads a server checkpoint file and parses it: the
+// state's columns are sub-slices of the bytes the file was read into,
+// which a restore then reads in place. It returns what DecodeServer
+// returns for the file's bytes, but pipelines the work: the skeleton is
+// gob-decoded on its own goroutine while the column sections are read and
+// the payload CRC is taken, and the columns are framed last. Errors keep
+// DecodeServer's precedence: a short file, then a CRC mismatch, then a
+// payload that does not parse.
 func LoadServerFile(path string) (*ServerState, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	payload, err := envelopePayload(data, KindServer)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
+	}
+	if !fi.Mode().IsRegular() {
+		// Only a regular file's size bounds the payload before it is
+		// read; anything else is read whole first.
+		data, err := io.ReadAll(f)
+		if err != nil {
+			return nil, fmt.Errorf("snapshot: %w", err)
+		}
+		payload, err := envelopePayload(data, KindServer)
+		if err != nil {
+			return nil, err
+		}
+		return parseServer(payload)
+	}
+	hdr := make([]byte, headerLen)
+	n, _ := io.ReadFull(f, hdr) // a short read fails checkHeader as truncated
+	plen, err := checkHeader(hdr[:n], KindServer)
 	if err != nil {
 		return nil, err
 	}
-	return parseServer(payload)
+	if left := uint64(fi.Size() - headerLen); left < plen {
+		return nil, fmt.Errorf("%w: payload is %d bytes, envelope declares %d", ErrTruncated, left, plen)
+	}
+	readFull := func(b []byte) error {
+		if _, err := io.ReadFull(f, b); err != nil {
+			return fmt.Errorf("%w: reading payload: %v", ErrTruncated, err)
+		}
+		return nil
+	}
+	head := make([]byte, min(plen, serverHeaderLen))
+	if err := readFull(head); err != nil {
+		return nil, err
+	}
+	skLen, parseErr := parseHead(head, plen)
+	// Both buffers are allocated before the decode starts, so a collection
+	// the large one triggers begins its mark while a core is still free.
+	// Allocated after, the mark overlapped the decode and the restore that
+	// follows, counted the restored controllers live and raised the
+	// restart's peak heap.
+	sk := make([]byte, skLen)
+	sections := make([]byte, plen-uint64(len(head))-skLen)
+	type decoded struct {
+		st  *ServerState
+		err error
+	}
+	var done chan decoded
+	if parseErr == nil {
+		if err := readFull(sk); err != nil {
+			return nil, err
+		}
+		done = make(chan decoded, 1)
+		go func() {
+			st, err := decodeSkeleton(sk)
+			done <- decoded{st, err}
+		}()
+	}
+	err = readFull(sections)
+	if err == nil {
+		sum := crc32.Update(0, crc32.IEEETable, head)
+		sum = crc32.Update(sum, crc32.IEEETable, sk)
+		err = checkCRC(hdr, crc32.Update(sum, crc32.IEEETable, sections))
+	}
+	var st *ServerState
+	if done != nil {
+		d := <-done
+		st, parseErr = d.st, d.err
+	}
+	switch {
+	case err != nil:
+		return nil, err
+	case parseErr != nil:
+		return nil, parseErr
+	}
+	if err := frameColumns(st, sections); err != nil {
+		return nil, err
+	}
+	return st, nil
 }

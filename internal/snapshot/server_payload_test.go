@@ -201,3 +201,13 @@ func TestServerLayoutFixtures(t *testing.T) {
 		t.Fatalf("layout-2 server checkpoint: %v, want ErrCorrupt naming the layout", err)
 	}
 }
+
+// TestLoadServerFileNotRegular pins the loader's path for a file that is
+// not regular, whose size bounds nothing: it is read whole first, so a
+// directory fails with the read's own error, not as a truncated envelope.
+func TestLoadServerFileNotRegular(t *testing.T) {
+	_, err := LoadServerFile(t.TempDir())
+	if err == nil || errors.Is(err, ErrTruncated) || !strings.Contains(err.Error(), "is a directory") {
+		t.Fatalf("LoadServerFile(directory) = %v, want the read error", err)
+	}
+}

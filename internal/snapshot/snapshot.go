@@ -289,8 +289,12 @@ func checkHeader(hdr []byte, kind uint32) (uint64, error) {
 
 // checkPayload compares the payload's CRC with the one the header declares.
 func checkPayload(hdr, payload []byte) error {
-	want := binary.LittleEndian.Uint32(hdr[24:])
-	if sum := crc32.ChecksumIEEE(payload); sum != want {
+	return checkCRC(hdr, crc32.ChecksumIEEE(payload))
+}
+
+// checkCRC compares a payload CRC with the one the header declares.
+func checkCRC(hdr []byte, sum uint32) error {
+	if want := binary.LittleEndian.Uint32(hdr[24:]); sum != want {
 		return fmt.Errorf("%w: payload CRC %#x, envelope declares %#x", ErrChecksum, sum, want)
 	}
 	return nil

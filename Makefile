@@ -97,7 +97,8 @@ metrics-demo:
 # split-counter recovery against the plain 64-candidate search, and the
 # Steins recovery suites over the dense recovery bookkeeping. The
 # checkpoint restore suites (crafted tables
-# refused entry by entry, the sectioned server payload, the layout
+# refused entry by entry, every scheme's state round-tripped and its
+# crafted entries refused, the sectioned server payload, the layout
 # fixtures, byte-stable Save → Load → Restore → Save, the daemon's refusal
 # of a crafted checkpoint, the pipelined loader against DecodeServer, the
 # shape-first concurrent restore) run raced at -cpu 1,2,8, so the restore
@@ -145,7 +146,8 @@ check: campaign serve-check bench-check figs-check
 	go test -shuffle=on -count=2 ./internal/snapshot ./internal/scheme/schemetest ./internal/campaign \
 		./cmd/steinssim
 	go test -shuffle=on -race -cpu 1,2,8 -run 'Restore|Checkpoint|Layout|SetState' ./internal/nvmem \
-		./internal/memctrl ./internal/cache ./internal/snapshot ./internal/server ./cmd/securememd
+		./internal/memctrl ./internal/cache ./internal/scheme/... ./internal/snapshot ./internal/server \
+		./cmd/securememd
 	go test -shuffle=on ./cmd/benchjson
 	go run ./cmd/benchjson -verify BENCH_$(BENCH_REV).json
 

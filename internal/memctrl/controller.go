@@ -549,13 +549,17 @@ func (c *Controller) Crash() {
 // Recover rebuilds and verifies the metadata lost in the last Crash using
 // the active scheme. A repeated call after a completed recovery (with no
 // intervening crash) is idempotent: it returns the cached report without
-// re-running the scheme's side effects.
+// re-running the scheme's side effects. A successful report's TimeNS is the
+// §IV-D cost model (Config.Recovery*NS) over the counts the scheme returns.
 func (c *Controller) Recover() (RecoveryReport, error) {
 	if c.recovered && !c.crashed {
 		return c.lastRecovery, nil
 	}
 	rep, err := c.policy.Recover()
 	if err == nil {
+		rep.TimeNS = float64(rep.NVMReads)*c.cfg.RecoveryReadNS +
+			float64(rep.NVMWrites)*c.cfg.RecoveryWriteNS +
+			float64(rep.MACOps)*c.cfg.RecoveryHashNS
 		c.lastRecovery = rep
 		c.recovered = true
 		c.crashed = false

@@ -47,8 +47,9 @@ type Policy interface {
 	OnCrash()
 
 	// Recover locates, restores and verifies the metadata lost in the
-	// crash. It returns ErrTamper/ErrReplay (wrapped) when verification
-	// fails, and ErrNoRecovery if the scheme cannot recover.
+	// crash, counting its work in the report (the controller prices the
+	// counts into TimeNS). It returns ErrTamper/ErrReplay (wrapped) when
+	// verification fails, and ErrNoRecovery if the scheme cannot recover.
 	Recover() (RecoveryReport, error)
 
 	// Storage itemises the scheme's §IV-E storage overhead.

@@ -8,11 +8,15 @@
 package memctrl
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/bits"
 	"reflect"
+	"slices"
 	"sort"
 
 	"steins/internal/arena"
@@ -26,16 +30,135 @@ import (
 // PolicyState is implemented by schemes that carry state beyond the shared
 // controller structures (LInc registers, record/bitmap caches, volatile
 // cache trees, recovery roots). A scheme without any such state (WB)
-// simply doesn't implement it.
+// simply doesn't implement it. Every scheme writes its state as one value
+// through EncodePolicyState and reads it back through DecodePolicyState.
 type PolicyState interface {
 	// SaveState serializes the scheme's complete state.
 	SaveState() ([]byte, error)
 	// LoadState restores state saved by SaveState on a freshly built
-	// policy of the same scheme and configuration.
+	// policy of the same scheme and configuration. An entry the tree or
+	// the scheme's on-chip capacity could not hold is an error, never a
+	// later panic.
 	LoadState(data []byte) error
 }
 
-// StateLayout identifies the ControllerState encoding. Layout 3 keeps the
+// NodeCounter is one node-keyed counter of a scheme's on-chip state: a
+// buffered or pipelined parent counter of a flushed child (Steins,
+// PipeSIT), the seal of a written-through strict node (Triad), or the
+// parent-counter LSBs a child line carries (STAR).
+type NodeCounter struct {
+	NodeRef
+	Counter uint64
+}
+
+// SortedNodeCounters lists a node-keyed map as entries sorted by (level,
+// index), the order a checkpoint stores them in.
+func SortedNodeCounters[V uint16 | uint64](m map[NodeRef]V) []NodeCounter {
+	es := make([]NodeCounter, 0, len(m))
+	for k, v := range m {
+		es = append(es, NodeCounter{k, uint64(v)})
+	}
+	slices.SortFunc(es, func(a, b NodeCounter) int {
+		return cmp.Or(cmp.Compare(a.Level, b.Level), cmp.Compare(a.Index, b.Index))
+	})
+	return es
+}
+
+// EncodePolicyState is the one codec of a scheme's SaveState blob: v as
+// one gob value.
+func EncodePolicyState(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, fmt.Errorf("encode state: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// DecodePolicyState reads a blob EncodePolicyState wrote into v: exactly
+// one gob value, with no bytes after it.
+func DecodePolicyState(data []byte, v any) error {
+	r := bytes.NewReader(data)
+	if err := gob.NewDecoder(r).Decode(v); err != nil {
+		return fmt.Errorf("decode state: %w", err)
+	}
+	if r.Len() != 0 {
+		return fmt.Errorf("decode state: %d bytes after the state", r.Len())
+	}
+	return nil
+}
+
+// CheckNodeCounters reports whether restored node-keyed entries fit the
+// tree: every entry's level below levels (a scheme whose entries update a
+// parent passes Levels-1, the top level's parent being the on-chip root)
+// and its index below the level's node count. what names the table in the
+// error. The count is not bounded: a buffer or pipe whose parent updates
+// keep failing grows past its capacity, and its checkpoint must restore.
+func (c *Controller) CheckNodeCounters(what string, es []NodeCounter, levels int) error {
+	geo := &c.lay.Geo
+	for i, e := range es {
+		if e.Level < 0 || e.Level >= levels {
+			return fmt.Errorf("%s entry %d (level %d index %d): level outside [0, %d)", what, i, e.Level, e.Index, levels)
+		}
+		if e.Index >= geo.LevelNodes[e.Level] {
+			return fmt.Errorf("%s entry %d (level %d index %d): index past the level's %d nodes",
+				what, i, e.Level, e.Index, geo.LevelNodes[e.Level])
+		}
+	}
+	return nil
+}
+
+// NodeCounterMap is the inverse of SortedNodeCounters: it refuses a node
+// listed twice and a counter wider than V. what names the table in the
+// error.
+func NodeCounterMap[V uint16 | uint64](what string, es []NodeCounter) (map[NodeRef]V, error) {
+	m := make(map[NodeRef]V, len(es))
+	for i, e := range es {
+		if _, dup := m[e.NodeRef]; dup {
+			return nil, fmt.Errorf("%s entry %d (level %d index %d): node listed twice", what, i, e.Level, e.Index)
+		}
+		if uint64(V(e.Counter)) != e.Counter {
+			return nil, fmt.Errorf("%s entry %d (level %d index %d): counter %#x wider than %T",
+				what, i, e.Level, e.Index, e.Counter, V(0))
+		}
+		m[e.NodeRef] = V(e.Counter)
+	}
+	return m, nil
+}
+
+// CheckCachedLines reports whether every line of a restored ADR line cache
+// lies inside its NVM region [base, base+size) and carries a payload; the
+// cache's own SetState checks the slots.
+func CheckCachedLines[P any](what string, st cache.State[*P], base, size uint64) error {
+	for i, e := range st.Entries {
+		if e.Addr < base || e.Addr-base >= size {
+			return fmt.Errorf("%s line %d at %#x outside its region [%#x, %#x)", what, i, e.Addr, base, base+size)
+		}
+		if e.Payload == nil {
+			return fmt.Errorf("%s line %d at %#x has no payload", what, i, e.Addr)
+		}
+	}
+	return nil
+}
+
+// CheckTreeShape reports whether a restored scheme cache-tree (ASIT's over
+// shadow slots, STAR's over set-MACs) has the levels and level widths of
+// the one the scheme built.
+func CheckTreeShape(got, want [][]uint64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("state has %d tree levels, scheme has %d", len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			return fmt.Errorf("state tree level %d has %d nodes, scheme has %d", i, len(got[i]), len(want[i]))
+		}
+	}
+	return nil
+}
+
+// StateLayout identifies the ControllerState encoding. Layout 4 writes
+// every scheme's Policy blob as one gob value (EncodePolicyState); layout 3
+// hand-encoded the Triad, PipeSIT and SCUE blobs in binary and mirrored the
+// others' entries in scheme-private types. Layout 3 keeps the
 // columnar tag and device tables of layout 2 (every 64-bit column an
 // nvmem.Words) but carries the tags' written flags as one byte each
 // (TagFlags) and each cached node as a fixed record (sit.Node's gob codec),
@@ -47,7 +170,7 @@ type PolicyState interface {
 // Words; layout 0 (checkpoints written before the columns) has no layout
 // field. Restore rejects every older layout rather than silently restoring
 // an empty device.
-const StateLayout = 3
+const StateLayout = 4
 
 // QuarantineState is one quarantined leaf's arbitration record.
 type QuarantineState struct {

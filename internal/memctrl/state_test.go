@@ -75,7 +75,7 @@ func TestRestoreRejectsCraftedControllerState(t *testing.T) {
 		craft func(st *memctrl.ControllerState)
 		want  string
 	}{
-		{"older layout", func(st *memctrl.ControllerState) { st.Layout = 2 }, "layout 2, want 3"},
+		{"older layout", func(st *memctrl.ControllerState) { st.Layout = 3 }, "layout 3, want 4"},
 		{"tag past the data region", func(st *memctrl.ControllerState) {
 			st.TagAddrs = setWord(st.TagAddrs, st.TagAddrs.Len()-1, cfg.DataBytes)
 		}, "memctrl: tag address"},

@@ -107,8 +107,9 @@ type RecoveryReport struct {
 	Degradation DegradationReport
 }
 
-// NodeRef names one tree node in a DegradationReport. Level -1 refers to a
-// data-leaf region identified by Index (the leaf index).
+// NodeRef names one tree node in a DegradationReport or a scheme's
+// checkpointed state (NodeCounter). Level -1 refers to a data-leaf region
+// identified by Index (the leaf index).
 type NodeRef struct {
 	Level int
 	Index uint64

@@ -280,10 +280,6 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 		}
 	}
 
-	cfg := p.c.Config()
-	rep.TimeNS = float64(rep.NVMReads)*cfg.RecoveryReadNS +
-		float64(rep.NVMWrites)*cfg.RecoveryWriteNS +
-		float64(rep.MACOps)*cfg.RecoveryHashNS
 	return rep, nil
 }
 

@@ -6,46 +6,28 @@
 
 package asit
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-)
+import "steins/internal/memctrl"
 
-// policyState is the gob image of the scheme state.
-type policyState struct {
+// State is the scheme's checkpointed state.
+type State struct {
 	Tree [][]uint64
 	Root uint64
 }
 
 // SaveState implements memctrl.PolicyState.
 func (p *Policy) SaveState() ([]byte, error) {
-	st := policyState{Tree: make([][]uint64, len(p.tree)), Root: p.root}
-	for i, lvl := range p.tree {
-		st.Tree[i] = append([]uint64(nil), lvl...)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
-		return nil, fmt.Errorf("asit: encode state: %w", err)
-	}
-	return buf.Bytes(), nil
+	return memctrl.EncodePolicyState(&State{Tree: p.tree, Root: p.root})
 }
 
 // LoadState implements memctrl.PolicyState.
 func (p *Policy) LoadState(data []byte) error {
-	var st policyState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("asit: decode state: %w", err)
+	var st State
+	if err := memctrl.DecodePolicyState(data, &st); err != nil {
+		return err
 	}
-	if len(st.Tree) != len(p.tree) {
-		return fmt.Errorf("asit: state has %d tree levels, scheme has %d", len(st.Tree), len(p.tree))
+	if err := memctrl.CheckTreeShape(st.Tree, p.tree); err != nil {
+		return err
 	}
-	for i := range p.tree {
-		if len(st.Tree[i]) != len(p.tree[i]) {
-			return fmt.Errorf("asit: state tree level %d has %d nodes, scheme has %d", i, len(st.Tree[i]), len(p.tree[i]))
-		}
-		copy(p.tree[i], st.Tree[i])
-	}
-	p.root = st.Root
+	p.tree, p.root = st.Tree, st.Root
 	return nil
 }

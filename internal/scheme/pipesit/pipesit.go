@@ -25,23 +25,18 @@ import (
 	"steins/internal/sit"
 )
 
-// update is one in-flight coalescing pipeline slot: the generated parent
-// counter for a flushed child. Modelled at 16 bytes like the Steins buffer,
-// so the Table I 128 B region holds 8 slots.
-type update struct {
-	level   int    // level of the flushed child
-	index   uint64 // index of the flushed child
-	counter uint64 // generated parent counter, f(child), newest flush wins
-}
-
-const updateBytes = 16
+// pipeSlotBytes is the modelled size of one in-flight pipeline slot (the
+// flushed child and its generated parent counter f(child), newest flush
+// wins), the size of a Steins buffer slot, so the Table I 128 B region
+// holds 8 slots.
+const pipeSlotBytes = 16
 
 // Policy is the pipesit scheme.
 type Policy struct {
 	c *memctrl.Controller
 	// pipe is the on-chip NV update pipeline, FIFO by first enqueue; at
 	// most one slot per (level, index) — re-flushes coalesce in place.
-	pipe []update
+	pipe []memctrl.NodeCounter
 	cap  int
 	// recoveryRoot is the on-chip NV register: total increments applied to
 	// leaf counters (the SCUE register), anchoring full-tree recovery.
@@ -51,7 +46,7 @@ type Policy struct {
 
 // Factory builds a pipesit policy; pass to memctrl.New.
 func Factory(c *memctrl.Controller) memctrl.Policy {
-	depth := c.Config().NVBufferBytes / updateBytes
+	depth := c.Config().NVBufferBytes / pipeSlotBytes
 	if depth < 1 {
 		depth = 1
 	}
@@ -75,16 +70,6 @@ func (p *Policy) RecoveryRoot() uint64 { return p.recoveryRoot }
 
 // PipelineLen returns the number of in-flight coalesced updates.
 func (p *Policy) PipelineLen() int { return len(p.pipe) }
-
-// PendingUpdate returns the in-flight parent counter for a child, if any.
-func (p *Policy) PendingUpdate(level int, index uint64) (uint64, bool) {
-	for i := range p.pipe {
-		if p.pipe[i].level == level && p.pipe[i].index == index {
-			return p.pipe[i].counter, true
-		}
-	}
-	return 0, false
-}
 
 // OnModify implements memctrl.Policy: leaf increments fold into the
 // recovery register; everything else is a register add.
@@ -112,10 +97,10 @@ func (p *Policy) EvictDirty(victim *sit.Node) (uint64, error) {
 	if i := p.slot(victim.Level, victim.Index); i >= 0 {
 		// Coalesce: merge this flush into the in-flight update before its
 		// parent MAC is recomputed. One parent write retires both.
-		p.pipe[i].counter = newPC
+		p.pipe[i].Counter = newPC
 		return cycles, nil
 	}
-	p.pipe = append(p.pipe, update{level: victim.Level, index: victim.Index, counter: newPC})
+	p.pipe = append(p.pipe, memctrl.NodeCounter{NodeRef: memctrl.NodeRef{Level: victim.Level, Index: victim.Index}, Counter: newPC})
 	for len(p.pipe) >= p.cap && !p.draining {
 		dc, err := p.retireOldest()
 		cycles += dc
@@ -129,7 +114,7 @@ func (p *Policy) EvictDirty(victim *sit.Node) (uint64, error) {
 // slot finds the pipeline slot holding a child's in-flight update.
 func (p *Policy) slot(level int, index uint64) int {
 	for i := range p.pipe {
-		if p.pipe[i].level == level && p.pipe[i].index == index {
+		if p.pipe[i].Level == level && p.pipe[i].Index == index {
 			return i
 		}
 	}
@@ -150,7 +135,7 @@ func (p *Policy) retireOldest() (uint64, error) {
 	defer func() { p.draining = false }()
 	ent := p.pipe[0]
 	geo := &p.c.Layout().Geo
-	pl, pi, slot := geo.Parent(ent.level, ent.index)
+	pl, pi, slot := geo.Parent(ent.Level, ent.Index)
 	pe, cycles, err := p.c.FetchNode(pl, pi)
 	if err != nil {
 		return cycles, err
@@ -158,8 +143,8 @@ func (p *Policy) retireOldest() (uint64, error) {
 	// Only retirement removes slots (nested drains are guarded), so the
 	// entry is still at its position; its counter may have coalesced upward
 	// while the parent was fetched.
-	i := p.slot(ent.level, ent.index)
-	cur := p.pipe[i].counter
+	i := p.slot(ent.Level, ent.Index)
+	cur := p.pipe[i].Counter
 	delta := cur - pe.Payload.Counter(slot)
 	cycles += p.c.SetParentCounter(pe, slot, cur, delta)
 	p.pipe = append(p.pipe[:i], p.pipe[i+1:]...)
@@ -176,7 +161,7 @@ func (p *Policy) BeforeRead() (uint64, error) { return 0, nil }
 // is at most one slot per child, always the newest flush).
 func (p *Policy) ParentCounterOverride(level int, index uint64) (uint64, bool) {
 	if i := p.slot(level, index); i >= 0 {
-		return p.pipe[i].counter, true
+		return p.pipe[i].Counter, true
 	}
 	return 0, false
 }
@@ -205,7 +190,6 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 	}
 	p.recoveryRoot = reg
 	rebuild.WriteBack(p.c, &rep, rec.Leaves, true)
-	rebuild.Cost(p.c, &rep)
 	p.pipe = p.pipe[:0]
 	return rep, nil
 }

@@ -39,7 +39,7 @@ func TestPipelineCoalescesSameNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	want1 := first.FValue()
-	got, ok := p.PendingUpdate(0, 0)
+	got, ok := p.ParentCounterOverride(0, 0)
 	if !ok || got != want1 {
 		t.Fatalf("pending update after first flush = %d,%v, want %d,true", got, ok, want1)
 	}
@@ -54,7 +54,7 @@ func TestPipelineCoalescesSameNode(t *testing.T) {
 	if want2 == want1 {
 		t.Fatal("second flush did not advance the counter; test is vacuous")
 	}
-	got, ok = p.PendingUpdate(0, 0)
+	got, ok = p.ParentCounterOverride(0, 0)
 	if !ok || got != want2 {
 		t.Fatalf("pending update after re-flush = %d,%v, want coalesced %d,true", got, ok, want2)
 	}

@@ -5,45 +5,31 @@
 
 package pipesit
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "steins/internal/memctrl"
+
+// State is the scheme's checkpointed state.
+type State struct {
+	RecoveryRoot uint64
+	Pipe         []memctrl.NodeCounter
+}
 
 // SaveState implements memctrl.PolicyState.
 func (p *Policy) SaveState() ([]byte, error) {
-	b := make([]byte, 8+8+len(p.pipe)*24)
-	binary.LittleEndian.PutUint64(b[0:], p.recoveryRoot)
-	binary.LittleEndian.PutUint64(b[8:], uint64(len(p.pipe)))
-	off := 16
-	for _, u := range p.pipe {
-		binary.LittleEndian.PutUint64(b[off:], uint64(u.level))
-		binary.LittleEndian.PutUint64(b[off+8:], u.index)
-		binary.LittleEndian.PutUint64(b[off+16:], u.counter)
-		off += 24
-	}
-	return b, nil
+	return memctrl.EncodePolicyState(&State{RecoveryRoot: p.recoveryRoot, Pipe: p.pipe})
 }
 
-// LoadState implements memctrl.PolicyState.
+// LoadState implements memctrl.PolicyState. Every pipelined update names a
+// child below the top level (its parent is a tree node). The pipe's length
+// is not checked: EvictDirty keeps an update whose retirement failed, so a
+// run whose parent fetches fail holds more than its depth.
 func (p *Policy) LoadState(data []byte) error {
-	if len(data) < 16 {
-		return fmt.Errorf("pipesit: state is %d bytes, want >= 16", len(data))
+	var st State
+	if err := memctrl.DecodePolicyState(data, &st); err != nil {
+		return err
 	}
-	n := binary.LittleEndian.Uint64(data[8:])
-	if uint64(len(data)) != 16+n*24 {
-		return fmt.Errorf("pipesit: state is %d bytes, want %d for %d updates", len(data), 16+n*24, n)
+	if err := p.c.CheckNodeCounters("update pipe", st.Pipe, p.c.Layout().Geo.Levels-1); err != nil {
+		return err
 	}
-	p.recoveryRoot = binary.LittleEndian.Uint64(data)
-	p.pipe = p.pipe[:0]
-	off := 16
-	for i := uint64(0); i < n; i++ {
-		p.pipe = append(p.pipe, update{
-			level:   int(binary.LittleEndian.Uint64(data[off:])),
-			index:   binary.LittleEndian.Uint64(data[off+8:]),
-			counter: binary.LittleEndian.Uint64(data[off+16:]),
-		})
-		off += 24
-	}
+	p.recoveryRoot, p.pipe = st.RecoveryRoot, st.Pipe
 	return nil
 }

@@ -19,10 +19,11 @@
 // unknowable, and only that (unforgeable) evidence forgives a residual.
 //
 // The helpers here keep the recovery accounting (NVMReads/NVMWrites/MACOps/
-// NodesRecovered and the §IV-D nanosecond cost model) identical across the
-// family, so cross-scheme recovery comparisons measure the designs, not
-// bookkeeping drift. All paths are read-only until WriteBack and therefore
-// restartable: a mid-recovery re-crash simply reruns them from scratch.
+// NodesRecovered, which the controller prices by the §IV-D cost model)
+// identical across the family, so cross-scheme recovery comparisons
+// measure the designs, not bookkeeping drift. All paths are read-only
+// until WriteBack and therefore restartable: a mid-recovery re-crash
+// simply reruns them from scratch.
 package rebuild
 
 import (
@@ -244,13 +245,14 @@ func LeavesFromNVM(c *memctrl.Controller, rep *memctrl.RecoveryReport, degraded 
 	rec := &LeafRecovery{Leaves: make([]*sit.Node, geo.LevelNodes[0])}
 	for idx := uint64(0); idx < geo.LevelNodes[0]; idx++ {
 		rep.NVMReads++
-		node := c.StaleNode(0, idx)
+		line := c.Device().Peek(geo.NodeAddr(0, idx))
+		node := sit.DecodeNode(0, idx, geo.SplitLeaf, counter.Block(line))
 		// A split leaf's FValue sums its 64 minors: take it once for the
 		// self-seal and the total.
 		fv := node.FValue()
 		// An all-zero line is the valid initial state of a never-flushed
 		// leaf (cf. Controller.VerifyNodeLine).
-		if line := c.Device().Peek(geo.NodeAddr(0, idx)); line != (nvmem.Line{}) {
+		if line != (nvmem.Line{}) {
 			rep.MACOps++
 			if c.NodeMAC(node, fv) != node.HMAC() {
 				if !degraded {
@@ -374,12 +376,4 @@ func WriteBack(c *memctrl.Controller, rep *memctrl.RecoveryReport, leaves []*sit
 			c.Root().SetCounter(uint64(idx), n.FValue())
 		}
 	}
-}
-
-// Cost folds the recovery work into the §IV-D nanosecond model.
-func Cost(c *memctrl.Controller, rep *memctrl.RecoveryReport) {
-	cfg := c.Config()
-	rep.TimeNS = float64(rep.NVMReads)*cfg.RecoveryReadNS +
-		float64(rep.NVMWrites)*cfg.RecoveryWriteNS +
-		float64(rep.MACOps)*cfg.RecoveryHashNS
 }

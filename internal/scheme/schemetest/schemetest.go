@@ -62,6 +62,22 @@ func Workload(t *testing.T, c *memctrl.Controller, ops int, seed uint64) map[uin
 	return expect
 }
 
+// EditState decodes a scheme's SaveState blob as a T, lets fn edit it and
+// re-encodes it, so a test can craft a checkpoint entry by entry.
+func EditState[T any](tb testing.TB, blob []byte, fn func(st *T)) []byte {
+	tb.Helper()
+	var st T
+	if err := memctrl.DecodePolicyState(blob, &st); err != nil {
+		tb.Fatal(err)
+	}
+	fn(&st)
+	out, err := memctrl.EncodePolicyState(&st)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
 // VerifyAll reads back every expected block.
 func VerifyAll(t *testing.T, c *memctrl.Controller, expect map[uint64][64]byte) {
 	t.Helper()

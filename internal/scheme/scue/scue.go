@@ -107,7 +107,6 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 	}
 	p.recoveryRoot = reg
 	rebuild.WriteBack(p.c, &rep, rec.Leaves, true)
-	rebuild.Cost(p.c, &rep)
 	return rep, nil
 }
 

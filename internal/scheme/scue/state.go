@@ -3,23 +3,24 @@
 
 package scue
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "steins/internal/memctrl"
+
+// State is the scheme's checkpointed state.
+type State struct {
+	RecoveryRoot uint64
+}
 
 // SaveState implements memctrl.PolicyState.
 func (p *Policy) SaveState() ([]byte, error) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], p.recoveryRoot)
-	return b[:], nil
+	return memctrl.EncodePolicyState(&State{RecoveryRoot: p.recoveryRoot})
 }
 
 // LoadState implements memctrl.PolicyState.
 func (p *Policy) LoadState(data []byte) error {
-	if len(data) != 8 {
-		return fmt.Errorf("scue: state is %d bytes, want 8", len(data))
+	var st State
+	if err := memctrl.DecodePolicyState(data, &st); err != nil {
+		return err
 	}
-	p.recoveryRoot = binary.LittleEndian.Uint64(data)
+	p.recoveryRoot = st.RecoveryRoot
 	return nil
 }

@@ -34,17 +34,12 @@ const (
 
 type bitmapLine [nvmem.LineSize]byte
 
-type nodeKey struct {
-	level int
-	index uint64
-}
-
 // Policy is the STAR scheme.
 type Policy struct {
 	c *memctrl.Controller
 	// lsb models the parent-counter LSBs co-located with each child line
 	// (reserved node bits in the real layout, so no extra traffic).
-	lsb map[nodeKey]uint16
+	lsb map[memctrl.NodeRef]uint16
 	// bitmap lines cached in the controller's ADR domain.
 	bitmap *cache.Cache[*bitmapLine]
 	// setMACs (volatile) and the cache-tree over them; root on-chip NV.
@@ -58,7 +53,7 @@ func Factory(c *memctrl.Controller) memctrl.Policy {
 	cfg := c.Config()
 	p := &Policy{
 		c:       c,
-		lsb:     make(map[nodeKey]uint16),
+		lsb:     make(map[memctrl.NodeRef]uint16),
 		bitmap:  cache.New[*bitmapLine](cfg.RecordCacheLines*nvmem.LineSize, cfg.AuxCacheWays, nvmem.LineSize),
 		setMACs: make([]uint64, c.Meta().Sets()),
 	}
@@ -281,7 +276,7 @@ func (p *Policy) EvictDirty(victim *sit.Node) (uint64, error) {
 	if err != nil {
 		return cycles, err
 	}
-	p.lsb[nodeKey{victim.Level, victim.Index}] = uint16(newPC & lsbMask)
+	p.lsb[memctrl.NodeRef{Level: victim.Level, Index: victim.Index}] = uint16(newPC & lsbMask)
 	cycles += p.setBit(victim.Level, victim.Index, false)
 	// The vacated set's MAC refresh runs on the background engine: nothing
 	// later in this eviction depends on it.
@@ -344,7 +339,7 @@ func (p *Policy) Storage() memctrl.StorageOverhead {
 
 // LSB returns the stored parent-counter LSBs for a node (tests use it).
 func (p *Policy) LSB(level int, index uint64) (uint16, bool) {
-	v, ok := p.lsb[nodeKey{level, index}]
+	v, ok := p.lsb[memctrl.NodeRef{Level: level, Index: index}]
 	return v, ok
 }
 
@@ -361,7 +356,7 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 	// 1. Bitmap scan. The second layer prunes it: only first-level lines
 	//    whose L1 bit is set are read, so the constant term scales with
 	//    the dirty footprint rather than the whole tree.
-	var dirty []nodeKey
+	var dirty []memctrl.NodeRef
 	l0Lines := lay.L1BitmapOffset / nvmem.LineSize
 	l1Lines := (l0Lines + nodesPerBitmapLine - 1) / nodesPerBitmapLine
 	for l1 := uint64(0); l1 < l1Lines; l1++ {
@@ -383,16 +378,16 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 				}
 				off := uint32(li*nodesPerBitmapLine + b)
 				if level, index, ok := geo.NodeAtOffset(off); ok {
-					dirty = append(dirty, nodeKey{level, index})
+					dirty = append(dirty, memctrl.NodeRef{Level: level, Index: index})
 				}
 			}
 		}
 	}
 	sort.Slice(dirty, func(i, j int) bool {
-		if dirty[i].level != dirty[j].level {
-			return dirty[i].level > dirty[j].level
+		if dirty[i].Level != dirty[j].Level {
+			return dirty[i].Level > dirty[j].Level
 		}
-		return dirty[i].index < dirty[j].index
+		return dirty[i].Index < dirty[j].Index
 	})
 
 	// 2. Rebuild each dirty node from the LSBs its children carry. Leaves
@@ -403,7 +398,7 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 	//    its unreadable coverage is quarantined.
 	degraded := p.c.Config().DegradedRecovery
 	rec := &rebuild.LeafRecovery{}
-	recovered := make(map[nodeKey]*sit.Node)
+	recovered := make(map[memctrl.NodeRef]*sit.Node)
 	for _, k := range dirty {
 		node, err := p.recoverNode(&rep, rec, k, degraded)
 		if err != nil {
@@ -411,7 +406,7 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 		}
 		recovered[k] = node
 		rep.NodesRecovered++
-		p.c.FaultEvent(memctrl.EvRecoveryStep, p.c.Layout().Geo.NodeAddr(k.level, k.index))
+		p.c.FaultEvent(memctrl.EvRecoveryStep, p.c.Layout().Geo.NodeAddr(k.Level, k.Index))
 	}
 
 	// 3. Verify against the cache-tree root: recompute the per-set MACs
@@ -443,10 +438,6 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 			root, hashes := p.rebuildTree(p.setMACs)
 			rep.MACOps += hashes
 			p.root = root
-			cfg := p.c.Config()
-			rep.TimeNS = float64(rep.NVMReads)*cfg.RecoveryReadNS +
-				float64(rep.NVMWrites)*cfg.RecoveryWriteNS +
-				float64(rep.MACOps)*cfg.RecoveryHashNS
 			return rep, nil
 		}
 	}
@@ -459,11 +450,11 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 	//    write-back and keep the bookkeeping coherent).
 	for level := geo.Levels - 1; level >= 0; level-- {
 		for _, k := range dirty {
-			if k.level != level {
+			if k.Level != level {
 				continue
 			}
 			node := recovered[k]
-			addr := geo.NodeAddr(level, k.index)
+			addr := geo.NodeAddr(level, k.Index)
 			if e, ok := p.c.Meta().Probe(addr); ok {
 				e.Payload = node
 				e.Dirty = true
@@ -491,11 +482,6 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 	root, hashes2 := p.rebuildTree(p.setMACs)
 	rep.MACOps += hashes2
 	p.root = root
-
-	cfg := p.c.Config()
-	rep.TimeNS = float64(rep.NVMReads)*cfg.RecoveryReadNS +
-		float64(rep.NVMWrites)*cfg.RecoveryWriteNS +
-		float64(rep.MACOps)*cfg.RecoveryHashNS
 	return rep, nil
 }
 
@@ -505,21 +491,21 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 // shared exact reconstruction — the Osiris-style search STAR shares with
 // the other recovery schemes, plus hint pinning for media-destroyed
 // blocks).
-func (p *Policy) recoverNode(rep *memctrl.RecoveryReport, rec *rebuild.LeafRecovery, k nodeKey, degraded bool) (*sit.Node, error) {
+func (p *Policy) recoverNode(rep *memctrl.RecoveryReport, rec *rebuild.LeafRecovery, k memctrl.NodeRef, degraded bool) (*sit.Node, error) {
 	geo := &p.c.Layout().Geo
 	rep.NVMReads++ // stale base
-	stale := p.c.StaleNode(k.level, k.index)
-	if k.level == 0 {
-		return rebuild.LeafFromData(p.c, rep, rec, k.index, stale, degraded)
+	stale := p.c.StaleNode(k.Level, k.Index)
+	if k.Level == 0 {
+		return rebuild.LeafFromData(p.c, rep, rec, k.Index, stale, degraded)
 	}
-	node := &sit.Node{Level: k.level, Index: k.index}
+	node := &sit.Node{Level: k.Level, Index: k.Index}
 	for i := 0; i < counter.Arity; i++ {
-		childIdx := k.index*counter.Arity + uint64(i)
-		if childIdx >= geo.LevelNodes[k.level-1] {
+		childIdx := k.Index*counter.Arity + uint64(i)
+		if childIdx >= geo.LevelNodes[k.Level-1] {
 			continue
 		}
 		rep.NVMReads++ // child line carries the LSBs
-		lsb, ok := p.lsb[nodeKey{k.level - 1, childIdx}]
+		lsb, ok := p.lsb[memctrl.NodeRef{Level: k.Level - 1, Index: childIdx}]
 		if !ok {
 			// Child never flushed: parent counter slot is untouched.
 			node.SetCounter(i, stale.Counter(i))
@@ -541,11 +527,11 @@ func extendLSB(stale uint64, lsb uint16) uint64 {
 
 // verifyRecovered recomputes every per-set MAC from the recovered dirty
 // nodes and compares the rebuilt cache-tree with the surviving root.
-func (p *Policy) verifyRecovered(rep *memctrl.RecoveryReport, recovered map[nodeKey]*sit.Node) error {
+func (p *Policy) verifyRecovered(rep *memctrl.RecoveryReport, recovered map[memctrl.NodeRef]*sit.Node) error {
 	geo := &p.c.Layout().Geo
 	bySet := make(map[int][]nodeImg)
 	for k, n := range recovered {
-		addr := geo.NodeAddr(k.level, k.index)
+		addr := geo.NodeAddr(k.Level, k.Index)
 		bySet[p.c.Meta().SetOf(addr)] = append(bySet[p.c.Meta().SetOf(addr)], nodeImg{addr, n.CounterBytes()})
 	}
 	macs := make([]uint64, len(p.setMACs))

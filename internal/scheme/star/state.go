@@ -8,107 +8,60 @@
 package star
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"sort"
 
 	"steins/internal/cache"
-	"steins/internal/nvmem"
+	"steins/internal/memctrl"
 )
 
-// lsbState is one child node's parent-counter LSB copy.
-type lsbState struct {
-	Level int
-	Index uint64
-	LSB   uint16
-}
-
-// bitmapEntryState is one cached bitmap line with its LRU bookkeeping.
-type bitmapEntryState struct {
-	Addr  uint64
-	Slot  int
-	Stamp uint64
-	Dirty bool
-	Line  [nvmem.LineSize]byte
-}
-
-// policyState is the gob image of the scheme state.
-type policyState struct {
-	LSBs        []lsbState // sorted by (level, index)
-	BitmapStamp uint64
-	BitmapStats cache.Stats
-	Bitmap      []bitmapEntryState
-	SetMACs     []uint64
-	Tree        [][]uint64
-	Root        uint64
+// State is the scheme's checkpointed state.
+type State struct {
+	LSBs    []memctrl.NodeCounter // sorted by (level, index)
+	Bitmap  cache.State[*bitmapLine]
+	SetMACs []uint64
+	Tree    [][]uint64
+	Root    uint64
 }
 
 // SaveState implements memctrl.PolicyState.
 func (p *Policy) SaveState() ([]byte, error) {
-	st := policyState{
-		SetMACs: append([]uint64(nil), p.setMACs...),
-		Tree:    make([][]uint64, len(p.tree)),
+	return memctrl.EncodePolicyState(&State{
+		LSBs:    memctrl.SortedNodeCounters(p.lsb),
+		Bitmap:  p.bitmap.State(),
+		SetMACs: p.setMACs,
+		Tree:    p.tree,
 		Root:    p.root,
-	}
-	for i, lvl := range p.tree {
-		st.Tree[i] = append([]uint64(nil), lvl...)
-	}
-	for k, v := range p.lsb {
-		st.LSBs = append(st.LSBs, lsbState{Level: k.level, Index: k.index, LSB: v})
-	}
-	sort.Slice(st.LSBs, func(i, j int) bool {
-		if st.LSBs[i].Level != st.LSBs[j].Level {
-			return st.LSBs[i].Level < st.LSBs[j].Level
-		}
-		return st.LSBs[i].Index < st.LSBs[j].Index
 	})
-	bs := p.bitmap.State()
-	st.BitmapStamp = bs.Stamp
-	st.BitmapStats = bs.Stats
-	for _, e := range bs.Entries {
-		st.Bitmap = append(st.Bitmap, bitmapEntryState{
-			Addr: e.Addr, Slot: e.Slot, Stamp: e.Stamp, Dirty: e.Dirty, Line: *e.Payload,
-		})
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
-		return nil, fmt.Errorf("star: encode state: %w", err)
-	}
-	return buf.Bytes(), nil
 }
 
-// LoadState implements memctrl.PolicyState.
+// LoadState implements memctrl.PolicyState. Every LSB copy belongs to a
+// tree node, at most one per node, and fits its 16 bits; every cached bitmap
+// line lies in the bitmap region.
 func (p *Policy) LoadState(data []byte) error {
-	var st policyState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("star: decode state: %w", err)
+	var st State
+	if err := memctrl.DecodePolicyState(data, &st); err != nil {
+		return err
 	}
-	if len(st.SetMACs) != len(p.setMACs) || len(st.Tree) != len(p.tree) {
-		return fmt.Errorf("star: state geometry mismatch (%d set-MACs / %d levels, scheme has %d / %d)",
-			len(st.SetMACs), len(st.Tree), len(p.setMACs), len(p.tree))
+	if len(st.SetMACs) != len(p.setMACs) {
+		return fmt.Errorf("state has %d set-MACs, scheme has %d", len(st.SetMACs), len(p.setMACs))
 	}
-	p.lsb = make(map[nodeKey]uint16, len(st.LSBs))
-	for _, e := range st.LSBs {
-		p.lsb[nodeKey{level: e.Level, index: e.Index}] = e.LSB
+	if err := memctrl.CheckTreeShape(st.Tree, p.tree); err != nil {
+		return err
 	}
-	copy(p.setMACs, st.SetMACs)
-	for i := range p.tree {
-		if len(st.Tree[i]) != len(p.tree[i]) {
-			return fmt.Errorf("star: state tree level %d has %d nodes, scheme has %d", i, len(st.Tree[i]), len(p.tree[i]))
-		}
-		copy(p.tree[i], st.Tree[i])
+	lay := p.c.Layout()
+	if err := p.c.CheckNodeCounters("LSB table", st.LSBs, lay.Geo.Levels); err != nil {
+		return err
 	}
-	p.root = st.Root
-	bs := cache.State[*bitmapLine]{Stamp: st.BitmapStamp, Stats: st.BitmapStats}
-	for _, e := range st.Bitmap {
-		line := bitmapLine(e.Line)
-		bs.Entries = append(bs.Entries, cache.EntryState[*bitmapLine]{
-			Addr: e.Addr, Slot: e.Slot, Stamp: e.Stamp, Dirty: e.Dirty, Payload: &line,
-		})
+	lsb, err := memctrl.NodeCounterMap[uint16]("LSB table", st.LSBs)
+	if err != nil {
+		return err
 	}
-	if err := p.bitmap.SetState(bs); err != nil {
-		return fmt.Errorf("star: %w", err)
+	if err := memctrl.CheckCachedLines("bitmap", st.Bitmap, lay.BitmapBase, lay.BitmapBytes); err != nil {
+		return err
 	}
+	if err := p.bitmap.SetState(st.Bitmap); err != nil {
+		return fmt.Errorf("bitmap lines: %w", err)
+	}
+	p.lsb, p.setMACs, p.tree, p.root = lsb, st.SetMACs, st.Tree, st.Root
 	return nil
 }

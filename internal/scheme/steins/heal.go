@@ -2,6 +2,7 @@ package steins
 
 import (
 	"fmt"
+	"math"
 
 	"steins/internal/cme"
 	"steins/internal/counter"
@@ -192,18 +193,18 @@ func (p *Policy) rebuildLeafCounters(st *recoveryState, node *sit.Node, base uin
 		if !tag.Written {
 			continue // never written: the counter never advanced from zero
 		}
-		found := false
-		for cand := tag.Hint; cand <= bound; cand += cme.GCHintMask + 1 {
-			st.report.MACOps++
-			if eng.Verify(&ct, daddr, cand, tag) {
-				node.SetCounter(i, cand)
-				found = true
-				break
-			}
+		// The candidates are tag.Hint, tag.Hint + GCHintMask+1, ... up to
+		// bound.
+		var steps uint64
+		if tag.Hint <= bound {
+			steps = min((bound-tag.Hint)/(cme.GCHintMask+1)+1, math.MaxInt)
 		}
-		if !found {
+		ctr, macOps, ok := eng.SearchCounterGC(&ct, daddr, tag, int(steps))
+		st.report.MACOps += macOps
+		if !ok {
 			return false
 		}
+		node.SetCounter(i, ctr)
 	}
 	return true
 }

@@ -191,7 +191,7 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 	// Note which parent slots must be rolled back to their stale values
 	// (the crash-time cache had not applied those flushes yet).
 	for _, ent := range p.buf {
-		pl, pi, slot := geo.Parent(ent.level, ent.index)
+		pl, pi, slot := geo.Parent(ent.Level, ent.Index)
 		i := slices.IndexFunc(st.rollback, func(rb rollback) bool { return rb.level == pl && rb.index == pi })
 		if i < 0 {
 			st.rollback = append(st.rollback, rollback{level: pl, index: pi})
@@ -273,11 +273,6 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 		p.rebaseLInc(st)
 	}
 	p.reinstate(st)
-
-	cfg := p.c.Config()
-	st.report.TimeNS = float64(st.report.NVMReads)*cfg.RecoveryReadNS +
-		float64(st.report.NVMWrites)*cfg.RecoveryWriteNS +
-		float64(st.report.MACOps)*cfg.RecoveryHashNS
 	return st.report, nil
 }
 
@@ -320,17 +315,17 @@ func (p *Policy) bufferedIncrements(st *recoveryState, k int) int64 {
 	}
 	var cur []slotVal // at most one entry per buffer slot
 	for _, ent := range p.buf {
-		if ent.level != k {
+		if ent.Level != k {
 			continue
 		}
-		pl, pi, slot := geo.Parent(ent.level, ent.index)
+		pl, pi, slot := geo.Parent(ent.Level, ent.Index)
 		i := slices.IndexFunc(cur, func(c slotVal) bool { return c.pi == pi && c.slot == slot })
 		if i < 0 {
 			cur = append(cur, slotVal{pi: pi, slot: slot, val: p.staleOf(st, pl, pi).Counter(slot)})
 			i = len(cur) - 1
 		}
-		sum += int64(ent.counter) - int64(cur[i].val)
-		cur[i].val = ent.counter
+		sum += int64(ent.Counter) - int64(cur[i].val)
+		cur[i].val = ent.Counter
 	}
 	return sum
 }

@@ -5,37 +5,17 @@
 package steins
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"steins/internal/cache"
 	"steins/internal/memctrl"
 )
 
-// bufState is the exported image of one non-volatile buffer slot.
-type bufState struct {
-	Level   int
-	Index   uint64
-	Counter uint64
-}
-
-// recordEntryState is one cached record line with its LRU bookkeeping.
-type recordEntryState struct {
-	Addr  uint64
-	Slot  int
-	Stamp uint64
-	Dirty bool
-	Line  [memctrl.RecordEntriesPerLine]uint32
-}
-
-// policyState is the gob image of the scheme state.
-type policyState struct {
-	LInc         []uint64
-	Buf          []bufState
-	RecordsStamp uint64
-	RecordsStats cache.Stats
-	Records      []recordEntryState
+// State is the scheme's checkpointed state.
+type State struct {
+	LInc    []uint64
+	Buf     []memctrl.NodeCounter
+	Records cache.State[*recordLine]
 }
 
 // SaveState implements memctrl.PolicyState.
@@ -43,49 +23,33 @@ func (p *Policy) SaveState() ([]byte, error) {
 	if p.draining {
 		return nil, fmt.Errorf("steins: snapshot during a buffer drain (not a retired-op boundary)")
 	}
-	st := policyState{LInc: append([]uint64(nil), p.linc...)}
-	for _, e := range p.buf {
-		st.Buf = append(st.Buf, bufState{Level: e.level, Index: e.index, Counter: e.counter})
-	}
-	rs := p.records.State()
-	st.RecordsStamp = rs.Stamp
-	st.RecordsStats = rs.Stats
-	for _, e := range rs.Entries {
-		st.Records = append(st.Records, recordEntryState{
-			Addr: e.Addr, Slot: e.Slot, Stamp: e.Stamp, Dirty: e.Dirty, Line: *e.Payload,
-		})
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
-		return nil, fmt.Errorf("steins: encode state: %w", err)
-	}
-	return buf.Bytes(), nil
+	return memctrl.EncodePolicyState(&State{LInc: p.linc, Buf: p.buf, Records: p.records.State()})
 }
 
-// LoadState implements memctrl.PolicyState.
+// LoadState implements memctrl.PolicyState. Every buffered flush names a
+// child below the top level (its parent is a tree node), and every cached
+// record line lies in the record region. The buffer's length is not
+// checked: EvictDirty keeps a flush whose drain failed, so a run whose
+// parent fetches fail holds more than bufCap entries.
 func (p *Policy) LoadState(data []byte) error {
-	var st policyState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("steins: decode state: %w", err)
+	var st State
+	if err := memctrl.DecodePolicyState(data, &st); err != nil {
+		return err
 	}
 	if len(st.LInc) != len(p.linc) {
-		return fmt.Errorf("steins: state has %d LInc levels, scheme has %d", len(st.LInc), len(p.linc))
+		return fmt.Errorf("state has %d LInc levels, scheme has %d", len(st.LInc), len(p.linc))
 	}
-	copy(p.linc, st.LInc)
-	p.buf = p.buf[:0]
-	for _, e := range st.Buf {
-		p.buf = append(p.buf, bufEntry{level: e.Level, index: e.Index, counter: e.Counter})
+	lay := p.c.Layout()
+	if err := p.c.CheckNodeCounters("NV buffer", st.Buf, lay.Geo.Levels-1); err != nil {
+		return err
 	}
-	rs := cache.State[*recordLine]{Stamp: st.RecordsStamp, Stats: st.RecordsStats}
-	for _, e := range st.Records {
-		line := recordLine(e.Line)
-		rs.Entries = append(rs.Entries, cache.EntryState[*recordLine]{
-			Addr: e.Addr, Slot: e.Slot, Stamp: e.Stamp, Dirty: e.Dirty, Payload: &line,
-		})
+	if err := memctrl.CheckCachedLines("record", st.Records, lay.RecordBase, lay.RecordBytes); err != nil {
+		return err
 	}
-	if err := p.records.SetState(rs); err != nil {
-		return fmt.Errorf("steins: %w", err)
+	if err := p.records.SetState(st.Records); err != nil {
+		return fmt.Errorf("record lines: %w", err)
 	}
+	p.linc, p.buf = st.LInc, st.Buf
 	p.draining = false
 	return nil
 }

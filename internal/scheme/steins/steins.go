@@ -24,16 +24,11 @@ import (
 	"steins/internal/sit"
 )
 
-// bufEntry is one non-volatile buffer slot: a generated parent counter for
-// a flushed child whose parent was not cached (§III-E step ③). Modelled at
-// 16 bytes, so the 128 B buffer of Table I holds 8 entries.
-type bufEntry struct {
-	level   int    // level of the flushed child
-	index   uint64 // index of the flushed child
-	counter uint64 // generated parent counter, f(child)
-}
-
-const bufEntryBytes = 16
+// bufSlotBytes is the modelled size of one non-volatile buffer slot (the
+// flushed child and its generated parent counter f(child), for a child
+// whose parent was not cached, §III-E step ③), so the 128 B buffer of
+// Table I holds 8 entries.
+const bufSlotBytes = 16
 
 // recordLine is one 64 B offset record line: 16 entries of 4 bytes, each
 // holding a node's metadata-region offset + 1 (zero means empty).
@@ -43,7 +38,7 @@ type recordLine [memctrl.RecordEntriesPerLine]uint32
 type Policy struct {
 	c        *memctrl.Controller
 	linc     []uint64 // on-chip NV register: one LInc per NVM level
-	buf      []bufEntry
+	buf      []memctrl.NodeCounter
 	bufCap   int
 	records  *cache.Cache[*recordLine] // ADR-cached record lines
 	draining bool
@@ -66,7 +61,7 @@ func Factory(c *memctrl.Controller) memctrl.Policy {
 func FactoryWithOptions(opts Options) memctrl.PolicyFactory {
 	return func(c *memctrl.Controller) memctrl.Policy {
 		cfg := c.Config()
-		bufCap := cfg.NVBufferBytes / bufEntryBytes
+		bufCap := cfg.NVBufferBytes / bufSlotBytes
 		if bufCap < 1 {
 			bufCap = 1
 		}
@@ -218,7 +213,7 @@ func (p *Policy) EvictDirty(victim *sit.Node) (uint64, error) {
 		cycles += p.c.SetParentCounter(pe, slot, newPC, delta)
 		return cycles, nil
 	}
-	p.buf = append(p.buf, bufEntry{level: k, index: victim.Index, counter: newPC})
+	p.buf = append(p.buf, memctrl.NodeCounter{NodeRef: memctrl.NodeRef{Level: k, Index: victim.Index}, Counter: newPC})
 	if len(p.buf) >= p.bufCap {
 		dc, err := p.drain()
 		cycles += dc
@@ -237,13 +232,13 @@ func (p *Policy) applyBuffered(level int, index uint64, pe *cache.Entry[*sit.Nod
 	var cycles uint64
 	kept := p.buf[:0]
 	for _, ent := range p.buf {
-		if ent.level != level || ent.index != index {
+		if ent.Level != level || ent.Index != index {
 			kept = append(kept, ent)
 			continue
 		}
-		delta := ent.counter - pe.Payload.Counter(slot)
+		delta := ent.Counter - pe.Payload.Counter(slot)
 		p.linc[level] -= delta
-		cycles += p.c.SetParentCounter(pe, slot, ent.counter, delta)
+		cycles += p.c.SetParentCounter(pe, slot, ent.Counter, delta)
 	}
 	p.buf = kept
 	return cycles
@@ -266,7 +261,7 @@ func (p *Policy) drain() (uint64, error) {
 	geo := &p.c.Layout().Geo
 	for len(p.buf) > 0 {
 		ent := p.buf[0]
-		pl, pi, slot := geo.Parent(ent.level, ent.index)
+		pl, pi, slot := geo.Parent(ent.Level, ent.Index)
 		// Re-admission flushes condemned leaves, handing the drain a
 		// parent that may itself be the quarantined subtree's damaged
 		// spine; the adopting fetch lets the update land and the spine
@@ -293,9 +288,9 @@ func (p *Policy) drain() (uint64, error) {
 		if idx == -1 {
 			continue
 		}
-		delta := ent.counter - pe.Payload.Counter(slot)
-		p.linc[ent.level] -= delta
-		cycles += p.c.SetParentCounter(pe, slot, ent.counter, delta)
+		delta := ent.Counter - pe.Payload.Counter(slot)
+		p.linc[ent.Level] -= delta
+		cycles += p.c.SetParentCounter(pe, slot, ent.Counter, delta)
 		p.buf = append(p.buf[:idx], p.buf[idx+1:]...)
 	}
 	return cycles, nil
@@ -340,7 +335,7 @@ func (p *Policy) ReconcileAdopted(e *cache.Entry[*sit.Node]) uint64 {
 	if vouched == f {
 		return 0
 	}
-	p.buf = append(p.buf, bufEntry{level: k, index: n.Index, counter: f})
+	p.buf = append(p.buf, memctrl.NodeCounter{NodeRef: memctrl.NodeRef{Level: k, Index: n.Index}, Counter: f})
 	p.linc[k] += f - vouched
 	return 1
 }
@@ -359,8 +354,8 @@ func (p *Policy) BeforeRead() (uint64, error) {
 // newest entry wins (a node can be flushed twice before a drain).
 func (p *Policy) ParentCounterOverride(level int, index uint64) (uint64, bool) {
 	for i := len(p.buf) - 1; i >= 0; i-- {
-		if p.buf[i].level == level && p.buf[i].index == index {
-			return p.buf[i].counter, true
+		if p.buf[i].Level == level && p.buf[i].Index == index {
+			return p.buf[i].Counter, true
 		}
 	}
 	return 0, false
@@ -423,7 +418,7 @@ func (p *Policy) InvariantError() error {
 	}
 	cur := make(map[slotKey]uint64)
 	for _, ent := range p.buf {
-		pl, pi, slot := geo.Parent(ent.level, ent.index)
+		pl, pi, slot := geo.Parent(ent.Level, ent.Index)
 		key := slotKey{pl, pi, slot}
 		base, seen := cur[key]
 		if !seen {
@@ -433,8 +428,8 @@ func (p *Policy) InvariantError() error {
 				base = p.c.StaleNode(pl, pi).Counter(slot)
 			}
 		}
-		want[ent.level] += int64(ent.counter) - int64(base)
-		cur[key] = ent.counter
+		want[ent.Level] += int64(ent.Counter) - int64(base)
+		cur[key] = ent.Counter
 	}
 	for k := range want {
 		if int64(p.linc[k]) != want[k] {

@@ -5,56 +5,33 @@
 
 package triad
 
-import (
-	"encoding/binary"
-	"fmt"
-	"sort"
-)
+import "steins/internal/memctrl"
+
+// State is the scheme's checkpointed state.
+type State struct {
+	RecoveryRoot uint64
+	Pend         []memctrl.NodeCounter
+}
 
 // SaveState implements memctrl.PolicyState.
 func (p *Policy) SaveState() ([]byte, error) {
-	keys := make([]nodeKey, 0, len(p.pend))
-	for k := range p.pend {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].level != keys[j].level {
-			return keys[i].level < keys[j].level
-		}
-		return keys[i].index < keys[j].index
-	})
-	b := make([]byte, 8+8+len(keys)*24)
-	binary.LittleEndian.PutUint64(b[0:], p.recoveryRoot)
-	binary.LittleEndian.PutUint64(b[8:], uint64(len(keys)))
-	off := 16
-	for _, k := range keys {
-		binary.LittleEndian.PutUint64(b[off:], uint64(k.level))
-		binary.LittleEndian.PutUint64(b[off+8:], k.index)
-		binary.LittleEndian.PutUint64(b[off+16:], p.pend[k])
-		off += 24
-	}
-	return b, nil
+	return memctrl.EncodePolicyState(&State{RecoveryRoot: p.recoveryRoot, Pend: memctrl.SortedNodeCounters(p.pend)})
 }
 
-// LoadState implements memctrl.PolicyState.
+// LoadState implements memctrl.PolicyState. Only strict-level nodes carry
+// a pend override, at most one per node.
 func (p *Policy) LoadState(data []byte) error {
-	if len(data) < 16 {
-		return fmt.Errorf("triad: state is %d bytes, want >= 16", len(data))
+	var st State
+	if err := memctrl.DecodePolicyState(data, &st); err != nil {
+		return err
 	}
-	n := binary.LittleEndian.Uint64(data[8:])
-	if uint64(len(data)) != 16+n*24 {
-		return fmt.Errorf("triad: state is %d bytes, want %d for %d overrides", len(data), 16+n*24, n)
+	if err := p.c.CheckNodeCounters("pend table", st.Pend, p.strict); err != nil {
+		return err
 	}
-	p.recoveryRoot = binary.LittleEndian.Uint64(data)
-	p.pend = make(map[nodeKey]uint64, n)
-	off := 16
-	for i := uint64(0); i < n; i++ {
-		k := nodeKey{
-			level: int(binary.LittleEndian.Uint64(data[off:])),
-			index: binary.LittleEndian.Uint64(data[off+8:]),
-		}
-		p.pend[k] = binary.LittleEndian.Uint64(data[off+16:])
-		off += 24
+	pend, err := memctrl.NodeCounterMap[uint64]("pend table", st.Pend)
+	if err != nil {
+		return err
 	}
+	p.recoveryRoot, p.pend = st.RecoveryRoot, pend
 	return nil
 }

@@ -12,6 +12,9 @@ import (
 
 	"steins/internal/memctrl"
 	"steins/internal/nvmem"
+	"steins/internal/scheme/pipesit"
+	"steins/internal/scheme/schemetest"
+	"steins/internal/scheme/steins"
 	"steins/internal/snapshot"
 	"steins/securemem"
 )
@@ -184,12 +187,13 @@ func envelope(tb testing.TB, payload []byte) []byte {
 }
 
 // checkpointSeeds are FuzzServerCheckpoint's starting inputs: a valid
-// checkpoint of the fuzz pool, four crafted payloads in intact envelopes,
+// checkpoint of the fuzz pool, six crafted payloads in intact envelopes,
 // each refused for one reason (a truncated column section, a line address
 // past the device, a descending tag column, a cached split leaf with a
-// minor counter of 64), a CRC-valid skeleton that is not gob, and two
-// damaged envelopes of the valid checkpoint (a flipped skeleton byte, a
-// file cut short inside its last column section).
+// minor counter of 64, a Steins record line past the device, a Steins
+// NV-buffer entry above the tree), a CRC-valid skeleton that is not gob,
+// and two damaged envelopes of the valid checkpoint (a flipped skeleton
+// byte, a file cut short inside its last column section).
 func checkpointSeeds(tb testing.TB) map[string]checkpointSeed {
 	tb.Helper()
 	p := checkpointPool(tb, 1, 120)
@@ -232,6 +236,14 @@ func checkpointSeeds(tb testing.TB) map[string]checkpointSeed {
 				}
 			}
 			tb.Fatal("no split leaf cached")
+		}),
+		"record-line-past-device": craft(func(cs *memctrl.ControllerState) {
+			cs.Policy = schemetest.EditState(tb, cs.Policy, func(st *steins.State) { st.Records.Entries[0].Addr += 1 << 40 })
+		}),
+		"nv-buffer-level-42": craft(func(cs *memctrl.ControllerState) {
+			cs.Policy = schemetest.EditState(tb, cs.Policy, func(st *steins.State) {
+				st.Buf = append([]memctrl.NodeCounter{{NodeRef: memctrl.NodeRef{Level: 42}, Counter: 1}}, st.Buf...)
+			})
 		}),
 		"bad-gob-skeleton":      {payload: badGob},
 		"flipped-skeleton-byte": {payload: valid, flip: skeleton + 3},
@@ -289,8 +301,8 @@ func loadBoth(t *testing.T, env []byte) (*snapshot.ServerState, error) {
 // accepted payload must come back through State → Save with its column
 // sections byte for byte, a second round must be a fixed point, and a
 // payload already in this process's canonical gob form (its skeleton
-// re-encodes to itself, every scheme blob re-saves to itself and every
-// tenant records its interleave) must come back as the same bytes. gob
+// re-encodes to itself and every scheme blob re-saves to itself) must come
+// back as the same bytes. gob
 // admits other encodings of one value, and numbers its types by process
 // history, so only that form can be held to byte identity.
 func FuzzServerCheckpoint(f *testing.F) {
@@ -330,8 +342,6 @@ func FuzzServerCheckpoint(f *testing.F) {
 		}
 		canonical := true
 		for i := range in.Tenants {
-			// A restored pool records the interleave a checkpoint left out.
-			canonical = canonical && in.Tenants[i].Interleave != ""
 			for k := range in.Tenants[i].PGs {
 				for c, cs := range in.Tenants[i].PGs[k].Channels {
 					bs := back.Tenants[i].PGs[k].Channels[c]
@@ -366,13 +376,15 @@ func TestServerCheckpointSeeds(t *testing.T) {
 		sentinel error
 		reason   string
 	}{
-		"truncated-section":     {snapshot.ErrCorrupt, "bytes left"},
-		"line-past-device":      {snapshot.ErrCorrupt, "nvmem: line address"},
-		"descending-tags":       {snapshot.ErrCorrupt, "memctrl: tag address 1"},
-		"minor-counter-64":      {snapshot.ErrCorrupt, "minor counter 0 is 64"},
-		"bad-gob-skeleton":      {snapshot.ErrCorrupt, "server skeleton: gob"},
-		"flipped-skeleton-byte": {snapshot.ErrChecksum, "payload CRC"},
-		"file-cut-in-section":   {snapshot.ErrTruncated, "payload is"},
+		"truncated-section":       {snapshot.ErrCorrupt, "bytes left"},
+		"line-past-device":        {snapshot.ErrCorrupt, "nvmem: line address"},
+		"descending-tags":         {snapshot.ErrCorrupt, "memctrl: tag address 1"},
+		"minor-counter-64":        {snapshot.ErrCorrupt, "minor counter 0 is 64"},
+		"record-line-past-device": {snapshot.ErrCorrupt, "record line 0 at 0x1"},
+		"nv-buffer-level-42":      {snapshot.ErrCorrupt, "NV buffer entry 0 (level 42 index 0)"},
+		"bad-gob-skeleton":        {snapshot.ErrCorrupt, "server skeleton: gob"},
+		"flipped-skeleton-byte":   {snapshot.ErrChecksum, "payload CRC"},
+		"file-cut-in-section":     {snapshot.ErrTruncated, "payload is"},
 	}
 	for name, seed := range checkpointSeeds(t) {
 		env := damage(envelope(t, seed.payload), seed.flip, seed.cut)
@@ -395,5 +407,89 @@ func TestServerCheckpointSeeds(t *testing.T) {
 		if !errors.Is(err, want.sentinel) || !strings.Contains(err.Error(), want.reason) {
 			t.Errorf("%s: %v, want %v naming %q", name, err, want.sentinel, want.reason)
 		}
+	}
+}
+
+// TestRestoreStateRejectsCraftedSchemeState pins the refusal of three
+// CRC-valid checkpoints whose scheme state names an entry the tree cannot
+// hold. Restored, each would panic later: a Steins-SC record line past the
+// device in the crash-recover step of a restarting daemon, and a Steins-SC
+// NV-buffer entry or a PipeSIT-SC pipe entry above the tree in the first
+// write that applies it. The unedited checkpoint of each pool restores,
+// crash-recovers and serves.
+func TestRestoreStateRejectsCraftedSchemeState(t *testing.T) {
+	entry := func(level int) memctrl.NodeCounter {
+		return memctrl.NodeCounter{NodeRef: memctrl.NodeRef{Level: level}, Counter: 1}
+	}
+	for _, tc := range []struct {
+		name   string
+		scheme securemem.Scheme
+		edit   func(t *testing.T, blob []byte) []byte
+		why    string
+	}{
+		{"Steins-SC record line past the device", securemem.SteinsSC, func(t *testing.T, blob []byte) []byte {
+			return schemetest.EditState(t, blob, func(st *steins.State) { st.Records.Entries[0].Addr += 1 << 40 })
+		}, "scheme Steins-SC state: record line 0 at 0x1"},
+		{"Steins-SC NV-buffer entry at level 42", securemem.SteinsSC, func(t *testing.T, blob []byte) []byte {
+			return schemetest.EditState(t, blob, func(st *steins.State) { st.Buf = append([]memctrl.NodeCounter{entry(42)}, st.Buf...) })
+		}, "scheme Steins-SC state: NV buffer entry 0 (level 42 index 0): level outside"},
+		{"PipeSIT-SC pipe entry at level 99", securemem.PipeSITSC, func(t *testing.T, blob []byte) []byte {
+			return schemetest.EditState(t, blob, func(st *pipesit.State) { st.Pipe = append([]memctrl.NodeCounter{entry(99)}, st.Pipe...) })
+		}, "scheme PipeSIT-SC state: update pipe entry 0 (level 99 index 0): level outside"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Tenants: []TenantConfig{{Name: "a", Scheme: tc.scheme, PGs: 2, PoolBytes: 2 * 64 * 64}}}
+			src, err := NewPool(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			for i := range 400 {
+				op := OpSpec{Addr: uint64(i*7%128) * 64, IsWrite: true, Data: [64]byte{byte(i), 1}}
+				if _, err := src.Do("a", []OpSpec{op}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			restore := func(edit func(t *testing.T, blob []byte) []byte) (*Pool, error) {
+				st, err := src.State()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if edit != nil {
+					cs := &st.Tenants[0].PGs[0].Channels[0]
+					cs.Policy = edit(t, cs.Policy)
+				}
+				env, err := snapshot.EncodeServer(st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st, err = snapshot.DecodeServer(bytes.NewReader(env)); err != nil {
+					t.Fatal(err)
+				}
+				dst, err := NewPool(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(dst.Close)
+				return dst, dst.RestoreState(st)
+			}
+			if _, err := restore(tc.edit); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), tc.why) {
+				t.Fatalf("RestoreState = %v, want ErrCorrupt naming %q", err, tc.why)
+			}
+			dst, err := restore(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec := dst.CrashRecoverAll(); !rec[0].Recovered {
+				t.Fatalf("unedited checkpoint does not recover: %v", rec[0].RecoverErr)
+			}
+			for i := range 128 {
+				op := OpSpec{Addr: uint64(i) * 64, IsWrite: i%2 == 0, Data: [64]byte{byte(i), 2}}
+				res, err := dst.Do("a", []OpSpec{op})
+				if err != nil || res[0].Err != nil {
+					t.Fatalf("op %d after recovery: %v %v", i, err, res[0].Err)
+				}
+			}
+		})
 	}
 }

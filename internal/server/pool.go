@@ -611,15 +611,9 @@ func (p *Pool) RestoreState(st *snapshot.ServerState) error {
 			return fmt.Errorf("server: %w: tenant %q checkpointed under scheme %s, configured %s",
 				snapshot.ErrCorrupt, ts.Name, ts.Scheme, t.cfg.Scheme)
 		}
-		// The PG-local layout is the interleave's; a checkpoint that records
-		// none predates the record and was routed by line or page, or by the
-		// retired identity-local hash router, whose layout no tenant has now.
-		switch {
-		case ts.Interleave == "" && t.iv == trace.InterleaveHash:
-			return fmt.Errorf("server: %w: tenant %q checkpoint records no interleave (written by the retired identity-local hash router), configured hash",
-				snapshot.ErrCorrupt, ts.Name)
-		case ts.Interleave != "" && ts.Interleave != t.iv.String():
-			return fmt.Errorf("server: %w: tenant %q checkpointed under %s interleave, configured %s",
+		// The PG-local layout is the interleave's.
+		if ts.Interleave != t.iv.String() {
+			return fmt.Errorf("server: %w: tenant %q checkpointed under %q interleave, configured %s",
 				snapshot.ErrCorrupt, ts.Name, ts.Interleave, t.iv)
 		}
 		if len(ts.PGs) != len(t.pgs) {

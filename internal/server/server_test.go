@@ -636,9 +636,7 @@ func TestMetricsExportPerTenant(t *testing.T) {
 // layout is the interleave's. A line checkpoint of a 4-PG 16 KiB pool fits
 // a page or hash tenant of that capacity table for table, and restored
 // there would serve each block from another address's slot. A checkpoint
-// that records no interleave predates the record; it was routed by line
-// or page, or by a hash router whose layout no tenant has now, so it
-// restores into line and page tenants only.
+// that records no interleave matches no tenant.
 func TestRestoreRefusesOtherInterleave(t *testing.T) {
 	mk := func(iv string) *Pool {
 		p, err := NewPool(Config{Tenants: []TenantConfig{{Name: "a", Scheme: securemem.SteinsGC,
@@ -661,38 +659,15 @@ func TestRestoreRefusesOtherInterleave(t *testing.T) {
 	}
 	for _, iv := range []string{"page", "hash"} {
 		err := mk(iv).RestoreState(st)
-		if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "checkpointed under line interleave, configured "+iv) {
+		if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), `checkpointed under "line" interleave, configured `+iv) {
 			t.Errorf("line checkpoint into a %s tenant: %v, want ErrCorrupt naming both interleaves", iv, err)
 		}
 	}
 	st.Tenants[0].Interleave = ""
-	for _, iv := range []string{"line", "page"} {
-		if err := mk(iv).RestoreState(st); err != nil {
-			t.Errorf("unrecorded interleave into a %s tenant: %v", iv, err)
+	for _, iv := range []string{"line", "page", "hash"} {
+		err := mk(iv).RestoreState(st)
+		if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), `checkpointed under "" interleave, configured `+iv) {
+			t.Errorf("unrecorded interleave into a %s tenant: %v, want ErrCorrupt", iv, err)
 		}
-	}
-	if err := mk("hash").RestoreState(st); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Errorf("unrecorded interleave into a hash tenant: %v, want ErrCorrupt", err)
-	}
-}
-
-// TestRestoreRefusesRetiredHashCheckpoint: testdata/identity-hash-server.snap
-// is a hash tenant's checkpoint written when hash placement groups kept
-// identity local addresses and were sized for the whole pool. Its layout
-// is not trace.Route's, so the tenant it was written for refuses it.
-func TestRestoreRefusesRetiredHashCheckpoint(t *testing.T) {
-	st, err := snapshot.LoadServerFile("testdata/identity-hash-server.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewPool(Config{Tenants: []TenantConfig{{Name: "a", Scheme: securemem.SteinsGC,
-		PGs: 2, PoolBytes: 2 * 32 * 64, Interleave: "hash"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	err = p.RestoreState(st)
-	if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "retired identity-local hash router") {
-		t.Fatalf("RestoreState = %v, want ErrCorrupt naming the retired router", err)
 	}
 }

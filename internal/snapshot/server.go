@@ -19,7 +19,8 @@
 // Nothing follows the last column. Everything small — names, clocks,
 // statistics, cached nodes, scheme blobs — stays in gob, which keeps the
 // structure self-describing; only the tables that scale with the pool are
-// raw. Checkpoints of layout 2 and older were one gob value and are
+// raw. Checkpoints of layout 2 and older were one gob value, and layout 3
+// framed the same sections around hand-encoded scheme blobs; both are
 // refused by the layout word.
 //
 // Tenant configuration deliberately does NOT ride along (mirroring run
@@ -159,7 +160,7 @@ func parseHead(head []byte, n uint64) (uint64, error) {
 			ErrCorrupt, n, serverHeaderLen)
 	}
 	if layout := binary.LittleEndian.Uint64(head); layout != memctrl.StateLayout {
-		return 0, fmt.Errorf("%w: server payload layout %#x, want %d (checkpoints of layout 2 and older are refused; re-create them)",
+		return 0, fmt.Errorf("%w: server payload layout %#x, want %d (checkpoints of older layouts are refused; re-create them)",
 			ErrCorrupt, layout, memctrl.StateLayout)
 	}
 	skLen := binary.LittleEndian.Uint64(head[8:])

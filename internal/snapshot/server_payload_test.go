@@ -148,8 +148,8 @@ func TestServerPayloadRejectsBadFraming(t *testing.T) {
 	}{
 		{"empty", "shorter than its", nil},
 		{"header cut", "shorter than its", good[:serverHeaderLen-1]},
-		{"older layout", "server payload layout 0x2, want 3", with(func(p []byte) []byte {
-			binary.LittleEndian.PutUint64(p, 2)
+		{"older layout", "server payload layout 0x3, want 4", with(func(p []byte) []byte {
+			binary.LittleEndian.PutUint64(p, 3)
 			return p
 		})},
 		{"skeleton past the payload", "server skeleton of", with(func(p []byte) []byte {
@@ -191,14 +191,21 @@ func TestServerPayloadRejectsBadFraming(t *testing.T) {
 // refused as ErrCorrupt with an error naming the layout. layout2-server.snap
 // is a two-PG, two-channel Steins-SC pool checkpointed by the all-gob
 // layout-2 encoder; its gob stream does not start with the layout word.
+// identity-hash-server.snap is a two-PG Steins-GC hash tenant checkpointed
+// in layout 3, when hash placement groups kept identity local addresses.
 func TestServerLayoutFixtures(t *testing.T) {
-	env, err := os.ReadFile("testdata/layout2-server.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := loadBoth(t, env)
-	if back != nil || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "server payload layout") {
-		t.Fatalf("layout-2 server checkpoint: %v, want ErrCorrupt naming the layout", err)
+	for _, tc := range []struct{ file, why string }{
+		{"layout2-server.snap", "server payload layout"},
+		{"identity-hash-server.snap", "server payload layout 0x3, want 4"},
+	} {
+		env, err := os.ReadFile("testdata/" + tc.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := loadBoth(t, env)
+		if back != nil || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.why) {
+			t.Fatalf("%s: %v, want ErrCorrupt naming %q", tc.file, err, tc.why)
+		}
 	}
 }
 

@@ -191,9 +191,6 @@ func (st *RunState) Resume() (*Resumed, error) {
 	if st.Sharded == nil {
 		return nil, fmt.Errorf("%w: state carries no engine (snapshots of the retired single-controller engine are not loadable; re-create the run)", ErrCorrupt)
 	}
-	if st.Sharded.Splitter.NextLine != nil {
-		return nil, fmt.Errorf("%w: state was routed by the retired first-touch hash router, whose layout trace.Route does not reproduce; re-create the run", ErrCorrupt)
-	}
 	if h.DataBytes != 0 && h.DataBytes < prof.FootprintBytes {
 		return nil, fmt.Errorf("%w: data region %d smaller than %s footprint %d",
 			ErrCorrupt, h.DataBytes, prof.Name, prof.FootprintBytes)

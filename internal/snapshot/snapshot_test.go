@@ -430,23 +430,24 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// singleEngine is a Steins-SC run checkpointed in the current layout
-	// by the retired single-controller engine.
+	// singleEngine is a Steins-SC run checkpointed in layout 3 by the
+	// retired single-controller engine.
 	singleEngine, err := os.ReadFile("testdata/single-engine-run.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// keepCache is a Steins-GC run whose header was written with the
-	// retired keep-cache-per-channel flag set and a 100-byte metadata cache:
-	// the flag is ignored now, so the cache is built at the two-set floor
-	// and cannot hold the captured 16 KiB cache state.
+	// keepCache is a layout-3 Steins-GC run whose header was written with
+	// the retired keep-cache-per-channel flag set and a 100-byte metadata
+	// cache; its controller layout refuses it before the cache would (see
+	// "metadata cache smaller than the captured state").
 	keepCache, err := os.ReadFile("testdata/keep-cache-header.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// firstTouch is a two-channel hash-interleave Steins-GC run
-	// checkpointed when the hash mode handed out local lines in first-touch
-	// order; its splitter state carries the per-shard allocation cursors.
+	// checkpointed in layout 3 when the hash mode handed out local lines in
+	// first-touch order; the splitter's allocation cursors it carries are
+	// skipped, and its controller layout refuses it.
 	firstTouch, err := os.ReadFile("testdata/first-touch-hash-run.snap")
 	if err != nil {
 		t.Fatal(err)
@@ -472,6 +473,10 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 			"metrics ring capacity -1"},
 		{"huge metrics ring capacity", header(func(h *RunHeader) { h.Metrics.RingCap = 1 << 60 }),
 			"collector options"},
+		// The cache is built at the two-set floor and cannot hold the
+		// captured 16 KiB cache state.
+		{"metadata cache smaller than the captured state", header(func(h *RunHeader) { h.MetaCacheBytes = 100 }),
+			"outside 2 sets x 8 ways"},
 		{"unknown workload", wire(RunState{Header: func() RunHeader {
 			h := testHeader("Steins-GC", 1, 100)
 			h.Workload = "no-such-workload"
@@ -510,8 +515,8 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 		{"layout 1", layout1, "ControllerState.TagAddrs"},
 		{"layout 2", layout2, retired},
 		{"single-controller engine", singleEngine, retired},
-		{"first-touch hash router", firstTouch, "retired first-touch hash router"},
-		{"retired keep-cache header", keepCache, "outside 2 sets x 8 ways"},
+		{"first-touch hash router", firstTouch, "state layout 3, want 4"},
+		{"retired keep-cache header", keepCache, "state layout 3, want 4"},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

@@ -55,10 +55,6 @@ type SplitterState struct {
 	Now     uint64
 	Last    []uint64
 	Emitted uint64
-	// NextLine is decode-only. The retired first-touch hash router wrote
-	// its per-shard allocation cursors here; no splitter writes it now, and
-	// a state that carries it is refused rather than resumed onto Route.
-	NextLine []uint64
 }
 
 // State captures the splitter's routing state.

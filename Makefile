@@ -4,8 +4,8 @@
 
 # The canonical benchmark set persisted to BENCH_$(BENCH_REV).json; keep in
 # sync with the `canonical` list in cmd/benchjson.
-BENCH_REV ?= 4
-BENCH_PATTERN = HotWritePath|HotReadPath|RunSchemes|RunSharded|SplitterEpoch|SnapshotSave|SnapshotLoad|GCSweepBuild|SCSweepBuild|ServePath|RecoveryDowntime
+BENCH_REV ?= 5
+BENCH_PATTERN = HotWritePath|HotReadPath|RunSchemes|RunSharded|SplitterEpoch|SnapshotSave|SnapshotLoad|GCSweepBuild|SCSweepBuild|ServePath|RecoveryDowntime|ServerRestart
 
 all: build test
 
@@ -97,7 +97,8 @@ metrics-demo:
 # split-counter recovery against the plain 64-candidate search, and the
 # Steins recovery suites over the dense recovery bookkeeping. The
 # checkpoint restore suites (crafted tables
-# refused entry by entry, every scheme's state round-tripped and its
+# refused chunk by chunk and entry by entry, the arena's adoption of
+# checkpoint blocks, every scheme's state round-tripped and its
 # crafted entries refused, the sectioned server payload, the layout
 # fixtures, byte-stable Save → Load → Restore → Save, the daemon's refusal
 # of a crafted checkpoint, the pipelined loader against DecodeServer, the
@@ -145,9 +146,9 @@ check: campaign serve-check bench-check figs-check
 		./internal/campaign ./cmd/campaign ./cmd/steinssim
 	go test -shuffle=on -count=2 ./internal/snapshot ./internal/scheme/schemetest ./internal/campaign \
 		./cmd/steinssim
-	go test -shuffle=on -race -cpu 1,2,8 -run 'Restore|Checkpoint|Layout|SetState' ./internal/nvmem \
-		./internal/memctrl ./internal/cache ./internal/scheme/... ./internal/snapshot ./internal/server \
-		./cmd/securememd
+	go test -shuffle=on -race -cpu 1,2,8 -run 'Restore|Checkpoint|Layout|SetState|Adopt' ./internal/arena \
+		./internal/nvmem ./internal/memctrl ./internal/cache ./internal/scheme/... ./internal/snapshot \
+		./internal/server ./cmd/securememd
 	go test -shuffle=on ./cmd/benchjson
 	go run ./cmd/benchjson -verify BENCH_$(BENCH_REV).json
 

@@ -427,7 +427,8 @@ func TestRecoverySearchAllocs(t *testing.T) {
 // BenchmarkRecoveryDowntime times each scheme's crash recovery on the host
 // clock beside the modelled one. The crashed image of every case in
 // sim.DowntimeCases is built once; each iteration restores a fresh
-// controller from it outside the timer, so only Recover is timed. It
+// controller from a fresh state of it outside the timer, so only Recover
+// is timed. It
 // reports host and simulated milliseconds per recovery, their ratio, and
 // the MACs and NVM reads the recovery charged (pinned by
 // internal/figures/testdata/downtime.txt).
@@ -439,16 +440,18 @@ func BenchmarkRecoveryDowntime(b *testing.B) {
 				b.Fatal(err)
 			}
 			crashed := e.Controllers()[0]
-			st, err := crashed.State()
-			if err != nil {
-				b.Fatal(err)
-			}
 			cfg := *crashed.Config()
 			var rep memctrl.RecoveryReport
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				// A restore adopts its state's device blocks, so every
+				// iteration captures a state of its own.
 				b.StopTimer()
+				st, err := crashed.State()
+				if err != nil {
+					b.Fatal(err)
+				}
 				c := memctrl.New(cfg, dc.Scheme.Factory)
 				if err := c.Restore(st); err != nil {
 					b.Fatal(err)
@@ -712,7 +715,7 @@ func restartCheckpoint(b *testing.B) (string, server.Config) {
 // checkpoint, each on its own: load (read, checksum and parse the file),
 // restore (the checkpoint into a freshly built pool) and recover (crash
 // and recover every placement group). Each iteration builds what its step
-// starts from outside the timer.
+// starts from outside the timer, the restore step a freshly loaded state.
 func BenchmarkServerRestart(b *testing.B) {
 	path, cfg := restartCheckpoint(b)
 	restored := func(b *testing.B) *server.Pool {
@@ -738,14 +741,16 @@ func BenchmarkServerRestart(b *testing.B) {
 		}
 	})
 	b.Run("restore", func(b *testing.B) {
-		st, err := snapshot.LoadServerFile(path)
-		if err != nil {
-			b.Fatal(err)
-		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			// A restore adopts the loaded state's blocks, so every
+			// iteration restores a state of its own.
 			b.StopTimer()
+			st, err := snapshot.LoadServerFile(path)
+			if err != nil {
+				b.Fatal(err)
+			}
 			p, err := server.NewPool(cfg)
 			if err != nil {
 				b.Fatal(err)

@@ -110,6 +110,9 @@ var canonical = []struct {
 	{"BenchmarkRecoveryDowntime/SCUE-SC", 4},
 	{"BenchmarkRecoveryDowntime/PipeSIT-GC", 4},
 	{"BenchmarkRecoveryDowntime/PipeSIT-SC", 4},
+	{"BenchmarkServerRestart/load", 5},
+	{"BenchmarkServerRestart/restore", 5},
+	{"BenchmarkServerRestart/recover", 5},
 }
 
 // revision returns the N of a path named BENCH_N.json, or 0 when the name

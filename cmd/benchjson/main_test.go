@@ -39,6 +39,9 @@ BenchmarkRecoveryDowntime/SCUE-GC-8    	    2000	    454671 ns/op	         0.454
 BenchmarkRecoveryDowntime/SCUE-SC-8    	    1000	   1474554 ns/op	         1.475 host_ms	         0.4162 host_per_sim	      2104 macs	     33280 nvm_reads	         3.543 sim_ms
 BenchmarkRecoveryDowntime/PipeSIT-GC-8 	    2000	    443942 ns/op	         0.4439 host_ms	         0.6735 host_per_sim	      1275 macs	      4608 nvm_reads	         0.6591 sim_ms
 BenchmarkRecoveryDowntime/PipeSIT-SC-8 	    1000	   1230041 ns/op	         1.230 host_ms	         0.3472 host_per_sim	      2104 macs	     33280 nvm_reads	         3.543 sim_ms
+BenchmarkServerRestart/load-8         	     200	   3431382 ns/op	 8351683 B/op	    2469 allocs/op
+BenchmarkServerRestart/restore-8      	     200	   1775494 ns/op	 1965499 B/op	    2881 allocs/op
+BenchmarkServerRestart/recover-8      	     200	   5080044 ns/op	  560601 B/op	    2295 allocs/op
 PASS
 ok  	steins	42.000s
 `
@@ -51,8 +54,8 @@ func TestParseSample(t *testing.T) {
 	if doc.Goos != "linux" || doc.Pkg != "steins" || doc.CPU != "Example CPU @ 2.70GHz" {
 		t.Fatalf("header = %+v", doc)
 	}
-	if len(doc.Benchmarks) != 26 {
-		t.Fatalf("parsed %d benchmarks, want 26", len(doc.Benchmarks))
+	if len(doc.Benchmarks) != 29 {
+		t.Fatalf("parsed %d benchmarks, want 29", len(doc.Benchmarks))
 	}
 	byName := map[string]Benchmark{}
 	for _, b := range doc.Benchmarks {

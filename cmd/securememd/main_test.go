@@ -336,14 +336,17 @@ func TestDaemonRejectsCraftedCheckpoint(t *testing.T) {
 		want  string
 	}{
 		{"line past the device", func(cs *memctrl.ControllerState) {
-			cs.Device.LineAddrs, cs.Device.LineData = wordsOf(1<<40), bytes.Repeat([]byte{1}, 64)
-		}, "nvmem: line address 0"},
+			cs.Device.LineChunks = wordsOf(1 << 40)
+			cs.Device.LineBlocks = nvmem.BlocksFrom(bytes.Repeat([]byte{1}, nvmem.LineBlockLen))
+		}, "nvmem: line table: chunk 0 (index 1099511627776) lies past"},
 		{"line past every int", func(cs *memctrl.ControllerState) {
-			cs.Device.LineAddrs, cs.Device.LineData = wordsOf(1<<62), bytes.Repeat([]byte{1}, 64)
-		}, "nvmem: line address 0"},
+			cs.Device.LineChunks = wordsOf(1 << 62)
+			cs.Device.LineBlocks = nvmem.BlocksFrom(bytes.Repeat([]byte{1}, nvmem.LineBlockLen))
+		}, "nvmem: line table: chunk 0 (index 4611686018427387904) lies past"},
 		{"unaligned wear", func(cs *memctrl.ControllerState) {
-			cs.Device.WearAddrs, cs.Device.WearCounts = wordsOf(3), wordsOf(1)
-		}, "nvmem: wear address 0"},
+			cs.Device.WearChunks = wordsOf(0)
+			cs.Device.WearBlocks = nvmem.BlocksFrom(bytes.Repeat([]byte{1}, nvmem.WearBlockLen-8))
+		}, "nvmem: wear table: 4088 bytes of blocks for 1 chunks"},
 		{"descending tags", func(cs *memctrl.ControllerState) {
 			cs.TagAddrs, cs.TagMACs, cs.TagHints = wordsOf(128, 64), wordsOf(1, 1), wordsOf(1, 1)
 			cs.TagFlags = []byte{1, 1}

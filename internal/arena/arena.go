@@ -29,16 +29,6 @@ type T[V any] struct {
 	chunks []*[ChunkLen]V
 }
 
-// Get returns the value at index i, or the zero V if the slot was never
-// touched.
-func (a *T[V]) Get(i uint64) V {
-	if p := a.Probe(i); p != nil {
-		return *p
-	}
-	var zero V
-	return zero
-}
-
 // Probe returns a pointer to slot i if its chunk exists, else nil. It
 // never allocates; use it on read paths.
 func (a *T[V]) Probe(i uint64) *V {

@@ -155,7 +155,11 @@ func CheckTreeShape(got, want [][]uint64) error {
 	return nil
 }
 
-// StateLayout identifies the ControllerState encoding. Layout 4 writes
+// StateLayout identifies the ControllerState encoding. Layout 5 carries
+// the device's line and wear tables in the arena's chunk shape
+// (nvmem.State: ascending chunk indices and whole blocks), which a
+// restore adopts in place; layout 4 listed every non-zero line and wear
+// count with its address. Layout 4 writes
 // every scheme's Policy blob as one gob value (EncodePolicyState); layout 3
 // hand-encoded the Triad, PipeSIT and SCUE blobs in binary and mirrored the
 // others' entries in scheme-private types. Layout 3 keeps the
@@ -170,7 +174,7 @@ func CheckTreeShape(got, want [][]uint64) error {
 // Words; layout 0 (checkpoints written before the columns) has no layout
 // field. Restore rejects every older layout rather than silently restoring
 // an empty device.
-const StateLayout = 4
+const StateLayout = 5
 
 // QuarantineState is one quarantined leaf's arbitration record.
 type QuarantineState struct {
@@ -311,6 +315,10 @@ func (c *Controller) State() (*ControllerState, error) {
 // lists.
 const StateColumns = nvmem.StateColumns + 4
 
+// AdoptedColumn reports whether ControllerState.Columns entry j holds
+// chunk blocks, which Restore adopts as the device's memory.
+func AdoptedColumn(j int) bool { return j < nvmem.StateColumns && nvmem.BlockColumn(j) }
+
 // Columns returns the state's per-line tables as raw bytes, in checkpoint
 // order: the device's (nvmem.State.Columns), then the tag addresses, MACs,
 // hints and written flags. The slices alias the state.
@@ -421,9 +429,9 @@ func (c *Controller) checkLists(st *ControllerState) error {
 // Restore rebuilds the controller from a captured state. The controller
 // must have been built by New from the same Config and scheme factory as
 // the captured one; mismatches surface as scheme-state errors or later
-// divergence. The tag and device tables are read in place from the
-// state's columns and copied into fresh arenas, so the controller never
-// aliases st. A state of another layout, or one State could not have
+// divergence. The tag table is read in place from the state's columns
+// and copied into a fresh arena; the device adopts the state's line and
+// wear blocks (nvmem.Device.Restore), so a state restores once. A state of another layout, or one State could not have
 // captured (tables of unequal length, addresses unaligned, out of range or
 // out of order, zero entries, misplaced cached nodes, an impossible
 // collector ring, collector options other than the ones the controller was

@@ -75,7 +75,7 @@ func TestRestoreRejectsCraftedControllerState(t *testing.T) {
 		craft func(st *memctrl.ControllerState)
 		want  string
 	}{
-		{"older layout", func(st *memctrl.ControllerState) { st.Layout = 3 }, "layout 3, want 4"},
+		{"older layout", func(st *memctrl.ControllerState) { st.Layout = 3 }, "layout 3, want 5"},
 		{"tag past the data region", func(st *memctrl.ControllerState) {
 			st.TagAddrs = setWord(st.TagAddrs, st.TagAddrs.Len()-1, cfg.DataBytes)
 		}, "memctrl: tag address"},
@@ -125,8 +125,8 @@ func TestRestoreRejectsCraftedControllerState(t *testing.T) {
 				Ring: make([]metrics.Sample, 2)}
 		}, "collector ring"},
 		{"device line past the capacity", func(st *memctrl.ControllerState) {
-			st.Device.LineAddrs = setWord(st.Device.LineAddrs, st.Device.LineAddrs.Len()-1, 1<<40)
-		}, "nvmem: line address"},
+			st.Device.LineChunks = setWord(st.Device.LineChunks, st.Device.LineChunks.Len()-1, 1<<40)
+		}, "nvmem: line table"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := restoreFixture(t)
@@ -155,7 +155,9 @@ func TestRestoreRejectsCraftedControllerState(t *testing.T) {
 
 // TestRestoreColumnsRoundTrip pins Columns/SetColumns: a state rebuilt
 // from copies of its columns restores to a controller whose state renders
-// to the same bytes, and shares no memory with those copies.
+// to the same bytes. The controller copies the tag and chunk-index columns
+// out, so overwriting those copies afterwards changes nothing; the
+// device's line and wear blocks it adopts.
 func TestRestoreColumnsRoundTrip(t *testing.T) {
 	st := restoreFixture(t)
 	src := memctrl.New(testConfig(true), steins.Factory)
@@ -174,12 +176,21 @@ func TestRestoreColumnsRoundTrip(t *testing.T) {
 	if err := c.Restore(st); err != nil {
 		t.Fatal(err)
 	}
-	for _, col := range cols {
+	if !bytes.Equal(controllerBytes(t, c), want) {
+		t.Fatal("restore from column copies differs")
+	}
+	if err := memctrl.New(testConfig(true), steins.Factory).Restore(st); err == nil || !strings.Contains(err.Error(), "already adopted") {
+		t.Fatalf("second Restore of one state = %v, want a refusal", err)
+	}
+	for j, col := range cols {
+		if j == 1 || j == 3 {
+			continue // the device's line and wear blocks, which it adopted
+		}
 		for i := range col {
 			col[i] = 0x55
 		}
 	}
 	if !bytes.Equal(controllerBytes(t, c), want) {
-		t.Fatal("restore from column copies differs, or aliases them")
+		t.Fatal("restored controller aliases a column it should have copied")
 	}
 }

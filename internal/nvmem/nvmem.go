@@ -12,6 +12,7 @@
 package nvmem
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"steins/internal/arena"
@@ -163,15 +164,18 @@ func total(a *[numClasses]uint64) uint64 {
 type Device struct {
 	cfg Config
 	// lines holds contents indexed by line number (addr/LineSize) in a
-	// chunked arena: device reads and writes are the innermost operations
-	// of every simulated request, and a map lookup per access dominated
-	// the profile. A zero slot equals an absent line (fresh memory reads
-	// zero).
-	lines arena.T[Line]
-	// wear counts writes per line (same indexing); PCM's limited write
-	// endurance (§I) is a first-class concern, and recovery schemes that
-	// concentrate writes (shadow tables, record lines) show up here.
-	wear arena.T[uint64]
+	// chunked arena of LineSize-byte slots: device reads and writes are
+	// the innermost operations of every simulated request, and a map
+	// lookup per access dominated the profile. A zero slot equals an
+	// absent line (fresh memory reads zero). The chunks are byte blocks,
+	// so a checkpoint carries them as they are and a restore adopts them
+	// (state.go).
+	lines arena.Bytes
+	// wear counts writes per line (same indexing), one little-endian
+	// uint64 per slot; PCM's limited write endurance (§I) is a first-class
+	// concern, and recovery schemes that concentrate writes (shadow
+	// tables, record lines) show up here.
+	wear arena.Bytes
 	// queue holds completion times (in cycles) of pending writes, FIFO
 	// by completion; banks tracks when each bank next frees up.
 	queue []uint64
@@ -209,6 +213,8 @@ func New(cfg Config) *Device {
 	}
 	return &Device{
 		cfg:   cfg,
+		lines: arena.NewBytes(LineSize),
+		wear:  arena.NewBytes(wearSize),
 		banks: make([]uint64, cfg.WriteBanks),
 		frng:  faultRNG(cfg),
 	}
@@ -298,7 +304,8 @@ func (d *Device) Write(now uint64, addr uint64, line Line, cls Class) (uint64, e
 	d.insertCompletion(done)
 	d.stats.Writes[cls]++
 	d.stats.StallCycles += stall
-	*d.wear.Ptr(addr / LineSize)++
+	w := d.wear.Ptr(addr / LineSize)
+	binary.LittleEndian.PutUint64(w, binary.LittleEndian.Uint64(w)+1)
 	if d.frng != nil {
 		if d.frng.Bool(d.cfg.Faults.StuckPerWrite) {
 			d.addStuckBit(addr)
@@ -364,13 +371,13 @@ func (d *Device) store(addr uint64, line Line) {
 			d.tornN--
 		}
 	}
-	*d.lines.Ptr(addr / LineSize) = line
+	*(*Line)(d.lines.Ptr(addr / LineSize)) = line
 }
 
 // peekIntended returns the stored (pre-overlay) contents of addr.
 func (d *Device) peekIntended(addr uint64) Line {
 	if l := d.lines.Probe(addr / LineSize); l != nil {
-		return *l
+		return Line(l)
 	}
 	return Line{}
 }
@@ -420,8 +427,8 @@ func (d *Device) EnergyPJ() float64 {
 // tests use it to bound simulator footprints. It scans the device.
 func (d *Device) PopulatedLines() int {
 	n := 0
-	d.lines.ForEach(func(_ uint64, l *Line) {
-		if *l != (Line{}) {
+	d.lines.ForEach(func(_ uint64, l []byte) {
+		if Line(l) != (Line{}) {
 			n++
 		}
 	})
@@ -445,14 +452,15 @@ type Wear struct {
 // every emitter built on it.
 func (d *Device) WearStats() Wear {
 	var w Wear
-	d.wear.ForEach(func(idx uint64, n *uint64) {
-		if *n == 0 {
+	d.wear.ForEach(func(idx uint64, slot []byte) {
+		n := binary.LittleEndian.Uint64(slot)
+		if n == 0 {
 			return
 		}
 		w.LinesWritten++
-		w.TotalWrites += *n
-		if *n > w.MaxPerLine {
-			w.MaxPerLine, w.HotAddr = *n, idx*LineSize
+		w.TotalWrites += n
+		if n > w.MaxPerLine {
+			w.MaxPerLine, w.HotAddr = n, idx*LineSize
 		}
 	})
 	return w
@@ -461,5 +469,8 @@ func (d *Device) WearStats() Wear {
 // WearOf returns one line's write count.
 func (d *Device) WearOf(addr uint64) uint64 {
 	d.mustAddr(addr)
-	return d.wear.Get(addr / LineSize)
+	if w := d.wear.Probe(addr / LineSize); w != nil {
+		return binary.LittleEndian.Uint64(w)
+	}
+	return 0
 }

@@ -5,12 +5,12 @@
 // must continue drawing from the exact point the original stopped.
 //
 // The two per-line tables that scale with the footprint (contents and
-// wear) are stored as byte columns rather than slices of structs: the line
-// contents as one []byte, every 64-bit column as Words, which hold their
-// little-endian bytes. gob moves each column as one length-prefixed byte
-// string, and a server checkpoint frames the same bytes raw (see
-// State.Columns), so Restore reads every word in place from the bytes a
-// file was loaded into.
+// wear) travel in the device's own shape: each chunk of the arena that
+// holds them (arena.Bytes) is one block of bytes, listed with its chunk
+// index. gob moves each column as one length-prefixed byte string, and a
+// server checkpoint frames the same bytes raw (see State.Columns), so
+// Restore adopts the blocks a file was loaded into as the device's chunks
+// and copies nothing.
 
 package nvmem
 
@@ -18,19 +18,29 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"steins/internal/arena"
 	"steins/internal/rng"
 )
 
-// Words is a checkpoint column of 64-bit words: line addresses and wear
-// counts here, the data-tag fields in the controller's state. It holds the
-// words as little-endian bytes, the form they travel in: one byte string
-// to gob, one raw section to a server checkpoint. Raw words make a
-// checkpoint larger than varints would (about a third, for a Steins-SC
-// server) but load faster: the tag-MAC column is incompressible anyway,
-// and a word is read where it lies instead of being decoded into a slice.
-// The zero value is an empty column.
+// wearSize is the width of one wear-table slot: a little-endian uint64.
+const wearSize = 8
+
+// The block lengths of the two chunk tables: one arena chunk of lines,
+// and one of wear counts.
+const (
+	LineBlockLen = arena.ChunkLen * LineSize
+	WearBlockLen = arena.ChunkLen * wearSize
+)
+
+// Words is a checkpoint column of 64-bit words: chunk indices here, the
+// data-tag fields in the controller's state. It holds the words as
+// little-endian bytes, the form they travel in: one byte string to gob,
+// one raw section to a server checkpoint. Raw words make a checkpoint
+// larger than varints would but load faster: the tag-MAC column is
+// incompressible anyway, and a word is read where it lies instead of
+// being decoded into a slice. The zero value is an empty column.
 type Words struct {
 	b []byte
 }
@@ -80,6 +90,44 @@ func (w *Words) GobDecode(data []byte) error {
 	return nil
 }
 
+// Blocks is a chunk table's blocks back to back, the column a Restore
+// adopts as the device's chunks. A Blocks and every copy of it share one
+// claim: the first Restore that adopts the blocks takes them, so the
+// device's later writes land in these bytes, and every later Restore of
+// them is refused, so two devices never share a chunk. The zero value is
+// an empty column, which any number of restores may read.
+type Blocks struct {
+	b     []byte
+	taken *atomic.Bool
+}
+
+// BlocksFrom returns an unclaimed column whose bytes are b, aliasing b.
+func BlocksFrom(b []byte) Blocks {
+	if len(b) == 0 {
+		return Blocks{}
+	}
+	return Blocks{b: b, taken: new(atomic.Bool)}
+}
+
+// Bytes returns the column's bytes, aliasing it.
+func (bl Blocks) Bytes() []byte { return bl.b }
+
+// Adopted reports whether a Restore has taken the blocks.
+func (bl Blocks) Adopted() bool { return bl.taken != nil && bl.taken.Load() }
+
+// claim marks the blocks taken; it fails if a Restore took them first.
+func (bl Blocks) claim() bool { return bl.taken == nil || bl.taken.CompareAndSwap(false, true) }
+
+// GobEncode implements gob.GobEncoder.
+func (bl Blocks) GobEncode() ([]byte, error) { return bl.b, nil }
+
+// GobDecode implements gob.GobDecoder. The bytes are copied out of data,
+// which gob owns, into a column of their own.
+func (bl *Blocks) GobDecode(data []byte) error {
+	*bl = BlocksFrom(append([]byte(nil), data...))
+	return nil
+}
+
 // StuckState is one line's sticky stuck-at overlay.
 type StuckState struct {
 	Addr uint64
@@ -107,14 +155,15 @@ type EvidenceState struct {
 // captured: the restoring side rebuilds the device from the same Config and
 // the snapshot header's knobs.
 type State struct {
-	// LineAddrs lists the non-zero lines, sorted by address; LineData holds
-	// their contents back to back, LineSize bytes per address.
-	LineAddrs Words
-	LineData  []byte
-	// WearAddrs lists the lines with a non-zero write count, sorted by
-	// address; WearCounts[i] is the count of WearAddrs[i].
-	WearAddrs  Words
-	WearCounts Words
+	// LineChunks lists, ascending, the chunks of the line table that are
+	// not all zero; LineBlocks holds their blocks back to back,
+	// LineBlockLen bytes (arena.ChunkLen lines) each.
+	LineChunks Words
+	LineBlocks Blocks
+	// WearChunks and WearBlocks are the wear table alike: each block holds
+	// arena.ChunkLen little-endian write counts, WearBlockLen bytes.
+	WearChunks Words
+	WearBlocks Blocks
 	Queue      []uint64 // pending write completions, FIFO by completion
 	Banks      []uint64 // per-bank next-free times
 	Stats      Stats
@@ -129,7 +178,8 @@ type State struct {
 }
 
 // State captures the device. The observer callback is not part of the
-// state; harnesses re-register theirs after Restore.
+// state; harnesses re-register theirs after Restore. The state owns its
+// tables: every chunk is copied once, so it never aliases the device.
 func (d *Device) State() State {
 	st := State{
 		Queue: append([]uint64(nil), d.queue...),
@@ -139,24 +189,10 @@ func (d *Device) State() State {
 			Valid: d.last.valid, Addr: d.last.addr, Prev: d.last.prev, Next: d.last.next,
 		},
 	}
+	st.LineChunks, st.LineBlocks = chunkTable(&d.lines)
+	st.WearChunks, st.WearBlocks = chunkTable(&d.wear)
 	// Arena iteration ascends by address, matching the sorted order the
 	// map-backed implementation produced; zero slots equal absent entries.
-	if n := d.PopulatedLines(); n > 0 {
-		st.LineAddrs = MakeWords(n)
-		st.LineData = make([]byte, 0, n*LineSize)
-	}
-	d.lines.ForEach(func(idx uint64, l *Line) {
-		if *l != (Line{}) {
-			st.LineAddrs.Append(idx * LineSize)
-			st.LineData = append(st.LineData, l[:]...)
-		}
-	})
-	d.wear.ForEach(func(idx uint64, n *uint64) {
-		if *n != 0 {
-			st.WearAddrs.Append(idx * LineSize)
-			st.WearCounts.Append(*n)
-		}
-	})
 	d.stuck.ForEach(func(idx uint64, s *stuckLine) {
 		if s.mask != (Line{}) {
 			st.Stuck = append(st.Stuck, StuckState{Addr: idx * LineSize, Mask: s.mask, Val: s.val})
@@ -175,27 +211,47 @@ func (d *Device) State() State {
 	return st
 }
 
+// chunkTable copies a's chunks that are not all zero into a checkpoint
+// table: their indices and their blocks back to back.
+func chunkTable(a *arena.Bytes) (Words, Blocks) {
+	n := a.Chunks()
+	if n == 0 {
+		return Words{}, Blocks{}
+	}
+	idx := MakeWords(n)
+	blocks := make([]byte, 0, n*a.BlockLen())
+	a.ForEachChunk(func(c uint64, block []byte) {
+		idx.Append(c)
+		blocks = append(blocks, block...)
+	})
+	return idx, BlocksFrom(blocks)
+}
+
 // StateColumns is the number of per-line tables State.Columns lists.
 const StateColumns = 4
 
+// BlockColumn reports whether State.Columns entry j holds chunk blocks,
+// the bytes Restore adopts as the device's memory.
+func BlockColumn(j int) bool { return j == 1 || j == 3 }
+
 // Columns returns the state's per-line tables as raw bytes, in checkpoint
-// order: line addresses, line data, wear addresses, wear counts. The
-// slices alias the state.
+// order: line chunk indices, line blocks, wear chunk indices, wear
+// blocks. The slices alias the state.
 func (st *State) Columns() [StateColumns][]byte {
-	return [StateColumns][]byte{st.LineAddrs.Bytes(), st.LineData, st.WearAddrs.Bytes(), st.WearCounts.Bytes()}
+	return [StateColumns][]byte{st.LineChunks.Bytes(), st.LineBlocks.Bytes(), st.WearChunks.Bytes(), st.WearBlocks.Bytes()}
 }
 
 // SetColumns replaces the state's per-line tables with cols, in Columns
-// order, aliasing them. A word column that is not a whole number of words
-// is an error.
+// order, aliasing them; the blocks are unclaimed. An index column that is
+// not a whole number of words is an error.
 func (st *State) SetColumns(cols [StateColumns][]byte) error {
-	lineAddrs, err1 := WordsFrom(cols[0])
-	wearAddrs, err2 := WordsFrom(cols[2])
-	wearCounts, err3 := WordsFrom(cols[3])
-	if err := errors.Join(err1, err2, err3); err != nil {
+	lineChunks, err1 := WordsFrom(cols[0])
+	wearChunks, err2 := WordsFrom(cols[2])
+	if err := errors.Join(err1, err2); err != nil {
 		return err
 	}
-	st.LineAddrs, st.LineData, st.WearAddrs, st.WearCounts = lineAddrs, cols[1], wearAddrs, wearCounts
+	st.LineChunks, st.LineBlocks = lineChunks, BlocksFrom(cols[1])
+	st.WearChunks, st.WearBlocks = wearChunks, BlocksFrom(cols[3])
 	return nil
 }
 
@@ -237,21 +293,15 @@ func (c *AddrCheck) Err() error {
 }
 
 // check reports whether the state's small tables and shape are ones State
-// could have captured from this device: LineData holds exactly LineSize
-// bytes per line address, every value column is as long as its address
-// column, the bank clocks match the configuration, the stuck overlays and
+// could have captured from this device: the chunk tables are not already
+// adopted, the bank clocks match the configuration, the stuck overlays and
 // the evidence ledger pass AddrCheck against the capacity and hold no
 // entry State omits (an empty mask or ledger entry), and a fault model
 // that is off carries no stream position. Restore checks the line and
-// wear tables entry by entry as it reads them.
+// wear tables chunk by chunk as it adopts them.
 func (d *Device) check(st *State) error {
-	if len(st.LineData) != st.LineAddrs.Len()*LineSize {
-		return fmt.Errorf("nvmem: state has %d line addresses but %d data bytes, want %d",
-			st.LineAddrs.Len(), len(st.LineData), st.LineAddrs.Len()*LineSize)
-	}
-	if st.WearCounts.Len() != st.WearAddrs.Len() {
-		return fmt.Errorf("nvmem: state has %d wear addresses but %d wear counts",
-			st.WearAddrs.Len(), st.WearCounts.Len())
+	if st.LineBlocks.Adopted() || st.WearBlocks.Adopted() {
+		return errAdopted
 	}
 	if len(st.Banks) != len(d.banks) {
 		return fmt.Errorf("nvmem: state has %d bank clocks, device has %d banks", len(st.Banks), len(d.banks))
@@ -280,48 +330,34 @@ func (d *Device) check(st *State) error {
 	return nil
 }
 
+// errAdopted refuses a second Restore of one state's chunk tables.
+var errAdopted = errors.New("nvmem: state's chunk tables were already adopted by a restore; a state restores once")
+
 // Restore overwrites the device's contents, wear, queue, statistics and
 // fault-model state from a captured State. The device must have been built
 // from the same Config (bank count in particular); the observer callback is
-// left as-is. The tables are read in place from the state's columns and
-// copied into fresh arenas, so the device never aliases st. A state that
-// fails check, or whose line or wear table holds an address AddrCheck
-// refuses or an entry State omits (a zero line or wear count), is rejected
+// left as-is. The device adopts the state's line and wear blocks as its
+// chunks (arena.Adopt) and copies nothing: it owns those bytes from then
+// on, and a second Restore of the state, or of a copy of it, is refused.
+// A state that fails check, or whose line or wear table holds a chunk
+// index that does not ascend or lies past the device, a block of the
+// wrong length or an all-zero chunk (State omits those), is rejected
 // before the device is touched, with an error naming the table.
 func (d *Device) Restore(st State) error {
 	if err := d.check(&st); err != nil {
 		return err
 	}
-	// The loops walk the columns by re-slicing, which lets the compiler
-	// drop every bounds check; check has matched the column lengths.
-	var lines arena.T[Line]
-	chk := AddrCheck{Table: "nvmem: line", Limit: d.cfg.CapacityBytes}
-	addrs, data := st.LineAddrs.Bytes(), st.LineData
-	for i := 0; len(addrs) >= 8 && len(data) >= LineSize; i++ {
-		addr := binary.LittleEndian.Uint64(addrs)
-		if !chk.Next(addr) {
-			return chk.Err()
-		}
-		l := Line(data[:LineSize])
-		if l == (Line{}) {
-			return fmt.Errorf("nvmem: line %d (%#x) is all zero, which State omits", i, addr)
-		}
-		*lines.Ptr(addr / LineSize) = l
-		addrs, data = addrs[8:], data[LineSize:]
+	slots := d.cfg.CapacityBytes / LineSize
+	lines, err := arena.Adopt(LineSize, slots, st.LineChunks.Len(), st.LineChunks.At, st.LineBlocks.Bytes())
+	if err != nil {
+		return fmt.Errorf("nvmem: line table: %w", err)
 	}
-	var wear arena.T[uint64]
-	chk = AddrCheck{Table: "nvmem: wear", Limit: d.cfg.CapacityBytes}
-	addrs, counts := st.WearAddrs.Bytes(), st.WearCounts.Bytes()
-	for i := 0; len(addrs) >= 8 && len(counts) >= 8; i++ {
-		addr, n := binary.LittleEndian.Uint64(addrs), binary.LittleEndian.Uint64(counts)
-		if !chk.Next(addr) {
-			return chk.Err()
-		}
-		if n == 0 {
-			return fmt.Errorf("nvmem: wear count %d (%#x) is zero, which State omits", i, addr)
-		}
-		*wear.Ptr(addr / LineSize) = n
-		addrs, counts = addrs[8:], counts[8:]
+	wear, err := arena.Adopt(wearSize, slots, st.WearChunks.Len(), st.WearChunks.At, st.WearBlocks.Bytes())
+	if err != nil {
+		return fmt.Errorf("nvmem: wear table: %w", err)
+	}
+	if !st.LineBlocks.claim() || !st.WearBlocks.claim() {
+		return errAdopted
 	}
 	d.lines = lines
 	d.wear = wear

@@ -41,14 +41,24 @@ func craftedDevice(t *testing.T) *Device {
 	return d
 }
 
+// blocks returns a column of n blocks of blockLen bytes, each starting
+// with a 1.
+func blocks(n, blockLen int) Blocks {
+	b := make([]byte, n*blockLen)
+	for k := 0; k < n; k++ {
+		b[k*blockLen] = 1
+	}
+	return BlocksFrom(b)
+}
+
 // TestRestoreRejectsCraftedTables pins that a checkpoint's device tables
-// are checked entry by entry before anything lands in an arena: an address
-// past the capacity (unchecked, 1<<40 grows a chunk directory of 2^25
-// entries on this 1 MiB device and 1<<62 panics in makeslice), an
-// unaligned one (unchecked, it lands on the line below), columns out of
-// order or repeated, and entries State never writes are all refused with
-// an error naming the table, without a large allocation and without
-// touching the device.
+// are checked chunk by chunk before the device adopts them: a chunk index
+// past the capacity (unchecked, index 1<<62 would panic in makeslice as
+// the chunk directory grew to hold it), a block
+// column that is not a whole number of blocks, chunk indices out of order
+// or repeated, and chunks State never writes (all zero) are all refused
+// with an error naming the table, without a large allocation and without
+// touching the device. So are the small tables.
 func TestRestoreRejectsCraftedTables(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -57,35 +67,35 @@ func TestRestoreRejectsCraftedTables(t *testing.T) {
 		is    error
 	}{
 		{"line past the capacity", func(st *State) {
-			st.LineAddrs = words(64, 128, 4096, 1<<40)
-		}, "nvmem: line address 3", ErrOutOfRange},
+			st.LineChunks = words(0, 32)
+		}, "nvmem: line table: chunk 1 (index 32) lies past", nil},
 		{"line past every int", func(st *State) {
-			st.LineAddrs = words(64, 128, 4096, 1<<62)
-		}, "nvmem: line address 3", ErrOutOfRange},
+			st.LineChunks = words(0, 1<<62)
+		}, "nvmem: line table: chunk 1 (index 4611686018427387904) lies past", nil},
 		{"line unaligned", func(st *State) {
-			st.LineAddrs = words(64, 128, 4097, 8192)
-		}, "nvmem: line address 2", ErrUnaligned},
+			st.LineBlocks = BlocksFrom(st.LineBlocks.Bytes()[LineSize:])
+		}, "nvmem: line table: 65472 bytes of blocks for 2 chunks", nil},
 		{"lines descending", func(st *State) {
-			st.LineAddrs = words(64, 4096, 128, 1<<20-64)
-		}, "does not ascend", nil},
+			st.LineChunks = words(31, 0)
+		}, "nvmem: line table: chunk 1 (index 0) does not ascend", nil},
 		{"line repeated", func(st *State) {
-			st.LineAddrs = words(64, 128, 128, 1<<20-64)
-		}, "does not ascend", nil},
+			st.LineChunks = words(0, 0)
+		}, "nvmem: line table: chunk 1 (index 0) does not ascend", nil},
 		{"zero line", func(st *State) {
-			st.LineData = append(make([]byte, LineSize), st.LineData[LineSize:]...)
-		}, "all zero", nil},
+			st.LineBlocks = BlocksFrom(append(make([]byte, LineBlockLen), st.LineBlocks.Bytes()[LineBlockLen:]...))
+		}, "nvmem: line table: chunk 0 (index 0) is all zero", nil},
 		{"wear unaligned", func(st *State) {
-			st.WearAddrs = words(3, 4096, 1<<20-64)
-		}, "nvmem: wear address 0", ErrUnaligned},
+			st.WearBlocks = blocks(3, WearBlockLen)
+		}, "nvmem: wear table: 12288 bytes of blocks for 2 chunks", nil},
 		{"wear past the capacity", func(st *State) {
-			st.WearAddrs = words(64, 4096, 1<<20)
-		}, "nvmem: wear address 2", ErrOutOfRange},
+			st.WearChunks = words(0, 32)
+		}, "nvmem: wear table: chunk 1 (index 32) lies past", nil},
 		{"wear descending", func(st *State) {
-			st.WearAddrs = words(64, 1<<20-64, 4096)
-		}, "does not ascend", nil},
+			st.WearChunks = words(31, 0)
+		}, "nvmem: wear table: chunk 1 (index 0) does not ascend", nil},
 		{"zero wear count", func(st *State) {
-			st.WearCounts = words(1, 0, 1)
-		}, "wear count 1", nil},
+			st.WearBlocks = BlocksFrom(make([]byte, 2*WearBlockLen))
+		}, "nvmem: wear table: chunk 0 (index 0) is all zero", nil},
 		{"stuck overlay past the capacity", func(st *State) {
 			st.Stuck = []StuckState{{Addr: 1 << 40, Mask: Line{1}}}
 		}, "nvmem: stuck address 0", ErrOutOfRange},
@@ -107,6 +117,9 @@ func TestRestoreRejectsCraftedTables(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := craftedDevice(t).State()
+			if st.LineChunks.Len() != 2 || st.WearChunks.Len() != 2 {
+				t.Fatalf("crafted device has %d line and %d wear chunks, want 2 each", st.LineChunks.Len(), st.WearChunks.Len())
+			}
 			tc.craft(&st)
 			d := New(smallConfig())
 			d.Poke(192, Line{7})
@@ -129,31 +142,61 @@ func TestRestoreRejectsCraftedTables(t *testing.T) {
 	}
 }
 
-// TestRestoreCopiesOutOfColumns pins that Restore reads the columns in
-// place but copies every entry: overwriting the bytes a state was built
-// from afterwards leaves the restored device as it was.
-func TestRestoreCopiesOutOfColumns(t *testing.T) {
+// TestRestoreAdoptsColumns pins the adoption contract: Restore takes the
+// state's line and wear blocks as the device's chunks without copying
+// them, so a second Restore of the state, or of a copy of it, is refused
+// and leaves its device as it was; and State never aliases the device, so
+// a state taken after writes is independent of the device it came from.
+func TestRestoreAdoptsColumns(t *testing.T) {
 	src := craftedDevice(t)
 	want := stateBytes(t, src)
 	st := src.State()
-	cols := st.Columns()
-	for i := range cols {
-		cols[i] = append([]byte(nil), cols[i]...)
-	}
-	if err := st.SetColumns(cols); err != nil {
-		t.Fatal(err)
-	}
+	cp := st
 	d := New(smallConfig())
 	if err := d.Restore(st); err != nil {
 		t.Fatal(err)
 	}
-	for _, col := range cols {
-		for i := range col {
-			col[i] = 0xAA
+	if !bytes.Equal(stateBytes(t, d), want) {
+		t.Fatal("restored device differs from its source")
+	}
+	if !st.LineBlocks.Adopted() || !cp.WearBlocks.Adopted() {
+		t.Fatal("restored state's blocks are not marked adopted")
+	}
+	if &d.lines.Probe(64 / LineSize)[0] != &st.LineBlocks.Bytes()[64] {
+		t.Fatal("Restore copied the line blocks instead of adopting them")
+	}
+	other := New(smallConfig())
+	other.Poke(192, Line{7})
+	before := stateBytes(t, other)
+	for _, again := range []State{st, cp} {
+		if err := other.Restore(again); err == nil || !strings.Contains(err.Error(), "already adopted") {
+			t.Fatalf("second Restore of an adopted state = %v, want a refusal", err)
 		}
 	}
-	if !bytes.Equal(stateBytes(t, d), want) {
-		t.Fatal("restored device aliases the state's columns")
+	if !bytes.Equal(stateBytes(t, other), before) {
+		t.Fatal("refused second restore changed the device")
+	}
+
+	// A state taken after writes owns its tables: the device's later
+	// writes do not show in it, and a device restored from it shares
+	// nothing with the source.
+	if _, err := d.Write(5000, 4096, Line{0xEE}, ClassData); err != nil {
+		t.Fatal(err)
+	}
+	after := d.State()
+	if _, err := d.Write(6000, 4096, Line{0xDD}, ClassData); err != nil {
+		t.Fatal(err)
+	}
+	fresh := New(smallConfig())
+	if err := fresh.Restore(after); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.Peek(4096); got != (Line{0xEE}) {
+		t.Fatalf("state taken before a write restores line %x, want ee", got[:1])
+	}
+	fresh.Poke(4096, Line{0xCC})
+	if got := d.Peek(4096); got != (Line{0xDD}) {
+		t.Fatalf("source device line %x after writes elsewhere, want dd", got[:1])
 	}
 	if err := st.SetColumns([StateColumns][]byte{make([]byte, 12)}); err == nil {
 		t.Fatal("SetColumns accepted a 12-byte word column")

@@ -7,9 +7,11 @@ import (
 	"reflect"
 	"testing"
 
+	"steins/internal/cache"
 	"steins/internal/memctrl"
 	"steins/internal/nvmem"
 	"steins/internal/scheme/steins"
+	"steins/internal/sit"
 )
 
 func newDegradedSteins(t *testing.T, split bool) (*memctrl.Controller, *steins.Policy) {
@@ -462,5 +464,101 @@ func TestDegradedRecoveryOffFailsClosed(t *testing.T) {
 	}
 	if _, err := c.Recover(); err == nil {
 		t.Fatal("corrupt nodes recovered without error and without degraded mode")
+	}
+}
+
+// TestReadmissionAtFullBufferRestores pins that a checkpoint restores
+// after a re-admission at a full NV buffer. Re-admission must stay
+// error-free, so ReconcileAdopted appends without draining even at
+// capacity: with every level-1 image damaged, the drains fail, the buffer
+// is left full, and re-admitting a leaf whose parent is uncached takes it
+// past its bufCap slots. The checkpoint the scheme then writes must
+// restore and save back byte for byte.
+func TestReadmissionAtFullBufferRestores(t *testing.T) {
+	c, p := newDegradedSteins(t, false)
+	workload(t, c, 4000, 99)
+	leaf := pickQuietLeaf(t, c)
+	c.Crash()
+	corruptNode(c, 0, leaf)
+	if _, err := c.Recover(); err != nil {
+		t.Fatalf("degraded recover: %v", err)
+	}
+	if !c.LeafQuarantined(leaf) {
+		t.Fatalf("leaf %d not quarantined", leaf)
+	}
+	geo := &c.Layout().Geo
+	for i := range geo.LevelNodes[1] {
+		corruptNode(c, 1, i)
+	}
+	lines := c.Config().DataBytes / 64
+	for i := uint64(0); i < 4000 && p.BufferedEntries() < 8; i++ {
+		addr := i * 97 % lines * 64
+		if l, _ := geo.LeafOfData(addr); l != leaf {
+			c.WriteData(5, addr, pattern(addr, byte(i))) // drains fail; the buffer fills
+		}
+	}
+	if n := p.BufferedEntries(); n != 8 {
+		t.Fatalf("buffer holds %d entries after the failing drains, want 8", n)
+	}
+	// Free a way in the leaf's cache set without touching the buffer, so
+	// the adopted leaf's insert displaces no dirty node: drop a clean
+	// node, or flush a dirty one whose parent is cached or is the root.
+	leafAddr := geo.NodeAddr(0, leaf)
+	var free *sit.Node
+	c.Meta().EntriesInSet(c.Meta().SetOf(leafAddr), func(e *cache.Entry[*sit.Node]) {
+		n := e.Payload
+		if free != nil {
+			return
+		}
+		if !e.Dirty || geo.IsTop(n.Level) {
+			free = n
+			return
+		}
+		pl, pi, _ := geo.Parent(n.Level, n.Index)
+		if _, ok := c.Meta().Probe(geo.NodeAddr(pl, pi)); ok {
+			free = n
+		}
+	})
+	if free == nil {
+		t.Fatal("no node in the leaf's cache set leaves without buffering")
+	}
+	if _, err := c.FlushNode(free.Level, free.Index); err != nil {
+		t.Fatal(err)
+	}
+	// The parent's image may have been rewritten since it was damaged;
+	// damage it (again) so the re-admitting fetch cannot cache it.
+	pl, pi, _ := geo.Parent(0, leaf)
+	if _, ok := c.Meta().Probe(geo.NodeAddr(pl, pi)); ok {
+		t.Fatal("the leaf's parent is cached; re-admission would not buffer")
+	}
+	line := c.Device().Peek(geo.NodeAddr(pl, pi))
+	line[5] ^= 1
+	c.Device().Poke(geo.NodeAddr(pl, pi), line)
+	// The write's write-through flush of the skipped leaf drains again,
+	// which fails like every drain here; the re-admission itself is done.
+	addr := geo.DataAddr(leaf, 0)
+	if err := c.WriteData(1, addr, pattern(addr, 7)); err != nil && !errors.Is(err, memctrl.ErrTamper) {
+		t.Fatalf("re-admitting write: %v", err)
+	}
+	if c.ReadmittedSlots(leaf) == 0 {
+		t.Fatal("the write did not re-admit the leaf's slot")
+	}
+	if _, ok := p.ParentCounterOverride(0, leaf); !ok || p.BufferedEntries() <= 8 {
+		t.Fatalf("buffer holds %d entries, none for the re-admitted leaf; test is vacuous", p.BufferedEntries())
+	}
+	st, err := c.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := newDegradedSteins(t, false)
+	if err := r.Restore(st); err != nil {
+		t.Fatalf("Restore of a checkpoint the scheme wrote: %v", err)
+	}
+	back, err := r.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back.Policy, st.Policy) {
+		t.Fatal("restored scheme state saves to other bytes")
 	}
 }

@@ -129,16 +129,18 @@ func TestRestoreStateShapeAllOrNothing(t *testing.T) {
 func TestRestoreStateFirstErrorInOrder(t *testing.T) {
 	src := checkpointPool(t, 2, 300)
 	defer src.Close()
-	st, err := src.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Tenants[0].PGs[0].Channels[1].Layout = 0
-	st.Tenants[0].PGs[1].Channels[0].Layout = 0
-	st.Tenants[0].PGs[1].Channels[1].TagHints = nvmem.Words{}
 	for range 4 {
+		// A restore adopts the valid channels' blocks, so each round
+		// needs a state of its own.
+		st, err := src.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Tenants[0].PGs[0].Channels[1].Layout = 0
+		st.Tenants[0].PGs[1].Channels[0].Layout = 0
+		st.Tenants[0].PGs[1].Channels[1].TagHints = nvmem.Words{}
 		dst := checkpointPool(t, 2, 0)
-		err := dst.RestoreState(st)
+		err = dst.RestoreState(st)
 		dst.Close()
 		if !errors.Is(err, snapshot.ErrCorrupt) || !strings.HasPrefix(err.Error(), `server: tenant "a" pg 0 channel 1: `) {
 			t.Fatalf("RestoreState = %v, want the refusal of pg 0 channel 1", err)
@@ -187,13 +189,15 @@ func envelope(tb testing.TB, payload []byte) []byte {
 }
 
 // checkpointSeeds are FuzzServerCheckpoint's starting inputs: a valid
-// checkpoint of the fuzz pool, six crafted payloads in intact envelopes,
-// each refused for one reason (a truncated column section, a line address
-// past the device, a descending tag column, a cached split leaf with a
-// minor counter of 64, a Steins record line past the device, a Steins
-// NV-buffer entry above the tree), a CRC-valid skeleton that is not gob,
-// and two damaged envelopes of the valid checkpoint (a flipped skeleton
-// byte, a file cut short inside its last column section).
+// checkpoint of the fuzz pool, ten crafted payloads in intact envelopes,
+// each refused for one reason (a truncated column section, zero-length
+// sections after the last column, a line chunk index past the device, a
+// repeated wear chunk index, an all-zero line chunk, a line block one
+// line short, a descending tag column, a cached split leaf with a minor
+// counter of 64, a Steins record line past the device, a Steins NV-buffer
+// entry above the tree), a CRC-valid skeleton that is not gob, and two
+// damaged envelopes of the valid checkpoint (a flipped skeleton byte, a
+// file cut short inside its last column section).
 func checkpointSeeds(tb testing.TB) map[string]checkpointSeed {
 	tb.Helper()
 	p := checkpointPool(tb, 1, 120)
@@ -218,10 +222,25 @@ func checkpointSeeds(tb testing.TB) map[string]checkpointSeed {
 	badGob := append([]byte(nil), valid...)
 	copy(badGob[16:], "\xff\xff\xff\xff")
 	return map[string]checkpointSeed{
-		"valid-checkpoint":  {payload: valid},
-		"truncated-section": {payload: valid[:len(valid)-3]},
+		"valid-checkpoint":     {payload: valid},
+		"truncated-section":    {payload: valid[:len(valid)-3]},
+		"zero-length-sections": {payload: append(valid[:len(valid):len(valid)], make([]byte, 4096)...)},
 		"line-past-device": craft(func(cs *memctrl.ControllerState) {
-			cs.Device.LineAddrs = replaceWord(cs.Device.LineAddrs, cs.Device.LineAddrs.Len()-1, 1<<40)
+			cs.Device.LineChunks = replaceWord(cs.Device.LineChunks, cs.Device.LineChunks.Len()-1, 1<<40)
+		}),
+		"duplicate-chunk": craft(func(cs *memctrl.ControllerState) {
+			c, b := cs.Device.WearChunks.At(0), cs.Device.WearBlocks.Bytes()[:nvmem.WearBlockLen]
+			cs.Device.WearChunks = nvmem.Words{}
+			cs.Device.WearChunks.Append(c)
+			cs.Device.WearChunks.Append(c)
+			cs.Device.WearBlocks = nvmem.BlocksFrom(append(append([]byte(nil), b...), b...))
+		}),
+		"zero-chunk": craft(func(cs *memctrl.ControllerState) {
+			cs.Device.LineBlocks = nvmem.BlocksFrom(make([]byte, len(cs.Device.LineBlocks.Bytes())))
+		}),
+		"short-block": craft(func(cs *memctrl.ControllerState) {
+			b := cs.Device.LineBlocks.Bytes()
+			cs.Device.LineBlocks = nvmem.BlocksFrom(b[:len(b)-nvmem.LineSize])
 		}),
 		"descending-tags": craft(func(cs *memctrl.ControllerState) {
 			cs.TagAddrs = replaceWord(cs.TagAddrs, 0, cs.TagAddrs.At(1)+64)
@@ -377,7 +396,11 @@ func TestServerCheckpointSeeds(t *testing.T) {
 		reason   string
 	}{
 		"truncated-section":       {snapshot.ErrCorrupt, "bytes left"},
-		"line-past-device":        {snapshot.ErrCorrupt, "nvmem: line address"},
+		"zero-length-sections":    {snapshot.ErrCorrupt, "4096 bytes after the last column section"},
+		"line-past-device":        {snapshot.ErrCorrupt, "nvmem: line table: chunk 0 (index 1099511627776) lies past"},
+		"duplicate-chunk":         {snapshot.ErrCorrupt, "nvmem: wear table: chunk 1 (index 0) does not ascend"},
+		"zero-chunk":              {snapshot.ErrCorrupt, "nvmem: line table: chunk 0 (index 0) is all zero"},
+		"short-block":             {snapshot.ErrCorrupt, "nvmem: line table: 32704 bytes of blocks for 1 chunks"},
 		"descending-tags":         {snapshot.ErrCorrupt, "memctrl: tag address 1"},
 		"minor-counter-64":        {snapshot.ErrCorrupt, "minor counter 0 is 64"},
 		"record-line-past-device": {snapshot.ErrCorrupt, "record line 0 at 0x1"},

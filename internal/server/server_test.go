@@ -275,8 +275,10 @@ func TestRestoreRejectsCorruptTables(t *testing.T) {
 		t.Fatal(aerr)
 	}
 	for name, breakIt := range map[string]func(c *memctrl.ControllerState){
-		"line data":  func(c *memctrl.ControllerState) { c.Device.LineData = c.Device.LineData[1:] },
-		"wear":       func(c *memctrl.ControllerState) { c.Device.WearCounts = nvmem.Words{} },
+		"line data": func(c *memctrl.ControllerState) {
+			c.Device.LineBlocks = nvmem.BlocksFrom(c.Device.LineBlocks.Bytes()[1:])
+		},
+		"wear":       func(c *memctrl.ControllerState) { c.Device.WearBlocks = nvmem.Blocks{} },
 		"tag hints":  func(c *memctrl.ControllerState) { c.TagHints = nvmem.Words{} },
 		"old layout": func(c *memctrl.ControllerState) { c.Layout = 0 },
 	} {

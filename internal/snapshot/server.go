@@ -6,8 +6,8 @@
 // controllers, then models the outage as Crash + Recover per placement
 // group.
 //
-// The payload is sectioned, so the per-line tables restore in place from
-// the bytes the file was loaded into rather than through a decoder:
+// The payload is sectioned, so the per-line tables restore from the bytes
+// the file was loaded into rather than through a decoder:
 //
 //	[0, 8)     layout word: memctrl.StateLayout, little-endian
 //	[8, 16)    skeleton length S, little-endian
@@ -19,9 +19,12 @@
 // Nothing follows the last column. Everything small — names, clocks,
 // statistics, cached nodes, scheme blobs — stays in gob, which keeps the
 // structure self-describing; only the tables that scale with the pool are
-// raw. Checkpoints of layout 2 and older were one gob value, and layout 3
-// framed the same sections around hand-encoded scheme blobs; both are
-// refused by the layout word.
+// raw. The device's line and wear columns are whole arena chunks
+// (nvmem.State), which a restore adopts as the device's memory. Checkpoints
+// of layout 2 and older were one gob value, layout 3 framed the same
+// sections around hand-encoded scheme blobs, and layout 4 listed the
+// device's lines and wear counts one by one; all are refused by the layout
+// word.
 //
 // Tenant configuration deliberately does NOT ride along (mirroring run
 // snapshots, which resolve workloads through the trace registry): the
@@ -145,7 +148,8 @@ func parseServer(payload []byte) (*ServerState, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := frameColumns(st, payload[serverHeaderLen+skLen:]); err != nil {
+	secs, tail := splitSections(payload[serverHeaderLen+skLen:], st.sections())
+	if err := frameColumns(st, secs, tail); err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -184,32 +188,54 @@ func decodeSkeleton(sk []byte) (*ServerState, error) {
 	return st, nil
 }
 
-// frameColumns points the columns of st's controllers at their sections
-// in rest, the payload after the skeleton.
-func frameColumns(st *ServerState, rest []byte) error {
+// sections returns the number of column sections st's controllers frame.
+func (st *ServerState) sections() int { return len(st.channels()) * memctrl.StateColumns }
+
+// splitSections splits rest, the payload after the skeleton, into at most
+// count length-prefixed column sections, aliasing rest. What does not split
+// into them (bytes past the last, a length word cut off, or a section
+// longer than the bytes left) is returned whole as the tail, for
+// frameColumns to refuse.
+func splitSections(rest []byte, count int) (secs [][]byte, tail []byte) {
+	for len(secs) < count && len(rest) >= 8 {
+		n := binary.LittleEndian.Uint64(rest)
+		if n > uint64(len(rest)-8) {
+			break
+		}
+		secs = append(secs, rest[8:8+n:8+n])
+		rest = rest[8+n:]
+	}
+	return secs, rest
+}
+
+// frameColumns points the columns of st's controllers at secs, the column
+// sections in payload order. tail is what followed the last whole
+// section; a checkpoint has none.
+func frameColumns(st *ServerState, secs [][]byte, tail []byte) error {
 	for i, cs := range st.channels() {
 		var cols [memctrl.StateColumns][]byte
 		for j, col := range cs.Columns() {
 			if len(col) != 0 {
 				return fmt.Errorf("%w: server skeleton carries column %d of controller %d", ErrCorrupt, j, i)
 			}
-			if len(rest) < 8 {
-				return fmt.Errorf("%w: column %d of controller %d: section length cut off", ErrCorrupt, j, i)
-			}
-			n := binary.LittleEndian.Uint64(rest)
-			rest = rest[8:]
-			if n > uint64(len(rest)) {
+			if len(secs) == 0 {
+				if len(tail) < 8 {
+					return fmt.Errorf("%w: column %d of controller %d: section length cut off", ErrCorrupt, j, i)
+				}
 				return fmt.Errorf("%w: column %d of controller %d: %d-byte section, %d bytes left",
-					ErrCorrupt, j, i, n, len(rest))
+					ErrCorrupt, j, i, binary.LittleEndian.Uint64(tail), len(tail)-8)
 			}
-			cols[j], rest = rest[:n:n], rest[n:]
+			cols[j], secs = secs[0], secs[1:]
 		}
 		if err := cs.SetColumns(cols); err != nil {
 			return fmt.Errorf("%w: controller %d: %v", ErrCorrupt, i, err)
 		}
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d bytes after the last column section", ErrCorrupt, len(rest))
+	if extra := len(tail) + 8*len(secs); extra != 0 {
+		for _, sec := range secs {
+			extra += len(sec)
+		}
+		return fmt.Errorf("%w: %d bytes after the last column section", ErrCorrupt, extra)
 	}
 	return nil
 }
@@ -250,14 +276,14 @@ func SaveServerFile(path string, st *ServerState) error {
 	return SaveEnvelope(path, KindServer, payload)
 }
 
-// LoadServerFile reads a server checkpoint file and parses it: the
-// state's columns are sub-slices of the bytes the file was read into,
-// which a restore then reads in place. It returns what DecodeServer
-// returns for the file's bytes, but pipelines the work: the skeleton is
-// gob-decoded on its own goroutine while the column sections are read and
-// the payload CRC is taken, and the columns are framed last. Errors keep
-// DecodeServer's precedence: a short file, then a CRC mismatch, then a
-// payload that does not parse.
+// LoadServerFile reads a server checkpoint file and parses it. The device
+// blocks a restore adopts are read into an allocation of their own, so
+// they keep nothing else of the file alive (readSections). It returns what
+// DecodeServer returns for the file's bytes, but pipelines the work: the
+// skeleton is gob-decoded on its own goroutine while the column sections
+// are read and the payload CRC is taken, and the columns are framed last.
+// Errors keep DecodeServer's precedence: a short file, then a CRC
+// mismatch, then a payload that does not parse.
 func LoadServerFile(path string) (*ServerState, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -290,31 +316,19 @@ func LoadServerFile(path string) (*ServerState, error) {
 	if left := uint64(fi.Size() - headerLen); left < plen {
 		return nil, fmt.Errorf("%w: payload is %d bytes, envelope declares %d", ErrTruncated, left, plen)
 	}
-	readFull := func(b []byte) error {
-		if _, err := io.ReadFull(f, b); err != nil {
-			return fmt.Errorf("%w: reading payload: %v", ErrTruncated, err)
-		}
-		return nil
-	}
 	head := make([]byte, min(plen, serverHeaderLen))
-	if err := readFull(head); err != nil {
+	if err := readAt(f, head, headerLen); err != nil {
 		return nil, err
 	}
 	skLen, parseErr := parseHead(head, plen)
-	// Both buffers are allocated before the decode starts, so a collection
-	// the large one triggers begins its mark while a core is still free.
-	// Allocated after, the mark overlapped the decode and the restore that
-	// follows, counted the restored controllers live and raised the
-	// restart's peak heap.
 	sk := make([]byte, skLen)
-	sections := make([]byte, plen-uint64(len(head))-skLen)
 	type decoded struct {
 		st  *ServerState
 		err error
 	}
 	var done chan decoded
 	if parseErr == nil {
-		if err := readFull(sk); err != nil {
+		if err := readAt(f, sk, int64(headerLen+len(head))); err != nil {
 			return nil, err
 		}
 		done = make(chan decoded, 1)
@@ -323,25 +337,115 @@ func LoadServerFile(path string) (*ServerState, error) {
 			done <- decoded{st, err}
 		}()
 	}
-	err = readFull(sections)
-	if err == nil {
-		sum := crc32.Update(0, crc32.IEEETable, head)
-		sum = crc32.Update(sum, crc32.IEEETable, sk)
-		err = checkCRC(hdr, crc32.Update(sum, crc32.IEEETable, sections))
-	}
 	var st *ServerState
-	if done != nil {
-		d := <-done
-		st, parseErr = d.st, d.err
+	wait := func() {
+		if done != nil {
+			d := <-done
+			st, parseErr, done = d.st, d.err, nil
+		}
 	}
+	// The walk over the sections takes the first eagerSections while the
+	// skeleton decodes; past them it waits for the decode and stops at
+	// the sections the skeleton's controllers frame, so a payload padded
+	// with length words costs no more than a valid one.
+	more := func(k int) bool {
+		if k >= eagerSections {
+			wait()
+		}
+		return parseErr == nil && (st == nil || k < st.sections())
+	}
+	sum := crc32.Update(0, crc32.IEEETable, head)
+	sum = crc32.Update(sum, crc32.IEEETable, sk)
+	secs, tail, err := readSections(f, int64(headerLen+uint64(len(head))+skLen), plen-uint64(len(head))-skLen, &sum, more)
+	if err == nil {
+		err = checkCRC(hdr, sum)
+	}
+	wait()
 	switch {
 	case err != nil:
 		return nil, err
 	case parseErr != nil:
 		return nil, parseErr
 	}
-	if err := frameColumns(st, sections); err != nil {
+	if err := frameColumns(st, secs, tail); err != nil {
 		return nil, err
 	}
 	return st, nil
 }
+
+// eagerSections is how many column sections LoadServerFile walks before
+// the skeleton's decode has told it how many there are: all of them for a
+// server of up to eight controllers.
+const eagerSections = 8 * memctrl.StateColumns
+
+// readSections reads the n bytes of column sections at offset off of f,
+// split the way splitSections splits them, and folds every byte into the
+// CRC sum. more(k) reports whether section k is one to split off; the
+// bytes from the first section it refuses on are the tail. The length
+// words are read first, so the sections can be laid out in two
+// allocations: one holding the device's chunk blocks, which a restore
+// adopts as the device's memory (memctrl.AdoptedColumn), and one for
+// every other column, which the restore copies out of and drops. The
+// adopted blocks thus keep no other part of the file alive. Reading all
+// sections into one allocation measured slower in the restart benchmark
+// (DESIGN.md, "Layout 5").
+func readSections(f *os.File, off int64, n uint64, sum *uint32, more func(k int) bool) (secs [][]byte, tail []byte, err error) {
+	var lens []uint64
+	var word [8]byte
+	var nBlocks, nOther uint64
+	at, left := off, n
+	for left >= 8 && more(len(lens)) {
+		if err := readAt(f, word[:], at); err != nil {
+			return nil, nil, err
+		}
+		l := binary.LittleEndian.Uint64(word[:])
+		if l > left-8 {
+			break
+		}
+		if isBlocks(len(lens)) {
+			nBlocks += l
+		} else {
+			nOther += l
+		}
+		lens = append(lens, l)
+		at += int64(8 + l)
+		left -= 8 + l
+	}
+	blocks, other := make([]byte, nBlocks), make([]byte, nOther)
+	at = off
+	for k, l := range lens {
+		buf := &other
+		if isBlocks(k) {
+			buf = &blocks
+		}
+		sec := (*buf)[:l:l]
+		*buf = (*buf)[l:]
+		if err := readAt(f, sec, at+8); err != nil {
+			return nil, nil, err
+		}
+		binary.LittleEndian.PutUint64(word[:], l)
+		*sum = crc32.Update(*sum, crc32.IEEETable, word[:])
+		*sum = crc32.Update(*sum, crc32.IEEETable, sec)
+		secs = append(secs, sec)
+		at += int64(8 + l)
+	}
+	tail = make([]byte, left)
+	if err := readAt(f, tail, at); err != nil {
+		return nil, nil, err
+	}
+	*sum = crc32.Update(*sum, crc32.IEEETable, tail)
+	return secs, tail, nil
+}
+
+// readAt reads len(b) bytes at offset at of f; a short read means the file
+// shrank after its size was checked.
+func readAt(f *os.File, b []byte, at int64) error {
+	if _, err := f.ReadAt(b, at); err != nil {
+		return fmt.Errorf("%w: reading payload: %v", ErrTruncated, err)
+	}
+	return nil
+}
+
+// isBlocks reports whether column section k of a payload holds device
+// chunk blocks; each controller's sections follow memctrl Columns order.
+func isBlocks(k int) bool { return memctrl.AdoptedColumn(k % memctrl.StateColumns) }

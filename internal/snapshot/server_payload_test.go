@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -98,9 +100,9 @@ func TestServerPayloadSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := back.channels()[1].Device.LineData
+	lines := back.channels()[1].Device.LineBlocks.Bytes()
 	if len(lines) == 0 || &lines[0] != &payload[bytes.Index(payload, lines)] {
-		t.Fatal("parsed line data is not a sub-slice of the payload")
+		t.Fatal("parsed line blocks are not a sub-slice of the payload")
 	}
 	again, err := encodeServerPayload(back)
 	if err != nil {
@@ -111,7 +113,7 @@ func TestServerPayloadSections(t *testing.T) {
 	}
 	// A parsed column is capped at its section: growing it cannot write
 	// over the bytes that follow.
-	back.channels()[0].Device.LineAddrs.Append(^uint64(0))
+	back.channels()[0].Device.LineChunks.Append(^uint64(0))
 	if !bytes.Equal(again, payload) {
 		t.Fatal("appending to a parsed column overwrote the payload")
 	}
@@ -148,7 +150,7 @@ func TestServerPayloadRejectsBadFraming(t *testing.T) {
 	}{
 		{"empty", "shorter than its", nil},
 		{"header cut", "shorter than its", good[:serverHeaderLen-1]},
-		{"older layout", "server payload layout 0x3, want 4", with(func(p []byte) []byte {
+		{"older layout", "server payload layout 0x3, want 5", with(func(p []byte) []byte {
 			binary.LittleEndian.PutUint64(p, 3)
 			return p
 		})},
@@ -187,16 +189,59 @@ func TestServerPayloadRejectsBadFraming(t *testing.T) {
 	}
 }
 
+// TestLoadersStopAtTheirSections pins that both loaders split off no more
+// column sections than the skeleton's controllers frame. A CRC-valid
+// payload padded with 2 MiB of zeros, a quarter of a million empty
+// sections, is refused as trailing bytes, and neither loader allocates
+// much beyond the file for it: walking every length word kept a slice
+// header per section, three times the padding, and read each length word
+// with a syscall of its own.
+func TestLoadersStopAtTheirSections(t *testing.T) {
+	good, err := encodeServerPayload(payloadFixture(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pad = 2 << 20
+	env := wrapServer(t, append(good, make([]byte, pad)...))
+	path := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.WriteFile(path, env, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, load := range []struct {
+		name string
+		fn   func() (*ServerState, error)
+	}{
+		{"DecodeServer", func() (*ServerState, error) { return DecodeServer(bytes.NewReader(env)) }},
+		{"LoadServerFile", func() (*ServerState, error) { return LoadServerFile(path) }},
+	} {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		_, err := load.fn()
+		runtime.ReadMemStats(&ms)
+		want := fmt.Sprintf("%d bytes after the last column section", pad)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: %v, want ErrCorrupt naming %q", load.name, err, want)
+		}
+		if grew := ms.TotalAlloc - before; grew > 2*uint64(len(env)) {
+			t.Fatalf("%s allocated %d bytes for a %d-byte file", load.name, grew, len(env))
+		}
+	}
+}
+
 // TestServerLayoutFixtures pins that checkpoints of older layouts are
 // refused as ErrCorrupt with an error naming the layout. layout2-server.snap
 // is a two-PG, two-channel Steins-SC pool checkpointed by the all-gob
 // layout-2 encoder; its gob stream does not start with the layout word.
 // identity-hash-server.snap is a two-PG Steins-GC hash tenant checkpointed
 // in layout 3, when hash placement groups kept identity local addresses.
+// layout4-server.snap is a two-PG Steins-SC pool checkpointed in layout 4,
+// which listed the device's lines and wear counts one by one.
 func TestServerLayoutFixtures(t *testing.T) {
 	for _, tc := range []struct{ file, why string }{
 		{"layout2-server.snap", "server payload layout"},
-		{"identity-hash-server.snap", "server payload layout 0x3, want 4"},
+		{"identity-hash-server.snap", "server payload layout 0x3, want 5"},
+		{"layout4-server.snap", "server payload layout 0x4, want 5"},
 	} {
 		env, err := os.ReadFile("testdata/" + tc.file)
 		if err != nil {

@@ -391,7 +391,7 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 	mutated := func(fn func(c *memctrl.ControllerState)) RunState {
 		st := capture(t, testHeader("Steins-GC", 1, 100), 25)
 		c := st.Sharded.Ctrls[0]
-		if c.Device.LineAddrs.Len() == 0 || c.Device.WearAddrs.Len() == 0 || c.TagAddrs.Len() == 0 {
+		if c.Device.LineChunks.Len() == 0 || c.Device.WearChunks.Len() == 0 || c.TagAddrs.Len() == 0 {
 			t.Fatalf("fixture run left a table empty")
 		}
 		fn(c)
@@ -488,14 +488,15 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 			return h
 		}(), Sharded: &sim.ShardedState{}}), "unknown scheme"},
 		{"line data short of its addresses", wire(mutated(func(c *memctrl.ControllerState) {
-			c.Device.LineData = c.Device.LineData[:len(c.Device.LineData)-1]
-		})), "data bytes"},
+			b := c.Device.LineBlocks.Bytes()
+			c.Device.LineBlocks = nvmem.BlocksFrom(b[:len(b)-1])
+		})), "nvmem: line table: 98303 bytes of blocks for 3 chunks"},
 		{"line data past its addresses", wire(mutated(func(c *memctrl.ControllerState) {
-			c.Device.LineAddrs = tailWords(c.Device.LineAddrs)
-		})), "data bytes"},
+			c.Device.LineChunks = tailWords(c.Device.LineChunks)
+		})), "nvmem: line table: 98304 bytes of blocks for 2 chunks"},
 		{"wear counts short of their addresses", wire(mutated(func(c *memctrl.ControllerState) {
-			c.Device.WearCounts = tailWords(c.Device.WearCounts)
-		})), "wear counts"},
+			c.Device.WearChunks = tailWords(c.Device.WearChunks)
+		})), "nvmem: wear table: 12288 bytes of blocks for 2 chunks"},
 		{"tag MACs short of their addresses", wire(mutated(func(c *memctrl.ControllerState) {
 			c.TagMACs = tailWords(c.TagMACs)
 		})), "tag addresses"},
@@ -515,8 +516,8 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 		{"layout 1", layout1, "ControllerState.TagAddrs"},
 		{"layout 2", layout2, retired},
 		{"single-controller engine", singleEngine, retired},
-		{"first-touch hash router", firstTouch, "state layout 3, want 4"},
-		{"retired keep-cache header", keepCache, "state layout 3, want 4"},
+		{"first-touch hash router", firstTouch, "state layout 3, want 5"},
+		{"retired keep-cache header", keepCache, "state layout 3, want 5"},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

@@ -99,11 +99,12 @@ metrics-demo:
 # checkpoint restore suites (crafted tables
 # refused chunk by chunk and entry by entry, the arena's adoption of
 # checkpoint blocks, every scheme's state round-tripped and its
-# crafted entries refused, the sectioned server payload, the layout
-# fixtures, byte-stable Save → Load → Restore → Save, the daemon's refusal
-# of a crafted checkpoint, the pipelined loader against DecodeServer, the
-# shape-first concurrent restore) run raced at -cpu 1,2,8, so the restore
-# worker pool runs 1, 2 and 8 wide. Every go test runs -shuffle=on so
+# crafted entries refused, the sectioned run and server payload, the
+# layout fixtures, byte-stable Save → Load → Restore → Save, the daemon's
+# refusal of a crafted checkpoint, the pipelined file loader of both
+# kinds against Decode, its skeleton goroutine included, the shape-first
+# concurrent restore) run raced at -cpu 1,2,8, so the restore worker pool
+# runs 1, 2 and 8 wide. Every go test runs -shuffle=on so
 # order-dependent tests cannot hide. The committed BENCH
 # document is re-verified so the persisted trajectory can never drift out
 # of sync with the canonical benchmark set.
@@ -146,7 +147,7 @@ check: campaign serve-check bench-check figs-check
 		./internal/campaign ./cmd/campaign ./cmd/steinssim
 	go test -shuffle=on -count=2 ./internal/snapshot ./internal/scheme/schemetest ./internal/campaign \
 		./cmd/steinssim
-	go test -shuffle=on -race -cpu 1,2,8 -run 'Restore|Checkpoint|Layout|SetState|Adopt' ./internal/arena \
+	go test -shuffle=on -race -cpu 1,2,8 -run 'Restore|Checkpoint|Layout|SetState|Adopt|Load' ./internal/arena \
 		./internal/nvmem ./internal/memctrl ./internal/cache ./internal/scheme/... ./internal/snapshot \
 		./internal/server ./cmd/securememd
 	go test -shuffle=on ./cmd/benchjson

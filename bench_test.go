@@ -610,30 +610,29 @@ func snapshotBenchEngine(b *testing.B) (snapshot.RunHeader, *trace.Generator, *s
 // not grow past the budget even as state capture touches every layer.
 func BenchmarkSnapshotSave(b *testing.B) {
 	h, g, e := snapshotBenchEngine(b)
-	save := func(buf *bytes.Buffer) int {
-		buf.Reset()
+	save := func() int {
 		st, err := snapshot.CaptureSharded(h, g, e)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := snapshot.Write(buf, st); err != nil {
+		wire, err := snapshot.Encode(st)
+		if err != nil {
 			b.Fatal(err)
 		}
-		return buf.Len()
+		return len(wire)
 	}
-	var buf bytes.Buffer
-	size := save(&buf) // warm
+	size := save() // warm
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		save(&buf)
+		save()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(size), "snapshot_bytes")
 	// Ceiling with ~2x headroom over the measured warm path; a regression
 	// that makes capture allocate per cache line or per device block blows
 	// straight through it.
-	allocs := testing.AllocsPerRun(10, func() { save(&buf) })
+	allocs := testing.AllocsPerRun(10, func() { save() })
 	b.ReportMetric(allocs, "allocs_per_save")
 	if ceiling := 2_000.0; allocs > ceiling {
 		b.Fatalf("warm save path allocates %.0f times, ceiling %.0f", allocs, ceiling)
@@ -648,16 +647,15 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := snapshot.Write(&buf, st); err != nil {
+	wire, err := snapshot.Encode(st)
+	if err != nil {
 		b.Fatal(err)
 	}
-	wire := buf.Bytes()
 	b.ReportAllocs()
 	b.SetBytes(int64(len(wire)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		back, err := snapshot.Read(bytes.NewReader(wire))
+		back, err := snapshot.Decode[snapshot.RunState](bytes.NewReader(wire))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -705,7 +703,7 @@ func restartCheckpoint(b *testing.B) (string, server.Config) {
 		b.Fatal(err)
 	}
 	path := filepath.Join(b.TempDir(), "server.ckpt")
-	if err := snapshot.SaveServerFile(path, st); err != nil {
+	if err := snapshot.SaveFile(path, st); err != nil {
 		b.Fatal(err)
 	}
 	return path, cfg
@@ -719,7 +717,7 @@ func restartCheckpoint(b *testing.B) (string, server.Config) {
 func BenchmarkServerRestart(b *testing.B) {
 	path, cfg := restartCheckpoint(b)
 	restored := func(b *testing.B) *server.Pool {
-		st, err := snapshot.LoadServerFile(path)
+		st, err := snapshot.LoadFile[snapshot.ServerState](path)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -735,7 +733,7 @@ func BenchmarkServerRestart(b *testing.B) {
 	b.Run("load", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := snapshot.LoadServerFile(path); err != nil {
+			if _, err := snapshot.LoadFile[snapshot.ServerState](path); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -747,7 +745,7 @@ func BenchmarkServerRestart(b *testing.B) {
 			// A restore adopts the loaded state's blocks, so every
 			// iteration restores a state of its own.
 			b.StopTimer()
-			st, err := snapshot.LoadServerFile(path)
+			st, err := snapshot.LoadFile[snapshot.ServerState](path)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -196,7 +196,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 
 	if *statePath != "" {
 		if _, err := os.Stat(*statePath); err == nil {
-			st, err := snapshot.LoadServerFile(*statePath)
+			st, err := snapshot.LoadFile[snapshot.ServerState](*statePath)
 			if err != nil {
 				fmt.Fprintf(stderr, "securememd: load checkpoint: %v\n", err)
 				return 1
@@ -244,7 +244,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 			fmt.Fprintf(stderr, "securememd: checkpoint: %v\n", err)
 			return 1
 		}
-		if err := snapshot.SaveServerFile(*statePath, st); err != nil {
+		if err := snapshot.SaveFile(*statePath, st); err != nil {
 			fmt.Fprintf(stderr, "securememd: checkpoint: %v\n", err)
 			return 1
 		}

@@ -361,12 +361,12 @@ func TestDaemonRejectsCraftedCheckpoint(t *testing.T) {
 			if code := d.stop(t); code != 0 {
 				t.Fatalf("first life exited %d", code)
 			}
-			st, err := snapshot.LoadServerFile(state)
+			st, err := snapshot.LoadFile[snapshot.ServerState](state)
 			if err != nil {
 				t.Fatal(err)
 			}
 			tc.craft(&st.Tenants[0].PGs[1].Channels[0])
-			if err := snapshot.SaveServerFile(state, st); err != nil {
+			if err := snapshot.SaveFile(state, st); err != nil {
 				t.Fatal(err)
 			}
 			var out, errb bytes.Buffer

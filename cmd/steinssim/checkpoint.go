@@ -136,7 +136,7 @@ func finishRun(r *snapshot.Resumed, h snapshot.RunHeader, rc runConfig, resumed 
 // rebuild the run, and finish it like a fresh one (keeping the snapshot
 // current when rc.every > 0).
 func runResume(rc runConfig, stdout, stderr io.Writer) int {
-	st, err := snapshot.LoadFile(rc.path)
+	st, err := snapshot.LoadFile[snapshot.RunState](rc.path)
 	if err != nil {
 		fmt.Fprintf(stderr, "resume %s: %v\n", rc.path, err)
 		return 1

@@ -56,6 +56,11 @@ func TestValidateTable(t *testing.T) {
 			wantField: "MetaCacheBytes",
 		},
 		{
+			name:      "cache-above-ceiling",
+			mutate:    func(c *memctrl.Config) { c.MetaCacheBytes = 1 << 50 },
+			wantField: "MetaCacheBytes",
+		},
+		{
 			name:      "cache-below-one-set",
 			mutate:    func(c *memctrl.Config) { c.MetaCacheBytes = 256; c.MetaCacheWays = 8 },
 			wantField: "MetaCacheBytes",

@@ -117,6 +117,12 @@ func DefaultConfig(dataBytes uint64, splitLeaf bool) Config {
 	}
 }
 
+// MaxMetaCacheBytes is the largest metadata cache a controller is built
+// with: 16 times Fig. 17's largest (4 MiB). The cache's ways are
+// allocated up front, so a size from an untrusted checkpoint header or
+// tenant spec must be bounded before it reaches New.
+const MaxMetaCacheBytes = 64 << 20
+
 // ConfigError reports a Config field New cannot build a controller from.
 // It is structured so harnesses can tell WHICH knob a hand-built (non-
 // DefaultConfig) configuration got wrong.
@@ -144,6 +150,10 @@ func (cfg Config) Validate() (Config, error) {
 	if cfg.MetaCacheBytes <= 0 {
 		return cfg, &ConfigError{Field: "MetaCacheBytes", Value: int64(cfg.MetaCacheBytes),
 			Reason: "metadata cache needs a positive capacity"}
+	}
+	if cfg.MetaCacheBytes > MaxMetaCacheBytes {
+		return cfg, &ConfigError{Field: "MetaCacheBytes", Value: int64(cfg.MetaCacheBytes),
+			Reason: fmt.Sprintf("above the %d-byte ceiling", MaxMetaCacheBytes)}
 	}
 	if cfg.MetaCacheWays < 2 {
 		return cfg, &ConfigError{Field: "MetaCacheWays", Value: int64(cfg.MetaCacheWays),

@@ -7,8 +7,7 @@
 // The two per-line tables that scale with the footprint (contents and
 // wear) travel in the device's own shape: each chunk of the arena that
 // holds them (arena.Bytes) is one block of bytes, listed with its chunk
-// index. gob moves each column as one length-prefixed byte string, and a
-// server checkpoint frames the same bytes raw (see State.Columns), so
+// index. A checkpoint frames each column raw (see State.Columns), so
 // Restore adopts the blocks a file was loaded into as the device's chunks
 // and copies nothing.
 
@@ -36,8 +35,8 @@ const (
 
 // Words is a checkpoint column of 64-bit words: chunk indices here, the
 // data-tag fields in the controller's state. It holds the words as
-// little-endian bytes, the form they travel in: one byte string to gob,
-// one raw section to a server checkpoint. Raw words make a checkpoint
+// little-endian bytes, the form they travel in: one raw section of a
+// checkpoint. Raw words make a checkpoint
 // larger than varints would but load faster: the tag-MAC column is
 // incompressible anyway, and a word is read where it lies instead of
 // being decoded into a slice. The zero value is an empty column.

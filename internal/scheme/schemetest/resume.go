@@ -102,13 +102,13 @@ func (r *resumeRun) capture(t *testing.T) *resumeRun {
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}
-	var buf bytes.Buffer
-	if err := snapshot.Write(&buf, st); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	back, err := snapshot.Read(&buf)
+	wire, err := snapshot.Encode(st)
 	if err != nil {
-		t.Fatalf("read: %v", err)
+		t.Fatalf("encode: %v", err)
+	}
+	back, err := snapshot.Decode[snapshot.RunState](bytes.NewReader(wire))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	res, err := back.Resume()
 	if err != nil {

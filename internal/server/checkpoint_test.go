@@ -63,14 +63,14 @@ func TestServerCheckpointBytesStable(t *testing.T) {
 				t.Fatal(err)
 			}
 			path := filepath.Join(t.TempDir(), "server.ckpt")
-			if err := snapshot.SaveServerFile(path, st); err != nil {
+			if err := snapshot.SaveFile(path, st); err != nil {
 				t.Fatal(err)
 			}
-			want, err := snapshot.EncodeServer(st)
+			want, err := snapshot.Encode(st)
 			if err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := snapshot.LoadServerFile(path)
+			loaded, err := snapshot.LoadFile[snapshot.ServerState](path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,7 +208,7 @@ func checkpointSeeds(tb testing.TB) map[string]checkpointSeed {
 			tb.Fatal(err)
 		}
 		fn(&st.Tenants[0].PGs[1].Channels[0])
-		env, err := snapshot.EncodeServer(st)
+		env, err := snapshot.Encode(st)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -283,29 +283,29 @@ func replaceWord(w nvmem.Words, i int, v uint64) nvmem.Words {
 	return out
 }
 
-// loadBoth parses env through snapshot.DecodeServer and, from a file,
-// through snapshot.LoadServerFile, which must agree: both accept and the
+// loadBoth parses env through snapshot.Decode and, from a file,
+// through snapshot.LoadFile, which must agree: both accept and the
 // states encode to the same bytes, or both refuse with the same error.
-// It returns DecodeServer's result.
+// It returns Decode's result.
 func loadBoth(t *testing.T, env []byte) (*snapshot.ServerState, error) {
 	t.Helper()
-	st, err := snapshot.DecodeServer(bytes.NewReader(env))
+	st, err := snapshot.Decode[snapshot.ServerState](bytes.NewReader(env))
 	path := filepath.Join(t.TempDir(), "server.ckpt")
 	if werr := os.WriteFile(path, env, 0o644); werr != nil {
 		t.Fatal(werr)
 	}
-	fst, ferr := snapshot.LoadServerFile(path)
+	fst, ferr := snapshot.LoadFile[snapshot.ServerState](path)
 	switch {
 	case err != nil || ferr != nil:
 		if err == nil || ferr == nil || err.Error() != ferr.Error() {
-			t.Fatalf("DecodeServer: %v; LoadServerFile: %v", err, ferr)
+			t.Fatalf("Decode: %v; LoadFile: %v", err, ferr)
 		}
 		return nil, err
 	case st == nil || fst == nil:
 		t.Fatal("a loader accepted without a state")
 	}
-	a, aerr := snapshot.EncodeServer(st)
-	b, berr := snapshot.EncodeServer(fst)
+	a, aerr := snapshot.Encode(st)
+	b, berr := snapshot.Encode(fst)
 	if aerr != nil || berr != nil || !bytes.Equal(a, b) {
 		t.Fatalf("the loaders' states encode differently (%v, %v)", aerr, berr)
 	}
@@ -374,7 +374,7 @@ func FuzzServerCheckpoint(f *testing.F) {
 				}
 			}
 		}
-		reenc, err := snapshot.EncodeServer(in)
+		reenc, err := snapshot.Encode(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,7 +405,7 @@ func TestServerCheckpointSeeds(t *testing.T) {
 		"minor-counter-64":        {snapshot.ErrCorrupt, "minor counter 0 is 64"},
 		"record-line-past-device": {snapshot.ErrCorrupt, "record line 0 at 0x1"},
 		"nv-buffer-level-42":      {snapshot.ErrCorrupt, "NV buffer entry 0 (level 42 index 0)"},
-		"bad-gob-skeleton":        {snapshot.ErrCorrupt, "server skeleton: gob"},
+		"bad-gob-skeleton":        {snapshot.ErrCorrupt, "skeleton: gob"},
 		"flipped-skeleton-byte":   {snapshot.ErrChecksum, "payload CRC"},
 		"file-cut-in-section":     {snapshot.ErrTruncated, "payload is"},
 	}
@@ -421,7 +421,7 @@ func TestServerCheckpointSeeds(t *testing.T) {
 			if err != nil {
 				t.Fatalf("valid seed refused: %v", err)
 			}
-			if again, _ := snapshot.EncodeServer(st); !bytes.Equal(again, env) {
+			if again, _ := snapshot.Encode(st); !bytes.Equal(again, env) {
 				t.Fatal("valid seed is not in canonical form")
 			}
 			continue
@@ -482,11 +482,11 @@ func TestRestoreStateRejectsCraftedSchemeState(t *testing.T) {
 					cs := &st.Tenants[0].PGs[0].Channels[0]
 					cs.Policy = edit(t, cs.Policy)
 				}
-				env, err := snapshot.EncodeServer(st)
+				env, err := snapshot.Encode(st)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if st, err = snapshot.DecodeServer(bytes.NewReader(env)); err != nil {
+				if st, err = snapshot.Decode[snapshot.ServerState](bytes.NewReader(env)); err != nil {
 					t.Fatal(err)
 				}
 				dst, err := NewPool(cfg)

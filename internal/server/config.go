@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"regexp"
 
+	"steins/internal/memctrl"
 	"steins/internal/trace"
 	"steins/securemem"
 )
@@ -203,9 +204,10 @@ func (cfg Config) Validate() (Config, error) {
 		if tc.BatchOps == 0 {
 			tc.BatchOps = DefaultBatchOps
 		}
-		if tc.MetaCacheBytes < 0 {
+		if tc.MetaCacheBytes < 0 || tc.MetaCacheBytes > memctrl.MaxMetaCacheBytes {
 			return cfg, &ConfigError{Tenant: tc.Name, Field: "MetaCacheBytes",
-				Value: fmt.Sprint(tc.MetaCacheBytes), Reason: "must be non-negative"}
+				Value:  fmt.Sprint(tc.MetaCacheBytes),
+				Reason: fmt.Sprintf("must be in [0, %d]", memctrl.MaxMetaCacheBytes)}
 		}
 	}
 	return cfg, nil

@@ -551,7 +551,7 @@ func (t *Tenant) state() (snapshot.TenantState, error) {
 
 // State captures the whole pool at tenant batch boundaries (tenants in
 // name-sorted configuration order, so identical pools produce identical
-// bytes through snapshot.EncodeServer).
+// bytes through snapshot.Encode).
 func (p *Pool) State() (*snapshot.ServerState, error) {
 	st := &snapshot.ServerState{}
 	for _, name := range p.names {
@@ -571,7 +571,7 @@ func (p *Pool) StateBytes() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return snapshot.EncodeServer(st)
+	return snapshot.Encode(st)
 }
 
 // RestoreState loads a checkpoint into a freshly built pool of the same

@@ -195,7 +195,7 @@ func TestCrashMidServeRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	st, err := snapshot.DecodeServer(bytes.NewReader(img))
+	st, err := snapshot.Decode[snapshot.ServerState](bytes.NewReader(img))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestAdmissionControlProperty(t *testing.T) {
 		for i := range st.Tenants {
 			st.Tenants[i].AppliedSeq = 0
 		}
-		img, err := snapshot.EncodeServer(st)
+		img, err := snapshot.Encode(st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -514,6 +514,8 @@ func TestPoolConfigErrors(t *testing.T) {
 		{"neg-inflight", func(c *Config) { c.Tenants[0].MaxInFlight = -2 }, "a", "MaxInFlight"},
 		{"neg-queue", func(c *Config) { c.Tenants[0].MaxQueuedOps = -1 }, "a", "MaxQueuedOps"},
 		{"neg-batch", func(c *Config) { c.Tenants[0].BatchOps = -1 }, "a", "BatchOps"},
+		{"neg-cache", func(c *Config) { c.Tenants[0].MetaCacheBytes = -1 }, "a", "MetaCacheBytes"},
+		{"huge-cache", func(c *Config) { c.Tenants[0].MetaCacheBytes = 1 << 50 }, "a", "MetaCacheBytes"},
 		{"neg-retry", func(c *Config) { c.RetryAfterSeconds = -1 }, "", "RetryAfterSeconds"},
 	}
 	for _, tc := range cases {

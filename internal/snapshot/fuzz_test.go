@@ -58,23 +58,23 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzReadEnvelope throws arbitrary bytes at the decoder: it must reject
-// or accept without ever panicking, and anything it accepts must resume
-// or fail with a structured error. The in-memory path of the file loaders
-// must agree with ReadEnvelope over both kinds of reader (one that reports
-// its length, one that does not): the same payload bytes, or the same
-// error text.
+// FuzzReadEnvelope throws arbitrary bytes at the run loaders: they must
+// reject or accept without ever panicking, and anything they accept must
+// resume or fail with a structured error. ReadEnvelope must read the same
+// payload bytes, or fail with the same error text, over both kinds of
+// reader (one that reports its length, one that does not), and Decode on
+// the bytes and LoadFile on a file of them must agree (loadBoth).
 func FuzzReadEnvelope(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("STEINSNP"))
 	f.Add(bytes.Repeat([]byte{0xFF}, headerLen+32))
 	// Seed one valid snapshot so the mutator starts from decodable bytes.
 	wire := func(st *RunState) []byte {
-		var buf bytes.Buffer
-		if err := Write(&buf, st); err != nil {
+		b, err := Encode(st)
+		if err != nil {
 			f.Fatal(err)
 		}
-		return buf.Bytes()
+		return b
 	}
 	st := capture(f, testHeader("Steins-GC", 1, 100), 25)
 	valid := wire(st)
@@ -93,17 +93,14 @@ func FuzzReadEnvelope(f *testing.F) {
 	kindBad[12] = byte(KindServer)
 	f.Add(kindBad)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fromSlice, sliceErr := envelopePayload(data, KindRun)
-		for _, r := range []io.Reader{bytes.NewReader(data), struct{ io.Reader }{bytes.NewReader(data)}} {
-			fromReader, readerErr := ReadEnvelope(r, KindRun)
-			if (sliceErr == nil) != (readerErr == nil) ||
-				sliceErr != nil && sliceErr.Error() != readerErr.Error() ||
-				!bytes.Equal(fromSlice, fromReader) {
-				t.Fatalf("%T: in-memory path (%d bytes, %v), reader path (%d bytes, %v)",
-					r, len(fromSlice), sliceErr, len(fromReader), readerErr)
-			}
+		fromLen, lenErr := ReadEnvelope(bytes.NewReader(data), KindRun)
+		fromPlain, plainErr := ReadEnvelope(struct{ io.Reader }{bytes.NewReader(data)}, KindRun)
+		if (lenErr == nil) != (plainErr == nil) || lenErr != nil && lenErr.Error() != plainErr.Error() ||
+			!bytes.Equal(fromLen, fromPlain) {
+			t.Fatalf("length-reporting reader (%d bytes, %v), plain reader (%d bytes, %v)",
+				len(fromLen), lenErr, len(fromPlain), plainErr)
 		}
-		st, err := Read(bytes.NewReader(data))
+		st, err := loadBoth[RunState](t, data)
 		if err != nil {
 			return
 		}

@@ -1,30 +1,10 @@
 // Server-state checkpoints: the serving layer's complete engine state —
 // every tenant's placement groups, every placement group's channel
-// controllers — wrapped in the same versioned CRC-protected envelope the
-// run snapshots use, under its own payload kind. A daemon drained on
-// SIGTERM saves one of these; a restarting daemon loads it, restores the
-// controllers, then models the outage as Crash + Recover per placement
-// group.
-//
-// The payload is sectioned, so the per-line tables restore from the bytes
-// the file was loaded into rather than through a decoder:
-//
-//	[0, 8)     layout word: memctrl.StateLayout, little-endian
-//	[8, 16)    skeleton length S, little-endian
-//	[16, 16+S) gob skeleton: the ServerState with every controller's
-//	           columns (memctrl.ControllerState.Columns) emptied
-//	then, per controller in tenant/PG/channel order and per column in
-//	Columns order, an 8-byte little-endian length L and L raw bytes.
-//
-// Nothing follows the last column. Everything small — names, clocks,
-// statistics, cached nodes, scheme blobs — stays in gob, which keeps the
-// structure self-describing; only the tables that scale with the pool are
-// raw. The device's line and wear columns are whole arena chunks
-// (nvmem.State), which a restore adopts as the device's memory. Checkpoints
-// of layout 2 and older were one gob value, layout 3 framed the same
-// sections around hand-encoded scheme blobs, and layout 4 listed the
-// device's lines and wear counts one by one; all are refused by the layout
-// word.
+// controllers — wrapped in the same versioned CRC-protected envelope and
+// sectioned payload (payload.go) the run snapshots use, under its own
+// payload kind. A daemon drained on SIGTERM saves one of these; a
+// restarting daemon loads it, restores the controllers, then models the
+// outage as Crash + Recover per placement group.
 //
 // Tenant configuration deliberately does NOT ride along (mirroring run
 // snapshots, which resolve workloads through the trace registry): the
@@ -34,17 +14,7 @@
 
 package snapshot
 
-import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-
-	"steins/internal/memctrl"
-)
+import "steins/internal/memctrl"
 
 // PGState is one placement group: its channel controllers, in channel
 // order.
@@ -72,13 +42,11 @@ type ServerState struct {
 	Tenants []TenantState
 }
 
-// serverHeaderLen is the payload's fixed header: layout word and skeleton
-// length.
-const serverHeaderLen = 16
+func (*ServerState) kind() uint32 { return KindServer }
 
-// channels lists every controller state of st in tenant/PG/channel order,
-// the order the payload's column sections follow.
-func (st *ServerState) channels() []*memctrl.ControllerState {
+// controllers lists every controller state of st in tenant/PG/channel
+// order, the order the payload's column sections follow.
+func (st *ServerState) controllers() []*memctrl.ControllerState {
 	var out []*memctrl.ControllerState
 	for i := range st.Tenants {
 		for k := range st.Tenants[i].PGs {
@@ -91,9 +59,7 @@ func (st *ServerState) channels() []*memctrl.ControllerState {
 	return out
 }
 
-// skeleton returns a copy of st whose controllers carry no columns; the
-// rest is shared with st, which is not modified.
-func skeleton(st *ServerState) *ServerState {
+func (st *ServerState) skeleton() *ServerState {
 	sk := &ServerState{Tenants: append([]TenantState(nil), st.Tenants...)}
 	for i := range sk.Tenants {
 		pgs := make([]PGState, len(sk.Tenants[i].PGs))
@@ -102,350 +68,15 @@ func skeleton(st *ServerState) *ServerState {
 		}
 		sk.Tenants[i].PGs = pgs
 	}
-	for _, cs := range sk.channels() {
+	for _, cs := range sk.controllers() {
 		cs.SetColumns([memctrl.StateColumns][]byte{}) // empty columns always fit
 	}
 	return sk
 }
 
-// encodeServerPayload lays st out as a sectioned payload.
-func encodeServerPayload(st *ServerState) ([]byte, error) {
-	sk, err := encode(skeleton(st))
-	if err != nil {
-		return nil, err
-	}
-	chans := st.channels()
-	size := serverHeaderLen + len(sk)
-	for _, cs := range chans {
-		for _, col := range cs.Columns() {
-			size += 8 + len(col)
-		}
-	}
-	out := make([]byte, 0, size)
-	out = binary.LittleEndian.AppendUint64(out, memctrl.StateLayout)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(sk)))
-	out = append(out, sk...)
-	for _, cs := range chans {
-		for _, col := range cs.Columns() {
-			out = binary.LittleEndian.AppendUint64(out, uint64(len(col)))
-			out = append(out, col...)
-		}
-	}
-	return out, nil
-}
+// LoadServerFile is LoadFile[ServerState]. It and SaveServerFile remain
+// for the benchmark module (bench/), which still calls them.
+func LoadServerFile(path string) (*ServerState, error) { return LoadFile[ServerState](path) }
 
-// parseServer splits a sectioned payload back into a ServerState whose
-// columns are sub-slices of payload. Every failure wraps ErrCorrupt: the
-// envelope was intact, the payload is not one encodeServerPayload writes.
-// LoadServerFile runs the same three steps, with the skeleton's decode
-// overlapping the read of the column sections.
-func parseServer(payload []byte) (*ServerState, error) {
-	skLen, err := parseHead(payload, uint64(len(payload)))
-	if err != nil {
-		return nil, err
-	}
-	st, err := decodeSkeleton(payload[serverHeaderLen : serverHeaderLen+skLen])
-	if err != nil {
-		return nil, err
-	}
-	secs, tail := splitSections(payload[serverHeaderLen+skLen:], st.sections())
-	if err := frameColumns(st, secs, tail); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// parseHead checks the payload head (its first serverHeaderLen bytes, or
-// all of a shorter payload) of a payload of n bytes and returns the
-// skeleton length.
-func parseHead(head []byte, n uint64) (uint64, error) {
-	if n < serverHeaderLen {
-		return 0, fmt.Errorf("%w: server payload of %d bytes, shorter than its %d-byte header",
-			ErrCorrupt, n, serverHeaderLen)
-	}
-	if layout := binary.LittleEndian.Uint64(head); layout != memctrl.StateLayout {
-		return 0, fmt.Errorf("%w: server payload layout %#x, want %d (checkpoints of older layouts are refused; re-create them)",
-			ErrCorrupt, layout, memctrl.StateLayout)
-	}
-	skLen := binary.LittleEndian.Uint64(head[8:])
-	if left := n - serverHeaderLen; skLen > left {
-		return 0, fmt.Errorf("%w: server skeleton of %d bytes, %d left in the payload", ErrCorrupt, skLen, left)
-	}
-	return skLen, nil
-}
-
-// decodeSkeleton gob-decodes the skeleton, which must be exactly one
-// value.
-func decodeSkeleton(sk []byte) (*ServerState, error) {
-	st := &ServerState{}
-	r := bytes.NewReader(sk)
-	if err := gob.NewDecoder(r).Decode(st); err != nil {
-		return nil, fmt.Errorf("%w: server skeleton: %v", ErrCorrupt, err)
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d bytes after the server skeleton's gob value", ErrCorrupt, r.Len())
-	}
-	return st, nil
-}
-
-// sections returns the number of column sections st's controllers frame.
-func (st *ServerState) sections() int { return len(st.channels()) * memctrl.StateColumns }
-
-// splitSections splits rest, the payload after the skeleton, into at most
-// count length-prefixed column sections, aliasing rest. What does not split
-// into them (bytes past the last, a length word cut off, or a section
-// longer than the bytes left) is returned whole as the tail, for
-// frameColumns to refuse.
-func splitSections(rest []byte, count int) (secs [][]byte, tail []byte) {
-	for len(secs) < count && len(rest) >= 8 {
-		n := binary.LittleEndian.Uint64(rest)
-		if n > uint64(len(rest)-8) {
-			break
-		}
-		secs = append(secs, rest[8:8+n:8+n])
-		rest = rest[8+n:]
-	}
-	return secs, rest
-}
-
-// frameColumns points the columns of st's controllers at secs, the column
-// sections in payload order. tail is what followed the last whole
-// section; a checkpoint has none.
-func frameColumns(st *ServerState, secs [][]byte, tail []byte) error {
-	for i, cs := range st.channels() {
-		var cols [memctrl.StateColumns][]byte
-		for j, col := range cs.Columns() {
-			if len(col) != 0 {
-				return fmt.Errorf("%w: server skeleton carries column %d of controller %d", ErrCorrupt, j, i)
-			}
-			if len(secs) == 0 {
-				if len(tail) < 8 {
-					return fmt.Errorf("%w: column %d of controller %d: section length cut off", ErrCorrupt, j, i)
-				}
-				return fmt.Errorf("%w: column %d of controller %d: %d-byte section, %d bytes left",
-					ErrCorrupt, j, i, binary.LittleEndian.Uint64(tail), len(tail)-8)
-			}
-			cols[j], secs = secs[0], secs[1:]
-		}
-		if err := cs.SetColumns(cols); err != nil {
-			return fmt.Errorf("%w: controller %d: %v", ErrCorrupt, i, err)
-		}
-	}
-	if extra := len(tail) + 8*len(secs); extra != 0 {
-		for _, sec := range secs {
-			extra += len(sec)
-		}
-		return fmt.Errorf("%w: %d bytes after the last column section", ErrCorrupt, extra)
-	}
-	return nil
-}
-
-// EncodeServer serializes a server state into KindServer envelope bytes.
-func EncodeServer(st *ServerState) ([]byte, error) {
-	payload, err := encodeServerPayload(st)
-	if err != nil {
-		return nil, err
-	}
-	var out bytes.Buffer
-	out.Grow(headerLen + len(payload))
-	if err := WriteEnvelope(&out, KindServer, payload); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
-}
-
-// DecodeServer reads a KindServer envelope and parses the server state;
-// its columns are sub-slices of the payload read from r. Malformed input
-// yields the envelope sentinels (ErrTruncated, ErrBadMagic, ErrVersion,
-// ErrChecksum, ErrCorrupt); it never panics.
-func DecodeServer(r io.Reader) (*ServerState, error) {
-	payload, err := ReadEnvelope(r, KindServer)
-	if err != nil {
-		return nil, err
-	}
-	return parseServer(payload)
-}
-
-// SaveServerFile writes a server checkpoint through SaveEnvelope, so a
-// crash mid-save can never truncate the previous good checkpoint.
-func SaveServerFile(path string, st *ServerState) error {
-	payload, err := encodeServerPayload(st)
-	if err != nil {
-		return err
-	}
-	return SaveEnvelope(path, KindServer, payload)
-}
-
-// LoadServerFile reads a server checkpoint file and parses it. The device
-// blocks a restore adopts are read into an allocation of their own, so
-// they keep nothing else of the file alive (readSections). It returns what
-// DecodeServer returns for the file's bytes, but pipelines the work: the
-// skeleton is gob-decoded on its own goroutine while the column sections
-// are read and the payload CRC is taken, and the columns are framed last.
-// Errors keep DecodeServer's precedence: a short file, then a CRC
-// mismatch, then a payload that does not parse.
-func LoadServerFile(path string) (*ServerState, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	if !fi.Mode().IsRegular() {
-		// Only a regular file's size bounds the payload before it is
-		// read; anything else is read whole first.
-		data, err := io.ReadAll(f)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: %w", err)
-		}
-		payload, err := envelopePayload(data, KindServer)
-		if err != nil {
-			return nil, err
-		}
-		return parseServer(payload)
-	}
-	hdr := make([]byte, headerLen)
-	n, _ := io.ReadFull(f, hdr) // a short read fails checkHeader as truncated
-	plen, err := checkHeader(hdr[:n], KindServer)
-	if err != nil {
-		return nil, err
-	}
-	if left := uint64(fi.Size() - headerLen); left < plen {
-		return nil, fmt.Errorf("%w: payload is %d bytes, envelope declares %d", ErrTruncated, left, plen)
-	}
-	head := make([]byte, min(plen, serverHeaderLen))
-	if err := readAt(f, head, headerLen); err != nil {
-		return nil, err
-	}
-	skLen, parseErr := parseHead(head, plen)
-	sk := make([]byte, skLen)
-	type decoded struct {
-		st  *ServerState
-		err error
-	}
-	var done chan decoded
-	if parseErr == nil {
-		if err := readAt(f, sk, int64(headerLen+len(head))); err != nil {
-			return nil, err
-		}
-		done = make(chan decoded, 1)
-		go func() {
-			st, err := decodeSkeleton(sk)
-			done <- decoded{st, err}
-		}()
-	}
-	var st *ServerState
-	wait := func() {
-		if done != nil {
-			d := <-done
-			st, parseErr, done = d.st, d.err, nil
-		}
-	}
-	// The walk over the sections takes the first eagerSections while the
-	// skeleton decodes; past them it waits for the decode and stops at
-	// the sections the skeleton's controllers frame, so a payload padded
-	// with length words costs no more than a valid one.
-	more := func(k int) bool {
-		if k >= eagerSections {
-			wait()
-		}
-		return parseErr == nil && (st == nil || k < st.sections())
-	}
-	sum := crc32.Update(0, crc32.IEEETable, head)
-	sum = crc32.Update(sum, crc32.IEEETable, sk)
-	secs, tail, err := readSections(f, int64(headerLen+uint64(len(head))+skLen), plen-uint64(len(head))-skLen, &sum, more)
-	if err == nil {
-		err = checkCRC(hdr, sum)
-	}
-	wait()
-	switch {
-	case err != nil:
-		return nil, err
-	case parseErr != nil:
-		return nil, parseErr
-	}
-	if err := frameColumns(st, secs, tail); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// eagerSections is how many column sections LoadServerFile walks before
-// the skeleton's decode has told it how many there are: all of them for a
-// server of up to eight controllers.
-const eagerSections = 8 * memctrl.StateColumns
-
-// readSections reads the n bytes of column sections at offset off of f,
-// split the way splitSections splits them, and folds every byte into the
-// CRC sum. more(k) reports whether section k is one to split off; the
-// bytes from the first section it refuses on are the tail. The length
-// words are read first, so the sections can be laid out in two
-// allocations: one holding the device's chunk blocks, which a restore
-// adopts as the device's memory (memctrl.AdoptedColumn), and one for
-// every other column, which the restore copies out of and drops. The
-// adopted blocks thus keep no other part of the file alive. Reading all
-// sections into one allocation measured slower in the restart benchmark
-// (DESIGN.md, "Layout 5").
-func readSections(f *os.File, off int64, n uint64, sum *uint32, more func(k int) bool) (secs [][]byte, tail []byte, err error) {
-	var lens []uint64
-	var word [8]byte
-	var nBlocks, nOther uint64
-	at, left := off, n
-	for left >= 8 && more(len(lens)) {
-		if err := readAt(f, word[:], at); err != nil {
-			return nil, nil, err
-		}
-		l := binary.LittleEndian.Uint64(word[:])
-		if l > left-8 {
-			break
-		}
-		if isBlocks(len(lens)) {
-			nBlocks += l
-		} else {
-			nOther += l
-		}
-		lens = append(lens, l)
-		at += int64(8 + l)
-		left -= 8 + l
-	}
-	blocks, other := make([]byte, nBlocks), make([]byte, nOther)
-	at = off
-	for k, l := range lens {
-		buf := &other
-		if isBlocks(k) {
-			buf = &blocks
-		}
-		sec := (*buf)[:l:l]
-		*buf = (*buf)[l:]
-		if err := readAt(f, sec, at+8); err != nil {
-			return nil, nil, err
-		}
-		binary.LittleEndian.PutUint64(word[:], l)
-		*sum = crc32.Update(*sum, crc32.IEEETable, word[:])
-		*sum = crc32.Update(*sum, crc32.IEEETable, sec)
-		secs = append(secs, sec)
-		at += int64(8 + l)
-	}
-	tail = make([]byte, left)
-	if err := readAt(f, tail, at); err != nil {
-		return nil, nil, err
-	}
-	*sum = crc32.Update(*sum, crc32.IEEETable, tail)
-	return secs, tail, nil
-}
-
-// readAt reads len(b) bytes at offset at of f; a short read means the file
-// shrank after its size was checked.
-func readAt(f *os.File, b []byte, at int64) error {
-	if _, err := f.ReadAt(b, at); err != nil {
-		return fmt.Errorf("%w: reading payload: %v", ErrTruncated, err)
-	}
-	return nil
-}
-
-// isBlocks reports whether column section k of a payload holds device
-// chunk blocks; each controller's sections follow memctrl Columns order.
-func isBlocks(k int) bool { return memctrl.AdoptedColumn(k % memctrl.StateColumns) }
+// SaveServerFile is SaveFile for a server state.
+func SaveServerFile(path string, st *ServerState) error { return SaveFile(path, st) }

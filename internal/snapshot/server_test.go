@@ -44,18 +44,18 @@ func serverStateFixture(t *testing.T) *snapshot.ServerState {
 // preserve the full structure.
 func TestServerStateDeterministicRoundTrip(t *testing.T) {
 	st := serverStateFixture(t)
-	a, err := snapshot.EncodeServer(st)
+	a, err := snapshot.Encode(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := snapshot.EncodeServer(st)
+	b, err := snapshot.Encode(st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("identical server states encoded to different bytes")
 	}
-	back, err := snapshot.DecodeServer(bytes.NewReader(a))
+	back, err := snapshot.Decode[snapshot.ServerState](bytes.NewReader(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestServerStateDeterministicRoundTrip(t *testing.T) {
 	if len(back.Tenants[0].PGs[0].Channels) != 2 || back.Tenants[0].AppliedSeq != 40 {
 		t.Fatalf("round trip lost PG shape: %+v", back.Tenants[0])
 	}
-	reencoded, err := snapshot.EncodeServer(back)
+	reencoded, err := snapshot.Encode(back)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +78,14 @@ func TestServerStateDeterministicRoundTrip(t *testing.T) {
 // sentinels — truncation, bit flips, and a wrong payload kind — and never
 // decode to a half-valid state.
 func TestServerStateNegative(t *testing.T) {
-	good, err := snapshot.EncodeServer(serverStateFixture(t))
+	good, err := snapshot.Encode(serverStateFixture(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	t.Run("truncated", func(t *testing.T) {
 		for _, n := range []int{0, 4, len(good) / 2, len(good) - 1} {
-			if _, err := snapshot.DecodeServer(bytes.NewReader(good[:n])); err == nil {
+			if _, err := snapshot.Decode[snapshot.ServerState](bytes.NewReader(good[:n])); err == nil {
 				t.Fatalf("truncation to %d bytes accepted", n)
 			}
 		}
@@ -94,7 +94,7 @@ func TestServerStateNegative(t *testing.T) {
 		for _, pos := range []int{1, 9, 20, len(good) - 3} {
 			bad := append([]byte(nil), good...)
 			bad[pos] ^= 0x40
-			if _, err := snapshot.DecodeServer(bytes.NewReader(bad)); err == nil {
+			if _, err := snapshot.Decode[snapshot.ServerState](bytes.NewReader(bad)); err == nil {
 				t.Fatalf("bit flip at %d accepted", pos)
 			}
 		}
@@ -104,21 +104,21 @@ func TestServerStateNegative(t *testing.T) {
 		if err := snapshot.WriteEnvelope(&buf, snapshot.KindRepro, []byte("not a server state")); err != nil {
 			t.Fatal(err)
 		}
-		_, err := snapshot.DecodeServer(bytes.NewReader(buf.Bytes()))
+		_, err := snapshot.Decode[snapshot.ServerState](bytes.NewReader(buf.Bytes()))
 		if !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Fatalf("wrong kind: err = %v, want ErrCorrupt", err)
 		}
 	})
 }
 
-// SaveServerFile must be atomic: a save over an existing checkpoint either
+// SaveFile must be atomic for a server state: a save over an existing checkpoint either
 // fully replaces it or leaves the old bytes intact, and the 0644 mode is
 // preserved.
 func TestSaveServerFileAtomicReplace(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "server.state")
 	st := serverStateFixture(t)
-	if err := snapshot.SaveServerFile(path, st); err != nil {
+	if err := snapshot.SaveFile(path, st); err != nil {
 		t.Fatal(err)
 	}
 	first, err := os.ReadFile(path)
@@ -126,7 +126,7 @@ func TestSaveServerFileAtomicReplace(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Tenants[0].AppliedSeq = 99
-	if err := snapshot.SaveServerFile(path, st); err != nil {
+	if err := snapshot.SaveFile(path, st); err != nil {
 		t.Fatal(err)
 	}
 	second, err := os.ReadFile(path)
@@ -143,7 +143,7 @@ func TestSaveServerFileAtomicReplace(t *testing.T) {
 	if info.Mode().Perm() != 0o644 {
 		t.Fatalf("mode = %v, want 0644", info.Mode().Perm())
 	}
-	back, err := snapshot.LoadServerFile(path)
+	back, err := snapshot.LoadFile[snapshot.ServerState](path)
 	if err != nil {
 		t.Fatal(err)
 	}

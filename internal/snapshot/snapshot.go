@@ -7,10 +7,13 @@
 // to the uninterrupted run, at any GOMAXPROCS and under any fault seed.
 //
 // On-disk format: an 8-byte magic, a little-endian uint32 format version,
-// a little-endian uint64 payload length, a little-endian uint32 IEEE
-// CRC-32 of the payload, then the gob-encoded RunState. Every map in the
-// captured state is flattened to an address-sorted slice before encoding,
-// so identical states produce identical bytes.
+// a little-endian uint32 payload kind, a little-endian uint64 payload
+// length, a little-endian uint32 IEEE CRC-32 of the payload, then the
+// payload: for a RunState, as for a server checkpoint, the sectioned
+// payload of payload.go (a gob skeleton, then every controller's per-line
+// tables raw). Every map in the captured state is flattened to an
+// address-sorted slice before encoding, so identical states produce
+// identical bytes.
 package snapshot
 
 import (
@@ -64,7 +67,7 @@ const (
 // + CRC.
 const headerLen = 8 + 4 + 4 + 8 + 4
 
-// Structured decode failures. Every error returned by Read wraps exactly
+// Structured decode failures. Every error returned by Decode wraps exactly
 // one of these, so callers can switch on errors.Is without string matching.
 var (
 	// ErrTruncated marks a file shorter than its envelope declares.
@@ -107,9 +110,7 @@ type RunHeader struct {
 	// Media-fault model and ECC gate, as passed to memctrl.Config.NVM.
 	Faults     nvmem.FaultConfig
 	ECCDisable bool
-	// DegradedRecovery is memctrl.Config.DegradedRecovery. Snapshots
-	// written before the field existed decode it as false, the mode they
-	// resumed in then.
+	// DegradedRecovery is memctrl.Config.DegradedRecovery.
 	DegradedRecovery bool
 
 	// Metrics collection options; HasMetrics false means no collector.
@@ -145,14 +146,39 @@ func (h RunHeader) Options() (sim.Options, sim.ShardOptions) {
 }
 
 // RunState is the complete serialized image of a paused run: the
-// configuration, the trace generator position, and the engine state. The
-// field keeps its name from when a second, single-controller engine
-// existed, so snapshots of multi-channel runs written then still load; a
-// snapshot of that retired engine decodes with Sharded nil and is refused.
+// configuration, the trace generator position, and the engine state.
 type RunState struct {
 	Header  RunHeader
 	Trace   trace.GeneratorState
 	Sharded *sim.ShardedState
+}
+
+func (*RunState) kind() uint32 { return KindRun }
+
+// controllers lists the engine's controller states in channel order, the
+// order the payload's column sections follow.
+func (st *RunState) controllers() []*memctrl.ControllerState {
+	if st.Sharded == nil {
+		return nil
+	}
+	return st.Sharded.Ctrls
+}
+
+func (st *RunState) skeleton() *RunState {
+	sk := *st
+	if st.Sharded != nil {
+		sh := *st.Sharded
+		sh.Ctrls = make([]*memctrl.ControllerState, len(sh.Ctrls))
+		for i, cs := range st.Sharded.Ctrls {
+			if cs != nil { // gob refuses a nil controller
+				c := *cs
+				c.SetColumns([memctrl.StateColumns][]byte{}) // empty columns always fit
+				sh.Ctrls[i] = &c
+			}
+		}
+		sk.Sharded = &sh
+	}
+	return &sk
 }
 
 // CaptureSharded snapshots a run. The engine must be at an epoch barrier
@@ -189,11 +215,15 @@ func (st *RunState) Resume() (*Resumed, error) {
 		return nil, fmt.Errorf("%w: unknown scheme %q", ErrCorrupt, h.Scheme)
 	}
 	if st.Sharded == nil {
-		return nil, fmt.Errorf("%w: state carries no engine (snapshots of the retired single-controller engine are not loadable; re-create the run)", ErrCorrupt)
+		return nil, fmt.Errorf("%w: state carries no engine", ErrCorrupt)
 	}
 	if h.DataBytes != 0 && h.DataBytes < prof.FootprintBytes {
 		return nil, fmt.Errorf("%w: data region %d smaller than %s footprint %d",
 			ErrCorrupt, h.DataBytes, prof.Name, prof.FootprintBytes)
+	}
+	if h.MetaCacheBytes > memctrl.MaxMetaCacheBytes {
+		return nil, fmt.Errorf("%w: metadata cache of %d bytes, above the %d-byte ceiling",
+			ErrCorrupt, h.MetaCacheBytes, memctrl.MaxMetaCacheBytes)
 	}
 	if h.HasMetrics && h.Metrics.RingCap < 0 {
 		return nil, fmt.Errorf("%w: metrics ring capacity %d is negative", ErrCorrupt, h.Metrics.RingCap)
@@ -246,23 +276,7 @@ func ReadEnvelope(r io.Reader, kind uint32) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return payload, checkPayload(hdr, payload)
-}
-
-// envelopePayload is ReadEnvelope over a whole file already in memory: the
-// payload it returns is a sub-slice of data, not a copy. Bytes after the
-// declared payload are ignored, as a reader's unread rest is.
-func envelopePayload(data []byte, kind uint32) ([]byte, error) {
-	plen, err := checkHeader(data[:min(len(data), headerLen)], kind)
-	if err != nil {
-		return nil, err
-	}
-	rest := data[headerLen:]
-	if left := uint64(len(rest)); left < plen {
-		return nil, fmt.Errorf("%w: payload is %d bytes, envelope declares %d", ErrTruncated, left, plen)
-	}
-	payload := rest[:plen]
-	return payload, checkPayload(data, payload)
+	return payload, checkCRC(hdr, crc32.ChecksumIEEE(payload))
 }
 
 // checkHeader validates the fixed envelope header (hdr holds the bytes read
@@ -282,11 +296,6 @@ func checkHeader(hdr []byte, kind uint32) (uint64, error) {
 		return 0, fmt.Errorf("%w: payload kind %d, want %d", ErrCorrupt, k, kind)
 	}
 	return binary.LittleEndian.Uint64(hdr[16:]), nil
-}
-
-// checkPayload compares the payload's CRC with the one the header declares.
-func checkPayload(hdr, payload []byte) error {
-	return checkCRC(hdr, crc32.ChecksumIEEE(payload))
 }
 
 // checkCRC compares a payload CRC with the one the header declares.
@@ -333,35 +342,6 @@ func encode(v any) ([]byte, error) {
 		return nil, fmt.Errorf("snapshot: encode: %w", err)
 	}
 	return payload.Bytes(), nil
-}
-
-// Write serializes the state to w in the envelope format.
-func Write(w io.Writer, st *RunState) error {
-	payload, err := encode(st)
-	if err != nil {
-		return err
-	}
-	return WriteEnvelope(w, KindRun, payload)
-}
-
-// Read deserializes one snapshot from r, validating the envelope. Decode
-// failures return errors wrapping the Err* sentinels; Read never panics on
-// malformed input.
-func Read(r io.Reader) (*RunState, error) {
-	payload, err := ReadEnvelope(r, KindRun)
-	if err != nil {
-		return nil, err
-	}
-	return decodeRun(payload)
-}
-
-// decodeRun gob-decodes a KindRun payload.
-func decodeRun(payload []byte) (*RunState, error) {
-	st := new(RunState)
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(st); err != nil {
-		return nil, fmt.Errorf("%w: gob decode: %v", ErrCorrupt, err)
-	}
-	return st, nil
 }
 
 // SaveEnvelope writes payload in a kind envelope to path, replacing any
@@ -417,27 +397,4 @@ func syncDir(dir string) error {
 		err = cerr
 	}
 	return err
-}
-
-// SaveFile writes the state to path through SaveEnvelope.
-func SaveFile(path string, st *RunState) error {
-	payload, err := encode(st)
-	if err != nil {
-		return err
-	}
-	return SaveEnvelope(path, KindRun, payload)
-}
-
-// LoadFile reads one snapshot from path, decoding the payload in place in
-// the file's bytes.
-func LoadFile(path string) (*RunState, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	payload, err := envelopePayload(data, KindRun)
-	if err != nil {
-		return nil, err
-	}
-	return decodeRun(payload)
 }

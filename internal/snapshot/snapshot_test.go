@@ -140,13 +140,13 @@ func capture(t testing.TB, h RunHeader, bound int) *RunState {
 // cross-process path, minus the process boundary.
 func resumeViaWire(t *testing.T, st *RunState) *Resumed {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := Write(&buf, st); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	back, err := Read(&buf)
+	wire, err := Encode(st)
 	if err != nil {
-		t.Fatalf("read back: %v", err)
+		t.Fatalf("encode: %v", err)
+	}
+	back, err := Decode[RunState](bytes.NewReader(wire))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	r, err := back.Resume()
 	if err != nil {
@@ -335,12 +335,10 @@ func corrupt(b []byte) []byte {
 // and wrong-version snapshots must return errors wrapping the matching
 // sentinel — and must never panic.
 func TestReadRejectsMalformed(t *testing.T) {
-	st := capture(t, testHeader("Steins-GC", 1, 200), 120)
-	var buf bytes.Buffer
-	if err := Write(&buf, st); err != nil {
-		t.Fatalf("write: %v", err)
+	good, err := Encode(capture(t, testHeader("Steins-GC", 1, 200), 120))
+	if err != nil {
+		t.Fatalf("encode: %v", err)
 	}
-	good := buf.Bytes()
 
 	wrongVersion := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint32(wrongVersion[8:], Version+1)
@@ -370,12 +368,12 @@ func TestReadRejectsMalformed(t *testing.T) {
 			// A bytes.Reader reports its length, so the payload is read at
 			// its exact size; the plain reader takes the bounded path.
 			for _, r := range []io.Reader{bytes.NewReader(tc.data), struct{ io.Reader }{bytes.NewReader(tc.data)}} {
-				st, err := Read(r)
+				st, err := Decode[RunState](r)
 				if st != nil || err == nil {
-					t.Fatalf("Read(%T) accepted malformed input (err=%v)", r, err)
+					t.Fatalf("Decode(%T) accepted malformed input (err=%v)", r, err)
 				}
 				if !errors.Is(err, tc.want) {
-					t.Fatalf("Read(%T): error %v does not wrap %v", r, err, tc.want)
+					t.Fatalf("Decode(%T): error %v does not wrap %v", r, err, tc.want)
 				}
 			}
 		})
@@ -383,7 +381,7 @@ func TestReadRejectsMalformed(t *testing.T) {
 }
 
 // TestResumeRejectsInconsistent covers payloads that pass the envelope but
-// describe no loadable run: each case is a CRC-valid file whose Read or
+// describe no loadable run: each case is a CRC-valid file whose Decode or
 // Resume must fail with ErrCorrupt, never panic.
 func TestResumeRejectsInconsistent(t *testing.T) {
 	// mutated captures a small Steins-GC run (data lines, wear and tags all
@@ -398,62 +396,12 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 		return *st
 	}
 	wire := func(st RunState) []byte {
-		var buf bytes.Buffer
-		if err := Write(&buf, &st); err != nil {
-			t.Fatalf("write: %v", err)
+		b, err := Encode(&st)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
 		}
-		return buf.Bytes()
+		return b
 	}
-	// The retired single-controller engine wrote its state to a field
-	// RunState no longer has: gob skips it, so every such snapshot decodes
-	// with no engine and is refused as that, whatever its layout — unless
-	// the layout breaks the gob decode first (layout 1).
-	//
-	// preColumnar is a Steins-GC run checkpointed by the encoder that
-	// predates the columnar tables (lines, wear and tags as slices of
-	// structs): same envelope version, different payload layout.
-	preColumnar, err := os.ReadFile("testdata/pre-columnar-run.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// layout1 is the same kind of run checkpointed by the layout-1 encoder,
-	// whose 64-bit columns were gob []uint64 slices.
-	layout1, err := os.ReadFile("testdata/layout1-run.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// layout2 is a Steins-SC run checkpointed by the layout-2 encoder,
-	// whose tag written flags were a []bool and whose cached nodes were
-	// reflected structs; gob skips both renamed fields, so the layout
-	// check names it.
-	layout2, err := os.ReadFile("testdata/layout2-run.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// singleEngine is a Steins-SC run checkpointed in layout 3 by the
-	// retired single-controller engine.
-	singleEngine, err := os.ReadFile("testdata/single-engine-run.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// keepCache is a layout-3 Steins-GC run whose header was written with
-	// the retired keep-cache-per-channel flag set and a 100-byte metadata
-	// cache; its controller layout refuses it before the cache would (see
-	// "metadata cache smaller than the captured state").
-	keepCache, err := os.ReadFile("testdata/keep-cache-header.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// firstTouch is a two-channel hash-interleave Steins-GC run
-	// checkpointed in layout 3 when the hash mode handed out local lines in
-	// first-touch order; the splitter's allocation cursors it carries are
-	// skipped, and its controller layout refuses it.
-	firstTouch, err := os.ReadFile("testdata/first-touch-hash-run.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// retired names the refusal of a single-controller engine's snapshot.
-	const retired = "retired single-controller engine"
 	header := func(fn func(h *RunHeader)) []byte {
 		st := capture(t, testHeader("Steins-GC", 1, 100), 25)
 		fn(&st.Header)
@@ -464,9 +412,13 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 		data []byte
 		why  string // a fragment the error must name
 	}{
-		{"no engine", wire(RunState{Header: testHeader("Steins-GC", 1, 100)}), retired},
+		{"no engine", wire(RunState{Header: testHeader("Steins-GC", 1, 100)}), "state carries no engine"},
 		{"data region below the footprint", header(func(h *RunHeader) { h.DataBytes = 64 }),
 			"data region 64 smaller than conformance-snap footprint"},
+		// A cache past memctrl.MaxMetaCacheBytes would be allocated
+		// before the state it is checked against.
+		{"metadata cache above the ceiling", header(func(h *RunHeader) { h.MetaCacheBytes = 1 << 50 }),
+			"metadata cache of 1125899906842624 bytes, above the"},
 		{"channel count disagrees with the state", header(func(h *RunHeader) { h.Channels = 2 }),
 			"state has 1 channels, header declares 2"},
 		{"negative metrics ring capacity", header(func(h *RunHeader) { h.Metrics.RingCap = -1 }),
@@ -512,16 +464,10 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 		{"unknown controller layout", wire(mutated(func(c *memctrl.ControllerState) {
 			c.Layout = memctrl.StateLayout + 1
 		})), fmt.Sprintf("layout %d", memctrl.StateLayout+1)},
-		{"pre-columnar layout", preColumnar, retired},
-		{"layout 1", layout1, "ControllerState.TagAddrs"},
-		{"layout 2", layout2, retired},
-		{"single-controller engine", singleEngine, retired},
-		{"first-touch hash router", firstTouch, "state layout 3, want 5"},
-		{"retired keep-cache header", keepCache, "state layout 3, want 5"},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			st, err := Read(bytes.NewReader(tc.data))
+			st, err := Decode[RunState](bytes.NewReader(tc.data))
 			if err == nil {
 				var r *Resumed
 				if r, err = st.Resume(); r != nil {
@@ -530,6 +476,46 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 			}
 			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.why) {
 				t.Fatalf("err = %v, want ErrCorrupt naming %q", err, tc.why)
+			}
+		})
+	}
+}
+
+// TestRunLayoutFixtures pins that run checkpoints written before runs took
+// the sectioned payload are refused as ErrCorrupt by the payload layout
+// word, through both loaders: each was one gob RunState, whose first eight
+// bytes are gob, not the layout. pre-columnar-run.snap is a Steins-GC run
+// from before the columnar tables (lines, wear and tags as slices of
+// structs); layout1-run.snap the same kind of run in layout 1, whose 64-bit
+// columns were gob []uint64 slices; layout2-run.snap a Steins-SC run in
+// layout 2, with a []bool of tag written flags and reflected cached nodes;
+// single-engine-run.snap a Steins-SC run of the retired single-controller
+// engine in layout 3; keep-cache-header.snap a layout-3 Steins-GC run whose
+// header set the retired keep-cache-per-channel flag; first-touch-hash-run.snap
+// a two-channel hash-interleave Steins-GC run in layout 3, when the hash mode
+// handed out local lines in first-touch order; and layout5-gob-run.snap a
+// Steins-SC pers_queue run (steinssim -checkpoint) in the last gob form,
+// layout 5 of the controller state.
+func TestRunLayoutFixtures(t *testing.T) {
+	for _, tc := range []struct{ name, file string }{
+		{"pre-columnar layout", "pre-columnar-run.snap"},
+		{"layout 1", "layout1-run.snap"},
+		{"layout 2", "layout2-run.snap"},
+		{"single-controller engine", "single-engine-run.snap"},
+		{"retired keep-cache header", "keep-cache-header.snap"},
+		{"first-touch hash router", "first-touch-hash-run.snap"},
+		{"layout 5 gob", "layout5-gob-run.snap"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, err := os.ReadFile("testdata/" + tc.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const why = ", want 5 (checkpoints of older layouts are refused"
+			back, err := loadBoth[RunState](t, env)
+			if back != nil || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "payload layout 0x") ||
+				!strings.Contains(err.Error(), why) {
+				t.Fatalf("%s: %v, want ErrCorrupt naming the payload layout", tc.file, err)
 			}
 		})
 	}
@@ -551,7 +537,7 @@ func TestSaveLoadFile(t *testing.T) {
 	if err := SaveFile(path, st); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	back, err := LoadFile(path)
+	back, err := LoadFile[RunState](path)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -564,8 +550,8 @@ func TestSaveLoadFile(t *testing.T) {
 }
 
 // TestSaveFileAtomicReplace pins the atomic-replace contract of
-// SaveEnvelope, through each saver of this package (runs and servers; the
-// campaign saver has its own test): overwriting an existing checkpoint goes
+// SaveEnvelope, through SaveFile for each kind of this package (runs and
+// servers; the campaign saver has its own test): overwriting an existing checkpoint goes
 // through a temp file + rename, so the directory never holds a
 // partially-written file under the final name, no temp droppings survive a
 // successful save, the file keeps mode 0644, and a save into a missing
@@ -588,19 +574,19 @@ func TestSaveFileAtomicReplace(t *testing.T) {
 			if err != nil {
 				t.Fatalf("capture: %v", err)
 			}
-			var want bytes.Buffer
-			if err := Write(&want, st); err != nil {
-				t.Fatal(err)
-			}
-			return want.Bytes(), SaveFile(path, st)
-		}},
-		{"server", func(path string, gen int) ([]byte, error) {
-			st := &ServerState{Tenants: []TenantState{{Name: "t", Scheme: "Steins-SC", AppliedSeq: uint64(gen)}}}
-			want, err := EncodeServer(st)
+			want, err := Encode(st)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return want, SaveServerFile(path, st)
+			return want, SaveFile(path, st)
+		}},
+		{"server", func(path string, gen int) ([]byte, error) {
+			st := &ServerState{Tenants: []TenantState{{Name: "t", Scheme: "Steins-SC", AppliedSeq: uint64(gen)}}}
+			want, err := Encode(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return want, SaveFile(path, st)
 		}},
 	} {
 		t.Run(sv.name, func(t *testing.T) {
@@ -648,7 +634,7 @@ func TestSaveFileAtomicReplace(t *testing.T) {
 			}
 		})
 	}
-	if _, err := LoadFile(t.TempDir() + "/absent.snap"); err == nil || !strings.Contains(err.Error(), "snapshot:") {
+	if _, err := LoadFile[RunState](t.TempDir() + "/absent.snap"); err == nil || !strings.Contains(err.Error(), "snapshot:") {
 		t.Fatalf("LoadFile of a missing file = %v, want a snapshot error", err)
 	}
 }
@@ -659,17 +645,17 @@ func TestSaveFileAtomicReplace(t *testing.T) {
 func TestDeterministicBytes(t *testing.T) {
 	h := faultHeader("Steins-SC", 1, 800)
 	e, g := driven(t, h, 500)
-	var a, b bytes.Buffer
-	for _, w := range []*bytes.Buffer{&a, &b} {
+	var wire [2][]byte
+	for i := range wire {
 		st, err := CaptureSharded(h, g, e)
 		if err != nil {
 			t.Fatalf("capture: %v", err)
 		}
-		if err := Write(w, st); err != nil {
-			t.Fatalf("write: %v", err)
+		if wire[i], err = Encode(st); err != nil {
+			t.Fatalf("encode: %v", err)
 		}
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("two captures of the same state produced different bytes (%d vs %d)", a.Len(), b.Len())
+	if !bytes.Equal(wire[0], wire[1]) {
+		t.Fatalf("two captures of the same state produced different bytes (%d vs %d)", len(wire[0]), len(wire[1]))
 	}
 }

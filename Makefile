@@ -41,18 +41,26 @@ figs-full:
 figs-check:
 	go run ./cmd/benchfigs -scale full | diff -u figs_full.txt -
 
+# Every fuzz target runs for its full time, whatever the ones before it
+# found; the targets that failed are named at the end, and fail the run.
+# -run keeps a failing input another target of the package wrote from
+# failing this one before it starts.
 fuzz:
-	go test -fuzz=FuzzSplitIncrementMonotone -fuzztime=20s ./internal/counter
-	go test -fuzz=FuzzReadFile -fuzztime=20s ./internal/trace
-	go test -fuzz=FuzzSplitterRoundTrip -fuzztime=20s ./internal/trace
-	go test -fuzz=FuzzRunCase -fuzztime=20s ./internal/campaign
-	go test -fuzz=FuzzRecordReplay -fuzztime=20s ./internal/campaign
-	go test -fuzz=FuzzSnapshotRoundTrip -fuzztime=20s ./internal/snapshot
-	go test -fuzz=FuzzReadEnvelope -fuzztime=20s ./internal/snapshot
-	go test -fuzz=FuzzCampaignSchedule -fuzztime=20s ./internal/campaign
-	go test -fuzz=FuzzBatchBody -fuzztime=20s ./internal/server
-	go test -fuzz=FuzzSearchCounter -fuzztime=20s ./internal/crypt
-	go test -fuzz=FuzzServerCheckpoint -fuzztime=20s -fuzzminimizetime=100x ./internal/server
+	@failed=; \
+	fuzz() { echo "go test -run ^$$1\$$ -fuzz=^$$1\$$ -fuzztime=20s $$3 $$2"; \
+		go test -run "^$$1\$$" -fuzz="^$$1\$$" -fuzztime=20s $$3 $$2 || failed="$$failed $$1"; }; \
+	fuzz FuzzSplitIncrementMonotone ./internal/counter; \
+	fuzz FuzzReadFile ./internal/trace; \
+	fuzz FuzzSplitterRoundTrip ./internal/trace; \
+	fuzz FuzzRunCase ./internal/campaign; \
+	fuzz FuzzRecordReplay ./internal/campaign; \
+	fuzz FuzzSnapshotRoundTrip ./internal/snapshot; \
+	fuzz FuzzReadEnvelope ./internal/snapshot; \
+	fuzz FuzzCampaignSchedule ./internal/campaign; \
+	fuzz FuzzBatchBody ./internal/server; \
+	fuzz FuzzSearchCounter ./internal/crypt; \
+	fuzz FuzzServerCheckpoint ./internal/server -fuzzminimizetime=100x; \
+	if [ -n "$$failed" ]; then echo "fuzz: failed:$$failed"; exit 1; fi
 
 # Deterministic adversarial campaign: 5040 randomized hostile cases across
 # all 12 schemes × 1/2/4 channels, run twice (-verify demands byte-identical
@@ -104,7 +112,9 @@ metrics-demo:
 # refusal of a crafted checkpoint, the pipelined file loader of both
 # kinds against Decode, its skeleton goroutine included, the shape-first
 # concurrent restore) run raced at -cpu 1,2,8, so the restore worker pool
-# runs 1, 2 and 8 wide. Every go test runs -shuffle=on so
+# runs 1, 2 and 8 wide. The data-tag table is among them: since it became
+# a chunk table like the device's lines and wear, its crafted-chunk
+# refusals and its adoption run under the same Restore|Adopt pattern. Every go test runs -shuffle=on so
 # order-dependent tests cannot hide. The committed BENCH
 # document is re-verified so the persisted trajectory can never drift out
 # of sync with the canonical benchmark set.

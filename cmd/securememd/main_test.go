@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"steins/internal/arena"
 	"steins/internal/cache"
 	"steins/internal/memctrl"
 	"steins/internal/nvmem"
@@ -310,21 +312,26 @@ func TestDaemonRejectsMismatchedCheckpoint(t *testing.T) {
 	}
 }
 
-// wordsOf builds a checkpoint column from its values.
-func wordsOf(vs ...uint64) nvmem.Words {
-	var w nvmem.Words
-	for _, v := range vs {
-		w.Append(v)
+// tableOf builds a checkpoint table from its chunk indices and blocks.
+func tableOf(t *testing.T, idx []uint64, blocks []byte) arena.Table {
+	var chunks []byte
+	for _, c := range idx {
+		chunks = binary.LittleEndian.AppendUint64(chunks, c)
 	}
-	return w
+	tb, err := arena.TableFrom(chunks, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
 }
 
 // TestDaemonRejectsCraftedCheckpoint pins that a checkpoint whose CRC is
 // valid but whose tables no encoder writes stops the daemon with exit 1
 // and a diagnostic naming the table. Unchecked, an address past every int
 // or a cached node without a payload panics the restore, a line address
-// of 1<<40 on an 8 KiB pool grows a huge chunk directory, and descending
-// tags restore silently.
+// of 1<<40 on an 8 KiB pool grows a huge chunk directory, and repeated
+// tag chunks, a tag past the data region or a written flag of 2 restore
+// silently.
 func TestDaemonRejectsCraftedCheckpoint(t *testing.T) {
 	args := func(state string) []string {
 		return []string{"-listen", "127.0.0.1:0", "-state", state,
@@ -332,26 +339,38 @@ func TestDaemonRejectsCraftedCheckpoint(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name  string
-		craft func(cs *memctrl.ControllerState)
+		craft func(t *testing.T, cs *memctrl.ControllerState)
 		want  string
 	}{
-		{"line past the device", func(cs *memctrl.ControllerState) {
-			cs.Device.LineChunks = wordsOf(1 << 40)
-			cs.Device.LineBlocks = nvmem.BlocksFrom(bytes.Repeat([]byte{1}, nvmem.LineBlockLen))
+		{"line past the device", func(t *testing.T, cs *memctrl.ControllerState) {
+			cs.Device.Lines = tableOf(t, []uint64{1 << 40}, bytes.Repeat([]byte{1}, nvmem.LineBlockLen))
 		}, "nvmem: line table: chunk 0 (index 1099511627776) lies past"},
-		{"line past every int", func(cs *memctrl.ControllerState) {
-			cs.Device.LineChunks = wordsOf(1 << 62)
-			cs.Device.LineBlocks = nvmem.BlocksFrom(bytes.Repeat([]byte{1}, nvmem.LineBlockLen))
+		{"line past every int", func(t *testing.T, cs *memctrl.ControllerState) {
+			cs.Device.Lines = tableOf(t, []uint64{1 << 62}, bytes.Repeat([]byte{1}, nvmem.LineBlockLen))
 		}, "nvmem: line table: chunk 0 (index 4611686018427387904) lies past"},
-		{"unaligned wear", func(cs *memctrl.ControllerState) {
-			cs.Device.WearChunks = wordsOf(0)
-			cs.Device.WearBlocks = nvmem.BlocksFrom(bytes.Repeat([]byte{1}, nvmem.WearBlockLen-8))
+		{"unaligned wear", func(t *testing.T, cs *memctrl.ControllerState) {
+			cs.Device.Wear = tableOf(t, []uint64{0}, bytes.Repeat([]byte{1}, nvmem.WearBlockLen-8))
 		}, "nvmem: wear table: 4088 bytes of blocks for 1 chunks"},
-		{"descending tags", func(cs *memctrl.ControllerState) {
-			cs.TagAddrs, cs.TagMACs, cs.TagHints = wordsOf(128, 64), wordsOf(1, 1), wordsOf(1, 1)
-			cs.TagFlags = []byte{1, 1}
-		}, "memctrl: tag address 1"},
-		{"cached node without payload", func(cs *memctrl.ControllerState) {
+		{"descending tags", func(t *testing.T, cs *memctrl.ControllerState) {
+			// The 64-line data region is one chunk: indices can repeat,
+			// not descend, inside it.
+			tag := make([]byte, arena.ChunkLen*17)
+			tag[0] = 1
+			cs.Tags = tableOf(t, []uint64{0, 0}, append(tag, tag...))
+		}, "memctrl: tag table: chunk 1 (index 0) does not ascend"},
+		{"tag past the data region", func(t *testing.T, cs *memctrl.ControllerState) {
+			// Line 64 lies past the 64-line data region but inside the
+			// device, which holds the metadata after the data.
+			tag := make([]byte, arena.ChunkLen*17)
+			tag[64*17] = 1
+			cs.Tags = tableOf(t, []uint64{0}, tag)
+		}, "memctrl: tag table: chunk 0 (index 0) holds slots past the 64 slots"},
+		{"written byte of 2", func(t *testing.T, cs *memctrl.ControllerState) {
+			tag := make([]byte, arena.ChunkLen*17)
+			tag[16] = 2
+			cs.Tags = tableOf(t, []uint64{0}, tag)
+		}, "memctrl: tag table: line 0 (0x0) written flag is 2"},
+		{"cached node without payload", func(t *testing.T, cs *memctrl.ControllerState) {
 			cs.MetaCache.Entries = append(cs.MetaCache.Entries, cache.EntryState[*sit.Node]{})
 		}, "has no payload"},
 	} {
@@ -365,7 +384,7 @@ func TestDaemonRejectsCraftedCheckpoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc.craft(&st.Tenants[0].PGs[1].Channels[0])
+			tc.craft(t, &st.Tenants[0].PGs[1].Channels[0])
 			if err := snapshot.SaveFile(state, st); err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"steins/internal/arena"
@@ -29,10 +30,12 @@ type Controller struct {
 	policy Policy
 
 	// tags holds the per-data-line authentication tags, indexed by line
-	// number (addr/64). An arena instead of a map: the tag store sits on
-	// every data read and write. A zero Tag means "never written", exactly
-	// as a map miss did.
-	tags arena.T[cme.Tag]
+	// number (addr/64), each in a tagSize-byte slot (Tag, SetTag). An
+	// arena instead of a map: the tag store sits on every data read and
+	// write. A zero slot means "never written", exactly as a map miss did.
+	// The chunks are byte blocks, like the device's lines, so a checkpoint
+	// carries them as they are and a restore adopts them (state.go).
+	tags arena.Bytes
 
 	// evicting tracks nodes whose dirty eviction is in flight: removed
 	// from the cache but (for classic schemes) not yet persisted. A fetch
@@ -101,6 +104,7 @@ func New(cfg Config, factory PolicyFactory) *Controller {
 		cfg:  cfg,
 		lay:  lay,
 		dev:  nvmem.New(cfg.NVM),
+		tags: arena.NewBytes(tagSize),
 		meta: cache.New[*sit.Node](cfg.MetaCacheBytes, cfg.MetaCacheWays, nvmem.LineSize),
 		eng:  cme.Engine{Key: cfg.Key, OTP: cfg.OTP, MAC: cfg.MAC},
 	}
@@ -174,18 +178,32 @@ func (c *Controller) EnergyPJ() float64 {
 // accesses within a request are stamped with it.
 func (c *Controller) Now() uint64 { return c.reqStart }
 
-// Tag returns the co-located authentication tag of a data line.
+// tagSize is the width of one tag-table slot: the MAC and the hint as
+// little-endian uint64s, then the written flag, 0 or 1.
+const tagSize = 17
+
+// Tag returns the co-located authentication tag of a data line. It stays
+// small enough to inline: recovery reads every data line's tag.
 func (c *Controller) Tag(addr uint64) cme.Tag {
-	if p := c.tags.Probe(addr / nvmem.LineSize); p != nil {
-		return *p
+	s := c.tags.Probe(addr / nvmem.LineSize)
+	if s == nil {
+		return cme.Tag{}
 	}
-	return cme.Tag{}
+	return cme.Tag{MAC: binary.LittleEndian.Uint64(s), Hint: binary.LittleEndian.Uint64(s[8:]), Written: s[16] != 0}
 }
 
-// SetTag overwrites a data line's tag; attack injection uses it to model
-// an adversary rewriting ECC bits.
+// SetTag overwrites a data line's tag. The data path seals every write
+// through it; attack injection uses it to model an adversary rewriting
+// ECC bits.
 func (c *Controller) SetTag(addr uint64, t cme.Tag) {
-	*c.tags.Ptr(addr / nvmem.LineSize) = t
+	s := (*[tagSize]byte)(c.tags.Ptr(addr / nvmem.LineSize))
+	binary.LittleEndian.PutUint64(s[:8], t.MAC)
+	binary.LittleEndian.PutUint64(s[8:16], t.Hint)
+	w := byte(0)
+	if t.Written {
+		w = 1
+	}
+	s[16] = w
 }
 
 // ChargeHash accounts n MAC-engine operations and returns their latency.

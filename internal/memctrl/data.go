@@ -147,11 +147,10 @@ func (c *Controller) WriteData(gap uint64, addr uint64, data [64]byte) error {
 	ct := data
 	c.eng.Apply(&ct, addr, encCtr)
 	c.stats.AESOps++
-	dst := c.tags.Ptr(addr / nvmem.LineSize)
 	if node.IsSplit {
-		*dst = c.eng.TagSC(&ct, addr, encCtr, major)
+		c.SetTag(addr, c.eng.TagSC(&ct, addr, encCtr, major))
 	} else {
-		*dst = c.eng.TagGC(&ct, addr, encCtr)
+		c.SetTag(addr, c.eng.TagGC(&ct, addr, encCtr))
 	}
 	c.stats.HashOps++
 	c.Attribute(metrics.PhaseCrypto, c.cfg.AESCycles+c.cfg.HashCycles)
@@ -291,8 +290,7 @@ func (c *Controller) reencrypt(le *cache.Entry[*sit.Node], pre *counter.Split, s
 			// for recovery; the fence still blocks every read.
 			ct := [64]byte(c.dev.Peek(daddr))
 			c.stats.HashOps++
-			*c.tags.Ptr(daddr / nvmem.LineSize) = c.eng.TagSC(&ct, daddr,
-				node.Split.EncCounter(j), node.Split.Major)
+			c.SetTag(daddr, c.eng.TagSC(&ct, daddr, node.Split.EncCounter(j), node.Split.Major))
 			continue
 		}
 		line, rlat, rerr := c.ReadLineRetried(c.reqStart+cycles, daddr, nvmem.ClassData)
@@ -318,7 +316,7 @@ func (c *Controller) reencrypt(le *cache.Entry[*sit.Node], pre *counter.Split, s
 		c.eng.Apply(&ct, daddr, newCtr) // re-encrypt
 		c.stats.AESOps += 2
 		c.stats.HashOps++
-		*c.tags.Ptr(daddr / nvmem.LineSize) = c.eng.TagSC(&ct, daddr, newCtr, node.Split.Major)
+		c.SetTag(daddr, c.eng.TagSC(&ct, daddr, newCtr, node.Split.Major))
 		wstall := c.dev.MustWrite(c.reqStart+cycles, daddr, nvmem.Line(ct), nvmem.ClassData)
 		c.Attribute(metrics.PhaseWriteDrain, wstall)
 		cycles += wstall

@@ -10,9 +10,7 @@ package memctrl
 import (
 	"bytes"
 	"cmp"
-	"encoding/binary"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"math/bits"
 	"reflect"
@@ -21,7 +19,6 @@ import (
 
 	"steins/internal/arena"
 	"steins/internal/cache"
-	"steins/internal/cme"
 	"steins/internal/metrics"
 	"steins/internal/nvmem"
 	"steins/internal/sit"
@@ -155,26 +152,26 @@ func CheckTreeShape(got, want [][]uint64) error {
 	return nil
 }
 
-// StateLayout identifies the ControllerState encoding. Layout 5 carries
-// the device's line and wear tables in the arena's chunk shape
-// (nvmem.State: ascending chunk indices and whole blocks), which a
-// restore adopts in place; layout 4 listed every non-zero line and wear
-// count with its address. Layout 4 writes
+// StateLayout identifies the ControllerState encoding. Layout 6 carries
+// the data tags in the chunk shape layout 5 gave the device's line and
+// wear tables (arena.Table: ascending chunk indices and whole blocks of
+// tagSize-byte slots), which a restore adopts in place; layout 5 listed
+// every non-zero tag with its address in four columns. Layout 4 listed
+// every non-zero line and wear count with its address, and writes
 // every scheme's Policy blob as one gob value (EncodePolicyState); layout 3
 // hand-encoded the Triad, PipeSIT and SCUE blobs in binary and mirrored the
 // others' entries in scheme-private types. Layout 3 keeps the
-// columnar tag and device tables of layout 2 (every 64-bit column an
-// nvmem.Words) but carries the tags' written flags as one byte each
-// (TagFlags) and each cached node as a fixed record (sit.Node's gob codec),
-// so a server checkpoint can frame every column raw (Columns). The two
+// columnar tag and device tables of layout 2 (every 64-bit column raw
+// words) but carries the tags' written flags as one byte each
+// and each cached node as a fixed record (sit.Node's gob codec),
+// so a server checkpoint can frame every column raw. The two
 // fields whose wire type changed took new names (TagFlags, MetaCache): gob
 // skips a layout-2 checkpoint's old fields instead of failing on their
 // type, and Restore refuses it by layout number. Layout 1 carried the 64-bit
-// columns as gob []uint64 slices, whose wire type does not decode into
-// Words; layout 0 (checkpoints written before the columns) has no layout
-// field. Restore rejects every older layout rather than silently restoring
-// an empty device.
-const StateLayout = 5
+// columns as gob []uint64 slices; layout 0 (checkpoints written before the
+// columns) has no layout field. Restore rejects every older layout rather
+// than silently restoring an empty device.
+const StateLayout = 6
 
 // QuarantineState is one quarantined leaf's arbitration record.
 type QuarantineState struct {
@@ -200,14 +197,9 @@ type ControllerState struct {
 	// Layout is StateLayout for every state State captures.
 	Layout uint32
 
-	// The data tags as columns, like the device's line table (see
-	// nvmem.State): TagAddrs lists the lines with a non-zero tag, sorted
-	// by address, and the other three columns hold each tag's fields;
-	// TagFlags[i] is 1 if tag i's Written flag is set, else 0.
-	TagAddrs nvmem.Words
-	TagMACs  nvmem.Words
-	TagHints nvmem.Words
-	TagFlags []byte
+	// Tags is the data-tag table in the device's chunk shape (see
+	// nvmem.State), in blocks of arena.ChunkLen tagSize-byte slots.
+	Tags arena.Table
 
 	Quarantined []uint64 // sorted leaf indices
 	// QuarInfo carries the arbitration record and re-admission mask of each
@@ -260,19 +252,8 @@ func (c *Controller) State() (*ControllerState, error) {
 		Stats:        c.stats,
 		Root:         c.root,
 		Device:       c.dev.State(),
+		Tags:         c.tags.Table(),
 	}
-	// Arena iteration is ascending by construction, matching the sorted
-	// order the map-backed implementation produced. Zero tags (never
-	// written, or an arena slot allocated but untouched) are omitted, as
-	// map misses were; Tag() returns the zero value either way.
-	c.tags.ForEach(func(line uint64, t *cme.Tag) {
-		if *t != (cme.Tag{}) {
-			st.TagAddrs.Append(line * nvmem.LineSize)
-			st.TagMACs.Append(t.MAC)
-			st.TagHints.Append(t.Hint)
-			st.TagFlags = append(st.TagFlags, b2u8(t.Written))
-		}
-	})
 	for w, set := range c.quarBits {
 		for set != 0 {
 			leaf := uint64(w)*64 + uint64(bits.TrailingZeros64(set))
@@ -311,72 +292,13 @@ func (c *Controller) State() (*ControllerState, error) {
 	return st, nil
 }
 
-// StateColumns is the number of per-line tables ControllerState.Columns
-// lists.
-const StateColumns = nvmem.StateColumns + 4
+// StateTables is the number of per-line tables Tables lists.
+const StateTables = 3
 
-// AdoptedColumn reports whether ControllerState.Columns entry j holds
-// chunk blocks, which Restore adopts as the device's memory.
-func AdoptedColumn(j int) bool { return j < nvmem.StateColumns && nvmem.BlockColumn(j) }
-
-// Columns returns the state's per-line tables as raw bytes, in checkpoint
-// order: the device's (nvmem.State.Columns), then the tag addresses, MACs,
-// hints and written flags. The slices alias the state.
-func (st *ControllerState) Columns() [StateColumns][]byte {
-	var cols [StateColumns][]byte
-	dev := st.Device.Columns()
-	copy(cols[:], dev[:])
-	cols[nvmem.StateColumns] = st.TagAddrs.Bytes()
-	cols[nvmem.StateColumns+1] = st.TagMACs.Bytes()
-	cols[nvmem.StateColumns+2] = st.TagHints.Bytes()
-	cols[nvmem.StateColumns+3] = st.TagFlags
-	return cols
-}
-
-// SetColumns replaces the state's per-line tables with cols, in Columns
-// order, aliasing them. A word column that is not a whole number of words
-// is an error.
-func (st *ControllerState) SetColumns(cols [StateColumns][]byte) error {
-	tagAddrs, err1 := nvmem.WordsFrom(cols[nvmem.StateColumns])
-	tagMACs, err2 := nvmem.WordsFrom(cols[nvmem.StateColumns+1])
-	tagHints, err3 := nvmem.WordsFrom(cols[nvmem.StateColumns+2])
-	err4 := st.Device.SetColumns([nvmem.StateColumns][]byte(cols[:nvmem.StateColumns]))
-	if err := errors.Join(err4, err1, err2, err3); err != nil {
-		return err
-	}
-	st.TagAddrs, st.TagMACs, st.TagHints, st.TagFlags = tagAddrs, tagMACs, tagHints, cols[nvmem.StateColumns+3]
-	return nil
-}
-
-// restoreTags reads the tag columns in place into a fresh arena. Every
-// address must pass nvmem.AddrCheck against the data region, every
-// written flag must be 0 or 1, and no tag may be zero (State omits zero
-// tags), so the restored tags capture back to the same columns.
-func (c *Controller) restoreTags(st *ControllerState) (arena.T[cme.Tag], error) {
-	var tags arena.T[cme.Tag]
-	n := st.TagAddrs.Len()
-	if st.TagMACs.Len() != n || st.TagHints.Len() != n || len(st.TagFlags) != n {
-		return tags, fmt.Errorf("memctrl: state has %d tag addresses but %d MACs, %d hints, %d written flags",
-			n, st.TagMACs.Len(), st.TagHints.Len(), len(st.TagFlags))
-	}
-	chk := nvmem.AddrCheck{Table: "memctrl: tag", Limit: c.cfg.DataBytes}
-	addrs, macs, hints, flags := st.TagAddrs.Bytes(), st.TagMACs.Bytes(), st.TagHints.Bytes(), st.TagFlags
-	for i := 0; len(addrs) >= 8 && len(macs) >= 8 && len(hints) >= 8 && len(flags) >= 1; i++ {
-		addr := binary.LittleEndian.Uint64(addrs)
-		if !chk.Next(addr) {
-			return tags, chk.Err()
-		}
-		if flags[0] > 1 {
-			return tags, fmt.Errorf("memctrl: tag %d written flag is %d, want 0 or 1", i, flags[0])
-		}
-		t := cme.Tag{MAC: binary.LittleEndian.Uint64(macs), Hint: binary.LittleEndian.Uint64(hints), Written: flags[0] == 1}
-		if t == (cme.Tag{}) {
-			return tags, fmt.Errorf("memctrl: tag %d (%#x) is zero, which State omits", i, addr)
-		}
-		*tags.Ptr(addr / nvmem.LineSize) = t
-		addrs, macs, hints, flags = addrs[8:], macs[8:], hints[8:], flags[1:]
-	}
-	return tags, nil
+// Tables returns the state's per-line tables in checkpoint order: the
+// device's lines and wear, then the data tags.
+func (st *ControllerState) Tables() [StateTables]*arena.Table {
+	return [StateTables]*arena.Table{&st.Device.Lines, &st.Device.Wear, &st.Tags}
 }
 
 // checkLists reports whether the state's small sorted tables are ones
@@ -429,22 +351,33 @@ func (c *Controller) checkLists(st *ControllerState) error {
 // Restore rebuilds the controller from a captured state. The controller
 // must have been built by New from the same Config and scheme factory as
 // the captured one; mismatches surface as scheme-state errors or later
-// divergence. The tag table is read in place from the state's columns
-// and copied into a fresh arena; the device adopts the state's line and
-// wear blocks (nvmem.Device.Restore), so a state restores once. A state of another layout, or one State could not have
-// captured (tables of unequal length, addresses unaligned, out of range or
-// out of order, zero entries, misplaced cached nodes, an impossible
-// collector ring, collector options other than the ones the controller was
-// built with), is rejected before anything is overwritten, with an
-// error naming the table; only the scheme's own state is loaded, and may
-// fail, after the shared structures are restored. The metrics collector
-// is re-created when the state carries one; fault hooks are left for the
+// divergence. The controller adopts the state's tag blocks as its tag
+// table, and the device its line and wear blocks (nvmem.Device.Adopt);
+// Restore claims all three at once (arena.Claim): a state restores once.
+// A state of another layout, or one State could not have captured (a tag
+// chunk past the data region, chunk indices out of order, blocks short of
+// their indices, all-zero chunks, a written flag other than 0 or 1,
+// unordered lists, misplaced cached nodes, an impossible collector ring,
+// collector options other than the ones the controller was built with),
+// is rejected before anything is overwritten or claimed, with an error
+// naming the table; only the scheme's own state is loaded, and may fail,
+// after the shared structures are restored. The metrics collector is
+// re-created when the state carries one; fault hooks are left for the
 // harness to re-register.
 func (c *Controller) Restore(st *ControllerState) error {
 	if st.Layout != StateLayout {
 		return fmt.Errorf("memctrl: state layout %d, want %d", st.Layout, StateLayout)
 	}
-	tags, err := c.restoreTags(st)
+	tags, err := st.Tags.Adopt(tagSize, c.cfg.DataBytes/nvmem.LineSize)
+	if err != nil {
+		return fmt.Errorf("memctrl: tag table: %w", err)
+	}
+	tags.ForEach(func(line uint64, s []byte) {
+		if s[tagSize-1] > 1 && err == nil {
+			err = fmt.Errorf("memctrl: tag table: line %d (%#x) written flag is %d, want 0 or 1",
+				line, line*nvmem.LineSize, s[tagSize-1])
+		}
+	})
 	if err != nil {
 		return err
 	}
@@ -469,9 +402,14 @@ func (c *Controller) Restore(st *ControllerState) error {
 		return fmt.Errorf("memctrl: scheme %s state mismatch (snapshot stateful=%v, scheme stateful=%v)",
 			c.policy.Name(), st.PolicyStateful, ok)
 	}
-	if err := c.dev.Restore(st.Device); err != nil {
+	installDev, err := c.dev.Adopt(st.Device)
+	if err != nil {
 		return err
 	}
+	if err := arena.Claim(st.Device.Lines, st.Device.Wear, st.Tags); err != nil {
+		return fmt.Errorf("memctrl: %w", err)
+	}
+	installDev()
 	meta := st.MetaCache
 	meta.Entries = append([]cache.EntryState[*sit.Node](nil), st.MetaCache.Entries...)
 	for i, e := range meta.Entries {
@@ -524,11 +462,4 @@ func (c *Controller) Restore(st *ControllerState) error {
 		}
 	}
 	return nil
-}
-
-func b2u8(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -88,8 +88,10 @@ func NormalizeService(bd *Breakdown, service uint64) {
 	default:
 		var sum uint64
 		for ph := serviceFirst; ph <= serviceLast; ph++ {
-			bd[ph] = bd[ph] * service / total
-			sum += bd[ph]
+			if bd[ph] != 0 { // a request fills few buckets; each division costs tens of cycles
+				bd[ph] = bd[ph] * service / total
+				sum += bd[ph]
+			}
 		}
 		bd[PhaseOther] += service - sum
 	}

@@ -177,8 +177,10 @@ type Device struct {
 	// tables, record lines) show up here.
 	wear arena.Bytes
 	// queue holds completion times (in cycles) of pending writes, FIFO
-	// by completion; banks tracks when each bank next frees up.
+	// by completion, inside qbuf (see insertCompletion); banks tracks
+	// when each bank next frees up.
 	queue []uint64
+	qbuf  []uint64
 	banks []uint64
 	stats Stats
 	// observer, when set, sees every durable line write (fault-injection
@@ -215,6 +217,7 @@ func New(cfg Config) *Device {
 		cfg:   cfg,
 		lines: arena.NewBytes(LineSize),
 		wear:  arena.NewBytes(wearSize),
+		qbuf:  make([]uint64, 0, 2*cfg.WriteQueueEntries),
 		banks: make([]uint64, cfg.WriteBanks),
 		frng:  faultRNG(cfg),
 	}
@@ -335,7 +338,13 @@ func (d *Device) MustWrite(now uint64, addr uint64, line Line, cls Class) uint64
 func (d *Device) SetWriteObserver(fn func(addr uint64, cls Class)) { d.observer = fn }
 
 // insertCompletion keeps the pending-write list sorted by completion time.
+// drain retires entries by slicing them off the queue's front, so once the
+// queue reaches qbuf's end its entries move back to qbuf's start: at most
+// once per WriteQueueEntries writes, since qbuf holds twice that many.
 func (d *Device) insertCompletion(done uint64) {
+	if len(d.queue) == cap(d.queue) {
+		d.queue = append(d.qbuf[:0], d.queue...)
+	}
 	i := len(d.queue)
 	d.queue = append(d.queue, done)
 	for i > 0 && d.queue[i-1] > done {
@@ -351,9 +360,7 @@ func (d *Device) drain(now uint64) {
 	for i < len(d.queue) && d.queue[i] <= now {
 		i++
 	}
-	if i > 0 {
-		d.queue = d.queue[:copy(d.queue, d.queue[i:])]
-	}
+	d.queue = d.queue[i:]
 }
 
 // QueueDepth returns the number of writes still pending at time now.

@@ -113,6 +113,40 @@ func TestWriteQueueDrainsOverTime(t *testing.T) {
 	}
 }
 
+// TestWriteQueueFullForLong keeps a one-bank queue full for several times
+// its capacity, so drain retires entries off its front and they move back
+// to the buffer's start again and again: every write stalls exactly until
+// the head completes, the depth stays at capacity, and none allocates.
+func TestWriteQueueFullForLong(t *testing.T) {
+	cfg := smallConfig()
+	cfg.WriteBanks = 1
+	d := New(cfg)
+	n, svc := cfg.WriteQueueEntries, cfg.WriteServiceCycles()
+	k := 0
+	write := func() {
+		stall, err := d.Write(0, 0, Line{1}, ClassData)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(0)
+		if k >= n {
+			want = uint64(k-n+1) * svc
+		}
+		if stall != want || d.QueueDepth(0) != min(k+1, n) {
+			t.Fatalf("write %d: stall %d, depth %d; want %d, %d", k, stall, d.QueueDepth(0), want, min(k+1, n))
+		}
+		k++
+	}
+	write() // the first write allocates the line's chunks
+	if allocs := testing.AllocsPerRun(5, func() {
+		for range 4 * n {
+			write()
+		}
+	}); allocs != 0 {
+		t.Fatalf("%d writes into a full queue allocate %.0f times", 4*n, allocs)
+	}
+}
+
 func TestQueueDepthPartialDrain(t *testing.T) {
 	cfg := smallConfig()
 	cfg.WriteBanks = 1 // serial drain for exact FIFO timing
@@ -376,42 +410,5 @@ func TestStateDoubleRenderByteIdentical(t *testing.T) {
 	a, b := encode(d.State()), encode(d.State())
 	if !bytes.Equal(a, b) {
 		t.Fatal("two renders of the same device state differ byte-wise")
-	}
-}
-
-// TestWordsGobRoundTrip pins the Words byte-string encoding: columns of
-// any length, extreme values included, decode to the words encoded; an
-// empty column decodes as absent (nil), as a plain slice field does; and a
-// byte string that is not whole words is an error, not a short column.
-func TestWordsGobRoundTrip(t *testing.T) {
-	type holder struct{ W Words }
-	words := func(vs ...uint64) Words {
-		var w Words
-		for _, v := range vs {
-			w.Append(v)
-		}
-		return w
-	}
-	for _, w := range []Words{{}, MakeWords(4), words(0), words(1, 1<<63, ^uint64(0), 64, 0x0102030405060708)} {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(holder{w}); err != nil {
-			t.Fatal(err)
-		}
-		var back holder
-		if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-			t.Fatal(err)
-		}
-		if w.Len() == 0 && back.W.Bytes() != nil || !bytes.Equal(back.W.Bytes(), w.Bytes()) {
-			t.Fatalf("round trip of %v gave %#v", w.Bytes(), back.W.Bytes())
-		}
-		for i := range w.Len() {
-			if back.W.At(i) != w.At(i) {
-				t.Fatalf("word %d: %#x, want %#x", i, back.W.At(i), w.At(i))
-			}
-		}
-	}
-	var w Words
-	if err := w.GobDecode(make([]byte, 15)); err == nil || w.Len() != 0 {
-		t.Fatalf("15-byte column decoded as %v, err %v; want an error and no words", w.Bytes(), err)
 	}
 }

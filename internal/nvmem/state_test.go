@@ -2,20 +2,37 @@ package nvmem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"runtime"
 	"strings"
 	"testing"
+
+	"steins/internal/arena"
 )
 
-// words builds a column from its values.
-func words(vs ...uint64) Words {
-	var w Words
-	for _, v := range vs {
-		w.Append(v)
+// reindex returns tb's blocks under the chunk indices idx.
+func reindex(tb arena.Table, idx ...uint64) arena.Table {
+	var w []byte
+	for _, c := range idx {
+		w = binary.LittleEndian.AppendUint64(w, c)
 	}
-	return w
+	return reblock(arena.Table{}, tb.Columns()[1], w)
+}
+
+// reblock returns the table of blocks b under tb's chunk indices, or
+// under chunks if given.
+func reblock(tb arena.Table, b []byte, chunks ...[]byte) arena.Table {
+	idx := tb.Columns()[0]
+	if len(chunks) > 0 {
+		idx = chunks[0]
+	}
+	out, err := arena.TableFrom(idx, b)
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 // stateBytes gob-renders a device's state for before/after comparisons.
@@ -41,14 +58,13 @@ func craftedDevice(t *testing.T) *Device {
 	return d
 }
 
-// blocks returns a column of n blocks of blockLen bytes, each starting
-// with a 1.
-func blocks(n, blockLen int) Blocks {
+// blocks returns n blocks of blockLen bytes, each starting with a 1.
+func blocks(n, blockLen int) []byte {
 	b := make([]byte, n*blockLen)
 	for k := 0; k < n; k++ {
 		b[k*blockLen] = 1
 	}
-	return BlocksFrom(b)
+	return b
 }
 
 // TestRestoreRejectsCraftedTables pins that a checkpoint's device tables
@@ -67,34 +83,34 @@ func TestRestoreRejectsCraftedTables(t *testing.T) {
 		is    error
 	}{
 		{"line past the capacity", func(st *State) {
-			st.LineChunks = words(0, 32)
+			st.Lines = reindex(st.Lines, 0, 32)
 		}, "nvmem: line table: chunk 1 (index 32) lies past", nil},
 		{"line past every int", func(st *State) {
-			st.LineChunks = words(0, 1<<62)
+			st.Lines = reindex(st.Lines, 0, 1<<62)
 		}, "nvmem: line table: chunk 1 (index 4611686018427387904) lies past", nil},
 		{"line unaligned", func(st *State) {
-			st.LineBlocks = BlocksFrom(st.LineBlocks.Bytes()[LineSize:])
+			st.Lines = reblock(st.Lines, st.Lines.Columns()[1][LineSize:])
 		}, "nvmem: line table: 65472 bytes of blocks for 2 chunks", nil},
 		{"lines descending", func(st *State) {
-			st.LineChunks = words(31, 0)
+			st.Lines = reindex(st.Lines, 31, 0)
 		}, "nvmem: line table: chunk 1 (index 0) does not ascend", nil},
 		{"line repeated", func(st *State) {
-			st.LineChunks = words(0, 0)
+			st.Lines = reindex(st.Lines, 0, 0)
 		}, "nvmem: line table: chunk 1 (index 0) does not ascend", nil},
 		{"zero line", func(st *State) {
-			st.LineBlocks = BlocksFrom(append(make([]byte, LineBlockLen), st.LineBlocks.Bytes()[LineBlockLen:]...))
+			st.Lines = reblock(st.Lines, append(make([]byte, LineBlockLen), st.Lines.Columns()[1][LineBlockLen:]...))
 		}, "nvmem: line table: chunk 0 (index 0) is all zero", nil},
 		{"wear unaligned", func(st *State) {
-			st.WearBlocks = blocks(3, WearBlockLen)
+			st.Wear = reblock(st.Wear, blocks(3, WearBlockLen))
 		}, "nvmem: wear table: 12288 bytes of blocks for 2 chunks", nil},
 		{"wear past the capacity", func(st *State) {
-			st.WearChunks = words(0, 32)
+			st.Wear = reindex(st.Wear, 0, 32)
 		}, "nvmem: wear table: chunk 1 (index 32) lies past", nil},
 		{"wear descending", func(st *State) {
-			st.WearChunks = words(31, 0)
+			st.Wear = reindex(st.Wear, 31, 0)
 		}, "nvmem: wear table: chunk 1 (index 0) does not ascend", nil},
 		{"zero wear count", func(st *State) {
-			st.WearBlocks = BlocksFrom(make([]byte, 2*WearBlockLen))
+			st.Wear = reblock(st.Wear, make([]byte, 2*WearBlockLen))
 		}, "nvmem: wear table: chunk 0 (index 0) is all zero", nil},
 		{"stuck overlay past the capacity", func(st *State) {
 			st.Stuck = []StuckState{{Addr: 1 << 40, Mask: Line{1}}}
@@ -117,8 +133,8 @@ func TestRestoreRejectsCraftedTables(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := craftedDevice(t).State()
-			if st.LineChunks.Len() != 2 || st.WearChunks.Len() != 2 {
-				t.Fatalf("crafted device has %d line and %d wear chunks, want 2 each", st.LineChunks.Len(), st.WearChunks.Len())
+			if st.Lines.Len() != 2 || st.Wear.Len() != 2 {
+				t.Fatalf("crafted device has %d line and %d wear chunks, want 2 each", st.Lines.Len(), st.Wear.Len())
 			}
 			tc.craft(&st)
 			d := New(smallConfig())
@@ -145,8 +161,10 @@ func TestRestoreRejectsCraftedTables(t *testing.T) {
 // TestRestoreAdoptsColumns pins the adoption contract: Restore takes the
 // state's line and wear blocks as the device's chunks without copying
 // them, so a second Restore of the state, or of a copy of it, is refused
-// and leaves its device as it was; and State never aliases the device, so
-// a state taken after writes is independent of the device it came from.
+// and leaves its device as it was; State never aliases the device, so a
+// state taken after writes is independent of the device it came from;
+// and neither Adopt nor a restore refused because one of its tables was
+// adopted already claims a table or changes the device.
 func TestRestoreAdoptsColumns(t *testing.T) {
 	src := craftedDevice(t)
 	want := stateBytes(t, src)
@@ -159,10 +177,10 @@ func TestRestoreAdoptsColumns(t *testing.T) {
 	if !bytes.Equal(stateBytes(t, d), want) {
 		t.Fatal("restored device differs from its source")
 	}
-	if !st.LineBlocks.Adopted() || !cp.WearBlocks.Adopted() {
+	if !st.Lines.Adopted() || !cp.Wear.Adopted() {
 		t.Fatal("restored state's blocks are not marked adopted")
 	}
-	if &d.lines.Probe(64 / LineSize)[0] != &st.LineBlocks.Bytes()[64] {
+	if &d.lines.Probe(64 / LineSize)[0] != &st.Lines.Columns()[1][64] {
 		t.Fatal("Restore copied the line blocks instead of adopting them")
 	}
 	other := New(smallConfig())
@@ -198,7 +216,20 @@ func TestRestoreAdoptsColumns(t *testing.T) {
 	if got := d.Peek(4096); got != (Line{0xDD}) {
 		t.Fatalf("source device line %x after writes elsewhere, want dd", got[:1])
 	}
-	if err := st.SetColumns([StateColumns][]byte{make([]byte, 12)}); err == nil {
-		t.Fatal("SetColumns accepted a 12-byte word column")
+	// Adopt claims nothing and leaves the device as it was until install
+	// runs; a restore refused because one of its tables was claimed
+	// already claims the other one neither.
+	unclaimed := d.State()
+	fresh2 := New(smallConfig())
+	before = stateBytes(t, fresh2)
+	if _, err := fresh2.Adopt(unclaimed); err != nil {
+		t.Fatal(err)
+	}
+	unclaimed.Wear = st.Wear
+	if err := fresh2.Restore(unclaimed); !errors.Is(err, arena.ErrAdopted) {
+		t.Fatalf("Restore with an adopted wear table = %v, want ErrAdopted", err)
+	}
+	if unclaimed.Lines.Adopted() || !bytes.Equal(stateBytes(t, fresh2), before) {
+		t.Fatal("Adopt or a refused restore claimed the state's tables or changed the device")
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"steins/internal/arena"
 	"steins/internal/memctrl"
 	"steins/internal/nvmem"
 	"steins/internal/scheme/pipesit"
@@ -138,7 +140,8 @@ func TestRestoreStateFirstErrorInOrder(t *testing.T) {
 		}
 		st.Tenants[0].PGs[0].Channels[1].Layout = 0
 		st.Tenants[0].PGs[1].Channels[0].Layout = 0
-		st.Tenants[0].PGs[1].Channels[1].TagHints = nvmem.Words{}
+		tags := &st.Tenants[0].PGs[1].Channels[1].Tags
+		*tags = tableOf(nil, tags.Columns()[1])
 		dst := checkpointPool(t, 2, 0)
 		err = dst.RestoreState(st)
 		dst.Close()
@@ -189,13 +192,15 @@ func envelope(tb testing.TB, payload []byte) []byte {
 }
 
 // checkpointSeeds are FuzzServerCheckpoint's starting inputs: a valid
-// checkpoint of the fuzz pool, ten crafted payloads in intact envelopes,
+// checkpoint of the fuzz pool, twelve crafted payloads in intact envelopes,
 // each refused for one reason (a truncated column section, zero-length
 // sections after the last column, a line chunk index past the device, a
 // repeated wear chunk index, an all-zero line chunk, a line block one
-// line short, a descending tag column, a cached split leaf with a minor
-// counter of 64, a Steins record line past the device, a Steins NV-buffer
-// entry above the tree), a CRC-valid skeleton that is not gob, and two
+// line short, a tag chunk index that does not ascend, a tag past the data
+// region though inside the device, a tag written flag of 2, a cached split
+// leaf with a minor counter of 64, a Steins record line past the device, a
+// Steins NV-buffer entry above the tree), a CRC-valid skeleton that is not
+// gob, and two
 // damaged envelopes of the valid checkpoint (a flipped skeleton byte, a
 // file cut short inside its last column section).
 func checkpointSeeds(tb testing.TB) map[string]checkpointSeed {
@@ -226,24 +231,28 @@ func checkpointSeeds(tb testing.TB) map[string]checkpointSeed {
 		"truncated-section":    {payload: valid[:len(valid)-3]},
 		"zero-length-sections": {payload: append(valid[:len(valid):len(valid)], make([]byte, 4096)...)},
 		"line-past-device": craft(func(cs *memctrl.ControllerState) {
-			cs.Device.LineChunks = replaceWord(cs.Device.LineChunks, cs.Device.LineChunks.Len()-1, 1<<40)
+			cs.Device.Lines = setChunk(cs.Device.Lines, cs.Device.Lines.Len()-1, 1<<40)
 		}),
 		"duplicate-chunk": craft(func(cs *memctrl.ControllerState) {
-			c, b := cs.Device.WearChunks.At(0), cs.Device.WearBlocks.Bytes()[:nvmem.WearBlockLen]
-			cs.Device.WearChunks = nvmem.Words{}
-			cs.Device.WearChunks.Append(c)
-			cs.Device.WearChunks.Append(c)
-			cs.Device.WearBlocks = nvmem.BlocksFrom(append(append([]byte(nil), b...), b...))
+			cs.Device.Wear = repeatChunk(cs.Device.Wear, nvmem.WearBlockLen)
 		}),
 		"zero-chunk": craft(func(cs *memctrl.ControllerState) {
-			cs.Device.LineBlocks = nvmem.BlocksFrom(make([]byte, len(cs.Device.LineBlocks.Bytes())))
+			cs.Device.Lines = tableOf(cs.Device.Lines.Columns()[0], make([]byte, len(cs.Device.Lines.Columns()[1])))
 		}),
 		"short-block": craft(func(cs *memctrl.ControllerState) {
-			b := cs.Device.LineBlocks.Bytes()
-			cs.Device.LineBlocks = nvmem.BlocksFrom(b[:len(b)-nvmem.LineSize])
+			b := cs.Device.Lines.Columns()[1]
+			cs.Device.Lines = tableOf(cs.Device.Lines.Columns()[0], b[:len(b)-nvmem.LineSize])
 		}),
+		// The fuzz pool's data region is 32 lines, one tag chunk: the
+		// tag table's chunk indices can repeat but not descend.
 		"descending-tags": craft(func(cs *memctrl.ControllerState) {
-			cs.TagAddrs = replaceWord(cs.TagAddrs, 0, cs.TagAddrs.At(1)+64)
+			cs.Tags = repeatChunk(cs.Tags, arena.ChunkLen*17)
+		}),
+		"tag-past-data-region": craft(func(cs *memctrl.ControllerState) {
+			cs.Tags = setTagByte(cs.Tags, 32*17, 1) // line 32's MAC
+		}),
+		"written-byte-2": craft(func(cs *memctrl.ControllerState) {
+			cs.Tags = setTagByte(cs.Tags, 16, 2) // line 0's written flag
 		}),
 		"minor-counter-64": craft(func(cs *memctrl.ControllerState) {
 			for i, e := range cs.MetaCache.Entries {
@@ -270,17 +279,34 @@ func checkpointSeeds(tb testing.TB) map[string]checkpointSeed {
 	}
 }
 
-// replaceWord returns w with word i set to v.
-func replaceWord(w nvmem.Words, i int, v uint64) nvmem.Words {
-	var out nvmem.Words
-	for j := range w.Len() {
-		if j == i {
-			out.Append(v)
-		} else {
-			out.Append(w.At(j))
-		}
+// tableOf is arena.TableFrom for columns known to be well formed.
+func tableOf(chunks, blocks []byte) arena.Table {
+	t, err := arena.TableFrom(chunks, blocks)
+	if err != nil {
+		panic(err)
 	}
-	return out
+	return t
+}
+
+// setChunk returns t with chunk index i set to v.
+func setChunk(t arena.Table, i int, v uint64) arena.Table {
+	idx := append([]byte(nil), t.Columns()[0]...)
+	binary.LittleEndian.PutUint64(idx[8*i:], v)
+	return tableOf(idx, t.Columns()[1])
+}
+
+// repeatChunk returns the table listing t's first chunk, of blockLen
+// bytes, twice.
+func repeatChunk(t arena.Table, blockLen int) arena.Table {
+	idx, b := t.Columns()[0][:8], t.Columns()[1][:blockLen]
+	return tableOf(append(append([]byte(nil), idx...), idx...), append(append([]byte(nil), b...), b...))
+}
+
+// setTagByte returns t with byte off of its blocks set to v.
+func setTagByte(t arena.Table, off int, v byte) arena.Table {
+	b := append([]byte(nil), t.Columns()[1]...)
+	b[off] = v
+	return tableOf(t.Columns()[0], b)
 }
 
 // loadBoth parses env through snapshot.Decode and, from a file,
@@ -364,10 +390,11 @@ func FuzzServerCheckpoint(f *testing.F) {
 			for k := range in.Tenants[i].PGs {
 				for c, cs := range in.Tenants[i].PGs[k].Channels {
 					bs := back.Tenants[i].PGs[k].Channels[c]
-					inCols, backCols := cs.Columns(), bs.Columns()
-					for j := range inCols {
-						if !bytes.Equal(inCols[j], backCols[j]) {
-							t.Fatalf("tenant %d pg %d channel %d: column %d changed through a restore", i, k, c, j)
+					backTables := bs.Tables()
+					for j, tb := range cs.Tables() {
+						inCols, backCols := tb.Columns(), backTables[j].Columns()
+						if !bytes.Equal(inCols[0], backCols[0]) || !bytes.Equal(inCols[1], backCols[1]) {
+							t.Fatalf("tenant %d pg %d channel %d: table %d changed through a restore", i, k, c, j)
 						}
 					}
 					canonical = canonical && bytes.Equal(cs.Policy, bs.Policy)
@@ -401,7 +428,9 @@ func TestServerCheckpointSeeds(t *testing.T) {
 		"duplicate-chunk":         {snapshot.ErrCorrupt, "nvmem: wear table: chunk 1 (index 0) does not ascend"},
 		"zero-chunk":              {snapshot.ErrCorrupt, "nvmem: line table: chunk 0 (index 0) is all zero"},
 		"short-block":             {snapshot.ErrCorrupt, "nvmem: line table: 32704 bytes of blocks for 1 chunks"},
-		"descending-tags":         {snapshot.ErrCorrupt, "memctrl: tag address 1"},
+		"descending-tags":         {snapshot.ErrCorrupt, "memctrl: tag table: chunk 1 (index 0) does not ascend"},
+		"tag-past-data-region":    {snapshot.ErrCorrupt, "memctrl: tag table: chunk 0 (index 0) holds slots past the 32 slots"},
+		"written-byte-2":          {snapshot.ErrCorrupt, "memctrl: tag table: line 0 (0x0) written flag is 2"},
 		"minor-counter-64":        {snapshot.ErrCorrupt, "minor counter 0 is 64"},
 		"record-line-past-device": {snapshot.ErrCorrupt, "record line 0 at 0x1"},
 		"nv-buffer-level-42":      {snapshot.ErrCorrupt, "NV buffer entry 0 (level 42 index 0)"},

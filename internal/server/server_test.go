@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"steins/internal/memctrl"
-	"steins/internal/nvmem"
 	"steins/internal/snapshot"
 	"steins/securemem"
 )
@@ -276,10 +275,14 @@ func TestRestoreRejectsCorruptTables(t *testing.T) {
 	}
 	for name, breakIt := range map[string]func(c *memctrl.ControllerState){
 		"line data": func(c *memctrl.ControllerState) {
-			c.Device.LineBlocks = nvmem.BlocksFrom(c.Device.LineBlocks.Bytes()[1:])
+			c.Device.Lines = tableOf(c.Device.Lines.Columns()[0], c.Device.Lines.Columns()[1][1:])
 		},
-		"wear":       func(c *memctrl.ControllerState) { c.Device.WearBlocks = nvmem.Blocks{} },
-		"tag hints":  func(c *memctrl.ControllerState) { c.TagHints = nvmem.Words{} },
+		"wear": func(c *memctrl.ControllerState) { c.Device.Wear = tableOf(c.Device.Wear.Columns()[0], nil) },
+		// The last tag slot's hint and written flag cut off.
+		"tag hints": func(c *memctrl.ControllerState) {
+			b := c.Tags.Columns()[1]
+			c.Tags = tableOf(c.Tags.Columns()[0], b[:len(b)-9])
+		},
 		"old layout": func(c *memctrl.ControllerState) { c.Layout = 0 },
 	} {
 		st, err := src.State()

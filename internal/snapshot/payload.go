@@ -4,17 +4,18 @@
 //
 //	[0, 8)     layout word: memctrl.StateLayout, little-endian
 //	[8, 16)    skeleton length S, little-endian
-//	[16, 16+S) gob skeleton: the state with every controller's columns
-//	           (memctrl.ControllerState.Columns) emptied
+//	[16, 16+S) gob skeleton: the state with every controller's per-line
+//	           tables (memctrl.ControllerState.Tables) emptied
 //	then, per controller in the state's order (a run's Sharded.Ctrls, a
-//	server's tenant/PG/channel order) and per column in Columns order, an
-//	8-byte little-endian length L and L raw bytes.
+//	server's tenant/PG/channel order), per table in Tables order and per
+//	column of the table (arena.Table.Columns: chunk indices, then blocks),
+//	an 8-byte little-endian length L and L raw bytes.
 //
 // Nothing follows the last column. Everything small — names, clocks,
 // statistics, cached nodes, scheme blobs — stays in gob, which keeps the
 // structure self-describing; only the tables that scale with the footprint
-// are raw. The device's line and wear columns are whole arena chunks
-// (nvmem.State), which a restore adopts as the device's memory. A payload
+// are raw. Every such table is whole arena chunks (the device's lines and
+// wear, the data tags), whose blocks a restore adopts in place. A payload
 // of any other layout, a gob run snapshot included, is refused by the
 // layout word.
 
@@ -29,6 +30,7 @@ import (
 	"io"
 	"os"
 
+	"steins/internal/arena"
 	"steins/internal/memctrl"
 )
 
@@ -42,13 +44,40 @@ type checkpoint[S any] interface {
 	// controllers lists the state's controllers in section order.
 	controllers() []*memctrl.ControllerState
 	// skeleton returns a copy of the state whose controllers carry no
-	// columns; the rest is shared with the state, which is not modified.
+	// per-line tables (emptyTables); the rest is shared with the state,
+	// which is not modified.
 	skeleton() *S
 }
 
 // payloadHeaderLen is the payload's fixed header: layout word and skeleton
 // length.
 const payloadHeaderLen = 16
+
+// ctrlSections is the number of column sections per controller: two per
+// per-line table.
+const ctrlSections = 2 * memctrl.StateTables
+
+// isBlocks reports whether column section k of a payload holds chunk
+// blocks, which a restore adopts: every table frames as its chunk indices,
+// then its blocks, so the odd sections are the blocks.
+func isBlocks(k int) bool { return k%2 == 1 }
+
+// emptyTables drops a skeleton controller's per-line tables.
+func emptyTables(cs *memctrl.ControllerState) {
+	for _, t := range cs.Tables() {
+		*t = arena.Table{}
+	}
+}
+
+// columns lists a controller's column sections in payload order.
+func columns(cs *memctrl.ControllerState) [ctrlSections][]byte {
+	var cols [ctrlSections][]byte
+	for j, t := range cs.Tables() {
+		c := t.Columns()
+		cols[2*j], cols[2*j+1] = c[0], c[1]
+	}
+	return cols
+}
 
 // encodePayload lays st out as a sectioned payload.
 func encodePayload[S any, P checkpoint[S]](st P) ([]byte, error) {
@@ -59,7 +88,7 @@ func encodePayload[S any, P checkpoint[S]](st P) ([]byte, error) {
 	ctrls := st.controllers()
 	size := payloadHeaderLen + len(sk)
 	for _, cs := range ctrls {
-		for _, col := range cs.Columns() {
+		for _, col := range columns(cs) {
 			size += 8 + len(col)
 		}
 	}
@@ -68,7 +97,7 @@ func encodePayload[S any, P checkpoint[S]](st P) ([]byte, error) {
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(sk)))
 	out = append(out, sk...)
 	for _, cs := range ctrls {
-		for _, col := range cs.Columns() {
+		for _, col := range columns(cs) {
 			out = binary.LittleEndian.AppendUint64(out, uint64(len(col)))
 			out = append(out, col...)
 		}
@@ -90,7 +119,7 @@ func parse[S any, P checkpoint[S]](payload []byte) (P, error) {
 	if err != nil {
 		return nil, err
 	}
-	secs, tail := splitSections(payload[payloadHeaderLen+skLen:], len(st.controllers())*memctrl.StateColumns)
+	secs, tail := splitSections(payload[payloadHeaderLen+skLen:], len(st.controllers())*ctrlSections)
 	if err := frameColumns(st.controllers(), secs, tail); err != nil {
 		return nil, err
 	}
@@ -152,8 +181,8 @@ func splitSections(rest []byte, count int) (secs [][]byte, tail []byte) {
 // checkpoint has none.
 func frameColumns(ctrls []*memctrl.ControllerState, secs [][]byte, tail []byte) error {
 	for i, cs := range ctrls {
-		var cols [memctrl.StateColumns][]byte
-		for j, col := range cs.Columns() {
+		cols := columns(cs)
+		for j, col := range cols {
 			if len(col) != 0 {
 				return fmt.Errorf("%w: skeleton carries column %d of controller %d", ErrCorrupt, j, i)
 			}
@@ -166,8 +195,11 @@ func frameColumns(ctrls []*memctrl.ControllerState, secs [][]byte, tail []byte) 
 			}
 			cols[j], secs = secs[0], secs[1:]
 		}
-		if err := cs.SetColumns(cols); err != nil {
-			return fmt.Errorf("%w: controller %d: %v", ErrCorrupt, i, err)
+		for j, t := range cs.Tables() {
+			var err error
+			if *t, err = arena.TableFrom(cols[2*j], cols[2*j+1]); err != nil {
+				return fmt.Errorf("%w: controller %d: %v", ErrCorrupt, i, err)
+			}
 		}
 	}
 	if extra := len(tail) + 8*len(secs); extra != 0 {
@@ -290,7 +322,7 @@ func LoadFile[S any, P checkpoint[S]](path string) (P, error) {
 		if k >= eagerSections {
 			wait()
 		}
-		return parseErr == nil && (st == nil || k < len(st.controllers())*memctrl.StateColumns)
+		return parseErr == nil && (st == nil || k < len(st.controllers())*ctrlSections)
 	}
 	sum := crc32.Update(0, crc32.IEEETable, head)
 	sum = crc32.Update(sum, crc32.IEEETable, sk)
@@ -314,17 +346,16 @@ func LoadFile[S any, P checkpoint[S]](path string) (P, error) {
 // eagerSections is how many column sections LoadFile walks before the
 // skeleton's decode has told it how many there are: all of them for a
 // state of up to eight controllers.
-const eagerSections = 8 * memctrl.StateColumns
+const eagerSections = 8 * ctrlSections
 
 // readSections reads the n bytes of column sections at offset off of f,
 // split the way splitSections splits them, and folds every byte into the
 // CRC sum. more(k) reports whether section k is one to split off; the
 // bytes from the first section it refuses on are the tail. The length
 // words are read first, so the sections can be laid out in two
-// allocations: one holding the device's chunk blocks, which a restore
-// adopts as the device's memory (memctrl.AdoptedColumn), and one for
-// every other column, which the restore copies out of and drops. The
-// adopted blocks thus keep no other part of the file alive. Reading all
+// allocations: one holding the chunk blocks, which a restore adopts
+// (isBlocks), and one for the chunk indices, which the restore reads and
+// drops. The adopted blocks thus keep no other part of the file alive. Reading all
 // sections into one allocation measured slower in the restart benchmark
 // (DESIGN.md, "Layout 5").
 func readSections(f *os.File, off int64, n uint64, sum *uint32, more func(k int) bool) (secs [][]byte, tail []byte, err error) {
@@ -383,7 +414,3 @@ func readAt(f *os.File, b []byte, at int64) error {
 	}
 	return nil
 }
-
-// isBlocks reports whether column section k of a payload holds device
-// chunk blocks; each controller's sections follow memctrl Columns order.
-func isBlocks(k int) bool { return memctrl.AdoptedColumn(k % memctrl.StateColumns) }

@@ -154,7 +154,7 @@ func checkSections[S any, P checkpoint[S]](t *testing.T, st P) {
 	skLen := binary.LittleEndian.Uint64(payload[8:])
 	off := payloadHeaderLen + int(skLen)
 	for _, cs := range st.controllers() {
-		for j, col := range cs.Columns() {
+		for j, col := range columns(cs) {
 			if n := binary.LittleEndian.Uint64(payload[off:]); n != uint64(len(col)) {
 				t.Fatalf("column %d section is %d bytes, want %d", j, n, len(col))
 			}
@@ -172,7 +172,7 @@ func checkSections[S any, P checkpoint[S]](t *testing.T, st P) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := back.controllers()[1].Device.LineBlocks.Bytes()
+	lines := back.controllers()[1].Device.Lines.Columns()[1]
 	if len(lines) == 0 || &lines[0] != &payload[bytes.Index(payload, lines)] {
 		t.Fatal("parsed line blocks are not a sub-slice of the payload")
 	}
@@ -185,12 +185,12 @@ func checkSections[S any, P checkpoint[S]](t *testing.T, st P) {
 	}
 	// A parsed column is capped at its section: growing it cannot write
 	// over the bytes that follow.
-	back.controllers()[0].Device.LineChunks.Append(^uint64(0))
+	_ = append(back.controllers()[0].Device.Lines.Columns()[0], 0xff)
 	if !bytes.Equal(again, payload) {
 		t.Fatal("appending to a parsed column overwrote the payload")
 	}
 	for _, cs := range st.controllers() {
-		if cs.TagAddrs.Len() == 0 {
+		if cs.Tags.Len() == 0 {
 			t.Fatal("encoding emptied the caller's columns")
 		}
 	}
@@ -218,7 +218,7 @@ func TestServerPayloadRejectsBadFraming(t *testing.T) {
 		cases[k.name] = []framing{
 			{"empty", "shorter than its", nil},
 			{"header cut", "shorter than its", good[:payloadHeaderLen-1]},
-			{"older layout", "payload layout 0x3, want 5", with(func(p []byte) []byte {
+			{"older layout", "payload layout 0x3, want 6", with(func(p []byte) []byte {
 				binary.LittleEndian.PutUint64(p, 3)
 				return p
 			})},
@@ -308,11 +308,14 @@ func TestLoadersStopAtTheirSections(t *testing.T) {
 // in layout 3, when hash placement groups kept identity local addresses.
 // layout4-server.snap is a two-PG Steins-SC pool checkpointed in layout 4,
 // which listed the device's lines and wear counts one by one.
+// layout5-server.snap is a two-PG Steins-SC pool checkpointed in layout 5,
+// which listed the data tags one by one in four columns.
 func TestServerLayoutFixtures(t *testing.T) {
 	for _, tc := range []struct{ file, why string }{
 		{"layout2-server.snap", "payload layout"},
-		{"identity-hash-server.snap", "payload layout 0x3, want 5"},
-		{"layout4-server.snap", "payload layout 0x4, want 5"},
+		{"identity-hash-server.snap", "payload layout 0x3, want 6"},
+		{"layout4-server.snap", "payload layout 0x4, want 6"},
+		{"layout5-server.snap", "payload layout 0x5, want 6"},
 	} {
 		env, err := os.ReadFile("testdata/" + tc.file)
 		if err != nil {

@@ -69,7 +69,7 @@ func (st *ServerState) skeleton() *ServerState {
 		sk.Tenants[i].PGs = pgs
 	}
 	for _, cs := range sk.controllers() {
-		cs.SetColumns([memctrl.StateColumns][]byte{}) // empty columns always fit
+		emptyTables(cs)
 	}
 	return sk
 }

@@ -172,7 +172,7 @@ func (st *RunState) skeleton() *RunState {
 		for i, cs := range st.Sharded.Ctrls {
 			if cs != nil { // gob refuses a nil controller
 				c := *cs
-				c.SetColumns([memctrl.StateColumns][]byte{}) // empty columns always fit
+				emptyTables(&c)
 				sh.Ctrls[i] = &c
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"steins/internal/arena"
 	"steins/internal/memctrl"
 	"steins/internal/metrics"
 	"steins/internal/nvmem"
@@ -389,7 +390,7 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 	mutated := func(fn func(c *memctrl.ControllerState)) RunState {
 		st := capture(t, testHeader("Steins-GC", 1, 100), 25)
 		c := st.Sharded.Ctrls[0]
-		if c.Device.LineChunks.Len() == 0 || c.Device.WearChunks.Len() == 0 || c.TagAddrs.Len() == 0 {
+		if c.Device.Lines.Len() == 0 || c.Device.Wear.Len() == 0 || c.Tags.Len() == 0 {
 			t.Fatalf("fixture run left a table empty")
 		}
 		fn(c)
@@ -440,27 +441,30 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 			return h
 		}(), Sharded: &sim.ShardedState{}}), "unknown scheme"},
 		{"line data short of its addresses", wire(mutated(func(c *memctrl.ControllerState) {
-			b := c.Device.LineBlocks.Bytes()
-			c.Device.LineBlocks = nvmem.BlocksFrom(b[:len(b)-1])
+			c.Device.Lines = cutBlocks(c.Device.Lines, 1)
 		})), "nvmem: line table: 98303 bytes of blocks for 3 chunks"},
 		{"line data past its addresses", wire(mutated(func(c *memctrl.ControllerState) {
-			c.Device.LineChunks = tailWords(c.Device.LineChunks)
+			c.Device.Lines = tailChunks(c.Device.Lines)
 		})), "nvmem: line table: 98304 bytes of blocks for 2 chunks"},
 		{"wear counts short of their addresses", wire(mutated(func(c *memctrl.ControllerState) {
-			c.Device.WearChunks = tailWords(c.Device.WearChunks)
+			c.Device.Wear = tailChunks(c.Device.Wear)
 		})), "nvmem: wear table: 12288 bytes of blocks for 2 chunks"},
+		// A tag slot is its MAC, its hint and its written flag, 17 bytes:
+		// each cut takes the named field and what follows it off the last
+		// slot.
 		{"tag MACs short of their addresses", wire(mutated(func(c *memctrl.ControllerState) {
-			c.TagMACs = tailWords(c.TagMACs)
-		})), "tag addresses"},
+			c.Tags = cutBlocks(c.Tags, 17)
+		})), "memctrl: tag table: 26095 bytes of blocks for 3 chunks"},
 		{"tag hints short of their addresses", wire(mutated(func(c *memctrl.ControllerState) {
-			c.TagHints = tailWords(c.TagHints)
-		})), "tag addresses"},
+			c.Tags = cutBlocks(c.Tags, 9)
+		})), "memctrl: tag table: 26103 bytes of blocks for 3 chunks"},
 		{"tag written flags short of their addresses", wire(mutated(func(c *memctrl.ControllerState) {
-			c.TagFlags = c.TagFlags[1:]
-		})), "tag addresses"},
+			c.Tags = cutBlocks(c.Tags, 1)
+		})), "memctrl: tag table: 26111 bytes of blocks for 3 chunks"},
 		{"tag addresses past their values", wire(mutated(func(c *memctrl.ControllerState) {
-			c.TagAddrs.Append(c.TagAddrs.At(c.TagAddrs.Len()-1) + nvmem.LineSize)
-		})), "tag addresses"},
+			idx := binary.LittleEndian.AppendUint64(append([]byte(nil), c.Tags.Columns()[0]...), c.Tags.Chunk(c.Tags.Len()-1)+1)
+			c.Tags = tableOf(idx, c.Tags.Columns()[1])
+		})), "memctrl: tag table: 26112 bytes of blocks for 4 chunks"},
 		{"unknown controller layout", wire(mutated(func(c *memctrl.ControllerState) {
 			c.Layout = memctrl.StateLayout + 1
 		})), fmt.Sprintf("layout %d", memctrl.StateLayout+1)},
@@ -493,9 +497,11 @@ func TestResumeRejectsInconsistent(t *testing.T) {
 // engine in layout 3; keep-cache-header.snap a layout-3 Steins-GC run whose
 // header set the retired keep-cache-per-channel flag; first-touch-hash-run.snap
 // a two-channel hash-interleave Steins-GC run in layout 3, when the hash mode
-// handed out local lines in first-touch order; and layout5-gob-run.snap a
+// handed out local lines in first-touch order; layout5-gob-run.snap a
 // Steins-SC pers_queue run (steinssim -checkpoint) in the last gob form,
-// layout 5 of the controller state.
+// layout 5 of the controller state; and layout5-run.snap a Steins-SC
+// pers_queue run in the sectioned payload of layout 5, whose layout word
+// is 5: it listed the data tags in four columns.
 func TestRunLayoutFixtures(t *testing.T) {
 	for _, tc := range []struct{ name, file string }{
 		{"pre-columnar layout", "pre-columnar-run.snap"},
@@ -505,29 +511,39 @@ func TestRunLayoutFixtures(t *testing.T) {
 		{"retired keep-cache header", "keep-cache-header.snap"},
 		{"first-touch hash router", "first-touch-hash-run.snap"},
 		{"layout 5 gob", "layout5-gob-run.snap"},
+		{"layout 5", "layout5-run.snap"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env, err := os.ReadFile("testdata/" + tc.file)
 			if err != nil {
 				t.Fatal(err)
 			}
-			const why = ", want 5 (checkpoints of older layouts are refused"
+			const why = ", want 6 (checkpoints of older layouts are refused"
 			back, err := loadBoth[RunState](t, env)
 			if back != nil || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "payload layout 0x") ||
-				!strings.Contains(err.Error(), why) {
+				!strings.Contains(err.Error(), why) || tc.file == "layout5-run.snap" && !strings.Contains(err.Error(), "payload layout 0x5,") {
 				t.Fatalf("%s: %v, want ErrCorrupt naming the payload layout", tc.file, err)
 			}
 		})
 	}
 }
 
-// tailWords drops a column's first word.
-func tailWords(w nvmem.Words) nvmem.Words {
-	out, err := nvmem.WordsFrom(w.Bytes()[8:])
+// tableOf is arena.TableFrom for columns known to be well formed.
+func tableOf(chunks, blocks []byte) arena.Table {
+	t, err := arena.TableFrom(chunks, blocks)
 	if err != nil {
 		panic(err)
 	}
-	return out
+	return t
+}
+
+// tailChunks drops a table's first chunk index, keeping its blocks.
+func tailChunks(t arena.Table) arena.Table { return tableOf(t.Columns()[0][8:], t.Columns()[1]) }
+
+// cutBlocks drops the last n bytes of a table's blocks.
+func cutBlocks(t arena.Table, n int) arena.Table {
+	b := t.Columns()[1]
+	return tableOf(t.Columns()[0], b[:len(b)-n])
 }
 
 // TestSaveLoadFile exercises the file round trip.

@@ -275,6 +275,18 @@ func TestRunShardedHashFillsExactSlice(t *testing.T) {
 	}
 }
 
+// TestRunShardedStreamNeedsDataBytes: a stream carries no footprint, so
+// a run without opt.DataBytes is refused with an error, not a panic.
+func TestRunShardedStreamNeedsDataBytes(t *testing.T) {
+	opt := shardOpt()
+	opt.DataBytes = 0
+	ops := []trace.Op{{Addr: 0, IsWrite: true, Gap: 1}}
+	_, err := RunShardedStream(trace.NewReplay("no-footprint", ops), SteinsGC, opt, ShardOptions{})
+	if err == nil || !strings.Contains(err.Error(), "DataBytes") {
+		t.Fatalf("RunShardedStream without DataBytes: err = %v, want an error naming DataBytes", err)
+	}
+}
+
 // TestShardedHashRouteIgnoresProbes: routing is a function of the address,
 // so read-only probes (ReadGlobal, DataCounter) assign nothing and routing
 // order does not matter: an engine probed at high addresses first homes

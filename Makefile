@@ -59,6 +59,7 @@ fuzz:
 	fuzz FuzzCampaignSchedule ./internal/campaign; \
 	fuzz FuzzBatchBody ./internal/server; \
 	fuzz FuzzSearchCounter ./internal/crypt; \
+	fuzz FuzzSum80x8 ./internal/crypt; \
 	fuzz FuzzServerCheckpoint ./internal/server -fuzzminimizetime=100x; \
 	if [ -n "$$failed" ]; then echo "fuzz: failed:$$failed"; exit 1; fi
 
@@ -102,7 +103,10 @@ metrics-demo:
 # replay-boundary repro artifacts. The recovery counter searches (the
 # SipHash prefix-cached fast path against the one-MAC-per-candidate loop)
 # run raced at -cpu 1,4, together with the SipHash vectors, the hint-first
-# split-counter recovery against the plain 64-candidate search, and the
+# split-counter recovery against the plain 64-candidate search, the
+# eight-lane SipHash (the AVX-512 kernel where the CPU has it and the
+# generic loop, both against sipCore), the batched hinted check of a
+# split leaf against the one-slot-at-a-time recovery, and the
 # Steins recovery suites over the dense recovery bookkeeping. The
 # checkpoint restore suites (crafted tables
 # refused chunk by chunk and entry by entry, the arena's adoption of
@@ -146,7 +150,7 @@ check: campaign serve-check bench-check figs-check
 		./internal/campaign
 	go test -shuffle=on -race -cpu 1,4 -run 'Quarantine|Readmission|Degraded|Heal|ReplayBoundary' \
 		./internal/scheme/steins ./internal/memctrl ./internal/campaign
-	go test -shuffle=on -race -cpu 1,4 -run 'Search|Recover|SipHash' ./internal/crypt ./internal/cme \
+	go test -shuffle=on -race -cpu 1,4 -run 'Search|Recover|SipHash|Sum80x8|BatchedHintCheck|SplitLeaf' ./internal/crypt ./internal/cme \
 		./internal/scheme/steins
 	go test -shuffle=on -race -cpu 1,2,8 -run 'Sharded|Conformance|Splitter|Interleave|NextEpoch|Replay|SystemRecover|DriveStream|OneChannelMatchesBareController|AddressErrors|BadAddressTypedError|Route' \
 		./internal/sim ./internal/trace ./internal/multi ./internal/scheme/schemetest ./securemem \

@@ -13,6 +13,9 @@
 package cme
 
 import (
+	"encoding/binary"
+
+	"steins/internal/counter"
 	"steins/internal/crypt"
 	"steins/internal/sit"
 )
@@ -155,8 +158,15 @@ func (e *Engine) RecoverCounterSC(ct *[64]byte, addr uint64, tag Tag, staleMinor
 // message. The message's counter word is scratch: its value on return is
 // unspecified.
 func (e *Engine) RecoverCounterSCMsg(msg *[sit.DataMACMsgSize]byte, tag Tag) (major uint64, minor uint8, macOps uint64, ok bool) {
+	_, _, hit := crypt.SearchCounter(e.MAC, e.Key, msg[:], tag.Hint, 0, 1, tag.MAC)
+	return e.recoverSC(msg, tag, hit)
+}
+
+// recoverSC finishes RecoverCounterSCMsg once the hinted counter's check
+// has run: a hit names the minor, a miss runs the 64-candidate search.
+func (e *Engine) recoverSC(msg *[sit.DataMACMsgSize]byte, tag Tag, hit bool) (major uint64, minor uint8, macOps uint64, ok bool) {
 	major = tag.Hint >> 6
-	if _, _, hit := crypt.SearchCounter(e.MAC, e.Key, msg[:], tag.Hint, 0, 1, tag.MAC); hit {
+	if hit {
 		minor = uint8(tag.Hint & 63)
 		return major, minor, uint64(minor) + 1, true
 	}
@@ -165,4 +175,57 @@ func (e *Engine) RecoverCounterSCMsg(msg *[sit.DataMACMsgSize]byte, tag Tag) (ma
 		return 0, 0, uint64(tried), false
 	}
 	return major, uint8(ctr & 63), uint64(tried), true
+}
+
+// SplitLeaf is the scratch of one split-leaf recovery: the leaf's 64 data
+// blocks' MAC messages, back to back so one batched check addresses
+// eight of them from one base, their tags, and which slots' hinted
+// counters CheckHintsSC verified.
+type SplitLeaf struct {
+	Tag  [counter.SplitArity]Tag // slot i's tag, as read beside its line
+	msgs [counter.SplitArity * sit.DataMACMsgSize]byte
+	hits uint64 // bit i: slot i's hinted counter verified
+}
+
+// Msg returns slot i's MAC message for the caller to pack (the line read
+// straight into its first 64 bytes, then sit.PutDataMACMsg under any
+// counter). It forgets any earlier hinted check of the slot.
+func (l *SplitLeaf) Msg(i int) *[sit.DataMACMsgSize]byte {
+	l.hits &^= 1 << uint(i)
+	return (*[sit.DataMACMsgSize]byte)(l.msgs[i*sit.DataMACMsgSize:])
+}
+
+// CheckHintsSC runs RecoverCounterSCMsg's first step, the check of the
+// counter the tag hint names, for every listed slot of l: eight slots per
+// crypt.Sum80x8 call, each message checked in place. RecoverSlotSC then
+// finishes each slot. The listed slots must be written ones with their
+// messages packed and tags set; the check holds until the next Msg of the
+// slot or the next CheckHintsSC. Each message's counter word is scratch.
+func (e *Engine) CheckHintsSC(l *SplitLeaf, slots []int) {
+	l.hits = 0
+	var off [8]int
+	var sums [8]uint64
+	for len(slots) > 0 {
+		group := slots[:min(len(slots), 8)]
+		slots = slots[len(group):]
+		for j, i := range group {
+			off[j] = i * sit.DataMACMsgSize
+			binary.LittleEndian.PutUint64(l.msgs[off[j]+sit.DataMACMsgSize-8:], l.Tag[i].Hint)
+		}
+		crypt.Sum80x8(e.MAC, e.Key, l.msgs[:], &off, len(group), &sums)
+		for j, i := range group {
+			if sums[j] == l.Tag[i].MAC {
+				l.hits |= 1 << uint(i)
+			}
+		}
+	}
+}
+
+// RecoverSlotSC returns what RecoverCounterSCMsg returns for slot i of l,
+// taking the hinted check from the last CheckHintsSC: on a miss (or a
+// slot it did not list) it runs the 64-candidate search, so the result
+// and macOps are RecoverCounterSCMsg's either way.
+func (e *Engine) RecoverSlotSC(l *SplitLeaf, i int) (major uint64, minor uint8, macOps uint64, ok bool) {
+	msg := (*[sit.DataMACMsgSize]byte)(l.msgs[i*sit.DataMACMsgSize:])
+	return e.recoverSC(msg, l.Tag[i], l.hits>>uint(i)&1 != 0)
 }

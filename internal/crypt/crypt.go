@@ -9,6 +9,14 @@
 // testing. Simulated latency and energy are charged from configuration
 // constants (Table I: 40-cycle hash), never from host crypto speed, so the
 // choice does not affect any reported metric.
+//
+// Recovery checks many independent 80-byte data-MAC messages at once.
+// Sum80x8 MACs eight of them per call, each addressed by its offset in one
+// buffer. For SipMAC on an amd64 CPU with AVX-512 (AVX512F and the OS's
+// ZMM and opmask state, detected once with CPUID and XGETBV) that is one
+// eight-lane SIMD SipHash pass that gathers every message word in place;
+// every other CPU, and every other MAC, takes one Sum64 per message. Both
+// return the same words, and there is no switch: the CPU decides.
 package crypt
 
 import (

@@ -64,6 +64,10 @@ type LeafRecovery struct {
 	// the whole tree; the scheme should still write back the rebuilt
 	// (sealed, possibly stale) tree so re-admission has a coherent base.
 	Fenced bool
+
+	// leaf is splitLeafFromData's scratch, allocated by the pass's first
+	// split leaf and reused by the rest.
+	leaf *cme.SplitLeaf
 }
 
 // LeafFromData reconstructs one leaf node from its covered data blocks,
@@ -158,17 +162,34 @@ func generalLeafFromData(c *memctrl.Controller, rep *memctrl.RecoveryReport, rec
 // agree on one major (the high bits of each tag hint), minors come from the
 // per-block search, and an unverifiable block's minor pins from its hint's
 // low bits — the hint carries the full counter, so split leaves are never
-// unpinnable.
+// unpinnable. Every line is read straight into its MAC message first, and
+// the written blocks' hinted counters are checked eight at a time.
 func splitLeafFromData(c *memctrl.Controller, rep *memctrl.RecoveryReport, rec *LeafRecovery, node, stale *sit.Node, degraded bool, condemn func(memctrl.QuarantineCause, string)) error {
 	geo := &c.Layout().Geo
 	eng := c.Engine()
+	if rec.leaf == nil {
+		rec.leaf = new(cme.SplitLeaf)
+	}
+	leaf := rec.leaf
+	var slots [counter.SplitArity]int
+	written := slots[:0]
+	for i := 0; i < counter.SplitArity; i++ {
+		daddr := geo.DataAddr(node.Index, i)
+		msg := leaf.Msg(i)
+		ct := (*[64]byte)(msg[:64])
+		c.Device().PeekInto(daddr, (*nvmem.Line)(ct))
+		sit.PutDataMACMsg(msg, daddr, ct, 0) // ct is already in place
+		if leaf.Tag[i] = c.Tag(daddr); leaf.Tag[i].Written {
+			written = append(written, i)
+		}
+	}
+	eng.CheckHintsSC(leaf, written)
 	major := stale.Split.Major
 	have := false
 	for i := 0; i < counter.SplitArity; i++ {
 		daddr := geo.DataAddr(node.Index, i)
 		rep.NVMReads++
-		ct := [64]byte(c.Device().Peek(daddr))
-		tag := c.Tag(daddr)
+		tag := leaf.Tag[i]
 		if !tag.Written {
 			continue
 		}
@@ -187,7 +208,7 @@ func splitLeafFromData(c *memctrl.Controller, rep *memctrl.RecoveryReport, rec *
 			}
 			continue
 		}
-		m, minor, macOps, ok := eng.RecoverCounterSC(&ct, daddr, tag, stale.Split.Minor[i])
+		m, minor, macOps, ok := eng.RecoverSlotSC(leaf, i)
 		rep.MACOps += macOps
 		if ok && m == major {
 			node.Split.Minor[i] = minor

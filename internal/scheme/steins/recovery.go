@@ -45,7 +45,7 @@ type recoveryState struct {
 
 	// Scratch of regenerateSplitLeaf, reused by every leaf of the pass: the
 	// leaf's data blocks as read, and the slots whose tags say written.
-	leafBlocks  [counter.SplitArity]leafBlock
+	leaf        cme.SplitLeaf
 	leafWritten []int
 	// Scratch of regenerateGeneralLeaf: one data block's MAC message.
 	blockMsg [sit.DataMACMsgSize]byte
@@ -117,14 +117,6 @@ func (st *recoveryState) rollbackSlots(level int, index uint64) []int {
 		}
 	}
 	return nil
-}
-
-// leafBlock is one data block of a split leaf under regeneration: its tag
-// and its MAC message, into which the line is read once.
-type leafBlock struct {
-	addr uint64
-	tag  cme.Tag
-	msg  [sit.DataMACMsgSize]byte
 }
 
 // excuseLInc excuses exactly one level's LInc equality on recorded media
@@ -582,27 +574,28 @@ func (p *Policy) reconstructTornSlot(st *recoveryState, leaf uint64, daddr uint6
 // per-block search. All written blocks must agree on one major no older
 // than the stale base; disagreement or regression means replayed blocks.
 // Each block's line and tag are read once, the line straight into the
-// block's MAC message.
+// block's MAC message, and the written blocks' hinted counters are checked
+// eight at a time before the per-block search.
 func (p *Policy) regenerateSplitLeaf(st *recoveryState, node *sit.Node, stale *sit.Node) error {
 	geo := &p.c.Layout().Geo
 	dev := p.c.Device()
 	eng := p.c.Engine()
 	major := stale.Split.Major
 	haveWritten := false
-	blocks := &st.leafBlocks
+	leaf := &st.leaf
 	written := st.leafWritten[:0]
 	for i := 0; i < counter.SplitArity; i++ {
-		b := &blocks[i]
-		b.addr = geo.DataAddr(node.Index, i)
+		addr := geo.DataAddr(node.Index, i)
 		st.report.NVMReads++
-		ct := (*[64]byte)(b.msg[:64])
-		dev.PeekInto(b.addr, (*nvmem.Line)(ct))
-		sit.PutDataMACMsg(&b.msg, b.addr, ct, 0) // ct is already in place
-		b.tag = p.c.Tag(b.addr)
-		if !b.tag.Written {
+		msg := leaf.Msg(i)
+		ct := (*[64]byte)(msg[:64])
+		dev.PeekInto(addr, (*nvmem.Line)(ct))
+		sit.PutDataMACMsg(msg, addr, ct, 0) // ct is already in place
+		leaf.Tag[i] = p.c.Tag(addr)
+		if !leaf.Tag[i].Written {
 			continue // never written: minor stays zero
 		}
-		if h := b.tag.Hint >> 6; !haveWritten {
+		if h := leaf.Tag[i].Hint >> 6; !haveWritten {
 			major, haveWritten = h, true
 		} else if h != major {
 			return memctrl.ReplayAt("split leaf", 0, node.Index, "inconsistent major counters across data blocks")
@@ -615,15 +608,15 @@ func (p *Policy) regenerateSplitLeaf(st *recoveryState, node *sit.Node, stale *s
 			fmt.Sprintf("recovered major %d older than persisted %d", major, stale.Split.Major))
 	}
 	node.Split.Major = major
+	eng.CheckHintsSC(leaf, written)
 	for _, i := range written {
-		b := &blocks[i]
-		m, minor, macOps, ok := eng.RecoverCounterSCMsg(&b.msg, b.tag)
+		m, minor, macOps, ok := eng.RecoverSlotSC(leaf, i)
 		st.report.MACOps += macOps
 		if !ok {
-			return memctrl.TamperData(b.addr, "during split-leaf recovery")
+			return memctrl.TamperData(geo.DataAddr(node.Index, i), "during split-leaf recovery")
 		}
 		if m != major {
-			return memctrl.ReplayData(b.addr, "major mismatch")
+			return memctrl.ReplayData(geo.DataAddr(node.Index, i), "major mismatch")
 		}
 		node.Split.Minor[i] = minor
 	}

@@ -392,10 +392,11 @@ func RunSharded(prof trace.Profile, s Scheme, opt Options, so ShardOptions) (Sha
 
 // RunShardedStream replays an arbitrary operation stream across Channels
 // interleaved controllers. opt.DataBytes is required (streams carry no
-// footprint information); opt.Ops/Seed are ignored.
+// footprint information, and a run without it is refused); opt.Ops/Seed
+// are ignored.
 func RunShardedStream(stream trace.Stream, s Scheme, opt Options, so ShardOptions) (ShardedResult, error) {
 	if opt.DataBytes == 0 {
-		panic("sim: RunShardedStream requires DataBytes")
+		return ShardedResult{}, errors.New("sim: RunShardedStream requires DataBytes")
 	}
 	prof := trace.Profile{Name: stream.Name(), FootprintBytes: opt.DataBytes}
 	e := NewSharded(prof, s, opt, so)

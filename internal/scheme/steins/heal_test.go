@@ -562,3 +562,112 @@ func TestReadmissionAtFullBufferRestores(t *testing.T) {
 		t.Fatal("restored scheme state saves to other bytes")
 	}
 }
+
+// TestDegradedLeafHealFromData pins the data-driven heal of a leaf line
+// damaged on the media over intact data: a leaf dirty in the crash-time
+// cache (healed when recovery regenerates it) and a clean leaf whose flush
+// still waits in the NV buffer (healed when its dirty parent regenerates
+// from it), for both leaf kinds. Each heal rebuilds the leaf's counters
+// from the covered blocks' MACs and tag hints, so the report's Healed list,
+// NVM reads and MACs are exact, and every block reads back. In the tamper
+// rows one covered block was also flipped with no media evidence: the heal
+// stops at that block and the leaf quarantines instead.
+func TestDegradedLeafHealFromData(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		split  bool
+		leaf   uint64 // the first leaf of its kind that the heal reaches
+		dirty  bool   // dirty in the crash-time cache, else its flush is buffered
+		tamper bool
+		reads  uint64
+		macs   uint64
+	}{
+		{"GC/dirty", false, 124, true, false, 694, 829},
+		{"GC/clean", false, 491, false, false, 693, 828},
+		{"GC/tamper", false, 124, true, true, 681, 825},
+		{"SC/dirty", true, 53, true, false, 2833, 1248},
+		{"SC/clean", true, 139, false, false, 2832, 1243},
+		{"SC/tamper", true, 53, true, true, 2712, 1268},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, p := newDegradedSteins(t, tc.split)
+			expect := workload(t, c, 4000, 1234)
+			// Writes until some leaf's flush waits in the NV buffer for
+			// its uncached parent.
+			geo := &c.Layout().Geo
+			lines := c.Config().DataBytes / 64
+			buffered := func() bool {
+				for leaf := range geo.LevelNodes[0] {
+					if _, ok := p.ParentCounterOverride(0, leaf); ok {
+						return true
+					}
+				}
+				return false
+			}
+			for i := uint64(0); !buffered(); i++ {
+				addr := i * 997 % lines * 64
+				expect[addr] = pattern(addr, byte(i))
+				if err := c.WriteData(2, addr, expect[addr]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e, cached := c.Meta().Probe(geo.NodeAddr(0, tc.leaf))
+			_, pending := p.ParentCounterOverride(0, tc.leaf)
+			if dirty := cached && e.Dirty; dirty != tc.dirty || pending == tc.dirty {
+				t.Fatalf("leaf %d: dirty %v, flush buffered %v; the case wants dirty %v", tc.leaf, dirty, pending, tc.dirty)
+			}
+			c.Crash()
+
+			var flipped uint64
+			if tc.tamper {
+				written := 0
+				for i := range int(geo.LeafCover) {
+					if flipped = geo.DataAddr(tc.leaf, i); c.Tag(flipped).Written {
+						if written++; written == 2 {
+							break
+						}
+					}
+				}
+				line := c.Device().Peek(flipped)
+				line[7] ^= 1
+				c.Device().Poke(flipped, line)
+			}
+			addr := geo.NodeAddr(0, tc.leaf)
+			line := c.Device().Peek(addr)
+			line[3] ^= 0x10
+			c.Device().CorruptLine(addr, line)
+
+			rep, err := c.Recover()
+			if err != nil {
+				t.Fatalf("degraded recover: %v", err)
+			}
+			var want []memctrl.NodeRef
+			if !tc.tamper {
+				want = []memctrl.NodeRef{{Level: 0, Index: tc.leaf}}
+			}
+			if !reflect.DeepEqual(rep.Degradation.Healed, want) {
+				t.Errorf("healed %v, want %v", rep.Degradation.Healed, want)
+			}
+			if rep.NVMReads != tc.reads || rep.MACOps != tc.macs {
+				t.Errorf("recovery charged %d NVM reads, %d MACs; want %d, %d", rep.NVMReads, rep.MACOps, tc.reads, tc.macs)
+			}
+			if q := c.QuarantinedLeaves(); tc.tamper != (q > 0) || tc.tamper != c.LeafQuarantined(tc.leaf) {
+				t.Errorf("%d leaves quarantined, leaf %d among them: %v", q, tc.leaf, c.LeafQuarantined(tc.leaf))
+			}
+			for a, want := range expect {
+				l, _ := geo.LeafOfData(a)
+				got, rerr := c.ReadData(1, a)
+				switch {
+				case c.LeafQuarantined(l):
+					if !errors.Is(rerr, memctrl.ErrMediaFault) {
+						t.Fatalf("read %#x under quarantine = %v, want a media fault", a, rerr)
+					}
+				case rerr != nil:
+					t.Fatalf("read %#x: %v", a, rerr)
+				case got != want:
+					t.Fatalf("read %#x: wrong data", a)
+				}
+			}
+		})
+	}
+}

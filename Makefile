@@ -105,9 +105,11 @@ metrics-demo:
 # run raced at -cpu 1,4, together with the SipHash vectors, the hint-first
 # split-counter recovery against the plain 64-candidate search, the
 # eight-lane SipHash (the AVX-512 kernel where the CPU has it and the
-# generic loop, both against sipCore), the batched hinted check of a
-# split leaf against the one-slot-at-a-time recovery, and the
-# Steins recovery suites over the dense recovery bookkeeping. The
+# generic loop, both against sipCore), the batched check of a split and
+# a general leaf against the one-slot-at-a-time references, the Steins
+# recovery suites over the dense recovery bookkeeping, and the one
+# leaf-from-data reader under every pass that uses it: rebuild's
+# per-slot outcomes and the Steins data-driven leaf heal. The
 # checkpoint restore suites (crafted tables
 # refused chunk by chunk and entry by entry, the arena's adoption of
 # checkpoint blocks, every scheme's state round-tripped and its
@@ -150,8 +152,8 @@ check: campaign serve-check bench-check figs-check
 		./internal/campaign
 	go test -shuffle=on -race -cpu 1,4 -run 'Quarantine|Readmission|Degraded|Heal|ReplayBoundary' \
 		./internal/scheme/steins ./internal/memctrl ./internal/campaign
-	go test -shuffle=on -race -cpu 1,4 -run 'Search|Recover|SipHash|Sum80x8|BatchedHintCheck|SplitLeaf' ./internal/crypt ./internal/cme \
-		./internal/scheme/steins
+	go test -shuffle=on -race -cpu 1,4 -run 'Search|Recover|SipHash|Sum80x8|BatchedHintCheck|SplitLeaf|LeafFromData' ./internal/crypt ./internal/cme \
+		./internal/scheme/steins ./internal/scheme/rebuild
 	go test -shuffle=on -race -cpu 1,2,8 -run 'Sharded|Conformance|Splitter|Interleave|NextEpoch|Replay|SystemRecover|DriveStream|OneChannelMatchesBareController|AddressErrors|BadAddressTypedError|Route' \
 		./internal/sim ./internal/trace ./internal/multi ./internal/scheme/schemetest ./securemem \
 		./internal/server

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"steins/internal/bmt"
+	"steins/internal/cme"
 	"steins/internal/counter"
 	"steins/internal/crypt"
 	"steins/internal/figures"
@@ -398,26 +399,43 @@ func BenchmarkHotReadPath(b *testing.B) {
 	}
 }
 
-// TestRecoverySearchAllocs holds the recovery counter searches to zero
-// allocations per call: a Steins-SC restart runs them ~156 k times, so a
-// MAC message that escapes to the heap costs an allocation per candidate.
-// Each search runs to its worst case (last candidate or no match) on the
-// production MAC of a default controller.
+// TestRecoverySearchAllocs holds a leaf's recovery from its data to zero
+// allocations per leaf: a Steins-SC restart reads ~1 k leaves this way, so
+// a MAC message or written-slot list that escapes to the heap costs an
+// allocation per leaf. On a fully written GC leaf and SC leaf of default
+// controllers (the production MAC), the reader, the batched check and each
+// slot's finisher run to their worst case: every candidate misses, so
+// every finisher searches.
 func TestRecoverySearchAllocs(t *testing.T) {
-	eng := memctrl.New(memctrl.DefaultConfig(64<<10, true), steins.Factory).Engine()
-	ct := [64]byte{7}
-	gc := eng.TagGC(&ct, 128, 3<<16|9)
-	sc := eng.TagSC(&ct, 128, 5<<6|63, 5)
-	for _, tc := range []struct {
-		name string
-		run  func()
-	}{
-		{"RecoverCounterGC", func() { eng.RecoverCounterGC(&ct, 128, gc, 1<<16) }},
-		{"SearchCounterGC", func() { eng.SearchCounterGC(&ct, 128, gc, 8) }},
-		{"RecoverCounterSC", func() { eng.RecoverCounterSC(&ct, 128, sc, 0) }},
-	} {
-		if allocs := testing.AllocsPerRun(100, tc.run); allocs != 0 {
-			t.Errorf("%s allocates %.1f times per call, want 0", tc.name, allocs)
+	for _, split := range []bool{false, true} {
+		c := memctrl.New(memctrl.DefaultConfig(64<<10, split), steins.Factory)
+		geo := &c.Layout().Geo
+		for i := range int(geo.LeafCover) {
+			if err := c.WriteData(0, geo.DataAddr(0, i), [64]byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng := c.Engine()
+		var l cme.Leaf
+		run := func() {
+			written := c.ReadLeafData(0, &l)
+			for _, i := range written {
+				l.SetCandidate(i, 1<<40)
+			}
+			eng.CheckHints(&l, written)
+			for _, i := range written {
+				if split {
+					eng.RecoverSlotSC(&l, i)
+				} else {
+					eng.RecoverSlotGC(&l, i, 8)
+				}
+			}
+		}
+		if n := len(c.ReadLeafData(0, &l)); n != int(geo.LeafCover) {
+			t.Fatalf("split=%v: %d written slots, want %d", split, n, geo.LeafCover)
+		}
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Errorf("split=%v: leaf recovery allocates %.1f times per leaf, want 0", split, allocs)
 		}
 	}
 }

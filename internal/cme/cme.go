@@ -10,6 +10,13 @@
 // for general-counter leaves it embeds the low bits of the encryption
 // counter as the analogous recovery hint, which bounds the Osiris-style
 // counter search during leaf recovery to a single candidate.
+//
+// Every recovery pass that rebuilds a leaf from its data does it through
+// one Leaf: the controller's reader packs each covered block's MAC
+// message, the pass names each written block's candidate counter (the
+// hint, or for a general leaf the candidate over its stale counter), one
+// CheckHints call checks them eight at a time, and RecoverSlotSC or
+// RecoverSlotGC finishes each slot, searching on only after a miss.
 package cme
 
 import (
@@ -67,8 +74,7 @@ func (e *Engine) TagGC(ct *[64]byte, addr, encCounter uint64) Tag {
 // minor — the minor rides in the same reserved ECC bits the general-counter
 // hint uses), so a block whose ciphertext the media destroyed still pins
 // its exact counter. Consumers recover the major as Hint >> minor-width.
-func (e *Engine) TagSC(ct *[64]byte, addr, encCounter, major uint64) Tag {
-	_ = major // layout knowledge stays with the caller; the hint is the full counter
+func (e *Engine) TagSC(ct *[64]byte, addr, encCounter uint64) Tag {
 	return Tag{
 		MAC:     sit.DataMACInto(&e.msg, e.MAC, e.Key, addr, ct, encCounter),
 		Hint:    encCounter,
@@ -94,114 +100,65 @@ func CandidateGC(stale, hint uint64) uint64 {
 	return cand
 }
 
-// RecoverCounterGC restores the encryption counter of a persisted data
-// block whose leaf counter was lost: the unique candidate >= stale whose
-// low bits equal the tag hint is checked against the MAC. macOps reports
-// MAC evaluations for recovery-cost accounting.
-func (e *Engine) RecoverCounterGC(ct *[64]byte, addr uint64, tag Tag, stale uint64) (ctr uint64, macOps uint64, ok bool) {
-	if !tag.Written {
-		return stale, 0, true // never written since initialisation
-	}
-	sit.PutDataMACMsg(&e.msg, addr, ct, 0)
-	return e.RecoverCounterGCMsg(&e.msg, tag, stale)
+// Leaf is the scratch of one leaf recovery from the data blocks it
+// covers (§II-D): each block's MAC message, back to back so one batched
+// check addresses eight of them from one base, its tag, the written
+// slots, and which slots' candidate counters CheckHints verified. A
+// general leaf uses its first counter.Arity slots, a split leaf all
+// counter.SplitArity. The controller's reader fills it (Line, then Pack,
+// per slot); the recovery pass names each slot's candidate, checks them
+// in one CheckHints call and finishes each slot with RecoverSlotSC or
+// RecoverSlotGC.
+type Leaf struct {
+	Tag     [counter.SplitArity]Tag // slot i's tag, as read beside its line
+	msgs    [counter.SplitArity * sit.DataMACMsgSize]byte
+	written [counter.SplitArity]int
+	n       int    // written slots packed since Reset
+	hits    uint64 // bit i: slot i's candidate counter verified
 }
 
-// RecoverCounterGCMsg is RecoverCounterGC for a written block whose MAC
-// message the caller already packed with sit.PutDataMACMsg (under any
-// counter), so a recovery pass can read each line straight into its
-// message. The message's counter word is scratch: its value on return is
-// unspecified.
-func (e *Engine) RecoverCounterGCMsg(msg *[sit.DataMACMsgSize]byte, tag Tag, stale uint64) (ctr uint64, macOps uint64, ok bool) {
-	cand := CandidateGC(stale, tag.Hint)
-	if _, _, hit := crypt.SearchCounter(e.MAC, e.Key, msg[:], cand, 0, 1, tag.MAC); hit {
-		return cand, 1, true
-	}
-	return 0, 1, false
-}
-
-// SearchCounterGC restores a general-counter block with NO trusted stale
-// base (the leaf image was torn, bit-flipped or replayed): every counter
-// congruent to the tag hint is tried from the smallest upward, capped at
-// steps candidates. A hit is exact — the MAC binds (ciphertext, address,
-// counter) — so an intact data block survives the loss of its leaf image.
-func (e *Engine) SearchCounterGC(ct *[64]byte, addr uint64, tag Tag, steps int) (ctr uint64, macOps uint64, ok bool) {
-	if !tag.Written {
-		return 0, 0, true
-	}
-	sit.PutDataMACMsg(&e.msg, addr, ct, tag.Hint)
-	ctr, tried, ok := crypt.SearchCounter(e.MAC, e.Key, e.msg[:], tag.Hint, GCHintMask+1, steps, tag.MAC)
-	return ctr, uint64(tried), ok
-}
-
-// RecoverCounterSC restores the (major, minor) encryption counter of a
-// block covered by a split leaf: the major comes from the high bits of the
-// tag hint, the minor from an Osiris-style search over its 64 possible
-// values (the search is the §IV-D recovery cost the paper models).
-//
-// The hint carries the full counter the tag was written under, so the
-// host checks that one candidate first and runs the search only when it
-// fails; the answer is the search's either way. macOps charges the
-// modelled search: minor+1 on a hit, 64 on a miss. The two could disagree
-// only if a lower minor's MAC collided with the tag's 64-bit MAC, and
-// there the hint names the block's true counter.
-func (e *Engine) RecoverCounterSC(ct *[64]byte, addr uint64, tag Tag, staleMinor uint8) (major uint64, minor uint8, macOps uint64, ok bool) {
-	if !tag.Written {
-		return 0, staleMinor, 0, true
-	}
-	sit.PutDataMACMsg(&e.msg, addr, ct, tag.Hint)
-	return e.RecoverCounterSCMsg(&e.msg, tag)
-}
-
-// RecoverCounterSCMsg is RecoverCounterSC for a written block whose MAC
-// message the caller already packed with sit.PutDataMACMsg (under any
-// counter), so a recovery pass can read each line straight into its
-// message. The message's counter word is scratch: its value on return is
-// unspecified.
-func (e *Engine) RecoverCounterSCMsg(msg *[sit.DataMACMsgSize]byte, tag Tag) (major uint64, minor uint8, macOps uint64, ok bool) {
-	_, _, hit := crypt.SearchCounter(e.MAC, e.Key, msg[:], tag.Hint, 0, 1, tag.MAC)
-	return e.recoverSC(msg, tag, hit)
-}
-
-// recoverSC finishes RecoverCounterSCMsg once the hinted counter's check
-// has run: a hit names the minor, a miss runs the 64-candidate search.
-func (e *Engine) recoverSC(msg *[sit.DataMACMsgSize]byte, tag Tag, hit bool) (major uint64, minor uint8, macOps uint64, ok bool) {
-	major = tag.Hint >> 6
-	if hit {
-		minor = uint8(tag.Hint & 63)
-		return major, minor, uint64(minor) + 1, true
-	}
-	ctr, tried, ok := crypt.SearchCounter(e.MAC, e.Key, msg[:], major<<6, 1, 64, tag.MAC)
-	if !ok {
-		return 0, 0, uint64(tried), false
-	}
-	return major, uint8(ctr & 63), uint64(tried), true
-}
-
-// SplitLeaf is the scratch of one split-leaf recovery: the leaf's 64 data
-// blocks' MAC messages, back to back so one batched check addresses
-// eight of them from one base, their tags, and which slots' hinted
-// counters CheckHintsSC verified.
-type SplitLeaf struct {
-	Tag  [counter.SplitArity]Tag // slot i's tag, as read beside its line
-	msgs [counter.SplitArity * sit.DataMACMsgSize]byte
-	hits uint64 // bit i: slot i's hinted counter verified
-}
-
-// Msg returns slot i's MAC message for the caller to pack (the line read
-// straight into its first 64 bytes, then sit.PutDataMACMsg under any
-// counter). It forgets any earlier hinted check of the slot.
-func (l *SplitLeaf) Msg(i int) *[sit.DataMACMsgSize]byte {
-	l.hits &^= 1 << uint(i)
+// msg returns slot i's MAC message.
+func (l *Leaf) msg(i int) *[sit.DataMACMsgSize]byte {
 	return (*[sit.DataMACMsgSize]byte)(l.msgs[i*sit.DataMACMsgSize:])
 }
 
-// CheckHintsSC runs RecoverCounterSCMsg's first step, the check of the
-// counter the tag hint names, for every listed slot of l: eight slots per
-// crypt.Sum80x8 call, each message checked in place. RecoverSlotSC then
-// finishes each slot. The listed slots must be written ones with their
-// messages packed and tags set; the check holds until the next Msg of the
-// slot or the next CheckHintsSC. Each message's counter word is scratch.
-func (e *Engine) CheckHintsSC(l *SplitLeaf, slots []int) {
+// Reset empties the written list before a new leaf is read.
+func (l *Leaf) Reset() { l.n = 0 }
+
+// Line returns where slot i's ciphertext line is read to: the first 64
+// bytes of its MAC message.
+func (l *Leaf) Line(i int) *[64]byte { return (*[64]byte)(l.msgs[i*sit.DataMACMsgSize:]) }
+
+// Pack completes slot i after its line was read into Line(i): the message
+// takes the block's address and, as its candidate counter, the tag hint;
+// a written tag appends the slot to Written. It forgets any earlier check
+// of the slot.
+func (l *Leaf) Pack(i int, addr uint64, tag Tag) {
+	sit.PutDataMACMsg(l.msg(i), addr, l.Line(i), tag.Hint)
+	l.Tag[i] = tag
+	l.hits &^= 1 << uint(i)
+	if tag.Written {
+		l.written[l.n] = i
+		l.n++
+	}
+}
+
+// Written returns the slots packed with a written tag since Reset, in
+// packing order; the slice is l's own.
+func (l *Leaf) Written() []int { return l.written[:l.n] }
+
+// SetCandidate names the counter CheckHints checks for slot i in place of
+// the tag hint.
+func (l *Leaf) SetCandidate(i int, ctr uint64) {
+	binary.LittleEndian.PutUint64(l.msg(i)[sit.DataMACMsgSize-8:], ctr)
+}
+
+// CheckHints checks every listed slot's candidate counter against its
+// tag's MAC: eight slots per crypt.Sum80x8 call, each message checked in
+// place. The listed slots must be written ones; a check holds until the
+// slot's next Pack or the next CheckHints. It charges nothing: each pass
+// charges the MACs its finisher reports as the pass models them.
+func (e *Engine) CheckHints(l *Leaf, slots []int) {
 	l.hits = 0
 	var off [8]int
 	var sums [8]uint64
@@ -210,7 +167,6 @@ func (e *Engine) CheckHintsSC(l *SplitLeaf, slots []int) {
 		slots = slots[len(group):]
 		for j, i := range group {
 			off[j] = i * sit.DataMACMsgSize
-			binary.LittleEndian.PutUint64(l.msgs[off[j]+sit.DataMACMsgSize-8:], l.Tag[i].Hint)
 		}
 		crypt.Sum80x8(e.MAC, e.Key, l.msgs[:], &off, len(group), &sums)
 		for j, i := range group {
@@ -221,11 +177,41 @@ func (e *Engine) CheckHintsSC(l *SplitLeaf, slots []int) {
 	}
 }
 
-// RecoverSlotSC returns what RecoverCounterSCMsg returns for slot i of l,
-// taking the hinted check from the last CheckHintsSC: on a miss (or a
-// slot it did not list) it runs the 64-candidate search, so the result
-// and macOps are RecoverCounterSCMsg's either way.
-func (e *Engine) RecoverSlotSC(l *SplitLeaf, i int) (major uint64, minor uint8, macOps uint64, ok bool) {
-	msg := (*[sit.DataMACMsgSize]byte)(l.msgs[i*sit.DataMACMsgSize:])
-	return e.recoverSC(msg, l.Tag[i], l.hits>>uint(i)&1 != 0)
+// RecoverSlotSC restores the (major, minor) encryption counter of split
+// slot i, whose candidate was its tag hint (the full counter the tag was
+// written under): the major is the hint's high bits, and the minor the
+// verified hint's low bits or, on a miss, the Osiris-style search over all
+// 64 minors. macOps charges the modelled search (§IV-D) either way:
+// minor+1 on a hit, the search's tries on a miss. The two could disagree
+// only if a lower minor's MAC collided with the tag's 64-bit MAC, and
+// there the hint names the block's true counter. The slot's message
+// counter word is scratch.
+func (e *Engine) RecoverSlotSC(l *Leaf, i int) (major uint64, minor uint8, macOps uint64, ok bool) {
+	tag := l.Tag[i]
+	major = tag.Hint >> 6
+	if l.hits>>uint(i)&1 != 0 {
+		minor = uint8(tag.Hint & 63)
+		return major, minor, uint64(minor) + 1, true
+	}
+	ctr, tried, ok := crypt.SearchCounter(e.MAC, e.Key, l.msg(i)[:], major<<6, 1, 64, tag.MAC)
+	if !ok {
+		return 0, 0, uint64(tried), false
+	}
+	return major, uint8(ctr & 63), uint64(tried), true
+}
+
+// RecoverSlotGC restores the encryption counter of general slot i: a
+// verified candidate is the counter; on a miss every counter congruent to
+// the tag hint is tried from the hint upward, steps of them (none for
+// steps <= 0). A hit is exact, since the MAC binds (ciphertext, address,
+// counter), so an intact block survives the loss of its leaf image.
+// tried counts the search's MACs alone: the pass charges the candidate's
+// check as it models it. The slot's message counter word is scratch.
+func (e *Engine) RecoverSlotGC(l *Leaf, i, steps int) (ctr uint64, tried int, ok bool) {
+	msg := l.msg(i)
+	if l.hits>>uint(i)&1 != 0 {
+		return binary.LittleEndian.Uint64(msg[sit.DataMACMsgSize-8:]), 0, true
+	}
+	tag := l.Tag[i]
+	return crypt.SearchCounter(e.MAC, e.Key, msg[:], tag.Hint, GCHintMask+1, steps, tag.MAC)
 }

@@ -1,6 +1,7 @@
 package cme
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -75,6 +76,63 @@ func TestVerifyUnwrittenRejected(t *testing.T) {
 	}
 }
 
+// packSlot fills slot i of l the way the controller's reader does: the
+// line into its message, then Pack under the block's address and tag.
+func packSlot(l *Leaf, i int, ct *[64]byte, addr uint64, tag Tag) {
+	*l.Line(i) = *ct
+	l.Pack(i, addr, tag)
+}
+
+// recoverGCSerial is the general-counter slot recovery written one block
+// at a time: cand checked with one Sum64, then on a miss the search over
+// steps hint-congruent counters from the hint. It returns the counter,
+// the MACs of both steps and ok.
+func recoverGCSerial(e *Engine, ct *[64]byte, addr uint64, tag Tag, cand uint64, steps int) (uint64, uint64, bool) {
+	var msg [sit.DataMACMsgSize]byte
+	sit.PutDataMACMsg(&msg, addr, ct, cand)
+	if e.MAC.Sum64(e.Key, msg[:]) == tag.MAC {
+		return cand, 1, true
+	}
+	ctr, tried, ok := crypt.SearchCounter(e.MAC, e.Key, msg[:], tag.Hint, GCHintMask+1, steps, tag.MAC)
+	return ctr, 1 + uint64(tried), ok
+}
+
+// recoverSCSerial is the split-counter slot recovery written one block at
+// a time: the hinted counter checked with one Sum64, then on a miss the
+// 64-minor search.
+func recoverSCSerial(e *Engine, ct *[64]byte, addr uint64, tag Tag) (uint64, uint8, uint64, bool) {
+	var msg [sit.DataMACMsgSize]byte
+	sit.PutDataMACMsg(&msg, addr, ct, tag.Hint)
+	major := tag.Hint >> 6
+	if e.MAC.Sum64(e.Key, msg[:]) == tag.MAC {
+		minor := uint8(tag.Hint & 63)
+		return major, minor, uint64(minor) + 1, true
+	}
+	ctr, tried, ok := crypt.SearchCounter(e.MAC, e.Key, msg[:], major<<6, 1, 64, tag.MAC)
+	if !ok {
+		return 0, 0, uint64(tried), false
+	}
+	return major, uint8(ctr & 63), uint64(tried), true
+}
+
+// recoverGC recovers one general block as slot 0 of a fresh leaf: the
+// candidate over stale checked in the batch, then RecoverSlotGC.
+func recoverGC(e *Engine, ct *[64]byte, addr uint64, tag Tag, stale uint64, steps int) (uint64, int, bool) {
+	var l Leaf
+	packSlot(&l, 0, ct, addr, tag)
+	l.SetCandidate(0, CandidateGC(stale, tag.Hint))
+	e.CheckHints(&l, l.Written())
+	return e.RecoverSlotGC(&l, 0, steps)
+}
+
+// recoverSC recovers one split block as slot 0 of a fresh leaf.
+func recoverSC(e *Engine, ct *[64]byte, addr uint64, tag Tag) (uint64, uint8, uint64, bool) {
+	var l Leaf
+	packSlot(&l, 0, ct, addr, tag)
+	e.CheckHints(&l, l.Written())
+	return e.RecoverSlotSC(&l, 0)
+}
+
 func TestRecoverCounterGC(t *testing.T) {
 	e := newEngine()
 	ct := [64]byte{9}
@@ -83,29 +141,27 @@ func TestRecoverCounterGC(t *testing.T) {
 		{1 << 20, 1<<20 + GCHintMask},
 	} {
 		tag := e.TagGC(&ct, 64, tc.actual)
-		got, macOps, ok := e.RecoverCounterGC(&ct, 64, tag, tc.stale)
-		if !ok || got != tc.actual {
-			t.Errorf("stale=%d actual=%d: got %d ok=%v", tc.stale, tc.actual, got, ok)
-		}
-		if macOps != 1 {
-			t.Errorf("macOps = %d, want 1", macOps)
-		}
-		// The message form agrees whatever counter the message was packed
-		// under.
-		var msg [sit.DataMACMsgSize]byte
-		sit.PutDataMACMsg(&msg, 64, &ct, ^tc.actual)
-		if got, macOps, ok := e.RecoverCounterGCMsg(&msg, tag, tc.stale); !ok || got != tc.actual || macOps != 1 {
-			t.Errorf("stale=%d actual=%d: message form got %d, %d MACs, ok=%v", tc.stale, tc.actual, got, macOps, ok)
+		got, tried, ok := recoverGC(e, &ct, 64, tag, tc.stale, 0)
+		if !ok || got != tc.actual || tried != 0 {
+			t.Errorf("stale=%d actual=%d: got %d, %d searched, ok=%v", tc.stale, tc.actual, got, tried, ok)
 		}
 	}
 }
 
+// TestRecoverCounterGCUnwritten: an unwritten block never joins the
+// written list, so no pass checks or recovers it.
 func TestRecoverCounterGCUnwritten(t *testing.T) {
-	e := newEngine()
+	var l Leaf
 	var ct [64]byte
-	got, _, ok := e.RecoverCounterGC(&ct, 64, Tag{}, 42)
-	if !ok || got != 42 {
-		t.Fatalf("unwritten block recovery = %d ok=%v, want stale 42", got, ok)
+	packSlot(&l, 0, &ct, 64, Tag{})
+	packSlot(&l, 1, &ct, 128, newEngine().TagGC(&ct, 128, 3))
+	packSlot(&l, 2, &ct, 192, Tag{})
+	if w := l.Written(); len(w) != 1 || w[0] != 1 {
+		t.Fatalf("written slots %v, want [1]", w)
+	}
+	l.Reset()
+	if w := l.Written(); len(w) != 0 {
+		t.Fatalf("written slots %v after Reset", w)
 	}
 }
 
@@ -114,7 +170,7 @@ func TestRecoverCounterGCDetectsTamper(t *testing.T) {
 	ct := [64]byte{9}
 	tag := e.TagGC(&ct, 64, 50)
 	ct[0] ^= 1 // attacker flips a ciphertext bit
-	if _, _, ok := e.RecoverCounterGC(&ct, 64, tag, 40); ok {
+	if _, _, ok := recoverGC(e, &ct, 64, tag, 40, 4); ok {
 		t.Fatal("tampered block recovered successfully")
 	}
 }
@@ -125,7 +181,7 @@ func TestRecoverCounterGCReplayYieldsOldCounter(t *testing.T) {
 	e := newEngine()
 	old := [64]byte{1}
 	oldTag := e.TagGC(&old, 64, 10)
-	got, _, ok := e.RecoverCounterGC(&old, 64, oldTag, 8)
+	got, _, ok := recoverGC(e, &old, 64, oldTag, 8, 0)
 	if !ok || got != 10 {
 		t.Fatalf("replay recovery = %d ok=%v, want old counter 10", got, ok)
 	}
@@ -139,8 +195,8 @@ func TestRecoverCounterSC(t *testing.T) {
 		minor uint8
 	}{{0, 0}, {0, 63}, {7, 13}, {1 << 30, 1}} {
 		enc := tc.major<<6 | uint64(tc.minor)
-		tag := e.TagSC(&ct, 128, enc, tc.major)
-		major, minor, macOps, ok := e.RecoverCounterSC(&ct, 128, tag, 0)
+		tag := e.TagSC(&ct, 128, enc)
+		major, minor, macOps, ok := recoverSC(e, &ct, 128, tag)
 		if !ok || major != tc.major || minor != tc.minor {
 			t.Errorf("(%d,%d): got (%d,%d) ok=%v", tc.major, tc.minor, major, minor, ok)
 		}
@@ -150,13 +206,10 @@ func TestRecoverCounterSC(t *testing.T) {
 	}
 }
 
-// searchSCReference is the Osiris search RecoverCounterSC models, written
+// searchSCReference is the Osiris search RecoverSlotSC models, written
 // as plainly as possible: one Sum64 per minor from 0 upward under the tag
 // hint's major.
-func searchSCReference(e *Engine, ct *[64]byte, addr uint64, tag Tag, staleMinor uint8) (uint64, uint8, uint64, bool) {
-	if !tag.Written {
-		return 0, staleMinor, 0, true
-	}
+func searchSCReference(e *Engine, ct *[64]byte, addr uint64, tag Tag) (uint64, uint8, uint64, bool) {
 	major := tag.Hint >> 6
 	var msg [sit.DataMACMsgSize]byte
 	for m := uint64(0); m < 64; m++ {
@@ -171,14 +224,14 @@ func searchSCReference(e *Engine, ct *[64]byte, addr uint64, tag Tag, staleMinor
 // TestRecoverCounterSCMatchesSearch holds the hint-first recovery to the
 // plain 64-candidate search: same (major, minor, macOps, ok) for every
 // minor on an intact block, and when the ciphertext, the hint's minor or
-// the hint's major was tampered with, and for an unwritten tag.
+// the hint's major was tampered with.
 func TestRecoverCounterSCMatchesSearch(t *testing.T) {
 	e := newEngine()
 	const addr, major = 320, 23
 	check := func(name string, ct *[64]byte, tag Tag) {
 		t.Helper()
-		maj, mi, ops, ok := e.RecoverCounterSC(ct, addr, tag, 5)
-		wmaj, wmi, wops, wok := searchSCReference(e, ct, addr, tag, 5)
+		maj, mi, ops, ok := recoverSC(e, ct, addr, tag)
+		wmaj, wmi, wops, wok := searchSCReference(e, ct, addr, tag)
 		if maj != wmaj || mi != wmi || ops != wops || ok != wok {
 			t.Errorf("%s: got (%d, %d, %d, %v), search (%d, %d, %d, %v)",
 				name, maj, mi, ops, ok, wmaj, wmi, wops, wok)
@@ -186,7 +239,7 @@ func TestRecoverCounterSCMatchesSearch(t *testing.T) {
 	}
 	for minor := uint64(0); minor < 64; minor++ {
 		ct := [64]byte{byte(minor), 0x5a}
-		tag := e.TagSC(&ct, addr, major<<6|minor, major)
+		tag := e.TagSC(&ct, addr, major<<6|minor)
 		check("intact", &ct, tag)
 
 		flipped := ct
@@ -201,56 +254,64 @@ func TestRecoverCounterSCMatchesSearch(t *testing.T) {
 		wrongMajor.Hint ^= 1 << 6
 		check("tampered hint major", &ct, wrongMajor)
 	}
-	var ct [64]byte
-	check("unwritten", &ct, Tag{})
 }
 
 func TestRecoverCounterSCDetectsTamper(t *testing.T) {
 	e := newEngine()
 	ct := [64]byte{3}
-	tag := e.TagSC(&ct, 128, 5<<6|9, 5)
+	tag := e.TagSC(&ct, 128, 5<<6|9)
 	ct[1] ^= 0x80
-	if _, _, _, ok := e.RecoverCounterSC(&ct, 128, tag, 0); !ok {
-		return
+	if maj, mi, ops, ok := recoverSC(e, &ct, 128, tag); ok {
+		t.Fatalf("tampered SC block recovered as (%d, %d, %d, true)", maj, mi, ops)
 	}
-	t.Fatal("tampered SC block recovered successfully")
 }
 
+// TestRecoverCounterSCUnwritten: an unwritten slot the caller lists
+// anyway is checked against its empty tag and, on the miss, searched in
+// full; it never recovers.
 func TestRecoverCounterSCUnwritten(t *testing.T) {
 	e := newEngine()
+	var l Leaf
 	var ct [64]byte
-	major, minor, _, ok := e.RecoverCounterSC(&ct, 0, Tag{}, 7)
-	if !ok || major != 0 || minor != 7 {
-		t.Fatalf("unwritten SC recovery = (%d,%d) ok=%v", major, minor, ok)
+	packSlot(&l, 0, &ct, 0, Tag{})
+	e.CheckHints(&l, []int{0})
+	if maj, mi, ops, ok := e.RecoverSlotSC(&l, 0); ok || ops != 64 {
+		t.Fatalf("unwritten SC slot = (%d, %d, %d, %v), want a 64-MAC miss", maj, mi, ops, ok)
 	}
 }
 
-// TestSearchCounterGC pins the stale-base-free general-counter search:
-// candidates run from the hint upward in steps of the hint modulus, a hit
-// at step k costs k+1 MACs, a miss costs exactly the cap, and an unwritten
-// tag costs none.
+// TestSearchCounterGC pins the base-less general-counter search behind a
+// missed candidate: candidates run from the hint upward in steps of the
+// hint modulus, a hit at step k costs k+1 MACs, a miss costs exactly the
+// cap, and a verified candidate searches nothing.
 func TestSearchCounterGC(t *testing.T) {
 	e := newEngine()
 	ct := [64]byte{4, 2}
 	const hint = 0x1234
+	const wrong = 1 << 40 // a candidate no tag here verifies
 	for _, tc := range []struct {
-		name   string
-		tag    Tag
-		steps  int
-		ctr    uint64
-		macOps uint64
-		ok     bool
+		name  string
+		tag   Tag
+		cand  uint64
+		steps int
+		ctr   uint64
+		tried int
+		ok    bool
 	}{
-		{"hit at the hint", e.TagGC(&ct, 192, hint), 8, hint, 1, true},
-		{"hit at step 5", e.TagGC(&ct, 192, 5<<16|hint), 8, 5<<16 | hint, 6, true},
-		{"hit at the last step", e.TagGC(&ct, 192, 7<<16|hint), 8, 7<<16 | hint, 8, true},
-		{"miss at the cap", e.TagGC(&ct, 192, 8<<16|hint), 8, 0, 8, false},
-		{"no steps", e.TagGC(&ct, 192, hint), 0, 0, 0, false},
-		{"unwritten tag", Tag{}, 8, 0, 0, true},
+		{"hit at the hint", e.TagGC(&ct, 192, hint), wrong, 8, hint, 1, true},
+		{"hit at step 5", e.TagGC(&ct, 192, 5<<16|hint), wrong, 8, 5<<16 | hint, 6, true},
+		{"hit at the last step", e.TagGC(&ct, 192, 7<<16|hint), wrong, 8, 7<<16 | hint, 8, true},
+		{"miss at the cap", e.TagGC(&ct, 192, 8<<16|hint), wrong, 8, 0, 8, false},
+		{"no steps", e.TagGC(&ct, 192, hint), wrong, 0, 0, 0, false},
+		{"verified candidate", e.TagGC(&ct, 192, 9<<16|hint), 9<<16 | hint, 8, 9<<16 | hint, 0, true},
 	} {
-		ctr, macOps, ok := e.SearchCounterGC(&ct, 192, tc.tag, tc.steps)
-		if ctr != tc.ctr || macOps != tc.macOps || ok != tc.ok {
-			t.Errorf("%s: (%#x, %d, %v), want (%#x, %d, %v)", tc.name, ctr, macOps, ok, tc.ctr, tc.macOps, tc.ok)
+		var l Leaf
+		packSlot(&l, 0, &ct, 192, tc.tag)
+		l.SetCandidate(0, tc.cand)
+		e.CheckHints(&l, l.Written())
+		ctr, tried, ok := e.RecoverSlotGC(&l, 0, tc.steps)
+		if ctr != tc.ctr || tried != tc.tried || ok != tc.ok {
+			t.Errorf("%s: (%#x, %d, %v), want (%#x, %d, %v)", tc.name, ctr, tried, ok, tc.ctr, tc.tried, tc.ok)
 		}
 	}
 }
@@ -271,13 +332,15 @@ func TestCounterSearchFastPathMatchesSum64(t *testing.T) {
 	for _, tamper := range []bool{false, true} {
 		for minor := uint64(0); minor < 64; minor++ {
 			ct := [64]byte{byte(minor), 9}
-			tag := fast.TagSC(&ct, 256, 11<<6|minor, 11)
+			tag := fast.TagSC(&ct, 256, 11<<6|minor)
 			gtag := fast.TagGC(&ct, 256, minor<<16|0x77)
 			if tamper {
 				ct[17] ^= 0x40
 			}
-			maj, mi, ops, ok := fast.RecoverCounterSC(&ct, 256, tag, 3)
-			wmaj, wmi, wops, wok := slow.RecoverCounterSC(&ct, 256, tag, 3)
+			// A wrong hint minor sends the split slot to its search.
+			tag.Hint = 11<<6 | (minor+1)&63
+			maj, mi, ops, ok := recoverSC(fast, &ct, 256, tag)
+			wmaj, wmi, wops, wok := recoverSC(slow, &ct, 256, tag)
 			if maj != wmaj || mi != wmi || ops != wops || ok != wok {
 				t.Fatalf("SC minor %d tamper %v: fast (%d, %d, %d, %v), Sum64 loop (%d, %d, %d, %v)",
 					minor, tamper, maj, mi, ops, ok, wmaj, wmi, wops, wok)
@@ -286,13 +349,14 @@ func TestCounterSearchFastPathMatchesSum64(t *testing.T) {
 				t.Fatalf("SC minor %d tamper %v: (%d, %d, %d, %v)", minor, tamper, maj, mi, ops, ok)
 			}
 
-			ctr, gops, gok := fast.SearchCounterGC(&ct, 256, gtag, 64)
-			wctr, wgops, wgok := slow.SearchCounterGC(&ct, 256, gtag, 64)
+			// A stale base one period up misses, so the GC slot searches.
+			ctr, gops, gok := recoverGC(fast, &ct, 256, gtag, minor<<16|0x78, 64)
+			wctr, wgops, wgok := recoverGC(slow, &ct, 256, gtag, minor<<16|0x78, 64)
 			if ctr != wctr || gops != wgops || gok != wgok {
 				t.Fatalf("GC step %d tamper %v: fast (%#x, %d, %v), Sum64 loop (%#x, %d, %v)",
 					minor, tamper, ctr, gops, gok, wctr, wgops, wgok)
 			}
-			if gok == tamper || (gok && (ctr != minor<<16|0x77 || gops != minor+1)) {
+			if gok == tamper || (gok && (ctr != minor<<16|0x77 || gops != int(minor)+1)) {
 				t.Fatalf("GC step %d tamper %v: (%#x, %d, %v)", minor, tamper, ctr, gops, gok)
 			}
 		}
@@ -307,7 +371,7 @@ func TestGCRecoveryPropertyRandomCounters(t *testing.T) {
 		ct := data
 		e.Apply(&ct, 64, actual)
 		tag := e.TagGC(&ct, 64, actual)
-		got, _, ok := e.RecoverCounterGC(&ct, 64, tag, stale)
+		got, _, ok := recoverGC(e, &ct, 64, tag, stale, 0)
 		return ok && got == actual
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -315,86 +379,118 @@ func TestGCRecoveryPropertyRandomCounters(t *testing.T) {
 	}
 }
 
-// TestBatchedHintCheckMatchesSerial holds the batched hinted check
-// (CheckHintsSC, then RecoverSlotSC per slot) to RecoverCounterSCMsg, slot
-// by slot, on leaves that mix every case a recovery meets: a hit, a wrong
-// hint minor that the search still verifies, tampered ciphertext, a
-// tampered tag MAC, and unwritten slots (not listed, and listed anyway).
-// The written counts leave a final group of fewer than eight slots, and
-// the engines cover the AVX-512 or generic SipHash path, a MAC with no
-// eight-lane path (HMAC-SHA-256) and SipHash behind a wrapper.
+// TestBatchedHintCheckMatchesSerial holds the batched check (CheckHints,
+// then RecoverSlotSC or RecoverSlotGC per slot) to the one-block-at-a-time
+// references, slot by slot, on leaves that mix every case a recovery
+// meets: a hit, a wrong hint (split) or stale base (general) that the
+// search still verifies, tampered ciphertext, a tampered tag MAC, and
+// unwritten slots (not listed, and listed anyway). The written counts
+// leave a final group of fewer than eight slots, and the engines cover the
+// AVX-512 or generic SipHash path, a MAC with no eight-lane path
+// (HMAC-SHA-256) and SipHash behind a wrapper.
 func TestBatchedHintCheckMatchesSerial(t *testing.T) {
 	const major, base = 41, 0x4000
 	for _, mac := range []crypt.MAC{crypt.SipMAC{}, crypt.HMACSHA256{}, plainMAC{crypt.SipMAC{}}} {
 		e := newEngine()
 		e.MAC = mac
-		for _, stride := range []int{1, 2, 3, 5, 7, 64} {
-			var leaf SplitLeaf
-			var listed []int
-			var cases [64]string
-			for i := 0; i < 64; i++ {
-				addr := uint64(base + 64*i)
-				ct := [64]byte{byte(i), byte(stride), 0xc3}
-				minor := uint64(i*stride+i/3) & 63
-				tag := e.TagSC(&ct, addr, major<<6|minor, major)
-				switch cases[i] = []string{"hit", "wrong hint minor", "tampered ciphertext", "tampered tag MAC", "unwritten", "unwritten, listed"}[i%6]; cases[i] {
-				case "wrong hint minor":
-					tag.Hint = major<<6 | (minor+1+uint64(i)%5)&63
-				case "tampered ciphertext":
-					ct[i%64] ^= 0x10
-				case "tampered tag MAC":
-					tag.MAC ^= 1 << uint(i)
-				case "unwritten", "unwritten, listed":
-					tag = Tag{}
+		for _, split := range []bool{true, false} {
+			for _, stride := range []int{1, 2, 3, 5, 7, 64} {
+				var leaf Leaf
+				var listed []int
+				var cases [64]string
+				var cts [64][64]byte
+				var cands [64]uint64
+				for i := 0; i < 64; i++ {
+					addr := uint64(base + 64*i)
+					cts[i] = [64]byte{byte(i), byte(stride), 0xc3}
+					minor := uint64(i*stride+i/3) & 63
+					ctr := major<<6 | minor
+					var tag Tag
+					if split {
+						tag = e.TagSC(&cts[i], addr, ctr)
+					} else {
+						ctr = uint64(i%4)<<16 | minor
+						tag = e.TagGC(&cts[i], addr, ctr)
+					}
+					stale := ctr - minor
+					switch cases[i] = []string{"hit", "wrong hint", "tampered ciphertext", "tampered tag MAC", "unwritten", "unwritten, listed"}[i%6]; cases[i] {
+					case "wrong hint":
+						if split {
+							tag.Hint = major<<6 | (minor+1+uint64(i)%5)&63
+						} else {
+							stale = ctr + 1
+						}
+					case "tampered ciphertext":
+						cts[i][i%64] ^= 0x10
+					case "tampered tag MAC":
+						tag.MAC ^= 1 << uint(i)
+					case "unwritten", "unwritten, listed":
+						tag = Tag{}
+					}
+					packSlot(&leaf, i, &cts[i], addr, tag)
+					cands[i] = tag.Hint
+					if !split {
+						cands[i] = CandidateGC(stale, tag.Hint)
+						leaf.SetCandidate(i, cands[i])
+					}
+					if i%stride == 0 && cases[i] != "unwritten" {
+						listed = append(listed, i)
+					}
 				}
-				msg := leaf.Msg(i)
-				sit.PutDataMACMsg(msg, addr, &ct, uint64(i)) // any counter
-				leaf.Tag[i] = tag
-				if i%stride == 0 && cases[i] != "unwritten" {
-					listed = append(listed, i)
+				if len(listed)%8 == 0 && len(listed) > 8 {
+					listed = listed[:len(listed)-3] // end on a partial group
 				}
-			}
-			if len(listed)%8 == 0 && len(listed) > 8 {
-				listed = listed[:len(listed)-3] // end on a partial group
-			}
-			want := make([][4]uint64, 64)
-			for i := range want {
-				msg := *leaf.Msg(i)
-				maj, mi, ops, ok := e.RecoverCounterSCMsg(&msg, leaf.Tag[i])
-				want[i] = [4]uint64{maj, uint64(mi), ops, b2u(ok)}
-			}
-			e.CheckHintsSC(&leaf, listed)
-			// Only an intact block under its true hint may pass the check.
-			// A check that missed everywhere would still match the serial
-			// results through the search; this pins that it hits.
-			for _, i := range listed {
-				if hit := leaf.hits>>uint(i)&1 != 0; hit != (cases[i] == "hit") {
-					t.Errorf("%s stride %d slot %d (%s): hinted check hit = %v", mac.Name(), stride, i, cases[i], hit)
+				e.CheckHints(&leaf, listed)
+				// Only an intact block under its true candidate may pass
+				// the check. A check that missed everywhere would still
+				// match the serial results through the search; this pins
+				// that it hits.
+				for _, i := range listed {
+					if hit := leaf.hits>>uint(i)&1 != 0; hit != (cases[i] == "hit") {
+						t.Errorf("%s split %v stride %d slot %d (%s): check hit = %v", mac.Name(), split, stride, i, cases[i], hit)
+					}
 				}
-			}
-			for i := 0; i < 64; i++ {
-				maj, mi, ops, ok := e.RecoverSlotSC(&leaf, i)
-				if got := [4]uint64{maj, uint64(mi), ops, b2u(ok)}; got != want[i] {
-					t.Errorf("%s stride %d slot %d (%s, %d listed): batched (major, minor, macOps, ok) = %v, RecoverCounterSCMsg %v",
-						mac.Name(), stride, i, cases[i], len(listed), got, want[i])
+				for i := 0; i < 64; i++ {
+					if !split && !slices.Contains(listed, i) {
+						// An unchecked general slot counts as a missed
+						// candidate; the passes list every written slot.
+						continue
+					}
+					addr := uint64(base + 64*i)
+					var got, want [4]uint64
+					if split {
+						maj, mi, ops, ok := e.RecoverSlotSC(&leaf, i)
+						got = [4]uint64{maj, uint64(mi), ops, b2u(ok)}
+						maj, mi, ops, ok = recoverSCSerial(e, &cts[i], addr, leaf.Tag[i])
+						want = [4]uint64{maj, uint64(mi), ops, b2u(ok)}
+					} else {
+						ctr, tried, ok := e.RecoverSlotGC(&leaf, i, 8)
+						got = [4]uint64{ctr, 1 + uint64(tried), b2u(ok)}
+						ctr, ops, ok := recoverGCSerial(e, &cts[i], addr, leaf.Tag[i], cands[i], 8)
+						want = [4]uint64{ctr, ops, b2u(ok)}
+					}
+					if got != want {
+						t.Errorf("%s split %v stride %d slot %d (%s, %d listed): batched %v, serial %v",
+							mac.Name(), split, stride, i, cases[i], len(listed), got, want)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestSplitLeafMsgForgetsCheck: repacking a slot's message after a
-// CheckHintsSC drops the slot's hinted hit, so a stale check never
-// vouches for new contents.
+// TestSplitLeafMsgForgetsCheck: repacking a slot after a CheckHints drops
+// the slot's verified candidate, so a stale check never vouches for new
+// contents.
 func TestSplitLeafMsgForgetsCheck(t *testing.T) {
 	e := newEngine()
-	var leaf SplitLeaf
+	var leaf Leaf
 	ct := [64]byte{7}
-	leaf.Tag[3] = e.TagSC(&ct, 192, 9<<6|4, 9)
-	sit.PutDataMACMsg(leaf.Msg(3), 192, &ct, 0)
-	e.CheckHintsSC(&leaf, []int{3})
+	packSlot(&leaf, 3, &ct, 192, e.TagSC(&ct, 192, 9<<6|4))
+	e.CheckHints(&leaf, []int{3})
+	tag := leaf.Tag[3]
 	ct[0] ^= 1
-	sit.PutDataMACMsg(leaf.Msg(3), 192, &ct, 0)
+	packSlot(&leaf, 3, &ct, 192, tag)
 	if maj, mi, ops, ok := e.RecoverSlotSC(&leaf, 3); ok {
 		t.Fatalf("repacked tampered slot recovered as (%d, %d, %d, true)", maj, mi, ops)
 	}
@@ -419,28 +515,27 @@ func BenchmarkApply(b *testing.B) {
 func BenchmarkRecoverCounterSC(b *testing.B) {
 	e := newEngine()
 	ct := [64]byte{3}
-	tag := e.TagSC(&ct, 128, 5<<6|63, 5) // worst case: minor 63
+	tag := e.TagSC(&ct, 128, 5<<6|63) // worst case: minor 63
 	for i := 0; i < b.N; i++ {
-		e.RecoverCounterSC(&ct, 128, tag, 0)
+		recoverSC(e, &ct, 128, tag)
 	}
 }
 
 // BenchmarkRecoverSplitLeaf recovers a fully written split leaf's 64
-// minors through the batched hinted check and through RecoverCounterSCMsg
-// one slot at a time.
+// minors through the batched hinted check and through the serial
+// reference one slot at a time.
 func BenchmarkRecoverSplitLeaf(b *testing.B) {
 	e := newEngine()
-	var leaf SplitLeaf
-	slots := make([]int, 64)
-	for i := range slots {
-		slots[i] = i
-		ct := [64]byte{byte(i)}
-		leaf.Tag[i] = e.TagSC(&ct, uint64(64*i), 3<<6|uint64(i), 3)
-		sit.PutDataMACMsg(leaf.Msg(i), uint64(64*i), &ct, 0)
+	var leaf Leaf
+	var cts [64][64]byte
+	for i := range cts {
+		cts[i] = [64]byte{byte(i)}
+		packSlot(&leaf, i, &cts[i], uint64(64*i), e.TagSC(&cts[i], uint64(64*i), 3<<6|uint64(i)))
 	}
+	slots := leaf.Written()
 	b.Run("batched", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
-			e.CheckHintsSC(&leaf, slots)
+			e.CheckHints(&leaf, slots)
 			for _, i := range slots {
 				e.RecoverSlotSC(&leaf, i)
 			}
@@ -449,7 +544,7 @@ func BenchmarkRecoverSplitLeaf(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
 			for _, i := range slots {
-				e.RecoverCounterSCMsg(leaf.Msg(i), leaf.Tag[i])
+				recoverSCSerial(e, &cts[i], uint64(64*i), leaf.Tag[i])
 			}
 		}
 	})

@@ -206,6 +206,22 @@ func (c *Controller) SetTag(addr uint64, t cme.Tag) {
 	s[16] = w
 }
 
+// ReadLeafData reads the data blocks leaf idx covers into l, the one
+// read of a leaf's data for recovery: each line straight into its slot's
+// MAC message, packed under the tag hint, beside its tag. It returns the
+// written slots, ascending, in l's own storage. It allocates nothing and
+// charges nothing: each recovery pass charges the reads it consumes.
+func (c *Controller) ReadLeafData(idx uint64, l *cme.Leaf) []int {
+	geo := &c.lay.Geo
+	l.Reset()
+	for i := range int(geo.LeafCover) {
+		daddr := geo.DataAddr(idx, i)
+		c.dev.PeekInto(daddr, (*nvmem.Line)(l.Line(i)))
+		l.Pack(i, daddr, c.Tag(daddr))
+	}
+	return l.Written()
+}
+
 // ChargeHash accounts n MAC-engine operations and returns their latency.
 func (c *Controller) ChargeHash(n uint64) uint64 {
 	c.stats.HashOps += n

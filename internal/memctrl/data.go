@@ -71,7 +71,7 @@ func (c *Controller) WriteData(gap uint64, addr uint64, data [64]byte) error {
 	}
 	wasClean := !le.Dirty
 	node := le.Payload
-	var encCtr, delta, major uint64
+	var encCtr, delta uint64
 	var skipped bool
 	if node.IsSplit {
 		// The first re-admitted slot of a quarantine epoch skips the
@@ -105,7 +105,7 @@ func (c *Controller) WriteData(gap uint64, addr uint64, data [64]byte) error {
 				return rerr
 			}
 		}
-		encCtr, major = node.Split.EncCounter(slot), node.Split.Major
+		encCtr = node.Split.EncCounter(slot)
 	} else {
 		// Per-slot counters: every slot's first fresh write of a
 		// quarantine epoch takes its own skip (its neighbours' counters
@@ -148,7 +148,7 @@ func (c *Controller) WriteData(gap uint64, addr uint64, data [64]byte) error {
 	c.eng.Apply(&ct, addr, encCtr)
 	c.stats.AESOps++
 	if node.IsSplit {
-		c.SetTag(addr, c.eng.TagSC(&ct, addr, encCtr, major))
+		c.SetTag(addr, c.eng.TagSC(&ct, addr, encCtr))
 	} else {
 		c.SetTag(addr, c.eng.TagGC(&ct, addr, encCtr))
 	}
@@ -290,7 +290,7 @@ func (c *Controller) reencrypt(le *cache.Entry[*sit.Node], pre *counter.Split, s
 			// for recovery; the fence still blocks every read.
 			ct := [64]byte(c.dev.Peek(daddr))
 			c.stats.HashOps++
-			c.SetTag(daddr, c.eng.TagSC(&ct, daddr, node.Split.EncCounter(j), node.Split.Major))
+			c.SetTag(daddr, c.eng.TagSC(&ct, daddr, node.Split.EncCounter(j)))
 			continue
 		}
 		line, rlat, rerr := c.ReadLineRetried(c.reqStart+cycles, daddr, nvmem.ClassData)
@@ -316,7 +316,7 @@ func (c *Controller) reencrypt(le *cache.Entry[*sit.Node], pre *counter.Split, s
 		c.eng.Apply(&ct, daddr, newCtr) // re-encrypt
 		c.stats.AESOps += 2
 		c.stats.HashOps++
-		c.SetTag(daddr, c.eng.TagSC(&ct, daddr, newCtr, node.Split.Major))
+		c.SetTag(daddr, c.eng.TagSC(&ct, daddr, newCtr))
 		wstall := c.dev.MustWrite(c.reqStart+cycles, daddr, nvmem.Line(ct), nvmem.ClassData)
 		c.Attribute(metrics.PhaseWriteDrain, wstall)
 		cycles += wstall

@@ -10,11 +10,14 @@
 // block's encryption counter is either proven by its MAC (fast candidate
 // over the stale base, then a base-less search over hint-congruent values)
 // or pinned arithmetically from the tag hint when recorded media evidence
-// says the ciphertext itself is gone. The reconstructed leaf total is then
-// a conservation law against the on-chip recovery register: a residual with
-// no unpinnable block behind it can only mean replayed authentic-stale
-// state, and recovery fails closed by condemning the whole tree instead of
-// forgiving the mismatch. Only genuine double destruction — evidenced media
+// says the ciphertext itself is gone. A leaf's blocks are read once by the
+// controller's reader (memctrl.Controller.ReadLeafData) and their
+// candidates checked in one batch (cme.Engine.CheckHints), as in every
+// other pass that rebuilds a leaf from its data. The reconstructed leaf
+// total is then a conservation law against the on-chip recovery register:
+// a residual with no unpinnable block behind it can only mean replayed
+// authentic-stale state, and recovery fails closed by condemning the whole
+// tree instead of forgiving the mismatch. Only genuine double destruction — evidenced media
 // damage to both a ciphertext and its leaf's stale base — leaves the total
 // unknowable, and only that (unforgeable) evidence forgives a residual.
 //
@@ -65,20 +68,27 @@ type LeafRecovery struct {
 	// (sealed, possibly stale) tree so re-admission has a coherent base.
 	Fenced bool
 
-	// leaf is splitLeafFromData's scratch, allocated by the pass's first
-	// split leaf and reused by the rest.
-	leaf *cme.SplitLeaf
+	// leaf is LeafFromData's scratch, allocated by the pass's first leaf
+	// rebuilt from data and reused by the rest.
+	leaf *cme.Leaf
 }
 
 // LeafFromData reconstructs one leaf node from its covered data blocks,
 // exactly where possible: MAC-proven counters first, hint-pinned counters
-// where media evidence says the ciphertext is gone. In degraded mode an
-// unverifiable coverage is quarantined (fenced, typed fail-fast reads) and
-// the best-known counters are carried so the interior summation and the
-// register conservation law stay exact; in strict mode the first
-// unverifiable block aborts with the integrity error.
+// where media evidence says the ciphertext is gone. A general block's
+// candidate is the unique counter at or above its stale one that the hint
+// names; on a miss the base-less search proves the block exactly if only
+// the base was lost (a torn, flipped or replayed leaf image). A split
+// leaf's written blocks must all agree on one major (the high bits of
+// each tag hint) and their candidates are the hints; the hint carries a
+// split block's full counter, so split leaves are never unpinnable. In
+// degraded mode an unverifiable coverage is quarantined (fenced, typed
+// fail-fast reads) and the best-known counters are carried so the interior
+// summation and the register conservation law stay exact; in strict mode
+// the first unverifiable block aborts with the integrity error.
 func LeafFromData(c *memctrl.Controller, rep *memctrl.RecoveryReport, rec *LeafRecovery, idx uint64, stale *sit.Node, degraded bool) (*sit.Node, error) {
 	geo := &c.Layout().Geo
+	eng := c.Engine()
 	node := &sit.Node{Level: 0, Index: idx, IsSplit: geo.SplitLeaf}
 
 	var cause memctrl.QuarantineCause
@@ -89,62 +99,72 @@ func LeafFromData(c *memctrl.Controller, rep *memctrl.RecoveryReport, rec *LeafR
 		}
 	}
 
-	var lerr error
-	if node.IsSplit {
-		lerr = splitLeafFromData(c, rep, rec, node, stale, degraded, condemn)
-	} else {
-		lerr = generalLeafFromData(c, rep, rec, node, stale, degraded, condemn)
+	if rec.leaf == nil {
+		rec.leaf = new(cme.Leaf)
 	}
-	if lerr != nil {
-		return nil, lerr
+	l := rec.leaf
+	written := c.ReadLeafData(idx, l)
+	if !node.IsSplit {
+		for _, i := range written {
+			l.SetCandidate(i, cme.CandidateGC(stale.Counter(i), l.Tag[i].Hint))
+		}
 	}
-	if cause != memctrl.CauseUnknown {
-		c.QuarantineSubtree(0, idx, cause, evidence, &rep.Degradation)
-	}
-	return node, nil
-}
-
-// generalLeafFromData fills a general-counter leaf block by block.
-func generalLeafFromData(c *memctrl.Controller, rep *memctrl.RecoveryReport, rec *LeafRecovery, node, stale *sit.Node, degraded bool, condemn func(memctrl.QuarantineCause, string)) error {
-	geo := &c.Layout().Geo
-	eng := c.Engine()
-	for i := 0; i < int(geo.LeafCover); i++ {
-		daddr := geo.DataAddr(node.Index, i)
+	eng.CheckHints(l, written)
+	major, haveWritten := stale.Split.Major, false
+	for i := range int(geo.LeafCover) {
+		daddr := geo.DataAddr(idx, i)
 		rep.NVMReads++
-		ct := [64]byte(c.Device().Peek(daddr))
-		tag := c.Tag(daddr)
+		tag := l.Tag[i]
 		if !tag.Written {
 			// Never written: the counter never left zero, whatever a
 			// damaged stale image claims.
-			node.SetCounter(i, 0)
+			if !node.IsSplit {
+				node.SetCounter(i, 0)
+			}
 			continue
 		}
-		ctr, macOps, ok := eng.RecoverCounterGC(&ct, daddr, tag, stale.Counter(i))
-		rep.MACOps += macOps
-		if ok {
+		var ok bool
+		if node.IsSplit {
+			if h := tag.Hint >> 6; !haveWritten {
+				major, haveWritten = h, true
+			} else if h != major {
+				// Tags from different major epochs cannot coexist after a
+				// request-atomic crash: some of these blocks are replayed.
+				if !degraded {
+					return nil, memctrl.ReplayAt("split leaf", 0, idx, "inconsistent majors")
+				}
+				rec.AttackShaped++
+				condemn(memctrl.CauseReplayShaped, c.EvidenceAt(daddr).String())
+				major = max(major, h)
+				continue
+			}
+			m, minor, macOps, hit := eng.RecoverSlotSC(l, i)
+			rep.MACOps += macOps
+			if ok = hit && m == major; !ok {
+				minor = uint8(tag.Hint & 63)
+			}
+			node.Split.Minor[i] = minor
+		} else {
+			ctr, tried, hit := eng.RecoverSlotGC(l, i, searchSteps)
+			rep.MACOps += 1 + uint64(tried)
+			if ok = hit; !ok {
+				// Carry the hint-pinned candidate: exact when the hint and
+				// base are authentic, and any forgery here surfaces as a
+				// register residual.
+				ctr = cme.CandidateGC(stale.Counter(i), tag.Hint)
+			}
 			node.SetCounter(i, ctr)
-			continue
 		}
-		// The unique candidate over the stale base failed: the base may be
-		// lost (torn/flipped/replayed leaf image) while the block itself is
-		// intact. A base-less search over hint-congruent counters proves
-		// the block exactly if so.
-		ctr, macOps, ok = eng.SearchCounterGC(&ct, daddr, tag, searchSteps)
-		rep.MACOps += macOps
 		if ok {
-			node.SetCounter(i, ctr)
 			continue
 		}
 		// No counter verifies this ciphertext: the block is damaged.
 		if !degraded {
-			return memctrl.TamperData(daddr, "during tree rebuild")
+			return nil, memctrl.TamperData(daddr, "during tree rebuild")
 		}
-		// Carry the hint-pinned candidate: exact when the hint and base are
-		// authentic, and any forgery here surfaces as a register residual.
-		node.SetCounter(i, cme.CandidateGC(stale.Counter(i), tag.Hint))
 		dev := c.EvidenceAt(daddr)
 		if mc, mok := memctrl.MediaCause(dev); mok {
-			if _, baseLost := memctrl.MediaCause(c.EvidenceAt(geo.NodeAddr(0, node.Index))); baseLost {
+			if _, baseLost := memctrl.MediaCause(c.EvidenceAt(geo.NodeAddr(0, idx))); !node.IsSplit && baseLost {
 				// Double destruction: ciphertext and stale base both lost
 				// to evidenced media damage — the counter is unknowable.
 				rec.Unpinnable++
@@ -155,81 +175,13 @@ func generalLeafFromData(c *memctrl.Controller, rep *memctrl.RecoveryReport, rec
 			condemn(memctrl.CauseAmbiguous, dev.String())
 		}
 	}
-	return nil
-}
-
-// splitLeafFromData fills a split-counter leaf: every written block must
-// agree on one major (the high bits of each tag hint), minors come from the
-// per-block search, and an unverifiable block's minor pins from its hint's
-// low bits — the hint carries the full counter, so split leaves are never
-// unpinnable. Every line is read straight into its MAC message first, and
-// the written blocks' hinted counters are checked eight at a time.
-func splitLeafFromData(c *memctrl.Controller, rep *memctrl.RecoveryReport, rec *LeafRecovery, node, stale *sit.Node, degraded bool, condemn func(memctrl.QuarantineCause, string)) error {
-	geo := &c.Layout().Geo
-	eng := c.Engine()
-	if rec.leaf == nil {
-		rec.leaf = new(cme.SplitLeaf)
+	if node.IsSplit {
+		node.Split.Major = major
 	}
-	leaf := rec.leaf
-	var slots [counter.SplitArity]int
-	written := slots[:0]
-	for i := 0; i < counter.SplitArity; i++ {
-		daddr := geo.DataAddr(node.Index, i)
-		msg := leaf.Msg(i)
-		ct := (*[64]byte)(msg[:64])
-		c.Device().PeekInto(daddr, (*nvmem.Line)(ct))
-		sit.PutDataMACMsg(msg, daddr, ct, 0) // ct is already in place
-		if leaf.Tag[i] = c.Tag(daddr); leaf.Tag[i].Written {
-			written = append(written, i)
-		}
+	if cause != memctrl.CauseUnknown {
+		c.QuarantineSubtree(0, idx, cause, evidence, &rep.Degradation)
 	}
-	eng.CheckHintsSC(leaf, written)
-	major := stale.Split.Major
-	have := false
-	for i := 0; i < counter.SplitArity; i++ {
-		daddr := geo.DataAddr(node.Index, i)
-		rep.NVMReads++
-		tag := leaf.Tag[i]
-		if !tag.Written {
-			continue
-		}
-		if h := tag.Hint >> 6; !have {
-			major, have = h, true
-		} else if h != major {
-			// Tags from different major epochs cannot coexist after a
-			// request-atomic crash: some of these blocks are replayed.
-			if !degraded {
-				return memctrl.ReplayAt("split leaf", 0, node.Index, "inconsistent majors")
-			}
-			rec.AttackShaped++
-			condemn(memctrl.CauseReplayShaped, c.EvidenceAt(daddr).String())
-			if h > major {
-				major = h
-			}
-			continue
-		}
-		m, minor, macOps, ok := eng.RecoverSlotSC(leaf, i)
-		rep.MACOps += macOps
-		if ok && m == major {
-			node.Split.Minor[i] = minor
-			continue
-		}
-		if !degraded {
-			return memctrl.TamperData(daddr, "during tree rebuild")
-		}
-		// The ciphertext verifies under no minor: pin the exact counter
-		// from the hint's minor bits.
-		node.Split.Minor[i] = uint8(tag.Hint & 63)
-		dev := c.EvidenceAt(daddr)
-		if mc, mok := memctrl.MediaCause(dev); mok {
-			condemn(mc, dev.String())
-		} else {
-			rec.AttackShaped++
-			condemn(memctrl.CauseAmbiguous, dev.String())
-		}
-	}
-	node.Split.Major = major
-	return nil
+	return node, nil
 }
 
 // LeavesFromData reconstructs every leaf node from its covered data blocks

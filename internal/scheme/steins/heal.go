@@ -180,27 +180,29 @@ func (p *Policy) rebuildLeaf(st *recoveryState, n *sit.Node) *sit.Node {
 // covered data blocks with no stale floor: candidates congruent to the tag
 // hint are checked in increasing order up to base + LInc[0] (a slot counter
 // never exceeds the leaf's crash FValue, itself at most the stale base plus
-// the level's total unflushed increment).
+// the level's total unflushed increment). Each slot's first candidate, the
+// hint itself, is checked in one batch; a miss searches on from the hint.
 func (p *Policy) rebuildLeafCounters(st *recoveryState, node *sit.Node, base uint64) bool {
-	geo := &p.c.Layout().Geo
-	eng := p.c.Engine()
 	bound := base + p.linc[0] + cme.GCHintMask
-	for i := 0; i < int(geo.LeafCover); i++ {
-		daddr := geo.DataAddr(node.Index, i)
+	l := &st.leaf
+	eng := p.c.Engine()
+	eng.CheckHints(l, p.c.ReadLeafData(node.Index, l))
+	for i := range int(p.c.Layout().Geo.LeafCover) {
 		st.report.NVMReads++
-		ct := [64]byte(p.c.Device().Peek(daddr))
-		tag := p.c.Tag(daddr)
+		tag := l.Tag[i]
 		if !tag.Written {
 			continue // never written: the counter never advanced from zero
 		}
-		// The candidates are tag.Hint, tag.Hint + GCHintMask+1, ... up to
-		// bound.
-		var steps uint64
-		if tag.Hint <= bound {
-			steps = min((bound-tag.Hint)/(cme.GCHintMask+1)+1, math.MaxInt)
+		if tag.Hint > bound {
+			return false // the hint names no candidate
 		}
-		ctr, macOps, ok := eng.SearchCounterGC(&ct, daddr, tag, int(steps))
-		st.report.MACOps += macOps
+		// The candidates are tag.Hint, tag.Hint + GCHintMask+1, ... up to
+		// bound. A hit on the hint costs the one MAC the search would have
+		// spent on it; a miss searches from the hint again, so its tries
+		// are the search's.
+		steps := min((bound-tag.Hint)/(cme.GCHintMask+1)+1, math.MaxInt)
+		ctr, tried, ok := eng.RecoverSlotGC(l, i, int(steps))
+		st.report.MACOps += max(uint64(tried), 1)
 		if !ok {
 			return false
 		}
@@ -212,18 +214,18 @@ func (p *Policy) rebuildLeafCounters(st *recoveryState, node *sit.Node, base uin
 // rebuildSplitLeafCounters recovers a split leaf's (major, minor) counters
 // from its covered data blocks: all written blocks must agree on one major
 // (carried in full by every tag hint), minors come from the per-block
-// search. No stale floor is needed — the major is explicit and the minor
-// space is exhaustively small.
+// search after one batched check of the hinted counters. No stale floor is
+// needed — the major is explicit and the minor space is exhaustively small.
 func (p *Policy) rebuildSplitLeafCounters(st *recoveryState, node *sit.Node) bool {
-	geo := &p.c.Layout().Geo
+	l := &st.leaf
+	written := p.c.ReadLeafData(node.Index, l)
 	eng := p.c.Engine()
-	haveWritten := false
+	eng.CheckHints(l, written)
 	var major uint64
-	for i := 0; i < counter.SplitArity; i++ {
-		daddr := geo.DataAddr(node.Index, i)
+	haveWritten := false
+	for i := range counter.SplitArity {
 		st.report.NVMReads++
-		ct := [64]byte(p.c.Device().Peek(daddr))
-		tag := p.c.Tag(daddr)
+		tag := l.Tag[i]
 		if !tag.Written {
 			continue
 		}
@@ -232,7 +234,7 @@ func (p *Policy) rebuildSplitLeafCounters(st *recoveryState, node *sit.Node) boo
 		} else if h != major {
 			return false
 		}
-		m, minor, macOps, ok := eng.RecoverCounterSC(&ct, daddr, tag, 0)
+		m, minor, macOps, ok := eng.RecoverSlotSC(l, i)
 		st.report.MACOps += macOps
 		if !ok || m != major {
 			return false

@@ -43,12 +43,9 @@ type recoveryState struct {
 	excused []bool
 	arbed   []bool
 
-	// Scratch of regenerateSplitLeaf, reused by every leaf of the pass: the
-	// leaf's data blocks as read, and the slots whose tags say written.
-	leaf        cme.SplitLeaf
-	leafWritten []int
-	// Scratch of regenerateGeneralLeaf: one data block's MAC message.
-	blockMsg [sit.DataMACMsgSize]byte
+	// leaf is the scratch of every leaf the pass reads from its data
+	// (regeneration and the data-driven heal), one leaf at a time.
+	leaf cme.Leaf
 }
 
 // nodeRec is one tree node's bookkeeping in a Recover pass.
@@ -498,38 +495,51 @@ func (p *Policy) regenerateFromNodes(st *recoveryState, node *sit.Node, stale *s
 }
 
 // regenerateGeneralLeaf rebuilds a general leaf from the 8 persisted data
-// blocks it covers, using the tag hints (Osiris-style candidate check).
-// Each block's line is read straight into its MAC message.
+// blocks it covers, using the tag hints (Osiris-style candidate check): a
+// written block's candidate is the unique counter at or above its stale
+// one that the hint names, and the candidates are checked in one batch.
 func (p *Policy) regenerateGeneralLeaf(st *recoveryState, node *sit.Node, stale *sit.Node) error {
-	geo := &p.c.Layout().Geo
-	dev := p.c.Device()
+	l := &st.leaf
+	written := p.c.ReadLeafData(node.Index, l)
+	for _, i := range written {
+		l.SetCandidate(i, cme.CandidateGC(stale.Counter(i), l.Tag[i].Hint))
+	}
 	eng := p.c.Engine()
-	msg := &st.blockMsg
-	ct := (*[64]byte)(msg[:64])
-	for i := 0; i < int(geo.LeafCover); i++ {
-		daddr := geo.DataAddr(node.Index, i)
+	eng.CheckHints(l, written)
+	for i := range int(p.c.Layout().Geo.LeafCover) {
 		st.report.NVMReads++
-		dev.PeekInto(daddr, (*nvmem.Line)(ct))
-		tag := p.c.Tag(daddr)
-		if !tag.Written {
+		if !l.Tag[i].Written {
 			node.SetCounter(i, stale.Counter(i)) // never written since initialisation
 			continue
 		}
-		sit.PutDataMACMsg(msg, daddr, ct, 0) // ct is already in place
-		ctr, macOps, ok := eng.RecoverCounterGCMsg(msg, tag, stale.Counter(i))
-		st.report.MACOps += macOps
+		st.report.MACOps++
+		ctr, _, ok := eng.RecoverSlotGC(l, i, 0)
 		if !ok {
-			if st.degraded {
-				if c2, ok2 := p.reconstructTornSlot(st, node.Index, daddr, stale.Counter(i)); ok2 {
-					node.SetCounter(i, c2)
-					continue
-				}
+			var err error
+			if ctr, err = p.slotFailed(st, node, stale, i); err != nil {
+				return err
 			}
-			return memctrl.TamperData(daddr, "during leaf recovery")
 		}
 		node.SetCounter(i, ctr)
 	}
 	return nil
+}
+
+// slotFailed settles a leaf slot whose block verifies under no counter.
+// In degraded mode a general-leaf block destroyed by a recorded media
+// fault keeps its exactly reconstructed counter (reconstructTornSlot);
+// anything else is tampering.
+func (p *Policy) slotFailed(st *recoveryState, node, stale *sit.Node, i int) (uint64, error) {
+	daddr := p.c.Layout().Geo.DataAddr(node.Index, i)
+	if node.IsSplit {
+		return 0, memctrl.TamperData(daddr, "during split-leaf recovery")
+	}
+	if st.degraded {
+		if ctr, ok := p.reconstructTornSlot(st, node.Index, daddr, stale.Counter(i)); ok {
+			return ctr, nil
+		}
+	}
+	return 0, memctrl.TamperData(daddr, "during leaf recovery")
 }
 
 // reconstructTornSlot handles a data block destroyed by a recorded media
@@ -555,10 +565,7 @@ func (p *Policy) reconstructTornSlot(st *recoveryState, leaf uint64, daddr uint6
 	if !tag.Written {
 		return 0, false
 	}
-	cand := staleCtr&^uint64(cme.GCHintMask) | tag.Hint
-	if cand < staleCtr {
-		cand += cme.GCHintMask + 1
-	}
+	cand := cme.CandidateGC(staleCtr, tag.Hint)
 	if cand > staleCtr+p.linc[0] {
 		return 0, false // the hint names no reachable counter
 	}
@@ -573,50 +580,39 @@ func (p *Policy) reconstructTornSlot(st *recoveryState, leaf uint64, daddr uint6
 // blocks: the major comes from the tag copies (§II-D), the minors from the
 // per-block search. All written blocks must agree on one major no older
 // than the stale base; disagreement or regression means replayed blocks.
-// Each block's line and tag are read once, the line straight into the
-// block's MAC message, and the written blocks' hinted counters are checked
-// eight at a time before the per-block search.
+// The written blocks' hinted counters are checked in one batch before the
+// per-block search.
 func (p *Policy) regenerateSplitLeaf(st *recoveryState, node *sit.Node, stale *sit.Node) error {
-	geo := &p.c.Layout().Geo
-	dev := p.c.Device()
-	eng := p.c.Engine()
-	major := stale.Split.Major
-	haveWritten := false
-	leaf := &st.leaf
-	written := st.leafWritten[:0]
-	for i := 0; i < counter.SplitArity; i++ {
-		addr := geo.DataAddr(node.Index, i)
+	l := &st.leaf
+	written := p.c.ReadLeafData(node.Index, l)
+	major, haveWritten := stale.Split.Major, false
+	for i := range counter.SplitArity {
 		st.report.NVMReads++
-		msg := leaf.Msg(i)
-		ct := (*[64]byte)(msg[:64])
-		dev.PeekInto(addr, (*nvmem.Line)(ct))
-		sit.PutDataMACMsg(msg, addr, ct, 0) // ct is already in place
-		leaf.Tag[i] = p.c.Tag(addr)
-		if !leaf.Tag[i].Written {
+		if !l.Tag[i].Written {
 			continue // never written: minor stays zero
 		}
-		if h := leaf.Tag[i].Hint >> 6; !haveWritten {
+		if h := l.Tag[i].Hint >> 6; !haveWritten {
 			major, haveWritten = h, true
 		} else if h != major {
 			return memctrl.ReplayAt("split leaf", 0, node.Index, "inconsistent major counters across data blocks")
 		}
-		written = append(written, i)
 	}
-	st.leafWritten = written
 	if haveWritten && major < stale.Split.Major {
 		return memctrl.ReplayAt("split leaf", 0, node.Index,
 			fmt.Sprintf("recovered major %d older than persisted %d", major, stale.Split.Major))
 	}
 	node.Split.Major = major
-	eng.CheckHintsSC(leaf, written)
+	eng := p.c.Engine()
+	eng.CheckHints(l, written)
 	for _, i := range written {
-		m, minor, macOps, ok := eng.RecoverSlotSC(leaf, i)
+		m, minor, macOps, ok := eng.RecoverSlotSC(l, i)
 		st.report.MACOps += macOps
 		if !ok {
-			return memctrl.TamperData(geo.DataAddr(node.Index, i), "during split-leaf recovery")
+			_, err := p.slotFailed(st, node, stale, i)
+			return err
 		}
 		if m != major {
-			return memctrl.ReplayData(geo.DataAddr(node.Index, i), "major mismatch")
+			return memctrl.ReplayData(p.c.Layout().Geo.DataAddr(node.Index, i), "major mismatch")
 		}
 		node.Split.Minor[i] = minor
 	}

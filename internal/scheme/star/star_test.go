@@ -2,6 +2,7 @@ package star_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"steins/internal/memctrl"
@@ -148,5 +149,52 @@ func TestMultiLayerBitmapPrunesRecoveryScan(t *testing.T) {
 	fullL0 := c.Layout().L1BitmapOffset / 64
 	if rep.NVMReads >= fullL0 {
 		t.Fatalf("recovery scan read %d lines; unpruned L0 alone is %d", rep.NVMReads, fullL0)
+	}
+}
+
+// treeRoot reads the cache-tree's on-chip root out of the scheme's state.
+func treeRoot(t *testing.T, c *memctrl.Controller) uint64 {
+	t.Helper()
+	blob, err := c.Policy().(*star.Policy).SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st star.State
+	if err := memctrl.DecodePolicyState(blob, &st); err != nil {
+		t.Fatal(err)
+	}
+	return st.Root
+}
+
+// TestSmallCacheTreeRootAuthenticates pins the cache-tree at metadata
+// caches of 8 sets or fewer, where the set-MACs are the tree's only level:
+// the root must still move with the dirty set, and an erased bitmap must
+// still fail recovery on the root.
+func TestSmallCacheTreeRootAuthenticates(t *testing.T) {
+	for _, kib := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("%dKiB", kib), func(t *testing.T) {
+			cfg := memctrl.DefaultConfig(1<<20, false)
+			cfg.MetaCacheBytes = kib << 10
+			cfg.MetaCacheWays = 8
+			c := memctrl.New(cfg, star.Factory)
+			before := treeRoot(t, c)
+			for i := uint64(0); i < 300; i++ {
+				addr := i * 4096 % cfg.DataBytes
+				if err := c.WriteData(5, addr, schemetest.Pattern(addr, byte(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if treeRoot(t, c) == before {
+				t.Errorf("%d sets: cache-tree root unchanged after 300 writes", c.Meta().Sets())
+			}
+			c.Crash()
+			lay := c.Layout()
+			for li := uint64(0); li < lay.BitmapLines(); li++ {
+				c.Device().Poke(lay.BitmapBase+li*64, nvmem.Line{})
+			}
+			if _, err := c.Recover(); !errors.Is(err, memctrl.ErrReplay) {
+				t.Fatalf("%d sets: recover with erased bitmap = %v, want ErrReplay", c.Meta().Sets(), err)
+			}
+		})
 	}
 }

@@ -49,7 +49,10 @@ fuzz:
 	@failed=; \
 	fuzz() { echo "go test -run ^$$1\$$ -fuzz=^$$1\$$ -fuzztime=20s $$3 $$2"; \
 		go test -run "^$$1\$$" -fuzz="^$$1\$$" -fuzztime=20s $$3 $$2 || failed="$$failed $$1"; }; \
+	fuzz FuzzGeneralRoundTrip ./internal/counter; \
+	fuzz FuzzSplitRoundTrip ./internal/counter; \
 	fuzz FuzzSplitIncrementMonotone ./internal/counter; \
+	fuzz FuzzCMERoundTrip ./internal/counter; \
 	fuzz FuzzReadFile ./internal/trace; \
 	fuzz FuzzSplitterRoundTrip ./internal/trace; \
 	fuzz FuzzRunCase ./internal/campaign; \
@@ -99,8 +102,8 @@ metrics-demo:
 # byte-determinism of the snapshot wire format and of steinssim's report
 # across fresh, checkpointed and resumed runs. The quarantine/re-admission
 # suites (evidence-arbitrated degraded recovery) run raced at -cpu 1,4
-# across the steins policy, the controller and the campaign's
-# replay-boundary repro artifacts. The recovery counter searches (the
+# across the steins policy, the controller, the campaign's
+# replay-boundary repro artifacts and ASIT's quarantine order. The recovery counter searches (the
 # SipHash prefix-cached fast path against the one-MAC-per-candidate loop)
 # run raced at -cpu 1,4, together with the SipHash vectors, the hint-first
 # split-counter recovery against the plain 64-candidate search, the
@@ -151,7 +154,7 @@ check: campaign serve-check bench-check figs-check
 	go test -shuffle=on -race -cpu 1,4 -run 'Sweep|Torture|TornDataFlip|CrashSeedsCommit|FuzzRunCase|FuzzRecordReplay' \
 		./internal/campaign
 	go test -shuffle=on -race -cpu 1,4 -run 'Quarantine|Readmission|Degraded|Heal|ReplayBoundary' \
-		./internal/scheme/steins ./internal/memctrl ./internal/campaign
+		./internal/scheme/steins ./internal/memctrl ./internal/campaign ./internal/scheme/asit
 	go test -shuffle=on -race -cpu 1,4 -run 'Search|Recover|SipHash|Sum80x8|BatchedHintCheck|SplitLeaf|LeafFromData' ./internal/crypt ./internal/cme \
 		./internal/scheme/steins ./internal/scheme/rebuild
 	go test -shuffle=on -race -cpu 1,2,8 -run 'Sharded|Conformance|Splitter|Interleave|NextEpoch|Replay|SystemRecover|DriveStream|OneChannelMatchesBareController|AddressErrors|BadAddressTypedError|Route' \

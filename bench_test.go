@@ -314,14 +314,21 @@ func BenchmarkAblationSkipUpdate(b *testing.B) {
 // (sequential hashes to the root, §II-C) with the SIT lazy update (one
 // node plus its parent).
 func BenchmarkAblationSITvsBMT(b *testing.B) {
-	tree := bmt.New(1<<15, crypt.NewKey(1), crypt.SipMAC{}, 40)
+	const blocks, hashCycles = 1 << 15, 40
+	key, mac := crypt.NewKey(1), crypt.SipMAC{}
 	var blk counter.Block
+	leaves := make([]uint64, blocks)
+	for i := range leaves {
+		leaves[i] = bmt.LeafHash(key, mac, uint64(i), blk)
+	}
+	tree := bmt.New(leaves, key, mac)
 	var bmtCycles uint64
 	for i := 0; i < b.N; i++ {
 		blk[0] = byte(i)
-		bmtCycles += tree.Update(uint64(i)&(1<<15-1), blk)
+		leaf := i & (blocks - 1)
+		bmtCycles += hashCycles * tree.Set(leaf, bmt.LeafHash(key, mac, uint64(leaf), blk))
 	}
-	const sitLazyCycles = 2 * 40 // leaf HMAC + parent update on flush
+	const sitLazyCycles = 2 * hashCycles // leaf HMAC + parent update on flush
 	b.ReportMetric(float64(bmtCycles)/float64(b.N), "bmt_cycles_per_update")
 	b.ReportMetric(sitLazyCycles, "sit_lazy_cycles_per_flush")
 }

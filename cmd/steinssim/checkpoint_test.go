@@ -204,3 +204,40 @@ func TestResumeFailures(t *testing.T) {
 		t.Fatalf("-resume -compare: exit %d, want 2 (stderr: %s)", code, errb.String())
 	}
 }
+
+// TestResumeCacheTreeCheckpoints pins checkpoint compatibility of the
+// ASIT and STAR cache-trees: layout-6 run checkpoints written by the
+// build whose schemes kept their cache-trees inline (STAR's leaf level
+// then held zeros beside its set-MACs) resume, crash and recover to that
+// build's straight output byte for byte. Both were taken after op 590 of
+// `-workload pers_queue -scheme ASIT|STAR -ops 600 -cache 16 -seed 5`;
+// the .txt files are that build's output of the same flags with -crash.
+func TestResumeCacheTreeCheckpoints(t *testing.T) {
+	for _, scheme := range []string{"asit", "star"} {
+		t.Run(scheme, func(t *testing.T) {
+			blob, err := os.ReadFile(filepath.Join("testdata", scheme+"-layout6-run.snap"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", scheme+"-straight.txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := filepath.Join(t.TempDir(), "run.snap")
+			if err := os.WriteFile(snap, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var out, errb strings.Builder
+			if code := run([]string{"-resume", snap, "-crash"}, &out, &errb); code != 0 {
+				t.Fatalf("resume: exit %d, stderr: %s", code, errb.String())
+			}
+			got := out.String()
+			if !strings.Contains(got, "resumed pers_queue/") || !strings.Contains(got, " at op 590 of 600 ") {
+				t.Fatalf("no mid-run resume banner:\n%s", got)
+			}
+			if got = withoutLine(got, "resumed "); got != string(want) {
+				t.Fatalf("resumed output diverges from the straight run\nwant:\n%s\ngot:\n%s", want, got)
+			}
+		})
+	}
+}

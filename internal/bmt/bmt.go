@@ -1,153 +1,125 @@
-// Package bmt implements the Bonsai Merkle Tree of §II-C (Rogers et al.,
-// MICRO'07): counter blocks are hashed into parent HMAC nodes, which are
-// hashed recursively up to an on-chip root. Because each parent hash takes
-// its children's hashes as input, an update must recompute the whole
-// branch sequentially — the cost that motivates the paper's choice of SIT,
-// whose per-level counters update in parallel (§II-C).
+// Package bmt is the repository's one Merkle tree: arity 8 over 64-bit
+// leaf hashes, each parent hashing its children's hashes up to a root.
 //
-// The package is the substrate for the SIT-vs-BMT ablation bench: it is a
-// functional tree (real hashes, real verification) with the same 40-cycle
-// hash-latency accounting as the controller.
+// It serves three callers. ASIT's and STAR's cache-trees (§II-D) are
+// trees of this kind over shadow slots and per-set MACs, with the root in
+// an on-chip non-volatile register the caller keeps. The SIT-vs-BMT
+// ablation uses it as the Bonsai Merkle Tree of §II-C (Rogers et al.,
+// MICRO'07) over counter blocks: because each parent hash takes its
+// children's hashes as input, an update recomputes the whole branch
+// sequentially — the cost that motivates the paper's choice of SIT, whose
+// per-level counters update in parallel.
 package bmt
 
 import (
 	"encoding/binary"
 	"fmt"
 
-	"steins/internal/counter"
 	"steins/internal/crypt"
 )
-
-// Tree is a Bonsai Merkle Tree over counter blocks. Leaves are the CME
-// counter blocks themselves (hashed), interior nodes are hashes of their
-// children, arity 8.
-type Tree struct {
-	key        crypt.Key
-	mac        crypt.MAC
-	hashCycles uint64
-	blocks     []counter.Block // the protected counter blocks
-	levels     [][]uint64      // levels[0][i] = hash of block i; top is len-1
-	root       uint64          // on-chip, trusted
-}
 
 // Arity is the tree fan-out.
 const Arity = 8
 
-// New builds a BMT over numBlocks zeroed counter blocks.
-func New(numBlocks int, key crypt.Key, mac crypt.MAC, hashCycles uint64) *Tree {
-	if numBlocks <= 0 {
-		panic("bmt: need at least one block")
+// Tree holds the leaf hashes and the interior levels. Levels shrink by
+// Arity until one is at most Arity wide; the root hashes that top level
+// as level len(levels). A group hash's message is level<<32|group
+// followed by the children, each little-endian.
+type Tree struct {
+	key    crypt.Key
+	mac    crypt.MAC
+	levels [][]uint64 // levels[0] are the leaves
+	// msg is the group-hash message, reused: a buffer on the stack would
+	// escape through the crypt.MAC call and allocate per hash.
+	msg [8 + 8*Arity]byte
+}
+
+// New builds a tree over leaves, which it keeps, and hashes its interior.
+func New(leaves []uint64, key crypt.Key, mac crypt.MAC) *Tree {
+	if len(leaves) == 0 {
+		panic("bmt: need at least one leaf")
 	}
-	t := &Tree{key: key, mac: mac, hashCycles: hashCycles, blocks: make([]counter.Block, numBlocks)}
-	n := numBlocks
-	for {
-		t.levels = append(t.levels, make([]uint64, n))
-		if n == 1 {
-			break
-		}
+	t := &Tree{key: key, mac: mac, levels: [][]uint64{leaves}}
+	for n := len(leaves); n > Arity; {
 		n = (n + Arity - 1) / Arity
+		t.levels = append(t.levels, make([]uint64, n))
 	}
-	for i := range t.blocks {
-		t.levels[0][i] = t.leafHash(uint64(i))
-	}
-	for l := 1; l < len(t.levels); l++ {
-		for i := range t.levels[l] {
-			t.levels[l][i] = t.groupHash(l, uint64(i))
-		}
-	}
-	t.root = t.levels[len(t.levels)-1][0]
+	t.Rebuild()
 	return t
 }
 
-// Levels returns the number of hash levels (leaf hashes included).
-func (t *Tree) Levels() int { return len(t.levels) }
-
-// Root returns the trusted root hash.
-func (t *Tree) Root() uint64 { return t.root }
-
-// Block returns a copy of leaf block i.
-func (t *Tree) Block(i uint64) counter.Block { return t.blocks[i] }
-
-func (t *Tree) leafHash(i uint64) uint64 {
+// LeafHash authenticates a 64-byte line bound to its leaf index i: the
+// MAC of the line followed by i, little-endian.
+func LeafHash(key crypt.Key, mac crypt.MAC, i uint64, line [64]byte) uint64 {
 	var msg [72]byte
-	copy(msg[:64], t.blocks[i][:])
+	copy(msg[:64], line[:])
 	binary.LittleEndian.PutUint64(msg[64:], i)
-	return t.mac.Sum64(t.key, msg[:])
+	return mac.Sum64(key, msg[:])
 }
 
-func (t *Tree) groupHash(level int, idx uint64) uint64 {
-	lo := idx * Arity
-	hi := min(lo+Arity, uint64(len(t.levels[level-1])))
-	msg := make([]byte, 0, 8*(int(hi-lo)+1))
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(level)<<32|idx)
-	msg = append(msg, b[:]...)
-	for _, h := range t.levels[level-1][lo:hi] {
-		binary.LittleEndian.PutUint64(b[:], h)
-		msg = append(msg, b[:]...)
+// Levels returns the tree's levels, leaves first; the caller must not
+// resize them.
+func (t *Tree) Levels() [][]uint64 { return t.levels }
+
+// Leaves returns the leaf level. A caller that writes it directly calls
+// Rebuild before it trusts the interior again.
+func (t *Tree) Leaves() []uint64 { return t.levels[0] }
+
+// Root hashes the top level.
+func (t *Tree) Root() uint64 { return t.hash(len(t.levels), 0) }
+
+// hash is the group hash of node group at level over its children one
+// level down; at level len(levels) it is the root.
+func (t *Tree) hash(level int, group uint64) uint64 {
+	below := t.levels[level-1]
+	lo := group * Arity
+	binary.LittleEndian.PutUint64(t.msg[:8], uint64(level)<<32|group)
+	n := 8
+	for _, h := range below[lo:min(lo+Arity, uint64(len(below)))] {
+		binary.LittleEndian.PutUint64(t.msg[n:], h)
+		n += 8
 	}
-	return t.mac.Sum64(t.key, msg)
+	return t.mac.Sum64(t.key, t.msg[:n])
 }
 
-// Update replaces leaf block i and recomputes the branch to the root.
-// The returned cycle count is sequential — each hash needs its child's
-// result — which is BMT's structural penalty versus SIT.
-func (t *Tree) Update(i uint64, block counter.Block) (cycles uint64) {
-	t.blocks[i] = block
-	t.levels[0][i] = t.leafHash(i)
-	cycles = t.hashCycles
-	idx := i
+// Set replaces leaf i with h and rehashes its path up to the top level.
+// It returns the update's hash count as the hardware performs it, one
+// after another because each hash takes the one below as input: h, one
+// per interior level, and the root.
+func (t *Tree) Set(i int, h uint64) uint64 {
+	t.levels[0][i] = h
 	for l := 1; l < len(t.levels); l++ {
-		idx /= Arity
-		t.levels[l][idx] = t.groupHash(l, idx)
-		cycles += t.hashCycles // strictly sequential: child hash is an input
+		i /= Arity
+		t.levels[l][i] = t.hash(l, uint64(i))
 	}
-	t.root = t.levels[len(t.levels)-1][0]
-	return cycles
+	return uint64(len(t.levels)) + 1
 }
 
-// Verify checks leaf block i against the stored branch and root. The
-// returned cycles assume the branch hashes are computed in parallel once
-// the data is available (verification, unlike update, parallelises in BMT
-// too), so it costs one hash latency plus a compare per level.
-func (t *Tree) Verify(i uint64, block counter.Block) (uint64, error) {
-	saved := t.blocks[i]
-	t.blocks[i] = block
-	h := t.leafHash(i)
-	t.blocks[i] = saved
-	cycles := t.hashCycles
-	if h != t.levels[0][i] {
-		return cycles, fmt.Errorf("bmt: leaf %d hash mismatch", i)
-	}
-	idx := i
+// Rebuild rehashes every interior level from the leaves and returns the
+// root and the hash count: every interior node plus the root (the leaves
+// are the caller's). The root is returned, not kept: the caller compares
+// it with its trusted copy.
+func (t *Tree) Rebuild() (root, hashes uint64) {
 	for l := 1; l < len(t.levels); l++ {
-		idx /= Arity
-		if t.groupHash(l, idx) != t.levels[l][idx] {
-			return cycles, fmt.Errorf("bmt: interior hash mismatch at level %d", l)
+		for g := range t.levels[l] {
+			t.levels[l][g] = t.hash(l, uint64(g))
 		}
-		cycles++ // pipelined compare
+		hashes += uint64(len(t.levels[l]))
 	}
-	if t.levels[len(t.levels)-1][0] != t.root {
-		return cycles, fmt.Errorf("bmt: root mismatch")
-	}
-	return cycles, nil
+	return t.Root(), hashes + 1
 }
 
-// Rebuild reconstructs every hash from the leaf blocks (the BMT recovery
-// path of §II-D: the tree can be rebuilt from leaves because parents are
-// pure functions of children). It returns the hash count and the new root,
-// which the caller compares with a trusted copy.
-func (t *Tree) Rebuild() (hashes uint64, root uint64) {
-	for i := range t.blocks {
-		t.levels[0][i] = t.leafHash(uint64(i))
-		hashes++
+// Restore adopts checkpointed levels after checking that they have this
+// tree's number of levels and level widths.
+func (t *Tree) Restore(levels [][]uint64) error {
+	if len(levels) != len(t.levels) {
+		return fmt.Errorf("state has %d tree levels, scheme has %d", len(levels), len(t.levels))
 	}
-	for l := 1; l < len(t.levels); l++ {
-		for i := range t.levels[l] {
-			t.levels[l][i] = t.groupHash(l, uint64(i))
-			hashes++
+	for i := range t.levels {
+		if len(levels[i]) != len(t.levels[i]) {
+			return fmt.Errorf("state tree level %d has %d nodes, scheme has %d", i, len(levels[i]), len(t.levels[i]))
 		}
 	}
-	t.root = t.levels[len(t.levels)-1][0]
-	return hashes, t.root
+	t.levels = levels
+	return nil
 }

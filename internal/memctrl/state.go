@@ -137,21 +137,6 @@ func CheckCachedLines[P any](what string, st cache.State[*P], base, size uint64)
 	return nil
 }
 
-// CheckTreeShape reports whether a restored scheme cache-tree (ASIT's over
-// shadow slots, STAR's over set-MACs) has the levels and level widths of
-// the one the scheme built.
-func CheckTreeShape(got, want [][]uint64) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("state has %d tree levels, scheme has %d", len(got), len(want))
-	}
-	for i := range want {
-		if len(got[i]) != len(want[i]) {
-			return fmt.Errorf("state tree level %d has %d nodes, scheme has %d", i, len(got[i]), len(want[i]))
-		}
-	}
-	return nil
-}
-
 // StateLayout identifies the ControllerState encoding. Layout 6 carries
 // the data tags in the chunk shape layout 5 gave the device's line and
 // wear tables (arena.Table: ascending chunk indices and whole blocks of

@@ -1,9 +1,9 @@
 // Package asit implements the Anubis-for-SGX-Integrity-Tree baseline
 // (Zubair & Awad, ISCA'19; §IV of the Steins paper): every modification of
 // a cached metadata node is persisted to a shadow table in NVM (doubling
-// memory writes), and a Merkle cache-tree over the shadow slots — its root
-// in an on-chip non-volatile register, its interior in volatile SRAM —
-// authenticates them. Recovery reads the whole shadow table, checks it
+// memory writes), and a Merkle cache-tree over the shadow slots (a
+// bmt.Tree, one leaf per slot) — its root in an on-chip non-volatile
+// register, its interior in volatile SRAM — authenticates them. Recovery reads the whole shadow table, checks it
 // against the cache-tree root, and restores every recorded node, which is
 // why ASIT recovers fastest (Fig. 17) while paying the highest runtime
 // cost (Figs. 9-10).
@@ -11,11 +11,11 @@ package asit
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
+	"steins/internal/bmt"
 	"steins/internal/cache"
 	"steins/internal/counter"
-	"steins/internal/crypt"
 	"steins/internal/memctrl"
 	"steins/internal/nvmem"
 	"steins/internal/sit"
@@ -24,33 +24,24 @@ import (
 // Policy is the ASIT scheme.
 type Policy struct {
 	c *memctrl.Controller
-	// tree holds the cache-tree levels over shadow slots: tree[0][s] is
-	// the hash of slot s, upper levels shrink by the tree arity. Volatile
-	// SRAM: recomputed from the shadow table at recovery.
-	tree [][]uint64
+	// tree is the cache-tree over shadow slots: leaf s is the hash of slot
+	// s. Volatile SRAM: recomputed from the shadow table at recovery.
+	tree *bmt.Tree
 	// root is the cache-tree root, an on-chip non-volatile register.
 	root uint64
 }
 
-const treeArity = 8
-
 // Factory builds an ASIT policy; pass to memctrl.New.
 func Factory(c *memctrl.Controller) memctrl.Policy {
 	p := &Policy{c: c}
-	n := c.Meta().Capacity()
-	for {
-		p.tree = append(p.tree, make([]uint64, n))
-		if n <= treeArity {
-			break
-		}
-		n = (n + treeArity - 1) / treeArity
-	}
 	// Leaf hashes must cover the empty shadow slots too: recovery hashes
 	// whatever the slots hold, including ones never written.
-	for s := 0; s < c.Meta().Capacity(); s++ {
-		p.tree[0][s] = p.leafHash(s, nvmem.Line{})
+	leaves := make([]uint64, c.Meta().Capacity())
+	for s := range leaves {
+		leaves[s] = p.leafHash(s, nvmem.Line{})
 	}
-	p.root, _ = p.rebuildTree()
+	p.tree = bmt.New(leaves, c.Config().Key, c.Config().MAC)
+	p.root = p.tree.Root()
 	return p
 }
 
@@ -78,61 +69,7 @@ func (p *Policy) slotContent(n *sit.Node) nvmem.Line {
 
 // leafHash authenticates one shadow slot's content bound to its position.
 func (p *Policy) leafHash(slot int, content nvmem.Line) uint64 {
-	var msg [72]byte
-	copy(msg[:64], content[:])
-	binary.LittleEndian.PutUint64(msg[64:], uint64(slot))
-	return p.c.Config().MAC.Sum64(p.keyFor(), msg[:])
-}
-
-func (p *Policy) keyFor() crypt.Key { return p.c.Config().Key }
-
-// interiorHash combines a group of child hashes.
-func (p *Policy) interiorHash(level int, group uint64, children []uint64) uint64 {
-	msg := make([]byte, 0, 8*(len(children)+2))
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(level)<<32|group)
-	msg = append(msg, b[:]...)
-	for _, h := range children {
-		binary.LittleEndian.PutUint64(b[:], h)
-		msg = append(msg, b[:]...)
-	}
-	return p.c.Config().MAC.Sum64(p.keyFor(), msg)
-}
-
-// updatePath recomputes the cache-tree from one leaf to the root and
-// returns the number of hash computations (sequential on the critical
-// path, the cost §II-D calls out).
-func (p *Policy) updatePath(slot int, content nvmem.Line) uint64 {
-	p.tree[0][slot] = p.leafHash(slot, content)
-	hashes := uint64(1)
-	idx := uint64(slot)
-	for l := 1; l < len(p.tree); l++ {
-		idx /= treeArity
-		p.tree[l][idx] = p.groupHash(l, idx)
-		hashes++
-	}
-	p.root = p.interiorHash(len(p.tree), 0, p.tree[len(p.tree)-1])
-	return hashes + 1
-}
-
-func (p *Policy) groupHash(level int, idx uint64) uint64 {
-	lo := idx * treeArity
-	hi := min(lo+treeArity, uint64(len(p.tree[level-1])))
-	return p.interiorHash(level, idx, p.tree[level-1][lo:hi])
-}
-
-// rebuildTree recomputes every interior hash from the current leaf level
-// and returns the resulting root and the number of hashes. It does not
-// touch p.root: that register is the non-volatile anchor recovery compares
-// against.
-func (p *Policy) rebuildTree() (root uint64, hashes uint64) {
-	for l := 1; l < len(p.tree); l++ {
-		for idx := range p.tree[l] {
-			p.tree[l][idx] = p.groupHash(l, uint64(idx))
-			hashes++
-		}
-	}
-	return p.interiorHash(len(p.tree), 0, p.tree[len(p.tree)-1]), hashes + 1
+	return bmt.LeafHash(p.c.Config().Key, p.c.Config().MAC, uint64(slot), content)
 }
 
 // OnModify implements memctrl.Policy: persist the updated node to its
@@ -141,8 +78,8 @@ func (p *Policy) rebuildTree() (root uint64, hashes uint64) {
 func (p *Policy) OnModify(e *cache.Entry[*sit.Node], _ bool, _ uint64) uint64 {
 	content := p.slotContent(e.Payload)
 	stall := p.c.Device().MustWrite(p.c.Now(), p.slotAddr(e.Slot()), content, nvmem.ClassShadow)
-	hashes := p.updatePath(e.Slot(), content)
-	p.c.CountHash(hashes)
+	p.c.CountHash(p.tree.Set(e.Slot(), p.leafHash(e.Slot(), content)))
+	p.root = p.tree.Root()
 	// The cache-tree engine pipelines the path; the request waits for the
 	// leaf hash plus one lagging stage before the next dependent update.
 	return stall + 2*p.c.Config().HashCycles
@@ -173,7 +110,6 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 	rep := memctrl.RecoveryReport{Scheme: p.Name()}
 	lay := p.c.Layout()
 	geo := &lay.Geo
-	slots := p.c.Meta().Capacity()
 	degraded := p.c.Config().DegradedRecovery
 
 	// A node that moved cache slots leaves a stale entry in its old shadow
@@ -183,10 +119,11 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 	for k := range byLevel {
 		byLevel[k] = make(map[uint64]*sit.Node)
 	}
-	for s := 0; s < slots; s++ {
+	leaves := p.tree.Leaves()
+	for s := range leaves {
 		rep.NVMReads++
 		content := p.c.Device().Peek(p.slotAddr(s))
-		p.tree[0][s] = p.leafHash(s, content)
+		leaves[s] = p.leafHash(s, content)
 		rep.MACOps++
 		off := binary.LittleEndian.Uint32(content[56:60])
 		if off == 0 {
@@ -212,7 +149,7 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 			byLevel[level][index] = node
 		}
 	}
-	recomputed, hashes := p.rebuildTree()
+	recomputed, hashes := p.tree.Rebuild()
 	rep.MACOps += hashes
 	if recomputed != p.root {
 		if degraded {
@@ -225,7 +162,7 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 			// replay-shaped. (This trades replay fail-stop for
 			// availability — the report makes the degradation visible.)
 			cause, ev := memctrl.CauseReplayShaped, memctrl.EvidenceSummary{}.String()
-			for s := 0; s < slots; s++ {
+			for s := range leaves {
 				sev := p.c.EvidenceAt(p.slotAddr(s))
 				if mc, ok := memctrl.MediaCause(sev); ok {
 					cause, ev = mc, sev.String()
@@ -233,7 +170,7 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 				}
 			}
 			for level := range byLevel {
-				for index := range byLevel[level] {
+				for _, index := range sortedIndices(byLevel[level]) {
 					p.c.QuarantineSubtree(level, index, cause, ev, &rep.Degradation)
 				}
 			}
@@ -244,12 +181,7 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 
 	restored := make(map[[2]uint64]*sit.Node)
 	for level := geo.Levels - 1; level >= 0; level-- {
-		indices := make([]uint64, 0, len(byLevel[level]))
-		for idx := range byLevel[level] {
-			indices = append(indices, idx)
-		}
-		sort.Slice(indices, func(i, j int) bool { return indices[i] < indices[j] })
-		for _, index := range indices {
+		for _, index := range sortedIndices(byLevel[level]) {
 			node := byLevel[level][index]
 			// A node that moved cache slots may survive only as an older
 			// image (its newest slot was overwritten by another node after
@@ -281,6 +213,17 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 	}
 
 	return rep, nil
+}
+
+// sortedIndices returns a level's recorded node indices in ascending order,
+// so recovery restores and quarantines in the same order on every run.
+func sortedIndices(nodes map[uint64]*sit.Node) []uint64 {
+	indices := make([]uint64, 0, len(nodes))
+	for idx := range nodes {
+		indices = append(indices, idx)
+	}
+	slices.Sort(indices)
+	return indices
 }
 
 // Storage implements memctrl.Policy (§IV-E): the shadow table in NVM, an

@@ -1,7 +1,9 @@
 package asit_test
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"testing"
 
 	"steins/internal/memctrl"
@@ -130,5 +132,50 @@ func TestShadowSlotsConcentrateWear(t *testing.T) {
 	}
 	if asitMax <= wbMax {
 		t.Fatalf("ASIT hottest line (%d writes) not hotter than WB's (%d)", asitMax, wbMax)
+	}
+}
+
+// degradedMismatch runs a degraded recovery whose cache-tree root fails:
+// one populated shadow slot has a counter byte flipped after the crash.
+func degradedMismatch(t *testing.T) memctrl.RecoveryReport {
+	t.Helper()
+	cfg := schemetest.Config(false)
+	cfg.DegradedRecovery = true
+	c := memctrl.New(cfg, asit.Factory)
+	schemetest.Workload(t, c, 3000, 11)
+	c.Crash()
+	lay := c.Layout()
+	for s := uint64(0); s*64 < lay.ShadowBytes; s++ {
+		addr := lay.ShadowBase + s*64
+		line := c.Device().Peek(addr)
+		if line == (nvmem.Line{}) {
+			continue
+		}
+		line[5] ^= 1
+		c.Device().Poke(addr, line)
+		break
+	}
+	rep, err := c.Recover()
+	if err != nil {
+		t.Fatalf("degraded recover = %v, want a quarantine report", err)
+	}
+	return rep
+}
+
+// TestDegradedQuarantineOrder pins that a degraded root-mismatch recovery
+// quarantines the recorded nodes in the same order on every run: levels
+// ascending, indices ascending within a level.
+func TestDegradedQuarantineOrder(t *testing.T) {
+	first, second := degradedMismatch(t).Degradation, degradedMismatch(t).Degradation
+	if len(first.Quarantined) < 2 {
+		t.Fatalf("%d nodes quarantined, want several", len(first.Quarantined))
+	}
+	if !slices.Equal(first.Quarantined, second.Quarantined) {
+		t.Fatalf("quarantine order differs between runs:\n%v\n%v", first.Quarantined, second.Quarantined)
+	}
+	if !slices.IsSortedFunc(first.Quarantined, func(a, b memctrl.NodeRef) int {
+		return cmp.Or(cmp.Compare(a.Level, b.Level), cmp.Compare(a.Index, b.Index))
+	}) {
+		t.Fatalf("quarantine order not ascending per level: %v", first.Quarantined)
 	}
 }

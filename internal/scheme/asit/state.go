@@ -16,7 +16,7 @@ type State struct {
 
 // SaveState implements memctrl.PolicyState.
 func (p *Policy) SaveState() ([]byte, error) {
-	return memctrl.EncodePolicyState(&State{Tree: p.tree, Root: p.root})
+	return memctrl.EncodePolicyState(&State{Tree: p.tree.Levels(), Root: p.root})
 }
 
 // LoadState implements memctrl.PolicyState.
@@ -25,9 +25,9 @@ func (p *Policy) LoadState(data []byte) error {
 	if err := memctrl.DecodePolicyState(data, &st); err != nil {
 		return err
 	}
-	if err := memctrl.CheckTreeShape(st.Tree, p.tree); err != nil {
+	if err := p.tree.Restore(st.Tree); err != nil {
 		return err
 	}
-	p.tree, p.root = st.Tree, st.Root
+	p.root = st.Root
 	return nil
 }

@@ -157,6 +157,9 @@ func TestRestoreRejectsCraftedSchemeState(t *testing.T) {
 		{"STAR", "set-MACs", func(t *testing.T, geo *sit.Geometry, b []byte) []byte {
 			return schemetest.EditState(t, b, func(st *star.State) { st.SetMACs = st.SetMACs[1:] })
 		}, func(*sit.Geometry) string { return "set-MACs" }},
+		{"STAR", "set-MAC tree level width", func(t *testing.T, geo *sit.Geometry, b []byte) []byte {
+			return schemetest.EditState(t, b, func(st *star.State) { st.Tree[0] = st.Tree[0][1:] })
+		}, func(*sit.Geometry) string { return "state tree level 0" }},
 		{"ASIT", "cache-tree shape", func(t *testing.T, geo *sit.Geometry, b []byte) []byte {
 			return schemetest.EditState(t, b, func(st *asit.State) { st.Tree[0] = st.Tree[0][1:] })
 		}, func(*sit.Geometry) string { return "state tree level 0" }},

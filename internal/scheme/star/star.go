@@ -3,14 +3,16 @@
 // recovery, dirty nodes are tracked by a multi-layer bitmap whose lines are
 // cached in the memory controller (updated on BOTH clean->dirty and
 // dirty->clean transitions, the extra traffic of §II-D), and a cache-tree
-// over per-set MACs of the dirty nodes — sorted by address within each set
-// — anchors verification in an on-chip non-volatile root.
+// (a bmt.Tree) whose leaves are per-set MACs of the dirty nodes — sorted
+// by address within each set — anchors verification in an on-chip
+// non-volatile root.
 package star
 
 import (
 	"encoding/binary"
 	"sort"
 
+	"steins/internal/bmt"
 	"steins/internal/cache"
 	"steins/internal/counter"
 	"steins/internal/memctrl"
@@ -24,7 +26,6 @@ import (
 const trackingIssueCycles = 20
 
 const (
-	treeArity = 8
 	// lsbBits is the width of the parent-counter copy a child line carries.
 	lsbBits = 16
 	lsbMask = 1<<lsbBits - 1
@@ -42,35 +43,28 @@ type Policy struct {
 	lsb map[memctrl.NodeRef]uint16
 	// bitmap lines cached in the controller's ADR domain.
 	bitmap *cache.Cache[*bitmapLine]
-	// setMACs (volatile) and the cache-tree over them; root on-chip NV.
-	setMACs []uint64
-	tree    [][]uint64
-	root    uint64
+	// tree is the cache-tree (volatile): leaf s is set s's MAC.
+	tree *bmt.Tree
+	// root is the cache-tree root, an on-chip non-volatile register.
+	root uint64
 }
 
 // Factory builds a STAR policy; pass to memctrl.New.
 func Factory(c *memctrl.Controller) memctrl.Policy {
 	cfg := c.Config()
 	p := &Policy{
-		c:       c,
-		lsb:     make(map[memctrl.NodeRef]uint16),
-		bitmap:  cache.New[*bitmapLine](cfg.RecordCacheLines*nvmem.LineSize, cfg.AuxCacheWays, nvmem.LineSize),
-		setMACs: make([]uint64, c.Meta().Sets()),
-	}
-	n := len(p.setMACs)
-	for {
-		p.tree = append(p.tree, make([]uint64, n))
-		if n <= treeArity {
-			break
-		}
-		n = (n + treeArity - 1) / treeArity
+		c:      c,
+		lsb:    make(map[memctrl.NodeRef]uint16),
+		bitmap: cache.New[*bitmapLine](cfg.RecordCacheLines*nvmem.LineSize, cfg.AuxCacheWays, nvmem.LineSize),
 	}
 	// Set-MACs must cover empty sets too: recovery recomputes a MAC for
 	// every set, dirty members or not.
-	for s := range p.setMACs {
-		p.setMACs[s] = p.macOverImages(uint64(s), nil)
+	setMACs := make([]uint64, c.Meta().Sets())
+	for s := range setMACs {
+		setMACs[s] = p.macOverImages(uint64(s), nil)
 	}
-	p.root, _ = p.rebuildTree(p.setMACs)
+	p.tree = bmt.New(setMACs, cfg.Key, cfg.MAC)
+	p.root = p.tree.Root()
 	return p
 }
 
@@ -114,59 +108,16 @@ func (p *Policy) macOverImages(set uint64, nodes []nodeImg) uint64 {
 	return p.c.Config().MAC.Sum64(p.c.Config().Key, msg)
 }
 
-func (p *Policy) interiorHash(level int, group uint64, children []uint64) uint64 {
-	msg := make([]byte, 0, 8*(len(children)+1))
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(level)<<32|group)
-	msg = append(msg, b[:]...)
-	for _, h := range children {
-		binary.LittleEndian.PutUint64(b[:], h)
-		msg = append(msg, b[:]...)
-	}
-	return p.c.Config().MAC.Sum64(p.c.Config().Key, msg)
-}
-
 // updateSet recomputes one set's MAC and the path to the root; returns the
 // critical-path cycles (hashes plus the sort).
 func (p *Policy) updateSet(set int) uint64 {
 	mac, n := p.setMAC(set)
-	p.setMACs[set] = mac
-	hashes := uint64(1)
-	idx := uint64(set)
-	for l := 1; l < len(p.tree); l++ {
-		idx /= treeArity
-		lo := idx * treeArity
-		hi := min(lo+treeArity, uint64(len(p.tree[l-1])))
-		src := p.tree[l-1][lo:hi]
-		if l == 1 {
-			src = p.setMACs[lo:hi]
-		}
-		p.tree[l][idx] = p.interiorHash(l, idx, src)
-		hashes++
-	}
-	p.root = p.interiorHash(len(p.tree), 0, p.tree[len(p.tree)-1])
-	p.c.CountHash(hashes + 1)
+	p.c.CountHash(p.tree.Set(set, mac))
+	p.root = p.tree.Root()
 	// The set-MAC is on the critical path (it must see the sorted dirty
 	// set, hence the ~n-cycle comparator sort); the upper levels pipeline
 	// behind it on the dedicated engine.
 	return p.c.Config().HashCycles + n
-}
-
-// rebuildTree recomputes the full tree over the given set-MACs and returns
-// the root (without touching the NV anchor) and the hash count.
-func (p *Policy) rebuildTree(setMACs []uint64) (uint64, uint64) {
-	var hashes uint64
-	src := setMACs
-	for l := 1; l < len(p.tree); l++ {
-		for idx := range p.tree[l] {
-			lo := idx * treeArity
-			hi := min(lo+treeArity, len(src))
-			p.tree[l][idx] = p.interiorHash(l, uint64(idx), src[lo:hi])
-			hashes++
-		}
-		src = p.tree[l]
-	}
-	return p.interiorHash(len(p.tree), 0, p.tree[len(p.tree)-1]), hashes + 1
 }
 
 // --- bitmap -------------------------------------------------------------------
@@ -430,14 +381,7 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 			// a root left pointing at the lost dirty set would only
 			// re-fence every later recovery — resetting re-admission
 			// progress — without fencing anything new.
-			for s := range p.setMACs {
-				mac, _ := p.setMAC(s)
-				p.setMACs[s] = mac
-				rep.MACOps++
-			}
-			root, hashes := p.rebuildTree(p.setMACs)
-			rep.MACOps += hashes
-			p.root = root
+			p.reanchor(&rep)
 			return rep, nil
 		}
 	}
@@ -474,15 +418,20 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 			}
 		}
 	}
-	for s := range p.setMACs {
-		mac, _ := p.setMAC(s)
-		p.setMACs[s] = mac
-		rep.MACOps++
-	}
-	root, hashes2 := p.rebuildTree(p.setMACs)
-	rep.MACOps += hashes2
-	p.root = root
+	p.reanchor(&rep)
 	return rep, nil
+}
+
+// reanchor recomputes every set-MAC from the metadata cache, rebuilds the
+// cache-tree over them and moves the on-chip root to it.
+func (p *Policy) reanchor(rep *memctrl.RecoveryReport) {
+	leaves := p.tree.Leaves()
+	for s := range leaves {
+		leaves[s], _ = p.setMAC(s)
+	}
+	root, hashes := p.tree.Rebuild()
+	rep.MACOps += uint64(len(leaves)) + hashes
+	p.root = root
 }
 
 // recoverNode rebuilds one dirty node: counter i extends the stale value's
@@ -526,7 +475,9 @@ func extendLSB(stale uint64, lsb uint16) uint64 {
 }
 
 // verifyRecovered recomputes every per-set MAC from the recovered dirty
-// nodes and compares the rebuilt cache-tree with the surviving root.
+// nodes and compares the rebuilt cache-tree with the surviving root. The
+// set-MACs are volatile, lost with the crash: the recomputed ones replace
+// them.
 func (p *Policy) verifyRecovered(rep *memctrl.RecoveryReport, recovered map[memctrl.NodeRef]*sit.Node) error {
 	geo := &p.c.Layout().Geo
 	bySet := make(map[int][]nodeImg)
@@ -534,14 +485,14 @@ func (p *Policy) verifyRecovered(rep *memctrl.RecoveryReport, recovered map[memc
 		addr := geo.NodeAddr(k.Level, k.Index)
 		bySet[p.c.Meta().SetOf(addr)] = append(bySet[p.c.Meta().SetOf(addr)], nodeImg{addr, n.CounterBytes()})
 	}
-	macs := make([]uint64, len(p.setMACs))
-	for set := range macs {
+	leaves := p.tree.Leaves()
+	for set := range leaves {
 		nodes := bySet[set]
 		sort.Slice(nodes, func(i, j int) bool { return nodes[i].addr < nodes[j].addr })
-		macs[set] = p.macOverImages(uint64(set), nodes)
+		leaves[set] = p.macOverImages(uint64(set), nodes)
 		rep.MACOps++
 	}
-	root, hashes := p.rebuildTree(macs)
+	root, hashes := p.tree.Rebuild()
 	rep.MACOps += hashes
 	if root != p.root {
 		return memctrl.ReplayAt("dirty set", -1, 0, "STAR cache-tree root mismatch")

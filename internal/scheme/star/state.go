@@ -28,8 +28,8 @@ func (p *Policy) SaveState() ([]byte, error) {
 	return memctrl.EncodePolicyState(&State{
 		LSBs:    memctrl.SortedNodeCounters(p.lsb),
 		Bitmap:  p.bitmap.State(),
-		SetMACs: p.setMACs,
-		Tree:    p.tree,
+		SetMACs: p.tree.Leaves(),
+		Tree:    p.tree.Levels(),
 		Root:    p.root,
 	})
 }
@@ -42,11 +42,8 @@ func (p *Policy) LoadState(data []byte) error {
 	if err := memctrl.DecodePolicyState(data, &st); err != nil {
 		return err
 	}
-	if len(st.SetMACs) != len(p.setMACs) {
-		return fmt.Errorf("state has %d set-MACs, scheme has %d", len(st.SetMACs), len(p.setMACs))
-	}
-	if err := memctrl.CheckTreeShape(st.Tree, p.tree); err != nil {
-		return err
+	if len(st.SetMACs) != len(p.tree.Leaves()) {
+		return fmt.Errorf("state has %d set-MACs, scheme has %d", len(st.SetMACs), len(p.tree.Leaves()))
 	}
 	lay := p.c.Layout()
 	if err := p.c.CheckNodeCounters("LSB table", st.LSBs, lay.Geo.Levels); err != nil {
@@ -62,6 +59,13 @@ func (p *Policy) LoadState(data []byte) error {
 	if err := p.bitmap.SetState(st.Bitmap); err != nil {
 		return fmt.Errorf("bitmap lines: %w", err)
 	}
-	p.lsb, p.setMACs, p.tree, p.root = lsb, st.SetMACs, st.Tree, st.Root
+	// The leaves are the set-MACs; Tree[0] only has its width checked
+	// (checkpoints written before the set-MACs were the tree's leaves
+	// carry zeros there).
+	if err := p.tree.Restore(st.Tree); err != nil {
+		return err
+	}
+	copy(p.tree.Leaves(), st.SetMACs)
+	p.lsb, p.root = lsb, st.Root
 	return nil
 }

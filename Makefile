@@ -64,6 +64,7 @@ fuzz:
 	fuzz FuzzSearchCounter ./internal/crypt; \
 	fuzz FuzzSum80x8 ./internal/crypt; \
 	fuzz FuzzServerCheckpoint ./internal/server -fuzzminimizetime=100x; \
+	fuzz FuzzLoadFile ./internal/snapshot -fuzzminimizetime=100x; \
 	if [ -n "$$failed" ]; then echo "fuzz: failed:$$failed"; exit 1; fi
 
 # Deterministic adversarial campaign: 5040 randomized hostile cases across
@@ -85,7 +86,9 @@ metrics-demo:
 	go run ./cmd/steinssim -workload cactusADM -scheme Steins-GC -ops 20000 -metrics metrics_demo.json
 	go run ./cmd/benchfigs -fig 12 -metrics metrics_demo.csv
 
-# CI gate: vet, the adversarial campaign (the crash, media-fault and tamper
+# CI gate: vet (the snapshot, arena and nvmem packages also for Windows and
+# macOS, where LoadFile reads checkpoints instead of mapping them), the
+# adversarial campaign (the crash, media-fault and tamper
 # harness), the paper-scale figure archive, and the race-sensitive packages
 # (figure sweeps and parallel recovery under both GOMAXPROCS settings). The
 # campaign's hand-built crash-point cases (every-Nth-event sweeps, the
@@ -118,9 +121,10 @@ metrics-demo:
 # checkpoint blocks, every scheme's state round-tripped and its
 # crafted entries refused, the sectioned run and server payload, the
 # layout fixtures, byte-stable Save → Load → Restore → Save, the daemon's
-# refusal of a crafted checkpoint, the pipelined file loader of both
-# kinds against Decode, its skeleton goroutine included, the shape-first
-# concurrent restore) run raced at -cpu 1,2,8, so the restore worker pool
+# refusal of a crafted checkpoint, the mapped file loader of both kinds
+# against Decode, its skeleton goroutine included, the mapping's lifetime
+# over 300 restarts, the shape-first concurrent restore) run raced at
+# -cpu 1,2,8, so the restore worker pool
 # runs 1, 2 and 8 wide. The data-tag table is among them: since it became
 # a chunk table like the device's lines and wear, its crafted-chunk
 # refusals and its adoption run under the same Restore|Adopt pattern. Every go test runs -shuffle=on so
@@ -148,6 +152,8 @@ bench-check:
 
 check: campaign serve-check bench-check figs-check
 	go vet ./...
+	GOOS=windows go vet ./internal/snapshot ./internal/arena ./internal/nvmem
+	GOOS=darwin go vet ./internal/snapshot ./internal/arena ./internal/nvmem
 	go test -shuffle=on -race -cpu 1,4 ./internal/figures \
 		./internal/metrics ./internal/sim ./internal/multi \
 		./internal/nvmem ./internal/memctrl ./internal/attack

@@ -317,16 +317,17 @@ func BenchmarkAblationSITvsBMT(b *testing.B) {
 	const blocks, hashCycles = 1 << 15, 40
 	key, mac := crypt.NewKey(1), crypt.SipMAC{}
 	var blk counter.Block
+	var msg [72]byte
 	leaves := make([]uint64, blocks)
 	for i := range leaves {
-		leaves[i] = bmt.LeafHash(key, mac, uint64(i), blk)
+		leaves[i] = bmt.LeafHash(key, mac, &msg, uint64(i), (*[64]byte)(&blk))
 	}
 	tree := bmt.New(leaves, key, mac)
 	var bmtCycles uint64
 	for i := 0; i < b.N; i++ {
 		blk[0] = byte(i)
 		leaf := i & (blocks - 1)
-		bmtCycles += hashCycles * tree.Set(leaf, bmt.LeafHash(key, mac, uint64(leaf), blk))
+		bmtCycles += hashCycles * tree.Set(leaf, bmt.LeafHash(key, mac, &msg, uint64(leaf), (*[64]byte)(&blk)))
 	}
 	const sitLazyCycles = 2 * hashCycles // leaf HMAC + parent update on flush
 	b.ReportMetric(float64(bmtCycles)/float64(b.N), "bmt_cycles_per_update")

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -20,6 +21,10 @@ import (
 type Bytes struct {
 	width  uint64
 	chunks [][]byte
+	// held is the claim of the table the chunks were adopted from
+	// (Table.Adopt), kept so that blocks outside the Go heap stay mapped
+	// until Release.
+	held *claim
 }
 
 // NewBytes returns an empty table of width-byte slots.
@@ -84,6 +89,21 @@ func (a *Bytes) ForEach(fn func(i uint64, slot []byte)) {
 	}
 }
 
+// Release drops the table's hold on the Backing its chunks were adopted
+// from (Adopt, then Claim), so that memory is freed once nothing else
+// holds it, empties the table and reports true. A table whose chunks lie
+// on the Go heap is left as it is, for the collector, and Release reports
+// false. Call Release only on a table whose claim succeeded, and touch no
+// slot taken from it before.
+func (a *Bytes) Release() bool {
+	if a.held == nil || a.held.backing == nil {
+		return false
+	}
+	a.held.drop()
+	*a = Bytes{width: a.width}
+	return true
+}
+
 // Table is a Bytes table's checkpoint form: the indices of its chunks
 // that are not all zero, ascending, as little-endian words, and those
 // chunks' blocks back to back. A checkpoint frames the two as raw columns
@@ -96,9 +116,79 @@ func (a *Bytes) ForEach(fn func(i uint64, slot []byte)) {
 // table's later writes land in these bytes, and every later restore of
 // them is refused, so two tables never share a chunk. The zero value is
 // an empty table, which any number of restores may adopt.
+//
+// A table whose columns lie in a Backing (Backing.Table) holds a
+// reference to it until the table adopted from it is released
+// (Bytes.Release) or, failing that, until the table, its copies and any
+// table adopted from it are garbage. A released table's columns read as
+// empty (Released).
 type Table struct {
 	chunks, blocks []byte
-	taken          *atomic.Bool
+	c              *claim
+}
+
+// claim is the one-restore claim a Table and its copies share. For
+// columns that lie in a Backing it also holds the table's reference to
+// it, which drop gives up once.
+type claim struct {
+	taken   atomic.Bool
+	backing *Backing // nil for columns on the Go heap
+	dropped atomic.Bool
+}
+
+func (c *claim) drop() {
+	if c.dropped.CompareAndSwap(false, true) {
+		c.backing.unref()
+	}
+}
+
+// released reports whether the claim dropped its Backing reference, after
+// which the columns may be unmapped.
+func (c *claim) released() bool { return c != nil && c.backing != nil && c.dropped.Load() }
+
+// Backing is memory outside the Go heap, such as a privately mapped
+// checkpoint file, that tables alias (Backing.Table). The collector does
+// not see references into it, so the backing counts them: its creator's
+// (Done) and one per table, which the table holds as described at Table.
+// free runs, once, when the count reaches zero.
+type Backing struct {
+	refs atomic.Int64
+	free func()
+}
+
+// NewBacking returns a backing that runs free once its creator (Done) and
+// every table over it have dropped their references.
+func NewBacking(free func()) *Backing {
+	b := &Backing{free: free}
+	b.refs.Store(1)
+	return b
+}
+
+// Done drops the creator's reference: tables made so far keep the memory
+// until they are released.
+func (b *Backing) Done() { b.unref() }
+
+func (b *Backing) unref() {
+	if b.refs.Add(-1) == 0 {
+		b.free()
+	}
+}
+
+// Table is TableFrom over columns that lie in b's memory; the table, and
+// the Bytes table a restore adopts from it, hold a reference to b. A nil
+// Backing stands for the Go heap: Table is then TableFrom.
+func (b *Backing) Table(chunks, blocks []byte) (Table, error) {
+	t, err := TableFrom(chunks, blocks)
+	if err != nil || t.c == nil || b == nil {
+		return t, err
+	}
+	b.refs.Add(1)
+	t.c.backing = b
+	// A table no restore claimed, or one whose adopter is garbage without
+	// having released it (a resumed run has no Close), drops its reference
+	// when the collector finds its claim unreachable.
+	runtime.SetFinalizer(t.c, (*claim).drop)
+	return t, nil
 }
 
 // Table captures a's chunks that are not all zero. It copies each block
@@ -117,7 +207,7 @@ func (a *Bytes) Table() Table {
 			t.blocks = append(t.blocks, chunk...)
 		}
 	}
-	t.taken = new(atomic.Bool)
+	t.c = new(claim)
 	return t
 }
 
@@ -131,21 +221,42 @@ func TableFrom(chunks, blocks []byte) (Table, error) {
 	if len(chunks) == 0 && len(blocks) == 0 {
 		return Table{}, nil
 	}
-	return Table{chunks: chunks, blocks: blocks, taken: new(atomic.Bool)}, nil
+	return Table{chunks: chunks, blocks: blocks, c: new(claim)}, nil
 }
 
 // Columns returns the table's two checkpoint columns, the chunk indices
-// as little-endian words and then the blocks, aliasing the table.
-func (t Table) Columns() [2][]byte { return [2][]byte{t.chunks, t.blocks} }
+// as little-endian words and then the blocks, aliasing the table; both
+// are empty once the table is released.
+func (t Table) Columns() [2][]byte {
+	if t.Released() {
+		return [2][]byte{}
+	}
+	return [2][]byte{t.chunks, t.blocks}
+}
 
-// Len returns the number of chunks the table lists.
-func (t Table) Len() int { return len(t.chunks) / 8 }
+// Len returns the number of chunks the table lists: none once the table
+// is released.
+func (t Table) Len() int {
+	if t.Released() {
+		return 0
+	}
+	return len(t.chunks) / 8
+}
 
 // Chunk returns the index of the table's k-th chunk.
 func (t Table) Chunk(k int) uint64 { return binary.LittleEndian.Uint64(t.chunks[8*k:]) }
 
 // Adopted reports whether a restore has claimed the table's blocks.
-func (t Table) Adopted() bool { return t.taken != nil && t.taken.Load() }
+func (t Table) Adopted() bool { return t.c != nil && t.c.taken.Load() }
+
+// Released reports whether the restore that claimed the table, whose
+// columns lie in a Backing, has released them: they may be unmapped, and
+// the table reads as empty.
+func (t Table) Released() bool { return t.c.released() }
+
+// ErrReleased refuses to encode a table whose blocks the restore that
+// adopted them has released.
+var ErrReleased = errors.New("arena: chunk table released by the restore that adopted it; its blocks are gone")
 
 // ErrAdopted refuses a restore of a table whose blocks a restore claimed.
 var ErrAdopted = errors.New("arena: chunk table already adopted by a restore; a state restores once")
@@ -191,6 +302,7 @@ func (t Table) Adopt(width int, slots uint64) (Bytes, error) {
 		return a, nil
 	}
 	a.chunks = make([][]byte, last+1)
+	a.held = t.c
 	for k := 0; k < n; k++ {
 		a.chunks[t.Chunk(k)] = t.blocks[k*bl : (k+1)*bl : (k+1)*bl]
 	}
@@ -203,10 +315,10 @@ func (t Table) Adopt(width int, slots uint64) (Bytes, error) {
 // it found it.
 func Claim(ts ...Table) error {
 	for i, t := range ts {
-		if t.taken != nil && !t.taken.CompareAndSwap(false, true) {
+		if t.c != nil && !t.c.taken.CompareAndSwap(false, true) {
 			for _, u := range ts[:i] {
-				if u.taken != nil {
-					u.taken.Store(false)
+				if u.c != nil {
+					u.c.taken.Store(false)
 				}
 			}
 			return ErrAdopted
@@ -218,6 +330,9 @@ func Claim(ts ...Table) error {
 // GobEncode implements gob.GobEncoder: the chunk column's length as a
 // little-endian word, then both columns.
 func (t Table) GobEncode() ([]byte, error) {
+	if t.Released() {
+		return nil, ErrReleased
+	}
 	if len(t.chunks) == 0 && len(t.blocks) == 0 {
 		return nil, nil
 	}

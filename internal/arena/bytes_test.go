@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // marked returns n blocks of ChunkLen slots of width bytes, slot 0 of
@@ -212,7 +214,7 @@ func TestTableGobRoundTrip(t *testing.T) {
 				t.Fatalf("column %d came back as %v, want a copy of %v", j, got[j], want[j])
 			}
 		}
-		if tb.Len() == 0 && back.T.taken != nil || back.T.Adopted() {
+		if tb.Len() == 0 && back.T.c != nil || back.T.Adopted() {
 			t.Fatalf("round trip of %d chunks gave a claimed or non-zero table", tb.Len())
 		}
 	}
@@ -225,5 +227,67 @@ func TestTableGobRoundTrip(t *testing.T) {
 		if err := tb.GobDecode(bad); err == nil || tb.Len() != 0 {
 			t.Fatalf("encoding %v decoded as %d chunks, err %v; want an error", bad, tb.Len(), err)
 		}
+	}
+}
+
+// TestAdoptedBackingRelease pins the reference count of a Backing: its
+// memory is freed once, when the creator is done and every table over it
+// is released, by the restore that adopted it (Bytes.Release) or, for a
+// table no restore claimed, once the table is garbage. A released table
+// reads as empty and refuses to encode; a table on the Go heap releases
+// nothing and keeps its slots.
+func TestAdoptedBackingRelease(t *testing.T) {
+	var freed atomic.Int32
+	b := NewBacking(func() { freed.Add(1) })
+	mem := marked(2, 8)
+	bl := ChunkLen * 8
+	claimed, err := b.Table(binary.LittleEndian.AppendUint64(nil, 0), mem[:bl])
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		// A table no restore claims holds the backing until it is garbage.
+		if _, err := b.Table(binary.LittleEndian.AppendUint64(nil, 1), mem[bl:]); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	a, err := claimed.Adopt(8, 4*ChunkLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Claim(claimed); err != nil {
+		t.Fatal(err)
+	}
+	b.Done()
+	if !a.Release() || a.Chunks() != 0 || a.Probe(0) != nil {
+		t.Fatal("releasing an adopted table over a backing left it holding chunks")
+	}
+	if cols := claimed.Columns(); !claimed.Released() || claimed.Len() != 0 || cols[0] != nil || cols[1] != nil {
+		t.Fatalf("released table reads as %d chunks", claimed.Len())
+	}
+	if _, err := claimed.GobEncode(); !errors.Is(err, ErrReleased) {
+		t.Fatalf("GobEncode of a released table = %v, want ErrReleased", err)
+	}
+	if a.Release() {
+		t.Fatal("a second Release released again")
+	}
+	for i := 0; i < 100 && freed.Load() == 0; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := freed.Load(); n != 1 {
+		t.Fatalf("backing freed %d times, want once the unclaimed table is garbage", n)
+	}
+
+	heap := table(t, []uint64{0}, marked(1, 8))
+	h, err := heap.Adopt(8, 4*ChunkLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Claim(heap); err != nil {
+		t.Fatal(err)
+	}
+	if h.Release() || h.Probe(0)[0] != 1 || heap.Released() {
+		t.Fatal("Release of a table on the Go heap dropped its chunks")
 	}
 }

@@ -49,9 +49,10 @@ func New(leaves []uint64, key crypt.Key, mac crypt.MAC) *Tree {
 }
 
 // LeafHash authenticates a 64-byte line bound to its leaf index i: the
-// MAC of the line followed by i, little-endian.
-func LeafHash(key crypt.Key, mac crypt.MAC, i uint64, line [64]byte) uint64 {
-	var msg [72]byte
+// MAC of the line followed by i, little-endian. It builds the message in
+// msg, which the caller keeps and reuses: a buffer on the stack would
+// escape through the crypt.MAC call and allocate per hash.
+func LeafHash(key crypt.Key, mac crypt.MAC, msg *[72]byte, i uint64, line *[64]byte) uint64 {
 	copy(msg[:64], line[:])
 	binary.LittleEndian.PutUint64(msg[64:], i)
 	return mac.Sum64(key, msg[:])

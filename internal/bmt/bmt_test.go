@@ -19,14 +19,20 @@ var (
 func newTree(n int) *Tree {
 	leaves := make([]uint64, n)
 	for i := range leaves {
-		leaves[i] = LeafHash(testKey, testMAC, uint64(i), counter.Block{})
+		leaves[i] = leafHash(uint64(i), counter.Block{})
 	}
 	return New(leaves, testKey, testMAC)
 }
 
+// leafHash is LeafHash of a counter block under the test key.
+func leafHash(i uint64, blk counter.Block) uint64 {
+	var msg [72]byte
+	return LeafHash(testKey, testMAC, &msg, i, (*[64]byte)(&blk))
+}
+
 // setBlock stores a counter block as leaf i.
 func setBlock(tr *Tree, i int, blk counter.Block) uint64 {
-	return tr.Set(i, LeafHash(testKey, testMAC, uint64(i), blk))
+	return tr.Set(i, leafHash(uint64(i), blk))
 }
 
 // refTree is the cache-tree as ASIT kept it inline before this package
@@ -227,7 +233,7 @@ func TestRebuildDetectsTamperedLeafViaRoot(t *testing.T) {
 	trusted := tr.Root()
 	// Attacker modifies the stored block, then the system rebuilds.
 	blk[0] = 10
-	tr.Leaves()[3] = LeafHash(testKey, testMAC, 3, blk)
+	tr.Leaves()[3] = leafHash(3, blk)
 	if root, _ := tr.Rebuild(); root == trusted {
 		t.Fatal("tampered rebuild produced the trusted root")
 	}

@@ -68,6 +68,10 @@ type Controller struct {
 	recovered    bool
 	lastRecovery RecoveryReport
 
+	// released is set by a Close that released restored tables: the
+	// controller no longer holds its data (Close).
+	released bool
+
 	arrival   uint64 // trace-time arrival of the current request
 	reqStart  uint64 // cycle the current request began service
 	busyUntil uint64
@@ -554,6 +558,25 @@ func (c *Controller) ForceAllDirty() {
 		c.policy.OnModify(e, wasClean, 0)
 	})
 }
+
+// Close releases the per-line tables the controller and its device
+// adopted from a restored state whose tables lie in a Backing, such as a
+// checkpoint mapped from its file (the data tags here, the lines and wear
+// through nvmem.Device.Close), so the mapping goes once nothing else holds
+// it, and reports whether it released any. A controller that released its
+// tables no longer holds its data: it must not serve again, and State
+// refuses (ErrClosed) until a Restore. A controller over the Go heap
+// releases nothing and keeps working.
+func (c *Controller) Close() bool {
+	tags := c.tags.Release()
+	dev := c.dev.Close()
+	c.released = c.released || tags || dev
+	return tags || dev
+}
+
+// ErrClosed refuses State on a controller whose Close released its
+// tables.
+var ErrClosed = errors.New("memctrl: controller closed: the checkpoint tables it restored are released")
 
 // --- crash and recovery ----------------------------------------------------------
 

@@ -222,6 +222,9 @@ type ControllerState struct {
 // scheme's state cannot be serialized. Cached nodes are deep-copied, so
 // the state stays valid if the controller keeps running.
 func (c *Controller) State() (*ControllerState, error) {
+	if c.released {
+		return nil, ErrClosed
+	}
 	if len(c.evicting) != 0 {
 		return nil, fmt.Errorf("memctrl: snapshot with %d evictions in flight (not a retired-op boundary)", len(c.evicting))
 	}
@@ -403,7 +406,9 @@ func (c *Controller) Restore(st *ControllerState) error {
 	if err := c.meta.SetState(meta); err != nil {
 		return fmt.Errorf("memctrl: %w", err)
 	}
+	c.tags.Release()
 	c.tags = tags
+	c.released = false
 	c.quarBits = nil
 	c.quarN = 0
 	c.quarInfo = nil

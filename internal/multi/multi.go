@@ -102,6 +102,16 @@ func (s *System) ReadData(gap uint64, addr uint64) ([64]byte, error) {
 	return s.ctrls[i].ReadData(s.advance(gap, i), local)
 }
 
+// Close closes every controller (memctrl.Controller.Close), releasing the
+// checkpoint tables they adopted, and reports whether any released some.
+func (s *System) Close() bool {
+	released := false
+	for _, c := range s.ctrls {
+		released = c.Close() || released
+	}
+	return released
+}
+
 // Crash fails the whole machine: every controller loses its volatile
 // state.
 func (s *System) Crash() {

@@ -201,6 +201,18 @@ func (d *Device) Restore(st State) error {
 	return nil
 }
 
+// Close releases the line and wear blocks the device adopted from a
+// restored state whose tables lie in a Backing (arena.Bytes.Release), so
+// a checkpoint mapped from a file is unmapped once nothing else holds it,
+// and reports whether it released any. The device then holds none of its
+// lines: every one reads as zero. A device over the Go heap keeps its
+// contents.
+func (d *Device) Close() bool {
+	lines := d.lines.Release()
+	wear := d.wear.Release()
+	return lines || wear
+}
+
 // Adopt makes every check Restore makes and adopts the state's line and
 // wear blocks, but claims nothing and leaves the device as it is: install
 // overwrites the device with the state. A caller that restores tables of
@@ -221,6 +233,8 @@ func (d *Device) Adopt(st State) (install func(), err error) {
 		return nil, fmt.Errorf("nvmem: wear table: %w", err)
 	}
 	return func() {
+		d.lines.Release()
+		d.wear.Release()
 		d.lines = lines
 		d.wear = wear
 		d.queue = append(d.qbuf[:0], st.Queue...)

@@ -29,6 +29,8 @@ type Policy struct {
 	tree *bmt.Tree
 	// root is the cache-tree root, an on-chip non-volatile register.
 	root uint64
+	// msg is leafHash's message buffer, reused (bmt.LeafHash).
+	msg [72]byte
 }
 
 // Factory builds an ASIT policy; pass to memctrl.New.
@@ -38,7 +40,7 @@ func Factory(c *memctrl.Controller) memctrl.Policy {
 	// whatever the slots hold, including ones never written.
 	leaves := make([]uint64, c.Meta().Capacity())
 	for s := range leaves {
-		leaves[s] = p.leafHash(s, nvmem.Line{})
+		leaves[s] = p.leafHash(s, &nvmem.Line{})
 	}
 	p.tree = bmt.New(leaves, c.Config().Key, c.Config().MAC)
 	p.root = p.tree.Root()
@@ -68,8 +70,8 @@ func (p *Policy) slotContent(n *sit.Node) nvmem.Line {
 }
 
 // leafHash authenticates one shadow slot's content bound to its position.
-func (p *Policy) leafHash(slot int, content nvmem.Line) uint64 {
-	return bmt.LeafHash(p.c.Config().Key, p.c.Config().MAC, uint64(slot), content)
+func (p *Policy) leafHash(slot int, content *nvmem.Line) uint64 {
+	return bmt.LeafHash(p.c.Config().Key, p.c.Config().MAC, &p.msg, uint64(slot), (*[64]byte)(content))
 }
 
 // OnModify implements memctrl.Policy: persist the updated node to its
@@ -78,7 +80,7 @@ func (p *Policy) leafHash(slot int, content nvmem.Line) uint64 {
 func (p *Policy) OnModify(e *cache.Entry[*sit.Node], _ bool, _ uint64) uint64 {
 	content := p.slotContent(e.Payload)
 	stall := p.c.Device().MustWrite(p.c.Now(), p.slotAddr(e.Slot()), content, nvmem.ClassShadow)
-	p.c.CountHash(p.tree.Set(e.Slot(), p.leafHash(e.Slot(), content)))
+	p.c.CountHash(p.tree.Set(e.Slot(), p.leafHash(e.Slot(), &content)))
 	p.root = p.tree.Root()
 	// The cache-tree engine pipelines the path; the request waits for the
 	// leaf hash plus one lagging stage before the next dependent update.
@@ -123,7 +125,7 @@ func (p *Policy) Recover() (memctrl.RecoveryReport, error) {
 	for s := range leaves {
 		rep.NVMReads++
 		content := p.c.Device().Peek(p.slotAddr(s))
-		leaves[s] = p.leafHash(s, content)
+		leaves[s] = p.leafHash(s, &content)
 		rep.MACOps++
 		off := binary.LittleEndian.Uint32(content[56:60])
 		if off == 0 {

@@ -62,6 +62,28 @@ func Workload(t *testing.T, c *memctrl.Controller, ops int, seed uint64) map[uin
 	return expect
 }
 
+// WriteAllocs returns the heap allocations of one WriteData, averaged
+// over 500 writes to seeded addresses, on a Config controller of the
+// scheme warmed by a 3000-op Workload (seed 3).
+func WriteAllocs(t *testing.T, factory memctrl.PolicyFactory, split bool) float64 {
+	t.Helper()
+	c := memctrl.New(Config(split), factory)
+	Workload(t, c, 3000, 3)
+	r := rng.New(4)
+	lines := c.Config().DataBytes / 64
+	var err error
+	allocs := testing.AllocsPerRun(500, func() {
+		addr := r.Uint64n(lines) * 64
+		if werr := c.WriteData(5, addr, Pattern(addr, 7)); werr != nil {
+			err = werr
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return allocs
+}
+
 // EditState decodes a scheme's SaveState blob as a T, lets fn edit it and
 // re-encodes it, so a test can craft a checkpoint entry by entry.
 func EditState[T any](tb testing.TB, blob []byte, fn func(st *T)) []byte {

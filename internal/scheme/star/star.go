@@ -9,7 +9,9 @@
 package star
 
 import (
+	"cmp"
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"steins/internal/bmt"
@@ -47,6 +49,10 @@ type Policy struct {
 	tree *bmt.Tree
 	// root is the cache-tree root, an on-chip non-volatile register.
 	root uint64
+	// nodes and msg are setMAC's dirty-node list and macOverImages's
+	// message, reused from one set update to the next.
+	nodes []nodeImg
+	msg   []byte
 }
 
 // Factory builds a STAR policy; pass to memctrl.New.
@@ -85,26 +91,30 @@ type nodeImg struct {
 // setMAC authenticates the dirty nodes of one metadata cache set, sorted
 // by address (the sorting cost §II-D attributes to STAR).
 func (p *Policy) setMAC(set int) (uint64, uint64) {
-	var nodes []nodeImg
+	p.nodes = p.nodes[:0]
 	p.c.Meta().EntriesInSet(set, func(e *cache.Entry[*sit.Node]) {
 		if e.Dirty {
-			nodes = append(nodes, nodeImg{addr: e.Addr, ctr: e.Payload.CounterBytes()})
+			p.nodes = append(p.nodes, nodeImg{addr: e.Addr, ctr: e.Payload.CounterBytes()})
 		}
 	})
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].addr < nodes[j].addr })
-	return p.macOverImages(uint64(set), nodes), uint64(len(nodes))
+	sortByAddr(p.nodes)
+	return p.macOverImages(uint64(set), p.nodes), uint64(len(p.nodes))
 }
 
+// sortByAddr sorts node images by address, which is unique within a set.
+func sortByAddr(nodes []nodeImg) {
+	slices.SortFunc(nodes, func(a, b nodeImg) int { return cmp.Compare(a.addr, b.addr) })
+}
+
+// macOverImages is a set's MAC over its sorted dirty nodes: the set index,
+// then each node's address and counter bytes, little-endian.
 func (p *Policy) macOverImages(set uint64, nodes []nodeImg) uint64 {
-	msg := make([]byte, 0, 8+len(nodes)*64)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], set)
-	msg = append(msg, b[:]...)
+	msg := binary.LittleEndian.AppendUint64(p.msg[:0], set)
 	for _, n := range nodes {
-		binary.LittleEndian.PutUint64(b[:], n.addr)
-		msg = append(msg, b[:]...)
+		msg = binary.LittleEndian.AppendUint64(msg, n.addr)
 		msg = append(msg, n.ctr[:]...)
 	}
+	p.msg = msg
 	return p.c.Config().MAC.Sum64(p.c.Config().Key, msg)
 }
 
@@ -488,7 +498,7 @@ func (p *Policy) verifyRecovered(rep *memctrl.RecoveryReport, recovered map[memc
 	leaves := p.tree.Leaves()
 	for set := range leaves {
 		nodes := bySet[set]
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].addr < nodes[j].addr })
+		sortByAddr(nodes)
 		leaves[set] = p.macOverImages(uint64(set), nodes)
 		rep.MACOps++
 	}

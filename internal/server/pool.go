@@ -156,6 +156,10 @@ type Tenant struct {
 	// one window (the "engine epoch"), and state capture, metrics export
 	// and recovery hold it to observe a batch boundary.
 	engineMu sync.Mutex
+	// released is set, under engineMu, once Close has released the
+	// checkpoint memory the engines restored from; nothing reaches them
+	// afterwards.
+	released bool
 
 	// mu guards the admission and combining state below; idle signals
 	// drain waiters (in-flight dropped).
@@ -454,8 +458,28 @@ func (p *Pool) Drain() {
 	}
 }
 
-// Close is Drain for callers that don't need the distinction.
-func (p *Pool) Close() { p.Drain() }
+// ErrClosed refuses a call on a closed pool.
+var ErrClosed = errors.New("server: pool is closed")
+
+// Close drains the pool (Drain), then closes every placement group's
+// engine (securemem.Memory.Close): a checkpoint a restore adopted from a
+// mapped file is unmapped now, not when the collector finds it garbage.
+// Afterwards Do is refused as draining. A tenant whose engines released
+// such a checkpoint no longer holds its data, so its State, RestoreState
+// and CrashRecoverAll return ErrClosed and reach no engine; the engines of
+// a tenant that never restored from a mapped checkpoint keep their state,
+// which State still captures.
+func (p *Pool) Close() {
+	p.Drain()
+	for _, name := range p.names {
+		t := p.tenants[name]
+		t.engineMu.Lock()
+		for _, m := range t.pgs {
+			t.released = m.Close() || t.released
+		}
+		t.engineMu.Unlock()
+	}
+}
 
 // setPaused is the test hook behind the admission property test: a paused
 // tenant admits and queues but starts no window, so engine state is
@@ -530,6 +554,9 @@ func (t *Tenant) PGStats() []securemem.Stats {
 func (t *Tenant) state() (snapshot.TenantState, error) {
 	t.engineMu.Lock()
 	defer t.engineMu.Unlock()
+	if t.released {
+		return snapshot.TenantState{}, fmt.Errorf("server: tenant %q: %w", t.cfg.Name, ErrClosed)
+	}
 	t.mu.Lock()
 	seq := t.nextSeq
 	t.mu.Unlock()
@@ -632,8 +659,14 @@ func (p *Pool) RestoreState(st *snapshot.ServerState) error {
 		}
 	}
 
+	closed := false
 	for _, name := range p.names {
-		p.tenants[name].engineMu.Lock()
+		t := p.tenants[name]
+		t.engineMu.Lock()
+		closed = closed || t.released
+	}
+	if closed {
+		jobs = nil
 	}
 	errs := make([]error, len(jobs))
 	var next atomic.Int64
@@ -654,6 +687,9 @@ func (p *Pool) RestoreState(st *snapshot.ServerState) error {
 	wg.Wait()
 	for _, name := range p.names {
 		p.tenants[name].engineMu.Unlock()
+	}
+	if closed {
+		return ErrClosed
 	}
 	for i, err := range errs {
 		if err != nil {
@@ -683,6 +719,13 @@ func (p *Pool) CrashRecoverAll() []TenantRecovery {
 		t := p.tenants[name]
 		t.engineMu.Lock()
 		tr := TenantRecovery{Tenant: name, PGs: len(t.pgs)}
+		if t.released {
+			t.engineMu.Unlock()
+			tr.RecoverErr = ErrClosed
+			tr.Err = ErrClosed.Error()
+			out = append(out, tr)
+			continue
+		}
 		reps := make([]securemem.RecoveryReport, len(t.pgs))
 		errs := make([]error, len(t.pgs))
 		var wg sync.WaitGroup

@@ -3,6 +3,8 @@ package snapshot
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -107,5 +109,33 @@ func FuzzReadEnvelope(f *testing.F) {
 		// A decodable state must either resume cleanly or fail with a
 		// structured error — never panic.
 		_, _ = st.Resume()
+	})
+}
+
+// FuzzLoadFile throws arbitrary bytes, seeded with every checkpoint
+// fixture under testdata, at LoadFile, which maps a file of them and
+// parses it in place, and at Decode, which reads them into the heap:
+// for either kind of state both must refuse with the same error or
+// accept states that encode to the same bytes (loadBoth).
+func FuzzLoadFile(f *testing.F) {
+	snaps, err := filepath.Glob("testdata/*.snap")
+	if err != nil || len(snaps) == 0 {
+		f.Fatalf("no checkpoint fixtures under testdata (%v)", err)
+	}
+	for _, path := range snaps {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	// And one checkpoint of each kind in the current layout, which both
+	// loaders accept.
+	for _, k := range payloadKinds {
+		f.Add(wrap(f, k.kind, k.payload(f)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		loadBoth[RunState](t, data)
+		loadBoth[ServerState](t, data)
 	})
 }

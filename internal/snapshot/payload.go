@@ -1,6 +1,7 @@
 // The sectioned payload every checkpoint that carries controller states
 // (KindRun, KindServer) is written in, so the per-line tables restore from
-// the bytes the file was loaded into rather than through a decoder:
+// the bytes of the file (its mapped pages, or the buffer it was read
+// into) rather than through a decoder:
 //
 //	[0, 8)     layout word: memctrl.StateLayout, little-endian
 //	[8, 16)    skeleton length S, little-endian
@@ -57,11 +58,6 @@ const payloadHeaderLen = 16
 // per-line table.
 const ctrlSections = 2 * memctrl.StateTables
 
-// isBlocks reports whether column section k of a payload holds chunk
-// blocks, which a restore adopts: every table frames as its chunk indices,
-// then its blocks, so the odd sections are the blocks.
-func isBlocks(k int) bool { return k%2 == 1 }
-
 // emptyTables drops a skeleton controller's per-line tables.
 func emptyTables(cs *memctrl.ControllerState) {
 	for _, t := range cs.Tables() {
@@ -87,7 +83,12 @@ func encodePayload[S any, P checkpoint[S]](st P) ([]byte, error) {
 	}
 	ctrls := st.controllers()
 	size := payloadHeaderLen + len(sk)
-	for _, cs := range ctrls {
+	for i, cs := range ctrls {
+		for j, t := range cs.Tables() {
+			if t.Released() {
+				return nil, fmt.Errorf("snapshot: encode: controller %d table %d: %w", i, j, arena.ErrReleased)
+			}
+		}
 		for _, col := range columns(cs) {
 			size += 8 + len(col)
 		}
@@ -106,11 +107,11 @@ func encodePayload[S any, P checkpoint[S]](st P) ([]byte, error) {
 }
 
 // parse splits a sectioned payload back into a state whose columns are
-// sub-slices of payload. Every failure wraps ErrCorrupt: the envelope was
-// intact, the payload is not one encodePayload writes. LoadFile runs the
-// same three steps, with the skeleton's decode overlapping the read of the
-// column sections.
-func parse[S any, P checkpoint[S]](payload []byte) (P, error) {
+// sub-slices of payload, tables over b's memory when payload lies in a
+// Backing (nil: the Go heap). Every failure wraps ErrCorrupt: the envelope
+// was intact, the payload is not one encodePayload writes. load runs the
+// same steps, with the skeleton's decode overlapping the payload's CRC.
+func parse[S any, P checkpoint[S]](payload []byte, b *arena.Backing) (P, error) {
 	skLen, err := parseHead(payload, uint64(len(payload)))
 	if err != nil {
 		return nil, err
@@ -119,8 +120,15 @@ func parse[S any, P checkpoint[S]](payload []byte) (P, error) {
 	if err != nil {
 		return nil, err
 	}
-	secs, tail := splitSections(payload[payloadHeaderLen+skLen:], len(st.controllers())*ctrlSections)
-	if err := frameColumns(st.controllers(), secs, tail); err != nil {
+	return frame(st, payload[payloadHeaderLen+skLen:], b)
+}
+
+// frame points the columns of st's controllers at the column sections in
+// rest, the payload after the skeleton, and returns st.
+func frame[S any, P checkpoint[S]](st P, rest []byte, b *arena.Backing) (P, error) {
+	ctrls := st.controllers()
+	secs, tail := splitSections(rest, len(ctrls)*ctrlSections)
+	if err := frameColumns(ctrls, secs, tail, b); err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -177,9 +185,9 @@ func splitSections(rest []byte, count int) (secs [][]byte, tail []byte) {
 }
 
 // frameColumns points the columns of ctrls at secs, the column sections in
-// payload order. tail is what followed the last whole section; a
-// checkpoint has none.
-func frameColumns(ctrls []*memctrl.ControllerState, secs [][]byte, tail []byte) error {
+// payload order, as tables over b (arena.Backing.Table). tail is what
+// followed the last whole section; a checkpoint has none.
+func frameColumns(ctrls []*memctrl.ControllerState, secs [][]byte, tail []byte, b *arena.Backing) error {
 	for i, cs := range ctrls {
 		cols := columns(cs)
 		for j, col := range cols {
@@ -197,7 +205,7 @@ func frameColumns(ctrls []*memctrl.ControllerState, secs [][]byte, tail []byte) 
 		}
 		for j, t := range cs.Tables() {
 			var err error
-			if *t, err = arena.TableFrom(cols[2*j], cols[2*j+1]); err != nil {
+			if *t, err = b.Table(cols[2*j], cols[2*j+1]); err != nil {
 				return fmt.Errorf("%w: controller %d: %v", ErrCorrupt, i, err)
 			}
 		}
@@ -236,7 +244,7 @@ func Decode[S any, P checkpoint[S]](r io.Reader) (P, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parse[S, P](payload)
+	return parse[S, P](payload, nil)
 }
 
 // SaveFile writes a run or server state to path through SaveEnvelope, so
@@ -250,14 +258,25 @@ func SaveFile[S any, P checkpoint[S]](path string, st P) error {
 }
 
 // LoadFile reads a checkpoint file of the state's kind and parses it
-// (LoadFile[RunState] or LoadFile[ServerState]). The device blocks a
-// restore adopts are read into an allocation of their own, so they keep
-// nothing else of the file alive (readSections). It returns what Decode
-// returns for the file's bytes, but pipelines the work: the skeleton is
-// gob-decoded on its own goroutine while the column sections are read and
-// the payload CRC is taken, and the columns are framed last. Errors keep
-// Decode's precedence: a short file, then a CRC mismatch, then a payload
-// that does not parse.
+// (LoadFile[RunState] or LoadFile[ServerState]). It returns what Decode
+// returns for the file's bytes, errors in Decode's order: a short file,
+// then a CRC mismatch, then a payload that does not parse.
+//
+// Where it can (a regular file on Linux, mapFile), LoadFile maps the file
+// privately and parses it in place (load): the state's per-line tables
+// are the mapping's pages, so the blocks a restore adopts are never
+// copied into the heap, and a restored device's writes land in private
+// copies of the pages they touch, never in the file. The mapping is
+// unmapped once every table over it is released: by the restore that
+// adopted it when the pool or controller closes (memctrl.Controller.Close),
+// or, for tables no live restore holds, when the collector finds them
+// garbage. Anything else (a file that cannot be mapped, a pipe, another
+// OS) is read whole into the heap and parsed there.
+//
+// A mapped file must not shrink while a state loaded from it lives:
+// touching a page past the end raises SIGBUS. SaveEnvelope never
+// truncates: it renames a new file over the old one, whose mapping keeps
+// the old inode, so a daemon may save over the checkpoint it restored from.
 func LoadFile[S any, P checkpoint[S]](path string) (P, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -268,149 +287,56 @@ func LoadFile[S any, P checkpoint[S]](path string) (P, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	if !fi.Mode().IsRegular() {
-		// Only a regular file's size bounds the payload before it is
-		// read; anything else is read whole first.
-		data, err := io.ReadAll(f)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: %w", err)
+	if fi.Mode().IsRegular() {
+		if data, unmap, ok := mapFile(f, fi.Size()); ok {
+			b := arena.NewBacking(unmap)
+			defer b.Done()
+			return load[S, P](data, b)
 		}
-		return Decode[S, P](bytes.NewReader(data))
 	}
-	hdr := make([]byte, headerLen)
-	n, _ := io.ReadFull(f, hdr) // a short read fails checkHeader as truncated
-	plen, err := checkHeader(hdr[:n], P(nil).kind())
+	// Only a regular file's size hints at how much there is to read.
+	var buf bytes.Buffer
+	if fi.Mode().IsRegular() {
+		buf.Grow(int(fi.Size()) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(f); err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
+	}
+	return load[S, P](buf.Bytes(), nil)
+}
+
+// load parses data, a whole checkpoint file, in place: the state's
+// columns alias data, as tables over b when data is b's memory. It
+// returns what Decode returns for the same bytes, but takes the payload's
+// CRC while the skeleton gob-decodes on another goroutine.
+func load[S any, P checkpoint[S]](data []byte, b *arena.Backing) (P, error) {
+	plen, err := checkHeader(data[:min(len(data), headerLen)], P(nil).kind())
 	if err != nil {
 		return nil, err
 	}
-	if left := uint64(fi.Size() - headerLen); left < plen {
+	if left := uint64(len(data) - headerLen); left < plen {
 		return nil, fmt.Errorf("%w: payload is %d bytes, envelope declares %d", ErrTruncated, left, plen)
 	}
-	head := make([]byte, min(plen, payloadHeaderLen))
-	if err := readAt(f, head, headerLen); err != nil {
-		return nil, err
-	}
-	skLen, parseErr := parseHead(head, plen)
-	sk := make([]byte, skLen)
-	type decoded struct {
-		st  P
-		err error
-	}
-	var done chan decoded
+	payload := data[headerLen : headerLen+plen : headerLen+plen]
+	skLen, parseErr := parseHead(payload, plen)
+	var st P
+	var done chan struct{}
 	if parseErr == nil {
-		if err := readAt(f, sk, int64(headerLen+len(head))); err != nil {
-			return nil, err
-		}
-		done = make(chan decoded, 1)
+		done = make(chan struct{})
 		go func() {
-			st, err := decodeSkeleton[S, P](sk)
-			done <- decoded{st, err}
+			defer close(done)
+			st, parseErr = decodeSkeleton[S, P](payload[payloadHeaderLen : payloadHeaderLen+skLen])
 		}()
 	}
-	var st P
-	wait := func() {
-		if done != nil {
-			d := <-done
-			st, parseErr, done = d.st, d.err, nil
-		}
+	err = checkCRC(data, crc32.ChecksumIEEE(payload))
+	if done != nil {
+		<-done
 	}
-	// The walk over the sections takes the first eagerSections while the
-	// skeleton decodes; past them it waits for the decode and stops at
-	// the sections the skeleton's controllers frame, so a payload padded
-	// with length words costs no more than a valid one.
-	more := func(k int) bool {
-		if k >= eagerSections {
-			wait()
-		}
-		return parseErr == nil && (st == nil || k < len(st.controllers())*ctrlSections)
-	}
-	sum := crc32.Update(0, crc32.IEEETable, head)
-	sum = crc32.Update(sum, crc32.IEEETable, sk)
-	secs, tail, err := readSections(f, int64(headerLen+uint64(len(head))+skLen), plen-uint64(len(head))-skLen, &sum, more)
-	if err == nil {
-		err = checkCRC(hdr, sum)
-	}
-	wait()
 	switch {
 	case err != nil:
 		return nil, err
 	case parseErr != nil:
 		return nil, parseErr
 	}
-	if err := frameColumns(st.controllers(), secs, tail); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// eagerSections is how many column sections LoadFile walks before the
-// skeleton's decode has told it how many there are: all of them for a
-// state of up to eight controllers.
-const eagerSections = 8 * ctrlSections
-
-// readSections reads the n bytes of column sections at offset off of f,
-// split the way splitSections splits them, and folds every byte into the
-// CRC sum. more(k) reports whether section k is one to split off; the
-// bytes from the first section it refuses on are the tail. The length
-// words are read first, so the sections can be laid out in two
-// allocations: one holding the chunk blocks, which a restore adopts
-// (isBlocks), and one for the chunk indices, which the restore reads and
-// drops. The adopted blocks thus keep no other part of the file alive. Reading all
-// sections into one allocation measured slower in the restart benchmark
-// (DESIGN.md, "Layout 5").
-func readSections(f *os.File, off int64, n uint64, sum *uint32, more func(k int) bool) (secs [][]byte, tail []byte, err error) {
-	var lens []uint64
-	var word [8]byte
-	var nBlocks, nOther uint64
-	at, left := off, n
-	for left >= 8 && more(len(lens)) {
-		if err := readAt(f, word[:], at); err != nil {
-			return nil, nil, err
-		}
-		l := binary.LittleEndian.Uint64(word[:])
-		if l > left-8 {
-			break
-		}
-		if isBlocks(len(lens)) {
-			nBlocks += l
-		} else {
-			nOther += l
-		}
-		lens = append(lens, l)
-		at += int64(8 + l)
-		left -= 8 + l
-	}
-	blocks, other := make([]byte, nBlocks), make([]byte, nOther)
-	at = off
-	for k, l := range lens {
-		buf := &other
-		if isBlocks(k) {
-			buf = &blocks
-		}
-		sec := (*buf)[:l:l]
-		*buf = (*buf)[l:]
-		if err := readAt(f, sec, at+8); err != nil {
-			return nil, nil, err
-		}
-		binary.LittleEndian.PutUint64(word[:], l)
-		*sum = crc32.Update(*sum, crc32.IEEETable, word[:])
-		*sum = crc32.Update(*sum, crc32.IEEETable, sec)
-		secs = append(secs, sec)
-		at += int64(8 + l)
-	}
-	tail = make([]byte, left)
-	if err := readAt(f, tail, at); err != nil {
-		return nil, nil, err
-	}
-	*sum = crc32.Update(*sum, crc32.IEEETable, tail)
-	return secs, tail, nil
-}
-
-// readAt reads len(b) bytes at offset at of f; a short read means the file
-// shrank after its size was checked.
-func readAt(f *os.File, b []byte, at int64) error {
-	if _, err := f.ReadAt(b, at); err != nil {
-		return fmt.Errorf("%w: reading payload: %v", ErrTruncated, err)
-	}
-	return nil
+	return frame(st, payload[payloadHeaderLen+skLen:], b)
 }

@@ -17,7 +17,7 @@ import (
 
 // payloadFixture is a two-controller server state with every column
 // populated.
-func payloadFixture(t *testing.T) *ServerState {
+func payloadFixture(t testing.TB) *ServerState {
 	t.Helper()
 	mk := func(seed byte) memctrl.ControllerState {
 		c := memctrl.New(memctrl.DefaultConfig(64<<10, true), steins.Factory)
@@ -37,13 +37,13 @@ func payloadFixture(t *testing.T) *ServerState {
 }
 
 // runFixture is a two-channel run with every column populated.
-func runFixture(t *testing.T) *RunState {
+func runFixture(t testing.TB) *RunState {
 	t.Helper()
 	return capture(t, testHeader("Steins-SC", 2, 200), 150)
 }
 
 // wrap frames a payload in a valid envelope of the given kind.
-func wrap(t *testing.T, kind uint32, payload []byte) []byte {
+func wrap(t testing.TB, kind uint32, payload []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteEnvelope(&buf, kind, payload); err != nil {
@@ -88,7 +88,7 @@ type payloadKind struct {
 	kind uint32
 	// payload encodes the kind's fixture, and whole gob-encodes it with
 	// its columns, as a skeleton that still carries them.
-	payload, whole func(t *testing.T) []byte
+	payload, whole func(t testing.TB) []byte
 	// load parses an envelope through both loaders (loadBoth) and
 	// reports whether they accepted it.
 	load func(t *testing.T, env []byte) (bool, error)
@@ -97,18 +97,18 @@ type payloadKind struct {
 	loadFile func(path string) error
 }
 
-func kindOf[S any, P checkpoint[S]](name string, fixture func(*testing.T) P) payloadKind {
+func kindOf[S any, P checkpoint[S]](name string, fixture func(testing.TB) P) payloadKind {
 	return payloadKind{
 		name: name,
 		kind: P(nil).kind(),
-		payload: func(t *testing.T) []byte {
+		payload: func(t testing.TB) []byte {
 			p, err := encodePayload[S](fixture(t))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return p
 		},
-		whole: func(t *testing.T) []byte {
+		whole: func(t testing.TB) []byte {
 			p, err := encode(fixture(t))
 			if err != nil {
 				t.Fatal(err)
@@ -168,7 +168,7 @@ func checkSections[S any, P checkpoint[S]](t *testing.T, st P) {
 	if off != len(payload) {
 		t.Fatalf("sections end at %d of %d payload bytes", off, len(payload))
 	}
-	back, err := parse[S, P](payload)
+	back, err := parse[S, P](payload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,14 @@
 // tables raw). Every map in the captured state is flattened to an
 // address-sorted slice before encoding, so identical states produce
 // identical bytes.
+//
+// Loading: LoadFile maps a regular checkpoint file privately on Linux and
+// parses it in place, so the per-line tables a restore adopts are the
+// file's pages and are never copied into the heap; elsewhere, and for a
+// file it cannot map, it reads the file whole. Decode parses the same
+// bytes read from any reader, with the same result and the same errors.
+// A restore that adopted mapped tables holds the mapping until its
+// controller closes (memctrl.Controller.Close).
 package snapshot
 
 import (
@@ -351,7 +359,10 @@ func encode(v any) ([]byte, error) {
 // destroy the previous good checkpoint — the whole point of keeping one —
 // and a power cut after SaveEnvelope returns can neither leave an empty
 // file under path nor bring back the previous one. Every checkpoint family
-// (runs, servers, campaigns) saves through it.
+// (runs, servers, campaigns) saves through it. It never truncates or
+// rewrites the file at path: a state LoadFile mapped from it keeps the old
+// inode, so saving over a checkpoint that a live restore still maps (as
+// securememd -state does when it drains) cannot pull pages from under it.
 func SaveEnvelope(path string, kind uint32, payload []byte) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {

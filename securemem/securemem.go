@@ -209,6 +209,16 @@ func (m *Memory) Read(addr uint64) (Block, error) {
 	return m.sys.ReadData(1, addr)
 }
 
+// Close releases the checkpoint tables every channel controller adopted
+// from a mapped checkpoint in a restore (multi.System.Close) and reports
+// whether it released any. A Memory that did holds none of its data and
+// must not be used again; one over the Go heap is left as it was.
+func (m *Memory) Close() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.sys.Close()
+}
+
 // Crash models a power failure: all volatile controller state (cached
 // security metadata) is lost on every channel; NVM contents, ADR-flushed
 // tracking state and on-chip non-volatile registers survive.

@@ -287,16 +287,14 @@ func LoadFile[S any, P checkpoint[S]](path string) (P, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
+	var buf bytes.Buffer
 	if fi.Mode().IsRegular() {
 		if data, unmap, ok := mapFile(f, fi.Size()); ok {
 			b := arena.NewBacking(unmap)
 			defer b.Done()
 			return load[S, P](data, b)
 		}
-	}
-	// Only a regular file's size hints at how much there is to read.
-	var buf bytes.Buffer
-	if fi.Mode().IsRegular() {
+		// Only a regular file's size hints at how much there is to read.
 		buf.Grow(int(fi.Size()) + bytes.MinRead)
 	}
 	if _, err := buf.ReadFrom(f); err != nil {
